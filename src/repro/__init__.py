@@ -123,8 +123,9 @@ contract (the delta-refresh contract in :mod:`repro.backends.base`):
 =============  ==============================================================
 kernel         ``commit_anchor`` path
 =============  ==============================================================
-``dict``       affected-region splice: per-level riser cascades update the
-               core numbers (+1 each, the single-anchor shell lemma), only
+``dict``       affected-region splice: per-level riser cascades
+               (:func:`repro.anchored.followers.commit_anchor_cores`) update
+               the core numbers (+1 each, the single-anchor shell lemma), only
                shells whose membership or starting degrees changed re-run
                their within-shell order cascade
 ``compact``    the same splice over flat id arrays
@@ -139,6 +140,9 @@ kernel         ``commit_anchor`` path
 custom         inherits the protocol default — full refresh, touched
                unknown (``None``) — so third-party kernels keep working
 =============  ==============================================================
+
+IncAVT's swap/fill pass reuses the riser cascades, capped at ``k``, on a copy
+of the maintained core numbers, so a warm update runs no peel.
 
 Every path returns the exact *touched set* (vertices whose anchored core
 number changed), which :class:`~repro.anchored.GreedyAnchoredKCore` uses to

@@ -12,6 +12,10 @@ drags into the k-core.  Two implementations are provided:
   exactly ``k-1`` and must be connected to the anchor through followers), which
   is the shell-local equivalent of the paper's OrderInsert-based Algorithm 3.
 
+:func:`commit_anchor_cores` builds on the fast path: it raises a core-number
+mapping to the anchored core numbers after one more anchor, with per-level
+:func:`marginal_followers` cascades, and returns the list that undoes it.
+
 The two are property-tested against each other; the greedy algorithms use the
 fast path and the test-suite keeps the reference honest.
 
@@ -27,7 +31,18 @@ counts for the paper's instrumentation figures.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    MutableMapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.backends import (
     BACKEND_AUTO,
@@ -35,6 +50,7 @@ from repro.backends import (
     ExecutionBackend,
     get_backend,
 )
+from repro.cores.decomposition import ANCHOR_CORE
 from repro.errors import ParameterError, VertexNotFoundError
 from repro.graph.compact import CompactGraph
 from repro.graph.static import Graph, Vertex
@@ -207,6 +223,61 @@ def marginal_followers(
                 if support[neighbour] < k:
                     removal_queue.append(neighbour)
     return region - removed
+
+
+def commit_anchor_cores(
+    graph: Graph,
+    anchor: Vertex,
+    core: MutableMapping[Vertex, float],
+    cap: Optional[int] = None,
+) -> List[Tuple[Vertex, float]]:
+    """Raise ``core`` in place to the anchored core numbers with ``anchor`` added.
+
+    ``core`` holds the anchored core numbers of the current anchor set
+    (anchors at :data:`~repro.cores.decomposition.ANCHOR_CORE`).  Adding one
+    anchor raises every other core number by at most 1, and the vertices that
+    rise to level ``j`` are exactly the anchor's level-``j`` followers on the
+    old numbers: one :func:`marginal_followers` cascade per level
+    ``j - 1 ∈ {core(u) : u ∈ N(anchor), core(u) >= core(anchor)}``.  Each
+    cascade reads only the old numbers, so the writes happen after all of
+    them.  This is the values half of the ``commit_anchor`` splice; see
+    :func:`repro.cores.decomposition.incremental_anchor_commit` for the full
+    argument.
+
+    Returns ``[(vertex, previous value)]`` for every changed vertex, the
+    anchor first.  Each vertex appears once, so writing the pairs back in
+    reverse order, across any number of commits, restores ``core`` exactly.
+
+    **Cap.**  With ``cap`` set, only levels ``j <= cap`` are cascaded.  The
+    result is still exact below ``cap``: a value the skipped levels leave
+    stale is ``>= cap`` both before and after, and every test a level-``j``
+    cascade with ``j <= cap`` makes (``== j - 1`` and ``>= j``) answers the
+    same for it as for the true value.  So after any sequence of capped
+    commits, ``min(core[v], cap)`` equals the anchored core number capped at
+    ``cap``, and evaluations at ``k = cap`` (which test only ``== k - 1`` and
+    ``>= k``) read the same as on the true numbers.  On large graphs almost
+    all of an uncapped commit's work sits at the levels above ``k``, around
+    the hubs.
+    """
+    anchor_core = core[anchor]
+    levels: Set[int] = set()
+    for neighbour in graph.neighbors(anchor):
+        value = core[neighbour]
+        if anchor_core <= value != ANCHOR_CORE and (cap is None or value < cap):
+            levels.add(int(value) + 1)
+
+    touched: List[Tuple[Vertex, float]] = [(anchor, anchor_core)]
+    risers_by_level: Dict[int, Set[Vertex]] = {}
+    for j in levels:
+        risers = marginal_followers(graph, j, anchor, core)
+        if risers:
+            risers_by_level[j] = risers
+            touched.extend((vertex, core[vertex]) for vertex in risers)
+    for j, risers in risers_by_level.items():
+        for vertex in risers:
+            core[vertex] = j
+    core[anchor] = ANCHOR_CORE
+    return touched
 
 
 def full_shell_followers(

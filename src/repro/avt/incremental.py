@@ -19,6 +19,12 @@ first snapshot with the Greedy algorithm, then for every subsequent snapshot:
    the carried-forward set is smaller than the budget, the spare budget is
    filled greedily from the same restricted pool.
 
+The swap/fill pass builds no anchored core index.  It takes one copy of the
+maintained core numbers and raises it to the anchored core numbers of each
+anchor set it evaluates with the per-level riser cascades of
+:func:`repro.anchored.followers.commit_anchor_cores`, capped at ``k``; the
+undo list each commit returns restores the copy between swap targets.
+
 Because the candidate pool is restricted to the region the delta actually
 touched, IncAVT visits far fewer vertices per snapshot than re-running any of
 the static algorithms — the effect the paper's Figures 3-8 measure.
@@ -29,11 +35,15 @@ from __future__ import annotations
 import time
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
-from repro.anchored.anchored_core import AnchoredCoreIndex
-from repro.anchored.followers import compute_followers
+from repro.anchored.followers import (
+    commit_anchor_cores,
+    compute_followers,
+    marginal_followers,
+)
 from repro.anchored.greedy import GreedyAnchoredKCore
 from repro.anchored.result import AnchoredKCoreResult, SolverStats
 from repro.avt.problem import AVTProblem, AVTResult, SnapshotResult
+from repro.cores.decomposition import ANCHOR_CORE
 from repro.cores.maintenance import CoreMaintainer
 from repro.errors import ParameterError
 from repro.backends import BACKEND_AUTO, ExecutionBackend
@@ -51,8 +61,8 @@ class IncAVTTracker:
         candidates from the restricted pool (default).  Disable to follow the
         swap-only pseudocode literally.
     neighbourhood_hops:
-        How far around the affected vertices the candidate pool extends; the
-        paper uses the direct neighbourhood (1 hop).
+        How far around the affected vertices the candidate pool extends
+        (non-negative); the paper uses the direct neighbourhood (1 hop).
     swap_all_anchors:
         Examine a replacement for *every* carried-forward anchor at every
         snapshot (the literal Algorithm 6 loop) instead of only the anchors
@@ -65,11 +75,12 @@ class IncAVTTracker:
         maintained).  The paper observes the same effect: K-order maintenance
         "downgrades when the percentage of updated edges is high" (Section
         6.2.2), which is visible as the IncAVT time jump at eu-core T=21.
-        Set to ``None`` to disable restarts.
+        Must be non-negative; ``0.0`` re-solves every snapshot that changed,
+        and ``None`` disables restarts.
     backend:
         Execution backend (``"auto"`` / ``"dict"`` / ``"compact"``, see
-        :mod:`repro.backends`) used for core maintenance, the Greedy
-        first-snapshot/restart solves and the swap/fill core indexes.
+        :mod:`repro.backends`) used for core maintenance and the Greedy
+        first-snapshot/restart solves.
     """
 
     name = "IncAVT"
@@ -82,8 +93,12 @@ class IncAVTTracker:
         restart_churn_ratio: Optional[float] = 0.15,
         backend: Union[str, ExecutionBackend] = BACKEND_AUTO,
     ) -> None:
+        if neighbourhood_hops < 0:
+            raise ParameterError("neighbourhood_hops must be non-negative")
+        if restart_churn_ratio is not None and restart_churn_ratio < 0:
+            raise ParameterError("restart_churn_ratio must be non-negative or None")
         self._fill_budget = fill_budget
-        self._neighbourhood_hops = max(0, neighbourhood_hops)
+        self._neighbourhood_hops = neighbourhood_hops
         self._swap_all_anchors = swap_all_anchors
         self._restart_churn_ratio = restart_churn_ratio
         self._backend = backend
@@ -205,6 +220,8 @@ class IncAVTTracker:
         restricted pool instead of re-solving from scratch.  Returns the
         refreshed anchor list and the solver stats of the pass.
         """
+        if k < 1:
+            raise ParameterError("k must be >= 1")
         if budget < 0:
             raise ParameterError("budget must be non-negative")
         carried = list(anchors)[:budget]
@@ -278,17 +295,29 @@ class IncAVTTracker:
                 if anchor in region or core.get(anchor, 0) >= k
             ]
 
+        def gain_of(candidate: Vertex) -> int:
+            visit_log: List[Vertex] = []
+            gained = marginal_followers(graph, k, candidate, core, visit_log)
+            stats.candidates_evaluated += 1
+            stats.visited_vertices += max(len(visit_log), 1)
+            return len(gained)
+
         for old_anchor in swap_targets:
             position = anchors.index(old_anchor)
-            base_anchors = [anchor for anchor in anchors if anchor != old_anchor]
-            index = AnchoredCoreIndex(graph, k, anchors=base_anchors, backend=self._backend)
-            base_followers = index.followers()
+            undo: List[Tuple[Vertex, float]] = []
+            for anchor in anchors:
+                if anchor != old_anchor:
+                    undo.extend(commit_anchor_cores(graph, anchor, core, cap=k))
+            # Only committed vertices move, so the base set's followers are
+            # the committed non-anchors that reached the k-core.
+            base_followers = {
+                vertex for vertex, _ in undo if k <= core[vertex] != ANCHOR_CORE
+            }
             base_total = len(base_followers)
 
             def total_with(candidate: Vertex) -> int:
-                gain = len(index.marginal_followers(candidate))
                 already_follower = 1 if candidate in base_followers else 0
-                return base_total + gain - already_follower
+                return base_total + gain_of(candidate) - already_follower
 
             best_vertex = old_anchor
             best_total = total_with(old_anchor)
@@ -300,28 +329,27 @@ class IncAVTTracker:
                     best_vertex, best_total = candidate, total
             if best_vertex != old_anchor:
                 anchors[position] = best_vertex
-            stats.candidates_evaluated += index.candidates_evaluated
-            stats.visited_vertices += index.visited_vertices
             stats.iterations += 1
+            for vertex, value in reversed(undo):
+                core[vertex] = value
 
         # Fill phase: spend any unused budget on the restricted pool.
         if self._fill_budget and len(anchors) < budget:
-            index = AnchoredCoreIndex(graph, k, anchors=anchors, backend=self._backend)
+            for anchor in anchors:
+                commit_anchor_cores(graph, anchor, core, cap=k)
             while len(anchors) < budget:
                 best_vertex: Optional[Vertex] = None
                 best_gain = 0
                 for candidate in pool:
                     if candidate in anchors:
                         continue
-                    gain = len(index.marginal_followers(candidate))
+                    gain = gain_of(candidate)
                     if gain > best_gain:
                         best_vertex, best_gain = candidate, gain
                 if best_vertex is None or best_gain == 0:
                     break
                 anchors.append(best_vertex)
-                index.add_anchor(best_vertex)
+                commit_anchor_cores(graph, best_vertex, core, cap=k)
                 stats.iterations += 1
-            stats.candidates_evaluated += index.candidates_evaluated
-            stats.visited_vertices += index.visited_vertices
 
         return anchors, stats

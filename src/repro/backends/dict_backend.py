@@ -20,7 +20,11 @@ from repro.backends.base import (
     ExecutionBackend,
     MaintenanceKernel,
 )
-from repro.anchored.followers import full_shell_followers, marginal_followers
+from repro.anchored.followers import (
+    commit_anchor_cores,
+    full_shell_followers,
+    marginal_followers,
+)
 from repro.cores.decomposition import (
     ANCHOR_CORE,
     CoreDecomposition,
@@ -166,7 +170,8 @@ class DictCoreIndexKernel(CoreIndexKernel):
         self, vertex: Vertex, anchors: Set[Vertex]
     ) -> Optional[FrozenSet[Vertex]]:
         """Affected-region commit (the delta-refresh contract of
-        :mod:`repro.backends.base`): per-level riser cascades update the core
+        :mod:`repro.backends.base`): the per-level riser cascades of
+        :func:`~repro.anchored.followers.commit_anchor_cores` update the core
         numbers, and only shells whose membership or starting degrees changed
         re-run their within-shell order cascade — the hashable-vertex twin of
         :func:`repro.cores.decomposition.incremental_anchor_commit`, where
@@ -178,30 +183,17 @@ class DictCoreIndexKernel(CoreIndexKernel):
         order = self._order
         anchor_core = core[vertex]
 
-        levels: Set[int] = set()
+        # The anchor's own rise (finite -> infinity) changes the starting
+        # degree of its neighbours in every shell above its old core.
         affected: Set[float] = {anchor_core}
         for neighbour in graph.neighbors(vertex):
             value = core[neighbour]
-            if value == ANCHOR_CORE:
-                continue
-            if value >= anchor_core:
-                levels.add(int(value) + 1)
-            if value > anchor_core:
+            if anchor_core < value != ANCHOR_CORE:
                 affected.add(value)
-
-        touched: List[Tuple[Vertex, float]] = [(vertex, anchor_core)]
-        risers_by_level: Dict[int, Set[Vertex]] = {}
-        for j in levels:
-            risers = marginal_followers(graph, j, vertex, core)
-            if risers:
-                risers_by_level[j] = risers
-                affected.add(j - 1)
-                affected.add(j)
-                touched.extend((v, float(j - 1)) for v in risers)
-        for j, risers in risers_by_level.items():
-            for v in risers:
-                core[v] = j
-        core[vertex] = ANCHOR_CORE
+        touched = commit_anchor_cores(graph, vertex, core)
+        for _, old in touched[1:]:
+            affected.add(old)
+            affected.add(old + 1)
 
         buckets: Dict[float, List[Vertex]] = {}
         anchor_tail: List[Vertex] = []

@@ -177,7 +177,7 @@ class StreamingAVTEngine:
         # long-lived server must not accumulate one per historical query shape.
         self._warm: "OrderedDict[Tuple[int, int, str], _WarmState]" = OrderedDict()
         self._warm_capacity = max(cache_capacity, 16)
-        self._refresher = IncAVTTracker(backend=backend)
+        self._refresher = IncAVTTracker()
         #: Degradation state (see :meth:`health`): set when a backend failure
         #: forced a fallback to the compact backend; ``_degraded_from`` keeps
         #: the failed backend object so flush-time recovery probes can ask it
@@ -523,7 +523,6 @@ class StreamingAVTEngine:
         default_recorder().dump(
             "engine-degraded", where=where, backend=failed.name, error=str(error)
         )
-        self._refresher = IncAVTTracker(backend=self._backend)
         self._degraded = {
             "reason": str(error),
             "where": where,
@@ -556,7 +555,6 @@ class StreamingAVTEngine:
         if not self._maintainer.switch_backend(self._degraded_from):
             return
         self._backend = self._degraded_from
-        self._refresher = IncAVTTracker(backend=self._backend)
         self._stats.recoveries += 1
         logger.warning(
             "engine recovered: backend %r healthy again after degradation at version %d",

@@ -2,19 +2,31 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.anchored.followers import (
     anchored_k_core,
+    commit_anchor_cores,
     compute_followers,
     follower_gain,
     full_shell_followers,
     marginal_followers,
 )
+from repro.backends.dict_backend import dict_anchored_peel
 from repro.cores.decomposition import core_numbers, k_core
 from repro.errors import ParameterError, VertexNotFoundError
 from repro.graph.generators import chung_lu_graph
 from repro.graph.static import Graph
+
+SETTINGS = settings(
+    max_examples=int(os.environ.get("REPRO_HYPOTHESIS_EXAMPLES", "50")),
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 
 
 class TestAnchoredKCore:
@@ -146,3 +158,56 @@ class TestMarginalFollowers:
         fast = marginal_followers(toy_graph, 3, 17, anchored.core)
         exact = follower_gain(toy_graph, 3, [10], 17)
         assert fast == exact
+
+
+@st.composite
+def anchor_sequences(draw):
+    """A graded random graph and a sequence of distinct anchors on it."""
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    num_vertices = draw(st.integers(min_value=2, max_value=50))
+    density = draw(st.sampled_from((1.5, 2.5, 4.0)))
+    num_edges = min(int(density * num_vertices), num_vertices * (num_vertices - 1) // 2)
+    graph = chung_lu_graph(num_vertices, num_edges, skew=1.2, seed=seed)
+    vertices = sorted(graph.vertices())
+    anchors = draw(st.lists(st.sampled_from(vertices), max_size=6, unique=True))
+    return graph, anchors
+
+
+class TestCommitAnchorCores:
+    @SETTINGS
+    @given(scenario=anchor_sequences())
+    def test_uncapped_commits_equal_the_anchored_peel(self, scenario):
+        graph, anchors = scenario
+        core = core_numbers(graph)
+        for position, anchor in enumerate(anchors):
+            commit_anchor_cores(graph, anchor, core)
+            expected = dict_anchored_peel(graph, frozenset(anchors[: position + 1])).core
+            assert core == expected
+
+    @SETTINGS
+    @given(scenario=anchor_sequences(), cap=st.integers(min_value=1, max_value=6))
+    def test_capped_commits_are_exact_up_to_the_cap(self, scenario, cap):
+        graph, anchors = scenario
+        core = core_numbers(graph)
+        for position, anchor in enumerate(anchors):
+            commit_anchor_cores(graph, anchor, core, cap=cap)
+            expected = dict_anchored_peel(graph, frozenset(anchors[: position + 1])).core
+            for vertex, value in expected.items():
+                assert min(core[vertex], cap) == min(value, cap), vertex
+
+    @SETTINGS
+    @given(scenario=anchor_sequences(), cap=st.sampled_from((None, 1, 2, 3, 4)))
+    def test_reverse_replay_restores_the_mapping(self, scenario, cap):
+        graph, anchors = scenario
+        original = core_numbers(graph)
+        core = dict(original)
+        undo = []
+        for anchor in anchors:
+            touched = commit_anchor_cores(graph, anchor, core, cap=cap)
+            assert touched[0][0] == anchor
+            assert len({vertex for vertex, _ in touched}) == len(touched)
+            undo.extend(touched)
+        for vertex, value in reversed(undo):
+            core[vertex] = value
+        assert core == original
+        assert all(type(core[vertex]) is int for vertex in core)

@@ -2,15 +2,36 @@
 
 from __future__ import annotations
 
-import pytest
+import os
+import random
+from typing import List, Optional, Set, Tuple
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.anchored.anchored_core import AnchoredCoreIndex
 from repro.anchored.followers import compute_followers
+from repro.anchored.greedy import GreedyAnchoredKCore
+from repro.anchored.result import SolverStats
 from repro.avt.incremental import IncAVTTracker
 from repro.avt.problem import AVTProblem
 from repro.avt.trackers import GreedyTracker, OLAKTracker
+from repro.cores.maintenance import CoreMaintainer
+from repro.errors import ParameterError
 from repro.graph.datasets import load_dataset, toy_example_evolving_graph
 from repro.graph.dynamic import EdgeDelta, EvolvingGraph
-from repro.graph.static import Graph
+from repro.graph.generators import chung_lu_graph
+from repro.graph.static import Vertex
+
+SETTINGS = settings(
+    max_examples=int(os.environ.get("REPRO_HYPOTHESIS_EXAMPLES", "50")),
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+#: ``(swap_all_anchors, fill_budget)``: every switch of the swap/fill pass.
+PASS_CONFIGS = [(False, True), (False, False), (True, True), (True, False)]
 
 
 @pytest.fixture
@@ -59,12 +80,8 @@ class TestBasicBehaviour:
 
 class TestRefreshAnchors:
     def test_refresh_swaps_against_affected_pool(self, toy_problem):
-        from repro.cores.maintenance import CoreMaintainer
-
         evolving = toy_problem.evolving_graph
         maintainer = CoreMaintainer(evolving.base)
-        from repro.anchored.greedy import GreedyAnchoredKCore
-
         first = GreedyAnchoredKCore(maintainer.graph, 3, 2).select()
         effect = maintainer.apply_delta(evolving.deltas[0], k=3)
         anchors, stats = IncAVTTracker().refresh_anchors(
@@ -78,9 +95,6 @@ class TestRefreshAnchors:
         assert stats.iterations >= 0
 
     def test_refresh_truncates_to_budget_and_rejects_negative(self, toy_problem):
-        from repro.cores.maintenance import CoreMaintainer
-        from repro.errors import ParameterError
-
         maintainer = CoreMaintainer(toy_problem.evolving_graph.base)
         anchors, _ = IncAVTTracker().refresh_anchors(maintainer, 3, 1, (7, 10), set())
         assert len(anchors) <= 1
@@ -160,3 +174,181 @@ class TestConfiguration:
         for snapshot in result:
             assert snapshot.anchors == ()
             assert snapshot.num_followers == 0
+
+
+class TestParameterValidation:
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_refresh_rejects_k_below_one(self, toy_problem, k):
+        maintainer = CoreMaintainer(toy_problem.evolving_graph.base)
+        with pytest.raises(ParameterError):
+            IncAVTTracker().refresh_anchors(maintainer, k, 1, (4,), {3, 4})
+
+    def test_rejects_negative_neighbourhood_hops(self):
+        with pytest.raises(ParameterError):
+            IncAVTTracker(neighbourhood_hops=-3)
+
+    def test_rejects_negative_restart_churn_ratio(self):
+        with pytest.raises(ParameterError):
+            IncAVTTracker(restart_churn_ratio=-1.0)
+
+    def test_zero_hops_and_zero_churn_ratio_stay_valid(self, toy_problem):
+        # restart_churn_ratio=0.0 is the "IncAVT(rebuild)" experiment variant.
+        result = IncAVTTracker(neighbourhood_hops=0, restart_churn_ratio=0.0).track(toy_problem)
+        greedy = GreedyTracker().track(toy_problem)
+        assert [s.anchors for s in result] == [s.anchors for s in greedy]
+
+
+# ----------------------------------------------------------------------
+# The swap/fill pass against its anchored-core-index formulation
+# ----------------------------------------------------------------------
+def reference_update_anchor_set(
+    tracker: IncAVTTracker,
+    maintainer: CoreMaintainer,
+    k: int,
+    budget: int,
+    previous_anchors: List[Vertex],
+    affected: Set[Vertex],
+) -> Tuple[List[Vertex], SolverStats]:
+    """The swap/fill pass with one fresh :class:`AnchoredCoreIndex` per anchor set.
+
+    A full anchored peel per swap target and one more for the fill phase:
+    slow, but every number it reads comes straight from an anchored core
+    decomposition, which makes it the referee of the tracker's pass.
+    """
+    stats = SolverStats()
+    graph = maintainer.graph
+    core = maintainer.core_numbers()
+    anchors = [anchor for anchor in previous_anchors if graph.has_vertex(anchor)]
+
+    region = tracker._affected_region(graph, affected)
+    pool = tracker._candidate_pool(graph, k, core, region, exclude=set(anchors))
+    if not pool:
+        return anchors, stats
+
+    if tracker._swap_all_anchors:
+        swap_targets = list(anchors)
+    else:
+        swap_targets = [
+            anchor for anchor in anchors if anchor in region or core.get(anchor, 0) >= k
+        ]
+
+    for old_anchor in swap_targets:
+        position = anchors.index(old_anchor)
+        base_anchors = [anchor for anchor in anchors if anchor != old_anchor]
+        index = AnchoredCoreIndex(graph, k, anchors=base_anchors)
+        base_followers = index.followers()
+        base_total = len(base_followers)
+
+        def total_with(candidate: Vertex) -> int:
+            gain = len(index.marginal_followers(candidate))
+            already_follower = 1 if candidate in base_followers else 0
+            return base_total + gain - already_follower
+
+        best_vertex = old_anchor
+        best_total = total_with(old_anchor)
+        for candidate in pool:
+            if candidate in anchors:
+                continue
+            total = total_with(candidate)
+            if total > best_total:
+                best_vertex, best_total = candidate, total
+        if best_vertex != old_anchor:
+            anchors[position] = best_vertex
+        stats.candidates_evaluated += index.candidates_evaluated
+        stats.visited_vertices += index.visited_vertices
+        stats.iterations += 1
+
+    if tracker._fill_budget and len(anchors) < budget:
+        index = AnchoredCoreIndex(graph, k, anchors=anchors)
+        while len(anchors) < budget:
+            best: Optional[Vertex] = None
+            best_gain = 0
+            for candidate in pool:
+                if candidate in anchors:
+                    continue
+                gain = len(index.marginal_followers(candidate))
+                if gain > best_gain:
+                    best, best_gain = candidate, gain
+            if best is None or best_gain == 0:
+                break
+            anchors.append(best)
+            index.add_anchor(best)
+            stats.iterations += 1
+        stats.candidates_evaluated += index.candidates_evaluated
+        stats.visited_vertices += index.visited_vertices
+
+    return anchors, stats
+
+
+def _counters(stats: SolverStats) -> Tuple[int, int, int]:
+    return (stats.candidates_evaluated, stats.visited_vertices, stats.iterations)
+
+
+def _assert_pass_matches_reference(tracker, maintainer, k, budget, carried, affected):
+    anchors, stats = tracker._update_anchor_set(maintainer, k, budget, list(carried), set(affected))
+    expected, expected_stats = reference_update_anchor_set(
+        tracker, maintainer, k, budget, list(carried), set(affected)
+    )
+    assert anchors == expected
+    graph = maintainer.graph
+    assert compute_followers(graph, k, anchors) == compute_followers(graph, k, expected)
+    assert _counters(stats) == _counters(expected_stats)
+    return anchors
+
+
+@st.composite
+def swap_fill_scenarios(draw):
+    """A graded random graph, a delta on it, carried anchors and an affected set."""
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    num_vertices = draw(st.integers(min_value=8, max_value=45))
+    density = draw(st.sampled_from((2.0, 2.5, 3.0)))
+    graph = chung_lu_graph(num_vertices, int(density * num_vertices), skew=1.2, seed=seed)
+    vertices = sorted(graph.vertices())
+    edges = sorted(graph.edges())
+    rng = random.Random(seed)
+    removed = rng.sample(edges, min(len(edges), draw(st.integers(0, 6))))
+    inserted = [tuple(rng.sample(vertices, 2)) for _ in range(draw(st.integers(0, 6)))]
+    delta = EdgeDelta.from_iterables(inserted=inserted, removed=removed)
+    k = draw(st.integers(min_value=2, max_value=5))
+    budget = draw(st.integers(min_value=0, max_value=4))
+    if draw(st.booleans()):
+        # What IncAVT carries: the previous snapshot's Greedy answer.
+        carried = list(GreedyAnchoredKCore(graph, k, budget).select().anchors)
+    else:
+        carried = draw(st.lists(st.sampled_from(vertices), max_size=budget, unique=True))
+    extra = draw(st.lists(st.sampled_from(vertices), max_size=num_vertices))
+    return graph, delta, k, budget, carried, extra
+
+
+@pytest.mark.parametrize("swap_all_anchors, fill_budget", PASS_CONFIGS)
+@SETTINGS
+@given(scenario=swap_fill_scenarios())
+def test_swap_fill_pass_matches_index_reference(swap_all_anchors, fill_budget, scenario):
+    graph, delta, k, budget, carried, extra = scenario
+    tracker = IncAVTTracker(swap_all_anchors=swap_all_anchors, fill_budget=fill_budget)
+    maintainer = CoreMaintainer(graph)
+    effect = maintainer.apply_delta(delta, k=k)
+    # The engine passes everything a flush touched; the tracker passes VI ∪ VR.
+    for affected in (effect.affected, effect.affected | set(extra)):
+        _assert_pass_matches_reference(tracker, maintainer, k, budget, carried, affected)
+
+
+@pytest.mark.parametrize("swap_all_anchors, fill_budget", PASS_CONFIGS)
+def test_tracked_sequence_matches_index_reference(swap_all_anchors, fill_budget):
+    """Every snapshot of a real sequence; the pass swaps (and fills) there."""
+    evolving = load_dataset("college_msg", num_snapshots=6, scale=0.3, seed=4)
+    k, budget = 3, 4
+    tracker = IncAVTTracker(swap_all_anchors=swap_all_anchors, fill_budget=fill_budget)
+    maintainer = CoreMaintainer(evolving.base)
+    anchors = list(GreedyAnchoredKCore(maintainer.graph, k, budget - 2).select().anchors)
+    swaps = fills = 0
+    for delta in evolving.deltas:
+        effect = maintainer.apply_delta(delta, k=k)
+        refreshed = _assert_pass_matches_reference(
+            tracker, maintainer, k, budget, anchors, effect.affected
+        )
+        swaps += refreshed[: len(anchors)] != anchors
+        fills += len(refreshed) > len(anchors)
+        anchors = refreshed
+    assert swaps > 0
+    assert (fills > 0) == fill_budget
