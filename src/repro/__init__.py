@@ -142,7 +142,9 @@ custom         inherits the protocol default — full refresh, touched
 =============  ==============================================================
 
 IncAVT's swap/fill pass reuses the riser cascades, capped at ``k``, on a copy
-of the maintained core numbers, so a warm update runs no peel.
+of the maintained core numbers, so a warm update runs no peel.  Its followers
+come from :func:`~repro.anchored.compute_followers` given the maintained
+k-core, which peels only the region grown from the anchors outside it.
 
 Every path returns the exact *touched set* (vertices whose anchored core
 number changed), which :class:`~repro.anchored.GreedyAnchoredKCore` uses to

@@ -4,8 +4,11 @@ Anchoring a vertex exempts it from the degree constraint of the k-core; the
 *followers* of an anchor set are the additional vertices that the exemption
 drags into the k-core.  Two implementations are provided:
 
-* :func:`anchored_k_core` / :func:`compute_followers` — the exact
-  deletion-cascade reference, valid for arbitrary anchor sets; and
+* :func:`anchored_k_core` / :func:`compute_followers` — exact for arbitrary
+  anchor sets.  Without a precomputed plain k-core, :func:`compute_followers`
+  is the O(n + m) deletion-cascade reference; given one, it grows a region
+  from the anchors outside the k-core and peels only that, so its work
+  follows the anchors rather than the graph; and
 * :func:`marginal_followers` — the fast single-anchor computation used inside
   the greedy loops.  It explores only the ``(k-1)``-shell region reachable from
   the candidate anchor (every follower of a single anchor has core number
@@ -16,8 +19,9 @@ drags into the k-core.  Two implementations are provided:
 mapping to the anchored core numbers after one more anchor, with per-level
 :func:`marginal_followers` cascades, and returns the list that undoes it.
 
-The two are property-tested against each other; the greedy algorithms use the
-fast path and the test-suite keeps the reference honest.
+The two are property-tested against each other, as are the two paths of
+:func:`compute_followers`; the greedy algorithms use the fast path and the
+test-suite keeps the reference honest.
 
 Every cascade also exists as a flat integer-array kernel
 (:func:`compact_marginal_followers`, :func:`compact_full_shell_followers`)
@@ -70,15 +74,20 @@ def anchored_k_core(
     size because a lone pass cannot amortise building a snapshot (see
     :mod:`repro.backends.registry`).
     """
-    if k < 0:
-        raise ParameterError("k must be non-negative")
     anchor_set = set(anchors)
-    for anchor in anchor_set:
-        if not graph.has_vertex(anchor):
-            raise VertexNotFoundError(anchor)
+    _check_query(graph, k, anchor_set)
     return get_backend(backend, graph.num_vertices, workload=WORKLOAD_ONE_SHOT).k_core(
         graph, k, anchor_set
     )
+
+
+def _check_query(graph: Graph, k: int, anchor_set: Set[Vertex]) -> None:
+    """Reject a negative ``k`` and anchors that are not vertices of ``graph``."""
+    if k < 0:
+        raise ParameterError("k must be non-negative")
+    for anchor in anchor_set:
+        if not graph.has_vertex(anchor):
+            raise VertexNotFoundError(anchor)
 
 
 def compute_followers(
@@ -91,14 +100,62 @@ def compute_followers(
     """Return ``F_k(S, G)``: the followers of the anchor set ``S`` (Definition 3).
 
     Followers are the members of the anchored k-core that are neither anchors
-    nor members of the plain k-core.  ``k_core_vertices`` may be supplied to
-    avoid recomputing the plain k-core.
+    nor members of the plain k-core ``K``.
+
+    Without ``k_core_vertices`` this is the reference: two O(n + m) deletion
+    cascades on ``backend`` (the anchored k-core and the plain one).
+
+    With ``k_core_vertices`` — which must be exactly the plain k-core ``K`` —
+    the work follows the anchors instead of the graph, and ``backend`` is
+    unused.  A region grows from the anchors outside ``K`` through vertices
+    that are not in ``K``, not anchors and have degree at least ``k``; each
+    region vertex counts its supporters (neighbours in ``K``, in ``S`` or in
+    the region), and a local cascade peels every vertex left with fewer than
+    ``k``.  The survivors are the followers.  The region holds every
+    follower: were a set ``F''`` of followers unreachable from the anchors
+    outside ``K`` along followers, every anchored-core neighbour of a vertex
+    of ``F''`` would lie in ``K ∪ F''``, so ``K ∪ F''`` would have minimum
+    degree ``k`` and ``F''`` would be inside ``K``.
     """
     anchor_set = set(anchors)
-    anchored = anchored_k_core(graph, k, anchor_set, backend=backend)
     if k_core_vertices is None:
-        k_core_vertices = anchored_k_core(graph, k, (), backend=backend)
-    return anchored - k_core_vertices - anchor_set
+        anchored = anchored_k_core(graph, k, anchor_set, backend=backend)
+        return anchored - anchored_k_core(graph, k, (), backend=backend) - anchor_set
+    _check_query(graph, k, anchor_set)
+
+    region: Set[Vertex] = set()
+    stack = [anchor for anchor in anchor_set if anchor not in k_core_vertices]
+    while stack:
+        for neighbour in graph.neighbors(stack.pop()):
+            if (
+                neighbour not in region
+                and neighbour not in k_core_vertices
+                and neighbour not in anchor_set
+                and graph.degree(neighbour) >= k
+            ):
+                region.add(neighbour)
+                stack.append(neighbour)
+
+    support: Dict[Vertex, int] = {}
+    for vertex in region:
+        support[vertex] = sum(
+            1
+            for neighbour in graph.neighbors(vertex)
+            if neighbour in k_core_vertices or neighbour in anchor_set or neighbour in region
+        )
+    removal_queue = [vertex for vertex, count in support.items() if count < k]
+    removed: Set[Vertex] = set()
+    while removal_queue:
+        vertex = removal_queue.pop()
+        if vertex in removed:
+            continue
+        removed.add(vertex)
+        for neighbour in graph.neighbors(vertex):
+            if neighbour in region and neighbour not in removed:
+                support[neighbour] -= 1
+                if support[neighbour] < k:
+                    removal_queue.append(neighbour)
+    return region - removed
 
 
 def follower_gain(

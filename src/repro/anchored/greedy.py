@@ -123,7 +123,10 @@ class GreedyAnchoredKCore:
         self._budget = budget
         self._order_pruning = order_pruning
         self._stop_on_zero_gain = stop_on_zero_gain
-        self._initial_anchors = tuple(initial_anchors)
+        # Distinct anchors, first occurrence kept: each one spends budget once.
+        self._initial_anchors = tuple(dict.fromkeys(initial_anchors))
+        if len(self._initial_anchors) > budget:
+            raise ParameterError("initial_anchors must not outnumber the budget")
         self._incremental = incremental
         self._backend = backend
 

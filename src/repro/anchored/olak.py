@@ -47,7 +47,10 @@ class OLAKAnchoredKCore:
         self._k = k
         self._budget = budget
         self._stop_on_zero_gain = stop_on_zero_gain
-        self._initial_anchors = tuple(initial_anchors)
+        # Distinct anchors, first occurrence kept: each one spends budget once.
+        self._initial_anchors = tuple(dict.fromkeys(initial_anchors))
+        if len(self._initial_anchors) > budget:
+            raise ParameterError("initial_anchors must not outnumber the budget")
         self._backend = backend
 
     def select(self) -> AnchoredKCoreResult:

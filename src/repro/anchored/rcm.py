@@ -57,7 +57,10 @@ class RCMAnchoredKCore:
         self._budget = budget
         self._shortlist_size = shortlist_size
         self._stop_on_zero_gain = stop_on_zero_gain
-        self._initial_anchors = tuple(initial_anchors)
+        # Distinct anchors, first occurrence kept: each one spends budget once.
+        self._initial_anchors = tuple(dict.fromkeys(initial_anchors))
+        if len(self._initial_anchors) > budget:
+            raise ParameterError("initial_anchors must not outnumber the budget")
         self._backend = backend
 
     # ------------------------------------------------------------------

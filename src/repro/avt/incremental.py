@@ -23,7 +23,16 @@ The swap/fill pass builds no anchored core index.  It takes one copy of the
 maintained core numbers and raises it to the anchored core numbers of each
 anchor set it evaluates with the per-level riser cascades of
 :func:`repro.anchored.followers.commit_anchor_cores`, capped at ``k``; the
-undo list each commit returns restores the copy between swap targets.
+undo list each commit returns restores the copy between swap targets.  It
+reads the maintained core numbers through :meth:`CoreMaintainer.core` to find
+the swap targets first, and copies them only when a swap or a fill will run;
+most snapshots of a smooth sequence need neither.
+
+The reported followers come from
+:func:`~repro.anchored.followers.compute_followers` given the maintained
+plain k-core, which peels only the region grown from the anchors outside it.
+A snapshot therefore costs its core maintenance plus one O(n) scan for the
+plain k-core, not a peel of the whole graph.
 
 Because the candidate pool is restricted to the region the delta actually
 touched, IncAVT visits far fewer vertices per snapshot than re-running any of
@@ -108,6 +117,8 @@ class IncAVTTracker:
     # ------------------------------------------------------------------
     def track(self, problem: AVTProblem, max_snapshots: Optional[int] = None) -> AVTResult:
         """Solve the AVT problem incrementally across all snapshots."""
+        if max_snapshots is not None and max_snapshots < 0:
+            raise ParameterError("max_snapshots must be non-negative or None")
         result = AVTResult(
             algorithm=self.name, k=problem.k, budget=problem.budget, problem_name=problem.name
         )
@@ -174,8 +185,9 @@ class IncAVTTracker:
             stats.maintenance_visited += maintenance_visited
 
             # Reporting for this snapshot: the plain k-core comes for free from
-            # the maintained core numbers; the followers need one anchored
-            # cascade — no full decomposition, which is part of IncAVT's win.
+            # the maintained core numbers, and the followers from a cascade
+            # over the region around the anchors outside it — no peel of the
+            # whole graph, which is part of IncAVT's win.
             snapshot_graph = maintainer.graph
             plain_core = maintainer.k_core_vertices(problem.k)
             followers = compute_followers(
@@ -224,7 +236,8 @@ class IncAVTTracker:
             raise ParameterError("k must be >= 1")
         if budget < 0:
             raise ParameterError("budget must be non-negative")
-        carried = list(anchors)[:budget]
+        # Distinct anchors, first occurrence kept, then cut to the budget.
+        carried = list(dict.fromkeys(anchors))[:budget]
         return self._update_anchor_set(maintainer, k, budget, carried, set(affected))
 
     # ------------------------------------------------------------------
@@ -275,13 +288,8 @@ class IncAVTTracker:
         """Swap / extend the carried-forward anchor set using the affected pool."""
         stats = SolverStats()
         graph = maintainer.graph
-        core = maintainer.core_numbers()
         anchors = [anchor for anchor in previous_anchors if graph.has_vertex(anchor)]
-
         region = self._affected_region(graph, affected)
-        pool = self._candidate_pool(graph, k, core, region, exclude=set(anchors))
-        if not pool:
-            return anchors, stats
 
         # Which carried-forward anchors are worth re-examining: those the delta
         # touched, plus anchors the evolution absorbed into the k-core (their
@@ -292,8 +300,18 @@ class IncAVTTracker:
             swap_targets = [
                 anchor
                 for anchor in anchors
-                if anchor in region or core.get(anchor, 0) >= k
+                if anchor in region or maintainer.core(anchor) >= k
             ]
+        fill = self._fill_budget and len(anchors) < budget
+        if not swap_targets and not fill:
+            # Nothing to swap and no budget to spend: the O(n) copy of the
+            # core numbers and the pool scan would be wasted.
+            return anchors, stats
+
+        core = maintainer.core_numbers()
+        pool = self._candidate_pool(graph, k, core, region, exclude=set(anchors))
+        if not pool:
+            return anchors, stats
 
         def gain_of(candidate: Vertex) -> int:
             visit_log: List[Vertex] = []
@@ -333,8 +351,9 @@ class IncAVTTracker:
             for vertex, value in reversed(undo):
                 core[vertex] = value
 
-        # Fill phase: spend any unused budget on the restricted pool.
-        if self._fill_budget and len(anchors) < budget:
+        # Fill phase: spend any unused budget on the restricted pool (a swap
+        # never changes the number of anchors).
+        if fill:
             for anchor in anchors:
                 commit_anchor_cores(graph, anchor, core, cap=k)
             while len(anchors) < budget:

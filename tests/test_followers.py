@@ -87,6 +87,14 @@ class TestComputeFollowers:
         with_base = compute_followers(toy_graph, 3, {15})
         assert gain == with_both - with_base - {10}
 
+    def test_precomputed_core_path_rejects_unknown_anchor(self, toy_graph):
+        with pytest.raises(VertexNotFoundError):
+            compute_followers(toy_graph, 3, {7, 999}, k_core_vertices=k_core(toy_graph, 3))
+
+    def test_precomputed_core_path_rejects_negative_k(self, toy_graph):
+        with pytest.raises(ParameterError):
+            compute_followers(toy_graph, -1, {7}, k_core_vertices=set(toy_graph.vertices()))
+
 
 class TestMarginalFollowers:
     def test_matches_exact_on_toy_graph(self, toy_graph):
@@ -171,6 +179,20 @@ def anchor_sequences(draw):
     vertices = sorted(graph.vertices())
     anchors = draw(st.lists(st.sampled_from(vertices), max_size=6, unique=True))
     return graph, anchors
+
+
+class TestRegionFollowers:
+    """The precomputed-k-core path of ``compute_followers`` against the peel."""
+
+    @SETTINGS
+    @given(scenario=anchor_sequences(), k=st.integers(min_value=0, max_value=6), data=st.data())
+    def test_equals_the_anchored_peel(self, scenario, k, data):
+        graph, _ = scenario
+        # Duplicates and k-core members included on purpose.
+        anchors = data.draw(st.lists(st.sampled_from(sorted(graph.vertices())), max_size=8))
+        plain = k_core(graph, k)
+        expected = anchored_k_core(graph, k, anchors, backend="dict") - plain - set(anchors)
+        assert compute_followers(graph, k, anchors, k_core_vertices=plain) == expected
 
 
 class TestCommitAnchorCores:

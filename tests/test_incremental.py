@@ -22,7 +22,7 @@ from repro.errors import ParameterError
 from repro.graph.datasets import load_dataset, toy_example_evolving_graph
 from repro.graph.dynamic import EdgeDelta, EvolvingGraph
 from repro.graph.generators import chung_lu_graph
-from repro.graph.static import Vertex
+from repro.graph.static import Graph, Vertex
 
 SETTINGS = settings(
     max_examples=int(os.environ.get("REPRO_HYPOTHESIS_EXAMPLES", "50")),
@@ -77,6 +77,10 @@ class TestBasicBehaviour:
         result = IncAVTTracker().track(toy_problem, max_snapshots=0)
         assert len(result) == 0
 
+    def test_negative_max_snapshots_rejected(self, toy_problem):
+        with pytest.raises(ParameterError):
+            IncAVTTracker().track(toy_problem, max_snapshots=-1)
+
 
 class TestRefreshAnchors:
     def test_refresh_swaps_against_affected_pool(self, toy_problem):
@@ -100,6 +104,40 @@ class TestRefreshAnchors:
         assert len(anchors) <= 1
         with pytest.raises(ParameterError):
             IncAVTTracker().refresh_anchors(maintainer, 3, -1, (), set())
+
+    def test_refresh_drops_duplicate_anchors_before_the_budget_cut(self):
+        graph = Graph(
+            edges=[(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3), (5, 6)],
+            vertices=range(8),
+        )
+        maintainer = CoreMaintainer(graph, copy_graph=True)
+        tracker = IncAVTTracker()
+        anchors, _ = tracker.refresh_anchors(maintainer, 2, 3, [6, 6, 7], {6, 7})
+        assert anchors[:2] == [6, 7]
+        assert len(set(anchors)) == len(anchors) <= 3
+        anchors, _ = tracker.refresh_anchors(maintainer, 2, 2, [6, 6, 7], set())
+        assert anchors == [6, 7]
+
+    def test_no_swap_target_and_full_budget_skip_the_core_copy(self, toy_problem, monkeypatch):
+        maintainer = CoreMaintainer(toy_problem.evolving_graph.base)
+        copies = []
+        original = CoreMaintainer.core_numbers
+
+        def spy(self):
+            copies.append(self)
+            return original(self)
+
+        monkeypatch.setattr(CoreMaintainer, "core_numbers", spy)
+        # {15, 17} and their neighbours touch neither anchor, and neither
+        # anchor is in the 3-core.
+        tracker = IncAVTTracker()
+        anchors, stats = tracker._update_anchor_set(maintainer, 3, 2, [7, 10], {15, 17})
+        assert anchors == [7, 10]
+        assert _counters(stats) == (0, 0, 0)
+        assert copies == []
+        # Spare budget to fill: now the pass needs the copy.
+        tracker._update_anchor_set(maintainer, 3, 3, [7, 10], {15, 17})
+        assert copies == [maintainer]
 
 
 class TestIncrementalAdvantage:

@@ -18,6 +18,15 @@ ALL_SOLVERS = [GreedyAnchoredKCore, OLAKAnchoredKCore, RCMAnchoredKCore, BruteFo
 HEURISTICS = [GreedyAnchoredKCore, OLAKAnchoredKCore, RCMAnchoredKCore]
 
 
+@pytest.fixture
+def two_triangles() -> Graph:
+    """Two triangles joined by an edge, a pendant vertex and an isolated one."""
+    return Graph(
+        edges=[(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3), (5, 6)],
+        vertices=range(8),
+    )
+
+
 class TestResultContract:
     @pytest.mark.parametrize("solver_cls", ALL_SOLVERS)
     def test_result_structure(self, toy_graph, solver_cls):
@@ -54,6 +63,19 @@ class TestResultContract:
         result = solver_cls(toy_graph, 3, 0).select()
         assert result.anchors == ()
         assert result.followers == frozenset()
+
+    @pytest.mark.parametrize("solver_cls", HEURISTICS)
+    def test_duplicate_initial_anchors_spend_budget_once(self, two_triangles, solver_cls):
+        result = solver_cls(two_triangles, 2, 2, initial_anchors=[3, 3]).select()
+        assert result.anchors[0] == 3
+        assert len(set(result.anchors)) == len(result.anchors) <= 2
+
+    @pytest.mark.parametrize("solver_cls", HEURISTICS)
+    def test_initial_anchors_over_budget_rejected(self, two_triangles, solver_cls):
+        with pytest.raises(ParameterError):
+            solver_cls(two_triangles, 2, 2, initial_anchors=[3, 4, 5, 6])
+        # Duplicates do not count against the budget.
+        solver_cls(two_triangles, 2, 2, initial_anchors=[6, 7, 6])
 
 
 class TestGreedy:

@@ -14,6 +14,7 @@ from repro.avt.trackers import (
     SnapshotTracker,
 )
 from repro.anchored.greedy import GreedyAnchoredKCore
+from repro.errors import ParameterError
 from repro.graph.datasets import load_dataset
 
 TRACKERS = [GreedyTracker, OLAKTracker, RCMTracker]
@@ -37,6 +38,11 @@ class TestSnapshotTrackerMachinery:
     def test_max_snapshots_limits_work(self, toy_problem):
         result = GreedyTracker().track(toy_problem, max_snapshots=1)
         assert len(result) == 1
+
+    def test_negative_max_snapshots_rejected(self, toy_problem):
+        with pytest.raises(ParameterError):
+            GreedyTracker().track(toy_problem, max_snapshots=-1)
+        assert len(GreedyTracker().track(toy_problem, max_snapshots=0)) == 0
 
     def test_snapshot_metadata_records_deltas(self, toy_problem):
         result = GreedyTracker().track(toy_problem)
