@@ -1,4 +1,4 @@
-"""Backend comparison — dict vs compact vs numpy vs sharded, plus shard scaling.
+"""Backend comparison — dict vs compact vs numpy, plus incremental Greedy.
 
 Not a paper figure: this certifies the execution backends registered in
 :mod:`repro.backends`.  A 50k-vertex power-law (Chung–Lu) graph is solved
@@ -14,21 +14,6 @@ anchors and followers.  Perf floors enforced at full size:
 * the numpy backend's full peel must be at least as fast as the compact
   backend's (the vectorised kernels may not regress below the flat-int
   kernels they replace); and
-* the sharded backend's 4-shard process-pool decomposition (over a prebuilt
-  partition, the :class:`AnchoredCoreIndex` refresh hot path, running the
-  default async exchange + shared-memory states) must beat the 1-shard
-  serial configuration by >= 1.3x — enforced only on machines with at least
-  :data:`MIN_CPUS_FOR_SHARD_ENFORCEMENT` usable CPUs, since a process pool
-  cannot outrun serial execution without cores to run on (the measured
-  ratio is always recorded);
-* the async futures-based exchange must beat the PR-4 lock-step rounds on
-  the same 4-shard process-pool decompose by >= 1.2x (same CPU gate — with
-  one core the scheduling freedom has nothing to schedule onto); and
-* the community partitioner must cut boundary edges by >= 2x vs hash on a
-  planted-community graph — a deterministic structural property, so this
-  floor is enforced even in the CI smoke run — with decompositions staying
-  bit-identical across partitioners, exchanges and executors.
-
 * the incremental Greedy (delta-refresh ``commit_anchor`` + memoized gains,
   the PR-5 subsystem) must beat the full-recompute Greedy end-to-end on the
   compact backend by >= 2x at budget 8, with bit-identical anchors,
@@ -40,10 +25,9 @@ the graph size (the CI smoke job runs a tiny instance, where the floors are
 not enforced — below the ``auto`` threshold the interning overhead
 legitimately dominates).  Results land in
 ``benchmarks/results/BENCH_backend.json`` plus ``BENCH_numpy.json`` (when
-numpy is installed), ``BENCH_sharded.json`` with the shard-scaling detail
-and ``BENCH_incremental.json`` with the incremental-vs-full Greedy record
-(per-round commit latency, candidate re-evaluation counts, shard cache hit
-rate).  Every record carries a ``floors`` block enforced both here and by
+numpy is installed) and ``BENCH_incremental.json`` with the
+incremental-vs-full Greedy record (per-round commit latency, candidate
+re-evaluation counts).  Every record carries a ``floors`` block enforced both here and by
 ``python -m repro.bench.compare`` in CI, so a recorded speedup regressing
 below its floor fails loudly.
 """
@@ -53,17 +37,12 @@ from __future__ import annotations
 import os
 import time
 
-from repro.anchored.anchored_core import AnchoredCoreIndex
 from repro.anchored.greedy import GreedyAnchoredKCore
 from repro.backends import numpy_available
-from repro.backends.sharded_backend import ShardedBackend
 from repro.bench.compare import floor_failures
 from repro.bench.reporting import format_table, write_bench_json
 from repro.cores.decomposition import core_decomposition, k_core
-from repro.graph.compact import CompactGraph
-from repro.graph.generators import chung_lu_graph, planted_community_graph
-from repro.shard.coordinator import EXCHANGE_LOCKSTEP, ShardCoordinator
-from repro.shard.partition import partition_compact_graph
+from repro.graph.generators import chung_lu_graph
 
 DEFAULT_NUM_VERTICES = 50_000
 EDGE_FACTOR = 3
@@ -80,19 +59,6 @@ SPEEDUP_ENFORCEMENT_FLOOR = 50_000
 REQUIRED_COMPACT_SPEEDUP = 1.8
 #: numpy peel time must satisfy ``compact_s / numpy_s >= 1.0``.
 REQUIRED_NUMPY_PEEL_RATIO = 1.0
-#: 4-shard process-pool decompose must beat 1-shard serial by this factor...
-REQUIRED_SHARDED_SPEEDUP = 1.3
-#: ...but only on machines that actually have cores for the workers.
-MIN_CPUS_FOR_SHARD_ENFORCEMENT = 4
-SHARD_COUNT = 4
-#: The async futures-based exchange must beat the lock-step rounds on the
-#: same 4-shard process pool (same vertex/CPU gates as the serial floor).
-REQUIRED_ASYNC_SPEEDUP = 1.2
-#: The community partitioner must cut boundary edges vs hash by this factor
-#: on a planted-community graph.  The ratio is a deterministic structural
-#: property of the partition (no timing involved), so it is enforced at
-#: every size including the CI smoke run.
-REQUIRED_COMMUNITY_CUT_REDUCTION = 2.0
 #: The PR-5 guarantee: incremental refresh + memoized gains must beat the
 #: full-recompute Greedy end-to-end on the compact backend at this budget.
 INCREMENTAL_BUDGET = 8
@@ -107,11 +73,6 @@ def run_compare():
     num_vertices = _num_vertices()
     graph = chung_lu_graph(num_vertices, EDGE_FACTOR * num_vertices, seed=SEED)
     backends = ["dict", "compact"] + (["numpy"] if numpy_available() else [])
-    backends.append("sharded")
-    # Explicit instances pin the sharded configuration against ambient
-    # REPRO_SHARD_* environment settings.
-    backend_args = {name: name for name in backends}
-    backend_args["sharded"] = ShardedBackend(num_shards=SHARD_COUNT, executor="serial")
     if "numpy" in backends:
         # Touch the numpy kernels once so first-call import/allocator warmup
         # does not pollute the timed sections.
@@ -120,17 +81,16 @@ def run_compare():
     timings = {}
     results = {}
     for backend in backends:
-        backend_arg = backend_args[backend]
         started = time.perf_counter()
-        decomposition = core_decomposition(graph, backend=backend_arg)
+        decomposition = core_decomposition(graph, backend=backend)
         decomposition_seconds = time.perf_counter() - started
 
         started = time.perf_counter()
-        core_members = k_core(graph, K, backend=backend_arg)
+        core_members = k_core(graph, K, backend=backend)
         k_core_seconds = time.perf_counter() - started
 
         started = time.perf_counter()
-        outcome = GreedyAnchoredKCore(graph, K, BUDGET, backend=backend_arg).select()
+        outcome = GreedyAnchoredKCore(graph, K, BUDGET, backend=backend).select()
         greedy_seconds = time.perf_counter() - started
 
         timings[backend] = {
@@ -216,9 +176,7 @@ def run_incremental_compare():
     delta-refresh contract) solved twice: once with ``incremental=False``
     (the PR-4 behaviour — full anchored re-peel per commit, every candidate
     cascaded every round) and once with the default incremental path
-    (order-suffix commit splice + memoized gains).  Also replays the chosen
-    anchors onto a sharded index to record the shard-local cache hit rate
-    the same commit sequence achieves there.
+    (order-suffix commit splice + memoized gains).
     """
     num_vertices = _num_vertices()
     graph = chung_lu_graph(num_vertices, EDGE_FACTOR * num_vertices, seed=SEED)
@@ -240,16 +198,6 @@ def run_incremental_compare():
     assert full.anchored_core_size == incremental.anchored_core_size
     assert full.stats.candidates_evaluated == incremental.stats.candidates_evaluated
     assert full.stats.visited_vertices == incremental.stats.visited_vertices
-
-    # Shard-local result caching: replay the identical commit sequence on a
-    # sharded index and read the coordinator's cache counters.
-    sharded = ShardedBackend(num_shards=SHARD_COUNT, executor="serial")
-    index = AnchoredCoreIndex(graph, K, backend=sharded)
-    for anchor in incremental.anchors:
-        index.commit_anchor(anchor)
-    shard_stats = index.kernel.coordinator.stats()
-    shard_lookups = shard_stats["shard_cache_hits"] + shard_stats["shard_cache_misses"]
-    shard_hit_rate = shard_stats["shard_cache_hits"] / max(shard_lookups, 1)
 
     speedup = full_seconds / max(incremental_seconds, 1e-9)
     evaluated = incremental.stats.candidates_evaluated
@@ -281,12 +229,6 @@ def run_incremental_compare():
             "cache_hits_incremental": incremental.stats.cache_hits,
             "recomputed_full": full.stats.candidates_recomputed,
         },
-        "shard_cache": {
-            **shard_stats,
-            "num_shards": SHARD_COUNT,
-            "refreshes": 1 + len(incremental.anchors),
-            "hit_rate": shard_hit_rate,
-        },
         "anchors_selected": len(incremental.anchors),
         "followers": len(incremental.followers),
         "results_identical": True,
@@ -304,216 +246,9 @@ def run_incremental_compare():
         f"full={full_seconds:.3f}s incremental={incremental_seconds:.3f}s "
         f"-> {speedup:.2f}x (cascades: {evaluated} evaluated, "
         f"{incremental.stats.candidates_recomputed} recomputed, "
-        f"{incremental.stats.cache_hits} cache hits; "
-        f"shard peel cache hit rate {shard_hit_rate:.2f})"
+        f"{incremental.stats.cache_hits} cache hits)"
     )
     return payload, report
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
-def _timed_decompose(coordinator):
-    """Time one decompose, diffing the cumulative counters around the call."""
-    before = coordinator.stats()
-    started = time.perf_counter()
-    core, order = coordinator.decompose()
-    seconds = time.perf_counter() - started
-    after = coordinator.stats()
-    counters = {
-        name: after[name] - before[name]
-        for name in ("rounds", "messages", "exchange_waves", "ops_dispatched")
-    }
-    return core, order, seconds, counters
-
-
-def _partition_quality(num_vertices):
-    """Community vs hash partitioner on a planted-community graph.
-
-    The cut-edge ratio is a structural property of the partition, fully
-    deterministic for a fixed seed, so the reduction floor holds at every
-    size.  Decompositions over both plans must match the 1-shard baseline
-    bit-for-bit (same cores, same removal order).
-    """
-    community_size = max(40, min(400, num_vertices // 100))
-    clustered = planted_community_graph(
-        num_communities=2 * SHARD_COUNT,
-        community_size=community_size,
-        intra_edge_probability=0.3,
-        inter_edges=community_size,
-        seed=SEED,
-    )
-    cgraph = CompactGraph.from_graph(clustered, ordered=True)
-    baseline = ShardCoordinator(partition_compact_graph(cgraph, 1)).decompose()
-    plans = {
-        name: partition_compact_graph(cgraph, SHARD_COUNT, partitioner=name)
-        for name in ("hash", "degree_balanced", "community")
-    }
-    quality = {}
-    for name, plan in plans.items():
-        assert ShardCoordinator(plan).decompose() == baseline, name
-        quality[name] = {
-            "cut_edges": plan.cut_edge_count,
-            "cut_edge_ratio": plan.cut_edge_ratio,
-            "balance": plan.balance,
-        }
-    reduction = quality["hash"]["cut_edges"] / max(
-        quality["community"]["cut_edges"], 1
-    )
-    stats = {
-        "graph": {
-            "model": "planted_community",
-            "num_vertices": clustered.num_vertices,
-            "num_edges": clustered.num_edges,
-            "num_communities": 2 * SHARD_COUNT,
-            "community_size": community_size,
-            "intra_edge_probability": 0.3,
-            "inter_edges": community_size,
-            "seed": SEED,
-        },
-        "num_shards": SHARD_COUNT,
-        "partitioners": quality,
-        "community_cut_reduction_vs_hash": reduction,
-    }
-    return stats, reduction
-
-
-def run_sharded_scaling():
-    """Shard scaling: serial vs pooled, async vs lock-step, community vs hash.
-
-    Times :meth:`ShardCoordinator.decompose` over prebuilt partitions — the
-    hot path an :class:`AnchoredCoreIndex` refresh takes once per committed
-    anchor, where the partition cost is amortised across refreshes.  Three
-    comparisons feed three floors: the 4-shard process pool (async exchange
-    + shared-memory states, the defaults) vs the 1-shard serial baseline;
-    the async exchange vs the lock-step rounds on that same pool; and the
-    community partitioner's boundary-edge cut vs hash on a clustered graph.
-    """
-    num_vertices = _num_vertices()
-    graph = chung_lu_graph(num_vertices, EDGE_FACTOR * num_vertices, seed=SEED)
-    cgraph = CompactGraph.from_graph(graph, ordered=True)
-    serial = ShardCoordinator(partition_compact_graph(cgraph, 1), executor="serial")
-    pooled = ShardCoordinator(
-        partition_compact_graph(cgraph, SHARD_COUNT),
-        executor="process",
-        max_workers=SHARD_COUNT,
-    )
-    lockstep = ShardCoordinator(
-        partition_compact_graph(cgraph, SHARD_COUNT),
-        executor="process",
-        max_workers=SHARD_COUNT,
-        exchange=EXCHANGE_LOCKSTEP,
-    )
-    # Untimed warm-up: spawns the worker interpreters and faults in every
-    # code path, so the timed sections measure steady-state decompositions.
-    pooled.decompose()
-    lockstep.decompose()
-    serial.decompose()
-
-    started = time.perf_counter()
-    core_serial, order_serial = serial.decompose()
-    serial_seconds = time.perf_counter() - started
-    core_pooled, order_pooled, pooled_seconds, async_counters = _timed_decompose(
-        pooled
-    )
-    core_lock, order_lock, lockstep_seconds, lockstep_counters = _timed_decompose(
-        lockstep
-    )
-    assert core_serial == core_pooled == core_lock
-    assert order_serial == order_pooled == order_lock
-    pooled.close()
-    lockstep.close()
-
-    speedup = serial_seconds / max(pooled_seconds, 1e-9)
-    async_speedup = lockstep_seconds / max(pooled_seconds, 1e-9)
-    partition_stats, cut_reduction = _partition_quality(num_vertices)
-    cpus = _usable_cpus()
-    enforced = (
-        num_vertices >= SPEEDUP_ENFORCEMENT_FLOOR
-        and cpus >= MIN_CPUS_FOR_SHARD_ENFORCEMENT
-    )
-    payload = {
-        "graph": {
-            "model": "chung_lu",
-            "num_vertices": graph.num_vertices,
-            "num_edges": graph.num_edges,
-            "seed": SEED,
-        },
-        "configurations": {
-            "serial": {"num_shards": 1, "executor": "serial"},
-            "pooled": {
-                "num_shards": SHARD_COUNT,
-                "executor": "process",
-                "num_workers": SHARD_COUNT,
-                "exchange": "async",
-                "shared_memory": True,
-            },
-            "lockstep": {
-                "num_shards": SHARD_COUNT,
-                "executor": "process",
-                "num_workers": SHARD_COUNT,
-                "exchange": "lockstep",
-                "shared_memory": True,
-            },
-        },
-        "decompose_seconds": {
-            "serial": serial_seconds,
-            "pooled": pooled_seconds,
-            "lockstep": lockstep_seconds,
-        },
-        "pooled_speedup_vs_serial": speedup,
-        "async_speedup_vs_lockstep": async_speedup,
-        "required_speedup": REQUIRED_SHARDED_SPEEDUP,
-        "exchange": {"async": async_counters, "lockstep": lockstep_counters},
-        "partition_quality": partition_stats,
-        "usable_cpus": cpus,
-        "enforced": enforced,
-        "floors": {
-            "sharded_pooled_speedup_vs_serial": {
-                "value": speedup,
-                "floor": REQUIRED_SHARDED_SPEEDUP,
-                "enforced": enforced,
-            },
-            "sharded_async_speedup_vs_lockstep": {
-                "value": async_speedup,
-                "floor": REQUIRED_ASYNC_SPEEDUP,
-                "enforced": enforced,
-            },
-            "community_cut_reduction_vs_hash": {
-                "value": cut_reduction,
-                "floor": REQUIRED_COMMUNITY_CUT_REDUCTION,
-                "enforced": True,
-            },
-        },
-        "enforcement_note": (
-            "perf floors enforced"
-            if enforced
-            else (
-                f"perf floors not enforced: needs >= {SPEEDUP_ENFORCEMENT_FLOOR} "
-                f"vertices and >= {MIN_CPUS_FOR_SHARD_ENFORCEMENT} usable CPUs "
-                f"(have {num_vertices} vertices, {cpus} CPUs); the "
-                f"community-cut floor is structural and always enforced"
-            )
-        ),
-        "results_identical": True,
-    }
-    report = (
-        f"Sharded scaling on chung_lu(n={graph.num_vertices}, m={graph.num_edges}): "
-        f"decompose serial(1 shard)={serial_seconds:.3f}s "
-        f"async({SHARD_COUNT} shards, {SHARD_COUNT} workers)={pooled_seconds:.3f}s "
-        f"lockstep={lockstep_seconds:.3f}s -> {speedup:.2f}x vs serial, "
-        f"{async_speedup:.2f}x vs lockstep ({payload['enforcement_note']}; "
-        f"async waves={async_counters['exchange_waves']}, "
-        f"messages={async_counters['messages']}); "
-        f"community partitioner cuts {cut_reduction:.1f}x fewer boundary edges "
-        f"than hash on planted_community"
-        f"(n={partition_stats['graph']['num_vertices']})"
-    )
-    return payload, speedup, enforced, report
 
 
 def test_backend_compare(benchmark, results_dir, record_report):
@@ -526,7 +261,6 @@ def test_backend_compare(benchmark, results_dir, record_report):
         "backend_compare",
         payload,
         backend="+".join(payload["backends"]),
-        num_shards=SHARD_COUNT,
     )
 
     # Computed once, recorded in the ``floors`` block and enforced through
@@ -566,22 +300,6 @@ def test_backend_compare(benchmark, results_dir, record_report):
     assert not floor_failures(payload), floor_failures(payload)
 
 
-def test_sharded_scaling(benchmark, results_dir, record_report):
-    payload, speedup, enforced, report = benchmark.pedantic(
-        run_sharded_scaling, rounds=1, iterations=1
-    )
-    record_report("sharded_scaling", report)
-    write_bench_json(
-        results_dir / "BENCH_sharded.json",
-        "sharded_scaling",
-        payload,
-        backend="sharded",
-        num_shards=SHARD_COUNT,
-        num_workers=SHARD_COUNT,
-    )
-    assert not floor_failures(payload), floor_failures(payload)
-
-
 def test_incremental_compare(benchmark, results_dir, record_report):
     payload, report = benchmark.pedantic(run_incremental_compare, rounds=1, iterations=1)
     record_report("incremental_compare", report)
@@ -590,6 +308,5 @@ def test_incremental_compare(benchmark, results_dir, record_report):
         "incremental_refresh",
         payload,
         backend="compact",
-        num_shards=SHARD_COUNT,
     )
     assert not floor_failures(payload), floor_failures(payload)

@@ -1,9 +1,9 @@
 """Measured backend selection: calibrate once, let ``backend="auto"`` follow.
 
 The registry's default ``auto`` policy ranks backends by a hard-coded
-priority ladder (numba > numpy > compact > dict on large amortised
-workloads).  That ladder encodes an *expectation*; this example replaces it
-with a *measurement* on the machine actually running the workload:
+priority ladder (numpy > compact > dict on large amortised workloads).
+That ladder encodes an *expectation*; this example replaces it with a
+*measurement* on the machine actually running the workload:
 
 1. sweep every available backend over size bands and workload shapes
    (:func:`repro.backends.run_calibration` — the same sweep as

@@ -19,7 +19,7 @@ check); this example turns it on for a short streaming session and then
    embeds.
 
 The same analyses run offline over an ``avt-bench serve-sim --trace-out``
-file via ``avt-bench trace {tree,critical-path,flame,stragglers}``.
+file via ``avt-bench trace {tree,critical-path,flame}``.
 
 Run with::
 

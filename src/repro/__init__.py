@@ -42,14 +42,8 @@ The library is layered; each layer only depends on the ones above it::
     repro.graph     Graph (adjacency-set dict, hashable vertex ids)  ── public substrate
                     compact: VertexInterner · CompactGraph (CSR) ·
                     DynamicCompactAdjacency                          ── snapshot structures
-    repro.shard     partitioners (hash / degree-balanced /
-                    community) · ShardCoordinator (per-shard waves
-                    + async futures-based or lock-step boundary
-                    exchange, serial or spawn process pool over
-                    shared-memory CSR states)                        ── scale-out layer
     repro.backends  ExecutionBackend protocol · registry · auto
-                    policy · dict / compact / numpy / sharded
-                    kernels                                          ── execution layer
+                    policy · dict / compact / numpy kernels          ── execution layer
     repro.cores     core_decomposition · KOrder · CoreMaintainer     ── k-core machinery
     repro.anchored  followers · AnchoredCoreIndex ·
                     Greedy / OLAK / RCM / brute force                ── anchored k-core
@@ -61,7 +55,7 @@ cascades, K-order ``deg+``, the follower cascades and candidate scans behind
 the anchored core index, the incremental maintenance traversals) is defined
 once as the :class:`~repro.backends.ExecutionBackend` protocol and
 implemented by the registered backends; public modules never branch on a
-backend name, they call through the object the registry resolves.  The five
+backend name, they call through the object the registry resolves.  The three
 built-ins:
 
 ================  =============================================  =========================================
@@ -72,26 +66,11 @@ backend           implementation                                 ``auto`` picks 
                                                                  vertices, or for any one-shot cascade
                                                                  (a single O(n + m) pass cannot amortise
                                                                  a snapshot build)
-``compact``       flat int arrays over an interned CSR           large amortised workloads when neither
-                  snapshot; packed single-int heap peeling       numba nor numpy is installed
+``compact``       flat int arrays over an interned CSR           large amortised workloads when numpy is
+                  snapshot; packed single-int heap peeling       not installed (or disabled)
 ``numpy``         vectorised numpy kernels over the same CSR     large amortised workloads when numpy is
-                  contract (wave peeling, bincount support       installed but numba is not
+                  contract (wave peeling, bincount support       installed (highest auto priority)
                   counts, edge-level candidate scans)
-``numba``         the three hottest kernels (packed-heap peel,   large amortised workloads when numba is
-                  support cascades, maintenance traversals) as   installed (highest auto priority); JIT
-                  ``@njit(cache=True)`` machine code over the    compilation runs once at construction
-                  CSR contract; everything else inherits the     under a ``kernel.jit_compile`` span
-                  compact twins
-``sharded``       the CSR snapshot partitioned across shards     never — multi-process execution is an
-                  (:mod:`repro.shard`: hash, degree-balanced     explicit operator decision: request
-                  or locality-aware community partitioners,      ``backend="sharded"``, pass a configured
-                  ghost tables); cascades run as per-shard       ``ShardedBackend(...)``, or set the
-                  waves with boundary exchange — async           ``REPRO_SHARD_*`` environment variables
-                  futures-based by default, lock-step rounds     (count / partitioner / executor /
-                  selectable — until fixpoint, on a serial       workers / exchange / shm)
-                  executor or one spawn-safe worker process
-                  per shard attached to shared-memory CSR
-                  blocks
 ================  =============================================  =========================================
 
 The priority ladder above is only the *uncalibrated* policy.  A measured
@@ -104,16 +83,11 @@ and unavailable winners.
 
 All registered backends guarantee identical core numbers, identical
 *removal orders* and identical instrumentation counts (enforced by
-``tests/test_backend_equivalence.py``, five-way); only speed differs —
+``tests/test_backend_equivalence.py``, three-way); only speed differs —
 ``benchmarks/bench_backend_compare.py`` tracks the gaps and emits
-``BENCH_backend.json`` / ``BENCH_numpy.json`` / ``BENCH_sharded.json``
-(shard-scaling: 1-shard serial vs multi-worker process pool, async vs
-lock-step exchange, and the community partitioner's cut-edge reduction
-vs hash) /
-``BENCH_incremental.json`` (incremental vs full-recompute Greedy), and
-``benchmarks/bench_autotune.py`` emits ``BENCH_autotune.json`` (compiled-vs-
-vectorised kernel floor plus the recorded calibration table), each with an
-enforced ``floors`` block read by ``python -m repro.bench.compare``.
+``BENCH_backend.json`` / ``BENCH_numpy.json`` /
+``BENCH_incremental.json`` (incremental vs full-recompute Greedy), each with
+a ``floors`` block read by ``python -m repro.bench.compare``.
 
 *Delta refresh* — committing one anchor never re-peels the snapshot.
 :meth:`~repro.backends.CoreIndexKernel.commit_anchor` is the incremental
@@ -131,12 +105,6 @@ kernel         ``commit_anchor`` path
 ``compact``    the same splice over flat id arrays
                (:func:`repro.cores.decomposition.incremental_anchor_commit`)
 ``numpy``      shares the compact splice (the region is scalar-sized work)
-``numba``      shares the compact splice too, then patches its float64 core
-               mirror for the touched ids
-``sharded``    full refresh through the coordinator's shard-local result
-               caches (round-1 peel keyed by local anchors, fragments keyed
-               by converged bounds, no-traffic shards skipped), then an
-               exact core diff
 custom         inherits the protocol default — full refresh, touched
                unknown (``None``) — so third-party kernels keep working
 =============  ==============================================================
@@ -159,20 +127,10 @@ determinism hinges on the interning semantics: :class:`~repro.graph.VertexIntern
 assigns dense ids in first-seen order and never moves them, and ordered
 :class:`~repro.graph.CompactGraph` snapshots intern in
 :func:`repro.ordering.tie_break_key` order so the integer id doubles as the
-deterministic tie-break rank.  The sharded backend preserves it by owning
-each id in exactly one shard: core numbers come from locally-exact peels
-reconciled through exchanged boundary core bounds, removal orders from the
-same packed-heap within-shell cascade the other snapshot backends use, and
-deletion cascades are confluent, so batched boundary decrements reach the
-sequential fixpoint exactly.  The async exchange keeps this bit-identity
-under arbitrary completion interleavings because every payload merge is
-order-insensitive — cascade deltas sum, h-index estimates combine with
-``min`` (the bounds only ever decrease toward the unique fixpoint) — so
-whichever shard finishes first, the converged state is the lock-step one.
-Engine checkpoints persist a configurable backend's configuration (shard
-count, partitioner policy, exchange mode, shared-memory flag) next to the
-policy name, and restoring a checkpoint whose backend is unavailable in the
-restoring process falls back to ``"auto"`` with a warning.
+deterministic tie-break rank.  Engine checkpoints persist the backend
+policy name, and restoring a checkpoint whose backend is unknown or
+unavailable in the restoring process falls back to ``"auto"`` with a
+warning.
 
 *Custom backends* — implement the protocol and register it::
 
@@ -188,10 +146,10 @@ restoring process falls back to ``"auto"`` with a warning.
 
 ``auto_priority`` ranks the backend for ``auto`` on large amortised
 workloads; an ``is_available`` probe (with an optional ``availability_reason``
-companion explaining *why* — missing import vs. ``REPRO_DISABLE_*`` switch)
-lets optional-dependency backends like numpy and numba degrade gracefully —
-``avt-bench backends`` prints the registry with availability, skip reasons,
-priorities and per-backend configuration.
+companion explaining *why* — missing import vs. ``REPRO_DISABLE_NUMPY``
+switch) lets optional-dependency backends like numpy step aside gracefully —
+``avt-bench backends`` prints the registry with availability, skip reasons
+and priorities.
 
 *Dynamic re-resolution* — ``StreamingAVTEngine(backend="auto")`` re-resolves
 at flush time and migrates its :class:`CoreMaintainer` state, so an engine
@@ -208,15 +166,12 @@ surface                      what it gives you
 ===========================  ==================================================
 ``repro.obs.tracer``         hierarchical spans over engine queries/flushes/
                              checkpoints, warm vs cold solves, per-round
-                             greedy evaluate/commit, kernel calls, and shard
-                             coordinator rounds (worker spans are merged into
-                             the coordinator's trace with shard tags)
+                             greedy evaluate/commit, and kernel calls
 :class:`~repro.obs.MetricsRegistry`
                              counters / gauges / log-bucketed histograms with
                              one snapshot schema, ``{name, type, value,
-                             labels}``; :class:`EngineStats`,
-                             ``SolverStats`` and the shard coordinator's
-                             counters are views over registries
+                             labels}``; :class:`EngineStats` and
+                             ``SolverStats`` are views over registries
 exporters                    :class:`~repro.obs.JsonLinesSpanSink` (streaming
                              span JSONL), :func:`~repro.obs.to_prometheus` /
                              :func:`~repro.obs.write_metrics` (Prometheus
@@ -228,13 +183,10 @@ exporters                    :class:`~repro.obs.JsonLinesSpanSink` (streaming
                              (:func:`~repro.obs.critical_path`, summing to the
                              root's wall time by construction), per-name
                              self-time flamegraph aggregation with
-                             collapsed-stack output, shard
-                             straggler/utilization reports reconciling with
-                             the coordinator's ``exchange_waves`` /
-                             ``ops_dispatched`` counters, and two-trace
-                             latency diffs — also on the command line as
-                             ``avt-bench trace {tree,critical-path,flame,
-                             stragglers}`` (``--diff`` compares two traces)
+                             collapsed-stack output, and two-trace latency
+                             diffs — also on the command line as
+                             ``avt-bench trace {tree,critical-path,flame}``
+                             (``--diff`` compares two traces)
 :class:`~repro.obs.SamplingProfiler`
                              thread-based wall-clock sampling profiler
                              (``sys._current_frames`` at a configurable hz)
@@ -244,9 +196,9 @@ exporters                    :class:`~repro.obs.JsonLinesSpanSink` (streaming
 :class:`~repro.obs.FlightRecorder`
                              always-on bounded ring of recent spans + metric
                              deltas that survives disabled tracing cheaply
-                             and auto-dumps on span errors, broken worker
-                             pools and checkpoint failures; inspect it live
-                             via ``engine.flight_record()``
+                             and auto-dumps on span errors and checkpoint
+                             failures; inspect it live via
+                             ``engine.flight_record()``
 ===========================  ==================================================
 
 Tracing is off by default and costs one module-flag check per instrumented
@@ -264,39 +216,21 @@ installed at the package root, per library convention).
 
 Failure handling
 ----------------
-:mod:`repro.resilience` makes the failure story testable: a deterministic
-fault-injection framework plus the supervision that turns faults into
-retries and degradations instead of wrong answers.
+:mod:`repro.resilience` makes the checkpoint failure story testable with a
+deterministic fault-injection framework.
 
 *Fault injection* — :class:`~repro.resilience.FaultSpec` describes one fault
 (site, action, match filters, firing schedule); arm a plan programmatically
 (:func:`~repro.resilience.install_plan` / the
 :func:`~repro.resilience.inject` context manager) or from the environment::
 
-    REPRO_FAULTS="shard.op:action=crash,executor=process,op=hindex_round,at=2"
+    REPRO_FAULTS="checkpoint.bytes:action=corrupt,section=core"
 
-Sites cover shard op dispatch (``shard.op`` — crash via ``os._exit`` inside
-sacrificial workers, slow, or raised :class:`~repro.errors.FaultError`),
-shared-memory attach (``shm.attach``), checkpoint byte corruption
-(``checkpoint.bytes``) and checkpoint flush failure (``checkpoint.write``).
-Every firing increments the ``resilience.faults_injected`` counter and lands
-in the flight recorder, tracing on or off.
-
-*Supervised shard execution* — the :class:`~repro.shard.ShardCoordinator`
-dispatches every kernel under a :class:`~repro.resilience.RetryPolicy`
-(bounded retries, exponential backoff with deterministic jitter, per-op
-deadlines; ``REPRO_RETRY_MAX`` / ``REPRO_RETRY_BASE_DELAY`` /
-``REPRO_SHARD_OP_TIMEOUT``).  A broken or timed-out worker pool is
-respawned, its shards reloaded from kept payloads, and the op replayed;
-in-flight boundary exchanges *resume* (monotone h-index rounds re-ship
-current estimates to reborn shards; confluent cascades restart from their
-reset op, which keeps results bit-identical).  When retries exhaust, the
-ladder degrades rather than fails: coordinator process pool → serial
-executor, then :class:`StreamingAVTEngine` → compact backend — the query is
-still answered, ``engine.health()`` reports ``"degraded"`` with the reason,
-and every subsequent flush probes the failed substrate, migrating back
-automatically once it is healthy again (``degradations`` /
-``recovery_probes`` / ``recoveries`` counters).
+The two sites are checkpoint flush failure (``checkpoint.write``) and
+checkpoint byte corruption (``checkpoint.bytes``); a spec naming any other
+site is rejected.  Every firing increments the
+``resilience.faults_injected`` counter and lands in the flight recorder,
+tracing on or off.
 
 *Verified checkpoints* — checkpoint files carry a versioned manifest with a
 SHA-256 digest per section (graph / core / warm / cache / stats); a
@@ -304,12 +238,8 @@ truncated or bit-flipped file raises
 :class:`~repro.errors.CheckpointCorruptionError` naming the damaged section
 *before* any unpickling of that section.  ``save_checkpoint(engine, path,
 keep=N)`` rotates the last N checkpoints, and ``load_checkpoint`` falls back
-to the newest intact rotation on corruption.  ``avt-bench serve-sim
---backend sharded --inject-faults`` replays a dataset with a persistent
-shard fault armed and fails unless every query was answered through the
-degradation path; ``examples/chaos_replay.py`` walks the same loop in code,
-and ``benchmarks/bench_resilience.py`` enforces a <=5% no-fault supervision
-overhead floor in ``BENCH_resilience.json``.
+to the newest intact rotation on corruption; ``examples/checkpoint_recovery.py``
+walks that loop in code.
 """
 
 import logging as _logging
@@ -370,9 +300,7 @@ from repro.backends import (
     BACKEND_AUTO,
     BACKEND_COMPACT,
     BACKEND_DICT,
-    BACKEND_NUMBA,
     BACKEND_NUMPY,
-    BACKEND_SHARDED,
     BACKENDS,
     COMPACT_THRESHOLD,
     CalibrationSpec,
@@ -392,7 +320,6 @@ from repro.errors import CheckpointCorruptionError, FaultError
 from repro.resilience import (
     FaultPlan,
     FaultSpec,
-    RetryPolicy,
     clear_plan,
     inject,
     install_plan,
@@ -428,9 +355,7 @@ __all__ = [
     "BACKEND_AUTO",
     "BACKEND_COMPACT",
     "BACKEND_DICT",
-    "BACKEND_NUMBA",
     "BACKEND_NUMPY",
-    "BACKEND_SHARDED",
     "BACKENDS",
     "COMPACT_THRESHOLD",
     "CalibrationSpec",
@@ -497,7 +422,6 @@ __all__ = [
     "FaultError",
     "FaultPlan",
     "FaultSpec",
-    "RetryPolicy",
     "clear_plan",
     "inject",
     "install_plan",

@@ -94,8 +94,7 @@ class AnchoredCoreIndex:
     def kernel(self):
         """The live :class:`~repro.backends.CoreIndexKernel` (observability).
 
-        Exposed for instrumentation readers — e.g. the sharded kernel's
-        coordinator cache counters; treat as read-only.
+        Exposed for instrumentation readers and tests; treat as read-only.
         """
         return self._kernel
 

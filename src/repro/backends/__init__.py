@@ -17,25 +17,8 @@ incremental maintenance traversals — is delegated to an
     Vectorised kernels over the same ``VertexInterner``/CSR contract with
     numpy arrays (:mod:`repro.backends.numpy_backend`).  Import-gated: the
     package works without numpy and this backend simply reports unavailable.
-``numba``
-    JIT-compiled kernels over the same CSR contract
-    (:mod:`repro.backends.numba_backend`): the packed-heap peel, the support
-    cascades and the maintenance traversals run as ``@njit(cache=True)``
-    machine code, everything else inherits the compact twins.  Import-gated
-    like numpy (needs both numba and numpy); first-use JIT compilation is
-    done explicitly at backend construction under a ``kernel.jit_compile``
-    obs span so it never pollutes a traced query.
-``sharded``
-    Partitioned per-shard kernels with boundary exchange
-    (:mod:`repro.backends.sharded_backend` over :mod:`repro.shard`): the CSR
-    snapshot is split across shards (hash-by-id or degree-balanced) and every
-    cascade runs as local waves plus a cut-edge exchange step until fixpoint,
-    on a serial executor or a spawn-safe process pool.  Configured via
-    ``REPRO_SHARD_COUNT`` / ``REPRO_SHARD_PARTITIONER`` /
-    ``REPRO_SHARD_EXECUTOR`` / ``REPRO_SHARD_WORKERS``, or explicitly through
-    ``ShardedBackend(...)`` instances.
 
-All five produce identical core numbers, identical removal orders and
+All three produce identical core numbers, identical removal orders and
 identical instrumentation counts (``tests/test_backend_equivalence.py``).
 ``backend="auto"`` — the default everywhere — resolves by graph size and
 workload shape, and consults a **measured calibration table**
@@ -60,9 +43,7 @@ from repro.backends.base import (
     BACKEND_AUTO,
     BACKEND_COMPACT,
     BACKEND_DICT,
-    BACKEND_NUMBA,
     BACKEND_NUMPY,
-    BACKEND_SHARDED,
     BACKENDS,
     COMPACT_THRESHOLD,
     WORKLOAD_AMORTIZED,
@@ -95,9 +76,7 @@ __all__ = [
     "BACKEND_AUTO",
     "BACKEND_COMPACT",
     "BACKEND_DICT",
-    "BACKEND_NUMBA",
     "BACKEND_NUMPY",
-    "BACKEND_SHARDED",
     "BACKENDS",
     "COMPACT_THRESHOLD",
     "WORKLOAD_AMORTIZED",
@@ -115,8 +94,6 @@ __all__ = [
     "clear_calibration",
     "get_backend",
     "load_calibration",
-    "numba_available",
-    "numba_unavailable_reason",
     "numpy_available",
     "numpy_unavailable_reason",
     "register_backend",
@@ -151,32 +128,6 @@ def numpy_available() -> bool:
     return numpy_unavailable_reason() is None
 
 
-def numba_unavailable_reason() -> Optional[str]:
-    """Why the numba backend is currently unavailable (``None`` = it isn't).
-
-    The compiled tier needs *both* numba and numpy (its kernels operate on
-    numpy arrays); ``REPRO_DISABLE_NUMBA=1`` force-disables it the same way
-    ``REPRO_DISABLE_NUMPY`` does the numpy tier.
-    """
-    if os.environ.get("REPRO_DISABLE_NUMBA"):
-        return "disabled via REPRO_DISABLE_NUMBA"
-    if importlib.util.find_spec("numba") is None:
-        return "numba is not installed"
-    if importlib.util.find_spec("numpy") is None:
-        return "numpy is not installed (the numba kernels run over numpy arrays)"
-    return None
-
-
-def numba_available() -> bool:
-    """Whether the optional numba dependency (plus numpy) is importable.
-
-    Setting ``REPRO_DISABLE_NUMBA=1`` forces this to report false even on an
-    interpreter that has numba — ``auto`` then falls back to the next tier
-    without warnings, and ``backend="numba"`` is rejected with the reason.
-    """
-    return numba_unavailable_reason() is None
-
-
 def _make_dict_backend() -> ExecutionBackend:
     from repro.backends.dict_backend import DictBackend
 
@@ -195,18 +146,6 @@ def _make_numpy_backend() -> ExecutionBackend:
     return NumpyBackend()
 
 
-def _make_numba_backend() -> ExecutionBackend:
-    from repro.backends.numba_backend import NumbaBackend
-
-    return NumbaBackend()
-
-
-def _make_sharded_backend() -> ExecutionBackend:
-    from repro.backends.sharded_backend import ShardedBackend
-
-    return ShardedBackend()
-
-
 register_backend(BACKEND_DICT, _make_dict_backend, auto_priority=0)
 register_backend(BACKEND_COMPACT, _make_compact_backend, auto_priority=10)
 register_backend(
@@ -216,14 +155,3 @@ register_backend(
     is_available=numpy_available,
     availability_reason=numpy_unavailable_reason,
 )
-register_backend(
-    BACKEND_NUMBA,
-    _make_numba_backend,
-    auto_priority=30,
-    is_available=numba_available,
-    availability_reason=numba_unavailable_reason,
-)
-# Priority below compact on purpose: multi-process execution is an explicit
-# operator decision (``backend="sharded"`` or a configured instance), never
-# something ``auto`` silently turns on for a big graph.
-register_backend(BACKEND_SHARDED, _make_sharded_backend, auto_priority=5)

@@ -44,9 +44,8 @@ working unchanged; the dict and compact kernels apply an affected-region
 splice instead (per-level riser cascades for the core numbers, re-ordering
 only the shells whose membership or starting degrees changed — see
 :func:`repro.cores.decomposition.incremental_anchor_commit` for the
-algorithm and its correctness argument), the numpy kernel shares that
-splice, and the sharded kernel refreshes through its shard-local caches and
-diffs.  Positional rank shifts are deliberately *not* reported as touched:
+algorithm and its correctness argument), and the numpy kernel shares that
+splice.  Positional rank shifts are deliberately *not* reported as touched:
 no query result depends on absolute positions except through the candidate
 scans, which read the (bit-identically spliced) rank state directly.
 """
@@ -85,20 +84,9 @@ BACKEND_DICT = "dict"
 BACKEND_COMPACT = "compact"
 #: Vectorised numpy kernels over the same CSR contract (optional dependency).
 BACKEND_NUMPY = "numpy"
-#: JIT-compiled numba kernels over the same CSR contract (optional dependency).
-BACKEND_NUMBA = "numba"
-#: Partitioned per-shard kernels with boundary exchange (:mod:`repro.shard`).
-BACKEND_SHARDED = "sharded"
 
 #: Every built-in ``backend=`` value (third-party backends register more).
-BACKENDS = (
-    BACKEND_AUTO,
-    BACKEND_DICT,
-    BACKEND_COMPACT,
-    BACKEND_NUMPY,
-    BACKEND_NUMBA,
-    BACKEND_SHARDED,
-)
+BACKENDS = (BACKEND_AUTO, BACKEND_DICT, BACKEND_COMPACT, BACKEND_NUMPY)
 
 #: ``auto`` switches away from the dict backend at this vertex count.  The
 #: crossover is where interning cost is clearly amortised by the kernels;
@@ -343,44 +331,6 @@ class ExecutionBackend(ABC):
         self, graph: "Graph", core: Dict["Vertex", int]
     ) -> MaintenanceKernel:
         """Build the maintenance kernel for ``graph`` with trusted ``core``."""
-
-    # ------------------------------------------------------------------
-    # Configuration (persisted by engine checkpoints)
-    # ------------------------------------------------------------------
-    def config(self) -> Dict[str, object]:
-        """JSON-serialisable configuration of this backend instance.
-
-        Stateless backends have none (the default empty dict).  Configurable
-        backends (e.g. the sharded backend's shard count and partitioner
-        policy) return what :meth:`with_config` needs to rebuild an
-        equivalently configured instance — engine checkpoints persist it next
-        to the backend name.
-        """
-        return {}
-
-    def with_config(self, config: Mapping[str, object]) -> "ExecutionBackend":
-        """Return an instance of this backend configured by ``config``.
-
-        The default ignores the configuration and returns ``self`` (stateless
-        backends are their own configuration).  Configurable backends return a
-        *new* instance, leaving the registry's shared singleton untouched.
-        """
-        return self
-
-    # ------------------------------------------------------------------
-    # Health (engine degradation/recovery)
-    # ------------------------------------------------------------------
-    def probe(self) -> bool:
-        """Whether this backend's substrate currently works end to end.
-
-        The engine calls this at flush time after degrading *away* from a
-        backend, to decide when to switch back.  Pure in-process backends
-        have no substrate that can fail independently, so the default is
-        unconditionally ``True``; backends with external moving parts (the
-        sharded backend's worker pools) override it with a real end-to-end
-        check.  Implementations must not raise — return ``False`` instead.
-        """
-        return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} name={self.name!r}>"

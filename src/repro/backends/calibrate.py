@@ -1,7 +1,7 @@
 """Measured backend selection: calibration sweeps behind the ``"auto"`` policy.
 
 The registry's hard-coded ``auto_priority`` ladder encodes an *expectation*
-(numba > numpy > compact > dict on large amortised workloads); this module
+(numpy > compact > dict on large amortised workloads); this module
 replaces the expectation with a **measurement**.  :func:`run_calibration`
 executes a small declarative sweep grid — graph-size bands × workload shapes
 × available backends, with repetitions — and records the per-kernel timings
@@ -35,12 +35,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.backends.base import (
-    BACKEND_COMPACT,
-    BACKEND_DICT,
-    BACKEND_NUMBA,
-    BACKEND_NUMPY,
-)
+from repro.backends.base import BACKEND_COMPACT, BACKEND_DICT, BACKEND_NUMPY
 from repro.errors import ParameterError
 
 _LOG = logging.getLogger(__name__)
@@ -54,10 +49,8 @@ WORKLOAD_CORE_INDEX = "core_index"
 WORKLOAD_MAINTENANCE = "maintenance"
 DEFAULT_WORKLOADS = (WORKLOAD_PEEL, WORKLOAD_CORE_INDEX, WORKLOAD_MAINTENANCE)
 
-#: Candidate backends ``auto`` may pick from.  The sharded backend is
-#: deliberately absent: multi-process execution stays an explicit operator
-#: decision even when a sweep would crown it.
-DEFAULT_CANDIDATES = (BACKEND_DICT, BACKEND_COMPACT, BACKEND_NUMPY, BACKEND_NUMBA)
+#: Candidate backends ``auto`` may pick from.
+DEFAULT_CANDIDATES = (BACKEND_DICT, BACKEND_COMPACT, BACKEND_NUMPY)
 
 
 @dataclass(frozen=True)
@@ -119,8 +112,8 @@ class CalibrationTable:
     ``bands`` is an ordered list of JSON-friendly dicts::
 
         {"name": "large", "lo": 32768, "hi": null, "sample_vertices": 40000,
-         "winner": "numba",
-         "timings": {"numba": {"peel": 0.012, ...}, "numpy": {...}, ...}}
+         "winner": "numpy",
+         "timings": {"numpy": {"peel": 0.012, ...}, "compact": {...}, ...}}
     """
 
     VERSION = 1

@@ -8,10 +8,10 @@ instance — to :func:`get_backend` and use whatever comes back.
 Registration
 ------------
 :func:`register_backend` associates a name with a zero-argument factory plus
-selection metadata.  The five built-ins (dict, compact, numpy, numba,
-sharded) are registered by :mod:`repro.backends` itself (with lazy
-factories, so importing the package never imports numpy or numba); third
-parties can register more::
+selection metadata.  The three built-ins (dict, compact, numpy) are
+registered by :mod:`repro.backends` itself (with lazy factories, so
+importing the package never imports numpy); third parties can register
+more::
 
     from repro.backends import ExecutionBackend, register_backend
 
@@ -47,12 +47,11 @@ The ``auto`` policy
    backend below :data:`~repro.backends.base.COMPACT_THRESHOLD` vertices —
    translation overhead dominates on small graphs — and above it to the
    *available* registered backend with the highest ``auto_priority``
-   (numba 30 > numpy 20 > compact 10 > sharded 5 > dict 0, so the compiled
-   tier wins whenever numba is importable and the multi-process sharded
-   backend is never auto-picked).
+   (numpy 20 > compact 10 > dict 0, so compact wins whenever numpy is
+   missing or disabled).
 
 Explicit names bypass the policy entirely; asking for a registered but
-unavailable backend (e.g. ``"numba"`` without numba installed) raises
+unavailable backend (e.g. ``"numpy"`` without numpy installed) raises
 :class:`~repro.errors.ParameterError` naming the reason.
 """
 
@@ -122,7 +121,7 @@ def register_backend(
     auto_priority:
         Rank among available backends when ``"auto"`` resolves an amortised
         workload on a large graph without a calibration table (highest wins;
-        dict=0, compact=10, numpy=20, numba=30).
+        dict=0, compact=10, numpy=20).
     is_available:
         Optional probe called at resolution time — return ``False`` while a
         runtime dependency is missing and the backend is skipped by ``auto``
@@ -130,7 +129,7 @@ def register_backend(
     availability_reason:
         Optional companion to ``is_available``: return a one-line human
         explanation of *why* the backend is currently unavailable (e.g.
-        ``"numba is not installed"`` vs ``"disabled via REPRO_DISABLE_NUMBA"``)
+        ``"numpy is not installed"`` vs ``"disabled via REPRO_DISABLE_NUMPY"``)
         or ``None`` when it is available.  Surfaced by
         :func:`backend_availability`, the CLI and unavailable-backend errors.
     replace:
@@ -165,8 +164,8 @@ def backend_availability() -> Dict[str, Optional[str]]:
     """Snapshot ``{name: None if available else reason}`` for every backend.
 
     The reason distinguishes *why* a tier is being skipped — a missing
-    import (``"numba is not installed"``) vs. an explicit environment switch
-    (``"disabled via REPRO_DISABLE_NUMBA"``) — so the CLI and the engine's
+    import (``"numpy is not installed"``) vs. an explicit environment switch
+    (``"disabled via REPRO_DISABLE_NUMPY"``) — so the CLI and the engine's
     unavailable-backend warning can say so instead of a generic shrug.
     """
     report: Dict[str, Optional[str]] = {}
@@ -180,25 +179,19 @@ def backend_info() -> Tuple[Dict[str, object], ...]:
     """One metadata row per registered backend, in registration order.
 
     Each row carries ``name``, ``available`` (the probe's current verdict),
-    ``reason`` (why the probe fails, ``None`` when available),
-    ``auto_priority`` and ``config`` (the instance configuration of backends
-    that have one — empty for stateless backends, and for unavailable
-    backends whose factory cannot be called).  This is what the
-    ``avt-bench backends`` CLI subcommand renders.
+    ``reason`` (why the probe fails, ``None`` when available) and
+    ``auto_priority``.  This is what the ``avt-bench backends`` CLI
+    subcommand renders.
     """
     rows = []
     for name, spec in _REGISTRY.items():
         available, reason = spec.availability()
-        config: Dict[str, object] = {}
-        if available:
-            config = dict(get_backend(name).config())
         rows.append(
             {
                 "name": name,
                 "available": available,
                 "reason": reason,
                 "auto_priority": spec.auto_priority,
-                "config": config,
             }
         )
     return tuple(rows)

@@ -156,8 +156,6 @@ def write_bench_json(
     payload: Mapping[str, object],
     *,
     backend: str = "auto",
-    num_shards: int = 1,
-    num_workers: int = 1,
     metrics=None,
 ) -> None:
     """Write one benchmark record as pretty-printed JSON with provenance.
@@ -165,8 +163,7 @@ def write_bench_json(
     ``payload`` holds the benchmark-specific numbers (timings, hit rates,
     speedups); the record wraps it with the benchmark ``name``,
     :func:`bench_environment`, an ``execution`` block recording the backend
-    name, shard count and worker count the run used (single-process defaults
-    when the caller does not say), and a ``metrics`` block — the unified
+    name the run used, and a ``metrics`` block — the unified
     metrics-registry snapshot of the run (see :mod:`repro.obs`).  ``metrics``
     may be a :class:`~repro.obs.MetricsRegistry`, an already-materialised
     snapshot list, or ``None`` to capture the process-wide registry, so
@@ -185,11 +182,7 @@ def write_bench_json(
     record = {
         "benchmark": name,
         "environment": bench_environment(),
-        "execution": {
-            "backend": backend,
-            "num_shards": num_shards,
-            "num_workers": num_workers,
-        },
+        "execution": {"backend": backend},
         **dict(payload),
         "metrics": list(metrics),
     }

@@ -12,7 +12,6 @@ Installed as the ``avt-bench`` console script::
     avt-bench calibrate --out cal.json    # measured backend sweep for "auto"
     avt-bench trace critical-path t.jsonl # analyze a --trace-out span file
     avt-bench trace flame t.jsonl --out collapsed.txt   # flamegraph input
-    avt-bench trace stragglers t.jsonl    # shard wave utilization report
     avt-bench trace tree a.jsonl --diff b.jsonl         # latency delta by span
 """
 
@@ -85,20 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="shard count for --backend sharded (default: REPRO_SHARD_COUNT or 4)",
-    )
-    serve.add_argument(
-        "--partitioner",
-        default=None,
-        help=(
-            "partitioner for --backend sharded: 'hash', 'degree_balanced' or "
-            "'community' (default: REPRO_SHARD_PARTITIONER or 'hash')"
-        ),
-    )
-    serve.add_argument(
         "--trace-out",
         type=Path,
         default=None,
@@ -114,16 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "write the run's metrics registry snapshot here; '.prom'/'.txt' "
             "selects Prometheus text exposition, anything else JSON"
-        ),
-    )
-    serve.add_argument(
-        "--inject-faults",
-        action="store_true",
-        help=(
-            "chaos leg (requires --backend sharded): arm a persistent "
-            "shard-op fault for the replay and verify every query is still "
-            "answered via degradation (exit 2 if the engine never degraded "
-            "or any query failed)"
         ),
     )
     calibrate = parser.add_argument_group("calibrate options")
@@ -179,10 +154,9 @@ def _run_summary(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_cli_backend(args: argparse.Namespace):
-    """Turn the serve-sim ``--backend``/``--shards``/``--partitioner`` flags
-    into a policy."""
-    from repro.backends import BACKEND_SHARDED, get_backend, registered_backends
+def _resolve_cli_backend(args: argparse.Namespace) -> str:
+    """Validate the serve-sim ``--backend`` flag and return it as a policy."""
+    from repro.backends import registered_backends
     from repro.errors import ParameterError
 
     backend = args.backend
@@ -191,23 +165,6 @@ def _resolve_cli_backend(args: argparse.Namespace):
             f"unknown backend {backend!r}; "
             f"expected 'auto' or one of {sorted(registered_backends())}"
         )
-    overrides = {}
-    if args.shards is not None:
-        overrides["num_shards"] = args.shards
-    if getattr(args, "partitioner", None) is not None:
-        overrides["partitioner"] = args.partitioner
-    if overrides:
-        if backend != BACKEND_SHARDED:
-            flags = " / ".join(
-                flag
-                for flag, present in (
-                    ("--shards", args.shards is not None),
-                    ("--partitioner", getattr(args, "partitioner", None) is not None),
-                )
-                if present
-            )
-            raise ParameterError(f"{flags} requires --backend sharded")
-        return get_backend(BACKEND_SHARDED).with_config(overrides)
     return backend
 
 
@@ -227,15 +184,6 @@ def _run_serve_sim(args: argparse.Namespace) -> int:
         sink = JsonLinesSpanSink(args.trace_out)
         tracer.add_sink(sink)
         previous_enabled = tracer.set_enabled(True)
-    chaos = None
-    if args.inject_faults:
-        # Arm a persistent shard-op fault: every sharded kernel call fails, so
-        # the replay only succeeds through supervised degradation (sharded ->
-        # serial -> compact).  Cleared in the finally so a crashed replay
-        # cannot leave the process chaos-armed.
-        from repro.resilience import FaultSpec, faults as chaos
-
-        chaos.install_plan(FaultSpec("shard.op", "error", times=0))
     engine = None
     try:
         # When we own the sink, the JSONL file is the trace of record — drain
@@ -243,8 +191,6 @@ def _run_serve_sim(args: argparse.Namespace) -> int:
         # bounded in memory instead of filling the 50k span buffer.
         code, engine = _serve_sim_replay(args, drain_spans=sink is not None)
     finally:
-        if chaos is not None:
-            chaos.clear_plan()
         if sink is not None:
             tracer.set_enabled(previous_enabled)
             tracer.remove_sink(sink)
@@ -262,13 +208,6 @@ def _serve_sim_replay(args: argparse.Namespace, drain_spans: bool = False):
     """The serve-sim replay loop; returns ``(exit_code, engine)``."""
     from repro.engine import StreamingAVTEngine
     from repro.obs import tracer
-
-    if args.inject_faults:
-        from repro.backends import BACKEND_SHARDED
-        from repro.errors import ParameterError
-
-        if args.backend != BACKEND_SHARDED:
-            raise ParameterError("--inject-faults requires --backend sharded")
 
     problem = build_problem(
         args.dataset,
@@ -336,23 +275,6 @@ def _serve_sim_replay(args: argparse.Namespace, drain_spans: bool = False):
         # promise.
         print("error: expected at least one cache hit", file=sys.stderr)
         return 2, engine
-    if args.inject_faults:
-        health = engine.health()
-        print(
-            f"chaos: status={health['status']} backend={health['backend']} "
-            f"degradations={engine.stats.degradations} "
-            f"recovery_probes={engine.stats.recovery_probes} "
-            f"recoveries={engine.stats.recoveries}"
-        )
-        if engine.stats.degradations < 1:
-            # Reaching here means every query was answered; with the fault
-            # armed that is only legitimate via the degradation path.
-            print(
-                "error: --inject-faults replay never degraded "
-                "(fault plan did not reach the sharded backend)",
-                file=sys.stderr,
-            )
-            return 2, engine
     return 0, engine
 
 
@@ -364,77 +286,22 @@ def _run_datasets() -> int:
 
 
 def _run_backends() -> int:
-    """Print every registered execution backend with availability and config."""
+    """Print every registered execution backend with its availability."""
     from repro.backends import backend_info
 
-    rows = []
-    for info in backend_info():
-        config = info["config"]
-        rows.append(
-            {
-                "backend": info["name"],
-                "available": "yes" if info["available"] else "no",
-                "reason": info["reason"] or "-",
-                "auto_priority": info["auto_priority"],
-                "configuration": (
-                    " ".join(f"{key}={value}" for key, value in sorted(config.items()))
-                    if config
-                    else "-"
-                ),
-            }
-        )
+    rows = [
+        {
+            "backend": info["name"],
+            "available": "yes" if info["available"] else "no",
+            "reason": info["reason"] or "-",
+            "auto_priority": info["auto_priority"],
+        }
+        for info in backend_info()
+    ]
     print(format_table(rows))
     print()
-    print(
-        "'auto' resolves by graph size and workload (see repro.backends.registry); "
-        "the sharded backend reads REPRO_SHARD_COUNT / REPRO_SHARD_PARTITIONER / "
-        "REPRO_SHARD_EXECUTOR / REPRO_SHARD_WORKERS / REPRO_SHARD_EXCHANGE / "
-        "REPRO_SHARD_SHM."
-    )
-    print()
-    print(_partition_stats_report())
+    print("'auto' resolves by graph size and workload (see repro.backends.registry).")
     return 0
-
-
-def _partition_stats_report(num_shards: int = 4) -> str:
-    """Per-partitioner cut-edge/balance stats on a small clustered sample.
-
-    Partitions one planted-community graph (the paper's running-example
-    shape) with every registered partitioner so ``avt-bench backends`` shows
-    what the ``--partitioner`` choice buys before anyone runs a workload.
-    """
-    from repro.graph.compact import CompactGraph
-    from repro.graph.generators import planted_community_graph
-    from repro.shard.partition import PARTITIONERS, partition_compact_graph
-
-    graph = planted_community_graph(
-        num_communities=num_shards,
-        community_size=50,
-        intra_edge_probability=0.2,
-        inter_edges=60,
-        seed=42,
-    )
-    cgraph = CompactGraph.from_graph(graph, ordered=True)
-    rows = []
-    for name in sorted(PARTITIONERS):
-        plan = partition_compact_graph(cgraph, num_shards, name)
-        rows.append(
-            {
-                "partitioner": name,
-                "cut_edges": plan.cut_edge_count,
-                "cut_ratio": f"{plan.cut_edge_ratio:.3f}",
-                "balance": f"{plan.balance:.2f}",
-                "shard_sizes": "/".join(
-                    str(state.num_owned) for state in plan.shards
-                ),
-            }
-        )
-    header = (
-        f"partition quality on a planted-community sample "
-        f"(n={cgraph.num_vertices}, m={cgraph.num_edges}, "
-        f"{num_shards} shards; lower cut_ratio = less boundary traffic):"
-    )
-    return header + "\n" + format_table(rows)
 
 
 def _run_calibrate(args: argparse.Namespace) -> int:
@@ -536,20 +403,19 @@ def _run_trace(argv: Sequence[str]) -> int:
         flame_stacks,
         render_collapsed,
         render_tree,
-        straggler_report,
     )
 
     parser = argparse.ArgumentParser(
         prog="avt-bench trace",
         description=(
             "Analyze a span trace captured with --trace-out (JSON lines): "
-            "span trees, critical paths, flamegraph stacks, shard straggler "
-            "reports, and two-trace latency diffs."
+            "span trees, critical paths, flamegraph stacks, and two-trace "
+            "latency diffs."
         ),
     )
     parser.add_argument(
         "command",
-        choices=["tree", "critical-path", "flame", "stragglers"],
+        choices=["tree", "critical-path", "flame"],
         help="analysis to run over the trace",
     )
     parser.add_argument("trace", type=Path, help="JSON-lines span file")
@@ -620,48 +486,16 @@ def _run_trace(argv: Sequence[str]) -> int:
         )
         return 0
 
-    if args.command == "flame":
-        collapsed = render_collapsed(flame_stacks(spans))
-        if args.out is not None:
-            args.out.write_text(collapsed + "\n", encoding="utf-8")
-            print(
-                f"{len(collapsed.splitlines())} collapsed stacks written to "
-                f"{args.out} (feed to flamegraph.pl / speedscope / inferno)"
-            )
-        else:
-            print(collapsed)
-        return 0
-
-    # stragglers
-    report = straggler_report(spans)
-    if not report["num_exchanges"]:
+    # flame
+    collapsed = render_collapsed(flame_stacks(spans))
+    if args.out is not None:
+        args.out.write_text(collapsed + "\n", encoding="utf-8")
         print(
-            "no shard.exchange spans in the trace — run the workload with "
-            "--backend sharded (async exchange) to produce wave spans"
+            f"{len(collapsed.splitlines())} collapsed stacks written to "
+            f"{args.out} (feed to flamegraph.pl / speedscope / inferno)"
         )
-        return 0
-    rows = []
-    for entry in report["exchanges"][: args.top]:
-        worst = entry["stragglers"][0] if entry["stragglers"] else "-"
-        busy = entry["shards"].get(worst, {}).get("busy_fraction", 0.0)
-        rows.append(
-            {
-                "op": entry["op"],
-                "wall_ms": f"{entry['wall_seconds'] * 1e3:.3f}",
-                "waves": entry["waves"],
-                "ops": entry["ops"],
-                "resubmits": entry["resubmissions"],
-                "skew": f"{entry['skew']:.2f}",
-                "straggler": f"shard {worst} ({busy * 100:.0f}% busy)",
-            }
-        )
-    print(format_table(rows))
-    print(
-        f"totals: {report['num_exchanges']} exchanges, "
-        f"{report['total_waves']} waves, "
-        f"{report['total_ops_dispatched']} ops dispatched "
-        "(reconcile with the coordinator's exchange_waves / ops_dispatched counters)"
-    )
+    else:
+        print(collapsed)
     return 0
 
 
@@ -690,7 +524,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("  calibrate              Measure backends per size band for the 'auto' policy.")
         print("  serve-sim              Replay a dataset through the online streaming engine.")
         print("  trace                  Analyze a --trace-out span file (tree, critical-path,")
-        print("                         flame, stragglers; --diff compares two traces).")
+        print("                         flame; --diff compares two traces).")
         return 0
 
     try:

@@ -17,10 +17,9 @@ Execution is dispatched through the :mod:`repro.backends` registry: every
 function here accepts ``backend=`` (a registered name, ``"auto"``, or an
 :class:`~repro.backends.ExecutionBackend` instance) and calls the resolved
 backend's kernel.  All registered backends produce *identical* core numbers
-**and** identical removal orders — the compact/numpy/numba snapshots intern
+**and** identical removal orders — the compact and numpy snapshots intern
 vertices in tie-break order so the integer id doubles as the deterministic
-tie-break rank, and the numba tier's compiled packed-heap peel pops the same
-unique ascending keys as the :mod:`heapq` reference here.  This module also
+tie-break rank.  This module also
 hosts the flat integer-array kernel primitives (:func:`compact_peel`,
 :func:`compact_k_core_ids`) that the compact backend is built from.
 """
@@ -315,8 +314,8 @@ def _shell_order_ids(
     same-shell subgraph: members ascend by id (id == tie-break rank on
     ordered snapshots), each starts at its count of ``core >= level``
     neighbours (anchors are infinity and count), and only same-shell
-    removals decrement — the invariant the numpy and sharded backends
-    already build their whole order reconstruction on.
+    removals decrement — the invariant the numpy backend already builds its
+    whole order reconstruction on.
     """
     size = len(members)
     position = {vid: local for local, vid in enumerate(members)}
@@ -381,8 +380,7 @@ def incremental_anchor_commit(
 
     **Removal order.**  With the new core numbers fixed, the reference heap
     peel's order is the ascending concatenation of per-shell cascades over
-    same-shell subgraphs (the Phase-B invariant of the numpy and sharded
-    backends).  A shell's internal order can change only if its membership
+    same-shell subgraphs (the Phase-B invariant of the numpy backend).  A shell's internal order can change only if its membership
     changed (it gained or lost a riser or the anchor) or a member's starting
     degree changed (a neighbour's core value crossed the shell level — for a
     ``+1`` riser from ``a`` that is only shell ``a + 1``; for the anchor,

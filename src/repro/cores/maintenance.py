@@ -20,8 +20,7 @@ backend's :class:`~repro.backends.MaintenanceKernel` — the dict kernel walks
 the graph directly; the compact kernel (also used by the numpy backend,
 whose vectorisation cannot beat int-set traversals on per-edge subcores)
 mirrors the adjacency into integer-id sets with O(1) upkeep per edge
-operation; the numba kernel compiles the same subcore/eviction and
-support-drop traversals over a flat arena adjacency.  Results are identical
+operation.  Results are identical
 across backends, and a maintainer can be migrated to another backend
 mid-flight via :meth:`CoreMaintainer.switch_backend` (used by the streaming
 engine when an initially small graph outgrows the dict backend, and — when a

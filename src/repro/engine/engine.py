@@ -48,14 +48,13 @@ from repro.engine.ingest import IngestBuffer
 from repro.engine.stats import EngineStats
 from repro.backends import (
     BACKEND_AUTO,
-    BACKEND_COMPACT,
     BACKEND_DICT,
     ExecutionBackend,
     active_calibration,
     get_backend,
     registered_backends,
 )
-from repro.errors import CheckpointError, ParameterError, ShardExecutionError
+from repro.errors import CheckpointError, ParameterError
 from repro.graph.dynamic import EdgeDelta
 from repro.graph.static import Graph, Vertex
 from repro.obs import tracer
@@ -107,7 +106,7 @@ class StreamingAVTEngine:
         omit to compute them fresh.
     backend:
         Execution backend (a registered name — ``"auto"`` / ``"dict"`` /
-        ``"compact"`` / ``"numpy"`` / ``"numba"`` — or an
+        ``"compact"`` / ``"numpy"`` — or an
         :class:`~repro.backends.ExecutionBackend` instance, see
         :mod:`repro.backends`) for core maintenance and the cold solvers.
         ``"auto"`` resolves against the graph handed to the constructor and
@@ -144,28 +143,12 @@ class StreamingAVTEngine:
         # re-resolution; ``_backend`` is the currently resolved object.
         self._backend_policy = backend
         self._backend = get_backend(backend, initial_graph.num_vertices)
-        init_failure: Optional[ShardExecutionError] = None
-        failed_backend: Optional[ExecutionBackend] = None
-        try:
-            self._maintainer = CoreMaintainer(
-                initial_graph,
-                copy_graph=copy_graph,
-                core=core,
-                backend=self._backend,
-            )
-        except ShardExecutionError as error:
-            # The requested substrate failed while computing the initial core
-            # numbers.  Construction must still succeed — build on the compact
-            # fallback and record the degradation once stats exist below.
-            init_failure = error
-            failed_backend = self._backend
-            self._backend = get_backend(BACKEND_COMPACT, initial_graph.num_vertices)
-            self._maintainer = CoreMaintainer(
-                initial_graph,
-                copy_graph=copy_graph,
-                core=core,
-                backend=self._backend,
-            )
+        self._maintainer = CoreMaintainer(
+            initial_graph,
+            copy_graph=copy_graph,
+            core=core,
+            backend=self._backend,
+        )
         self._buffer = IngestBuffer(self._maintainer.graph)
         self._cache = ResultCache(cache_capacity)
         self._stats = EngineStats()
@@ -178,14 +161,6 @@ class StreamingAVTEngine:
         self._warm: "OrderedDict[Tuple[int, int, str], _WarmState]" = OrderedDict()
         self._warm_capacity = max(cache_capacity, 16)
         self._refresher = IncAVTTracker()
-        #: Degradation state (see :meth:`health`): set when a backend failure
-        #: forced a fallback to the compact backend; ``_degraded_from`` keeps
-        #: the failed backend object so flush-time recovery probes can ask it
-        #: whether its substrate is healthy again.
-        self._degraded: Optional[Dict[str, Any]] = None
-        self._degraded_from: Optional[ExecutionBackend] = None
-        if init_failure is not None and failed_backend is not None:
-            self._record_degradation("init", init_failure, failed_backend)
 
     # ------------------------------------------------------------------
     # Views
@@ -294,7 +269,6 @@ class StreamingAVTEngine:
                     self._maintainer.graph.num_vertices,
                     self._backend_policy,
                 )
-        self._probe_recovery()
         self._stats.deltas_applied += 1
         self._stats.edges_inserted += len(delta.inserted)
         self._stats.edges_removed += len(delta.removed)
@@ -406,22 +380,12 @@ class StreamingAVTEngine:
 
             warm_key = (k, budget, solver_name)
             state = self._warm.get(warm_key) if use_warm else None
-            try:
-                if state is not None:
-                    result = self._answer_warm(k, budget, state, started)
-                    query_span.set(outcome="warm", version=self._version)
-                else:
-                    result = self._answer_cold(k, budget, solver_name, started)
-                    query_span.set(outcome="cold", version=self._version)
-            except ShardExecutionError as error:
-                # The sharded substrate failed beyond its own retry budget
-                # (it already degraded process→serial internally and serial
-                # failed too).  Degrade the engine to the compact backend and
-                # answer the query there — queries must keep succeeding, only
-                # slower.
-                self._note_degradation("query", error)
+            if state is not None:
+                result = self._answer_warm(k, budget, state, started)
+                query_span.set(outcome="warm", version=self._version)
+            else:
                 result = self._answer_cold(k, budget, solver_name, started)
-                query_span.set(outcome="degraded", version=self._version)
+                query_span.set(outcome="cold", version=self._version)
             self._cache.put(key, result)
             self._warm[warm_key] = _WarmState(
                 version=self._version, anchors=tuple(result.anchors)
@@ -485,115 +449,6 @@ class StreamingAVTEngine:
         return result
 
     # ------------------------------------------------------------------
-    # Degradation / recovery
-    # ------------------------------------------------------------------
-    def _note_degradation(self, where: str, error: BaseException) -> None:
-        """Fall back to the compact backend after a backend failure.
-
-        The failed backend object is kept so :meth:`_probe_recovery` can ask
-        it (cheaply, at flush time) whether its substrate is healthy again;
-        queries keep being answered on the compact fallback meanwhile.  The
-        moment of degradation is flight-dumped with the surrounding spans —
-        this is exactly the record an operator wants when paging on the
-        ``engine.degradations`` counter.
-        """
-        failed = self._backend
-        fallback = get_backend(BACKEND_COMPACT, self._maintainer.graph.num_vertices)
-        self._maintainer.switch_backend(fallback)
-        self._backend = fallback
-        self._record_degradation(where, error, failed)
-
-    def _record_degradation(
-        self, where: str, error: BaseException, failed: ExecutionBackend
-    ) -> None:
-        """Book-keep a degradation after ``self._backend`` is the fallback."""
-        from repro.obs.flight import default_recorder
-
-        self._stats.degradations += 1
-        logger.error(
-            "engine degrading from backend %r to %r after %s failure: %s",
-            failed.name,
-            self._backend.name,
-            where,
-            error,
-        )
-        default_recorder().record_event(
-            "engine.degraded", where=where, backend=failed.name, error=str(error)
-        )
-        default_recorder().dump(
-            "engine-degraded", where=where, backend=failed.name, error=str(error)
-        )
-        self._degraded = {
-            "reason": str(error),
-            "where": where,
-            "from_backend": failed.name,
-            "since_version": self._version,
-        }
-        self._degraded_from = failed
-
-    def _probe_recovery(self) -> None:
-        """While degraded, ask the failed backend whether it works again.
-
-        Runs at flush time (not per query — probing spins up real substrate,
-        e.g. a throwaway shard coordinator, so it rides the slower mutation
-        path).  A truthful probe migrates the maintainer state back and
-        clears the degradation; a failing or throwing probe keeps the engine
-        on the fallback.
-        """
-        if self._degraded is None or self._degraded_from is None:
-            return
-        from repro.obs.flight import default_recorder
-
-        self._stats.recovery_probes += 1
-        try:
-            healthy = bool(self._degraded_from.probe())
-        except Exception as error:  # a probe must never take a flush down
-            logger.info("recovery probe of %r failed: %s", self._degraded_from.name, error)
-            healthy = False
-        if not healthy:
-            return
-        if not self._maintainer.switch_backend(self._degraded_from):
-            return
-        self._backend = self._degraded_from
-        self._stats.recoveries += 1
-        logger.warning(
-            "engine recovered: backend %r healthy again after degradation at version %d",
-            self._backend.name,
-            self._degraded["since_version"],
-        )
-        default_recorder().record_event("engine.recovered", backend=self._backend.name)
-        default_recorder().dump("engine-recovered", backend=self._backend.name)
-        self._degraded = None
-        self._degraded_from = None
-
-    def health(self) -> Dict[str, Any]:
-        """Liveness/degradation summary for operator endpoints.
-
-        ``status`` is ``"ok"`` or ``"degraded"``; while degraded, the
-        ``degraded`` dict carries the reason, the backend fallen back from
-        and the graph version at the moment of degradation.  Recovery is
-        automatic: every flush while degraded probes the failed backend
-        (``recovery_probes``/``recoveries`` count the attempts and
-        successes).
-        """
-        policy = (
-            self._backend_policy
-            if isinstance(self._backend_policy, str)
-            else self._backend_policy.name
-        )
-        return {
-            "status": "degraded" if self._degraded is not None else "ok",
-            "backend": self._backend.name,
-            "backend_policy": policy,
-            "degraded": dict(self._degraded) if self._degraded is not None else None,
-            "version": self._version,
-            "pending_updates": self.pending_updates,
-            "degradations": self._stats.degradations,
-            "recovery_probes": self._stats.recovery_probes,
-            "recoveries": self._stats.recoveries,
-        }
-
-    # ------------------------------------------------------------------
     # Checkpoint / restore
     # ------------------------------------------------------------------
     def to_state(self) -> Dict[str, Any]:
@@ -617,10 +472,6 @@ class StreamingAVTEngine:
                 "engine can resolve it"
             )
         graph = self._maintainer.graph
-        # Configurable backends (e.g. sharded: shard count, partitioner
-        # policy, executor) persist their configuration next to the policy
-        # name so the restored engine comes back equivalently configured.
-        backend_config = dict(self._backend.config())
         return {
             "vertices": list(graph.vertices()),
             "edges": [tuple(edge) for edge in graph.edges()],
@@ -633,7 +484,6 @@ class StreamingAVTEngine:
             # re-resolves against its (restored) graph size, and the state
             # stays JSON-serialisable.
             "backend": backend_name,
-            "backend_config": backend_config,
             "warm": {
                 warm_key: {
                     "version": state.version,
@@ -652,21 +502,18 @@ class StreamingAVTEngine:
         }
 
     @staticmethod
-    def _restorable_backend(
-        policy: Any, config: Dict[str, Any], num_vertices: int
-    ) -> Any:
+    def _restorable_backend(policy: Any, num_vertices: int) -> Any:
         """Resolve a checkpoint's backend policy in the restoring process.
 
-        Returns the policy itself when it resolves (configured through
-        ``with_config`` when the checkpoint carried a configuration), or
-        ``"auto"`` with a warning when the persisted backend is unknown or
-        unavailable here — restoring on weaker hardware/installs must not
-        brick a checkpoint whose state is backend-independent anyway.
+        Returns the policy itself when it resolves, or ``"auto"`` with a
+        warning when the persisted backend is unknown or unavailable here —
+        restoring on weaker hardware/installs must not brick a checkpoint
+        whose state is backend-independent anyway.
         """
         if not isinstance(policy, str) or policy == BACKEND_AUTO:
             return policy
         try:
-            resolved = get_backend(policy, num_vertices)
+            get_backend(policy, num_vertices)
         except ParameterError as error:
             logger.warning(
                 "checkpoint backend %r is not available in this process "
@@ -681,8 +528,6 @@ class StreamingAVTEngine:
                 stacklevel=3,
             )
             return BACKEND_AUTO
-        if config:
-            return resolved.with_config(config)
         return policy
 
     @classmethod
@@ -705,9 +550,7 @@ class StreamingAVTEngine:
                 backend_policy = overrides.pop("backend")
             else:
                 backend_policy = cls._restorable_backend(
-                    state.get("backend", BACKEND_AUTO),
-                    state.get("backend_config") or {},
-                    len(state["vertices"]),
+                    state.get("backend", BACKEND_AUTO), len(state["vertices"])
                 )
             engine = cls(
                 graph,

@@ -8,6 +8,11 @@ live graph — an insert of an edge that is already present, a remove of an
 absent one, or an insert→remove round trip on an edge the graph never had.
 ``flush()`` then hands one compact :class:`EdgeDelta` to the core maintainer.
 
+Self-loops are rejected at the door: inserting one raises
+:class:`~repro.errors.SelfLoopError` before anything is buffered, so a bad
+event can never poison a later flush and take valid pending edges down with
+it.  Removing a self-loop is a counted no-op (the edge cannot exist).
+
 Soundness of the cancellation rules rests on the engine's contract that the
 graph only mutates through ``flush()``: between two flushes the graph the
 buffer consults is exactly the graph the pending operations will be applied
@@ -18,6 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
+from repro.errors import SelfLoopError
 from repro.graph.dynamic import EdgeDelta, _normalise_edge
 from repro.graph.static import Graph, Vertex
 
@@ -44,7 +50,12 @@ class IngestBuffer:
     # Buffering
     # ------------------------------------------------------------------
     def insert(self, u: Vertex, v: Vertex) -> None:
-        """Buffer the insertion of edge ``(u, v)``."""
+        """Buffer the insertion of edge ``(u, v)``.
+
+        Raises :class:`SelfLoopError` when ``u == v``, buffering nothing.
+        """
+        if u == v:
+            raise SelfLoopError(u)
         self._offer(_normalise_edge((u, v)), 1)
 
     def remove(self, u: Vertex, v: Vertex) -> None:
@@ -52,7 +63,15 @@ class IngestBuffer:
         self._offer(_normalise_edge((u, v)), -1)
 
     def extend(self, delta: EdgeDelta) -> None:
-        """Buffer a whole delta (insertions first, matching ``delta.apply``)."""
+        """Buffer a whole delta (insertions first, matching ``delta.apply``).
+
+        Every inserted edge is checked before any is buffered, so a delta
+        carrying a self-loop raises :class:`SelfLoopError` and leaves the
+        buffer untouched.
+        """
+        for u, v in delta.inserted:
+            if u == v:
+                raise SelfLoopError(u)
         for u, v in delta.inserted:
             self.insert(u, v)
         for u, v in delta.removed:

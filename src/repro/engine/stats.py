@@ -12,9 +12,10 @@ over a :class:`~repro.obs.metrics.MetricsRegistry` rather than parallel
 bookkeeping: every attribute read/write goes straight to a registry counter,
 per-path latencies additionally feed log-bucketed histograms (p50/p95/p99
 derivable), and :meth:`snapshot` emits the unified
-``{name, type, value, labels}`` schema shared with ``SolverStats`` and the
-shard coordinator.  The legacy flat-dict snapshot format is still accepted by
-:meth:`from_snapshot` so old checkpoints keep restoring.
+``{name, type, value, labels}`` schema shared with ``SolverStats``.  The
+legacy flat-dict snapshot format is still accepted by :meth:`from_snapshot`
+so old checkpoints keep restoring; unknown keys (such as counters older
+versions wrote) are ignored.
 """
 
 from __future__ import annotations
@@ -39,13 +40,6 @@ _COUNT_FIELDS = (
     "cache_invalidations",
     "checkpoints_saved",
     "checkpoints_restored",
-    # Resilience: backend fallbacks forced by substrate failures, flush-time
-    # probes of the failed backend while degraded, and successful switches
-    # back.  from_snapshot ignores unknown keys, so checkpoints written
-    # before these fields existed restore cleanly.
-    "degradations",
-    "recovery_probes",
-    "recoveries",
 )
 
 #: Wall-clock accumulators (floats), one per answer path plus flushes.

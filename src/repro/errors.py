@@ -82,24 +82,11 @@ class CheckpointCorruptionError(CheckpointError):
 class FaultError(ReproError):
     """Raised by an injected ``error``-action fault (:mod:`repro.resilience`).
 
-    Deliberately a :class:`ReproError` subclass so chaos tests exercise the
-    exact handling paths a real kernel failure would take.
+    Deliberately a :class:`ReproError` subclass so fault-injection tests
+    exercise the exact handling paths a real failure would take.
     """
 
     def __init__(self, site: str, detail: str = "") -> None:
         super().__init__(f"injected fault at {site}" + (f": {detail}" if detail else ""))
         self.site = site
 
-
-class ShardTimeoutError(ReproError):
-    """Raised when a shard op misses its per-op deadline (the worker is
-    killed and the pool respawned; supervision retries or degrades)."""
-
-
-class ShardExecutionError(ReproError):
-    """Raised when supervised shard execution exhausts every recovery rung.
-
-    Surfaced only after the retry budget is spent *and* (under the process
-    executor) the serial fallback failed too; the engine reacts by degrading
-    the backend (see ``StreamingAVTEngine.health()``).
-    """

@@ -26,8 +26,8 @@ Backend selection
 Selection no longer lives here: :mod:`repro.backends` owns the
 :class:`~repro.backends.ExecutionBackend` protocol, the registry and the
 ``"auto"`` resolution policy (see :mod:`repro.backends.registry` for the
-policy).  This module provides the *data structures* the compact, numpy and
-numba backends are built on.  The historical names (:data:`BACKEND_AUTO`,
+policy).  This module provides the *data structures* the compact and numpy
+backends are built on.  The historical names (:data:`BACKEND_AUTO`,
 :data:`BACKEND_DICT`, :data:`BACKEND_COMPACT`, :data:`BACKENDS`,
 :data:`COMPACT_THRESHOLD`, :func:`resolve_backend`) are re-exported for
 backwards compatibility.
@@ -43,9 +43,7 @@ from repro.backends import (  # noqa: F401
     BACKEND_AUTO,
     BACKEND_COMPACT,
     BACKEND_DICT,
-    BACKEND_NUMBA,
     BACKEND_NUMPY,
-    BACKEND_SHARDED,
     BACKENDS,
     COMPACT_THRESHOLD,
     resolve_backend,

@@ -6,8 +6,7 @@ The observability layer threaded through every execution layer of the repo:
 piece              role
 =================  ==========================================================
 ``tracer``         Hierarchical spans with a context-manager API and a
-                   near-zero-overhead no-op path while disabled; spans from
-                   spawn-based shard workers merge into the parent trace.
+                   near-zero-overhead no-op path while disabled.
 ``MetricsRegistry``  Counters / gauges / log-bucketed histograms behind one
                    ``{name, type, value, labels}`` snapshot schema; the
                    legacy stats surfaces are views over it.
@@ -16,23 +15,21 @@ piece              role
 ``analyze``        Trace analytics over finished spans: span-tree
                    reconstruction, Dapper-style critical-path extraction,
                    per-name self-time flamegraph aggregation
-                   (collapsed-stack output), shard straggler/utilization
-                   reports, and two-trace latency diffs.
+                   (collapsed-stack output), and two-trace latency diffs.
 ``profile``        Thread-based wall-clock sampling profiler
                    (``sys._current_frames`` at a configurable hz) that
                    attributes samples to the open span stack as well as to
                    code, with an enforced ≤5% overhead floor.
 ``flight``         Always-on flight recorder: a bounded ring of recent
                    spans + metric deltas that survives ``enabled=False``
-                   cheaply and dumps automatically on span errors, broken
-                   worker pools and checkpoint failures
-                   (``engine.flight_record()``).
+                   cheaply and dumps automatically on span errors and
+                   checkpoint failures (``engine.flight_record()``).
 =================  ==========================================================
 
 Enable tracing programmatically (``tracer.set_enabled(True)``), per run
 (``avt-bench serve-sim --trace-out trace.jsonl``), or process-wide via the
 ``REPRO_TRACE=1`` environment variable.  Analyze a trace offline with
-``avt-bench trace {tree,critical-path,flame,stragglers} trace.jsonl``.
+``avt-bench trace {tree,critical-path,flame} trace.jsonl``.
 """
 
 from repro.obs import tracer
@@ -47,7 +44,6 @@ from repro.obs.analyze import (
     render_collapsed,
     render_tree,
     self_time_by_name,
-    straggler_report,
 )
 from repro.obs.flight import FlightRecorder, default_recorder
 from repro.obs.profile import SamplingProfiler
@@ -81,7 +77,6 @@ __all__ = [
     "flame_stacks",
     "render_collapsed",
     "render_tree",
-    "straggler_report",
     "diff_traces",
     "SamplingProfiler",
     "FlightRecorder",

@@ -10,16 +10,12 @@ span dicts; this module turns them back into something a human can diagnose:
   backwards from a root span's end, the child active at each instant is on
   the path and the gaps between children are the parent's own critical time.
   The step contributions sum to the root's wall time *by construction*, which
-  is what makes the report trustworthy: nothing is double-counted across the
-  async ``shard.exchange``/``shard.wave`` children adopted from workers.
+  is what makes the report trustworthy: nothing is double-counted across
+  overlapping children.
 * :func:`self_time_by_name` / :func:`flame_stacks` /
   :func:`render_collapsed` — per-span-name self-time aggregation and
   collapsed-stack output consumable by standard flamegraph tooling
   (``flamegraph.pl``, speedscope, inferno).
-* :func:`straggler_report` — per-shard busy fractions, wave skew and
-  resubmission counts for every ``shard.exchange`` in a trace; its totals
-  reconcile exactly with the coordinator's ``exchange_waves`` /
-  ``ops_dispatched`` counters.
 * :func:`diff_traces` — attribute the latency delta between two traces to
   span names (which phase got slower, which got faster).
 
@@ -43,7 +39,6 @@ __all__ = [
     "flame_stacks",
     "render_collapsed",
     "render_tree",
-    "straggler_report",
     "diff_traces",
 ]
 
@@ -121,10 +116,8 @@ class CriticalStep(NamedTuple):
 def build_span_trees(spans: Iterable[SpanDict]) -> List[SpanNode]:
     """Reconstruct the span forest from flat span dicts.
 
-    Spans whose ``parent_id`` is absent from the set become roots (this is
-    exactly how worker spans look before :func:`~repro.obs.tracer.adopt`, and
-    how coordinator roots always look).  Children and roots are sorted by
-    start time.
+    Spans whose ``parent_id`` is absent from the set become roots.  Children
+    and roots are sorted by start time.
     """
     nodes: List[SpanNode] = [SpanNode(entry) for entry in spans]
     by_id: Dict[str, SpanNode] = {}
@@ -152,8 +145,8 @@ def critical_path(root: SpanNode) -> List[CriticalStep]:
     Walks backwards from the root's end: at every instant, the latest-ending
     child covering that instant is the blocking activity and joins the path
     (recursively); time not covered by any child is the parent's own critical
-    time.  Concurrent children (async shard waves) are handled naturally —
-    a child fully shadowed by a later-ending sibling contributes nothing.
+    time.  Concurrent children are handled naturally — a child fully
+    shadowed by a later-ending sibling contributes nothing.
 
     Returns chronologically-ordered steps whose ``seconds`` sum to the root's
     wall time (consecutive steps for the same span are merged).
@@ -272,78 +265,6 @@ def render_tree(
     for root in roots:
         walk(root, 0)
     return "\n".join(lines)
-
-
-def straggler_report(spans: Iterable[SpanDict]) -> Dict[str, Any]:
-    """Shard-wave utilization report over every ``shard.exchange`` in a trace.
-
-    For each exchange: wall time, wave count (the coordinator stamps a
-    ``waves`` attr at fixpoint), dispatched ``shard.op`` descendants, and
-    per-shard busy seconds / busy fraction / op counts with the resulting
-    skew (max busy over mean busy) and straggler ordering.  The grand totals
-    (``total_waves``, ``total_ops_dispatched``) reconcile exactly with the
-    coordinator's ``exchange_waves`` / ``ops_dispatched`` counters for the
-    traced window: every dispatched op records exactly one ``shard.op`` span
-    under its exchange.
-    """
-    roots = build_span_trees(spans)
-    exchanges: List[SpanNode] = []
-    for root in roots:
-        for node in root.walk():
-            if node.name == "shard.exchange":
-                exchanges.append(node)
-
-    report_entries: List[Dict[str, Any]] = []
-    total_waves = 0
-    total_ops = 0
-    for exchange in exchanges:
-        ops = [node for node in exchange.walk() if node.name == "shard.op"]
-        wave_spans = [child for child in exchange.children if child.name == "shard.wave"]
-        waves = int(exchange.attrs.get("waves", len(wave_spans)))
-        wall = exchange.duration
-
-        per_shard: Dict[Any, Dict[str, Any]] = {}
-        for op in ops:
-            shard = op.attrs.get("shard", "?")
-            entry = per_shard.setdefault(
-                shard, {"busy_seconds": 0.0, "ops": 0, "busy_fraction": 0.0}
-            )
-            entry["busy_seconds"] += op.duration
-            entry["ops"] += 1
-        for entry in per_shard.values():
-            entry["busy_fraction"] = entry["busy_seconds"] / wall if wall > 0 else 0.0
-
-        busies = [entry["busy_seconds"] for entry in per_shard.values()]
-        mean_busy = sum(busies) / len(busies) if busies else 0.0
-        skew = (max(busies) / mean_busy) if mean_busy > 0 else 1.0
-        # Each shard's first op is the initial submission; anything beyond is
-        # a resubmission triggered by an arriving boundary update.
-        resubmissions = sum(max(0, entry["ops"] - 1) for entry in per_shard.values())
-        stragglers = sorted(
-            per_shard, key=lambda shard: per_shard[shard]["busy_seconds"], reverse=True
-        )
-
-        report_entries.append(
-            {
-                "op": exchange.attrs.get("op"),
-                "wall_seconds": wall,
-                "waves": waves,
-                "ops": len(ops),
-                "resubmissions": resubmissions,
-                "skew": skew,
-                "shards": {shard: dict(entry) for shard, entry in per_shard.items()},
-                "stragglers": stragglers,
-            }
-        )
-        total_waves += waves
-        total_ops += len(ops)
-
-    return {
-        "num_exchanges": len(exchanges),
-        "total_waves": total_waves,
-        "total_ops_dispatched": total_ops,
-        "exchanges": report_entries,
-    }
 
 
 def diff_traces(

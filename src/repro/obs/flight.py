@@ -13,17 +13,16 @@ A *dump* freezes the ring plus the metric deltas since the previous dump
 (counters/gauges and histogram count/sum from the global registry) together
 with a reason and context.  Dumps happen automatically on:
 
-* span error tags (any sinked span whose attrs carry ``error``),
-* ``BrokenProcessPool`` retirement in the shard coordinator, and
+* span error tags (any sinked span whose attrs carry ``error``), and
 * engine checkpoint save/restore failures,
 
 and manually via :meth:`FlightRecorder.dump`.  The engine exposes the live
 record through ``engine.flight_record()``.  Set ``REPRO_FLIGHT_DIR`` to also
 write each dump as a JSON file.
 
-Injected faults and resilience decisions (:mod:`repro.resilience`) land in
-the ring as synthetic span-shaped events via :meth:`FlightRecorder.record_event`
-— independent of the tracing flag, so a chaos run's dump always shows *which*
+Injected faults (:mod:`repro.resilience`) land in the ring as synthetic
+span-shaped events via :meth:`FlightRecorder.record_event` — independent of
+the tracing flag, so a fault-injection run's dump always shows *which*
 faults fired before the failure being diagnosed.
 """
 
@@ -124,9 +123,9 @@ class FlightRecorder:
     def record_event(self, name: str, **attrs: Any) -> Dict[str, Any]:
         """Append a synthetic span-shaped event to the ring, tracing or not.
 
-        Injected faults and degradation decisions must be visible in a
-        post-mortem dump even when tracing was off at the time — a real span
-        would never have reached the sink.  The event mimics the span dict
+        Injected faults must be visible in a post-mortem dump even when
+        tracing was off at the time — a real span would never have reached
+        the sink.  The event mimics the span dict
         shape (``name`` + ``attrs`` + timestamps) so the dump analyzers and
         the JSON exporters treat it uniformly; ``event=True`` marks it as
         zero-duration bookkeeping rather than a measured interval.

@@ -1,8 +1,7 @@
 """Unified metrics registry: counters, gauges and log-bucketed histograms.
 
 Every stats surface in the codebase (:class:`~repro.engine.stats.EngineStats`,
-:class:`~repro.anchored.result.SolverStats`, the shard coordinator's counters)
-is a *view* over one of these registries: the legacy attribute API
+:class:`~repro.anchored.result.SolverStats`) is a *view* over one of these registries: the legacy attribute API
 (``stats.queries += 1``) keeps working, but the authoritative storage is a
 metric object here, and every surface can emit the same snapshot schema::
 

@@ -12,15 +12,11 @@ When tracing is disabled (the default), :func:`span` performs a single
 module-level flag check and returns a shared no-op singleton — no span object
 is allocated and nothing is recorded, so instrumentation can stay inline in
 hot paths.  Enable tracing with :func:`set_enabled` (or the ``REPRO_TRACE``
-environment variable, honoured at import so spawned worker processes and CI
-jobs inherit it).
+environment variable, honoured at import so CI jobs inherit it).
 
 Finished spans are appended to a bounded in-process buffer (and fanned out to
 any registered sinks, e.g. the JSON-lines exporter).  Span ids embed the
-process id, so spans recorded inside spawn-based shard workers stay unique and
-can be merged into the coordinator's trace with :func:`adopt` — worker-root
-spans are re-parented onto the coordinator's current span and re-tagged with
-its trace id, which is how a sharded decompose shows per-shard timings.
+process id, so spans from different processes never collide.
 """
 
 from __future__ import annotations
@@ -29,7 +25,7 @@ import logging
 import os
 import threading
 import time
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs.metrics import global_registry
 
@@ -43,7 +39,6 @@ __all__ = [
     "drain",
     "add_sink",
     "remove_sink",
-    "adopt",
     "enabled",
     "set_enabled",
     "is_enabled",
@@ -73,7 +68,7 @@ _id_state = {"pid": os.getpid(), "next": 1}
 
 
 def _next_span_id() -> str:
-    """Process-unique span id; pid-prefixed so ids never collide across workers."""
+    """Process-unique span id; pid-prefixed so ids never collide across processes."""
     with _id_lock:
         pid = os.getpid()
         if pid != _id_state["pid"]:  # forked child inherited our counter
@@ -225,29 +220,6 @@ class Tracer:
         if sink in self._sinks:
             self._sinks.remove(sink)
 
-    def adopt(self, spans: Iterable[SpanDict], **extra_attrs: Any) -> List[SpanDict]:
-        """Merge spans drained in another process into the current trace.
-
-        Worker-root spans (parent not present in the drained set) are
-        re-parented onto the caller's current span; every span is re-tagged
-        with the current trace id and ``extra_attrs`` (e.g. ``shard=3``).
-        Returns the merged span dicts.
-        """
-        spans = list(spans)
-        local_ids = {entry["span_id"] for entry in spans}
-        parent = current_span()
-        merged = []
-        for entry in spans:
-            if extra_attrs:
-                entry["attrs"] = {**entry.get("attrs", {}), **extra_attrs}
-            if entry.get("parent_id") not in local_ids:
-                entry["parent_id"] = parent.span_id if parent is not None else None
-            if parent is not None:
-                entry["trace_id"] = parent.trace_id
-            self._record(entry)
-            merged.append(entry)
-        return merged
-
 
 _DEFAULT = Tracer()
 
@@ -306,10 +278,6 @@ def add_sink(sink: Sink) -> None:
 
 def remove_sink(sink: Sink) -> None:
     _DEFAULT.remove_sink(sink)
-
-
-def adopt(spans: Iterable[SpanDict], **extra_attrs: Any) -> List[SpanDict]:
-    return _DEFAULT.adopt(spans, **extra_attrs)
 
 
 def set_enabled(flag: bool) -> bool:

@@ -1,20 +1,10 @@
-"""Fault injection and the retry/degradation machinery behind it.
+"""Fault injection for the engine's checkpoint persistence.
 
-``repro.resilience`` is the hardening layer the serving stack stands on:
-
-* :mod:`repro.resilience.faults` — a deterministic, seedable fault-injection
-  framework (worker crashes, slow shards, kernel exceptions, shm-attach
-  failures, checkpoint corruption, flush failures) armed programmatically or
-  through ``REPRO_FAULTS``.
-* :mod:`repro.resilience.retry` — the :class:`RetryPolicy` (bounded retries,
-  exponential backoff with deterministic jitter, per-op deadlines) that
-  supervised shard execution runs under.
-
-The consumers live where the failures do: the shard coordinator retries and
-degrades (:mod:`repro.shard.coordinator`), the engine falls back across
-backends and probes for recovery (:mod:`repro.engine.engine`), and the
-checkpoint layer verifies section digests and restores from rotated siblings
-(:mod:`repro.engine.checkpoint`).
+:mod:`repro.resilience.faults` is a deterministic, seedable fault-injection
+framework (checkpoint flush failures and checkpoint byte corruption) armed
+programmatically or through ``REPRO_FAULTS``.  Its consumer is the
+checkpoint layer, which verifies section digests and restores from rotated
+siblings (:mod:`repro.engine.checkpoint`).
 """
 
 from repro.resilience.faults import (
@@ -27,15 +17,12 @@ from repro.resilience.faults import (
     install_plan,
     parse_faults,
 )
-from repro.resilience.retry import RetryPolicy, default_retry_policy
 
 __all__ = [
     "FaultPlan",
     "FaultSpec",
-    "RetryPolicy",
     "active_plan",
     "clear_plan",
-    "default_retry_policy",
     "fire",
     "inject",
     "install_plan",

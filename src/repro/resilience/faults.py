@@ -1,46 +1,39 @@
-"""Deterministic, seedable fault injection for the execution layers.
+"""Deterministic, seedable fault injection for checkpoint persistence.
 
-Production failures — a worker OOM-killed mid-exchange, a shard op that
-hangs, a checkpoint flipped on disk — are rare enough that their handling
-paths rot unless something exercises them on demand.  This module is that
-something: a :class:`FaultPlan` of injection points that the instrumented
-call sites consult via :func:`fire`, costing one module-global ``None``
-check when no plan is armed.
+Production failures — a flush that fails on a full disk, a checkpoint
+flipped on disk — are rare enough that their handling paths rot unless
+something exercises them on demand.  This module is that something: a
+:class:`FaultPlan` of injection points that the instrumented call sites
+consult via :func:`fire`, costing one module-global ``None`` check when no
+plan is armed.
 
 Sites and actions
 -----------------
 Each :class:`FaultSpec` names a *site* (where the probe lives) and an
-*action* (what happens when it fires):
+*action* (what happens when it fires).  A spec naming any other site is
+rejected with :class:`~repro.errors.ParameterError`, so a typo cannot arm a
+fault that never fires.
 
-==================  ========================================================
-site                fired from
-==================  ========================================================
-``shard.op``        every shard op dispatch (serial in-process and inside
-                    process-pool workers; context carries ``op``, ``shard``,
-                    ``executor``)
-``shm.attach``      :func:`repro.shard.shm.attach_state` (worker side)
+====================  ======================================================
+site                  fired from
+====================  ======================================================
 ``checkpoint.write``  :func:`repro.engine.checkpoint.write_state`, before
-                    the atomic rename (``fail`` action simulates a flush
-                    failure)
+                      the atomic rename (``fail`` action simulates a flush
+                      failure)
 ``checkpoint.bytes``  after a checkpoint file lands on disk (``corrupt``
-                    action flips one byte, optionally inside a named
-                    ``section=``)
-==================  ========================================================
+                      action flips one byte, optionally inside a named
+                      ``section=``)
+====================  ======================================================
 
-==========  ================================================================
-action      effect at the fire site
-==========  ================================================================
-``crash``   ``os._exit(17)`` — only honoured where the call site passes
-            ``allow_crash=True`` (process-pool workers); elsewhere it is
-            downgraded to ``error`` so an injected "worker crash" can never
-            take down the coordinator process itself
-``slow``    ``time.sleep(delay)`` (pairs with the supervision deadline)
-``error``   raise :class:`repro.errors.FaultError`
+===========  ===============================================================
+action       effect at the fire site
+===========  ===============================================================
+``error``    raise :class:`repro.errors.FaultError`
 ``corrupt``  no inline effect; the spec is returned so the site applies its
-            own corruption (e.g. the checkpoint byte flip)
-``fail``    no inline effect; the spec is returned so the site raises its
-            own domain error (e.g. ``CheckpointError`` on write)
-==========  ================================================================
+             own corruption (e.g. the checkpoint byte flip)
+``fail``     no inline effect; the spec is returned so the site raises its
+             own domain error (e.g. ``CheckpointError`` on write)
+===========  ===============================================================
 
 Determinism
 -----------
@@ -55,16 +48,11 @@ Activation
 Programmatic: :func:`install_plan` / :func:`clear_plan`, or the
 :func:`inject` context manager.  Environment: ``REPRO_FAULTS`` holds
 ``;``-separated specs of the form ``site:key=value,key=value`` where the
-recognised keys are ``action``, ``at``, ``times``, ``rate``, ``delay`` and
-``seed`` and **every other key becomes a context match filter**::
+recognised keys are ``action``, ``at``, ``times``, ``rate`` and ``seed``
+and **every other key becomes a context match filter**::
 
-    REPRO_FAULTS="shard.op:action=crash,executor=process,at=2"
-    REPRO_FAULTS="shard.op:action=slow,delay=30,op=hindex_round,shard=1"
     REPRO_FAULTS="checkpoint.bytes:action=corrupt,section=core"
-
-The environment path matters for the process executor: spawn workers inherit
-``os.environ``, so an env-armed plan fires inside workers where an installed
-in-memory plan cannot reach.
+    REPRO_FAULTS="checkpoint.write:action=fail,at=2"
 
 Every fired fault increments the ``resilience.faults_injected`` counter in
 the global metrics registry (labelled by site and action), lands in the
@@ -75,7 +63,6 @@ and — when tracing is on — emits a ``fault.injected`` span.
 from __future__ import annotations
 
 import os
-import time
 import zlib
 from contextlib import contextmanager
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Union
@@ -93,25 +80,23 @@ __all__ = [
     "parse_faults",
 ]
 
-ACTION_CRASH = "crash"
-ACTION_SLOW = "slow"
 ACTION_ERROR = "error"
 ACTION_CORRUPT = "corrupt"
 ACTION_FAIL = "fail"
-ACTIONS = (ACTION_CRASH, ACTION_SLOW, ACTION_ERROR, ACTION_CORRUPT, ACTION_FAIL)
+ACTIONS = (ACTION_ERROR, ACTION_CORRUPT, ACTION_FAIL)
 
-#: Exit status of an injected worker crash (recognisable in worker post-mortems).
-CRASH_EXIT_CODE = 17
+#: Every instrumented call site (see the module docstring).
+SITES = ("checkpoint.write", "checkpoint.bytes")
 
 #: Reserved spec keys in the ``REPRO_FAULTS`` mini-language; everything else
 #: is a context match filter.
-_SPEC_KEYS = {"action", "at", "times", "rate", "delay", "seed"}
+_SPEC_KEYS = {"action", "at", "times", "rate", "seed"}
 
 
 class FaultSpec:
     """One injection point: site + action + deterministic firing schedule."""
 
-    __slots__ = ("site", "action", "match", "at", "times", "rate", "delay", "seed", "hits", "fired")
+    __slots__ = ("site", "action", "match", "at", "times", "rate", "seed", "hits", "fired")
 
     def __init__(
         self,
@@ -122,9 +107,12 @@ class FaultSpec:
         at: Optional[int] = None,
         times: int = 1,
         rate: Optional[float] = None,
-        delay: float = 0.05,
         seed: int = 0,
     ) -> None:
+        if site not in SITES:
+            raise ParameterError(
+                f"unknown fault site {site!r}; expected one of {list(SITES)}"
+            )
         if action not in ACTIONS:
             raise ParameterError(
                 f"unknown fault action {action!r}; expected one of {sorted(ACTIONS)}"
@@ -141,7 +129,6 @@ class FaultSpec:
         self.at = at
         self.times = times
         self.rate = rate
-        self.delay = delay
         self.seed = seed
         self.hits = 0  # eligible (site+match) encounters
         self.fired = 0  # actual firings
@@ -198,25 +185,13 @@ class FaultPlan:
 
     def fire(self, site: str, **context: Any) -> Optional[FaultSpec]:
         """Fire the first matching armed spec for ``site``; see :func:`fire`."""
-        allow_crash = bool(context.pop("allow_crash", False))
         for spec in self.specs:
             if spec.site != site or not spec.matches(context):
                 continue
             if not spec.should_fire():
                 continue
-            action = spec.action
-            if action == ACTION_CRASH and not allow_crash:
-                # A "worker crash" outside a sacrificial worker process must
-                # not take the coordinator down; surface it as the error the
-                # supervision layer handles instead.
-                action = ACTION_ERROR
-            _record_fault(site, action, spec, context)
-            if action == ACTION_CRASH:
-                os._exit(CRASH_EXIT_CODE)
-            if action == ACTION_SLOW:
-                time.sleep(spec.delay)
-                return spec
-            if action == ACTION_ERROR:
+            _record_fault(site, spec.action, spec, context)
+            if spec.action == ACTION_ERROR:
                 raise FaultError(site, f"{context}" if context else "")
             return spec  # corrupt / fail: the call site applies the effect
         return None
@@ -314,7 +289,6 @@ def parse_faults(raw: str) -> FaultPlan:
                 at=int(kwargs["at"]) if "at" in kwargs else None,
                 times=int(kwargs["times"]) if "times" in kwargs else 1,
                 rate=float(kwargs["rate"]) if "rate" in kwargs else None,
-                delay=float(kwargs["delay"]) if "delay" in kwargs else 0.05,
                 seed=int(kwargs["seed"]) if "seed" in kwargs else 0,
             )
         except ValueError as error:
@@ -378,11 +352,9 @@ def fire(site: str, **context: Any) -> Optional[FaultSpec]:
     """Consult the armed plan at an injection site.
 
     Returns ``None`` when nothing fires (the overwhelmingly common case — a
-    single ``is None`` + env check when no plan is armed).  ``crash`` /
-    ``slow`` / ``error`` actions take effect inline; ``corrupt`` / ``fail``
-    return the fired spec so the site applies the domain-specific effect.
-    Call sites running inside a sacrificial worker process pass
-    ``allow_crash=True``; everywhere else ``crash`` degrades to ``error``.
+    single ``is None`` + env check when no plan is armed).  The ``error``
+    action takes effect inline; ``corrupt`` / ``fail`` return the fired spec
+    so the site applies the domain-specific effect.
     """
     plan = active_plan()
     if plan is None:

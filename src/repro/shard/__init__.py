@@ -1,42 +1,12 @@
-"""Partitioned sharded execution: per-shard peeling with boundary exchange.
+"""Graph partitioning into disjoint shards (:mod:`repro.shard.partition`).
 
-This package is the scale-out layer behind ``backend="sharded"``
-(:mod:`repro.backends.sharded_backend`).  It splits an interned CSR snapshot
-into per-shard subgraphs and re-expresses every cascade kernel of the library
-as *local work + boundary exchange*:
-
-* :mod:`repro.shard.partition` — pluggable partitioners (hash-by-id default,
-  degree-balanced greedy, and a locality-aware community partitioner that
-  minimises cut edges) producing picklable per-shard CSR states with
-  explicit boundary-vertex and cut-edge tables plus measured partition
-  quality (cut-edge count/ratio, balance).
-* :mod:`repro.shard.coordinator` — the :class:`ShardCoordinator`, which runs
-  per-shard peeling/cascade ops and routes boundary updates (residual
-  degrees and follower support for cut vertices) until fixpoint — by
-  default through an asynchronous futures-based exchange where stragglers
-  only delay the shards that depend on them, or through the lock-step
-  round scheme (``exchange="lockstep"``) kept for comparison — over either
-  a serial in-process executor or a spawn-safe process-pool executor with
-  one dedicated worker process per shard.
-* :mod:`repro.shard.shm` — shared-memory packing of the static per-shard
-  CSR arrays so process workers attach zero-copy views instead of
-  unpickling whole states.
-
-Every kernel is *bit-identical* to the dict/compact/numpy backends: deletion
-cascades are confluent (the surviving set does not depend on removal
-interleaving), core-bound refinement is a monotone relaxation with a unique
-fixpoint, and the removal order is reconstructed shell by shell with the
-same packed-heap cascade the other snapshot backends use.
+Pluggable partitioners (hash-by-id default, degree-balanced greedy, and a
+locality-aware community partitioner that minimises cut edges) turn an
+interned CSR snapshot into per-shard CSR states with explicit boundary-vertex
+and cut-edge tables plus measured partition quality (cut-edge count/ratio,
+balance).
 """
 
-from repro.shard import shm
-from repro.shard.coordinator import (
-    EXCHANGE_ASYNC,
-    EXCHANGE_LOCKSTEP,
-    EXCHANGES,
-    ShardCoordinator,
-    shutdown_shard_pools,
-)
 from repro.shard.partition import (
     CommunityPartitioner,
     DegreeBalancedPartitioner,
@@ -47,22 +17,14 @@ from repro.shard.partition import (
     get_partitioner,
     partition_compact_graph,
 )
-from repro.shard.shm import SharedShardHandle
 
 __all__ = [
     "CommunityPartitioner",
     "DegreeBalancedPartitioner",
-    "EXCHANGE_ASYNC",
-    "EXCHANGE_LOCKSTEP",
-    "EXCHANGES",
     "HashPartitioner",
     "PARTITIONERS",
-    "ShardCoordinator",
-    "SharedShardHandle",
     "ShardPlan",
     "ShardState",
     "get_partitioner",
     "partition_compact_graph",
-    "shm",
-    "shutdown_shard_pools",
 ]

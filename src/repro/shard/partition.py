@@ -1,26 +1,23 @@
-"""Graph partitioning for the sharded execution backend.
+"""Graph partitioning: split a CSR snapshot into disjoint per-shard subgraphs.
 
 A partition splits the dense vertex-id space of an interned
 :class:`~repro.graph.compact.CompactGraph` into ``num_shards`` disjoint owner
 sets and builds one :class:`ShardState` per shard: a CSR over the shard's
-owned vertices whose neighbour entries are *pre-encoded* so the hot cascade
-loops never pay a hash lookup to classify an edge —
+owned vertices whose neighbour entries are *pre-encoded* so a loop over them
+never pays a hash lookup to classify an edge —
 
 * an entry ``e >= 0`` is the **local index** of an owned neighbour;
 * an entry ``e < 0`` encodes the **ghost index** ``-e - 1`` of a remote
   neighbour (a cut edge).
 
 Ghosts are the shard's view of the vertices it can see but does not own.
-Per ghost the state records the global id, the owning shard (so boundary
-updates leave the shard already bucketed by destination), the global degree
-(so core-bound refinement starts without an exchange) and the reverse
-adjacency back into the owned vertices (so an incoming ghost update can mark
-exactly the affected owned vertices dirty).
+Per ghost the state records the global id, the owning shard, the global
+degree and the reverse adjacency back into the owned vertices.
 
-Each state also carries the explicit boundary tables the coordinator and the
-tests read: ``boundary`` (owned vertices with at least one remote neighbour)
-and ``cut_edges`` (per remote shard, the sorted ``(owned, remote)`` global-id
-pairs — symmetric across shard pairs by construction).
+Each state also exposes the explicit boundary tables: ``boundary`` (owned
+vertices with at least one remote neighbour) and ``cut_edges`` (per remote
+shard, the sorted ``(owned, remote)`` global-id pairs — symmetric across
+shard pairs by construction).
 
 Partitioners are pluggable through :data:`PARTITIONERS`:
 
@@ -35,22 +32,17 @@ Partitioners are pluggable through :data:`PARTITIONERS`:
     Locality-aware: deterministic label propagation finds communities, each
     community is carved into connected BFS blocks no larger than the ideal
     shard size, and the blocks are LPT-packed into shards by vertex count.
-    Keeping community neighbourhoods co-resident minimises cut edges — and
-    with them the boundary traffic every coordinator exchange pays for —
-    while the block cap keeps shard sizes balanced.
+    Keeping community neighbourhoods co-resident minimises cut edges while
+    the block cap keeps shard sizes balanced.
 
 Partition quality is measured on every plan: :attr:`ShardPlan.cut_edge_count`
 (each cut edge counted once), :attr:`ShardPlan.cut_edge_ratio` (cut over
 total edges) and :attr:`ShardPlan.balance` (largest owned set over the ideal
 even split).
 
-Shard states hold only plain ints, lists and dicts, so they pickle cleanly
-through a ``spawn`` process pool — the contract the process executor of
-:mod:`repro.shard.coordinator` relies on.  Under the process executor the
-static arrays normally travel via shared memory instead: :meth:`ShardState.to_shared`
-packs them into one :mod:`multiprocessing.shared_memory` block and
-:meth:`ShardState.from_shared` attaches zero-copy views (see
-:mod:`repro.shard.shm`).
+No execution backend consumes these plans: the library's backends all run on
+one machine over the whole graph, so nothing else in :mod:`repro` imports
+this module.
 """
 
 from __future__ import annotations
@@ -62,13 +54,10 @@ from repro.graph.compact import CompactGraph
 
 
 class ShardState:
-    """One shard's picklable subgraph plus scratch space for cascade ops.
+    """One shard's subgraph: owned vertices, encoded CSR and ghost tables.
 
-    The static fields below are built once by :func:`partition_compact_graph`
-    and shipped to the shard's worker process; the cascade ops of
-    :mod:`repro.shard.coordinator` attach mutable working state (effective
-    degrees, liveness flags, core bounds, follower support) as extra
-    attributes when they run.
+    Built by :func:`partition_compact_graph`; holds only plain ints, lists
+    and dicts.
     """
 
     def __init__(
@@ -115,8 +104,7 @@ class ShardState:
     def boundary(self) -> List[int]:
         """Owned global ids with at least one remote neighbour (ascending).
 
-        Derived from the ghost reverse adjacency on demand — the hot cascade
-        loops never need it, only introspection and the invariant tests do.
+        Derived from the ghost reverse adjacency on demand.
         """
         locals_with_ghosts = set()
         for local_neighbours in self.ghost_rev:
@@ -146,29 +134,6 @@ class ShardState:
     def num_cut_edges(self) -> int:
         """Cut edges incident to this shard (each counted once per shard)."""
         return sum(len(local_neighbours) for local_neighbours in self.ghost_rev)
-
-    def to_shared(self, owner_key: str) -> "object":
-        """Pack the static arrays into one shared-memory block.
-
-        Returns a tiny picklable :class:`~repro.shard.shm.SharedShardHandle`;
-        the block is registered under ``owner_key`` and unlinked via
-        :func:`repro.shard.shm.unlink_blocks`.
-        """
-        from repro.shard import shm
-
-        return shm.pack_state(self, owner_key)
-
-    @classmethod
-    def from_shared(cls, handle: "object") -> Tuple["ShardState", "object"]:
-        """Attach a state over a packed block: ``(state, attachment)``.
-
-        The caller must keep the attachment alive while the state is in use
-        and ``close()`` it afterwards; the arrays are zero-copy views of the
-        shared buffer.
-        """
-        from repro.shard import shm
-
-        return shm.attach_state(handle)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -1,27 +1,18 @@
 """Property tests: all registered execution backends are observationally identical.
 
-The compact, numpy, numba and sharded backends (:mod:`repro.backends`)
-re-implement every hot kernel — peeling decomposition, k-core cascades, the
-K-order remaining degrees, follower computation, greedy selection,
-incremental maintenance — over flat int arrays / numpy arrays / JIT-compiled
-kernels / partitioned shard states with boundary exchange.  These tests pin
-the five-way contract that makes ``backend="auto"`` safe: for *any* graph
-(isolated vertices, non-integer and mixed-type vertex ids included) every
-backend returns results identical to the dict reference, down to the removal
-order and the instrumentation counters.  Each test runs dict vs compact,
-dict vs sharded (3 shards, so boundary exchange is always exercised; the
-executor follows ``REPRO_SHARD_EXECUTOR``, which the CI spawn job sets to
-``process``) and, when the optional dependency is installed, dict vs numpy
-and dict vs numba (each skipped cleanly otherwise — the import gates are
-part of the contract, and the no-numpy/no-numba CI jobs exercise them).
-
-``REPRO_HYPOTHESIS_EXAMPLES`` overrides the example count per property (the
-CI spawn job lowers it: every sharded op there is a multi-process round).
+The compact and numpy backends (:mod:`repro.backends`) re-implement every
+hot kernel — peeling decomposition, k-core cascades, the K-order remaining
+degrees, follower computation, greedy selection, incremental maintenance —
+over flat int arrays / numpy arrays.  These tests pin the three-way contract
+that makes ``backend="auto"`` safe: for *any* graph (isolated vertices,
+non-integer and mixed-type vertex ids included) every backend returns
+results identical to the dict reference, down to the removal order and the
+instrumentation counters.  Each test runs dict vs compact and, when numpy is
+installed, dict vs numpy (skipped cleanly otherwise — the import gate is
+part of the contract, and the no-numpy CI job exercises it).
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -32,8 +23,7 @@ from repro.anchored.followers import anchored_k_core
 from repro.anchored.greedy import GreedyAnchoredKCore
 from repro.anchored.olak import OLAKAnchoredKCore
 from repro.anchored.rcm import RCMAnchoredKCore
-from repro.backends import numba_available, numpy_available
-from repro.backends.sharded_backend import ShardedBackend
+from repro.backends import numpy_available
 from repro.cores.decomposition import (
     anchored_core_decomposition,
     core_decomposition,
@@ -46,29 +36,19 @@ from repro.graph.dynamic import EdgeDelta
 from repro.graph.static import Graph
 
 SETTINGS = settings(
-    max_examples=int(os.environ.get("REPRO_HYPOTHESIS_EXAMPLES", "50")),
+    max_examples=50,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-#: Three shards so every sharded test crosses shard boundaries; the executor
-#: (serial locally, process under the CI spawn job) comes from the
-#: environment, like a real deployment would configure it.
-SHARDED = ShardedBackend(num_shards=3)
-
 #: The non-reference backends, each compared against the dict reference.
-#: numpy and numba are skipped (not failed) on interpreters missing them.
+#: numpy is skipped (not failed) on interpreters missing it.
 OTHER_BACKENDS = [
     "compact",
     pytest.param(
         "numpy",
         marks=pytest.mark.skipif(not numpy_available(), reason="numpy is not installed"),
     ),
-    pytest.param(
-        "numba",
-        marks=pytest.mark.skipif(not numba_available(), reason="numba is not installed"),
-    ),
-    pytest.param(SHARDED, id="sharded"),
 ]
 
 #: Vertex pools exercising the interner: contiguous ints, sparse ints,

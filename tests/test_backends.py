@@ -8,9 +8,7 @@ from repro.anchored.greedy import GreedyAnchoredKCore
 from repro.backends import (
     BACKEND_COMPACT,
     BACKEND_DICT,
-    BACKEND_NUMBA,
     BACKEND_NUMPY,
-    BACKEND_SHARDED,
     COMPACT_THRESHOLD,
     WORKLOAD_AMORTIZED,
     WORKLOAD_ONE_SHOT,
@@ -18,7 +16,6 @@ from repro.backends import (
     backend_availability,
     backend_info,
     get_backend,
-    numba_available,
     numpy_available,
     register_backend,
     registered_backends,
@@ -37,8 +34,6 @@ needs_numpy = pytest.mark.skipif(not numpy_available(), reason="numpy is not ins
 
 def _expected_auto_winner() -> str:
     """What the priority ladder should pick on a large amortised workload."""
-    if numba_available():
-        return BACKEND_NUMBA
     if numpy_available():
         return BACKEND_NUMPY
     return BACKEND_COMPACT
@@ -58,29 +53,19 @@ def scratch_registry():
 
 class TestRegistry:
     def test_builtins_are_registered(self):
-        names = registered_backends()
-        assert BACKEND_DICT in names and BACKEND_COMPACT in names and BACKEND_NUMPY in names
-        assert BACKEND_NUMBA in names
-        assert BACKEND_SHARDED in names
+        assert registered_backends() == (BACKEND_DICT, BACKEND_COMPACT, BACKEND_NUMPY)
 
     def test_available_backends_reflects_numpy_gate(self):
         names = available_backends()
         assert BACKEND_DICT in names and BACKEND_COMPACT in names
-        assert BACKEND_SHARDED in names  # pure stdlib, always available
         assert (BACKEND_NUMPY in names) == numpy_available()
-        assert (BACKEND_NUMBA in names) == numba_available()
 
     def test_backend_info_rows(self):
         rows = {row["name"]: row for row in backend_info()}
-        assert rows[BACKEND_DICT]["available"] and rows[BACKEND_DICT]["config"] == {}
-        assert rows[BACKEND_COMPACT]["auto_priority"] > rows[BACKEND_DICT]["auto_priority"]
-        sharded = rows[BACKEND_SHARDED]
-        assert sharded["available"]
-        assert {"num_shards", "partitioner", "executor", "max_workers"} <= set(
-            sharded["config"]
-        )
-        # The multi-process backend must never win the auto policy.
-        assert sharded["auto_priority"] < rows[BACKEND_COMPACT]["auto_priority"]
+        assert set(rows[BACKEND_DICT]) == {"name", "available", "reason", "auto_priority"}
+        assert rows[BACKEND_DICT]["available"]
+        # The auto ladder: numpy 20 > compact 10 > dict 0.
+        assert [rows[name]["auto_priority"] for name in registered_backends()] == [0, 10, 20]
 
     def test_get_backend_passes_instances_through(self):
         instance = get_backend("dict")
@@ -94,6 +79,11 @@ class TestRegistry:
             get_backend("warp")
         with pytest.raises(ParameterError):
             resolve_backend("warp", 0)
+
+    @pytest.mark.parametrize("name", ["sharded", "numba"])
+    def test_removed_backends_are_unknown(self, name):
+        with pytest.raises(ParameterError, match=r"\['auto', 'compact', 'dict', 'numpy'\]"):
+            get_backend(name)
 
     def test_duplicate_registration_raises_unless_replaced(self, scratch_registry):
         register_backend("scratch", DictBackend)
@@ -330,35 +320,31 @@ class TestAvailabilityReasons:
         report = backend_availability()
         assert report[BACKEND_DICT] is None
         assert report[BACKEND_COMPACT] is None
-        assert report[BACKEND_SHARDED] is None
 
     def test_missing_import_reason(self, monkeypatch):
         # The env switch takes precedence, so clear it to probe the
         # import-gate reason itself (the suite may run under
-        # REPRO_DISABLE_NUMBA=1 to exercise the fallback path).
-        monkeypatch.delenv("REPRO_DISABLE_NUMBA", raising=False)
+        # REPRO_DISABLE_NUMPY=1 to exercise the fallback path).
+        monkeypatch.delenv("REPRO_DISABLE_NUMPY", raising=False)
         report = backend_availability()
-        if numba_available():
-            assert report[BACKEND_NUMBA] is None
+        if numpy_available():
+            assert report[BACKEND_NUMPY] is None
         else:
-            assert report[BACKEND_NUMBA] == "numba is not installed"
+            assert report[BACKEND_NUMPY] == "numpy is not installed"
 
     def test_env_disable_reasons(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISABLE_NUMBA", "1")
         monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
         report = backend_availability()
-        assert report[BACKEND_NUMBA] == "disabled via REPRO_DISABLE_NUMBA"
         assert report[BACKEND_NUMPY] == "disabled via REPRO_DISABLE_NUMPY"
 
     def test_get_backend_error_names_the_reason(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISABLE_NUMBA", "1")
-        with pytest.raises(ParameterError, match="disabled via REPRO_DISABLE_NUMBA"):
-            get_backend(BACKEND_NUMBA)
+        monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
+        with pytest.raises(ParameterError, match="disabled via REPRO_DISABLE_NUMPY"):
+            get_backend(BACKEND_NUMPY)
 
-    def test_disabled_numba_falls_back_without_warnings(self, monkeypatch, recwarn):
-        monkeypatch.setenv("REPRO_DISABLE_NUMBA", "1")
-        resolved = resolve_backend("auto", COMPACT_THRESHOLD)
-        assert resolved == (BACKEND_NUMPY if numpy_available() else BACKEND_COMPACT)
+    def test_disabled_numpy_falls_back_without_warnings(self, monkeypatch, recwarn):
+        monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
+        assert resolve_backend("auto", COMPACT_THRESHOLD) == BACKEND_COMPACT
         get_backend("auto", COMPACT_THRESHOLD)
         assert not recwarn.list
 
@@ -367,99 +353,7 @@ class TestAvailabilityReasons:
         assert backend_availability()["vapourware"] == "a runtime dependency is missing"
 
     def test_backend_info_includes_reason_column(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISABLE_NUMBA", "1")
+        monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
         rows = {row["name"]: row for row in backend_info()}
-        assert rows[BACKEND_NUMBA]["reason"] == "disabled via REPRO_DISABLE_NUMBA"
+        assert rows[BACKEND_NUMPY]["reason"] == "disabled via REPRO_DISABLE_NUMPY"
         assert rows[BACKEND_DICT]["reason"] is None
-
-
-@needs_numpy
-class TestNumbaKernels:
-    """Direct-instance checks of the compiled tier's kernels.
-
-    :class:`~repro.backends.numba_backend.NumbaBackend` only *requires*
-    numpy — without numba the same kernels run interpreted (the ``_jit``
-    decorator degrades to identity), so these tests exercise the exact code
-    the JIT compiles even on interpreters without numba, while the registry
-    gate keeps ``backend="numba"`` unavailable there.
-    """
-
-    @pytest.fixture
-    def backend(self):
-        from repro.backends.numba_backend import NumbaBackend
-
-        return NumbaBackend()
-
-    @pytest.fixture
-    def graph(self):
-        from repro.graph.generators import chung_lu_graph
-
-        return chung_lu_graph(160, 480, seed=11)
-
-    def test_decompose_matches_compact_bit_identically(self, backend, graph):
-        reference = get_backend("compact").decompose(graph, frozenset({3}))
-        result = backend.decompose(graph, frozenset({3}))
-        assert dict(result.core) == dict(reference.core)
-        assert result.order == reference.order
-
-    def test_k_core_matches_compact(self, backend, graph):
-        for k in (1, 2, 3):
-            assert backend.k_core(graph, k) == get_backend("compact").k_core(graph, k)
-
-    def test_core_index_kernel_matches_compact(self, backend, graph):
-        k = 3
-        numba_kernel = backend.build_core_index(graph)
-        compact_kernel = get_backend("compact").build_core_index(graph)
-        for kernel in (numba_kernel, compact_kernel):
-            kernel.refresh(set())
-        assert numba_kernel.core_numbers() == compact_kernel.core_numbers()
-        assert numba_kernel.removal_ranks() == compact_kernel.removal_ranks()
-        assert numba_kernel.plain_k_core(k) == compact_kernel.plain_k_core(k)
-        candidates = sorted(numba_kernel.candidate_anchors(k, True))[:6]
-        assert candidates == sorted(compact_kernel.candidate_anchors(k, True))[:6]
-        for candidate in candidates:
-            for full_shell in (False, True):
-                got = numba_kernel.marginal_followers(k, candidate, full_shell)
-                want = compact_kernel.marginal_followers(k, candidate, full_shell)
-                assert got == want, (candidate, full_shell)
-        anchor = candidates[0]
-        assert numba_kernel.commit_anchor(anchor, k) == compact_kernel.commit_anchor(
-            anchor, k
-        )
-        assert numba_kernel.core_numbers() == compact_kernel.core_numbers()
-
-    def test_maintenance_matches_dict_through_the_maintainer(self, backend, graph):
-        # Through CoreMaintainer, the owner of the kernel contract: the dict
-        # kernel reads the maintainer-mutated graph while compact/numba keep
-        # their own arena adjacency, so the maintainer is the only fair rig.
-        numba_maintainer = CoreMaintainer(graph, backend=backend)
-        dict_maintainer = CoreMaintainer(graph, backend="dict")
-        edges = list(graph.edges())[:12]
-        for u, v in edges:
-            assert numba_maintainer.remove_edge(u, v) == dict_maintainer.remove_edge(
-                u, v
-            ), (u, v)
-            assert numba_maintainer.core_numbers() == dict_maintainer.core_numbers()
-            assert numba_maintainer.insert_edge(u, v) == dict_maintainer.insert_edge(
-                u, v
-            )
-            assert numba_maintainer.core_numbers() == dict_maintainer.core_numbers()
-        numba_maintainer.validate()
-
-    def test_warmup_records_span_and_gauge(self):
-        from repro.backends.numba_backend import JIT_ENABLED, warmup_kernels
-        from repro.obs import global_registry
-
-        elapsed = warmup_kernels(force=True)
-        assert elapsed >= 0.0
-        snapshot = global_registry().snapshot()
-        gauges = [
-            metric
-            for metric in snapshot
-            if metric["name"] == "backend.numba.warmup_seconds"
-        ]
-        assert gauges, "warmup gauge missing from the global registry"
-        assert gauges[0]["labels"] == {"backend": BACKEND_NUMBA}
-        # Repeat calls are free once warm: no recompilation per construction.
-        assert warmup_kernels() == 0.0
-        assert isinstance(JIT_ENABLED, bool)

@@ -75,9 +75,9 @@ class TestWinnerResolution:
         assert table.winner_for(200) is None
 
     def test_unavailable_winner_returns_none(self):
-        table = synthetic_table(large="numba")
+        table = synthetic_table(large="numpy")
         assert table.winner_for(10**9, available=("dict", "compact")) is None
-        assert table.winner_for(10**9, available=("dict", "numba")) == "numba"
+        assert table.winner_for(10**9, available=("dict", "numpy")) == "numpy"
 
     def test_band_without_winner_returns_none(self):
         table = CalibrationTable(
@@ -112,9 +112,8 @@ class TestMeasuredAutoPolicy:
         assert resolve_backend("compact", 10**9) == BACKEND_COMPACT
 
     def test_unavailable_winner_falls_back_to_the_ladder(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISABLE_NUMBA", "1")
         monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
-        set_calibration(synthetic_table(large="numba"))
+        set_calibration(synthetic_table(large="numpy"))
         assert resolve_backend("auto", 10**6) == BACKEND_COMPACT
 
     def test_no_table_keeps_the_ladder(self):

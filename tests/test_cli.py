@@ -51,23 +51,15 @@ class TestBackends:
     def test_backends_table(self, capsys):
         assert main(["backends"]) == 0
         output = capsys.readouterr().out
-        for name in ("dict", "compact", "numpy", "numba", "sharded"):
+        for name in ("dict", "compact", "numpy"):
             assert name in output
         assert "auto_priority" in output
         assert "reason" in output  # why an unavailable tier is being skipped
-        assert "num_shards=" in output  # the sharded worker/shard configuration
-        assert "exchange=" in output  # async vs lockstep boundary exchange
-        # The partition-quality section compares every registered partitioner
-        # on a clustered sample graph.
-        assert "partition quality" in output
-        assert "cut_ratio" in output
-        for name in ("hash", "degree_balanced", "community"):
-            assert name in output
 
     def test_backends_table_names_the_disable_switch(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_DISABLE_NUMBA", "1")
+        monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
         assert main(["backends"]) == 0
-        assert "disabled via REPRO_DISABLE_NUMBA" in capsys.readouterr().out
+        assert "disabled via REPRO_DISABLE_NUMPY" in capsys.readouterr().out
 
     def test_backends_listed(self, capsys):
         assert main(["--list"]) == 0
@@ -102,11 +94,9 @@ class TestCalibrate:
 
     def test_calibrate_reports_skipped_backends(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
-        monkeypatch.setenv("REPRO_DISABLE_NUMBA", "1")
         assert main(["calibrate", "--max-vertices", "64", "--repetitions", "1"]) == 0
         output = capsys.readouterr().out
         assert "skipping backend 'numpy': disabled via REPRO_DISABLE_NUMPY" in output
-        assert "skipping backend 'numba': disabled via REPRO_DISABLE_NUMBA" in output
 
     def test_calibrate_listed(self, capsys):
         assert main(["--list"]) == 0
@@ -114,7 +104,7 @@ class TestCalibrate:
 
 
 class TestServeSim:
-    def test_serve_sim_with_sharded_backend(self, capsys):
+    def test_serve_sim_with_explicit_backend(self, capsys):
         code = main(
             [
                 "serve-sim",
@@ -127,65 +117,12 @@ class TestServeSim:
                 "--budget",
                 "2",
                 "--backend",
-                "sharded",
-                "--shards",
-                "2",
+                "compact",
             ]
         )
         assert code == 0
         output = capsys.readouterr().out
-        assert "backend=sharded" in output
-
-    def test_serve_sim_with_community_partitioner(self, capsys):
-        code = main(
-            [
-                "serve-sim",
-                "--dataset",
-                "gnutella",
-                "--scale",
-                "0.12",
-                "--snapshots",
-                "3",
-                "--budget",
-                "2",
-                "--backend",
-                "sharded",
-                "--shards",
-                "2",
-                "--partitioner",
-                "community",
-            ]
-        )
-        assert code == 0
-        assert "backend=sharded" in capsys.readouterr().out
-
-    def test_shards_flag_requires_sharded_backend(self, capsys):
-        assert main(["serve-sim", "--dataset", "gnutella", "--shards", "2"]) == 2
-        assert "--shards requires" in capsys.readouterr().err
-
-    def test_partitioner_flag_requires_sharded_backend(self, capsys):
-        assert (
-            main(["serve-sim", "--dataset", "gnutella", "--partitioner", "community"])
-            == 2
-        )
-        assert "--partitioner requires" in capsys.readouterr().err
-
-    def test_unknown_partitioner_rejected(self, capsys):
-        assert (
-            main(
-                [
-                    "serve-sim",
-                    "--dataset",
-                    "gnutella",
-                    "--backend",
-                    "sharded",
-                    "--partitioner",
-                    "metis",
-                ]
-            )
-            == 2
-        )
-        assert "unknown partitioner" in capsys.readouterr().err
+        assert "backend=compact" in output
 
     def test_unknown_backend_flag_rejected(self, capsys):
         assert main(["serve-sim", "--dataset", "gnutella", "--backend", "warp"]) == 2

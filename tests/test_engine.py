@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pickle
+import warnings
 
 import pytest
 
@@ -20,7 +21,7 @@ from repro.engine import (
     save_checkpoint,
     write_state,
 )
-from repro.errors import CheckpointError, ParameterError
+from repro.errors import CheckpointError, ParameterError, SelfLoopError
 from repro.graph.datasets import toy_example_graph
 from repro.graph.dynamic import EdgeDelta
 from repro.graph.static import Graph
@@ -352,6 +353,54 @@ class TestEngineStats:
 
 
 # ---------------------------------------------------------------------------
+# Self-loops at ingest
+# ---------------------------------------------------------------------------
+class TestSelfLoopIngest:
+    @pytest.mark.parametrize("batch_size", [None, 2])
+    @pytest.mark.parametrize("loop_vertex", [9, 0])
+    def test_self_loop_fails_at_ingest_and_keeps_pending_inserts(
+        self, batch_size, loop_vertex
+    ):
+        engine = StreamingAVTEngine(
+            Graph(edges=[(0, 1), (1, 2), (2, 0)], vertices=range(10)),
+            batch_size=batch_size,
+        )
+        first = engine.query(2, 1, warm=False)
+        assert first.anchored_core_size == 3
+        for u, v in [(3, 4), (4, 5), (5, 3)]:
+            engine.ingest_insert(u, v)
+        pending = engine.pending_updates
+        with pytest.raises(SelfLoopError):
+            engine.ingest_insert(loop_vertex, loop_vertex)
+        assert engine.pending_updates == pending
+        if batch_size is None:
+            assert pending == 3  # all three inserts are still buffered
+        answer = engine.query(2, 1, warm=False)
+        expected = Graph(
+            edges=[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)], vertices=range(10)
+        )
+        scratch = GreedyAnchoredKCore(expected, 2, 1).select()
+        assert engine.graph == expected
+        assert answer.anchors == scratch.anchors
+        assert answer.followers == scratch.followers
+        assert answer.anchored_core_size == scratch.anchored_core_size == 6
+
+    def test_delta_with_a_self_loop_buffers_nothing(self):
+        engine = StreamingAVTEngine(Graph(edges=[(0, 1)]), batch_size=None)
+        delta = EdgeDelta.from_iterables(inserted=[(1, 2), (3, 3)], removed=[(0, 1)])
+        with pytest.raises(SelfLoopError):
+            engine.ingest(delta)
+        assert engine.pending_updates == 0
+        assert engine.stats.updates_ingested == 0
+
+    def test_removing_a_self_loop_is_a_counted_noop(self):
+        engine = StreamingAVTEngine(Graph(edges=[(0, 1)]), batch_size=None)
+        engine.ingest_remove(1, 1)
+        assert engine.pending_updates == 0
+        assert engine.stats.updates_cancelled == 1
+
+
+# ---------------------------------------------------------------------------
 # Checkpoint / restore
 # ---------------------------------------------------------------------------
 class TestCheckpoint:
@@ -438,3 +487,86 @@ class TestCheckpoint:
             write_state({"vertex": lambda: None}, path)
         assert not path.exists()
         assert not path.with_name(path.name + ".tmp").exists()
+
+
+class TestCheckpointUnavailableBackendFallback:
+    """Restoring a checkpoint whose persisted backend is unknown or
+    unavailable in this process falls back to "auto" with a warning."""
+
+    def test_numpy_checkpoint_restored_without_numpy(self, tmp_path, monkeypatch):
+        graph = Graph(edges=[(0, 1), (1, 2), (2, 0), (2, 3)])
+        engine = StreamingAVTEngine(graph, backend="dict", batch_size=None)
+        engine.query(k=2, budget=1)
+        state = engine.to_state()
+        state["backend"] = "numpy"  # as if written on a numpy-enabled host
+        path = tmp_path / "numpy.ckpt"
+        write_state(state, path)
+
+        monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
+        with pytest.warns(RuntimeWarning, match="numpy"):
+            restored = StreamingAVTEngine.restore(path)
+        assert restored.core_numbers() == engine.core_numbers()
+        # The fallback rewired the policy to auto; a fresh checkpoint of the
+        # restored engine must not resurrect the unavailable name.
+        assert restored.to_state()["backend"] == "auto"
+
+    def test_unregistered_backend_name_also_falls_back(self, tmp_path):
+        graph = Graph(edges=[(0, 1), (1, 2)])
+        engine = StreamingAVTEngine(graph, backend="dict", batch_size=None)
+        state = engine.to_state()
+        state["backend"] = "fpga"
+        path = tmp_path / "fpga.ckpt"
+        write_state(state, path)
+        with pytest.warns(RuntimeWarning, match="fpga"):
+            restored = StreamingAVTEngine.restore(path)
+        assert restored.core_numbers() == engine.core_numbers()
+
+    @pytest.mark.parametrize("backend", ["sharded", "numba"])
+    def test_checkpoint_naming_a_removed_backend_restores_on_auto(
+        self, tmp_path, toy_graph, backend
+    ):
+        engine = StreamingAVTEngine(toy_graph, backend="dict", batch_size=None)
+        engine.query(3, 2)
+        engine.ingest_insert(1, 5)
+        cached = engine.query(3, 2)
+        state = engine.to_state()
+        # The shape older versions wrote: a backend configuration next to the
+        # policy name, and degradation counters among the stats.
+        state["backend"] = backend
+        state["backend_config"] = {"num_shards": 4, "partitioner": "hash"}
+        state["stats"] = list(state["stats"]) + [
+            {"name": f"engine.{name}", "type": "counter", "value": 1, "labels": {}}
+            for name in ("degradations", "recovery_probes", "recoveries")
+        ]
+        path = tmp_path / f"{backend}.ckpt"
+        write_state(state, path)
+
+        with pytest.warns(RuntimeWarning, match=backend) as caught:
+            restored = StreamingAVTEngine.restore(path)
+        assert len([w for w in caught if w.category is RuntimeWarning]) == 1
+        assert restored.to_state()["backend"] == "auto"
+        assert restored.core_numbers() == engine.core_numbers()
+        assert restored.graph_version == engine.graph_version
+        invocations = restored.stats.solver_invocations
+        answer = restored.query(3, 2)
+        assert restored.stats.solver_invocations == invocations  # cache hit
+        assert answer.anchors == cached.anchors
+        assert answer.followers == cached.followers
+
+    def test_available_backend_restores_without_warning(self, tmp_path):
+        graph = Graph(edges=[(0, 1), (1, 2)])
+        engine = StreamingAVTEngine(graph, backend="compact", batch_size=None)
+        path = tmp_path / "compact.ckpt"
+        engine.checkpoint(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            restored = StreamingAVTEngine.restore(path)
+        assert restored.backend == "compact"
+
+    def test_restore_backend_override_wins(self, tmp_path):
+        graph = Graph(edges=[(0, 1), (1, 2), (2, 0)])
+        engine = StreamingAVTEngine(graph, backend="compact", batch_size=None)
+        path = tmp_path / "compact.ckpt"
+        engine.checkpoint(path)
+        restored = StreamingAVTEngine.restore(path, backend="dict")
+        assert restored.backend == "dict"

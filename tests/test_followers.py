@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -23,7 +21,7 @@ from repro.graph.generators import chung_lu_graph
 from repro.graph.static import Graph
 
 SETTINGS = settings(
-    max_examples=int(os.environ.get("REPRO_HYPOTHESIS_EXAMPLES", "50")),
+    max_examples=50,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )

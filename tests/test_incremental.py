@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 import random
 from typing import List, Optional, Set, Tuple
 
@@ -25,7 +24,7 @@ from repro.graph.generators import chung_lu_graph
 from repro.graph.static import Graph, Vertex
 
 SETTINGS = settings(
-    max_examples=int(os.environ.get("REPRO_HYPOTHESIS_EXAMPLES", "50")),
+    max_examples=50,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )

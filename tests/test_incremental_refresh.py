@@ -20,8 +20,6 @@ used so the interner paths (sparse ints, strings, mixed types) stay covered.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -30,18 +28,15 @@ from repro.anchored.anchored_core import AnchoredCoreIndex
 from repro.anchored.greedy import GreedyAnchoredKCore
 from repro.backends import CoreIndexKernel, numpy_available
 from repro.backends.dict_backend import DictBackend, DictCoreIndexKernel
-from repro.backends.sharded_backend import ShardedBackend
 from repro.graph.generators import chung_lu_graph
 from repro.graph.static import Graph
 from repro.ordering import tie_break_key
 
 SETTINGS = settings(
-    max_examples=int(os.environ.get("REPRO_HYPOTHESIS_EXAMPLES", "50")),
+    max_examples=50,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-
-SHARDED = ShardedBackend(num_shards=3)
 
 BACKENDS = [
     "dict",
@@ -50,7 +45,6 @@ BACKENDS = [
         "numpy",
         marks=pytest.mark.skipif(not numpy_available(), reason="numpy is not installed"),
     ),
-    pytest.param(SHARDED, id="sharded"),
 ]
 
 VERTEX_POOLS = (

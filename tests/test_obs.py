@@ -1,8 +1,8 @@
 """Tests for :mod:`repro.obs` — tracing, the metrics registry, exporters.
 
 Covers the no-op disabled path, span nesting/parentage, sinks and the
-bounded buffer, cross-process adoption, the unified snapshot schema across
-the three stats surfaces, the Prometheus/JSONL exporters, and the
+bounded buffer, the unified snapshot schema across the stats surfaces, the
+Prometheus/JSONL exporters, and the
 acceptance-criterion reconciliation: a traced ``serve-sim`` run's span
 counts and durations must agree with the engine's counters.
 """
@@ -163,42 +163,6 @@ class TestSpans:
         assert sum(
             "span buffer full" in record.getMessage() for record in caplog.records
         ) == 1
-
-    def test_adopt_reparents_worker_roots(self, traced):
-        worker = [
-            {
-                "name": "shard.op",
-                "span_id": "dead-1",
-                "parent_id": "dead-0",  # parent not in the drained set
-                "trace_id": "dead-1",
-                "pid": 99999,
-                "start": 1.0,
-                "duration": 0.5,
-                "attrs": {"op": "peel"},
-            },
-            {
-                "name": "shard.op.child",
-                "span_id": "dead-2",
-                "parent_id": "dead-1",  # intra-worker parentage is preserved
-                "trace_id": "dead-1",
-                "pid": 99999,
-                "start": 1.1,
-                "duration": 0.2,
-                "attrs": {},
-            },
-        ]
-        with tracer.span("coordinator.round") as round_span:
-            merged = tracer.adopt(worker, shard=3)
-        spans = {entry["span_id"]: entry for entry in tracer.drain()}
-        assert len(merged) == 2
-        root = spans["dead-1"]
-        child = spans["dead-2"]
-        assert root["parent_id"] == round_span.span_id
-        assert child["parent_id"] == "dead-1"
-        assert root["trace_id"] == round_span.trace_id
-        assert child["trace_id"] == round_span.trace_id
-        assert root["attrs"]["shard"] == 3 and child["attrs"]["shard"] == 3
-        assert root["attrs"]["op"] == "peel"
 
 
 class TestMetricsRegistry:
@@ -379,22 +343,6 @@ class TestUnifiedSchema:
         clone = pickle.loads(pickle.dumps(stats))
         assert clone == stats
         assert list(clone.commit_seconds) == [0.004, 0.001]
-
-    def test_shard_coordinator_snapshot_schema(self):
-        from repro.graph.compact import CompactGraph
-        from repro.graph.static import Graph
-        from repro.shard.coordinator import ShardCoordinator
-        from repro.shard.partition import partition_compact_graph
-
-        graph = Graph(edges=[(0, 1), (1, 2), (2, 0), (2, 3)], vertices=range(4))
-        cgraph = CompactGraph.from_graph(graph, ordered=True)
-        coordinator = ShardCoordinator(partition_compact_graph(cgraph, 2))
-        coordinator.decompose()
-        snapshot = coordinator.snapshot()
-        self._assert_schema(snapshot, "shard.")
-        by_name = {entry["name"]: entry["value"] for entry in snapshot}
-        for name, value in coordinator.stats().items():
-            assert by_name["shard." + name] == value
 
 
 class TestServeSimReconciliation:

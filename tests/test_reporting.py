@@ -76,30 +76,15 @@ class TestFormatSeries:
 class TestWriteBenchJson:
     def test_record_carries_execution_block(self, tmp_path):
         path = tmp_path / "BENCH_test.json"
-        write_bench_json(
-            path,
-            "unit",
-            {"value": 1},
-            backend="sharded",
-            num_shards=4,
-            num_workers=2,
-        )
+        write_bench_json(path, "unit", {"value": 1}, backend="compact")
         record = json.loads(path.read_text(encoding="utf-8"))
         assert record["benchmark"] == "unit"
         assert record["value"] == 1
-        assert record["execution"] == {
-            "backend": "sharded",
-            "num_shards": 4,
-            "num_workers": 2,
-        }
+        assert record["execution"] == {"backend": "compact"}
         assert "git_sha" in record["environment"]
 
     def test_single_process_defaults(self, tmp_path):
         path = tmp_path / "BENCH_default.json"
         write_bench_json(path, "unit", {})
         record = json.loads(path.read_text(encoding="utf-8"))
-        assert record["execution"] == {
-            "backend": "auto",
-            "num_shards": 1,
-            "num_workers": 1,
-        }
+        assert record["execution"] == {"backend": "auto"}

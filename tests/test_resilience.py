@@ -1,11 +1,8 @@
-"""Chaos tests for :mod:`repro.resilience` and the supervision it drives.
+"""Tests for :mod:`repro.resilience` and the verified checkpoint format.
 
-Covers the fault-injection mini-language (parsing, deterministic schedules,
-crash downgrading outside workers), supervised shard execution on both
-executors (retry to bit-identical results, timeout handling, degradation to
-the serial executor), the engine's degradation ladder with probe-based
-recovery, and the verified checkpoint format (per-section digest detection,
-rotation, fallback restore).
+Covers the fault-injection mini-language (parsing, site validation,
+deterministic schedules) and the verified checkpoint format (per-section
+digest detection, rotation, fallback restore).
 """
 
 from __future__ import annotations
@@ -29,21 +26,10 @@ from repro.errors import (
     CheckpointError,
     FaultError,
     ParameterError,
-    ShardExecutionError,
 )
-from repro.graph.compact import CompactGraph
 from repro.graph.static import Graph
 from repro.obs.metrics import global_registry
-from repro.resilience import (
-    FaultPlan,
-    FaultSpec,
-    RetryPolicy,
-    faults,
-    parse_faults,
-)
-from repro.resilience.retry import default_retry_policy
-from repro.shard.coordinator import ShardCoordinator, shutdown_shard_pools
-from repro.shard.partition import partition_compact_graph
+from repro.resilience import FaultPlan, FaultSpec, faults, parse_faults
 
 
 @pytest.fixture(autouse=True)
@@ -55,47 +41,40 @@ def clean_faults(monkeypatch):
     faults.clear_plan()
 
 
-def chaos_graph(num_vertices: int = 80, num_edges: int = 260, seed: int = 11) -> Graph:
-    import random
-
-    rng = random.Random(seed)
-    edges = set()
-    while len(edges) < num_edges:
-        u, v = rng.sample(range(num_vertices), 2)
-        edges.add((min(u, v), max(u, v)))
-    return Graph(edges=sorted(edges))
-
-
-def make_coordinator(graph: Graph, num_shards: int = 3, **kwargs) -> ShardCoordinator:
-    cgraph = CompactGraph.from_graph(graph, ordered=True)
-    plan = partition_compact_graph(cgraph, num_shards, "hash")
-    return ShardCoordinator(plan, **kwargs)
-
-
 class TestFaultSpecParsing:
     def test_parse_round_trip(self):
         plan = parse_faults(
-            "shard.op:action=crash,executor=process,op=hindex_round,at=2;"
+            "checkpoint.write:action=fail,path=/tmp/x,at=2;"
             "checkpoint.bytes:action=corrupt,section=core,times=3;"
-            "shard.op:action=slow,delay=0.5,rate=0.25,seed=7"
+            "checkpoint.write:action=error,rate=0.25,seed=7"
         )
         assert [spec.site for spec in plan.specs] == [
-            "shard.op",
+            "checkpoint.write",
             "checkpoint.bytes",
-            "shard.op",
+            "checkpoint.write",
         ]
-        crash, corrupt, slow = plan.specs
-        assert crash.action == "crash"
-        assert crash.match == {"executor": "process", "op": "hindex_round"}
-        assert crash.at == 2
+        fail, corrupt, error = plan.specs
+        assert fail.action == "fail"
+        assert fail.match == {"path": "/tmp/x"}
+        assert fail.at == 2
         assert corrupt.times == 3
         assert corrupt.match == {"section": "core"}
-        assert slow.delay == 0.5 and slow.rate == 0.25 and slow.seed == 7
+        assert error.action == "error" and error.rate == 0.25 and error.seed == 7
 
     @pytest.mark.parametrize(
         "raw",
         [
             "no-colon-here",
+            "checkpoint.write:action",
+            "checkpoint.write:at=notanumber",
+            "checkpoint.write:times=-1",
+            "checkpoint.write:rate=2.0",
+            "checkpoint.write:action=unknown",
+            "checkpont.bytes:action=corrupt,times=0",
+            "checkpoint.write:action=slow",
+            "checkpoint.write:action=crash",
+            # Specs written for the retired shard.op site are refused too.
+            "shard.op:action=error",
             "shard.op:action",
             "shard.op:at=notanumber",
             "shard.op:times=-1",
@@ -107,270 +86,61 @@ class TestFaultSpecParsing:
         with pytest.raises(ParameterError):
             parse_faults(raw)
 
+    def test_unknown_site_names_both_sites(self):
+        with pytest.raises(ParameterError) as info:
+            FaultSpec("checkpont.bytes", "corrupt")
+        assert "checkpoint.write" in str(info.value)
+        assert "checkpoint.bytes" in str(info.value)
+
     def test_times_cap_and_at_pin(self):
-        spec = FaultSpec("shard.op", "error", at=2, times=1)
+        spec = FaultSpec("checkpoint.write", "error", at=2, times=1)
         plan = FaultPlan([spec])
-        assert plan.fire("shard.op") is None  # hit 1: before `at`
+        assert plan.fire("checkpoint.write") is None  # hit 1: before `at`
         with pytest.raises(FaultError):
-            plan.fire("shard.op")  # hit 2: fires
-        assert plan.fire("shard.op") is None  # spent
+            plan.fire("checkpoint.write")  # hit 2: fires
+        assert plan.fire("checkpoint.write") is None  # spent
         assert spec.fired == 1 and spec.hits >= 2
 
     def test_rate_draws_are_deterministic(self):
         def firing_pattern(seed):
-            spec = FaultSpec("s", "corrupt", rate=0.4, times=0, seed=seed)
+            spec = FaultSpec("checkpoint.bytes", "corrupt", rate=0.4, times=0, seed=seed)
             plan = FaultPlan([spec])
-            return [plan.fire("s") is not None for _ in range(50)]
+            return [plan.fire("checkpoint.bytes") is not None for _ in range(50)]
 
         assert firing_pattern(3) == firing_pattern(3)
         assert firing_pattern(3) != firing_pattern(4)
 
     def test_match_filters_compare_stringified(self):
-        plan = FaultPlan([FaultSpec("s", "corrupt", match={"shard": "1"})])
-        assert plan.fire("s", shard=0) is None
-        assert plan.fire("s", shard=1) is not None
-
-    def test_crash_downgrades_to_error_outside_workers(self):
-        # Without allow_crash a crash spec must not take this process down.
-        with faults.inject(FaultSpec("shard.op", "crash")):
-            with pytest.raises(FaultError):
-                faults.fire("shard.op")
+        plan = FaultPlan([FaultSpec("checkpoint.bytes", "corrupt", match={"section": "1"})])
+        assert plan.fire("checkpoint.bytes", section=0) is None
+        assert plan.fire("checkpoint.bytes", section=1) is not None
 
     def test_inject_restores_previous_plan(self):
-        outer = faults.install_plan(FaultSpec("a", "corrupt"))
-        with faults.inject(FaultSpec("b", "corrupt")) as inner:
+        outer = faults.install_plan(FaultSpec("checkpoint.write", "fail"))
+        with faults.inject(FaultSpec("checkpoint.bytes", "corrupt")) as inner:
             assert faults.active_plan() is inner
         assert faults.active_plan() is outer
 
     def test_env_plan_cached_and_refreshed(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "a:action=corrupt")
+        monkeypatch.setenv("REPRO_FAULTS", "checkpoint.write:action=fail")
         first = faults.active_plan()
         assert first is faults.active_plan()  # cached on the raw string
-        monkeypatch.setenv("REPRO_FAULTS", "b:action=corrupt")
-        assert faults.active_plan().specs[0].site == "b"
+        monkeypatch.setenv("REPRO_FAULTS", "checkpoint.bytes:action=corrupt")
+        assert faults.active_plan().specs[0].site == "checkpoint.bytes"
 
     def test_fired_faults_counted_and_flight_recorded(self):
         from repro.obs.flight import default_recorder
 
         counter = global_registry().counter(
-            "resilience.faults_injected", site="shard.op", action="error"
+            "resilience.faults_injected", site="checkpoint.write", action="error"
         )
         before = counter.value
-        with faults.inject(FaultSpec("shard.op", "error")):
+        with faults.inject(FaultSpec("checkpoint.write", "error")):
             with pytest.raises(FaultError):
-                faults.fire("shard.op", op="probe")
+                faults.fire("checkpoint.write", path="probe")
         assert counter.value == before + 1
         names = [span["name"] for span in default_recorder().record()["spans"]]
         assert "fault.injected" in names
-
-
-class TestRetryPolicy:
-    def test_backoff_is_bounded_and_jittered(self):
-        policy = RetryPolicy(max_retries=4, base_delay=0.1, backoff=2.0, max_delay=0.3)
-        delays = [policy.delay_for(attempt, token="t") for attempt in (1, 2, 3, 4)]
-        assert all(0.0 < delay <= 0.3 for delay in delays)
-        # Deterministic: same token, same delays.
-        assert delays == [policy.delay_for(attempt, token="t") for attempt in (1, 2, 3, 4)]
-        assert delays != [policy.delay_for(attempt, token="u") for attempt in (1, 2, 3, 4)]
-
-    def test_env_defaults(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RETRY_MAX", "5")
-        monkeypatch.setenv("REPRO_RETRY_BASE_DELAY", "0.25")
-        monkeypatch.setenv("REPRO_SHARD_OP_TIMEOUT", "9.5")
-        policy = default_retry_policy()
-        assert policy.max_retries == 5
-        assert policy.base_delay == 0.25
-        assert policy.op_timeout == 9.5
-
-    def test_invalid_policy_rejected(self):
-        with pytest.raises(ParameterError):
-            RetryPolicy(max_retries=-1)
-        with pytest.raises(ParameterError):
-            RetryPolicy(backoff=0.0)
-
-
-class TestSupervisedSerial:
-    def test_transient_kernel_fault_is_retried_bit_identical(self):
-        graph = chaos_graph()
-        baseline = make_coordinator(graph, executor="serial")
-        expected_core, expected_order = baseline.decompose([5])
-        baseline.close()
-
-        supervised = make_coordinator(
-            graph,
-            executor="serial",
-            retry=RetryPolicy(max_retries=2, base_delay=0.0),
-        )
-        with faults.inject(
-            FaultSpec("shard.op", "error", match={"op": "hindex_round"}, at=3)
-        ):
-            core, order = supervised.decompose([5])
-        assert core == expected_core
-        assert order == expected_order
-        stats = supervised.stats()
-        assert stats["op_failures"] >= 1
-        assert stats["exchange_resumes"] >= 1
-        assert stats["degradations"] == 0
-        supervised.close()
-
-    def test_transient_cascade_fault_restarts_kernel(self):
-        graph = chaos_graph()
-        baseline = make_coordinator(graph, executor="serial")
-        expected = baseline.k_core_ids(3)
-        baseline.close()
-
-        supervised = make_coordinator(
-            graph,
-            executor="serial",
-            retry=RetryPolicy(max_retries=2, base_delay=0.0),
-        )
-        with faults.inject(
-            FaultSpec("shard.op", "error", match={"op": "peel_cascade"}, at=1)
-        ):
-            assert supervised.k_core_ids(3) == expected
-        # An injected fault fires at op entry (shard scratch untouched), so
-        # the exchange resumes in place instead of restarting the kernel.
-        stats = supervised.stats()
-        assert stats["op_failures"] >= 1
-        assert stats["exchange_resumes"] + stats["op_retries"] >= 1
-        supervised.close()
-
-    def test_persistent_fault_exhausts_into_shard_execution_error(self):
-        supervised = make_coordinator(
-            chaos_graph(),
-            executor="serial",
-            retry=RetryPolicy(max_retries=1, base_delay=0.0),
-        )
-        with faults.inject(FaultSpec("shard.op", "error", times=0)):
-            with pytest.raises(ShardExecutionError):
-                supervised.k_core_ids(3)
-        supervised.close()
-
-
-@pytest.fixture(scope="module")
-def process_pools():
-    yield
-    shutdown_shard_pools()
-
-
-class TestSupervisedProcess:
-    """Spawn-executor chaos: env-armed faults reach the worker processes."""
-
-    def run_with_env_faults(self, monkeypatch, spec: str, retry: RetryPolicy):
-        graph = chaos_graph()
-        baseline = make_coordinator(graph, executor="serial")
-        expected = baseline.decompose([5])
-        baseline.close()
-
-        monkeypatch.setenv("REPRO_FAULTS", spec)
-        shutdown_shard_pools()  # fresh workers that see the env plan
-        try:
-            supervised = make_coordinator(
-                graph, executor="process", max_workers=3, retry=retry
-            )
-            got = supervised.decompose([5])
-            stats = supervised.stats()
-            supervised.close()
-        finally:
-            monkeypatch.delenv("REPRO_FAULTS", raising=False)
-            shutdown_shard_pools()  # do not leak chaos-armed workers
-        return expected, got, stats
-
-    def test_worker_crash_recovers_bit_identical(self, process_pools, monkeypatch):
-        expected, got, stats = self.run_with_env_faults(
-            monkeypatch,
-            "shard.op:action=crash,executor=process,op=hindex_round,at=2",
-            RetryPolicy(max_retries=3, base_delay=0.01, op_timeout=60.0),
-        )
-        assert got == expected
-        assert stats["op_failures"] >= 1
-        # Either an in-exchange resume or a kernel retry (or the serial
-        # fallback when the env plan keeps killing respawned workers) carried
-        # the run to the correct answer.
-        assert stats["exchange_resumes"] + stats["op_retries"] + stats["degradations"] >= 1
-
-    def test_slow_worker_hits_deadline_and_recovers(self, process_pools, monkeypatch):
-        expected, got, stats = self.run_with_env_faults(
-            monkeypatch,
-            "shard.op:action=slow,delay=5.0,executor=process,op=hindex_reset,times=1",
-            RetryPolicy(max_retries=2, base_delay=0.01, op_timeout=1.0),
-        )
-        assert got == expected
-        assert stats["op_failures"] >= 1
-
-    def test_exhaustion_degrades_to_serial_executor(self, process_pools, monkeypatch):
-        expected, got, stats = self.run_with_env_faults(
-            monkeypatch,
-            "shard.op:action=crash,executor=process,op=hindex_reset",
-            RetryPolicy(max_retries=1, base_delay=0.01, op_timeout=30.0),
-        )
-        assert got == expected
-        assert stats["degradations"] == 1
-
-    def test_degradation_disabled_raises(self, process_pools, monkeypatch):
-        graph = chaos_graph()
-        monkeypatch.setenv("REPRO_FAULTS", "shard.op:action=crash,executor=process,op=hindex_reset")
-        shutdown_shard_pools()
-        try:
-            supervised = make_coordinator(
-                graph,
-                executor="process",
-                max_workers=3,
-                retry=RetryPolicy(max_retries=0, base_delay=0.01, op_timeout=30.0),
-                degrade_to_serial=False,
-            )
-            with pytest.raises(ShardExecutionError):
-                supervised.decompose([5])
-            supervised.close()
-        finally:
-            monkeypatch.delenv("REPRO_FAULTS", raising=False)
-            shutdown_shard_pools()
-
-
-class TestEngineDegradation:
-    def test_query_degrades_to_compact_and_recovers(self):
-        graph = chaos_graph()
-        engine = StreamingAVTEngine(graph, backend="sharded")
-        compact = StreamingAVTEngine(graph, backend="compact")
-        assert engine.health()["status"] == "ok"
-
-        with faults.inject(FaultSpec("shard.op", "error", times=0)):
-            degraded = engine.query(4, 2)
-        health = engine.health()
-        assert health["status"] == "degraded"
-        assert health["backend"] == "compact"
-        assert health["degraded"]["from_backend"] == "sharded"
-        assert sorted(degraded.anchors) == sorted(compact.query(4, 2).anchors)
-
-        # Substrate healthy again: the next flush probes and migrates back.
-        engine.ingest_insert(0, 79)
-        engine.flush()
-        health = engine.health()
-        assert health["status"] == "ok"
-        assert health["backend"] == "sharded"
-        assert engine.stats.degradations == 1
-        assert engine.stats.recovery_probes >= 1
-        assert engine.stats.recoveries == 1
-
-    def test_probe_keeps_engine_degraded_while_faults_persist(self):
-        engine = StreamingAVTEngine(chaos_graph(), backend="sharded")
-        with faults.inject(FaultSpec("shard.op", "error", times=0)):
-            engine.query(4, 2)
-            engine.ingest_insert(0, 79)
-            engine.flush()
-            assert engine.health()["status"] == "degraded"
-            assert engine.stats.recovery_probes >= 1
-            assert engine.stats.recoveries == 0
-
-    def test_construction_under_faults_degrades_instead_of_raising(self):
-        with faults.inject(FaultSpec("shard.op", "error", times=0)):
-            engine = StreamingAVTEngine(chaos_graph(), backend="sharded")
-            result = engine.query(4, 2)
-        assert result.anchors is not None
-        health = engine.health()
-        assert health["status"] == "degraded"
-        assert health["backend"] == "compact"
-        assert engine.stats.degradations == 1
 
 
 SECTIONS = ("graph", "core", "warm", "cache", "stats")

@@ -1,31 +1,18 @@
-"""Unit and property tests for the :mod:`repro.shard` subsystem.
+"""Unit tests for the :mod:`repro.shard` graph partitioners.
 
-Covers the partitioner invariants (total coverage, cut-edge symmetry,
-degree balance, community cut reduction), the async/lock-step exchange and
-serial vs process-pool coordinator equivalences (the pickling / spawn / shm
-contracts), the shared-memory round-trip and unlink lifecycle, and the
-sharded backend's configuration surface (environment defaults,
-``with_config``, engine checkpoints).
+Covers the partitioner invariants: total coverage, cut-edge symmetry, edge
+conservation, degree balance, boundary tables, and the community
+partitioner's cut reduction and determinism.
 """
 
 from __future__ import annotations
 
-import math
-
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
-from repro.backends import BACKEND_SHARDED, get_backend, resolve_backend
-from repro.backends.sharded_backend import ShardedBackend, ShardedCoreIndexKernel
-from repro.cores.decomposition import compact_peel
-from repro.engine import StreamingAVTEngine
 from repro.errors import ParameterError
 from repro.graph.compact import CompactGraph
 from repro.graph.generators import planted_community_graph
 from repro.graph.static import Graph
-from repro.shard import shm
-from repro.shard.coordinator import ShardCoordinator, shutdown_shard_pools
 from repro.shard.partition import (
     CommunityPartitioner,
     DegreeBalancedPartitioner,
@@ -35,27 +22,12 @@ from repro.shard.partition import (
     partition_compact_graph,
 )
 
-SETTINGS = settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-
 
 def sample_graph() -> Graph:
     return Graph(
         edges=[(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3), (5, 6), (0, 6)],
         vertices=list(range(7)) + ["isolated"],
     )
-
-
-@st.composite
-def graphs(draw) -> Graph:
-    num_vertices = draw(st.integers(min_value=1, max_value=14))
-    vertices = list(range(num_vertices))
-    possible = [(u, v) for i, u in enumerate(vertices) for v in vertices[i + 1 :]]
-    edges = draw(
-        st.lists(st.sampled_from(possible), max_size=3 * num_vertices, unique=True)
-        if possible
-        else st.just([])
-    )
-    return Graph(edges=edges, vertices=vertices)
 
 
 class TestPartitioners:
@@ -132,462 +104,6 @@ class TestPartitioners:
             partition_compact_graph(cgraph, 0)
 
 
-class TestCoordinatorSerial:
-    def test_decompose_matches_compact_peel(self):
-        cgraph = CompactGraph.from_graph(sample_graph(), ordered=True)
-        plan = partition_compact_graph(cgraph, 3)
-        coordinator = ShardCoordinator(plan)
-        core, order = coordinator.decompose(anchor_ids=[2])
-        expected_core, expected_order = compact_peel(cgraph, [2])
-        assert core == expected_core
-        assert order == expected_order
-        assert coordinator.rounds > 0
-        assert coordinator.messages > 0  # 3 shards must exchange something
-
-    def test_unknown_executor_rejected(self):
-        cgraph = CompactGraph.from_graph(sample_graph(), ordered=True)
-        plan = partition_compact_graph(cgraph, 2)
-        with pytest.raises(ParameterError):
-            ShardCoordinator(plan, executor="threads")
-
-    def test_empty_graph(self):
-        cgraph = CompactGraph.from_graph(Graph(), ordered=True)
-        plan = partition_compact_graph(cgraph, 2)
-        coordinator = ShardCoordinator(plan)
-        assert coordinator.decompose() == ([], [])
-        assert coordinator.k_core_ids(1) == set()
-
-
-class TestShardLocalCaching:
-    """The shard-local result caches never change a result, only skip work."""
-
-    def test_identical_refresh_hits_every_cache(self):
-        cgraph = CompactGraph.from_graph(sample_graph(), ordered=True)
-        coordinator = ShardCoordinator(partition_compact_graph(cgraph, 3))
-        first = coordinator.decompose(anchor_ids=[2])
-        stats_after_first = coordinator.stats()
-        assert stats_after_first["shard_cache_hits"] == 0
-        assert stats_after_first["shard_cache_misses"] == 3
-        second = coordinator.decompose(anchor_ids=[2])
-        assert second == first
-        stats_after_second = coordinator.stats()
-        # Same local anchors everywhere: every round-1 peel and every
-        # fragment build is served from the shard-side caches.
-        assert stats_after_second["shard_cache_hits"] == 3
-        assert stats_after_second["fragment_cache_hits"] == 3
-
-    def test_anchor_commit_misses_only_the_owning_shard(self):
-        cgraph = CompactGraph.from_graph(sample_graph(), ordered=True)
-        plan = partition_compact_graph(cgraph, 3)
-        coordinator = ShardCoordinator(plan)
-        coordinator.decompose()
-        anchor = 4
-        core, order = coordinator.decompose(anchor_ids=[anchor])
-        expected_core, expected_order = compact_peel(cgraph, [anchor])
-        assert core == expected_core
-        assert order == expected_order
-        stats = coordinator.stats()
-        # Only the shard owning the new anchor re-peels; the other two reuse
-        # their cached round-1 peel.
-        assert stats["shard_cache_hits"] == 2
-        assert stats["shard_cache_misses"] == 4  # 3 initial + the owner
-
-    def test_cached_decompose_matches_fresh_coordinator(self):
-        """A cached refresh equals a cold coordinator's, anchors varying."""
-        cgraph = CompactGraph.from_graph(sample_graph(), ordered=True)
-        warm = ShardCoordinator(partition_compact_graph(cgraph, 3))
-        committed = []
-        for anchor in (5, 2, 0):
-            committed.append(anchor)
-            warm_result = warm.decompose(anchor_ids=committed)
-            cold = ShardCoordinator(partition_compact_graph(cgraph, 3))
-            assert warm_result == cold.decompose(anchor_ids=committed)
-
-    @SETTINGS
-    @given(graph=graphs(), num_shards=st.integers(min_value=1, max_value=4))
-    def test_repeated_and_growing_anchor_sets_property(self, graph, num_shards):
-        cgraph = CompactGraph.from_graph(graph, ordered=True)
-        coordinator = ShardCoordinator(partition_compact_graph(cgraph, num_shards))
-        anchors = []
-        for anchor in range(0, cgraph.num_vertices, 3):
-            anchors.append(anchor)
-            core, order = coordinator.decompose(anchors)
-            expected_core, expected_order = compact_peel(cgraph, anchors)
-            assert core == expected_core
-            assert order == expected_order
-        stats = coordinator.stats()
-        assert stats["shard_cache_hits"] + stats["shard_cache_misses"] >= num_shards
-
-
-@pytest.fixture(scope="module")
-def process_pools():
-    """Spawned worker pools shared by the process-executor tests."""
-    yield
-    shutdown_shard_pools()
-
-
-class TestCoordinatorProcess:
-    """Serial vs process-pool coordinators are observationally identical.
-
-    These tests exercise the ``spawn`` start method end to end: shard states
-    and every op payload must pickle, and per-shard mutable state must stay
-    pinned to its dedicated worker across rounds.
-    """
-
-    @SETTINGS
-    @given(graph=graphs(), num_shards=st.integers(min_value=1, max_value=4))
-    def test_decompose_serial_vs_process(self, process_pools, graph, num_shards):
-        cgraph = CompactGraph.from_graph(graph, ordered=True)
-        serial = ShardCoordinator(partition_compact_graph(cgraph, num_shards))
-        pooled = ShardCoordinator(
-            partition_compact_graph(cgraph, num_shards), executor="process"
-        )
-        try:
-            anchors = [0] if cgraph.num_vertices > 2 else []
-            assert serial.decompose(anchors) == pooled.decompose(anchors)
-            for k in (1, 2, 3):
-                assert serial.k_core_ids(k) == pooled.k_core_ids(k)
-        finally:
-            pooled.close()
-
-    @SETTINGS
-    @given(graph=graphs(), k=st.integers(min_value=1, max_value=4))
-    def test_index_kernel_serial_vs_process(self, process_pools, graph, k):
-        serial = ShardedCoreIndexKernel(
-            graph, num_shards=3, partitioner="hash", executor="serial", max_workers=None
-        )
-        pooled = ShardedCoreIndexKernel(
-            graph, num_shards=3, partitioner="hash", executor="process", max_workers=None
-        )
-        try:
-            serial.refresh(set())
-            pooled.refresh(set())
-            assert dict(serial.core_numbers()) == dict(pooled.core_numbers())
-            assert serial.plain_k_core(k) == pooled.plain_k_core(k)
-            assert serial.candidate_anchors(k, True) == pooled.candidate_anchors(k, True)
-            for candidate in sorted(serial.non_core_vertices(k), key=repr):
-                assert serial.marginal_followers(
-                    k, candidate, False
-                ) == pooled.marginal_followers(k, candidate, False)
-                assert serial.marginal_followers(
-                    k, candidate, True
-                ) == pooled.marginal_followers(k, candidate, True)
-        finally:
-            pooled.close()
-
-    def test_worker_state_released_on_close(self, process_pools):
-        from repro.shard import coordinator as co
-
-        cgraph = CompactGraph.from_graph(sample_graph(), ordered=True)
-        plan = partition_compact_graph(cgraph, 2)
-        pooled = ShardCoordinator(plan, executor="process")
-        key = pooled._exec.key
-        pooled.decompose()
-        pooled.close()
-        # The drop ran in the workers: loading a fresh coordinator still
-        # works and a probe for the old key finds nothing.
-        probe = co._get_pool(0).submit(co._worker_drop, key).result()
-        assert probe == 0
-
-    def test_max_workers_fewer_than_shards(self, process_pools):
-        cgraph = CompactGraph.from_graph(sample_graph(), ordered=True)
-        plan = partition_compact_graph(cgraph, 4)
-        pooled = ShardCoordinator(plan, executor="process", max_workers=2)
-        try:
-            assert pooled.num_workers == 2
-            expected_core, expected_order = compact_peel(cgraph)
-            assert pooled.decompose() == (expected_core, list(expected_order))
-        finally:
-            pooled.close()
-
-
-class TestCrossProcessTracing:
-    """Spans recorded inside spawn workers merge into the coordinator trace."""
-
-    def test_worker_spans_adopted_into_coordinator_trace(self, process_pools):
-        import os
-
-        from repro.obs import tracer
-
-        cgraph = CompactGraph.from_graph(sample_graph(), ordered=True)
-        plan = partition_compact_graph(cgraph, 2)
-        pooled = ShardCoordinator(plan, executor="process")
-        previous = tracer.set_enabled(True)
-        tracer.drain()
-        try:
-            with tracer.span("test.root") as root:
-                pooled.decompose()
-            spans = tracer.drain()
-        finally:
-            tracer.set_enabled(previous)
-            pooled.close()
-
-        worker_spans = [entry for entry in spans if entry["pid"] != os.getpid()]
-        assert worker_spans, "workers recorded no spans"
-        # Per-shard ops carry their shard id; fan-out tasks their task name.
-        assert {entry["name"] for entry in worker_spans} <= {"shard.op", "shard.task"}
-        op_spans = [entry for entry in worker_spans if entry["name"] == "shard.op"]
-        assert {entry["attrs"]["shard"] for entry in op_spans} == {0, 1}
-        # pid-prefixed ids never collide with the coordinator's.
-        coordinator_ids = {
-            entry["span_id"] for entry in spans if entry["pid"] == os.getpid()
-        }
-        assert not coordinator_ids & {entry["span_id"] for entry in worker_spans}
-
-        root_dict = next(entry for entry in spans if entry["name"] == "test.root")
-        by_id = {entry["span_id"]: entry for entry in spans}
-        for entry in worker_spans:
-            # Shared trace id and a parent chain that reaches the test root.
-            assert entry["trace_id"] == root_dict["trace_id"]
-            cursor = entry
-            while cursor["parent_id"] is not None:
-                cursor = by_id[cursor["parent_id"]]
-            assert cursor["span_id"] == root_dict["span_id"]
-
-    def test_async_adopt_multiwave_reparents_under_exchange(self, process_pools):
-        """Multi-wave async exchanges adopt worker roots under the right spot.
-
-        A ring+chords graph over 3 hash shards keeps boundary traffic flowing
-        for several waves, so worker ops from different waves interleave.
-        Every adopted worker-root ``shard.op`` must land under the exchange
-        for its own op (via the ``shard.wave`` spans the coordinator opens
-        while resolving), carry its shard tag, and the reconstructed
-        straggler report must reconcile exactly with the coordinator's
-        ``exchange_waves`` / ``ops_dispatched`` counters.
-        """
-        import os
-
-        from repro.obs import build_span_trees, straggler_report, tracer
-
-        n = 36
-        edges = [(i, (i + 1) % n) for i in range(n)] + [
-            (i, (i + 5) % n) for i in range(n)
-        ]
-        cgraph = CompactGraph.from_graph(
-            Graph(edges=edges, vertices=range(n)), ordered=True
-        )
-        plan = partition_compact_graph(cgraph, 3)
-        pooled = ShardCoordinator(plan, executor="process")
-        previous = tracer.set_enabled(True)
-        tracer.drain()
-        try:
-            with tracer.span("test.root"):
-                pooled.decompose(anchor_ids=[0, 7])
-                pooled.k_core_ids(3, [1])
-            spans = tracer.drain()
-            waves_expected = pooled.exchange_waves
-            ops_expected = pooled.ops_dispatched
-        finally:
-            tracer.set_enabled(previous)
-            pooled.close()
-
-        (root,) = build_span_trees(spans)
-        exchanges = [
-            node for node in root.walk() if node.name == "shard.exchange"
-        ]
-        assert exchanges, "no async exchange recorded"
-        assert any(node.attrs["waves"] >= 2 for node in exchanges), (
-            "workload failed to produce a multi-wave exchange"
-        )
-
-        coordinator_pid = os.getpid()
-        adopted_ops = 0
-        for exchange in exchanges:
-            for node in exchange.walk():
-                if node.name != "shard.op" or node.span["pid"] == coordinator_pid:
-                    continue
-                adopted_ops += 1
-                # Worker roots are re-parented onto the span open at resolve
-                # time: a wave of this exchange (resubmission or first
-                # completion) — never a sibling exchange's wave.
-                assert node.parent is not None
-                assert node.parent.name in {"shard.wave", "shard.exchange"}
-                assert node.attrs["op"] == exchange.attrs["op"]
-                assert node.attrs["shard"] in {0, 1, 2}
-                assert node.trace_id == root.trace_id
-        assert adopted_ops > 0, "no worker ops adopted under the exchanges"
-
-        report = straggler_report(spans)
-        assert report["total_waves"] == waves_expected
-        assert report["total_ops_dispatched"] == ops_expected
-        multiwave = [entry for entry in report["exchanges"] if entry["waves"] >= 2]
-        assert multiwave
-        # Multi-wave means at least one shard ran beyond its initial op.
-        assert any(entry["resubmissions"] >= 1 for entry in multiwave)
-
-    def test_untraced_process_run_returns_no_spans(self, process_pools):
-        from repro.obs import tracer
-
-        cgraph = CompactGraph.from_graph(sample_graph(), ordered=True)
-        plan = partition_compact_graph(cgraph, 2)
-        pooled = ShardCoordinator(plan, executor="process")
-        previous = tracer.set_enabled(False)
-        tracer.drain()
-        try:
-            pooled.decompose()
-            assert tracer.drain() == []
-        finally:
-            tracer.set_enabled(previous)
-            pooled.close()
-
-
-class TestShardedBackendConfig:
-    def test_registered_and_not_picked_by_auto(self):
-        assert get_backend("sharded").name == BACKEND_SHARDED
-        assert resolve_backend("auto", 10**6) != BACKEND_SHARDED
-
-    def test_env_defaults(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_COUNT", "6")
-        monkeypatch.setenv("REPRO_SHARD_PARTITIONER", "degree_balanced")
-        monkeypatch.setenv("REPRO_SHARD_EXECUTOR", "serial")
-        monkeypatch.setenv("REPRO_SHARD_WORKERS", "2")
-        monkeypatch.setenv("REPRO_SHARD_EXCHANGE", "lockstep")
-        monkeypatch.setenv("REPRO_SHARD_SHM", "0")
-        backend = ShardedBackend()
-        assert backend.config() == {
-            "num_shards": 6,
-            "partitioner": "degree_balanced",
-            "executor": "serial",
-            "max_workers": 2,
-            "exchange": "lockstep",
-            "shared_memory": False,
-        }
-
-    def test_invalid_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_COUNT", "many")
-        with pytest.raises(ParameterError):
-            ShardedBackend()
-
-    def test_with_config_returns_new_instance(self):
-        base = get_backend("sharded")
-        derived = base.with_config({"num_shards": 9, "executor": "serial"})
-        assert derived is not base
-        assert derived.num_shards == 9
-        assert base.config() == get_backend("sharded").config()
-
-    def test_with_config_rejects_unknown_keys(self):
-        with pytest.raises(ParameterError):
-            get_backend("sharded").with_config({"replication": 2})
-
-    def test_invalid_configuration_rejected(self):
-        with pytest.raises(ParameterError):
-            ShardedBackend(num_shards=0)
-        with pytest.raises(ParameterError):
-            ShardedBackend(executor="threads")
-        with pytest.raises(ParameterError):
-            ShardedBackend(partitioner="metis")
-        with pytest.raises(ParameterError):
-            ShardedBackend(max_workers=0)
-        with pytest.raises(ParameterError):
-            ShardedBackend(exchange="gossip")
-        with pytest.raises(ParameterError):
-            ShardCoordinator(
-                partition_compact_graph(
-                    CompactGraph.from_graph(sample_graph(), ordered=True), 2
-                ),
-                exchange="gossip",
-            )
-
-    def test_korder_shares_one_partition(self):
-        backend = ShardedBackend(num_shards=3, executor="serial")
-        graph = sample_graph()
-        decomposition, deg_plus = backend.korder(graph)
-        reference, reference_deg = get_backend("dict").korder(graph)
-        assert dict(decomposition.core) == dict(reference.core)
-        assert decomposition.order == reference.order
-        assert deg_plus == reference_deg
-
-
-class TestEngineCheckpointConfig:
-    def test_checkpoint_persists_shard_configuration(self, tmp_path):
-        graph = Graph(edges=[(0, 1), (1, 2), (2, 0), (2, 3)])
-        backend = get_backend("sharded").with_config({"num_shards": 5})
-        engine = StreamingAVTEngine(graph, backend=backend, batch_size=None)
-        engine.query(k=2, budget=1)
-        path = tmp_path / "sharded.ckpt"
-        engine.checkpoint(path)
-        restored = StreamingAVTEngine.restore(path)
-        assert restored.backend == BACKEND_SHARDED
-        assert restored._backend.num_shards == 5
-        assert restored._backend.partitioner == backend.partitioner
-        assert restored.core_numbers() == engine.core_numbers()
-
-    def test_checkpoint_persists_exchange_and_shm_configuration(self, tmp_path):
-        graph = Graph(edges=[(0, 1), (1, 2), (2, 0), (2, 3)])
-        backend = get_backend("sharded").with_config(
-            {"exchange": "lockstep", "shared_memory": False}
-        )
-        engine = StreamingAVTEngine(graph, backend=backend, batch_size=None)
-        engine.query(k=2, budget=1)
-        path = tmp_path / "sharded-exchange.ckpt"
-        engine.checkpoint(path)
-        restored = StreamingAVTEngine.restore(path)
-        assert restored._backend.exchange == "lockstep"
-        assert restored._backend.shared_memory is False
-        assert restored.core_numbers() == engine.core_numbers()
-
-    def test_restore_backend_override_wins(self, tmp_path):
-        graph = Graph(edges=[(0, 1), (1, 2), (2, 0)])
-        engine = StreamingAVTEngine(
-            graph, backend=get_backend("sharded").with_config({"num_shards": 2}),
-            batch_size=None,
-        )
-        path = tmp_path / "sharded2.ckpt"
-        engine.checkpoint(path)
-        restored = StreamingAVTEngine.restore(path, backend="dict")
-        assert restored.backend == "dict"
-
-
-class TestCheckpointUnavailableBackendFallback:
-    """Satellite regression: restoring a checkpoint whose persisted backend
-    is unavailable in this process falls back to "auto" with a warning."""
-
-    def test_numpy_checkpoint_restored_without_numpy(self, tmp_path, monkeypatch):
-        from repro.engine.checkpoint import write_state
-
-        graph = Graph(edges=[(0, 1), (1, 2), (2, 0), (2, 3)])
-        engine = StreamingAVTEngine(graph, backend="dict", batch_size=None)
-        engine.query(k=2, budget=1)
-        state = engine.to_state()
-        state["backend"] = "numpy"  # as if written on a numpy-enabled host
-        state["backend_config"] = {}
-        path = tmp_path / "numpy.ckpt"
-        write_state(state, path)
-
-        monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
-        with pytest.warns(RuntimeWarning, match="numpy"):
-            restored = StreamingAVTEngine.restore(path)
-        assert restored.core_numbers() == engine.core_numbers()
-        # The fallback rewired the policy to auto; a fresh checkpoint of the
-        # restored engine must not resurrect the unavailable name.
-        assert restored.to_state()["backend"] == "auto"
-
-    def test_unregistered_backend_name_also_falls_back(self, tmp_path):
-        from repro.engine.checkpoint import write_state
-
-        graph = Graph(edges=[(0, 1), (1, 2)])
-        engine = StreamingAVTEngine(graph, backend="dict", batch_size=None)
-        state = engine.to_state()
-        state["backend"] = "fpga"
-        path = tmp_path / "fpga.ckpt"
-        write_state(state, path)
-        with pytest.warns(RuntimeWarning, match="fpga"):
-            restored = StreamingAVTEngine.restore(path)
-        assert restored.core_numbers() == engine.core_numbers()
-
-    def test_available_backend_restores_without_warning(self, tmp_path):
-        import warnings
-
-        graph = Graph(edges=[(0, 1), (1, 2)])
-        engine = StreamingAVTEngine(graph, backend="compact", batch_size=None)
-        path = tmp_path / "compact.ckpt"
-        engine.checkpoint(path)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            restored = StreamingAVTEngine.restore(path)
-        assert restored.backend == "compact"
-
-
 class TestCommunityPartitioner:
     def test_cut_reduction_on_planted_communities(self):
         """Label propagation halves (at least) the hash partitioner's cut."""
@@ -606,19 +122,6 @@ class TestCommunityPartitioner:
         # LPT packing under the block cap keeps shard sizes balanced.
         assert community.balance <= 2.0
 
-    def test_community_results_bit_identical(self):
-        graph = planted_community_graph(
-            num_communities=3,
-            community_size=12,
-            intra_edge_probability=0.4,
-            inter_edges=10,
-            seed=3,
-        )
-        cgraph = CompactGraph.from_graph(graph, ordered=True)
-        coordinator = ShardCoordinator(partition_compact_graph(cgraph, 3, "community"))
-        anchors = [0, 13]
-        assert coordinator.decompose(anchors) == compact_peel(cgraph, anchors)
-
     def test_assignment_deterministic(self):
         graph = planted_community_graph(
             num_communities=3,
@@ -631,211 +134,9 @@ class TestCommunityPartitioner:
         partitioner = CommunityPartitioner()
         assert partitioner.assign(cgraph, 3) == partitioner.assign(cgraph, 3)
 
-    def test_plan_quality_metadata(self):
-        cgraph = CompactGraph.from_graph(sample_graph(), ordered=True)
-        plan = partition_compact_graph(cgraph, 3)
-        assert plan.cut_edge_count == sum(s.num_cut_edges for s in plan.shards) // 2
-        assert plan.cut_edge_ratio == plan.cut_edge_count / cgraph.num_edges
-        assert plan.balance >= 1.0
-        stats = ShardCoordinator(plan).stats()
-        assert stats["cut_edges"] == plan.cut_edge_count
-        assert stats["cut_edge_ratio"] == plan.cut_edge_ratio
-        assert stats["balance"] == plan.balance
-
     def test_empty_graph_metadata(self):
         cgraph = CompactGraph.from_graph(Graph(), ordered=True)
         plan = partition_compact_graph(cgraph, 2, "community")
         assert plan.cut_edge_count == 0
         assert plan.cut_edge_ratio == 0.0
         assert plan.balance == 1.0
-
-
-class TestAsyncExchange:
-    """The futures-based exchange is bit-identical to lock-step and compact."""
-
-    @SETTINGS
-    @given(graph=graphs(), num_shards=st.integers(min_value=1, max_value=4))
-    def test_partitioners_and_exchanges_match_compact(self, graph, num_shards):
-        cgraph = CompactGraph.from_graph(graph, ordered=True)
-        anchors = [0] if cgraph.num_vertices > 2 else []
-        expected = compact_peel(cgraph, anchors)
-        for partitioner in sorted(PARTITIONERS):
-            for exchange in ("async", "lockstep"):
-                coordinator = ShardCoordinator(
-                    partition_compact_graph(cgraph, num_shards, partitioner),
-                    exchange=exchange,
-                )
-                assert coordinator.decompose(anchors) == expected
-                assert coordinator.k_core_ids(2, anchors) == {
-                    vid for vid, c in enumerate(expected[0]) if c >= 2
-                }
-
-    @SETTINGS
-    @given(graph=graphs(), partitioner=st.sampled_from(sorted(PARTITIONERS)))
-    def test_process_async_matches_compact(self, process_pools, graph, partitioner):
-        cgraph = CompactGraph.from_graph(graph, ordered=True)
-        anchors = [0] if cgraph.num_vertices > 2 else []
-        expected = compact_peel(cgraph, anchors)
-        pooled = ShardCoordinator(
-            partition_compact_graph(cgraph, 3, partitioner), executor="process"
-        )
-        try:
-            assert pooled.decompose(anchors) == expected
-        finally:
-            pooled.close()
-
-    def test_async_exchange_counters(self):
-        cgraph = CompactGraph.from_graph(sample_graph(), ordered=True)
-        asynchronous = ShardCoordinator(partition_compact_graph(cgraph, 3))
-        asynchronous.decompose(anchor_ids=[2])
-        stats = asynchronous.stats()
-        assert stats["exchange_waves"] > 0
-        assert stats["ops_dispatched"] >= 3
-        lockstep = ShardCoordinator(
-            partition_compact_graph(cgraph, 3), exchange="lockstep"
-        )
-        lockstep.decompose(anchor_ids=[2])
-        assert lockstep.stats()["exchange_waves"] == 0
-
-
-class TestSharedMemoryStates:
-    """to_shared/from_shared round-trips and the unlink lifecycle."""
-
-    def test_round_trip_preserves_every_field(self):
-        cgraph = CompactGraph.from_graph(sample_graph(), ordered=True)
-        plan = partition_compact_graph(cgraph, 3, "degree_balanced")
-        key = "test-round-trip"
-        try:
-            for state in plan.shards:
-                handle = state.to_shared(key)
-                attached, block = type(state).from_shared(handle)
-                try:
-                    assert attached.shard_id == state.shard_id
-                    assert attached.num_shards == state.num_shards
-                    assert list(attached.owned) == list(state.owned)
-                    assert attached.local_of == state.local_of
-                    assert list(attached.indptr) == list(state.indptr)
-                    assert list(attached.encoded) == list(state.encoded)
-                    assert list(attached.degrees) == list(state.degrees)
-                    assert list(attached.ghost_gvid) == list(state.ghost_gvid)
-                    assert list(attached.ghost_owner) == list(state.ghost_owner)
-                    assert list(attached.ghost_deg) == list(state.ghost_deg)
-                    assert attached.ghost_of == state.ghost_of
-                    assert len(attached.ghost_rev) == len(state.ghost_rev)
-                    assert [list(row) for row in attached.ghost_rev] == [
-                        list(row) for row in state.ghost_rev
-                    ]
-                    assert attached.boundary == state.boundary
-                    assert attached.num_cut_edges == state.num_cut_edges
-                finally:
-                    del attached
-                    block.close()
-        finally:
-            shm.unlink_blocks(key)
-
-    def test_handles_pickle_small(self):
-        import pickle
-
-        cgraph = CompactGraph.from_graph(sample_graph(), ordered=True)
-        plan = partition_compact_graph(cgraph, 2)
-        key = "test-pickle"
-        try:
-            handle = plan.shards[0].to_shared(key)
-            payload = pickle.dumps(handle)
-            assert len(payload) < 500  # a name and a few ints, not the graph
-            clone = pickle.loads(payload)
-            assert clone.block_name == handle.block_name
-            assert clone.lengths == handle.lengths
-        finally:
-            shm.unlink_blocks(key)
-
-    def test_unlink_on_coordinator_close(self, process_pools):
-        from multiprocessing import shared_memory as mp_shm
-
-        cgraph = CompactGraph.from_graph(sample_graph(), ordered=True)
-        plan = partition_compact_graph(cgraph, 2)
-        pooled = ShardCoordinator(plan, executor="process")
-        key = pooled._exec.key
-        names = [
-            block.name
-            for blocks_key, blocks in shm._BLOCKS.items()
-            if blocks_key == key
-            for block in blocks
-        ]
-        assert len(names) == 2  # one block per shard
-        pooled.decompose()
-        pooled.close()
-        assert not any(name in shm.live_block_names() for name in names)
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                mp_shm.SharedMemory(name=name)
-
-    def test_shared_memory_disabled_still_works(self, process_pools):
-        cgraph = CompactGraph.from_graph(sample_graph(), ordered=True)
-        plan = partition_compact_graph(cgraph, 2)
-        pooled = ShardCoordinator(plan, executor="process", shared_memory=False)
-        try:
-            assert pooled.shared_memory is False
-            expected_core, expected_order = compact_peel(cgraph)
-            assert pooled.decompose() == (expected_core, list(expected_order))
-        finally:
-            pooled.close()
-
-    def test_worker_crash_still_unlinks_and_pools_respawn(self, process_pools):
-        import os
-
-        from repro.shard import coordinator as co
-
-        cgraph = CompactGraph.from_graph(sample_graph(), ordered=True)
-        plan = partition_compact_graph(cgraph, 2)
-        pooled = ShardCoordinator(plan, executor="process")
-        key = pooled._exec.key
-        pooled.decompose()
-        # Kill one dedicated worker mid-life; the pool breaks.
-        victim_slot = pooled._exec.slots[0]
-        crash = co._get_pool(victim_slot).submit(os._exit, 1)
-        with pytest.raises(Exception):
-            crash.result(timeout=30)
-        # Close must still drop the sibling worker's state and unlink every
-        # shared block, and the broken pool must respawn for the next user.
-        from repro.obs.flight import default_recorder
-
-        seq_before = max(
-            (dump["seq"] for dump in default_recorder().dumps), default=0
-        )
-        pooled.close()
-        assert shm.live_block_names() == []
-        # Retiring the broken pool dumps the flight recorder for post-mortems.
-        # The dump deque is bounded, so identify new dumps by sequence number.
-        pool_dumps = [
-            dump
-            for dump in default_recorder().dumps
-            if dump["seq"] > seq_before and dump["reason"] == "broken-process-pool"
-        ]
-        assert len(pool_dumps) == 1
-        assert pool_dumps[0]["context"]["slot"] == victim_slot
-        fresh = ShardCoordinator(
-            partition_compact_graph(cgraph, 2), executor="process"
-        )
-        try:
-            expected_core, expected_order = compact_peel(cgraph)
-            assert fresh.decompose() == (expected_core, list(expected_order))
-        finally:
-            fresh.close()
-
-
-class TestAnchoredSharding:
-    @SETTINGS
-    @given(graph=graphs(), num_shards=st.integers(min_value=2, max_value=5))
-    def test_anchored_decompose_property(self, graph, num_shards):
-        """Anchors (owned and ghost alike) survive every shard layout."""
-        cgraph = CompactGraph.from_graph(graph, ordered=True)
-        anchors = [vid for vid in range(cgraph.num_vertices) if vid % 3 == 0][:3]
-        plan = partition_compact_graph(cgraph, num_shards, "degree_balanced")
-        coordinator = ShardCoordinator(plan)
-        core, order = coordinator.decompose(anchors)
-        expected_core, expected_order = compact_peel(cgraph, anchors)
-        assert core == expected_core
-        assert order == expected_order
-        for anchor in anchors:
-            assert core[anchor] == math.inf

@@ -2,10 +2,8 @@
 :mod:`repro.obs.profile`, :mod:`repro.obs.flight`, histogram exemplars and
 the ``avt-bench trace`` CLI.
 
-Includes the acceptance criteria: the critical path of a serve-sim
-``--trace-out`` artifact sums to within 10% of the root span's wall time,
-and the straggler report reconciles exactly with the coordinator's
-``exchange_waves`` / ``ops_dispatched`` counters.
+Includes the acceptance criterion: the critical path of a serve-sim
+``--trace-out`` artifact sums to within 10% of the root span's wall time.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ from repro.cli import main
 from repro.engine import StreamingAVTEngine
 from repro.engine.stats import EngineStats
 from repro.errors import CheckpointError, ParameterError
-from repro.graph.compact import CompactGraph
 from repro.graph.static import Graph
 from repro.obs.profile import UNTRACED
 from repro.obs import (
@@ -36,11 +33,8 @@ from repro.obs import (
     render_collapsed,
     render_tree,
     self_time_by_name,
-    straggler_report,
     tracer,
 )
-from repro.shard.coordinator import ShardCoordinator
-from repro.shard.partition import partition_compact_graph
 
 
 @pytest.fixture
@@ -224,48 +218,6 @@ class TestDiff:
             diff_traces([], [])
 
 
-def _coupled_graph(n=36):
-    """Ring + chords: every hash shard has boundary edges to its neighbours,
-    so async exchanges need several waves and resubmissions to converge."""
-    edges = [(i, (i + 1) % n) for i in range(n)] + [(i, (i + 5) % n) for i in range(n)]
-    return Graph(edges=edges, vertices=range(n))
-
-
-class TestStragglerReconciliation:
-    """Acceptance criterion: report totals == coordinator counters, exactly."""
-
-    def test_report_reconciles_with_coordinator_counters(self, traced):
-        cgraph = CompactGraph.from_graph(_coupled_graph(), ordered=True)
-        coordinator = ShardCoordinator(partition_compact_graph(cgraph, 3))
-        with tracer.span("test.root"):
-            coordinator.decompose(anchor_ids=[0, 7])
-            coordinator.k_core_ids(3, [1])
-        spans = tracer.drain()
-
-        report = straggler_report(spans)
-        assert report["num_exchanges"] > 0
-        assert report["total_waves"] == coordinator.exchange_waves
-        assert report["total_ops_dispatched"] == coordinator.ops_dispatched
-
-        for entry in report["exchanges"]:
-            assert entry["wall_seconds"] > 0
-            assert entry["waves"] >= 1
-            assert entry["skew"] >= 1.0
-            for shard_entry in entry["shards"].values():
-                assert 0.0 <= shard_entry["busy_fraction"]
-                assert shard_entry["ops"] >= 1
-            # resubmissions = ops beyond each shard's initial submission
-            assert entry["resubmissions"] == entry["ops"] - len(entry["shards"])
-
-    def test_no_exchanges_yields_empty_report(self):
-        report = straggler_report(
-            [_span("engine.query", "s1", None, 0.0, 1.0)]
-        )
-        assert report["num_exchanges"] == 0
-        assert report["total_waves"] == 0
-        assert report["total_ops_dispatched"] == 0
-
-
 class TestServeSimCriticalPath:
     """Acceptance criterion: the CLI critical path on a serve-sim trace
     covers the root span's wall time to within 10%."""
@@ -331,13 +283,6 @@ class TestServeSimCriticalPath:
         diff_output = capsys.readouterr().out
         assert "latency delta by span name" in diff_output
         assert "(+0.000ms)" in diff_output
-
-    def test_cli_stragglers_smoke(self, trace_path, capsys):
-        # The serve-sim backend is auto-selected; either outcome is a valid
-        # straggler report for this trace.
-        assert main(["trace", "stragglers", str(trace_path)]) == 0
-        output = capsys.readouterr().out
-        assert "no shard.exchange spans" in output or "totals:" in output
 
     def test_cli_errors_are_reported(self, tmp_path, capsys):
         assert main(["trace", "critical-path", str(tmp_path / "missing.jsonl")]) == 2
