@@ -176,7 +176,7 @@ def run_incremental_compare():
     delta-refresh contract) solved twice: once with ``incremental=False``
     (the PR-4 behaviour — full anchored re-peel per commit, every candidate
     cascaded every round) and once with the default incremental path
-    (order-suffix commit splice + memoized gains).
+    (capped commits + memoized gains).
     """
     num_vertices = _num_vertices()
     graph = chung_lu_graph(num_vertices, EDGE_FACTOR * num_vertices, seed=SEED)

@@ -91,20 +91,24 @@ a ``floors`` block read by ``python -m repro.bench.compare``.
 
 *Delta refresh* — committing one anchor never re-peels the snapshot.
 :meth:`~repro.backends.CoreIndexKernel.commit_anchor` is the incremental
-sibling of :meth:`~repro.backends.CoreIndexKernel.refresh` with a precise
-contract (the delta-refresh contract in :mod:`repro.backends.base`):
+sibling of :meth:`~repro.backends.CoreIndexKernel.refresh`, capped at the
+index's ``k`` (the delta-refresh contract in :mod:`repro.backends.base`):
+core numbers are exact below ``k`` and only ``>= k`` above it, and the
+``(k-1)``-shell keeps its full-peel order after every lower shell — all that
+the greedy loops read:
 
 =============  ==============================================================
 kernel         ``commit_anchor`` path
 =============  ==============================================================
-``dict``       affected-region splice: per-level riser cascades
-               (:func:`repro.anchored.followers.commit_anchor_cores`) update
-               the core numbers (+1 each, the single-anchor shell lemma), only
-               shells whose membership or starting degrees changed re-run
-               their within-shell order cascade
-``compact``    the same splice over flat id arrays
-               (:func:`repro.cores.decomposition.incremental_anchor_commit`)
-``numpy``      shares the compact splice (the region is scalar-sized work)
+``dict``       per-level riser cascades at levels up to ``k``
+               (:func:`repro.anchored.followers.commit_anchor_cores`, +1
+               each, the single-anchor shell lemma), then one within-shell
+               cascade over the ``(k-1)``-shell
+``compact``    the same over flat id arrays
+               (:func:`repro.cores.decomposition.commit_anchor_ids` and
+               :func:`repro.cores.decomposition.shell_order_ids`)
+``numpy``      the same riser cascades (scalar-sized work); the shell
+               re-order is the peel's vectorised Phase-B shell pass
 custom         inherits the protocol default — full refresh, touched
                unknown (``None``) — so third-party kernels keep working
 =============  ==============================================================

@@ -6,8 +6,9 @@ candidate.  After committing an anchor, the graph behaves as if that vertex had
 infinite degree, so the core numbers that drive steps (1) and (2) must be the
 *anchored* core numbers.  :class:`AnchoredCoreIndex` packages that state:
 
-* the anchored core decomposition of the current graph + anchor set, refreshed
-  whenever an anchor is committed;
+* the anchored core numbers and removal ranks of the current graph + anchor
+  set, from a full anchored peel at construction and on :meth:`set_anchors`,
+  and kept up to date at level ``k`` whenever an anchor is committed;
 * Theorem-3 candidate pruning with or without the K-order position condition;
 * fast marginal follower computation (shell-local cascade); and
 * the instrumentation counters (candidates evaluated, vertices visited) that
@@ -29,7 +30,7 @@ from __future__ import annotations
 from typing import FrozenSet, Iterable, Mapping, Optional, Set, Tuple, Union
 
 from repro.backends import BACKEND_AUTO, ExecutionBackend, get_backend
-from repro.errors import ParameterError, VertexNotFoundError
+from repro.errors import VertexNotFoundError, require_int
 from repro.graph.static import Graph, Vertex
 from repro.obs import tracer
 
@@ -41,6 +42,17 @@ class AnchoredCoreIndex:
     or an :class:`~repro.backends.ExecutionBackend` instance — see
     :mod:`repro.backends`).  The graph must not be mutated while the index is
     alive (the solvers never do).
+
+    The state is exact after construction and :meth:`set_anchors`, which
+    run a full anchored peel.  :meth:`commit_anchor` keeps it only as far as
+    the greedy loops read it at this index's ``k``: core numbers below ``k``
+    are exact and those at or above ``k`` only guarantee ``>= k``; the
+    ``(k-1)``-shell keeps its full-peel removal order after every lower
+    shell, and other positions are unspecified.  Every query method reads
+    only ``core >= k``, ``core == k - 1`` and those positions, so its answers
+    are exact either way.  Use
+    :func:`~repro.cores.decomposition.anchored_core_decomposition` for exact
+    values at every level.
     """
 
     def __init__(
@@ -50,8 +62,7 @@ class AnchoredCoreIndex:
         anchors: Iterable[Vertex] = (),
         backend: Union[str, ExecutionBackend] = BACKEND_AUTO,
     ) -> None:
-        if k < 1:
-            raise ParameterError("k must be >= 1")
+        require_int("k", k, 1)
         self._graph = graph
         self._k = k
         self._anchors: Set[Vertex] = set(anchors)
@@ -104,11 +115,19 @@ class AnchoredCoreIndex:
         return set(self._anchors)
 
     def core(self, vertex: Vertex) -> float:
-        """Return the anchored core number of ``vertex`` (anchors map to infinity)."""
+        """Return the anchored core number of ``vertex`` (anchors map to infinity).
+
+        Exact below ``k``; after a :meth:`commit_anchor`, a value at or above
+        ``k`` only guarantees ``>= k`` (see the class docstring).
+        """
         return self._kernel.core_of(vertex)
 
     def core_numbers(self) -> Mapping[Vertex, float]:
-        """Return the anchored core-number mapping (live, do not mutate)."""
+        """Return the anchored core-number mapping (live, do not mutate).
+
+        Capped as :meth:`core`: exact below ``k``, only ``>= k`` above it
+        once an anchor has been committed.
+        """
         return self._kernel.core_numbers()
 
     def anchored_core_vertices(self) -> Set[Vertex]:
@@ -213,18 +232,20 @@ class AnchoredCoreIndex:
     # Mutation
     # ------------------------------------------------------------------
     def add_anchor(self, vertex: Vertex) -> None:
-        """Commit ``vertex`` as an anchor and refresh the anchored decomposition."""
+        """Commit ``vertex`` as an anchor (same as :meth:`commit_anchor`)."""
         self.commit_anchor(vertex)
 
     def commit_anchor(self, vertex: Vertex) -> Optional[FrozenSet[Vertex]]:
         """Commit ``vertex`` as an anchor through the kernel's incremental path.
 
-        Returns the *touched set* — every vertex whose anchored core number
-        changed (the new anchor included) — exactly as specified by the
-        delta-refresh contract of :class:`repro.backends.CoreIndexKernel`, or
-        ``None`` when the kernel fell back to a full refresh without diffing
-        (treat as "anything may have changed").  Committing an existing
-        anchor is a no-op and returns an empty set.
+        The kernel keeps the state capped at ``k`` (the delta-refresh
+        contract of :mod:`repro.backends.base`): exact below ``k``, only
+        ``>= k`` above it, and the ``(k-1)``-shell in full-peel order after
+        every lower shell.  Returns the *touched set* — every vertex whose
+        stored core number changed (the new anchor included) — or ``None``
+        when the kernel fell back to a full refresh without diffing (treat
+        as "anything may have changed").  Committing an existing anchor is a
+        no-op and returns an empty set.
         """
         if not self._graph.has_vertex(vertex):
             raise VertexNotFoundError(vertex)
@@ -234,7 +255,7 @@ class AnchoredCoreIndex:
         with tracer.span(
             "kernel.commit_anchor", backend=self._backend.name
         ) as commit_span:
-            touched = self._kernel.commit_anchor(vertex, self._anchors)
+            touched = self._kernel.commit_anchor(vertex, self._anchors, self._k)
             commit_span.set(touched=len(touched) if touched is not None else -1)
         return touched
 

@@ -20,7 +20,7 @@ from typing import Iterable, List, Optional, Sequence, Set, Tuple, Union
 from repro.anchored.anchored_core import AnchoredCoreIndex
 from repro.anchored.followers import anchored_k_core, compute_followers
 from repro.anchored.result import AnchoredKCoreResult, SolverStats
-from repro.errors import ParameterError
+from repro.errors import ParameterError, require_int
 from repro.backends import BACKEND_AUTO, ExecutionBackend
 from repro.graph.static import Graph, Vertex
 from repro.ordering import tie_break_key
@@ -53,8 +53,8 @@ class BruteForceAnchoredKCore:
         candidate_universe: Optional[Iterable[Vertex]] = None,
         backend: Union[str, ExecutionBackend] = BACKEND_AUTO,
     ) -> None:
-        if budget < 0:
-            raise ParameterError("budget must be non-negative")
+        require_int("k", k, 1)
+        require_int("budget", budget, 0)
         self._graph = graph
         self._k = k
         self._budget = budget

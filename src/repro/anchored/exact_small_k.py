@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.anchored.followers import compute_followers
 from repro.anchored.result import AnchoredKCoreResult, SolverStats
 from repro.cores.decomposition import k_core
-from repro.errors import ParameterError
+from repro.errors import ParameterError, require_int
 from repro.graph.static import Graph, Vertex
 from repro.ordering import tie_break_key
 
@@ -40,8 +40,7 @@ from repro.ordering import tie_break_key
 # ---------------------------------------------------------------------------
 def solve_k1(graph: Graph, budget: int) -> AnchoredKCoreResult:
     """Exact anchored 1-core selection: anchor isolated vertices, no followers."""
-    if budget < 0:
-        raise ParameterError("budget must be non-negative")
+    require_int("budget", budget, 0)
     started = time.perf_counter()
     isolated = sorted(
         (vertex for vertex in graph.vertices() if graph.degree(vertex) == 0),
@@ -217,8 +216,7 @@ def _bfs_parents(graph: Graph, tree: Set[Vertex], sources: Sequence[Vertex]) -> 
 
 def solve_k2(graph: Graph, budget: int) -> AnchoredKCoreResult:
     """Exact anchored 2-core selection via Steiner coverage on the non-core forest."""
-    if budget < 0:
-        raise ParameterError("budget must be non-negative")
+    require_int("budget", budget, 0)
     started = time.perf_counter()
     two_core = k_core(graph, 2)
     forest_vertices = set(graph.vertices()) - two_core
@@ -272,13 +270,13 @@ class ExactSmallK:
     name = "Exact-small-k"
 
     def __init__(self, graph: Graph, k: int, budget: int) -> None:
+        require_int("k", k, 1)
+        require_int("budget", budget, 0)
         if k not in (1, 2):
             raise ParameterError(
                 "the exact polynomial solvers only exist for k = 1 and k = 2 "
                 "(the anchored k-core problem is NP-hard for k >= 3)"
             )
-        if budget < 0:
-            raise ParameterError("budget must be non-negative")
         self._graph = graph
         self._k = k
         self._budget = budget

@@ -16,8 +16,9 @@ drags into the k-core.  Two implementations are provided:
   is the shell-local equivalent of the paper's OrderInsert-based Algorithm 3.
 
 :func:`commit_anchor_cores` builds on the fast path: it raises a core-number
-mapping to the anchored core numbers after one more anchor, with per-level
-:func:`marginal_followers` cascades, and returns the list that undoes it.
+mapping to the anchored core numbers after one more anchor, capped at a given
+level, with per-level :func:`marginal_followers` cascades, and returns the
+list that undoes it.
 
 The two are property-tested against each other, as are the two paths of
 :func:`compute_followers`; the greedy algorithms use the fast path and the
@@ -286,41 +287,46 @@ def commit_anchor_cores(
     graph: Graph,
     anchor: Vertex,
     core: MutableMapping[Vertex, float],
-    cap: Optional[int] = None,
+    cap: int,
 ) -> List[Tuple[Vertex, float]]:
-    """Raise ``core`` in place to the anchored core numbers with ``anchor`` added.
+    """Raise ``core`` in place to the anchored core numbers with ``anchor``
+    added, cascading only the levels up to ``cap``.
 
     ``core`` holds the anchored core numbers of the current anchor set
     (anchors at :data:`~repro.cores.decomposition.ANCHOR_CORE`).  Adding one
     anchor raises every other core number by at most 1, and the vertices that
     rise to level ``j`` are exactly the anchor's level-``j`` followers on the
     old numbers: one :func:`marginal_followers` cascade per level
-    ``j - 1 ∈ {core(u) : u ∈ N(anchor), core(u) >= core(anchor)}``.  Each
-    cascade reads only the old numbers, so the writes happen after all of
-    them.  This is the values half of the ``commit_anchor`` splice; see
-    :func:`repro.cores.decomposition.incremental_anchor_commit` for the full
-    argument.
+    ``j - 1 ∈ {core(u) : u ∈ N(anchor), core(u) >= core(anchor)}``.  A
+    level-``j`` follower has old core ``j - 1``, so a vertex rises at one
+    level only, and other levels gain nothing: below that set the anchor was
+    already in the j-core, above it the anchor has no shell-``(j-1)``
+    neighbour to seed a region.  Each cascade reads only the old numbers, so
+    the writes happen after all of them.  The dict kernel's ``commit_anchor``
+    and IncAVT's swap/fill pass run it with ``cap=k``;
+    :func:`repro.cores.decomposition.commit_anchor_ids` is its id-array twin
+    for the compact and numpy kernels.
 
     Returns ``[(vertex, previous value)]`` for every changed vertex, the
     anchor first.  Each vertex appears once, so writing the pairs back in
     reverse order, across any number of commits, restores ``core`` exactly.
 
-    **Cap.**  With ``cap`` set, only levels ``j <= cap`` are cascaded.  The
-    result is still exact below ``cap``: a value the skipped levels leave
-    stale is ``>= cap`` both before and after, and every test a level-``j``
-    cascade with ``j <= cap`` makes (``== j - 1`` and ``>= j``) answers the
-    same for it as for the true value.  So after any sequence of capped
-    commits, ``min(core[v], cap)`` equals the anchored core number capped at
-    ``cap``, and evaluations at ``k = cap`` (which test only ``== k - 1`` and
-    ``>= k``) read the same as on the true numbers.  On large graphs almost
-    all of an uncapped commit's work sits at the levels above ``k``, around
-    the hubs.
+    **Cap.**  Only levels ``j <= cap`` are cascaded.  The result is still
+    exact below ``cap``: a value the skipped levels leave stale is ``>= cap``
+    both before and after, and every test a level-``j`` cascade with
+    ``j <= cap`` makes (``== j - 1`` and ``>= j``) answers the same for it as
+    for the true value.  So after any sequence of commits, ``min(core[v],
+    cap)`` equals the anchored core number capped at ``cap``, and evaluations
+    at ``k = cap`` (which test only ``== k - 1`` and ``>= k``) read the same
+    as on the true numbers.  A cap above the maximum degree cascades every
+    level and gives the exact anchored core numbers.  On large graphs almost
+    all of that work sits at the levels above ``k``, around the hubs.
     """
     anchor_core = core[anchor]
     levels: Set[int] = set()
     for neighbour in graph.neighbors(anchor):
         value = core[neighbour]
-        if anchor_core <= value != ANCHOR_CORE and (cap is None or value < cap):
+        if anchor_core <= value < cap:
             levels.add(int(value) + 1)
 
     touched: List[Tuple[Vertex, float]] = [(anchor, anchor_core)]

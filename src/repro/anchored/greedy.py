@@ -10,11 +10,12 @@ decomposition per candidate.
 On top of the paper's algorithm, the default ``incremental`` mode avoids
 recomputation *within* a snapshot without changing a single result:
 
-* **Incremental anchor commits.**  Committing the round's winner goes through
+* **Capped anchor commits.**  Committing the round's winner goes through
   :meth:`~repro.anchored.anchored_core.AnchoredCoreIndex.commit_anchor`, the
-  kernels' delta-refresh path (order-suffix re-peel splice), which also
-  reports the exact *touched set* of vertices whose anchored core number
-  changed.
+  kernels' delta-refresh path.  It keeps only what the next round reads at
+  ``k``: single-anchor riser cascades at the levels up to ``k``, and one
+  re-order of the ``(k-1)``-shell.  It also reports
+  the exact *touched set* of vertices whose core number changed.
 * **Memoized marginal gains.**  A candidate's evaluation reads only the core
   numbers of its explored shell-local region, the candidate, and their
   neighbours.  Each evaluation is cached together with that region; after a
@@ -51,7 +52,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Union
 
 from repro.anchored.anchored_core import AnchoredCoreIndex
 from repro.anchored.result import AnchoredKCoreResult, SolverStats
-from repro.errors import ParameterError
+from repro.errors import ParameterError, require_int
 from repro.backends import BACKEND_AUTO, ExecutionBackend
 from repro.graph.static import Graph, Vertex
 from repro.obs import tracer
@@ -116,8 +117,8 @@ class GreedyAnchoredKCore:
         incremental: bool = True,
         backend: Union[str, ExecutionBackend] = BACKEND_AUTO,
     ) -> None:
-        if budget < 0:
-            raise ParameterError("budget must be non-negative")
+        require_int("k", k, 1)
+        require_int("budget", budget, 0)
         self._graph = graph
         self._k = k
         self._budget = budget

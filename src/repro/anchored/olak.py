@@ -21,7 +21,7 @@ from typing import Iterable, List, Optional, Set, Union
 
 from repro.anchored.anchored_core import AnchoredCoreIndex
 from repro.anchored.result import AnchoredKCoreResult, SolverStats
-from repro.errors import ParameterError
+from repro.errors import ParameterError, require_int
 from repro.backends import BACKEND_AUTO, ExecutionBackend
 from repro.graph.static import Graph, Vertex
 from repro.ordering import tie_break_key
@@ -41,8 +41,8 @@ class OLAKAnchoredKCore:
         initial_anchors: Iterable[Vertex] = (),
         backend: Union[str, ExecutionBackend] = BACKEND_AUTO,
     ) -> None:
-        if budget < 0:
-            raise ParameterError("budget must be non-negative")
+        require_int("k", k, 1)
+        require_int("budget", budget, 0)
         self._graph = graph
         self._k = k
         self._budget = budget

@@ -27,7 +27,7 @@ from typing import Dict, Iterable, List, Optional, Set, Union
 
 from repro.anchored.anchored_core import AnchoredCoreIndex
 from repro.anchored.result import AnchoredKCoreResult, SolverStats
-from repro.errors import ParameterError
+from repro.errors import ParameterError, require_int
 from repro.backends import BACKEND_AUTO, ExecutionBackend
 from repro.graph.static import Graph, Vertex
 from repro.ordering import tie_break_key
@@ -48,8 +48,8 @@ class RCMAnchoredKCore:
         initial_anchors: Iterable[Vertex] = (),
         backend: Union[str, ExecutionBackend] = BACKEND_AUTO,
     ) -> None:
-        if budget < 0:
-            raise ParameterError("budget must be non-negative")
+        require_int("k", k, 1)
+        require_int("budget", budget, 0)
         if shortlist_size < 1:
             raise ParameterError("shortlist_size must be >= 1")
         self._graph = graph

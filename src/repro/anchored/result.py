@@ -93,7 +93,7 @@ class SolverStats:
         Candidate evaluations answered from the memoized gain cache.
     commit_seconds:
         Wall-clock latency of each anchor commit (the index refresh /
-        incremental splice), in selection order.
+        capped commit), in selection order.
 
     Like :class:`~repro.engine.stats.EngineStats`, this is a view over a
     :class:`~repro.obs.metrics.MetricsRegistry`: attribute reads/writes go to

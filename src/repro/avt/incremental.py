@@ -54,7 +54,7 @@ from repro.anchored.result import AnchoredKCoreResult, SolverStats
 from repro.avt.problem import AVTProblem, AVTResult, SnapshotResult
 from repro.cores.decomposition import ANCHOR_CORE
 from repro.cores.maintenance import CoreMaintainer
-from repro.errors import ParameterError
+from repro.errors import ParameterError, require_int
 from repro.backends import BACKEND_AUTO, ExecutionBackend
 from repro.graph.static import Graph, Vertex
 from repro.ordering import tie_break_key
@@ -232,10 +232,8 @@ class IncAVTTracker:
         restricted pool instead of re-solving from scratch.  Returns the
         refreshed anchor list and the solver stats of the pass.
         """
-        if k < 1:
-            raise ParameterError("k must be >= 1")
-        if budget < 0:
-            raise ParameterError("budget must be non-negative")
+        require_int("k", k, 1)
+        require_int("budget", budget, 0)
         # Distinct anchors, first occurrence kept, then cut to the budget.
         carried = list(dict.fromkeys(anchors))[:budget]
         return self._update_anchor_set(maintainer, k, budget, carried, set(affected))

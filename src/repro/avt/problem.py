@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.anchored.result import AnchoredKCoreResult, SolverStats
-from repro.errors import ParameterError
+from repro.errors import require_int
 from repro.graph.dynamic import EvolvingGraph, SnapshotSequence
 from repro.graph.static import Vertex
 
@@ -41,10 +41,8 @@ class AVTProblem:
     name: str = "avt"
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ParameterError("k must be >= 1")
-        if self.budget < 0:
-            raise ParameterError("budget must be non-negative")
+        require_int("k", self.k, 1)
+        require_int("budget", self.budget, 0)
 
     @classmethod
     def from_snapshots(

@@ -32,22 +32,32 @@ The delta-refresh contract
 --------------------------
 :meth:`CoreIndexKernel.commit_anchor` is the incremental sibling of
 :meth:`CoreIndexKernel.refresh` for the one mutation the greedy solvers ever
-perform: adding a single anchor.  After it returns, every query **must**
-answer exactly as if :meth:`~CoreIndexKernel.refresh` had been called with
-the enlarged anchor set — same core numbers, same removal ranks, same
-candidate sets.  The return value is the *touched set*: every vertex whose
-anchored core number changed (the new anchor included, finite → infinity),
-or ``None`` when the kernel cannot bound the change, in which case callers
-must assume anything may have changed.  Kernels that do not override it fall
-back to a full refresh (and return ``None``), so custom backends keep
-working unchanged; the dict and compact kernels apply an affected-region
-splice instead (per-level riser cascades for the core numbers, re-ordering
-only the shells whose membership or starting degrees changed — see
-:func:`repro.cores.decomposition.incremental_anchor_commit` for the
-algorithm and its correctness argument), and the numpy kernel shares that
-splice.  Positional rank shifts are deliberately *not* reported as touched:
-no query result depends on absolute positions except through the candidate
-scans, which read the (bit-identically spliced) rank state directly.
+perform: adding a single anchor.  It is given the index's ``k`` and keeps
+only what a greedy round at that ``k`` reads.  After it returns:
+
+* ``min(core(v), k)`` equals the anchored core number capped at ``k``:
+  values below ``k`` are exact, a value at or above ``k`` only guarantees
+  ``>= k``;
+* the ``(k-1)``-shell's members appear in the removal ranks in the same
+  relative order as in a full anchored peel;
+* every vertex below ``k - 1`` ranks before every ``(k-1)``-shell member.
+  Other positions are unspecified.
+
+Every query at that ``k`` then answers as after :meth:`~CoreIndexKernel.refresh`
+with the enlarged anchor set, because each one tests only ``core >= k`` or
+``core == k - 1``, and Theorem-3 pruning compares ranks only against a
+``(k-1)``-shell neighbour.  The return value is the *touched set*: every
+vertex whose stored core number changed (the new anchor included, finite →
+infinity), or ``None`` when the kernel cannot bound the change, in which case
+callers must assume anything may have changed.  Kernels that do not override
+it fall back to a full refresh (and return ``None``), which satisfies the
+capped contract too.  The built-in kernels run the single-anchor riser
+cascades at levels up to ``k`` only
+(:func:`repro.anchored.followers.commit_anchor_cores`, whose docstring gives
+the exactness argument, and its id-array twin
+:func:`repro.cores.decomposition.commit_anchor_ids`), then re-run one
+within-shell cascade over the ``(k-1)``-shell and rank it after every lower
+shell.
 """
 
 from __future__ import annotations
@@ -119,18 +129,19 @@ class CoreIndexKernel(ABC):
         """Recompute the anchored core numbers and removal ranks."""
 
     def commit_anchor(
-        self, vertex: "Vertex", anchors: Set["Vertex"]
+        self, vertex: "Vertex", anchors: Set["Vertex"], k: int
     ) -> Optional[FrozenSet["Vertex"]]:
         """Add one anchor incrementally; return the touched set (or ``None``).
 
         ``anchors`` is the *full* new anchor set, ``vertex`` the one member
-        that was just added.  State afterwards must be indistinguishable from
-        ``refresh(anchors)`` (the delta-refresh contract in the module
-        docstring).  Returns the exact set of vertices whose anchored core
-        number changed, or ``None`` when the kernel cannot bound the change —
-        this default falls back to a full refresh and returns ``None`` so
-        custom kernels keep working without implementing the incremental
-        path.
+        that was just added, and ``k`` the degree constraint the state is
+        kept for.  Afterwards the state must satisfy the capped contract in
+        the module docstring: exact below ``k``, the ``(k-1)``-shell in
+        full-peel order after every lower shell.  Returns the exact set of
+        vertices whose core number changed, or ``None`` when the kernel
+        cannot bound the change — this default falls back to a full refresh
+        (exact at every level) and returns ``None`` so custom kernels keep
+        working without implementing the incremental path.
         """
         self.refresh(set(anchors))
         return None
@@ -139,18 +150,26 @@ class CoreIndexKernel(ABC):
         """The current removal ranks, or ``None`` if the kernel hides them.
 
         Optional introspection (tests and diagnostics): position of every
-        vertex in the removal order of the last refresh/commit.  Kernels that
-        do not track ranks per vertex may return ``None``.
+        vertex in the removal order of the last refresh.  After a
+        :meth:`commit_anchor` at ``k`` only the ``(k-1)``-shell's relative
+        order and its place after every lower shell are specified; ranks
+        need not be contiguous.  Kernels that do not track ranks per vertex
+        may return ``None``.
         """
         return None
 
     @abstractmethod
     def core_of(self, vertex: "Vertex") -> float:
-        """Anchored core number of ``vertex`` (anchors map to infinity)."""
+        """Anchored core number of ``vertex`` (anchors map to infinity).
+
+        Exact after :meth:`refresh`; after :meth:`commit_anchor` at ``k``
+        exact below ``k`` and only ``>= k`` otherwise.
+        """
 
     @abstractmethod
     def core_numbers(self) -> Mapping["Vertex", float]:
-        """The anchored core-number mapping (live, do not mutate)."""
+        """The anchored core-number mapping (live, do not mutate; capped as
+        :meth:`core_of`)."""
 
     @abstractmethod
     def vertices_with_core_at_least(self, k: int) -> Set["Vertex"]:

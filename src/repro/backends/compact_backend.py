@@ -30,9 +30,10 @@ from repro.cores.decomposition import (
     CoreDecomposition,
     apply_shell_moves,
     build_shell_index,
+    commit_anchor_ids,
     compact_k_core_ids,
     compact_peel,
-    incremental_anchor_commit,
+    shell_order_ids,
 )
 from repro.graph.compact import CompactGraph, DynamicCompactAdjacency
 from repro.graph.static import Graph, Vertex
@@ -45,27 +46,23 @@ class CompactCoreIndexKernel(CoreIndexKernel):
     forbids graph mutation) and every refresh, scan and cascade runs over
     flat int arrays indexed by vertex id.  A shell index (``{core value:
     member id set}``) backs the per-round size queries in O(#levels) /
-    O(|shell|) instead of O(n) scans, and :meth:`commit_anchor` applies the
-    affected-region splice (:func:`repro.cores.decomposition.incremental_anchor_commit`)
-    — per-level riser cascades plus re-ordering only the affected shells —
-    instead of re-peeling the whole snapshot.
+    O(|shell|) instead of O(n) scans.  :meth:`commit_anchor` runs the capped
+    riser cascades of :func:`repro.cores.decomposition.commit_anchor_ids`
+    and re-orders the ``(k-1)``-shell; it never re-peels the snapshot.
     """
 
     def __init__(self, graph: Graph) -> None:
         self._cgraph = CompactGraph.from_graph(graph, ordered=True)
         self._core_ids: List[float] = []
         self._rank_ids: List[int] = []
-        self._order_ids: List[int] = []
-        self._anchor_ids: Set[int] = set()
         self._shell_ids: Dict[float, Set[int]] = {}
         self._core_map_cache: Optional[Dict[Vertex, float]] = None
 
     def refresh(self, anchors: Set[Vertex]) -> None:
         interner = self._cgraph.interner
-        self._anchor_ids = {interner.id_of(anchor) for anchor in anchors}
-        core_ids, order_ids = compact_peel(self._cgraph, self._anchor_ids)
+        anchor_ids = [interner.id_of(anchor) for anchor in anchors]
+        core_ids, order_ids = compact_peel(self._cgraph, anchor_ids)
         self._core_ids = core_ids
-        self._order_ids = order_ids
         rank_ids = [0] * len(core_ids)
         for position, vid in enumerate(order_ids):
             rank_ids[vid] = position
@@ -74,20 +71,21 @@ class CompactCoreIndexKernel(CoreIndexKernel):
         self._core_map_cache = None
 
     def commit_anchor(
-        self, vertex: Vertex, anchors: Set[Vertex]
+        self, vertex: Vertex, anchors: Set[Vertex], k: int
     ) -> Optional[FrozenSet[Vertex]]:
         cgraph = self._cgraph
-        new_id = cgraph.interner.id_of(vertex)
-        self._anchor_ids.add(new_id)
-        touched = incremental_anchor_commit(
-            cgraph.indptr,
-            cgraph.indices,
-            self._core_ids,
-            self._rank_ids,
-            self._order_ids,
-            new_id,
+        core_ids = self._core_ids
+        touched = commit_anchor_ids(
+            cgraph.indptr, cgraph.indices, core_ids, cgraph.interner.id_of(vertex), k
         )
-        apply_shell_moves(self._shell_ids, touched, self._core_ids)
+        apply_shell_moves(self._shell_ids, touched, core_ids)
+        members = sorted(self._shell_ids.get(k - 1, ()))
+        shell_order = shell_order_ids(cgraph.indptr, cgraph.indices, core_ids, members, k - 1)
+        # Offset by n: the re-ordered shell ranks after every lower shell.
+        base = len(core_ids)
+        rank_ids = self._rank_ids
+        for position, vid in enumerate(shell_order):
+            rank_ids[vid] = base + position
         self._core_map_cache = None
         vertices = cgraph.interner.vertices
         return frozenset(vertices[vid] for vid, _ in touched)

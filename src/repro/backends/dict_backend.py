@@ -122,15 +122,13 @@ class DictCoreIndexKernel(CoreIndexKernel):
         self._graph = graph
         self._core: Dict[Vertex, float] = {}
         self._rank: Dict[Vertex, int] = {}
-        self._order: List[Vertex] = []
         self._shells: Dict[float, Set[Vertex]] = {}
 
     def refresh(self, anchors: Set[Vertex]) -> None:
         decomposition = dict_anchored_peel(self._graph, frozenset(anchors))
         self._core = dict(decomposition.core)
-        self._order = list(decomposition.order)
         self._rank = {
-            vertex: position for position, vertex in enumerate(self._order)
+            vertex: position for position, vertex in enumerate(decomposition.order)
         }
         self._shells = build_shell_index(self._core.items())
 
@@ -138,7 +136,7 @@ class DictCoreIndexKernel(CoreIndexKernel):
         """Removal order within one shell (the Phase-B reconstruction).
 
         The hashable-vertex twin of
-        :func:`repro.cores.decomposition._shell_order_ids`: members in
+        :func:`repro.cores.decomposition.shell_order_ids`: members in
         tie-break order, each starting at its count of ``core >= level``
         neighbours, only same-shell removals decrement.
         """
@@ -167,61 +165,22 @@ class DictCoreIndexKernel(CoreIndexKernel):
         return shell_order
 
     def commit_anchor(
-        self, vertex: Vertex, anchors: Set[Vertex]
+        self, vertex: Vertex, anchors: Set[Vertex], k: int
     ) -> Optional[FrozenSet[Vertex]]:
-        """Affected-region commit (the delta-refresh contract of
-        :mod:`repro.backends.base`): the per-level riser cascades of
-        :func:`~repro.anchored.followers.commit_anchor_cores` update the core
-        numbers, and only shells whose membership or starting degrees changed
-        re-run their within-shell order cascade — the hashable-vertex twin of
-        :func:`repro.cores.decomposition.incremental_anchor_commit`, where
-        the algorithm and its correctness argument are documented.
+        """Capped commit (the delta-refresh contract of
+        :mod:`repro.backends.base`): the riser cascades of
+        :func:`~repro.anchored.followers.commit_anchor_cores` at levels up to
+        ``k``, then one within-shell cascade over the ``(k-1)``-shell.
         """
-        graph = self._graph
         core = self._core
-        rank = self._rank
-        order = self._order
-        anchor_core = core[vertex]
-
-        # The anchor's own rise (finite -> infinity) changes the starting
-        # degree of its neighbours in every shell above its old core.
-        affected: Set[float] = {anchor_core}
-        for neighbour in graph.neighbors(vertex):
-            value = core[neighbour]
-            if anchor_core < value != ANCHOR_CORE:
-                affected.add(value)
-        touched = commit_anchor_cores(graph, vertex, core)
-        for _, old in touched[1:]:
-            affected.add(old)
-            affected.add(old + 1)
-
-        buckets: Dict[float, List[Vertex]] = {}
-        anchor_tail: List[Vertex] = []
-        for v in order:
-            value = core[v]
-            if value == ANCHOR_CORE:
-                anchor_tail.append(v)
-            else:
-                bucket = buckets.get(value)
-                if bucket is None:
-                    bucket = buckets[value] = []
-                bucket.append(v)
-        anchor_tail.sort(key=tie_break_key)
-        for level in affected:
-            bucket = buckets.get(level)
-            if not bucket:
-                continue
-            bucket.sort(key=tie_break_key)
-            buckets[level] = self._shell_order(bucket, level)
-        new_order: List[Vertex] = []
-        for level in sorted(buckets):
-            new_order.extend(buckets[level])
-        new_order.extend(anchor_tail)
-        order[:] = new_order
-        for position, v in enumerate(order):
-            rank[v] = position
-
+        touched = commit_anchor_cores(self._graph, vertex, core, cap=k)
         apply_shell_moves(self._shells, touched, core)
+        members = sorted(self._shells.get(k - 1, ()), key=tie_break_key)
+        # Offset by n: the re-ordered shell ranks after every lower shell.
+        base = len(core)
+        rank = self._rank
+        for position, v in enumerate(self._shell_order(members, k - 1)):
+            rank[v] = base + position
         return frozenset(v for v, _ in touched)
 
     def removal_ranks(self) -> Mapping[Vertex, int]:

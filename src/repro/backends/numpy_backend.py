@@ -43,11 +43,7 @@ except ImportError:  # pragma: no cover
 
 from repro.backends.base import BACKEND_NUMPY, CoreIndexKernel, ExecutionBackend
 from repro.backends.compact_backend import CompactMaintenanceKernel
-from repro.cores.decomposition import (
-    ANCHOR_CORE,
-    CoreDecomposition,
-    incremental_anchor_commit,
-)
+from repro.cores.decomposition import ANCHOR_CORE, CoreDecomposition, commit_anchor_ids
 from repro.graph.compact import CompactGraph
 from repro.graph.static import Graph, Vertex
 
@@ -158,6 +154,53 @@ def _drain_scalar(ngraph, eff, alive, peelable, seeds, limit, core=None, level=0
     return killed
 
 
+def _shell_order(ngraph: NumpyGraph, core, c: int) -> List[int]:
+    """Removal order of the ``c``-shell under ``core`` (anchors at infinity).
+
+    At the instant shell ``c`` starts peeling every lower shell is gone and
+    nothing else pops until the shell is exhausted, so the starting effective
+    degree of a shell vertex is its count of ``core >= c`` neighbours
+    (anchors are inf) and only same-shell removals change it: the reference
+    heap order restricted to the shell is reproduced with a packed local heap
+    over the same-shell subgraph.  The degree counts and the subgraph come
+    from vectorised passes; only the heap loop is scalar.
+    """
+    shell = np.nonzero(core == c)[0]
+    size = int(shell.size)
+    nbrs, counts = _gather(ngraph.indptr, ngraph.indices, shell)
+    member_row = np.repeat(np.arange(size, dtype=np.int64), counts)
+    start_eff = np.bincount(member_row[core[nbrs] >= c], minlength=size)
+    same = core[nbrs] == c
+    position = np.full(ngraph.num_vertices, -1, dtype=np.int64)
+    position[shell] = np.arange(size)
+    sub_counts = np.bincount(member_row[same], minlength=size)
+    sub_indptr = np.concatenate(([0], np.cumsum(sub_counts))).tolist()
+    sub_indices = position[nbrs[same]].tolist()
+
+    shell_list = shell.tolist()
+    eff_local = start_eff.tolist()
+    heap = (start_eff * size + np.arange(size)).tolist() if size else []
+    heapq.heapify(heap)
+    heappush = heapq.heappush
+    heappop = heapq.heappop
+    popped = bytearray(size)
+    order: List[int] = []
+    while heap:
+        entry = heappop(heap)
+        degree, local = divmod(entry, size) if size > 1 else (entry, 0)
+        if popped[local] or degree != eff_local[local]:
+            continue
+        popped[local] = 1
+        order.append(shell_list[local])
+        for slot in range(sub_indptr[local], sub_indptr[local + 1]):
+            neighbour = sub_indices[slot]
+            if not popped[neighbour]:
+                slack = eff_local[neighbour] - 1
+                eff_local[neighbour] = slack
+                heappush(heap, slack * size + neighbour)
+    return order
+
+
 def numpy_peel(ngraph: NumpyGraph, anchor_ids: Iterable[int] = ()):
     """Peel a numpy snapshot; return ``(core array, removal order)`` by id.
 
@@ -217,48 +260,11 @@ def numpy_peel(ngraph: NumpyGraph, anchor_ids: Iterable[int] = ()):
     if anchor_list:
         core[is_anchor] = math.inf
 
-    # Phase B: exact removal order, shell by shell.  At the instant shell c
-    # starts peeling every lower shell is gone and nothing else pops until
-    # the shell is exhausted, so the starting effective degree of a shell
-    # vertex is its count of core >= c neighbours (anchors are inf) and only
-    # same-shell removals change it — the reference heap order restricted to
-    # the shell is reproduced with a packed local heap over the same-shell
-    # subgraph.
+    # Phase B: exact removal order, shell by shell (see _shell_order).
     finite = core[peelable] if anchor_list else core
     levels = np.unique(finite).astype(np.int64) if finite.size else finite
-    heappush = heapq.heappush
-    heappop = heapq.heappop
     for c in levels.tolist():
-        shell = np.nonzero(peelable & (core == c))[0]
-        size = int(shell.size)
-        nbrs, counts = _gather(indptr, indices, shell)
-        member_row = np.repeat(np.arange(size, dtype=np.int64), counts)
-        start_eff = np.bincount(member_row[core[nbrs] >= c], minlength=size)
-        same = core[nbrs] == c
-        position = np.full(n, -1, dtype=np.int64)
-        position[shell] = np.arange(size)
-        sub_counts = np.bincount(member_row[same], minlength=size)
-        sub_indptr = np.concatenate(([0], np.cumsum(sub_counts))).tolist()
-        sub_indices = position[nbrs[same]].tolist()
-
-        shell_list = shell.tolist()
-        eff_local = start_eff.tolist()
-        heap = (start_eff * size + np.arange(size)).tolist() if size else []
-        heapq.heapify(heap)
-        popped = bytearray(size)
-        while heap:
-            entry = heappop(heap)
-            degree, local = divmod(entry, size) if size > 1 else (entry, 0)
-            if popped[local] or degree != eff_local[local]:
-                continue
-            popped[local] = 1
-            order.append(shell_list[local])
-            for slot in range(sub_indptr[local], sub_indptr[local + 1]):
-                neighbour = sub_indices[slot]
-                if not popped[neighbour]:
-                    slack = eff_local[neighbour] - 1
-                    eff_local[neighbour] = slack
-                    heappush(heap, slack * size + neighbour)
+        order.extend(_shell_order(ngraph, core, c))
 
     for vid in np.nonzero(is_anchor)[0].tolist():
         order.append(vid)
@@ -398,7 +404,6 @@ class NumpyCoreIndexKernel(CoreIndexKernel):
         n = self._ngraph.num_vertices
         self._core = np.zeros(n, dtype=np.float64)
         self._rank = np.zeros(n, dtype=np.int64)
-        self._order: List[int] = []
         self._core_map_cache: Optional[Dict[Vertex, float]] = None
 
     def refresh(self, anchors: Set[Vertex]) -> None:
@@ -406,27 +411,25 @@ class NumpyCoreIndexKernel(CoreIndexKernel):
         anchor_ids = [interner.id_of(anchor) for anchor in anchors]
         core, order = numpy_peel(self._ngraph, anchor_ids)
         self._core = core
-        self._order = order
         rank = np.zeros(self._ngraph.num_vertices, dtype=np.int64)
         if order:
             rank[np.asarray(order, dtype=np.int64)] = np.arange(len(order))
         self._rank = rank
         self._core_map_cache = None
 
-    def commit_anchor(self, vertex: Vertex, anchors: Set[Vertex]):
-        # The suffix re-peel is scalar work on a small region — the shared
-        # splice kernel runs over the plain-list CSR with the numpy
-        # core/rank arrays as storage (see the delta-refresh contract).
+    def commit_anchor(self, vertex: Vertex, anchors: Set[Vertex], k: int):
+        # The riser cascades are scalar work on a small region: the shared
+        # id-array kernel runs over the plain-list CSR with the numpy core
+        # array as storage.  The shell re-order is Phase B of the peel.
         ngraph = self._ngraph
-        new_id = ngraph.interner.id_of(vertex)
-        touched = incremental_anchor_commit(
-            ngraph.indptr_list,
-            ngraph.indices_list,
-            self._core,
-            self._rank,
-            self._order,
-            new_id,
+        core = self._core
+        touched = commit_anchor_ids(
+            ngraph.indptr_list, ngraph.indices_list, core, ngraph.interner.id_of(vertex), k
         )
+        shell_order = _shell_order(ngraph, core, k - 1)
+        # Offset by n: the re-ordered shell ranks after every lower shell.
+        n = ngraph.num_vertices
+        self._rank[shell_order] = np.arange(n, n + len(shell_order))
         self._core_map_cache = None
         vertices = ngraph.interner.vertices
         return frozenset(vertices[vid] for vid, _ in touched)

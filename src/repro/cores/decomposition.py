@@ -300,7 +300,7 @@ def _region_risers(
     return region - removed
 
 
-def _shell_order_ids(
+def shell_order_ids(
     indptr: Sequence[int],
     indices: Sequence[int],
     core: Sequence[float],
@@ -354,62 +354,36 @@ def _shell_order_ids(
     return shell_order
 
 
-def incremental_anchor_commit(
+def commit_anchor_ids(
     indptr: Sequence[int],
     indices: Sequence[int],
     core: MutableSequence[float],
-    rank: MutableSequence[int],
-    order: List[int],
-    new_anchor_id: int,
+    anchor_id: int,
+    cap: int,
 ) -> List[Tuple[int, float]]:
-    """Apply one anchor commit to existing peel state, touching only the
-    affected region — the incremental path behind
-    :meth:`CoreIndexKernel.commit_anchor` for the id-array kernels (compact
-    and numpy; ``core``/``rank`` may be plain lists or numpy arrays).
+    """Raise ``core`` to the anchored core numbers with ``anchor_id`` added,
+    cascading only the levels up to ``cap`` — the id-array twin of
+    :func:`repro.anchored.followers.commit_anchor_cores` behind the compact
+    and numpy kernels' ``commit_anchor`` (``core`` may be a list or a numpy
+    array).
 
-    **Core numbers.**  For a *single* added anchor every core rise is exactly
-    ``+1``, and the risers at level ``j`` are exactly the anchor's level-``j``
-    followers: a level-``j`` follower has old core ``j - 1`` (the single-
-    anchor shell lemma behind :func:`repro.anchored.followers.marginal_followers`),
-    so a vertex can rise at only one level, and the riser sets are computed
-    independently on the *old* core numbers by one region-restricted cascade
-    per level ``j - 1 ∈ {core(u) : u ∈ N(anchor), core(u) >= core(anchor)}``
-    (other levels provably gain nothing: below, the anchor was already in
-    the j-core; above, the anchor has no shell-``(j-1)`` neighbour to seed a
-    region).
+    Adding one anchor raises every other core number by at most 1, and the
+    vertices that rise to level ``j`` are the anchor's level-``j`` followers
+    on the old numbers: one region cascade per level
+    ``j - 1 ∈ {core(u) : u ∈ N(anchor), core(anchor) <= core(u) < cap}``,
+    all reading the old numbers, so the writes happen after them.  Capping
+    keeps ``min(core, cap)`` exact (see ``commit_anchor_cores``).
 
-    **Removal order.**  With the new core numbers fixed, the reference heap
-    peel's order is the ascending concatenation of per-shell cascades over
-    same-shell subgraphs (the Phase-B invariant of the numpy backend).  A shell's internal order can change only if its membership
-    changed (it gained or lost a riser or the anchor) or a member's starting
-    degree changed (a neighbour's core value crossed the shell level — for a
-    ``+1`` riser from ``a`` that is only shell ``a + 1``; for the anchor,
-    finite → infinity, every shell above its old core that contains one of
-    its neighbours).  Exactly those *affected shells* are re-cascaded;
-    every other shell keeps its old subsequence verbatim, and the global
-    rank array is renumbered in one O(n) pass.
-
-    Mutates ``core``, ``rank`` and ``order`` so they equal a full
-    :func:`compact_peel` with the enlarged anchor set, and returns
-    ``[(vertex id, previous core value)]`` for every vertex whose core
-    number changed (the new anchor included, finite → infinity).
+    Returns ``[(vertex id, previous value)]`` for every changed vertex, the
+    anchor first.
     """
-    x = new_anchor_id
+    x = anchor_id
     anchor_core = core[x]
-
-    # Candidate levels and order-affected shells, read off the OLD state.
     levels: Set[int] = set()
-    affected: Set[float] = {anchor_core}
     for position in range(indptr[x], indptr[x + 1]):
         value = core[indices[position]]
-        if value == ANCHOR_CORE:
-            continue
-        if value >= anchor_core:
+        if anchor_core <= value < cap:
             levels.add(int(value) + 1)
-        if value > anchor_core:
-            # The anchor's own rise (finite -> infinity) crosses this
-            # neighbour's shell level, changing its starting degree there.
-            affected.add(value)
 
     touched: List[Tuple[int, float]] = [(x, anchor_core)]
     risers_by_level: Dict[int, Set[int]] = {}
@@ -417,48 +391,11 @@ def incremental_anchor_commit(
         risers = _region_risers(indptr, indices, core, x, j)
         if risers:
             risers_by_level[j] = risers
-            affected.add(j - 1)
-            affected.add(j)
-            touched.extend((vid, float(j - 1)) for vid in risers)
-
-    # All riser cascades read the old core numbers (level independence: a
-    # level-j cascade never tests a value a +1 rise at another level could
-    # flip), so the writes happen only now.
+            touched.extend((vid, j - 1) for vid in risers)
     for j, risers in risers_by_level.items():
         for vid in risers:
             core[vid] = j
     core[x] = ANCHOR_CORE
-
-    # Rebuild the order: one walk buckets every finite vertex by NEW core,
-    # preserving the old within-shell sequence; affected shells are
-    # re-cascaded, anchors tail ascending by id (id == tie-break rank).
-    buckets: Dict[float, List[int]] = {}
-    anchor_tail: List[int] = []
-    for vid in order:
-        value = core[vid]
-        if value == ANCHOR_CORE:
-            anchor_tail.append(vid)
-        else:
-            bucket = buckets.get(value)
-            if bucket is None:
-                bucket = buckets[value] = []
-            bucket.append(vid)
-    anchor_tail.sort()
-
-    for level in affected:
-        bucket = buckets.get(level)
-        if not bucket:
-            continue
-        bucket.sort()
-        buckets[level] = _shell_order_ids(indptr, indices, core, bucket, level)
-
-    new_order: List[int] = []
-    for level in sorted(buckets):
-        new_order.extend(buckets[level])
-    new_order.extend(anchor_tail)
-    order[:] = new_order
-    for position, vid in enumerate(order):
-        rank[vid] = position
     return touched
 
 

@@ -54,7 +54,7 @@ from repro.backends import (
     get_backend,
     registered_backends,
 )
-from repro.errors import CheckpointError, ParameterError
+from repro.errors import CheckpointError, ParameterError, require_int
 from repro.graph.dynamic import EdgeDelta
 from repro.graph.static import Graph, Vertex
 from repro.obs import tracer
@@ -343,10 +343,8 @@ class StreamingAVTEngine:
         → cold static solver.  The returned result is cached for the current
         version.
         """
-        if k < 1:
-            raise ParameterError("k must be >= 1")
-        if budget < 0:
-            raise ParameterError("budget must be non-negative")
+        require_int("k", k, 1)
+        require_int("budget", budget, 0)
         solver_name = solver if solver is not None else self._default_solver
         if solver_name not in SOLVERS:
             raise ParameterError(

@@ -7,6 +7,8 @@ swallowing programming errors such as :class:`TypeError`.
 
 from __future__ import annotations
 
+import numbers
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the ``repro`` package."""
@@ -90,3 +92,19 @@ class FaultError(ReproError):
         super().__init__(f"injected fault at {site}" + (f": {detail}" if detail else ""))
         self.site = site
 
+
+
+def require_int(name: str, value: object, minimum: int) -> None:
+    """Raise :class:`ParameterError` unless ``value`` is an integer ``>= minimum``.
+
+    The one check behind every public ``k`` and ``budget``: any
+    :class:`numbers.Integral` (numpy integers included) is accepted, while a
+    ``bool``, a float such as ``2.5``, a string or ``None`` fails here with
+    a clear message instead of answering nonsense or escaping as a raw
+    :class:`TypeError` deeper down.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{name} must be an integer, not {value!r}")
+    if value < minimum:
+        bound = "non-negative" if minimum == 0 else f">= {minimum}"
+        raise ParameterError(f"{name} must be {bound}")

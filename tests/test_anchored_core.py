@@ -15,6 +15,16 @@ class TestConstruction:
         with pytest.raises(ParameterError):
             AnchoredCoreIndex(toy_graph, 0)
 
+    @pytest.mark.parametrize("k", [2.5, "3", True, None])
+    def test_requires_integer_k(self, toy_graph, k):
+        with pytest.raises(ParameterError):
+            AnchoredCoreIndex(toy_graph, k)
+
+    def test_accepts_numpy_integer_k(self, toy_graph):
+        np = pytest.importorskip("numpy")
+        index = AnchoredCoreIndex(toy_graph, np.int64(3))
+        assert index.anchored_core_size() == AnchoredCoreIndex(toy_graph, 3).anchored_core_size()
+
     def test_unknown_anchor_raises(self, toy_graph):
         with pytest.raises(VertexNotFoundError):
             AnchoredCoreIndex(toy_graph, 3, anchors=[999])

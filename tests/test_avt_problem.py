@@ -39,6 +39,9 @@ class TestAVTProblem:
             AVTProblem(toy_evolving, k=0, budget=2)
         with pytest.raises(ParameterError):
             AVTProblem(toy_evolving, k=3, budget=-1)
+        for k, budget in ((2.5, 2), ("3", 2), (True, 2), (3, 2.5), (3, None)):
+            with pytest.raises(ParameterError):
+                AVTProblem(toy_evolving, k=k, budget=budget)
 
     def test_from_snapshots(self):
         snapshots = [Graph(edges=[(1, 2)]), Graph(edges=[(1, 2), (2, 3)])]

@@ -303,6 +303,9 @@ class TestEngineQueries:
             engine.query(0, 2)
         with pytest.raises(ParameterError):
             engine.query(3, -1)
+        for k, budget in ((2.5, 2), ("3", 2), (True, 2), (4, 2.5), (3, None)):
+            with pytest.raises(ParameterError):
+                engine.query(k, budget)
         with pytest.raises(ParameterError):
             StreamingAVTEngine(toy_graph, default_solver="nope")
         with pytest.raises(ParameterError):

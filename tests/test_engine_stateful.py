@@ -12,8 +12,9 @@ the oracles:
 
 * with nothing pending, its graph equals the shadow graph and its core
   numbers equal :func:`~repro.cores.decomposition.core_numbers`;
-* an exact answer equals a fresh dict :class:`GreedyAnchoredKCore` solve, and
-  asking again returns the same answer;
+* an exact answer equals a fresh full-recompute dict
+  :class:`GreedyAnchoredKCore` solve (``incremental=False``, which re-peels
+  on every commit), and asking again returns the same answer;
 * a warm answer has at most ``budget`` distinct anchors, all in the graph,
   and its followers equal the reference :func:`compute_followers` path
   (no ``k_core_vertices`` shortcut);
@@ -136,7 +137,11 @@ class EngineMachine(RuleBasedStateMachine):
     @rule(k=ks, budget=budgets)
     def exact_query(self, k, budget):
         answer = self.engine.query(k, budget, warm=False)
-        scratch = GreedyAnchoredKCore(self.shadow, k, budget, backend="dict").select()
+        # The full-recompute Greedy re-peels on every commit, so the oracle
+        # shares no code with the capped commit path the engine runs.
+        scratch = GreedyAnchoredKCore(
+            self.shadow, k, budget, backend="dict", incremental=False
+        ).select()
         assert answer.anchors == scratch.anchors
         assert answer.followers == scratch.followers
         assert answer.anchored_core_size == scratch.anchored_core_size

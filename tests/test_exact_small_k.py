@@ -119,6 +119,11 @@ class TestDispatcher:
         with pytest.raises(ParameterError):
             ExactSmallK(toy_graph, 2, -1)
 
+    @pytest.mark.parametrize("k, budget", [(True, 2), (2, 2.5), (2, None), (2, True)])
+    def test_rejects_non_integer_k_or_budget(self, toy_graph, k, budget):
+        with pytest.raises(ParameterError):
+            ExactSmallK(toy_graph, k, budget)
+
     def test_k2_on_toy_graph_beats_or_matches_brute_force(self, toy_graph):
         exact = ExactSmallK(toy_graph, 2, 2).select()
         brute = BruteForceAnchoredKCore(toy_graph, 2, 2).select()

@@ -220,6 +220,12 @@ class TestParameterValidation:
         with pytest.raises(ParameterError):
             IncAVTTracker().refresh_anchors(maintainer, k, 1, (4,), {3, 4})
 
+    @pytest.mark.parametrize("k, budget", [(2.5, 1), ("3", 1), (3, 1.5), (3, None)])
+    def test_refresh_rejects_non_integer_k_or_budget(self, toy_problem, k, budget):
+        maintainer = CoreMaintainer(toy_problem.evolving_graph.base)
+        with pytest.raises(ParameterError):
+            IncAVTTracker().refresh_anchors(maintainer, k, budget, (4,), {3, 4})
+
     def test_rejects_negative_neighbourhood_hops(self):
         with pytest.raises(ParameterError):
             IncAVTTracker(neighbourhood_hops=-3)

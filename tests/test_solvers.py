@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.anchored.bruteforce import BruteForceAnchoredKCore
+from repro.anchored.exact_small_k import ExactSmallK
 from repro.anchored.followers import compute_followers
 from repro.anchored.greedy import GreedyAnchoredKCore
 from repro.anchored.olak import OLAKAnchoredKCore
 from repro.anchored.rcm import RCMAnchoredKCore
 from repro.anchored.result import AnchoredKCoreResult
+from repro.backends import numpy_available
 from repro.errors import ParameterError
 from repro.graph.generators import chung_lu_graph
 from repro.graph.static import Graph
@@ -57,6 +61,16 @@ class TestResultContract:
     def test_negative_budget_rejected(self, toy_graph, solver_cls):
         with pytest.raises(ParameterError):
             solver_cls(toy_graph, 3, -1)
+
+    @pytest.mark.parametrize("solver_cls", ALL_SOLVERS)
+    @pytest.mark.parametrize(
+        "k, budget", [(2.5, 2), ("3", 2), (True, 2), (3, 2.5), (3, None), (3, True)]
+    )
+    def test_non_integer_k_or_budget_rejected(self, toy_graph, solver_cls, k, budget):
+        # A fractional budget would buy an extra anchor and a fractional k
+        # would answer nothing, so both must fail before any work.
+        with pytest.raises(ParameterError):
+            solver_cls(toy_graph, k, budget)
 
     @pytest.mark.parametrize("solver_cls", HEURISTICS)
     def test_zero_budget_returns_no_anchors(self, toy_graph, solver_cls):
@@ -195,3 +209,45 @@ class TestCrossSolverAgreement:
         # small instances it should find most of the optimum.
         if brute.num_followers:
             assert greedy.num_followers >= 0.5 * brute.num_followers
+
+
+@st.composite
+def tiny_graphs(draw) -> Graph:
+    """Graphs of at most 8 vertices, where brute force is cheap."""
+    num_vertices = draw(st.integers(min_value=1, max_value=8))
+    possible_edges = [(u, v) for u in range(num_vertices) for v in range(u + 1, num_vertices)]
+    edges = (
+        draw(st.lists(st.sampled_from(possible_edges), unique=True))
+        if possible_edges
+        else []
+    )
+    return Graph(edges=edges, vertices=range(num_vertices))
+
+
+@pytest.mark.parametrize(
+    "backend",
+    [
+        "dict",
+        "compact",
+        pytest.param(
+            "numpy",
+            marks=pytest.mark.skipif(not numpy_available(), reason="numpy is not installed"),
+        ),
+    ],
+)
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    graph=tiny_graphs(),
+    k=st.integers(min_value=1, max_value=4),
+    budget=st.integers(min_value=0, max_value=3),
+)
+def test_greedy_against_exact_solvers_on_tiny_graphs(backend, graph, k, budget):
+    """Greedy never beats the optimum, and matches it with one anchor."""
+    greedy = GreedyAnchoredKCore(graph, k, budget, backend=backend).select()
+    brute = BruteForceAnchoredKCore(graph, k, budget, backend=backend).select()
+    assert len(greedy.anchors) <= budget
+    assert greedy.num_followers <= brute.num_followers
+    if budget == 1:
+        assert greedy.num_followers == brute.num_followers
+    if k <= 2:
+        assert ExactSmallK(graph, k, budget).select().num_followers == brute.num_followers
