@@ -174,9 +174,9 @@ def run_incremental_compare():
 
     The same selection problem (bit-identical anchors and followers by the
     delta-refresh contract) solved twice: once with ``incremental=False``
-    (the PR-4 behaviour — full anchored re-peel per commit, every candidate
-    cascaded every round) and once with the default incremental path
-    (capped commits + memoized gains).
+    (a capped rebuild of the index per commit, every candidate cascaded
+    every round) and once with the default incremental path (capped
+    commits + memoized gains).
     """
     num_vertices = _num_vertices()
     graph = chung_lu_graph(num_vertices, EDGE_FACTOR * num_vertices, seed=SEED)

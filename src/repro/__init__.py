@@ -70,7 +70,7 @@ backend           implementation                                 ``auto`` picks 
                   snapshot; packed single-int heap peeling       not installed (or disabled)
 ``numpy``         vectorised numpy kernels over the same CSR     large amortised workloads when numpy is
                   contract (wave peeling, bincount support       installed (highest auto priority)
-                  counts, edge-level candidate scans)
+                  counts, shell-gather candidate scans)
 ================  =============================================  =========================================
 
 The priority ladder above is only the *uncalibrated* policy.  A measured
@@ -81,36 +81,45 @@ or :func:`repro.backends.run_calibration`, activated via
 band containing the graph, falling back to the ladder for uncalibrated sizes
 and unavailable winners.
 
-All registered backends guarantee identical core numbers, identical
-*removal orders* and identical instrumentation counts (enforced by
+All registered backends guarantee identical core numbers and removal orders
+from the full peels behind ``decompose``/``korder``, identical capped index
+states (below), and identical instrumentation counts (enforced by
 ``tests/test_backend_equivalence.py``, three-way); only speed differs —
 ``benchmarks/bench_backend_compare.py`` tracks the gaps and emits
 ``BENCH_backend.json`` / ``BENCH_numpy.json`` /
 ``BENCH_incremental.json`` (incremental vs full-recompute Greedy), each with
 a ``floors`` block read by ``python -m repro.bench.compare``.
 
-*Delta refresh* — committing one anchor never re-peels the snapshot.
-:meth:`~repro.backends.CoreIndexKernel.commit_anchor` is the incremental
-sibling of :meth:`~repro.backends.CoreIndexKernel.refresh`, capped at the
-index's ``k`` (the delta-refresh contract in :mod:`repro.backends.base`):
-core numbers are exact below ``k`` and only ``>= k`` above it, and the
-``(k-1)``-shell keeps its full-peel order after every lower shell — all that
-the greedy loops read:
+*Capped index and delta refresh* — an anchored core index never peels its
+snapshot.  From construction on it keeps only what the greedy loops read at
+its ``k`` (the capped contract in :mod:`repro.backends.base`): core numbers
+``min(anchored core, k)``, anchors at infinity, and the ``(k-1)``-shell in
+full-peel order after every lower vertex.
+:meth:`~repro.backends.CoreIndexKernel.refresh` builds that state with a
+cascade over the levels below ``k`` only, and
+:meth:`~repro.backends.CoreIndexKernel.commit_anchor` keeps it for one more
+anchor; both then order only the ``(k-1)``-shell, and the candidate scan
+walks that shell's edges:
 
 =============  ==============================================================
-kernel         ``commit_anchor`` path
+kernel         ``refresh`` and ``commit_anchor`` paths
 =============  ==============================================================
-``dict``       per-level riser cascades at levels up to ``k``
+``dict``       a bucket cascade stopped at level ``k``
+               (:func:`repro.backends.dict_backend.dict_capped_cores`);
+               per-level riser cascades at levels up to ``k``
                (:func:`repro.anchored.followers.commit_anchor_cores`, +1
-               each, the single-anchor shell lemma), then one within-shell
+               each, the single-anchor shell lemma); then one within-shell
                cascade over the ``(k-1)``-shell
 ``compact``    the same over flat id arrays
-               (:func:`repro.cores.decomposition.commit_anchor_ids` and
+               (:func:`repro.cores.decomposition.capped_cores_ids`,
+               :func:`repro.cores.decomposition.commit_anchor_ids` and
                :func:`repro.cores.decomposition.shell_order_ids`)
-``numpy``      the same riser cascades (scalar-sized work); the shell
-               re-order is the peel's vectorised Phase-B shell pass
-custom         inherits the protocol default — full refresh, touched
-               unknown (``None``) — so third-party kernels keep working
+``numpy``      the peel's vectorised waves stopped before level ``k``; the
+               same riser cascades (scalar-sized work); the shell order is
+               the peel's vectorised Phase-B shell pass
+custom         inherits the protocol default for ``commit_anchor`` — a
+               ``refresh``, touched unknown (``None``) — so third-party
+               kernels keep working
 =============  ==============================================================
 
 IncAVT's swap/fill pass reuses the riser cascades, capped at ``k``, on a copy

@@ -6,16 +6,17 @@ candidate.  After committing an anchor, the graph behaves as if that vertex had
 infinite degree, so the core numbers that drive steps (1) and (2) must be the
 *anchored* core numbers.  :class:`AnchoredCoreIndex` packages that state:
 
-* the anchored core numbers and removal ranks of the current graph + anchor
-  set, from a full anchored peel at construction and on :meth:`set_anchors`,
-  and kept up to date at level ``k`` whenever an anchor is committed;
+* the anchored core numbers of the current graph + anchor set capped at
+  ``k``, and the removal order of the ``(k-1)``-shell, built by a cascade
+  over the levels below ``k`` at construction and on :meth:`set_anchors`,
+  and kept up to date whenever an anchor is committed;
 * Theorem-3 candidate pruning with or without the K-order position condition;
 * fast marginal follower computation (shell-local cascade); and
 * the instrumentation counters (candidates evaluated, vertices visited) that
   the paper's Figures 4, 6 and 8 report.
 
 The index is execution-backend-agnostic: it validates inputs, owns the anchor
-set and the instrumentation, and delegates every kernel — the anchored peel,
+set and the instrumentation, and delegates every kernel — the capped build,
 the candidate scans, the follower cascades — to the
 :class:`~repro.backends.CoreIndexKernel` built by the resolved
 :class:`~repro.backends.ExecutionBackend` (``backend="auto"`` picks by graph
@@ -43,14 +44,14 @@ class AnchoredCoreIndex:
     :mod:`repro.backends`).  The graph must not be mutated while the index is
     alive (the solvers never do).
 
-    The state is exact after construction and :meth:`set_anchors`, which
-    run a full anchored peel.  :meth:`commit_anchor` keeps it only as far as
-    the greedy loops read it at this index's ``k``: core numbers below ``k``
-    are exact and those at or above ``k`` only guarantee ``>= k``; the
-    ``(k-1)``-shell keeps its full-peel removal order after every lower
-    shell, and other positions are unspecified.  Every query method reads
-    only ``core >= k``, ``core == k - 1`` and those positions, so its answers
-    are exact either way.  Use
+    The state is capped at this index's ``k`` from construction on (the
+    capped contract of :mod:`repro.backends.base`): every core number
+    equals ``min(anchored core number, k)`` with anchors at infinity, and
+    the ``(k-1)``-shell keeps its full-peel removal order after every lower
+    vertex; other positions are unspecified.  Construction,
+    :meth:`set_anchors` and :meth:`commit_anchor` all keep that state, and
+    every query method reads only ``core >= k``, ``core == k - 1`` and those
+    positions, so its answers equal those on a full anchored peel.  Use
     :func:`~repro.cores.decomposition.anchored_core_decomposition` for exact
     values at every level.
     """
@@ -81,7 +82,7 @@ class AnchoredCoreIndex:
             vertices=graph.num_vertices,
             anchors=len(self._anchors),
         ):
-            self._kernel.refresh(self._anchors)
+            self._kernel.refresh(self._anchors, k)
 
     # ------------------------------------------------------------------
     # Views
@@ -115,19 +116,13 @@ class AnchoredCoreIndex:
         return set(self._anchors)
 
     def core(self, vertex: Vertex) -> float:
-        """Return the anchored core number of ``vertex`` (anchors map to infinity).
-
-        Exact below ``k``; after a :meth:`commit_anchor`, a value at or above
-        ``k`` only guarantees ``>= k`` (see the class docstring).
-        """
+        """Return ``min(anchored core number, k)`` for ``vertex`` (anchors
+        map to infinity; see the class docstring)."""
         return self._kernel.core_of(vertex)
 
     def core_numbers(self) -> Mapping[Vertex, float]:
-        """Return the anchored core-number mapping (live, do not mutate).
-
-        Capped as :meth:`core`: exact below ``k``, only ``>= k`` above it
-        once an anchor has been committed.
-        """
+        """Return the anchored core-number mapping (live, do not mutate),
+        capped at ``k`` as :meth:`core`."""
         return self._kernel.core_numbers()
 
     def anchored_core_vertices(self) -> Set[Vertex]:
@@ -239,12 +234,10 @@ class AnchoredCoreIndex:
         """Commit ``vertex`` as an anchor through the kernel's incremental path.
 
         The kernel keeps the state capped at ``k`` (the delta-refresh
-        contract of :mod:`repro.backends.base`): exact below ``k``, only
-        ``>= k`` above it, and the ``(k-1)``-shell in full-peel order after
-        every lower shell.  Returns the *touched set* — every vertex whose
-        stored core number changed (the new anchor included) — or ``None``
-        when the kernel fell back to a full refresh without diffing (treat
-        as "anything may have changed").  Committing an existing anchor is a
+        contract of :mod:`repro.backends.base`).  Returns the *touched set*
+        — every vertex whose stored core number changed (the new anchor
+        included) — or ``None`` when the kernel fell back to a rebuild
+        without diffing (treat as "anything may have changed").  Committing an existing anchor is a
         no-op and returns an empty set.
         """
         if not self._graph.has_vertex(vertex):
@@ -260,7 +253,7 @@ class AnchoredCoreIndex:
         return touched
 
     def set_anchors(self, anchors: Iterable[Vertex]) -> None:
-        """Replace the anchor set wholesale and refresh the decomposition."""
+        """Replace the anchor set wholesale and rebuild the capped state."""
         new_anchors = set(anchors)
         for anchor in new_anchors:
             if not self._graph.has_vertex(anchor):
@@ -269,4 +262,4 @@ class AnchoredCoreIndex:
         with tracer.span(
             "kernel.peel", backend=self._backend.name, anchors=len(new_anchors)
         ):
-            self._kernel.refresh(self._anchors)
+            self._kernel.refresh(self._anchors, self._k)

@@ -27,9 +27,11 @@ recomputation *within* a snapshot without changing a single result:
   counters stay bit-identical to the full-recompute path (cached evaluations
   replay their recorded visit counts).
 
-``incremental=False`` restores the full-recompute behaviour (full anchored
-re-peel per commit, every candidate cascaded every round) — the equivalence
-referee and the benchmark baseline.
+``incremental=False`` restores the full-recompute behaviour (a capped
+rebuild of the index per commit, no gain cache, every candidate cascaded
+every round) — the benchmark baseline.  It shares the capped build with the
+default path, so the tests' independent exact referee is a reference Greedy
+built from full anchored peels, not this mode.
 
 A CELF-style lazy variant — evaluating stale candidates in descending
 cached-gain order and stopping once a fresh gain dominates every remaining
@@ -198,7 +200,7 @@ class GreedyAnchoredKCore:
                             touched=len(touched) if touched is not None else -1
                         )
                     else:
-                        # Full-recompute baseline: whole-snapshot anchored re-peel.
+                        # Full-recompute baseline: a capped rebuild of the index.
                         index.set_anchors(chosen + [best_vertex])
                 stats.commit_seconds.append(time.perf_counter() - commit_started)
                 chosen.append(best_vertex)

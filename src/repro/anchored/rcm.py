@@ -50,8 +50,7 @@ class RCMAnchoredKCore:
     ) -> None:
         require_int("k", k, 1)
         require_int("budget", budget, 0)
-        if shortlist_size < 1:
-            raise ParameterError("shortlist_size must be >= 1")
+        require_int("shortlist_size", shortlist_size, 1)
         self._graph = graph
         self._k = k
         self._budget = budget

@@ -41,6 +41,7 @@ the static algorithms — the effect the paper's Figures 3-8 measure.
 
 from __future__ import annotations
 
+import numbers
 import time
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
@@ -102,10 +103,16 @@ class IncAVTTracker:
         restart_churn_ratio: Optional[float] = 0.15,
         backend: Union[str, ExecutionBackend] = BACKEND_AUTO,
     ) -> None:
-        if neighbourhood_hops < 0:
-            raise ParameterError("neighbourhood_hops must be non-negative")
-        if restart_churn_ratio is not None and restart_churn_ratio < 0:
-            raise ParameterError("restart_churn_ratio must be non-negative or None")
+        require_int("neighbourhood_hops", neighbourhood_hops, 0)
+        if restart_churn_ratio is not None and (
+            isinstance(restart_churn_ratio, bool)
+            or not isinstance(restart_churn_ratio, numbers.Real)
+            or restart_churn_ratio < 0
+        ):
+            raise ParameterError(
+                f"restart_churn_ratio must be a non-negative number or None, "
+                f"not {restart_churn_ratio!r}"
+            )
         self._fill_budget = fill_budget
         self._neighbourhood_hops = neighbourhood_hops
         self._swap_all_anchors = swap_all_anchors
@@ -117,8 +124,8 @@ class IncAVTTracker:
     # ------------------------------------------------------------------
     def track(self, problem: AVTProblem, max_snapshots: Optional[int] = None) -> AVTResult:
         """Solve the AVT problem incrementally across all snapshots."""
-        if max_snapshots is not None and max_snapshots < 0:
-            raise ParameterError("max_snapshots must be non-negative or None")
+        if max_snapshots is not None:
+            require_int("max_snapshots", max_snapshots, 0)
         result = AVTResult(
             algorithm=self.name, k=problem.k, budget=problem.budget, problem_name=problem.name
         )

@@ -17,7 +17,7 @@ from repro.anchored.olak import OLAKAnchoredKCore
 from repro.anchored.rcm import RCMAnchoredKCore
 from repro.avt.problem import AVTProblem, AVTResult, SnapshotResult
 from repro.backends import BACKEND_AUTO, ExecutionBackend
-from repro.errors import ParameterError
+from repro.errors import require_int
 from repro.graph.static import Graph
 
 SolverFactory = Callable[[Graph, int, int], object]
@@ -42,8 +42,8 @@ class SnapshotTracker:
 
     def track(self, problem: AVTProblem, max_snapshots: Optional[int] = None) -> AVTResult:
         """Solve the AVT problem snapshot by snapshot."""
-        if max_snapshots is not None and max_snapshots < 0:
-            raise ParameterError("max_snapshots must be non-negative or None")
+        if max_snapshots is not None:
+            require_int("max_snapshots", max_snapshots, 0)
         deltas = problem.evolving_graph.deltas
         name = self._name or "snapshot-tracker"
         result = AVTResult(

@@ -14,10 +14,11 @@ streaming engine can run on it via ``backend="<name>"``.
 The surface splits into one-shot kernels (methods directly on the backend)
 and two long-lived kernel handles that amortise a per-graph setup cost:
 
-* :class:`CoreIndexKernel` — the state behind ``AnchoredCoreIndex``: an
-  anchored peeling that is refreshed every time an anchor commits, plus the
-  candidate scans and follower cascades that read it.  Built once per
-  (graph, solver run); the graph must not mutate while it is alive.
+* :class:`CoreIndexKernel` — the state behind ``AnchoredCoreIndex``: the
+  anchored core numbers capped at the index's ``k`` and the
+  ``(k-1)``-shell's removal order, kept up to date as anchors commit, plus
+  the candidate scans and follower cascades that read them.  Built once
+  per (graph, solver run); the graph must not mutate while it is alive.
 * :class:`MaintenanceKernel` — the state behind ``CoreMaintainer``: the
   maintained core numbers plus whatever adjacency mirror the backend needs to
   run the insertion/deletion traversals while the graph evolves.
@@ -28,36 +29,46 @@ Contract shared by all implementations (enforced by
 order so integer id doubles as tie-break rank), identical follower sets and
 identical visited-vertex instrumentation counts.
 
+The capped contract
+-------------------
+A :class:`CoreIndexKernel` keeps only what a greedy round at the index's
+``k`` reads.  After :meth:`CoreIndexKernel.refresh` (anchors, ``k``) and
+after every :meth:`CoreIndexKernel.commit_anchor` at the same ``k``:
+
+* every core number equals ``min(anchored core number, k)``, and anchors
+  are infinity;
+* the ``(k-1)``-shell's members appear in the removal ranks in the same
+  relative order as in a full anchored peel;
+* every ``(k-1)``-shell member ranks after every vertex below ``k - 1``.
+  Other positions are unspecified.
+
+This state is deterministic, so it is identical across backends.  Every
+query at that ``k`` answers as on the full peel's state, because each one
+tests only ``core >= k`` or ``core == k - 1``, and Theorem-3 pruning
+compares ranks only against a ``(k-1)``-shell neighbour.  The full exact
+peel stays behind :meth:`ExecutionBackend.decompose` and
+:meth:`ExecutionBackend.korder`.  The built-in kernels build the state with
+a cascade over the levels ``0 .. k-1`` only (the bucket cascade
+:func:`repro.cores.decomposition.capped_cores_ids`, its dict twin, or the
+numpy backend's level-limited waves) and then order the ``(k-1)``-shell
+with one within-shell cascade.
+
 The delta-refresh contract
 --------------------------
 :meth:`CoreIndexKernel.commit_anchor` is the incremental sibling of
 :meth:`CoreIndexKernel.refresh` for the one mutation the greedy solvers ever
-perform: adding a single anchor.  It is given the index's ``k`` and keeps
-only what a greedy round at that ``k`` reads.  After it returns:
-
-* ``min(core(v), k)`` equals the anchored core number capped at ``k``:
-  values below ``k`` are exact, a value at or above ``k`` only guarantees
-  ``>= k``;
-* the ``(k-1)``-shell's members appear in the removal ranks in the same
-  relative order as in a full anchored peel;
-* every vertex below ``k - 1`` ranks before every ``(k-1)``-shell member.
-  Other positions are unspecified.
-
-Every query at that ``k`` then answers as after :meth:`~CoreIndexKernel.refresh`
-with the enlarged anchor set, because each one tests only ``core >= k`` or
-``core == k - 1``, and Theorem-3 pruning compares ranks only against a
-``(k-1)``-shell neighbour.  The return value is the *touched set*: every
-vertex whose stored core number changed (the new anchor included, finite →
+perform: adding a single anchor.  It keeps the capped contract for the
+enlarged anchor set.  The return value is the *touched set*: every vertex
+whose stored core number changed (the new anchor included, finite →
 infinity), or ``None`` when the kernel cannot bound the change, in which case
 callers must assume anything may have changed.  Kernels that do not override
-it fall back to a full refresh (and return ``None``), which satisfies the
-capped contract too.  The built-in kernels run the single-anchor riser
-cascades at levels up to ``k`` only
-(:func:`repro.anchored.followers.commit_anchor_cores`, whose docstring gives
-the exactness argument, and its id-array twin
-:func:`repro.cores.decomposition.commit_anchor_ids`), then re-run one
-within-shell cascade over the ``(k-1)``-shell and rank it after every lower
-shell.
+it fall back to :meth:`~CoreIndexKernel.refresh` (and return ``None``).  The
+built-in kernels run the single-anchor riser cascades at levels up to ``k``
+only (:func:`repro.anchored.followers.commit_anchor_cores`, whose docstring
+gives the exactness argument, and its id-array twin
+:func:`repro.cores.decomposition.commit_anchor_ids`), which lift a vertex to
+at most ``k``, then re-order the ``(k-1)``-shell the same way as
+:meth:`~CoreIndexKernel.refresh`.
 """
 
 from __future__ import annotations
@@ -117,16 +128,19 @@ WORKLOAD_AMORTIZED = "amortized"
 class CoreIndexKernel(ABC):
     """Per-graph state behind :class:`repro.anchored.anchored_core.AnchoredCoreIndex`.
 
-    The kernel owns the anchored core numbers and removal ranks of a fixed
-    graph snapshot and re-derives them on :meth:`refresh`.  All query methods
-    read the state established by the most recent refresh.  Vertices are the
-    caller's hashable ids at this boundary; implementations translate
-    internally as needed.
+    The kernel owns the capped anchored core numbers and removal ranks of a
+    fixed graph snapshot (the capped contract in the module docstring) and
+    builds them on :meth:`refresh`.  All query methods read the state
+    established by the most recent refresh or commit, at the same ``k``.
+    Vertices are the caller's hashable ids at this boundary;
+    implementations translate internally as needed.
     """
 
     @abstractmethod
-    def refresh(self, anchors: Set["Vertex"]) -> None:
-        """Recompute the anchored core numbers and removal ranks."""
+    def refresh(self, anchors: Set["Vertex"], k: int) -> None:
+        """Build the capped state for ``anchors`` at ``k``: core numbers
+        ``min(anchored core, k)``, the ``(k-1)``-shell ranked in full-peel
+        order after every lower vertex."""
 
     def commit_anchor(
         self, vertex: "Vertex", anchors: Set["Vertex"], k: int
@@ -136,40 +150,35 @@ class CoreIndexKernel(ABC):
         ``anchors`` is the *full* new anchor set, ``vertex`` the one member
         that was just added, and ``k`` the degree constraint the state is
         kept for.  Afterwards the state must satisfy the capped contract in
-        the module docstring: exact below ``k``, the ``(k-1)``-shell in
-        full-peel order after every lower shell.  Returns the exact set of
-        vertices whose core number changed, or ``None`` when the kernel
-        cannot bound the change — this default falls back to a full refresh
-        (exact at every level) and returns ``None`` so custom kernels keep
-        working without implementing the incremental path.
+        the module docstring.  Returns the exact set of vertices whose core
+        number changed, or ``None`` when the kernel cannot bound the change
+        — this default rebuilds with :meth:`refresh` and returns ``None`` so
+        custom kernels keep working without implementing the incremental
+        path.
         """
-        self.refresh(set(anchors))
+        self.refresh(set(anchors), k)
         return None
 
     def removal_ranks(self) -> Optional[Mapping["Vertex", int]]:
         """The current removal ranks, or ``None`` if the kernel hides them.
 
-        Optional introspection (tests and diagnostics): position of every
-        vertex in the removal order of the last refresh.  After a
-        :meth:`commit_anchor` at ``k`` only the ``(k-1)``-shell's relative
-        order and its place after every lower shell are specified; ranks
-        need not be contiguous.  Kernels that do not track ranks per vertex
-        may return ``None``.
+        Optional introspection (tests and diagnostics).  Only the
+        ``(k-1)``-shell's relative order and its place after every lower
+        vertex are specified; ranks need not be contiguous, and positions
+        outside the shell are unspecified.  Kernels that do not track ranks
+        per vertex may return ``None``.
         """
         return None
 
     @abstractmethod
     def core_of(self, vertex: "Vertex") -> float:
-        """Anchored core number of ``vertex`` (anchors map to infinity).
-
-        Exact after :meth:`refresh`; after :meth:`commit_anchor` at ``k``
-        exact below ``k`` and only ``>= k`` otherwise.
-        """
+        """Anchored core number of ``vertex`` capped at ``k``
+        (``min(core, k)``; anchors map to infinity)."""
 
     @abstractmethod
     def core_numbers(self) -> Mapping["Vertex", float]:
-        """The anchored core-number mapping (live, do not mutate; capped as
-        :meth:`core_of`)."""
+        """The capped anchored core-number mapping (live, do not mutate;
+        capped as :meth:`core_of`)."""
 
     @abstractmethod
     def vertices_with_core_at_least(self, k: int) -> Set["Vertex"]:
@@ -192,7 +201,9 @@ class CoreIndexKernel(ABC):
         """Theorem-3 candidate anchors under the current anchored state.
 
         The anchor set is the one established by the last :meth:`refresh`
-        (anchors carry core infinity there, which is what excludes them).
+        or :meth:`commit_anchor` (anchors carry core infinity there, which
+        is what excludes them).  ``k`` must be the one the state is kept
+        for.
         """
 
     @abstractmethod
@@ -200,7 +211,7 @@ class CoreIndexKernel(ABC):
         """Every un-anchored vertex outside the anchored k-core.
 
         As with :meth:`candidate_anchors`, "un-anchored" refers to the
-        anchor set of the last :meth:`refresh`.
+        anchor set of the last :meth:`refresh` or :meth:`commit_anchor`.
         """
 
     @abstractmethod

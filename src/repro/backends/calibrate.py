@@ -246,8 +246,8 @@ def _run_peel(backend, graph) -> None:
 
 def _run_core_index(backend, graph) -> None:
     kernel = backend.build_core_index(graph)
-    kernel.refresh(set())
     k = 3
+    kernel.refresh(set(), k)
     candidates = sorted(kernel.candidate_anchors(k, True))
     step = max(1, len(candidates) // 8)
     for candidate in candidates[::step][:8]:

@@ -30,6 +30,7 @@ from repro.cores.decomposition import (
     CoreDecomposition,
     apply_shell_moves,
     build_shell_index,
+    capped_cores_ids,
     commit_anchor_ids,
     compact_k_core_ids,
     compact_peel,
@@ -45,10 +46,13 @@ class CompactCoreIndexKernel(CoreIndexKernel):
     The snapshot is built once for the kernel's lifetime (the index contract
     forbids graph mutation) and every refresh, scan and cascade runs over
     flat int arrays indexed by vertex id.  A shell index (``{core value:
-    member id set}``) backs the per-round size queries in O(#levels) /
-    O(|shell|) instead of O(n) scans.  :meth:`commit_anchor` runs the capped
-    riser cascades of :func:`repro.cores.decomposition.commit_anchor_ids`
-    and re-orders the ``(k-1)``-shell; it never re-peels the snapshot.
+    member id set}``) backs the per-round size queries and the candidate
+    scan in O(#levels) / O(|shell|) instead of O(n) scans.  :meth:`refresh`
+    runs the capped bucket cascade of
+    :func:`repro.cores.decomposition.capped_cores_ids` and
+    :meth:`commit_anchor` the capped riser cascades of
+    :func:`repro.cores.decomposition.commit_anchor_ids`; both then re-order
+    the ``(k-1)``-shell.  Neither peels the snapshot.
     """
 
     def __init__(self, graph: Graph) -> None:
@@ -58,37 +62,41 @@ class CompactCoreIndexKernel(CoreIndexKernel):
         self._shell_ids: Dict[float, Set[int]] = {}
         self._core_map_cache: Optional[Dict[Vertex, float]] = None
 
-    def refresh(self, anchors: Set[Vertex]) -> None:
-        interner = self._cgraph.interner
-        anchor_ids = [interner.id_of(anchor) for anchor in anchors]
-        core_ids, order_ids = compact_peel(self._cgraph, anchor_ids)
-        self._core_ids = core_ids
-        rank_ids = [0] * len(core_ids)
-        for position, vid in enumerate(order_ids):
-            rank_ids[vid] = position
-        self._rank_ids = rank_ids
-        self._shell_ids = build_shell_index(enumerate(core_ids))
+    def refresh(self, anchors: Set[Vertex], k: int) -> None:
+        cgraph = self._cgraph
+        anchor_ids = [cgraph.interner.id_of(anchor) for anchor in anchors]
+        self._core_ids = capped_cores_ids(cgraph.indptr, cgraph.indices, anchor_ids, k)
+        # Every vertex below the shell ranks 0; _rank_shell ranks the shell.
+        self._rank_ids = [0] * len(self._core_ids)
+        self._shell_ids = build_shell_index(enumerate(self._core_ids))
+        self._rank_shell(k)
         self._core_map_cache = None
 
     def commit_anchor(
         self, vertex: Vertex, anchors: Set[Vertex], k: int
     ) -> Optional[FrozenSet[Vertex]]:
         cgraph = self._cgraph
-        core_ids = self._core_ids
         touched = commit_anchor_ids(
-            cgraph.indptr, cgraph.indices, core_ids, cgraph.interner.id_of(vertex), k
+            cgraph.indptr, cgraph.indices, self._core_ids, cgraph.interner.id_of(vertex), k
         )
-        apply_shell_moves(self._shell_ids, touched, core_ids)
-        members = sorted(self._shell_ids.get(k - 1, ()))
-        shell_order = shell_order_ids(cgraph.indptr, cgraph.indices, core_ids, members, k - 1)
-        # Offset by n: the re-ordered shell ranks after every lower shell.
-        base = len(core_ids)
-        rank_ids = self._rank_ids
-        for position, vid in enumerate(shell_order):
-            rank_ids[vid] = base + position
+        apply_shell_moves(self._shell_ids, touched, self._core_ids)
+        self._rank_shell(k)
         self._core_map_cache = None
         vertices = cgraph.interner.vertices
         return frozenset(vertices[vid] for vid, _ in touched)
+
+    def _rank_shell(self, k: int) -> None:
+        """Rank the ``(k-1)``-shell in full-peel order, offset by n so it
+        ranks after every lower vertex."""
+        cgraph = self._cgraph
+        members = sorted(self._shell_ids.get(k - 1, ()))
+        shell_order = shell_order_ids(
+            cgraph.indptr, cgraph.indices, self._core_ids, members, k - 1
+        )
+        base = len(self._core_ids)
+        rank_ids = self._rank_ids
+        for position, vid in enumerate(shell_order):
+            rank_ids[vid] = base + position
 
     def removal_ranks(self) -> Mapping[Vertex, int]:
         vertices = self._cgraph.interner.vertices
@@ -126,25 +134,21 @@ class CompactCoreIndexKernel(CoreIndexKernel):
         return self._cgraph.interner.translate(compact_k_core_ids(self._cgraph, k))
 
     def candidate_anchors(self, k: int, order_pruning: bool) -> Set[Vertex]:
-        target = k - 1
+        # Walk the (k-1)-shell: a candidate is a neighbour of a shell member
+        # below k (anchored ids carry core infinity, which excludes them),
+        # ranked before that member under pruning.
         cgraph = self._cgraph
         indptr = cgraph.indptr
         indices = cgraph.indices
         core_ids = self._core_ids
         rank_ids = self._rank_ids
-        candidates: List[int] = []
-        for vid in range(len(core_ids)):
-            # Anchored ids carry core infinity, so this also excludes them.
-            if core_ids[vid] >= k:
-                continue
-            rank = rank_ids[vid]
-            for position in range(indptr[vid], indptr[vid + 1]):
-                neighbour = indices[position]
-                if core_ids[neighbour] != target:
-                    continue
-                if not order_pruning or rank_ids[neighbour] > rank:
-                    candidates.append(vid)
-                    break
+        candidates: Set[int] = set()
+        for member in self._shell_ids.get(k - 1, ()):
+            member_rank = rank_ids[member]
+            for position in range(indptr[member], indptr[member + 1]):
+                vid = indices[position]
+                if core_ids[vid] < k and (not order_pruning or rank_ids[vid] < member_rank):
+                    candidates.add(vid)
         return cgraph.interner.translate(candidates)
 
     def non_core_vertices(self, k: int) -> Set[Vertex]:

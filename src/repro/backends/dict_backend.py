@@ -83,6 +83,51 @@ def dict_anchored_peel(graph: Graph, anchor_set: FrozenSet[Vertex]) -> CoreDecom
     return CoreDecomposition(core=core, order=tuple(order), anchors=anchor_set)
 
 
+def dict_capped_cores(
+    graph: Graph, anchor_set: FrozenSet[Vertex], k: int
+) -> Dict[Vertex, float]:
+    """Anchored core numbers capped at ``k`` over the adjacency-set graph.
+
+    The hashable-vertex twin of
+    :func:`repro.cores.decomposition.capped_cores_ids` (its docstring has
+    the bucket cascade stopped at level ``k``): ``min(core, k)`` for every
+    vertex, anchors at :data:`~repro.cores.decomposition.ANCHOR_CORE`.
+    """
+    core: Dict[Vertex, float] = {}
+    degree: Dict[Vertex, int] = {}
+    low: List[Vertex] = []
+    for vertex in graph.vertices():
+        if vertex in anchor_set:
+            core[vertex] = ANCHOR_CORE
+            continue
+        core[vertex] = k
+        value = degree[vertex] = graph.degree(vertex)
+        if value < k:
+            low.append(vertex)
+    buckets: List[List[Vertex]] = [
+        [] for _ in range(min(k, max(degree.values(), default=-1) + 1))
+    ]
+    for vertex in low:
+        buckets[degree[vertex]].append(vertex)
+    # Anchors and popped vertices leave ``degree``: neither is decremented.
+    for level, bucket in enumerate(buckets):
+        while bucket:
+            vertex = bucket.pop()
+            if vertex not in degree:
+                continue
+            del degree[vertex]
+            core[vertex] = level
+            for neighbour in graph.neighbors(vertex):
+                remaining = degree.get(neighbour)
+                if remaining is None:
+                    continue
+                remaining -= 1
+                degree[neighbour] = remaining
+                if remaining < k:
+                    buckets[remaining if remaining > level else level].append(neighbour)
+    return core
+
+
 def dict_k_core(graph: Graph, k: int, anchors: Iterable[Vertex] = ()) -> Set[Vertex]:
     """(Anchored) k-core by a direct deletion cascade over the dict graph."""
     anchor_set = set(anchors)
@@ -112,10 +157,12 @@ class DictCoreIndexKernel(CoreIndexKernel):
 
     Alongside the core/rank maps the kernel maintains a *shell index*
     (``{core value: member set}``): the size queries the greedy loops issue
-    every round (``count_core_at_least``, ``shell_vertices``) then cost
-    O(#levels) / O(|shell|) instead of a full O(n) scan.  The index is
-    rebuilt on :meth:`refresh` and updated for just the touched vertices on
-    :meth:`commit_anchor`.
+    every round (``count_core_at_least``, ``shell_vertices``) and the
+    candidate scan then cost O(#levels) / O(|shell|) instead of a full O(n)
+    scan.  The index is rebuilt on :meth:`refresh` and updated for just the
+    touched vertices on :meth:`commit_anchor`.  :meth:`refresh` runs the
+    capped bucket cascade :func:`dict_capped_cores` and orders only the
+    ``(k-1)``-shell; it never peels the graph.
     """
 
     def __init__(self, graph: Graph) -> None:
@@ -124,13 +171,12 @@ class DictCoreIndexKernel(CoreIndexKernel):
         self._rank: Dict[Vertex, int] = {}
         self._shells: Dict[float, Set[Vertex]] = {}
 
-    def refresh(self, anchors: Set[Vertex]) -> None:
-        decomposition = dict_anchored_peel(self._graph, frozenset(anchors))
-        self._core = dict(decomposition.core)
-        self._rank = {
-            vertex: position for position, vertex in enumerate(decomposition.order)
-        }
+    def refresh(self, anchors: Set[Vertex], k: int) -> None:
+        self._core = dict_capped_cores(self._graph, frozenset(anchors), k)
+        # Every vertex below the shell ranks 0; _rank_shell ranks the shell.
+        self._rank = dict.fromkeys(self._core, 0)
         self._shells = build_shell_index(self._core.items())
+        self._rank_shell(k)
 
     def _shell_order(self, members: List[Vertex], level: float) -> List[Vertex]:
         """Removal order within one shell (the Phase-B reconstruction).
@@ -172,16 +218,19 @@ class DictCoreIndexKernel(CoreIndexKernel):
         :func:`~repro.anchored.followers.commit_anchor_cores` at levels up to
         ``k``, then one within-shell cascade over the ``(k-1)``-shell.
         """
-        core = self._core
-        touched = commit_anchor_cores(self._graph, vertex, core, cap=k)
-        apply_shell_moves(self._shells, touched, core)
+        touched = commit_anchor_cores(self._graph, vertex, self._core, cap=k)
+        apply_shell_moves(self._shells, touched, self._core)
+        self._rank_shell(k)
+        return frozenset(v for v, _ in touched)
+
+    def _rank_shell(self, k: int) -> None:
+        """Rank the ``(k-1)``-shell in full-peel order, offset by n so it
+        ranks after every lower vertex."""
         members = sorted(self._shells.get(k - 1, ()), key=tie_break_key)
-        # Offset by n: the re-ordered shell ranks after every lower shell.
-        base = len(core)
+        base = len(self._core)
         rank = self._rank
         for position, v in enumerate(self._shell_order(members, k - 1)):
             rank[v] = base + position
-        return frozenset(v for v, _ in touched)
 
     def removal_ranks(self) -> Mapping[Vertex, int]:
         return dict(self._rank)
@@ -214,21 +263,18 @@ class DictCoreIndexKernel(CoreIndexKernel):
         return dict_k_core(self._graph, k)
 
     def candidate_anchors(self, k: int, order_pruning: bool) -> Set[Vertex]:
-        target = k - 1
+        # Walk the (k-1)-shell: a candidate is a neighbour of a shell member
+        # below k (anchors carry core infinity, which excludes them), ranked
+        # before that member under pruning.
         core = self._core
         rank = self._rank
+        neighbors = self._graph.neighbors
         candidates: Set[Vertex] = set()
-        for vertex, value in core.items():
-            # Anchors carry core infinity, so ``value >= k`` excludes them.
-            if value >= k:
-                continue
-            own_rank = rank[vertex]
-            for neighbour in self._graph.neighbors(vertex):
-                if core.get(neighbour) != target:
-                    continue
-                if not order_pruning or rank[neighbour] > own_rank:
+        for member in self._shells.get(k - 1, ()):
+            member_rank = rank[member]
+            for vertex in neighbors(member):
+                if core[vertex] < k and (not order_pruning or rank[vertex] < member_rank):
                     candidates.add(vertex)
-                    break
         return candidates
 
     def non_core_vertices(self, k: int) -> Set[Vertex]:

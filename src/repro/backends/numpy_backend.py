@@ -20,8 +20,11 @@ arrays and replaces the per-vertex Python loops with array passes:
   confluent, so the surviving set is identical to the sequential reference;
   the visited-vertex instrumentation (region size plus removals) is matched
   exactly.
-* **Candidate scans** and the K-order ``deg+`` pass are single edge-level
-  boolean reductions over ``(row, col)`` arrays.
+* **The anchored core index** never peels: its build runs Phase A only
+  up to level ``k`` and orders only the ``(k-1)``-shell with Phase B's
+  shell pass.  The candidate scan gathers that shell's neighbours and
+  filters them with one boolean pass.  The K-order ``deg+`` pass is a
+  single edge-level boolean reduction over ``(row, col)`` arrays.
 
 Import of numpy is gated: this module is only loaded by the registry's lazy
 factory once ``repro.backends.numpy_available()`` reports true, so the rest
@@ -201,42 +204,32 @@ def _shell_order(ngraph: NumpyGraph, core, c: int) -> List[int]:
     return order
 
 
-def numpy_peel(ngraph: NumpyGraph, anchor_ids: Iterable[int] = ()):
-    """Peel a numpy snapshot; return ``(core array, removal order)`` by id.
+def _wave_cores(ngraph: NumpyGraph, core, peelable, limit=None) -> None:
+    """Phase A of the peel: write core numbers into ``core`` by wave peeling.
 
-    Bit-identical to :func:`repro.cores.decomposition.compact_peel` on an
-    ordered snapshot: same core numbers, same removal order, anchors mapped
-    to infinity and appended last by id.
+    Only ``peelable`` vertices are removed; the others (anchors) keep
+    supporting their neighbours.  With a ``limit`` the peel stops before
+    level ``limit`` and leaves every vertex it has not reached as it was.
+    ``level`` mirrors the heap peel's running-max ``current_core``.  Each
+    full-array scan happens once per *level* (levels strictly increase);
+    within a level, the next wave's frontier is derived from the
+    just-decremented neighbours only, keeping the cascade O(m) instead of
+    O(n * waves) on long-cascade graphs (paths, grids).
     """
     n = ngraph.num_vertices
-    core = np.zeros(n, dtype=np.float64)
-    order: List[int] = []
-    if n == 0:
-        return core, order
     indptr = ngraph.indptr
     indices = ngraph.indices
-
-    is_anchor = np.zeros(n, dtype=bool)
-    anchor_list = list(anchor_ids)
-    if anchor_list:
-        is_anchor[anchor_list] = True
-    peelable = ~is_anchor
     alive = np.ones(n, dtype=bool)
     eff = ngraph.degrees.astype(np.int64)
     remaining = int(peelable.sum())
-
-    # Phase A: core numbers by wave peeling.  ``level`` mirrors the heap
-    # peel's running-max ``current_core``.  Each full-array scan happens once
-    # per *level* (levels strictly increase); within a level, the next wave's
-    # frontier is derived from the just-decremented neighbours only, keeping
-    # the cascade O(m) instead of O(n * waves) on long-cascade graphs (paths,
-    # grids).
     level = 0
     while remaining:
         active = alive & peelable
         current_min = int(eff[active].min())
         if current_min > level:
             level = current_min
+        if limit is not None and level >= limit:
+            return
         frontier = np.nonzero(active & (eff <= level))[0]
         while frontier.size:
             if frontier.size < _SCALAR_DRAIN_CUTOFF:
@@ -257,6 +250,26 @@ def numpy_peel(ngraph: NumpyGraph, anchor_ids: Iterable[int] = ()):
             else:
                 frontier = nbrs
 
+
+def numpy_peel(ngraph: NumpyGraph, anchor_ids: Iterable[int] = ()):
+    """Peel a numpy snapshot; return ``(core array, removal order)`` by id.
+
+    Bit-identical to :func:`repro.cores.decomposition.compact_peel` on an
+    ordered snapshot: same core numbers, same removal order, anchors mapped
+    to infinity and appended last by id.
+    """
+    n = ngraph.num_vertices
+    core = np.zeros(n, dtype=np.float64)
+    order: List[int] = []
+    if n == 0:
+        return core, order
+
+    is_anchor = np.zeros(n, dtype=bool)
+    anchor_list = list(anchor_ids)
+    if anchor_list:
+        is_anchor[anchor_list] = True
+    peelable = ~is_anchor
+    _wave_cores(ngraph, core, peelable)
     if anchor_list:
         core[is_anchor] = math.inf
 
@@ -397,7 +410,14 @@ def numpy_full_shell_followers(
 
 
 class NumpyCoreIndexKernel(CoreIndexKernel):
-    """Anchored-core-index state over one ordered numpy snapshot."""
+    """Anchored-core-index state over one ordered numpy snapshot.
+
+    :meth:`refresh` runs Phase A of the peel only up to level ``k``
+    (:func:`_wave_cores` with a limit) and orders only the ``(k-1)``-shell
+    (Phase B's :func:`_shell_order`); :meth:`commit_anchor` runs the capped
+    riser cascades of :func:`repro.cores.decomposition.commit_anchor_ids`
+    and re-orders the same shell.
+    """
 
     def __init__(self, graph: Graph) -> None:
         self._ngraph = NumpyGraph.from_graph(graph, ordered=True)
@@ -406,33 +426,41 @@ class NumpyCoreIndexKernel(CoreIndexKernel):
         self._rank = np.zeros(n, dtype=np.int64)
         self._core_map_cache: Optional[Dict[Vertex, float]] = None
 
-    def refresh(self, anchors: Set[Vertex]) -> None:
-        interner = self._ngraph.interner
-        anchor_ids = [interner.id_of(anchor) for anchor in anchors]
-        core, order = numpy_peel(self._ngraph, anchor_ids)
+    def refresh(self, anchors: Set[Vertex], k: int) -> None:
+        ngraph = self._ngraph
+        n = ngraph.num_vertices
+        core = np.full(n, k, dtype=np.float64)
+        peelable = np.ones(n, dtype=bool)
+        anchor_ids = [ngraph.interner.id_of(anchor) for anchor in anchors]
+        if anchor_ids:
+            core[anchor_ids] = math.inf
+            peelable[anchor_ids] = False
+        _wave_cores(ngraph, core, peelable, limit=k)
         self._core = core
-        rank = np.zeros(self._ngraph.num_vertices, dtype=np.int64)
-        if order:
-            rank[np.asarray(order, dtype=np.int64)] = np.arange(len(order))
-        self._rank = rank
+        # Every vertex below the shell ranks 0; _rank_shell ranks the shell.
+        self._rank = np.zeros(n, dtype=np.int64)
+        self._rank_shell(k)
         self._core_map_cache = None
 
     def commit_anchor(self, vertex: Vertex, anchors: Set[Vertex], k: int):
         # The riser cascades are scalar work on a small region: the shared
         # id-array kernel runs over the plain-list CSR with the numpy core
-        # array as storage.  The shell re-order is Phase B of the peel.
+        # array as storage.
         ngraph = self._ngraph
-        core = self._core
         touched = commit_anchor_ids(
-            ngraph.indptr_list, ngraph.indices_list, core, ngraph.interner.id_of(vertex), k
+            ngraph.indptr_list, ngraph.indices_list, self._core, ngraph.interner.id_of(vertex), k
         )
-        shell_order = _shell_order(ngraph, core, k - 1)
-        # Offset by n: the re-ordered shell ranks after every lower shell.
-        n = ngraph.num_vertices
-        self._rank[shell_order] = np.arange(n, n + len(shell_order))
+        self._rank_shell(k)
         self._core_map_cache = None
         vertices = ngraph.interner.vertices
         return frozenset(vertices[vid] for vid, _ in touched)
+
+    def _rank_shell(self, k: int) -> None:
+        """Rank the ``(k-1)``-shell in full-peel order, offset by n so it
+        ranks after every lower vertex."""
+        shell_order = _shell_order(self._ngraph, self._core, k - 1)
+        n = self._ngraph.num_vertices
+        self._rank[shell_order] = np.arange(n, n + len(shell_order))
 
     def removal_ranks(self) -> Mapping[Vertex, int]:
         vertices = self._ngraph.interner.vertices
@@ -471,18 +499,18 @@ class NumpyCoreIndexKernel(CoreIndexKernel):
         return self._translate(numpy_k_core_ids(self._ngraph, k))
 
     def candidate_anchors(self, k: int, order_pruning: bool) -> Set[Vertex]:
+        # Walk the (k-1)-shell: a candidate is a neighbour of a shell member
+        # below k (anchors carry core infinity, which excludes them), ranked
+        # before that member under pruning.
         ngraph = self._ngraph
-        if ngraph.num_vertices == 0:
-            return set()
-        row = ngraph.row
-        col = ngraph.indices
         core = self._core
-        # Anchors carry core infinity, so ``core < k`` excludes them for free.
-        mask = (core[row] < k) & (core[col] == k - 1)
+        shell = np.nonzero(core == k - 1)[0]
+        nbrs, counts = _gather(ngraph.indptr, ngraph.indices, shell)
+        mask = core[nbrs] < k
         if order_pruning:
             rank = self._rank
-            mask &= rank[col] > rank[row]
-        return self._translate(np.unique(row[mask]))
+            mask &= rank[nbrs] < np.repeat(rank[shell], counts)
+        return self._translate(np.unique(nbrs[mask]))
 
     def non_core_vertices(self, k: int) -> Set[Vertex]:
         return self._translate(np.nonzero(self._core < k)[0])

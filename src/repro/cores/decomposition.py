@@ -21,7 +21,9 @@ backend's kernel.  All registered backends produce *identical* core numbers
 vertices in tie-break order so the integer id doubles as the deterministic
 tie-break rank.  This module also
 hosts the flat integer-array kernel primitives (:func:`compact_peel`,
-:func:`compact_k_core_ids`) that the compact backend is built from.
+:func:`compact_k_core_ids`, and the capped index kernels
+:func:`capped_cores_ids`, :func:`commit_anchor_ids` and
+:func:`shell_order_ids`) that the compact backend is built from.
 """
 
 from __future__ import annotations
@@ -206,7 +208,7 @@ def build_shell_index(items: Iterable[Tuple[object, float]]) -> Dict[float, Set[
     """``{core value: member set}`` from ``(member, core value)`` pairs.
 
     The shell index behind the kernels' O(#levels)/O(|shell|) size queries;
-    rebuilt on every full refresh and patched by :func:`apply_shell_moves`
+    rebuilt on every refresh and patched by :func:`apply_shell_moves`
     on incremental commits.
     """
     shells: Dict[float, Set[object]] = {}
@@ -397,6 +399,58 @@ def commit_anchor_ids(
             core[vid] = j
     core[x] = ANCHOR_CORE
     return touched
+
+
+def capped_cores_ids(
+    indptr: Sequence[int],
+    indices: Sequence[int],
+    anchor_ids: Iterable[int],
+    k: int,
+) -> List[float]:
+    """Anchored core numbers capped at ``k``, by id: ``min(core, k)``, with
+    anchors at :data:`ANCHOR_CORE` — the state the compact kernel's
+    ``refresh`` builds, without a full peel.
+
+    The bucket cascade of Batagelj and Zaversnik ("An O(m) Algorithm for
+    Cores Decomposition of Networks", 2003), stopped at level ``k``: a
+    vertex whose remaining degree falls to ``d < k`` goes into bucket
+    ``max(d, level)``, buckets drain in level order, and a vertex popped at
+    ``level`` has core number ``level``.  Vertices never bucketed keep
+    ``k``.  Anchors are never decremented, so they support their neighbours
+    throughout.  Only ``min(k, max degree + 1)`` buckets exist, so a huge
+    ``k`` allocates and loops over nothing per level.  The work is the
+    edges of the vertices below ``k``, not the whole graph.
+    :func:`repro.backends.dict_backend.dict_capped_cores` is the
+    hashable-vertex twin.
+    """
+    n = len(indptr) - 1
+    core: List[float] = [k] * n
+    # ``done`` marks anchors and popped vertices: neither is decremented.
+    done = bytearray(n)
+    for anchor_id in anchor_ids:
+        core[anchor_id] = ANCHOR_CORE
+        done[anchor_id] = 1
+    degree = [indptr[vid + 1] - indptr[vid] for vid in range(n)]
+    buckets: List[List[int]] = [[] for _ in range(min(k, max(degree, default=-1) + 1))]
+    for vid in range(n):
+        if degree[vid] < k and not done[vid]:
+            buckets[degree[vid]].append(vid)
+    for level, bucket in enumerate(buckets):
+        while bucket:
+            vid = bucket.pop()
+            if done[vid]:
+                continue
+            done[vid] = 1
+            core[vid] = level
+            for position in range(indptr[vid], indptr[vid + 1]):
+                neighbour = indices[position]
+                if done[neighbour]:
+                    continue
+                remaining = degree[neighbour] - 1
+                degree[neighbour] = remaining
+                if remaining < k:
+                    buckets[remaining if remaining > level else level].append(neighbour)
+    return core
 
 
 def compact_k_core_ids(

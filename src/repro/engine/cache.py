@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Tuple
 
 from repro.anchored.result import AnchoredKCoreResult
-from repro.errors import ParameterError
+from repro.errors import require_int
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,7 @@ class ResultCache:
     """LRU cache of :class:`AnchoredKCoreResult` with version promotion."""
 
     def __init__(self, capacity: int = 256) -> None:
-        if capacity < 1:
-            raise ParameterError("cache capacity must be >= 1")
+        require_int("cache capacity", capacity, 1)
         self._capacity = capacity
         self._entries: "OrderedDict[CacheKey, AnchoredKCoreResult]" = OrderedDict()
         self.hits = 0

@@ -132,8 +132,8 @@ class StreamingAVTEngine:
         core: Optional[Dict[Vertex, int]] = None,
         backend: Union[str, ExecutionBackend] = BACKEND_AUTO,
     ) -> None:
-        if batch_size is not None and batch_size < 1:
-            raise ParameterError("batch_size must be >= 1 (or None to disable)")
+        if batch_size is not None:
+            require_int("batch_size", batch_size, 1)
         if default_solver not in SOLVERS:
             raise ParameterError(
                 f"unknown solver {default_solver!r}; expected one of {sorted(SOLVERS)}"

@@ -5,7 +5,11 @@ edge event.  The buffer absorbs raw insert/remove operations, keeps only the
 *net* operation per edge (last writer wins, the same rule as
 :meth:`EdgeDelta.merge`), and cancels pairs that provably cannot change the
 live graph — an insert of an edge that is already present, a remove of an
-absent one, or an insert→remove round trip on an edge the graph never had.
+absent one, or an insert→remove round trip on an edge the graph never had
+between two vertices it already has.  A round trip whose insert would
+create an endpoint is kept: the flushed delta carries the edge as both
+inserted and removed, and since insertions apply first, the endpoint
+appears exactly as the unbuffered events would have created it.
 ``flush()`` then hands one compact :class:`EdgeDelta` to the core maintainer.
 
 Self-loops are rejected at the door: inserting one raises
@@ -26,6 +30,10 @@ from typing import Dict, Optional, Tuple
 from repro.errors import SelfLoopError
 from repro.graph.dynamic import EdgeDelta, _normalise_edge
 from repro.graph.static import Graph, Vertex
+
+#: Pending state of an insert→remove round trip that must still run: the
+#: live graph lacks an endpoint, which the insert creates.
+_ROUND_TRIP = 0
 
 
 class IngestBuffer:
@@ -80,10 +88,23 @@ class IngestBuffer:
     def _offer(self, edge: Tuple[Vertex, Vertex], op: int) -> None:
         self.ingested += 1
         pending = self._pending.get(edge)
+        if pending == _ROUND_TRIP:
+            if op > 0:
+                # insert→remove→insert nets to the insert alone.
+                self._pending[edge] = op
+                self.cancelled += 2
+            else:
+                self.cancelled += 1  # the round trip already ends absent
+            return
         if pending == -op:
             # Opposing pair: the net effect is "edge ends up as `op` says".
-            # If the live graph already agrees, both operations cancel.
-            if self._graph is not None and self._graph.has_edge(*edge) == (op > 0):
+            # If the live graph already agrees, both operations cancel,
+            # unless the insert of an insert→remove pair creates an endpoint.
+            graph = self._graph
+            if graph is not None and graph.has_edge(*edge) == (op > 0):
+                if op < 0 and not (graph.has_vertex(edge[0]) and graph.has_vertex(edge[1])):
+                    self._pending[edge] = _ROUND_TRIP
+                    return
                 del self._pending[edge]
                 self.cancelled += 2
                 return
@@ -114,9 +135,10 @@ class IngestBuffer:
 
     def peek(self) -> EdgeDelta:
         """Return the coalesced delta without clearing the buffer."""
+        # A round trip is in both lists; insertions apply first.
         return EdgeDelta.from_iterables(
-            inserted=(edge for edge, op in self._pending.items() if op > 0),
-            removed=(edge for edge, op in self._pending.items() if op < 0),
+            inserted=(edge for edge, op in self._pending.items() if op >= 0),
+            removed=(edge for edge, op in self._pending.items() if op <= 0),
         )
 
     def flush(self) -> EdgeDelta:

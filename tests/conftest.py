@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import random
+from typing import FrozenSet, Iterable, List, Tuple
 
 import networkx as nx
 import pytest
 
+from repro.anchored.followers import compute_followers, follower_gain
+from repro.cores.decomposition import anchored_core_decomposition
 from repro.graph.generators import barabasi_albert_graph, chung_lu_graph, erdos_renyi_graph
 from repro.graph.datasets import toy_example_evolving_graph, toy_example_graph
-from repro.graph.static import Graph
+from repro.graph.static import Graph, Vertex
+from repro.ordering import tie_break_key
 
 
 def to_networkx(graph: Graph) -> nx.Graph:
@@ -23,6 +27,35 @@ def to_networkx(graph: Graph) -> nx.Graph:
 def random_graph(seed: int, num_vertices: int = 40, num_edges: int = 80) -> Graph:
     """Small deterministic random graph for unit tests."""
     return erdos_renyi_graph(num_vertices, num_edges, seed=seed)
+
+
+def reference_greedy(
+    graph: Graph, k: int, budget: int, initial_anchors: Iterable[Vertex] = ()
+) -> Tuple[Tuple[Vertex, ...], FrozenSet[Vertex], int]:
+    """Greedy (Algorithm 2) from definitions only: no ``AnchoredCoreIndex``.
+
+    Each round scans every vertex whose exact anchored core number (a full
+    dict peel) is below ``k``, in tie-break order, keeps the first one with
+    a strictly larger :func:`follower_gain`, and stops on zero gain.
+    Theorem-3 pruning only skips vertices that gain nothing, so this
+    selects what :class:`~repro.anchored.greedy.GreedyAnchoredKCore` must.
+    Returns ``(anchors, followers, anchored core size)``.
+    """
+    anchors: List[Vertex] = list(dict.fromkeys(initial_anchors))
+    while len(anchors) < budget:
+        core = anchored_core_decomposition(graph, anchors, backend="dict").core
+        best, best_gain = None, 0
+        for vertex in sorted((v for v, value in core.items() if value < k), key=tie_break_key):
+            gain = len(follower_gain(graph, k, anchors, vertex, backend="dict"))
+            if gain > best_gain:
+                best, best_gain = vertex, gain
+        if best is None:
+            break
+        anchors.append(best)
+    followers = compute_followers(graph, k, anchors, backend="dict")
+    core = anchored_core_decomposition(graph, anchors, backend="dict").core
+    size = sum(1 for value in core.values() if value >= k)
+    return tuple(anchors), frozenset(followers), size
 
 
 @pytest.fixture

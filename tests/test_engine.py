@@ -65,12 +65,35 @@ class TestIngestBuffer:
         assert delta.removed == ((1, 2),)
 
     def test_opposing_pair_cancels_against_live_graph(self):
-        graph = Graph(edges=[(5, 6)])
+        graph = Graph(edges=[(5, 6)], vertices=[1, 2])
         buffer = IngestBuffer(graph)
         buffer.insert(1, 2)  # edge absent: pending insert
         buffer.remove(1, 2)  # absent edge would stay absent -> both cancel
         assert buffer.is_empty()
         assert buffer.cancelled == 2
+
+    def test_round_trip_that_creates_an_endpoint_is_kept(self):
+        graph = Graph(edges=[(5, 6)], vertices=[1])
+        buffer = IngestBuffer(graph)
+        buffer.insert(1, 2)  # vertex 2 is missing: the insert creates it
+        buffer.remove(1, 2)
+        assert buffer.pending_changes == 1
+        assert buffer.cancelled == 0
+        delta = buffer.peek()
+        assert delta.inserted == delta.removed == ((1, 2),)
+        delta.apply(graph)
+        assert graph.has_vertex(2) and not graph.has_edge(1, 2)
+
+    def test_round_trip_then_insert_or_remove_coalesces(self):
+        buffer = IngestBuffer(Graph(vertices=[1]))
+        buffer.insert(1, 2)
+        buffer.remove(1, 2)
+        buffer.remove(1, 2)  # the round trip already ends absent
+        assert buffer.cancelled == 1
+        buffer.insert(1, 2)  # insert, remove, insert nets to the insert
+        assert buffer.cancelled == 3
+        delta = buffer.flush()
+        assert delta.inserted == ((1, 2),) and delta.removed == ()
 
     def test_remove_then_insert_of_present_edge_cancels(self):
         graph = Graph(edges=[(1, 2)])
@@ -278,6 +301,17 @@ class TestEngineQueries:
         assert engine.graph_version == 0
         assert engine.stats.cache_hits == 1
 
+    @pytest.mark.parametrize("batch_size", [1, 2, 64, None])
+    def test_vertex_set_does_not_depend_on_batch_size(self, batch_size):
+        # An insert→remove round trip to an unknown vertex creates it, as the
+        # unbuffered events would, whether or not a flush splits the pair.
+        engine = StreamingAVTEngine(Graph(vertices=range(12)), batch_size=batch_size)
+        engine.ingest_insert(0, 12)
+        engine.ingest_remove(0, 12)
+        engine.flush()
+        assert engine.graph == Graph(vertices=range(13))
+        assert engine.core_numbers() == core_numbers(engine.graph)
+
     def test_auto_flush_at_batch_size(self, toy_graph):
         engine = StreamingAVTEngine(toy_graph, batch_size=2)
         engine.ingest_insert(1, 5)
@@ -310,6 +344,14 @@ class TestEngineQueries:
             StreamingAVTEngine(toy_graph, default_solver="nope")
         with pytest.raises(ParameterError):
             StreamingAVTEngine(toy_graph, batch_size=0)
+        # Fractions must not be accepted (and checkpointed), and strings or
+        # bools must not escape as a raw TypeError.
+        for bad in (2.5, "3", True):
+            with pytest.raises(ParameterError):
+                StreamingAVTEngine(toy_graph, batch_size=bad)
+            with pytest.raises(ParameterError):
+                StreamingAVTEngine(toy_graph, cache_capacity=bad)
+        assert StreamingAVTEngine(toy_graph, batch_size=None).pending_updates == 0
 
     def test_engine_on_empty_graph(self):
         engine = StreamingAVTEngine()

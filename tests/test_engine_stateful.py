@@ -1,20 +1,22 @@
 """Stateful differential check of the streaming engine against scratch oracles.
 
 One hypothesis ``RuleBasedStateMachine`` drives a :class:`StreamingAVTEngine`
-over vertices 0-11 with a small ``batch_size`` (so auto-flush fires inside
-ingest) and mirrors every accepted edge operation on a shadow graph.  The
-rules interleave single inserts (self-loops included, which must fail at
-ingest and buffer nothing), removals (absent edges and self-loops included),
-whole deltas, flushes, exact and warm queries, checkpoint + restore into a
-fresh engine on every available backend, and rotated saves with one injected
-``checkpoint.bytes`` corruption.  After every step the engine must agree with
-the oracles:
+that starts on vertices 0-11 with a small ``batch_size`` (so auto-flush fires
+inside ingest) and mirrors every accepted edge operation on a shadow graph.
+Edges are drawn over vertices 0-15, so inserts and removals also reach
+vertices the engine does not know yet.  The rules interleave single inserts
+(self-loops included, which must fail at ingest and buffer nothing),
+removals (absent edges and self-loops included), whole deltas, flushes,
+exact and warm queries, checkpoint + restore into a fresh engine on every
+available backend, and rotated saves with one injected ``checkpoint.bytes``
+corruption.  After every step the engine must agree with the oracles:
 
-* with nothing pending, its graph equals the shadow graph and its core
-  numbers equal :func:`~repro.cores.decomposition.core_numbers`;
-* an exact answer equals a fresh full-recompute dict
-  :class:`GreedyAnchoredKCore` solve (``incremental=False``, which re-peels
-  on every commit), and asking again returns the same answer;
+* with nothing pending, its graph (vertex set included) equals the shadow
+  graph and its core numbers equal
+  :func:`~repro.cores.decomposition.core_numbers`;
+* an exact answer equals the index-free reference Greedy
+  (:func:`tests.conftest.reference_greedy`, built from full dict peels and
+  :func:`follower_gain` only), and asking again returns the same answer;
 * a warm answer has at most ``budget`` distinct anchors, all in the graph,
   and its followers equal the reference :func:`compute_followers` path
   (no ``k_core_vertices`` shortcut);
@@ -35,7 +37,6 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.anchored.followers import compute_followers
-from repro.anchored.greedy import GreedyAnchoredKCore
 from repro.backends import numpy_available
 from repro.cores.decomposition import core_numbers
 from repro.engine import StreamingAVTEngine, load_checkpoint
@@ -43,11 +44,13 @@ from repro.errors import CheckpointError, SelfLoopError
 from repro.graph.dynamic import EdgeDelta
 from repro.graph.static import Graph
 from repro.resilience import FaultSpec, faults
+from tests.conftest import reference_greedy
 
+#: The engine starts on these; edges may also name vertices 12-15.
 VERTICES = range(12)
 BATCH_SIZE = 3
 
-vertices = st.integers(min_value=0, max_value=11)
+vertices = st.integers(min_value=0, max_value=15)
 edges = st.tuples(vertices, vertices)
 ks = st.integers(min_value=1, max_value=4)
 budgets = st.integers(min_value=0, max_value=3)
@@ -137,14 +140,12 @@ class EngineMachine(RuleBasedStateMachine):
     @rule(k=ks, budget=budgets)
     def exact_query(self, k, budget):
         answer = self.engine.query(k, budget, warm=False)
-        # The full-recompute Greedy re-peels on every commit, so the oracle
-        # shares no code with the capped commit path the engine runs.
-        scratch = GreedyAnchoredKCore(
-            self.shadow, k, budget, backend="dict", incremental=False
-        ).select()
-        assert answer.anchors == scratch.anchors
-        assert answer.followers == scratch.followers
-        assert answer.anchored_core_size == scratch.anchored_core_size
+        # The reference builds no AnchoredCoreIndex, so it shares no code
+        # with the capped build and commits the engine runs.
+        anchors, followers, size = reference_greedy(self.shadow, k, budget)
+        assert answer.anchors == anchors
+        assert answer.followers == followers
+        assert answer.anchored_core_size == size
         again = self.engine.query(k, budget, warm=False)
         assert again.anchors == answer.anchors
         assert again.followers == answer.followers

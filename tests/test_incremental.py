@@ -79,6 +79,9 @@ class TestBasicBehaviour:
     def test_negative_max_snapshots_rejected(self, toy_problem):
         with pytest.raises(ParameterError):
             IncAVTTracker().track(toy_problem, max_snapshots=-1)
+        for bad in (1.5, "1", True):
+            with pytest.raises(ParameterError):
+                IncAVTTracker().track(toy_problem, max_snapshots=bad)
 
 
 class TestRefreshAnchors:
@@ -229,10 +232,20 @@ class TestParameterValidation:
     def test_rejects_negative_neighbourhood_hops(self):
         with pytest.raises(ParameterError):
             IncAVTTracker(neighbourhood_hops=-3)
+        # 1.5 used to fail only inside track(); strings and None escaped
+        # as a raw TypeError.
+        for bad in (1.5, "1", True, None):
+            with pytest.raises(ParameterError):
+                IncAVTTracker(neighbourhood_hops=bad)
 
     def test_rejects_negative_restart_churn_ratio(self):
         with pytest.raises(ParameterError):
             IncAVTTracker(restart_churn_ratio=-1.0)
+        for bad in ("x", True, [0.1]):
+            with pytest.raises(ParameterError):
+                IncAVTTracker(restart_churn_ratio=bad)
+        IncAVTTracker(restart_churn_ratio=None)
+        IncAVTTracker(restart_churn_ratio=1)
 
     def test_zero_hops_and_zero_churn_ratio_stay_valid(self, toy_problem):
         # restart_churn_ratio=0.0 is the "IncAVT(rebuild)" experiment variant.

@@ -1,14 +1,17 @@
-"""Property tests for the delta-refresh subsystem (PR 5).
+"""Property tests for the capped index build and the delta-refresh subsystem.
 
-Two referees keep the incremental paths honest:
+Two referees keep the capped and incremental paths honest:
 
-* **Kernel-level**: after any random anchor sequence, a kernel driven purely
-  through :meth:`~repro.anchored.anchored_core.AnchoredCoreIndex.commit_anchor`
-  must meet the capped delta-refresh contract against a kernel rebuilt with a
-  full refresh for the same anchor set, on every registered backend: core
-  numbers equal once capped at ``k``, the ``(k-1)``-shell in the same
-  relative order and after every lower shell, and identical candidate sets
-  and shell queries; and the returned touched set must be exactly the
+* **Kernel-level**: right after construction, and after any random anchor
+  sequence driven purely through
+  :meth:`~repro.anchored.anchored_core.AnchoredCoreIndex.commit_anchor`,
+  the index must meet the capped contract against a full exact anchored
+  peel (:func:`~repro.cores.decomposition.anchored_core_decomposition` on
+  the dict backend, which builds no index), on every registered backend:
+  core numbers equal to ``min(full peel, k)`` with anchors at infinity, the
+  ``(k-1)``-shell in the full peel's relative order and after every lower
+  vertex, and candidate sets and shell queries equal to those derived from
+  the full peel; and the returned touched set must be exactly the
   core-number diff.
 * **Solver-level**: the memoized Greedy (``incremental=True``, the default)
   must select bit-identical anchors and followers and report bit-identical
@@ -30,6 +33,7 @@ from repro.anchored.anchored_core import AnchoredCoreIndex
 from repro.anchored.greedy import GreedyAnchoredKCore
 from repro.backends import CoreIndexKernel, numpy_available
 from repro.backends.dict_backend import DictBackend, DictCoreIndexKernel
+from repro.cores.decomposition import ANCHOR_CORE, anchored_core_decomposition
 from repro.graph.generators import chung_lu_graph
 from repro.graph.static import Graph
 from repro.ordering import tie_break_key
@@ -83,30 +87,75 @@ def commit_scenarios(draw):
     return graph, k, anchors
 
 
-def _assert_capped_state(incremental: AnchoredCoreIndex, full: AnchoredCoreIndex, k: int):
-    """The capped contract: ``incremental`` after commits vs a full peel."""
-    inc_core = dict(incremental.core_numbers())
-    full_core = dict(full.core_numbers())
-    assert {v: min(value, k) for v, value in inc_core.items()} == {
-        v: min(value, k) for v, value in full_core.items()
+def _assert_capped_state(index: AnchoredCoreIndex, graph: Graph, anchors, k: int):
+    """The capped contract: ``index`` vs a full exact anchored peel of
+    ``graph`` with ``anchors`` (dict backend, no index involved)."""
+    decomposition = anchored_core_decomposition(graph, anchors, backend="dict")
+    full_core = decomposition.core
+    full_rank = {vertex: position for position, vertex in enumerate(decomposition.order)}
+    assert dict(index.core_numbers()) == {
+        v: ANCHOR_CORE if v in decomposition.anchors else min(value, k)
+        for v, value in full_core.items()
     }
-    inc_ranks = incremental.kernel.removal_ranks()
-    full_ranks = full.kernel.removal_ranks()
-    assert inc_ranks is not None and full_ranks is not None
-    shell = [v for v, value in full_core.items() if value == k - 1]
-    assert sorted(shell, key=inc_ranks.__getitem__) == sorted(
-        shell, key=full_ranks.__getitem__
-    )
+    ranks = index.kernel.removal_ranks()
+    assert ranks is not None
+    # The shell in full-peel order must rank strictly increasing.
+    shell = [v for v in decomposition.order if full_core[v] == k - 1]
+    shell_ranks = [ranks[v] for v in shell]
+    assert all(a < b for a, b in zip(shell_ranks, shell_ranks[1:]))
     lower = [v for v, value in full_core.items() if value < k - 1]
     if shell and lower:
-        assert max(inc_ranks[v] for v in lower) < min(inc_ranks[v] for v in shell)
-    assert incremental.candidate_anchors() == full.candidate_anchors()
-    assert incremental.candidate_anchors(order_pruning=False) == full.candidate_anchors(
-        order_pruning=False
+        assert max(ranks[v] for v in lower) < min(shell_ranks)
+    for pruning in (True, False):
+        expected = {
+            u
+            for u in graph.vertices()
+            if full_core[u] < k
+            and any(
+                full_core[v] == k - 1 and (not pruning or full_rank[v] > full_rank[u])
+                for v in graph.neighbors(u)
+            )
+        }
+        assert index.candidate_anchors(order_pruning=pruning) == expected
+    assert index.all_non_core_vertices() == {
+        v for v, value in full_core.items() if value < k
+    }
+    assert index.anchored_core_size() == sum(1 for value in full_core.values() if value >= k)
+    assert index.shell() == set(shell)
+
+
+@st.composite
+def build_scenarios(draw):
+    """A graph, initial anchors and a ``k`` that includes the extremes."""
+    graph = draw(graphs())
+    max_degree = max((graph.degree(v) for v in graph.vertices()), default=0)
+    k = draw(
+        st.one_of(
+            st.integers(min_value=1, max_value=5),
+            st.sampled_from([max(max_degree, 1), max_degree + 1, 10**9]),
+        )
     )
-    assert incremental.all_non_core_vertices() == full.all_non_core_vertices()
-    assert incremental.anchored_core_size() == full.anchored_core_size()
-    assert incremental.shell() == full.shell()
+    universe = sorted(graph.vertices(), key=tie_break_key)
+    anchors = draw(st.lists(st.sampled_from(universe), max_size=3, unique=True))
+    return graph, k, anchors
+
+
+# The path 0-1-2 is the 1-shell and the isolated 3 the lower 0-shell, so a
+# missing shell order, a missing rank offset and a level loop that stops at
+# k - 1 all break this build; the second example repeats it with an anchor.
+PATH_WITH_ISOLATED = Graph(edges=[(0, 1), (1, 2)], vertices=[0, 1, 2, 3])
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(scenario=build_scenarios())
+@example(scenario=(PATH_WITH_ISOLATED, 2, []))
+@example(scenario=(Graph(edges=[(0, 1), (1, 2), (2, 4)], vertices=range(5)), 2, [4]))
+def test_capped_build_matches_the_exact_peel(backend, scenario):
+    """Right after construction the index holds the capped state."""
+    graph, k, anchors = scenario
+    index = AnchoredCoreIndex(graph, k, anchors=anchors, backend=backend)
+    _assert_capped_state(index, graph, anchors, k)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -115,9 +164,9 @@ def _assert_capped_state(incremental: AnchoredCoreIndex, full: AnchoredCoreIndex
 # Anchoring the end of the path 0-1-2 re-orders the rest of the 1-shell
 # (2 now peels before 1), and the isolated 3 is a lower shell that the
 # re-ordered ranks must stay above.
-@example(scenario=(Graph(edges=[(0, 1), (1, 2)], vertices=[0, 1, 2, 3]), 2, [0]))
+@example(scenario=(PATH_WITH_ISOLATED, 2, [0]))
 def test_commit_anchor_matches_full_refresh(backend, scenario):
-    """After every commit the capped state matches a full refresh."""
+    """After every commit the capped state matches the full exact peel."""
     graph, k, anchors = scenario
     incremental = AnchoredCoreIndex(graph, k, backend=backend)
     committed = []
@@ -125,8 +174,7 @@ def test_commit_anchor_matches_full_refresh(backend, scenario):
         before = dict(incremental.core_numbers())
         touched = incremental.commit_anchor(anchor)
         committed.append(anchor)
-        full = AnchoredCoreIndex(graph, k, anchors=committed, backend=backend)
-        _assert_capped_state(incremental, full, k)
+        _assert_capped_state(incremental, graph, committed, k)
         # The touched set is the exact core-number diff (built-in kernels
         # never fall back to the unknown-change None).
         after = dict(incremental.core_numbers())
@@ -267,6 +315,4 @@ def test_fallback_commit_returns_none_and_full_state(scenario):
         touched = index.commit_anchor(anchor)
         committed.append(anchor)
         assert touched is None
-        full = AnchoredCoreIndex(graph, k, anchors=committed, backend="dict")
-        assert dict(index.core_numbers()) == dict(full.core_numbers())
-        assert index.candidate_anchors() == full.candidate_anchors()
+        _assert_capped_state(index, graph, committed, k)

@@ -17,6 +17,7 @@ from repro.backends import numpy_available
 from repro.errors import ParameterError
 from repro.graph.generators import chung_lu_graph
 from repro.graph.static import Graph
+from tests.conftest import reference_greedy
 
 ALL_SOLVERS = [GreedyAnchoredKCore, OLAKAnchoredKCore, RCMAnchoredKCore, BruteForceAnchoredKCore]
 HEURISTICS = [GreedyAnchoredKCore, OLAKAnchoredKCore, RCMAnchoredKCore]
@@ -157,6 +158,10 @@ class TestRCM:
     def test_shortlist_size_validation(self, toy_graph):
         with pytest.raises(ParameterError):
             RCMAnchoredKCore(toy_graph, 3, 2, shortlist_size=0)
+        # A fraction used to fail later, as a TypeError from a slice.
+        for bad in (2.5, "3", True, None):
+            with pytest.raises(ParameterError):
+                RCMAnchoredKCore(toy_graph, 3, 2, shortlist_size=bad)
 
     def test_larger_shortlist_never_hurts(self, cl_graph):
         small = RCMAnchoredKCore(cl_graph, 4, 3, shortlist_size=2).select()
@@ -251,3 +256,51 @@ def test_greedy_against_exact_solvers_on_tiny_graphs(backend, graph, k, budget):
         assert greedy.num_followers == brute.num_followers
     if k <= 2:
         assert ExactSmallK(graph, k, budget).select().num_followers == brute.num_followers
+
+
+@st.composite
+def small_graphs_with_anchors(draw):
+    """Graphs of at most 14 vertices (int or str ids) plus initial anchors."""
+    num_vertices = draw(st.integers(min_value=1, max_value=14))
+    vertices = draw(
+        st.sampled_from([list(range(num_vertices)), [f"v{i}" for i in range(num_vertices)]])
+    )
+    possible_edges = [(u, v) for i, u in enumerate(vertices) for v in vertices[i + 1 :]]
+    edges = (
+        draw(st.lists(st.sampled_from(possible_edges), max_size=3 * num_vertices, unique=True))
+        if possible_edges
+        else []
+    )
+    anchors = draw(st.lists(st.sampled_from(vertices), max_size=2, unique=True))
+    return Graph(edges=edges, vertices=vertices), anchors
+
+
+@pytest.mark.parametrize("incremental", [True, False])
+@pytest.mark.parametrize(
+    "backend",
+    [
+        "dict",
+        "compact",
+        pytest.param(
+            "numpy",
+            marks=pytest.mark.skipif(not numpy_available(), reason="numpy is not installed"),
+        ),
+    ],
+)
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    scenario=small_graphs_with_anchors(),
+    k=st.integers(min_value=1, max_value=5),
+    extra=st.integers(min_value=0, max_value=3),
+)
+def test_greedy_equals_the_index_free_reference(backend, incremental, scenario, k, extra):
+    """Greedy picks what the definitions-only reference Greedy picks."""
+    graph, initial = scenario
+    budget = len(initial) + extra
+    result = GreedyAnchoredKCore(
+        graph, k, budget, initial_anchors=initial, incremental=incremental, backend=backend
+    ).select()
+    anchors, followers, size = reference_greedy(graph, k, budget, initial)
+    assert result.anchors == anchors
+    assert result.followers == followers
+    assert result.anchored_core_size == size

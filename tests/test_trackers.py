@@ -43,6 +43,9 @@ class TestSnapshotTrackerMachinery:
         with pytest.raises(ParameterError):
             GreedyTracker().track(toy_problem, max_snapshots=-1)
         assert len(GreedyTracker().track(toy_problem, max_snapshots=0)) == 0
+        for bad in (1.5, "1", True):
+            with pytest.raises(ParameterError):
+                GreedyTracker().track(toy_problem, max_snapshots=bad)
 
     def test_snapshot_metadata_records_deltas(self, toy_problem):
         result = GreedyTracker().track(toy_problem)
