@@ -1,35 +1,26 @@
-"""Backend comparison — dict vs compact vs numpy, plus incremental Greedy.
+"""Backend comparison — dict vs numpy, plus incremental Greedy.
 
 Not a paper figure: this certifies the execution backends registered in
 :mod:`repro.backends`.  A 50k-vertex power-law (Chung–Lu) graph is solved
-end-to-end with Greedy on every available backend; all backends must return
+end-to-end with Greedy on every available backend; both backends must return
 byte-identical decompositions (core numbers *and* removal order), k-cores,
-anchors and followers.  Perf floors enforced at full size:
+anchors and followers.  Per-kernel timings (full decomposition, single
+k-core cascade, Greedy end to end) and numpy's speedups over dict are
+recorded for the perf trajectory, without a floor.
 
-* the compact backend must be >= 1.8x faster than dict end-to-end (the PR 2
-  floor was 2x; PR 5's memoized gains speed the dict baseline up as well —
-  the cascades memoization removes were the dict backend's most
-  disproportionate cost — so the honest spread on the default path
-  compressed and the floor follows it);
-* the numpy backend's full peel must be at least as fast as the compact
-  backend's (the vectorised kernels may not regress below the flat-int
-  kernels they replace); and
-* the incremental Greedy (delta-refresh ``commit_anchor`` + memoized gains,
-  the PR-5 subsystem) must beat the full-recompute Greedy end-to-end on the
-  compact backend by >= 2x at budget 8, with bit-identical anchors,
-  followers and instrumentation counters.
+One floor is enforced at full size: the incremental Greedy (delta-refresh
+``commit_anchor`` + memoized gains) must beat the full-recompute Greedy
+end-to-end by >= 2x at budget 8, with bit-identical anchors, followers and
+instrumentation counters, on the backend ``auto`` picks for the graph (numpy
+at full size when it is installed, dict at the CI smoke size).
 
-Per-kernel timings (full decomposition, single k-core cascade) are reported
-alongside for the perf trajectory.  ``AVT_BENCH_BACKEND_VERTICES`` overrides
-the graph size (the CI smoke job runs a tiny instance, where the floors are
-not enforced — below the ``auto`` threshold the interning overhead
-legitimately dominates).  Results land in
-``benchmarks/results/BENCH_backend.json`` plus ``BENCH_numpy.json`` (when
-numpy is installed) and ``BENCH_incremental.json`` with the
-incremental-vs-full Greedy record (per-round commit latency, candidate
-re-evaluation counts).  Every record carries a ``floors`` block enforced both here and by
-``python -m repro.bench.compare`` in CI, so a recorded speedup regressing
-below its floor fails loudly.
+``AVT_BENCH_BACKEND_VERTICES`` overrides the graph size (the CI smoke job
+runs a tiny instance, where the floor is recorded but not enforced).
+Results land in ``benchmarks/results/BENCH_backend.json`` and
+``BENCH_incremental.json`` (per-round commit latency, candidate
+re-evaluation counts).  The incremental record carries a ``floors`` block
+enforced both here and by ``python -m repro.bench.compare`` in CI, so a
+recorded speedup regressing below its floor fails loudly.
 """
 
 from __future__ import annotations
@@ -38,7 +29,7 @@ import os
 import time
 
 from repro.anchored.greedy import GreedyAnchoredKCore
-from repro.backends import numpy_available
+from repro.backends import get_backend, numpy_available
 from repro.bench.compare import floor_failures
 from repro.bench.reporting import format_table, write_bench_json
 from repro.cores.decomposition import core_decomposition, k_core
@@ -50,17 +41,11 @@ K = 4
 BUDGET = 2
 SEED = 42
 
-#: The perf floors are enforced at or above this size; tiny smoke runs only
+#: The perf floor is enforced at or above this size; tiny smoke runs only
 #: check result equivalence.
 SPEEDUP_ENFORCEMENT_FLOOR = 50_000
-#: PR 2 enforced 2x against the pre-memoization dict Greedy; PR 5's gain
-#: cache removed the cascades that hurt dict the most, so the default-path
-#: spread sits at ~2.1-2.6x and the floor keeps headroom below it.
-REQUIRED_COMPACT_SPEEDUP = 1.8
-#: numpy peel time must satisfy ``compact_s / numpy_s >= 1.0``.
-REQUIRED_NUMPY_PEEL_RATIO = 1.0
-#: The PR-5 guarantee: incremental refresh + memoized gains must beat the
-#: full-recompute Greedy end-to-end on the compact backend at this budget.
+#: The incremental refresh + memoized gains must beat the full-recompute
+#: Greedy end-to-end at this budget.
 INCREMENTAL_BUDGET = 8
 REQUIRED_INCREMENTAL_SPEEDUP = 2.0
 
@@ -72,7 +57,7 @@ def _num_vertices() -> int:
 def run_compare():
     num_vertices = _num_vertices()
     graph = chung_lu_graph(num_vertices, EDGE_FACTOR * num_vertices, seed=SEED)
-    backends = ["dict", "compact"] + (["numpy"] if numpy_available() else [])
+    backends = ["dict"] + (["numpy"] if numpy_available() else [])
     if "numpy" in backends:
         # Touch the numpy kernels once so first-call import/allocator warmup
         # does not pollute the timed sections.
@@ -158,19 +143,12 @@ def run_compare():
         "speedups_vs_dict": speedups,
         "greedy_followers": len(dict_outcome.followers),
         "results_identical": True,
-        "floors": {
-            "compact_greedy_speedup_vs_dict": {
-                "value": speedups["compact"]["greedy_end_to_end_s"],
-                "floor": REQUIRED_COMPACT_SPEEDUP,
-                "enforced": num_vertices >= SPEEDUP_ENFORCEMENT_FLOOR,
-            },
-        },
     }
-    return payload, timings, report, "\n".join(csv_lines) + "\n", graph.num_vertices
+    return payload, report, "\n".join(csv_lines) + "\n"
 
 
 def run_incremental_compare():
-    """Incremental vs full-recompute Greedy on the compact backend.
+    """Incremental vs full-recompute Greedy on the backend ``auto`` picks.
 
     The same selection problem (bit-identical anchors and followers by the
     delta-refresh contract) solved twice: once with ``incremental=False``
@@ -180,16 +158,17 @@ def run_incremental_compare():
     """
     num_vertices = _num_vertices()
     graph = chung_lu_graph(num_vertices, EDGE_FACTOR * num_vertices, seed=SEED)
+    backend = get_backend("auto", graph.num_vertices).name
 
     started = time.perf_counter()
     full = GreedyAnchoredKCore(
-        graph, K, INCREMENTAL_BUDGET, backend="compact", incremental=False
+        graph, K, INCREMENTAL_BUDGET, backend=backend, incremental=False
     ).select()
     full_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
     incremental = GreedyAnchoredKCore(
-        graph, K, INCREMENTAL_BUDGET, backend="compact", incremental=True
+        graph, K, INCREMENTAL_BUDGET, backend=backend, incremental=True
     ).select()
     incremental_seconds = time.perf_counter() - started
 
@@ -212,7 +191,7 @@ def run_incremental_compare():
             "k": K,
             "budget": INCREMENTAL_BUDGET,
             "solver": "greedy",
-            "backend": "compact",
+            "backend": backend,
         },
         "greedy_seconds": {
             "full_recompute": full_seconds,
@@ -242,7 +221,7 @@ def run_incremental_compare():
     }
     report = (
         f"Incremental vs full-recompute Greedy on chung_lu(n={graph.num_vertices}, "
-        f"m={graph.num_edges}, k={K}, l={INCREMENTAL_BUDGET}, compact backend): "
+        f"m={graph.num_edges}, k={K}, l={INCREMENTAL_BUDGET}, {backend} backend): "
         f"full={full_seconds:.3f}s incremental={incremental_seconds:.3f}s "
         f"-> {speedup:.2f}x (cascades: {evaluated} evaluated, "
         f"{incremental.stats.candidates_recomputed} recomputed, "
@@ -252,9 +231,7 @@ def run_incremental_compare():
 
 
 def test_backend_compare(benchmark, results_dir, record_report):
-    payload, timings, report, csv_text, num_vertices = benchmark.pedantic(
-        run_compare, rounds=1, iterations=1
-    )
+    payload, report, csv_text = benchmark.pedantic(run_compare, rounds=1, iterations=1)
     record_report("backend_compare", report, csv_text)
     write_bench_json(
         results_dir / "BENCH_backend.json",
@@ -262,42 +239,6 @@ def test_backend_compare(benchmark, results_dir, record_report):
         payload,
         backend="+".join(payload["backends"]),
     )
-
-    # Computed once, recorded in the ``floors`` block and enforced through
-    # the same :func:`repro.bench.compare.floor_failures` reader the CI
-    # bench-smoke step runs, so the recorded ratio and the enforced ratio
-    # can never diverge.
-    if "numpy" in timings:
-        numpy_peel_ratio = timings["compact"]["decomposition_s"] / max(
-            timings["numpy"]["decomposition_s"], 1e-9
-        )
-        numpy_payload = {
-            "graph": payload["graph"],
-            "workload": payload["workload"],
-            "timings_seconds": {
-                "compact": timings["compact"],
-                "numpy": timings["numpy"],
-            },
-            "peel_ratio_compact_over_numpy": numpy_peel_ratio,
-            "required_peel_ratio": REQUIRED_NUMPY_PEEL_RATIO,
-            "enforced": num_vertices >= SPEEDUP_ENFORCEMENT_FLOOR,
-            "floors": {
-                "numpy_peel_ratio_vs_compact": {
-                    "value": numpy_peel_ratio,
-                    "floor": REQUIRED_NUMPY_PEEL_RATIO,
-                    "enforced": num_vertices >= SPEEDUP_ENFORCEMENT_FLOOR,
-                },
-            },
-        }
-        write_bench_json(
-            results_dir / "BENCH_numpy.json",
-            "numpy_backend",
-            numpy_payload,
-            backend="numpy",
-        )
-        assert not floor_failures(numpy_payload), floor_failures(numpy_payload)
-
-    assert not floor_failures(payload), floor_failures(payload)
 
 
 def test_incremental_compare(benchmark, results_dir, record_report):
@@ -307,6 +248,10 @@ def test_incremental_compare(benchmark, results_dir, record_report):
         results_dir / "BENCH_incremental.json",
         "incremental_refresh",
         payload,
-        backend="compact",
+        backend=payload["workload"]["backend"],
     )
+    # Computed once, recorded in the ``floors`` block and enforced through
+    # the same :func:`repro.bench.compare.floor_failures` reader the CI
+    # bench-smoke step runs, so the recorded ratio and the enforced ratio
+    # can never diverge.
     assert not floor_failures(payload), floor_failures(payload)

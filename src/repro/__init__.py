@@ -43,7 +43,7 @@ The library is layered; each layer only depends on the ones above it::
                     compact: VertexInterner · CompactGraph (CSR) ·
                     DynamicCompactAdjacency                          ── snapshot structures
     repro.backends  ExecutionBackend protocol · registry · auto
-                    policy · dict / compact / numpy kernels          ── execution layer
+                    rule · dict / numpy kernels                      ── execution layer
     repro.cores     core_decomposition · KOrder · CoreMaintainer     ── k-core machinery
     repro.anchored  followers · AnchoredCoreIndex ·
                     Greedy / OLAK / RCM / brute force                ── anchored k-core
@@ -55,7 +55,7 @@ cascades, K-order ``deg+``, the follower cascades and candidate scans behind
 the anchored core index, the incremental maintenance traversals) is defined
 once as the :class:`~repro.backends.ExecutionBackend` protocol and
 implemented by the registered backends; public modules never branch on a
-backend name, they call through the object the registry resolves.  The three
+backend name, they call through the object the registry resolves.  The two
 built-ins:
 
 ================  =============================================  =========================================
@@ -63,32 +63,24 @@ backend           implementation                                 ``auto`` picks 
 ================  =============================================  =========================================
 ``dict``          hashable vertices over the adjacency-set       the graph has fewer than
                   graph; zero setup or translation cost          :data:`~repro.backends.COMPACT_THRESHOLD`
-                                                                 vertices, or for any one-shot cascade
-                                                                 (a single O(n + m) pass cannot amortise
-                                                                 a snapshot build)
-``compact``       flat int arrays over an interned CSR           large amortised workloads when numpy is
-                  snapshot; packed single-int heap peeling       not installed (or disabled)
-``numpy``         vectorised numpy kernels over the same CSR     large amortised workloads when numpy is
-                  contract (wave peeling, bincount support       installed (highest auto priority)
-                  counts, shell-gather candidate scans)
+                                                                 vertices, for any one-shot cascade (a
+                                                                 single O(n + m) pass cannot amortise a
+                                                                 snapshot build), or numpy is unavailable
+``numpy``         an interned CSR snapshot: vectorised passes    every other case
+                  for peels, k-cores, the capped index build,
+                  candidate scans and OLAK's whole-shell
+                  cascade; id-list loops for the region
+                  follower cascade, commits and maintenance
 ================  =============================================  =========================================
 
-The priority ladder above is only the *uncalibrated* policy.  A measured
-calibration table (:mod:`repro.backends.calibrate`: ``avt-bench calibrate``
-or :func:`repro.backends.run_calibration`, activated via
-:func:`repro.backends.load_calibration` or ``REPRO_CALIBRATION``) makes
-``auto`` resolve amortised workloads to the *measured* winner of the size
-band containing the graph, falling back to the ladder for uncalibrated sizes
-and unavailable winners.
-
-All registered backends guarantee identical core numbers and removal orders
-from the full peels behind ``decompose``/``korder``, identical capped index
-states (below), and identical instrumentation counts (enforced by
-``tests/test_backend_equivalence.py``, three-way); only speed differs —
-``benchmarks/bench_backend_compare.py`` tracks the gaps and emits
-``BENCH_backend.json`` / ``BENCH_numpy.json`` /
-``BENCH_incremental.json`` (incremental vs full-recompute Greedy), each with
-a ``floors`` block read by ``python -m repro.bench.compare``.
+Both backends guarantee identical core numbers and removal orders from the
+full peels behind ``decompose``/``korder``, identical capped index states
+(below), and identical instrumentation counts (enforced by
+``tests/test_backend_equivalence.py``); only speed differs —
+``benchmarks/bench_backend_compare.py`` tracks the gap in
+``BENCH_backend.json``, and emits ``BENCH_incremental.json`` (incremental vs
+full-recompute Greedy on the backend ``auto`` picks) with a ``floors``
+block read by ``python -m repro.bench.compare``.
 
 *Capped index and delta refresh* — an anchored core index never peels its
 snapshot.  From construction on it keeps only what the greedy loops read at
@@ -110,13 +102,10 @@ kernel         ``refresh`` and ``commit_anchor`` paths
                (:func:`repro.anchored.followers.commit_anchor_cores`, +1
                each, the single-anchor shell lemma); then one within-shell
                cascade over the ``(k-1)``-shell
-``compact``    the same over flat id arrays
-               (:func:`repro.cores.decomposition.capped_cores_ids`,
-               :func:`repro.cores.decomposition.commit_anchor_ids` and
-               :func:`repro.cores.decomposition.shell_order_ids`)
 ``numpy``      the peel's vectorised waves stopped before level ``k``; the
-               same riser cascades (scalar-sized work); the shell order is
-               the peel's vectorised Phase-B shell pass
+               same riser cascades over id lists
+               (:func:`repro.cores.decomposition.commit_anchor_ids`); the
+               shell order is the peel's vectorised Phase-B shell pass
 custom         inherits the protocol default for ``commit_anchor`` — a
                ``refresh``, touched unknown (``None``) — so third-party
                kernels keep working
@@ -154,21 +143,19 @@ warning.
         ...  # decompose / k_core / remaining_degrees /
              # build_core_index / build_maintenance
 
-    register_backend("mine", MyBackend, auto_priority=5)
+    register_backend("mine", MyBackend)
     GreedyAnchoredKCore(graph, k=3, budget=5, backend="mine")
 
-``auto_priority`` ranks the backend for ``auto`` on large amortised
-workloads; an ``is_available`` probe (with an optional ``availability_reason``
-companion explaining *why* — missing import vs. ``REPRO_DISABLE_NUMPY``
-switch) lets optional-dependency backends like numpy step aside gracefully —
-``avt-bench backends`` prints the registry with availability, skip reasons
-and priorities.
+Custom backends run when named; ``auto`` only picks dict or numpy.  An
+``is_available`` probe (with an optional ``availability_reason`` companion
+explaining *why* — missing import vs. ``REPRO_DISABLE_NUMPY`` switch) lets
+optional-dependency backends like numpy step aside gracefully —
+``avt-bench backends`` prints the registry with availability and reasons.
 
 *Dynamic re-resolution* — ``StreamingAVTEngine(backend="auto")`` re-resolves
 at flush time and migrates its :class:`CoreMaintainer` state, so an engine
-that starts empty upgrades off the dict backend once the ingested stream
-crosses the threshold; with a calibration table active the measured winner
-is re-consulted at every flush, so the engine follows band boundaries.
+that starts empty moves from dict to numpy once the ingested stream crosses
+the threshold.
 
 Observability
 -------------
@@ -311,23 +298,18 @@ from repro.engine import (
 )
 from repro.backends import (
     BACKEND_AUTO,
-    BACKEND_COMPACT,
     BACKEND_DICT,
     BACKEND_NUMPY,
     BACKENDS,
     COMPACT_THRESHOLD,
-    CalibrationSpec,
-    CalibrationTable,
     ExecutionBackend,
     available_backends,
     backend_availability,
     backend_info,
     get_backend,
-    load_calibration,
     register_backend,
     registered_backends,
     resolve_backend,
-    run_calibration,
 )
 from repro.errors import CheckpointCorruptionError, FaultError
 from repro.resilience import (
@@ -366,13 +348,10 @@ __all__ = [
     "SnapshotSequence",
     # execution backends
     "BACKEND_AUTO",
-    "BACKEND_COMPACT",
     "BACKEND_DICT",
     "BACKEND_NUMPY",
     "BACKENDS",
     "COMPACT_THRESHOLD",
-    "CalibrationSpec",
-    "CalibrationTable",
     "CompactGraph",
     "DynamicCompactAdjacency",
     "ExecutionBackend",
@@ -381,11 +360,9 @@ __all__ = [
     "backend_availability",
     "backend_info",
     "get_backend",
-    "load_calibration",
     "register_backend",
     "registered_backends",
     "resolve_backend",
-    "run_calibration",
     # datasets
     "DATASET_NAMES",
     "dataset_spec",

@@ -24,14 +24,13 @@ The two are property-tested against each other, as are the two paths of
 :func:`compute_followers`; the greedy algorithms use the fast path and the
 test-suite keeps the reference honest.
 
-Every cascade also exists as a flat integer-array kernel
-(:func:`compact_marginal_followers`, :func:`compact_full_shell_followers`)
-operating on a :class:`~repro.graph.compact.CompactGraph` snapshot plus a
-core-number list indexed by vertex id — these are the primitives the
-``compact`` execution backend (:mod:`repro.backends.compact_backend`) is
-built from, and the ``numpy`` backend vectorises the same cascades.  All
-backends return identical follower sets and report the same visited-vertex
-counts for the paper's instrumentation figures.
+The numpy backend runs the same cascades over its interned snapshot: the
+region cascade and :func:`commit_anchor_cores` as integer-id twins
+(:func:`repro.cores.decomposition.compact_marginal_followers` and
+:func:`repro.cores.decomposition.commit_anchor_ids`), and the whole-shell
+cascade as vectorised passes.  Both backends return identical follower sets
+and report the same visited-vertex counts for the paper's instrumentation
+figures.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from typing import (
     Mapping,
     MutableMapping,
     Optional,
-    Sequence,
     Set,
     Tuple,
     Union,
@@ -57,7 +55,6 @@ from repro.backends import (
 )
 from repro.cores.decomposition import ANCHOR_CORE
 from repro.errors import ParameterError, VertexNotFoundError
-from repro.graph.compact import CompactGraph
 from repro.graph.static import Graph, Vertex
 
 
@@ -304,8 +301,8 @@ def commit_anchor_cores(
     neighbour to seed a region.  Each cascade reads only the old numbers, so
     the writes happen after all of them.  The dict kernel's ``commit_anchor``
     and IncAVT's swap/fill pass run it with ``cap=k``;
-    :func:`repro.cores.decomposition.commit_anchor_ids` is its id-array twin
-    for the compact and numpy kernels.
+    :func:`repro.cores.decomposition.commit_anchor_ids` is its id twin for
+    the numpy kernel.
 
     Returns ``[(vertex, previous value)]`` for every changed vertex, the
     anchor first.  Each vertex appears once, so writing the pairs back in
@@ -398,145 +395,3 @@ def full_shell_followers(
                 if support[neighbour] < k:
                     removal_queue.append(neighbour)
     return shell - removed
-
-
-# ---------------------------------------------------------------------------
-# Compact (flat integer-array) kernels
-# ---------------------------------------------------------------------------
-def compact_marginal_followers(
-    cgraph: CompactGraph,
-    k: int,
-    candidate_id: int,
-    core: Sequence[float],
-    region_out: Optional[Set[int]] = None,
-) -> Tuple[Set[int], int]:
-    """Region-restricted follower cascade over a compact snapshot.
-
-    ``core`` is indexed by vertex id and holds the *current* (possibly
-    anchored) core numbers.  Returns ``(follower ids, visited count)`` where
-    the visited count matches the dict kernel's ``visit_log`` length exactly
-    (region pops plus cascade removals).  ``region_out`` receives the
-    explored region ids when supplied (see :func:`marginal_followers`).
-    """
-    if k < 1:
-        raise ParameterError("k must be >= 1 for follower computation")
-    if core[candidate_id] >= k:
-        return set(), 0
-
-    target = k - 1
-    indptr = cgraph.indptr
-    indices = cgraph.indices
-    visited = 0
-
-    region: Set[int] = set()
-    stack: List[int] = []
-    for position in range(indptr[candidate_id], indptr[candidate_id + 1]):
-        neighbour = indices[position]
-        if core[neighbour] == target and neighbour not in region:
-            region.add(neighbour)
-            stack.append(neighbour)
-    while stack:
-        current = stack.pop()
-        visited += 1
-        for position in range(indptr[current], indptr[current + 1]):
-            neighbour = indices[position]
-            if (
-                core[neighbour] == target
-                and neighbour not in region
-                and neighbour != candidate_id
-            ):
-                region.add(neighbour)
-                stack.append(neighbour)
-
-    if region_out is not None:
-        region_out.update(region)
-    if not region:
-        return set(), visited
-
-    support: Dict[int, int] = {}
-    for vid in region:
-        count = 0
-        for position in range(indptr[vid], indptr[vid + 1]):
-            neighbour = indices[position]
-            if neighbour == candidate_id:
-                count += 1
-            elif core[neighbour] >= k:
-                count += 1
-            elif neighbour in region:
-                count += 1
-        support[vid] = count
-
-    removal_queue = [vid for vid, count in support.items() if count < k]
-    removed: Set[int] = set()
-    while removal_queue:
-        vid = removal_queue.pop()
-        if vid in removed:
-            continue
-        removed.add(vid)
-        visited += 1
-        for position in range(indptr[vid], indptr[vid + 1]):
-            neighbour = indices[position]
-            if neighbour in region and neighbour not in removed:
-                support[neighbour] -= 1
-                if support[neighbour] < k:
-                    removal_queue.append(neighbour)
-    return region - removed, visited
-
-
-def compact_full_shell_followers(
-    cgraph: CompactGraph,
-    k: int,
-    candidate_id: int,
-    core: Sequence[float],
-) -> Tuple[Set[int], int]:
-    """Whole-shell follower cascade over a compact snapshot (OLAK baseline).
-
-    Same result set as :func:`compact_marginal_followers`; the visited count
-    covers every shell vertex plus the cascade removals, matching the dict
-    kernel's instrumentation.
-    """
-    if k < 1:
-        raise ParameterError("k must be >= 1 for follower computation")
-    if core[candidate_id] >= k:
-        return set(), 0
-
-    target = k - 1
-    indptr = cgraph.indptr
-    indices = cgraph.indices
-    shell = {
-        vid
-        for vid in range(cgraph.num_vertices)
-        if core[vid] == target and vid != candidate_id
-    }
-    visited = len(shell)
-    if not shell:
-        return set(), visited
-
-    support: Dict[int, int] = {}
-    for vid in shell:
-        count = 0
-        for position in range(indptr[vid], indptr[vid + 1]):
-            neighbour = indices[position]
-            if neighbour == candidate_id:
-                count += 1
-            elif core[neighbour] >= k:
-                count += 1
-            elif neighbour in shell:
-                count += 1
-        support[vid] = count
-
-    removal_queue = [vid for vid, count in support.items() if count < k]
-    removed: Set[int] = set()
-    while removal_queue:
-        vid = removal_queue.pop()
-        if vid in removed:
-            continue
-        removed.add(vid)
-        visited += 1
-        for position in range(indptr[vid], indptr[vid + 1]):
-            neighbour = indices[position]
-            if neighbour in shell and neighbour not in removed:
-                support[neighbour] -= 1
-                if support[neighbour] < k:
-                    removal_queue.append(neighbour)
-    return shell - removed, visited

@@ -102,7 +102,7 @@ class GreedyAnchoredKCore:
         (the benchmark baseline).
     backend:
         Execution backend for the core index (``"auto"`` / ``"dict"`` /
-        ``"compact"``, see :mod:`repro.backends`); results are identical,
+        ``"numpy"``, see :mod:`repro.backends`); results are identical,
         only the speed differs.
     """
 

@@ -88,7 +88,7 @@ class IncAVTTracker:
         Must be non-negative; ``0.0`` re-solves every snapshot that changed,
         and ``None`` disables restarts.
     backend:
-        Execution backend (``"auto"`` / ``"dict"`` / ``"compact"``, see
+        Execution backend (``"auto"`` / ``"dict"`` / ``"numpy"``, see
         :mod:`repro.backends`) used for core maintenance and the Greedy
         first-snapshot/restart solves.
     """

@@ -9,23 +9,23 @@ incremental maintenance traversals — is delegated to an
 
 ``dict``
     The reference implementation straight over the adjacency-set graph.
-    No setup cost, no translation; fastest on small graphs.
-``compact``
-    Flat integer-array kernels over an interned CSR snapshot
-    (:mod:`repro.graph.compact`); single-packed-int heap peeling.
+    No setup cost, no translation; fastest on small graphs and the only
+    backend on an interpreter without numpy.
 ``numpy``
-    Vectorised kernels over the same ``VertexInterner``/CSR contract with
-    numpy arrays (:mod:`repro.backends.numpy_backend`).  Import-gated: the
+    The snapshot backend: kernels over an interned CSR snapshot
+    (:mod:`repro.graph.compact`).  Full peels, k-core cascades, the capped
+    index build, candidate scans and the whole-shell cascade are vectorised
+    numpy passes; the region follower cascade, the commit risers and the
+    maintenance traversals stay pure Python over integer ids, where they
+    are faster (:mod:`repro.backends.numpy_backend`).  Import-gated: the
     package works without numpy and this backend simply reports unavailable.
 
-All three produce identical core numbers, identical removal orders and
-identical instrumentation counts (``tests/test_backend_equivalence.py``).
-``backend="auto"`` — the default everywhere — resolves by graph size and
-workload shape, and consults a **measured calibration table**
-(:mod:`repro.backends.calibrate`, installed via ``load_calibration()`` or
-``REPRO_CALIBRATION``) when one is active; the full policy is documented in
-:mod:`repro.backends.registry`.  Custom backends plug in through
-:func:`register_backend`.
+Both produce identical core numbers, identical removal orders and identical
+instrumentation counts (``tests/test_backend_equivalence.py``).
+``backend="auto"`` — the default everywhere — picks dict for one-shot work,
+below :data:`COMPACT_THRESHOLD` vertices or without numpy, and numpy
+otherwise (:mod:`repro.backends.registry`).  Custom backends plug in through
+:func:`register_backend` and are used when named.
 
 The built-ins are registered here with lazy factories so that importing
 :mod:`repro.backends` stays dependency-free and cycle-free: implementation
@@ -36,12 +36,10 @@ use.
 from __future__ import annotations
 
 import importlib.util
-import os
 from typing import Optional
 
 from repro.backends.base import (
     BACKEND_AUTO,
-    BACKEND_COMPACT,
     BACKEND_DICT,
     BACKEND_NUMPY,
     BACKENDS,
@@ -52,16 +50,6 @@ from repro.backends.base import (
     ExecutionBackend,
     MaintenanceKernel,
 )
-from repro.backends.calibrate import (
-    CalibrationSpec,
-    CalibrationTable,
-    SizeBand,
-    active_calibration,
-    clear_calibration,
-    load_calibration,
-    run_calibration,
-    set_calibration,
-)
 from repro.backends.registry import (
     available_backends,
     backend_availability,
@@ -71,36 +59,28 @@ from repro.backends.registry import (
     registered_backends,
     resolve_backend,
 )
+from repro.obs.tracer import env_flag
 
 __all__ = [
     "BACKEND_AUTO",
-    "BACKEND_COMPACT",
     "BACKEND_DICT",
     "BACKEND_NUMPY",
     "BACKENDS",
     "COMPACT_THRESHOLD",
     "WORKLOAD_AMORTIZED",
     "WORKLOAD_ONE_SHOT",
-    "CalibrationSpec",
-    "CalibrationTable",
     "CoreIndexKernel",
     "ExecutionBackend",
     "MaintenanceKernel",
-    "SizeBand",
-    "active_calibration",
     "available_backends",
     "backend_availability",
     "backend_info",
-    "clear_calibration",
     "get_backend",
-    "load_calibration",
     "numpy_available",
     "numpy_unavailable_reason",
     "register_backend",
     "registered_backends",
     "resolve_backend",
-    "run_calibration",
-    "set_calibration",
 ]
 
 
@@ -108,9 +88,10 @@ def numpy_unavailable_reason() -> Optional[str]:
     """Why the numpy backend is currently unavailable (``None`` = it isn't).
 
     Distinguishes the explicit ``REPRO_DISABLE_NUMPY`` switch from a missing
-    import so operators know whether to install or to un-set.
+    import so operators know whether to install or to un-set.  The switch is
+    parsed like ``REPRO_TRACE``: only ``1``/``true``/``yes``/``on`` disable.
     """
-    if os.environ.get("REPRO_DISABLE_NUMPY"):
+    if env_flag("REPRO_DISABLE_NUMPY"):
         return "disabled via REPRO_DISABLE_NUMPY"
     if importlib.util.find_spec("numpy") is None:
         return "numpy is not installed"
@@ -122,8 +103,8 @@ def numpy_available() -> bool:
 
     Setting ``REPRO_DISABLE_NUMPY=1`` forces this to report false even on an
     interpreter that has numpy — the supported way to exercise the no-numpy
-    degradation path (auto falls back to compact, ``backend="numpy"`` is
-    rejected with an explanation) without uninstalling anything.
+    path (``auto`` runs everything on dict, ``backend="numpy"`` is rejected
+    with an explanation) without uninstalling anything.
     """
     return numpy_unavailable_reason() is None
 
@@ -134,24 +115,16 @@ def _make_dict_backend() -> ExecutionBackend:
     return DictBackend()
 
 
-def _make_compact_backend() -> ExecutionBackend:
-    from repro.backends.compact_backend import CompactBackend
-
-    return CompactBackend()
-
-
 def _make_numpy_backend() -> ExecutionBackend:
     from repro.backends.numpy_backend import NumpyBackend
 
     return NumpyBackend()
 
 
-register_backend(BACKEND_DICT, _make_dict_backend, auto_priority=0)
-register_backend(BACKEND_COMPACT, _make_compact_backend, auto_priority=10)
+register_backend(BACKEND_DICT, _make_dict_backend)
 register_backend(
     BACKEND_NUMPY,
     _make_numpy_backend,
-    auto_priority=20,
     is_available=numpy_available,
     availability_reason=numpy_unavailable_reason,
 )

@@ -48,10 +48,10 @@ tests only ``core >= k`` or ``core == k - 1``, and Theorem-3 pruning
 compares ranks only against a ``(k-1)``-shell neighbour.  The full exact
 peel stays behind :meth:`ExecutionBackend.decompose` and
 :meth:`ExecutionBackend.korder`.  The built-in kernels build the state with
-a cascade over the levels ``0 .. k-1`` only (the bucket cascade
-:func:`repro.cores.decomposition.capped_cores_ids`, its dict twin, or the
-numpy backend's level-limited waves) and then order the ``(k-1)``-shell
-with one within-shell cascade.
+a cascade over the levels ``0 .. k-1`` only (the dict backend's bucket
+cascade :func:`repro.backends.dict_backend.dict_capped_cores`, or the numpy
+backend's level-limited waves) and then order the ``(k-1)``-shell with one
+within-shell cascade.
 
 The delta-refresh contract
 --------------------------
@@ -65,10 +65,10 @@ callers must assume anything may have changed.  Kernels that do not override
 it fall back to :meth:`~CoreIndexKernel.refresh` (and return ``None``).  The
 built-in kernels run the single-anchor riser cascades at levels up to ``k``
 only (:func:`repro.anchored.followers.commit_anchor_cores`, whose docstring
-gives the exactness argument, and its id-array twin
-:func:`repro.cores.decomposition.commit_anchor_ids`), which lift a vertex to
-at most ``k``, then re-order the ``(k-1)``-shell the same way as
-:meth:`~CoreIndexKernel.refresh`.
+gives the exactness argument, and its id-list twin
+:func:`repro.cores.decomposition.commit_anchor_ids` behind the numpy
+kernel), which lift a vertex to at most ``k``, then re-order the
+``(k-1)``-shell the same way as :meth:`~CoreIndexKernel.refresh`.
 """
 
 from __future__ import annotations
@@ -101,17 +101,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 BACKEND_AUTO = "auto"
 #: The adjacency-set ``dict`` implementation (hashable vertices, no setup).
 BACKEND_DICT = "dict"
-#: Flat integer-array kernels over an interned CSR snapshot.
-BACKEND_COMPACT = "compact"
-#: Vectorised numpy kernels over the same CSR contract (optional dependency).
+#: Kernels over an interned CSR snapshot: vectorised numpy passes plus
+#: id-list cascades (optional dependency).
 BACKEND_NUMPY = "numpy"
 
 #: Every built-in ``backend=`` value (third-party backends register more).
-BACKENDS = (BACKEND_AUTO, BACKEND_DICT, BACKEND_COMPACT, BACKEND_NUMPY)
+BACKENDS = (BACKEND_AUTO, BACKEND_DICT, BACKEND_NUMPY)
 
-#: ``auto`` switches away from the dict backend at this vertex count.  The
-#: crossover is where interning cost is clearly amortised by the kernels;
-#: below it the dict path's lack of translation wins.
+#: ``auto`` switches from the dict backend to the numpy snapshot backend at
+#: this vertex count.  The crossover is where interning cost is clearly
+#: amortised by the kernels; below it the dict path's lack of translation
+#: wins.
 COMPACT_THRESHOLD = 4096
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,11 @@
 
 This is the historical implementation of every kernel, operating directly on
 hashable vertices with no setup or translation cost — the backend ``auto``
-picks for small graphs and for one-shot cascades, and the reference the other
-backends are property-tested against.  The follower cascades delegate to the
-public functions in :mod:`repro.anchored.followers` (which double as the
-paper-facing reference algorithms); the peeling, cascade and maintenance
-traversals live here.
+picks for small graphs, for one-shot cascades and whenever numpy is
+unavailable, and the reference the numpy backend is property-tested against.
+The follower cascades delegate to the public functions in
+:mod:`repro.anchored.followers` (which double as the paper-facing reference
+algorithms); the peeling, cascade and maintenance traversals live here.
 """
 
 from __future__ import annotations
@@ -25,12 +25,7 @@ from repro.anchored.followers import (
     full_shell_followers,
     marginal_followers,
 )
-from repro.cores.decomposition import (
-    ANCHOR_CORE,
-    CoreDecomposition,
-    apply_shell_moves,
-    build_shell_index,
-)
+from repro.cores.decomposition import ANCHOR_CORE, CoreDecomposition
 from repro.errors import VertexNotFoundError
 from repro.graph.static import Graph, Vertex
 from repro.ordering import tie_break_key
@@ -86,12 +81,22 @@ def dict_anchored_peel(graph: Graph, anchor_set: FrozenSet[Vertex]) -> CoreDecom
 def dict_capped_cores(
     graph: Graph, anchor_set: FrozenSet[Vertex], k: int
 ) -> Dict[Vertex, float]:
-    """Anchored core numbers capped at ``k`` over the adjacency-set graph.
+    """Anchored core numbers capped at ``k`` over the adjacency-set graph:
+    ``min(core, k)`` for every vertex, anchors at
+    :data:`~repro.cores.decomposition.ANCHOR_CORE` — the state the dict
+    kernel's ``refresh`` builds, without a full peel.
 
-    The hashable-vertex twin of
-    :func:`repro.cores.decomposition.capped_cores_ids` (its docstring has
-    the bucket cascade stopped at level ``k``): ``min(core, k)`` for every
-    vertex, anchors at :data:`~repro.cores.decomposition.ANCHOR_CORE`.
+    The bucket cascade of Batagelj and Zaversnik ("An O(m) Algorithm for
+    Cores Decomposition of Networks", 2003), stopped at level ``k``: a
+    vertex whose remaining degree falls to ``d < k`` goes into bucket
+    ``max(d, level)``, buckets drain in level order, and a vertex popped at
+    ``level`` has core number ``level``.  Vertices never bucketed keep
+    ``k``.  Anchors are never decremented, so they support their neighbours
+    throughout.  Only ``min(k, max degree + 1)`` buckets exist, so a huge
+    ``k`` allocates and loops over nothing per level.  The work is the
+    edges of the vertices below ``k``, not the whole graph.  The numpy
+    kernel builds the same state with the peel's waves stopped before
+    ``k``.
     """
     core: Dict[Vertex, float] = {}
     degree: Dict[Vertex, int] = {}
@@ -152,6 +157,42 @@ def dict_k_core(graph: Graph, k: int, anchors: Iterable[Vertex] = ()) -> Set[Ver
     return {vertex for vertex in degrees if vertex not in removed}
 
 
+def build_shell_index(items: Iterable[Tuple[object, float]]) -> Dict[float, Set[object]]:
+    """``{core value: member set}`` from ``(member, core value)`` pairs.
+
+    The shell index behind the kernel's O(#levels)/O(|shell|) size queries;
+    rebuilt on every refresh and patched by :func:`apply_shell_moves`
+    on incremental commits.
+    """
+    shells: Dict[float, Set[object]] = {}
+    for member, value in items:
+        members = shells.get(value)
+        if members is None:
+            members = shells[value] = set()
+        members.add(member)
+    return shells
+
+
+def apply_shell_moves(shells, touched, core) -> None:
+    """Move every touched member from its old shell to its current one.
+
+    ``touched`` is the ``[(member, old core value)]`` list an incremental
+    commit returns, ``core`` the already-updated core mapping.  Emptied
+    shells are dropped so iteration over the index never visits dead levels.
+    """
+    for member, old in touched:
+        members = shells.get(old)
+        if members is not None:
+            members.discard(member)
+            if not members:
+                del shells[old]
+        value = core[member]
+        members = shells.get(value)
+        if members is None:
+            members = shells[value] = set()
+        members.add(member)
+
+
 class DictCoreIndexKernel(CoreIndexKernel):
     """Anchored-core-index state over the adjacency-set graph itself.
 
@@ -181,10 +222,12 @@ class DictCoreIndexKernel(CoreIndexKernel):
     def _shell_order(self, members: List[Vertex], level: float) -> List[Vertex]:
         """Removal order within one shell (the Phase-B reconstruction).
 
-        The hashable-vertex twin of
-        :func:`repro.cores.decomposition.shell_order_ids`: members in
-        tie-break order, each starting at its count of ``core >= level``
-        neighbours, only same-shell removals decrement.
+        With core numbers fixed, the reference heap peel's order restricted
+        to shell ``level`` is reproduced by a heap cascade over the
+        same-shell subgraph: members in tie-break order, each starting at
+        its count of ``core >= level`` neighbours (anchors are infinity and
+        count), only same-shell removals decrement.  The hashable-vertex
+        twin of the numpy backend's ``_shell_order``.
         """
         graph = self._graph
         core = self._core

@@ -1,8 +1,10 @@
-"""The ``numpy`` execution backend: vectorised kernels over the CSR contract.
+"""The ``numpy`` execution backend: the one snapshot backend.
 
-Reuses the :class:`~repro.graph.compact.VertexInterner` / CSR snapshot
-contract of the compact backend but stores ``indptr`` / ``indices`` as numpy
-arrays and replaces the per-vertex Python loops with array passes:
+Every kernel runs over an ordered, interned CSR snapshot
+(:class:`~repro.graph.compact.CompactGraph`, ids in tie-break order so the
+integer id doubles as the tie-break rank), kept both as numpy arrays and as
+the plain lists it was built from.  Each layer uses whichever form is faster
+for its work:
 
 * **Peeling** runs in two phases.  Phase A computes the core numbers with
   vectorised wave peeling (kill every vertex at or below the current level at
@@ -11,26 +13,29 @@ arrays and replaces the per-vertex Python loops with array passes:
   heap peel shell by shell: each shell's starting effective degrees
   (``# neighbours with core >= c``) come from one vectorised pass, and the
   within-shell cascade — the only genuinely sequential part — runs a packed
-  single-int heap over the same-shell subgraph only.  Because every
-  cross-shell edge is handled by the vectorised passes, the sequential loop
-  touches a fraction of the edges the compact backend's heap does.
-* **Cascades** (k-core, follower support counts) are wave-vectorised: support
-  counters come from masked ``bincount`` over gathered neighbour ranges and
-  whole removal fronts are processed per iteration.  Deletion cascades are
-  confluent, so the surviving set is identical to the sequential reference;
-  the visited-vertex instrumentation (region size plus removals) is matched
-  exactly.
+  single-int heap over the same-shell subgraph only.
+* **Whole-graph cascades** (the k-core, the OLAK baseline's whole-shell
+  follower cascade) are wave-vectorised: support counters come from masked
+  ``bincount`` over gathered neighbour ranges and whole removal fronts are
+  processed per iteration.  Deletion cascades are confluent, so the
+  surviving set is identical to the sequential reference; the visited-vertex
+  instrumentation (shell size plus removals) is matched exactly.
 * **The anchored core index** never peels: its build runs Phase A only
   up to level ``k`` and orders only the ``(k-1)``-shell with Phase B's
   shell pass.  The candidate scan gathers that shell's neighbours and
   filters them with one boolean pass.  The K-order ``deg+`` pass is a
   single edge-level boolean reduction over ``(row, col)`` arrays.
+* **Region-sized work** stays scalar over the plain-list CSR: the region
+  follower cascade behind every Greedy evaluation
+  (:func:`repro.cores.decomposition.compact_marginal_followers`), the
+  commit risers (:func:`repro.cores.decomposition.commit_anchor_ids`), and
+  the maintenance traversals (:class:`CompactMaintenanceKernel`).  These
+  touch a handful of vertices per call, where numpy's per-call overhead
+  would dwarf the work.
 
 Import of numpy is gated: this module is only loaded by the registry's lazy
 factory once ``repro.backends.numpy_available()`` reports true, so the rest
-of the library works on a numpy-free interpreter.  Incremental maintenance is
-delegated to the compact kernel — the traversals touch tiny per-edge
-subcores, where flat Python int sets already beat numpy's per-call overhead.
+of the library works on a numpy-free interpreter.
 """
 
 from __future__ import annotations
@@ -44,19 +49,28 @@ try:  # pragma: no cover - exercised implicitly by the no-numpy CI job
 except ImportError:  # pragma: no cover
     np = None
 
-from repro.backends.base import BACKEND_NUMPY, CoreIndexKernel, ExecutionBackend
-from repro.backends.compact_backend import CompactMaintenanceKernel
-from repro.cores.decomposition import ANCHOR_CORE, CoreDecomposition, commit_anchor_ids
-from repro.graph.compact import CompactGraph
+from repro.backends.base import (
+    BACKEND_NUMPY,
+    CoreIndexKernel,
+    ExecutionBackend,
+    MaintenanceKernel,
+)
+from repro.cores.decomposition import (
+    ANCHOR_CORE,
+    CoreDecomposition,
+    commit_anchor_ids,
+    compact_marginal_followers,
+)
+from repro.graph.compact import CompactGraph, DynamicCompactAdjacency
 from repro.graph.static import Graph, Vertex
 
 
 class NumpyGraph:
     """CSR snapshot with numpy arrays, sharing the interner contract.
 
-    Built *from* a :class:`~repro.graph.compact.CompactGraph` so the interning
-    semantics (ordered snapshots intern in tie-break order, id == rank) are
-    byte-identical across the compact and numpy backends.
+    Built *from* a :class:`~repro.graph.compact.CompactGraph`, so ordered
+    snapshots intern in tie-break order (id == rank), and the source's
+    plain lists stay available to the scalar kernels.
     """
 
     __slots__ = (
@@ -76,9 +90,10 @@ class NumpyGraph:
         self.indptr = np.asarray(cgraph.indptr, dtype=np.int64)
         self.indices = np.asarray(cgraph.indices, dtype=np.int64)
         # The source CompactGraph's plain-list CSR is kept (shared, not
-        # copied) for the scalar cascade drain: when a peeling wave goes
-        # thin, per-call numpy overhead dwarfs the work, and a Python queue
-        # over list-indexed rows is the faster tool.
+        # copied) for the scalar kernels — the cascade drain, the region
+        # follower cascade and the commit risers: on a thin wave or a small
+        # region, per-call numpy overhead dwarfs the work, and a Python
+        # loop over list-indexed rows is the faster tool.
         self.indptr_list = cgraph.indptr
         self.indices_list = cgraph.indices
         self.degrees = self.indptr[1:] - self.indptr[:-1]
@@ -254,9 +269,10 @@ def _wave_cores(ngraph: NumpyGraph, core, peelable, limit=None) -> None:
 def numpy_peel(ngraph: NumpyGraph, anchor_ids: Iterable[int] = ()):
     """Peel a numpy snapshot; return ``(core array, removal order)`` by id.
 
-    Bit-identical to :func:`repro.cores.decomposition.compact_peel` on an
-    ordered snapshot: same core numbers, same removal order, anchors mapped
-    to infinity and appended last by id.
+    Bit-identical to the dict backend's heap peel
+    (:func:`repro.backends.dict_backend.dict_anchored_peel`) on an ordered
+    snapshot: same core numbers, same removal order, anchors mapped to
+    infinity and appended last by id.
     """
     n = ngraph.num_vertices
     core = np.zeros(n, dtype=np.float64)
@@ -320,7 +336,7 @@ def numpy_k_core_ids(ngraph: NumpyGraph, k: int, anchor_ids: Iterable[int] = ())
 
 
 def _support_cascade(ngraph: NumpyGraph, k: int, candidate_id: int, core, member_mask):
-    """Shared survival cascade: who of ``member_mask`` keeps >= k supporters.
+    """Survival cascade: who of ``member_mask`` keeps >= k supporters.
 
     Supporters are the candidate, vertices with core >= k, and surviving
     members.  Returns ``(survivor ids, number removed)``; the cascade is
@@ -357,46 +373,12 @@ def _support_cascade(ngraph: NumpyGraph, k: int, candidate_id: int, core, member
     return members[~removed], removed_total
 
 
-def numpy_marginal_followers(
-    ngraph: NumpyGraph, k: int, candidate_id: int, core, region_out=None
-) -> Tuple[Set[int], int]:
-    """Region-restricted follower cascade; ``(follower ids, visited count)``.
-
-    The visited count matches the dict/compact kernels exactly: one per
-    region vertex plus one per cascade removal.  ``region_out`` (a set)
-    receives the explored region ids when supplied.
-    """
-    if core[candidate_id] >= k:
-        return set(), 0
-    n = ngraph.num_vertices
-    target = k - 1
-    shellish = core == target
-    in_region = np.zeros(n, dtype=bool)
-    row_start, row_end = int(ngraph.indptr[candidate_id]), int(ngraph.indptr[candidate_id + 1])
-    seeds = ngraph.indices[row_start:row_end]
-    seeds = seeds[shellish[seeds]]
-    in_region[seeds] = True
-    region_size = int(seeds.size)
-    frontier = seeds
-    while frontier.size:
-        nbrs, _ = _gather(ngraph.indptr, ngraph.indices, frontier)
-        fresh = np.unique(nbrs[shellish[nbrs] & ~in_region[nbrs]])
-        fresh = fresh[fresh != candidate_id]
-        in_region[fresh] = True
-        region_size += int(fresh.size)
-        frontier = fresh
-    if region_out is not None:
-        region_out.update(np.nonzero(in_region)[0].tolist())
-    if region_size == 0:
-        return set(), 0
-    survivors, removed_total = _support_cascade(ngraph, k, candidate_id, core, in_region)
-    return set(survivors.tolist()), region_size + removed_total
-
-
 def numpy_full_shell_followers(
     ngraph: NumpyGraph, k: int, candidate_id: int, core
 ) -> Tuple[Set[int], int]:
-    """Whole-shell follower cascade (OLAK baseline); same contract as above."""
+    """Whole-shell follower cascade (OLAK baseline); ``(follower ids,
+    visited count)``, the count being the shell size plus the removals, as
+    in the dict kernel."""
     if core[candidate_id] >= k:
         return set(), 0
     shell_mask = core == (k - 1)
@@ -416,7 +398,9 @@ class NumpyCoreIndexKernel(CoreIndexKernel):
     (:func:`_wave_cores` with a limit) and orders only the ``(k-1)``-shell
     (Phase B's :func:`_shell_order`); :meth:`commit_anchor` runs the capped
     riser cascades of :func:`repro.cores.decomposition.commit_anchor_ids`
-    and re-orders the same shell.
+    and re-orders the same shell.  Region follower cascades run
+    :func:`repro.cores.decomposition.compact_marginal_followers` over the
+    plain-list CSR with the numpy core array as storage.
     """
 
     def __init__(self, graph: Graph) -> None:
@@ -518,25 +502,191 @@ class NumpyCoreIndexKernel(CoreIndexKernel):
     def marginal_followers(
         self, k: int, candidate: Vertex, full_shell: bool
     ) -> Tuple[Set[Vertex], int]:
-        candidate_id = self._ngraph.interner.id_of(candidate)
+        ngraph = self._ngraph
+        candidate_id = ngraph.interner.id_of(candidate)
         if full_shell:
             gained_ids, visited = numpy_full_shell_followers(
-                self._ngraph, k, candidate_id, self._core
+                ngraph, k, candidate_id, self._core
             )
         else:
-            gained_ids, visited = numpy_marginal_followers(
-                self._ngraph, k, candidate_id, self._core
+            gained_ids, visited = compact_marginal_followers(
+                ngraph.indptr_list, ngraph.indices_list, k, candidate_id, self._core
             )
-        return self._ngraph.interner.translate(gained_ids), visited
+        return ngraph.interner.translate(gained_ids), visited
 
     def marginal_followers_with_region(self, k: int, candidate: Vertex):
-        candidate_id = self._ngraph.interner.id_of(candidate)
+        ngraph = self._ngraph
         region_ids: Set[int] = set()
-        gained_ids, visited = numpy_marginal_followers(
-            self._ngraph, k, candidate_id, self._core, region_out=region_ids
+        gained_ids, visited = compact_marginal_followers(
+            ngraph.indptr_list,
+            ngraph.indices_list,
+            k,
+            ngraph.interner.id_of(candidate),
+            self._core,
+            region_out=region_ids,
         )
-        translate = self._ngraph.interner.translate
+        translate = ngraph.interner.translate
         return translate(gained_ids), visited, frozenset(translate(region_ids))
+
+
+class CompactMaintenanceKernel(MaintenanceKernel):
+    """Maintenance traversals over an integer-id adjacency mirror.
+
+    The maintained graph stays the source of truth for the structure; this
+    kernel mirrors it into :class:`~repro.graph.compact.DynamicCompactAdjacency`
+    (one set of neighbour ids per vertex) and keeps the core numbers in a
+    flat list indexed by id, so the subcore/eviction traversals run entirely
+    over small ints.  Mirror upkeep is O(1) per edge operation.
+
+    The traversal bodies are deliberate twins of
+    :class:`~repro.backends.dict_backend.DictMaintenanceKernel` (hot inner
+    loops, no shared indirection); any algorithmic change must land in both,
+    and the cross-backend equivalence suite is the guard that they never
+    diverge.
+    """
+
+    def __init__(self, graph: Graph, core: Dict[Vertex, int]) -> None:
+        self._mirror = DynamicCompactAdjacency.from_graph(graph)
+        self._icore: List[int] = [
+            core.get(vertex, 0) for vertex in self._mirror.interner.vertices
+        ]
+
+    # -- structure upkeep -------------------------------------------------
+    def add_vertex(self, vertex: Vertex) -> None:
+        vid = self._mirror.ensure_vertex(vertex)
+        while len(self._icore) <= vid:
+            self._icore.append(0)
+
+    def add_edge(self, u: Vertex, v: Vertex) -> None:
+        interner = self._mirror.interner
+        self._mirror.add_edge_ids(interner.id_of(u), interner.id_of(v))
+
+    def remove_edge(self, u: Vertex, v: Vertex) -> None:
+        interner = self._mirror.interner
+        self._mirror.remove_edge_ids(interner.id_of(u), interner.id_of(v))
+
+    # -- views -------------------------------------------------------------
+    def core(self, vertex: Vertex) -> int:
+        vid = self._mirror.interner.get_id(vertex)
+        if vid < 0:
+            raise KeyError(vertex)
+        return self._icore[vid]
+
+    def core_get(self, vertex: Vertex, default: Optional[int] = None) -> Optional[int]:
+        vid = self._mirror.interner.get_id(vertex)
+        return default if vid < 0 else self._icore[vid]
+
+    def core_numbers(self) -> Dict[Vertex, int]:
+        # The interner's vertex list is kept in exact sync with the graph,
+        # so zipping it against the core array avoids n hash lookups.
+        return dict(zip(self._mirror.interner.vertices, self._icore))
+
+    def k_core_vertices(self, k: int) -> Set[Vertex]:
+        return {
+            vertex
+            for vertex, value in zip(self._mirror.interner.vertices, self._icore)
+            if value >= k
+        }
+
+    def shell_vertices(self, k: int) -> Set[Vertex]:
+        return {
+            vertex
+            for vertex, value in zip(self._mirror.interner.vertices, self._icore)
+            if value == k
+        }
+
+    # -- insertion traversal (Lemmas 1-2) ----------------------------------
+    def process_insertion(self, u: Vertex, v: Vertex) -> Tuple[Set[Vertex], Set[Vertex]]:
+        interner = self._mirror.interner
+        u_id, v_id = interner.id_of(u), interner.id_of(v)
+        icore = self._icore
+        adj = self._mirror.adj
+        root_core = min(icore[u_id], icore[v_id])
+        roots = [w for w in (u_id, v_id) if icore[w] == root_core]
+
+        candidates: Set[int] = set()
+        stack: List[int] = []
+        for root in roots:
+            if root not in candidates:
+                candidates.add(root)
+                stack.append(root)
+        while stack:
+            current = stack.pop()
+            for neighbour in adj[current]:
+                if icore[neighbour] == root_core and neighbour not in candidates:
+                    candidates.add(neighbour)
+                    stack.append(neighbour)
+
+        support: Dict[int, int] = {}
+        for candidate in candidates:
+            support[candidate] = sum(
+                1
+                for neighbour in adj[candidate]
+                if icore[neighbour] > root_core or neighbour in candidates
+            )
+        evict_queue = [w for w, s in support.items() if s <= root_core]
+        evicted: Set[int] = set()
+        while evict_queue:
+            w = evict_queue.pop()
+            if w in evicted:
+                continue
+            evicted.add(w)
+            for neighbour in adj[w]:
+                if neighbour in candidates and neighbour not in evicted:
+                    support[neighbour] -= 1
+                    if support[neighbour] <= root_core:
+                        evict_queue.append(neighbour)
+
+        increased_ids = candidates - evicted
+        risen = root_core + 1
+        for w in increased_ids:
+            icore[w] = risen
+        vertices = interner.vertices
+        return (
+            {vertices[w] for w in increased_ids},
+            {vertices[w] for w in candidates},
+        )
+
+    # -- deletion cascade (Lemmas 3-4) --------------------------------------
+    def process_deletion(self, u: Vertex, v: Vertex) -> Tuple[Set[Vertex], Set[Vertex]]:
+        interner = self._mirror.interner
+        u_id, v_id = interner.id_of(u), interner.id_of(v)
+        icore = self._icore
+        adj = self._mirror.adj
+        root_core = min(icore[u_id], icore[v_id])
+        visited: Set[int] = set()
+
+        support: Dict[int, int] = {}
+
+        def compute_support(w: int) -> int:
+            return sum(1 for x in adj[w] if icore[x] >= root_core)
+
+        dropped: Set[int] = set()
+        queue: List[int] = []
+        for w in (u_id, v_id):
+            if icore[w] == root_core and w not in dropped:
+                visited.add(w)
+                support[w] = compute_support(w)
+                if support[w] < root_core:
+                    dropped.add(w)
+                    queue.append(w)
+
+        while queue:
+            w = queue.pop()
+            for x in adj[w]:
+                if icore[x] != root_core or x in dropped:
+                    continue
+                visited.add(x)
+                if x not in support:
+                    support[x] = compute_support(x)
+                support[x] -= 1
+                if support[x] < root_core:
+                    dropped.add(x)
+                    queue.append(x)
+            icore[w] = root_core - 1
+
+        vertices = interner.vertices
+        return {vertices[w] for w in dropped}, {vertices[w] for w in visited}
 
 
 class NumpyBackend(ExecutionBackend):
@@ -548,7 +698,7 @@ class NumpyBackend(ExecutionBackend):
         if np is None:  # pragma: no cover - registry filters first
             raise ImportError(
                 "the numpy execution backend requires numpy; "
-                "install it or pick backend='compact'"
+                "install it or pick backend='dict'"
             )
 
     def decompose(self, graph: Graph, anchors: FrozenSet[Vertex] = frozenset()):
@@ -614,7 +764,4 @@ class NumpyBackend(ExecutionBackend):
     def build_maintenance(
         self, graph: Graph, core: Dict[Vertex, int]
     ) -> CompactMaintenanceKernel:
-        # Maintenance traversals touch tiny per-edge subcores; the compact
-        # integer mirror already minimises per-touch cost and numpy's
-        # per-call overhead would dominate, so the kernel is shared.
         return CompactMaintenanceKernel(graph, core)

@@ -1,4 +1,4 @@
-"""Backend registry and the ``"auto"`` resolution policy.
+"""Backend registry and the ``"auto"`` resolution rule.
 
 This module is the **single place** where backend selection policy lives.
 Call sites everywhere else pass an opaque ``backend=`` value — a registered
@@ -7,11 +7,10 @@ instance — to :func:`get_backend` and use whatever comes back.
 
 Registration
 ------------
-:func:`register_backend` associates a name with a zero-argument factory plus
-selection metadata.  The three built-ins (dict, compact, numpy) are
-registered by :mod:`repro.backends` itself (with lazy factories, so
-importing the package never imports numpy); third parties can register
-more::
+:func:`register_backend` associates a name with a zero-argument factory.
+The two built-ins (dict, numpy) are registered by :mod:`repro.backends`
+itself (with lazy factories, so importing the package never imports numpy);
+third parties can register more::
 
     from repro.backends import ExecutionBackend, register_backend
 
@@ -19,7 +18,7 @@ more::
         name = "remote"
         ...
 
-    register_backend("remote", RemoteBackend, auto_priority=40)
+    register_backend("remote", RemoteBackend)
 
 After that every ``backend=`` kwarg in the library accepts ``"remote"``.
 Import-gated backends pass ``is_available`` (the probe) and, optionally,
@@ -28,31 +27,20 @@ fails (missing import vs. env-disabled), surfaced by
 :func:`backend_availability`, ``avt-bench backends`` and every
 unavailable-backend error or warning.
 
-The ``auto`` policy
--------------------
-``"auto"`` resolves against the graph size *and* the workload shape:
+The ``auto`` rule
+-----------------
+``"auto"`` resolves to the dict backend for one-shot work
+(``workload="one-shot"``: a single O(n + m) pass such as
+:func:`repro.cores.decomposition.k_core`, which can never amortise building
+an interned snapshot), for graphs below
+:data:`~repro.backends.base.COMPACT_THRESHOLD` vertices, and whenever the
+numpy backend is unavailable; otherwise it resolves to numpy.  Registered
+custom backends are only used when named.
 
-1. **One-shot cascades** (``workload="one-shot"``: a single O(n + m) pass
-   such as :func:`repro.cores.decomposition.k_core` or
-   :func:`repro.anchored.followers.anchored_k_core`) always resolve to the
-   dict backend, at any size: building an interned snapshot costs one full
-   pass itself, so a lone cascade can never amortise it.
-2. **Amortised workloads with an active calibration table**
-   (:func:`repro.backends.calibrate.active_calibration`, installed
-   explicitly or via ``REPRO_CALIBRATION``) resolve to the *measured* winner
-   of the size band containing the graph — the empirical replacement for
-   the priority ladder.  A band whose winner is currently unavailable, and
-   sizes no band covers, fall through to rule 3.
-3. **Amortised workloads without a measurement** resolve to the dict
-   backend below :data:`~repro.backends.base.COMPACT_THRESHOLD` vertices —
-   translation overhead dominates on small graphs — and above it to the
-   *available* registered backend with the highest ``auto_priority``
-   (numpy 20 > compact 10 > dict 0, so compact wins whenever numpy is
-   missing or disabled).
-
-Explicit names bypass the policy entirely; asking for a registered but
-unavailable backend (e.g. ``"numpy"`` without numpy installed) raises
-:class:`~repro.errors.ParameterError` naming the reason.
+Explicit names bypass the rule; asking for a registered but unavailable
+backend (e.g. ``"numpy"`` without numpy installed) raises
+:class:`~repro.errors.ParameterError` naming the reason, and so does any
+``backend=`` value that is neither a name nor an instance.
 """
 
 from __future__ import annotations
@@ -63,12 +51,12 @@ from typing import Callable, Dict, Optional, Tuple, Union
 from repro.backends.base import (
     BACKEND_AUTO,
     BACKEND_DICT,
+    BACKEND_NUMPY,
     COMPACT_THRESHOLD,
     WORKLOAD_AMORTIZED,
     WORKLOAD_ONE_SHOT,
     ExecutionBackend,
 )
-from repro.backends.calibrate import active_calibration
 from repro.errors import ParameterError
 
 _WORKLOADS = (WORKLOAD_ONE_SHOT, WORKLOAD_AMORTIZED)
@@ -80,11 +68,10 @@ _GENERIC_REASON = "a runtime dependency is missing"
 
 @dataclass
 class _BackendSpec:
-    """Registry entry: how to build a backend and when ``auto`` may pick it."""
+    """Registry entry: how to build a backend and whether it can run here."""
 
     name: str
     factory: Callable[[], ExecutionBackend]
-    auto_priority: int = 0
     is_available: Callable[[], bool] = field(default=lambda: True)
     availability_reason: Optional[Callable[[], Optional[str]]] = None
 
@@ -106,7 +93,6 @@ def register_backend(
     name: str,
     factory: Callable[[], ExecutionBackend],
     *,
-    auto_priority: int = 0,
     is_available: Optional[Callable[[], bool]] = None,
     availability_reason: Optional[Callable[[], Optional[str]]] = None,
     replace: bool = False,
@@ -118,14 +104,10 @@ def register_backend(
     factory:
         Zero-argument callable returning an :class:`ExecutionBackend`.
         Called at most once; the instance is cached process-wide.
-    auto_priority:
-        Rank among available backends when ``"auto"`` resolves an amortised
-        workload on a large graph without a calibration table (highest wins;
-        dict=0, compact=10, numpy=20).
     is_available:
         Optional probe called at resolution time — return ``False`` while a
-        runtime dependency is missing and the backend is skipped by ``auto``
-        and rejected (with an explanation) when requested by name.
+        runtime dependency is missing and the backend is rejected (with an
+        explanation) when requested by name.
     availability_reason:
         Optional companion to ``is_available``: return a one-line human
         explanation of *why* the backend is currently unavailable (e.g.
@@ -143,7 +125,6 @@ def register_backend(
     _REGISTRY[name] = _BackendSpec(
         name=name,
         factory=factory,
-        auto_priority=auto_priority,
         is_available=is_available if is_available is not None else (lambda: True),
         availability_reason=availability_reason,
     )
@@ -163,7 +144,7 @@ def available_backends() -> Tuple[str, ...]:
 def backend_availability() -> Dict[str, Optional[str]]:
     """Snapshot ``{name: None if available else reason}`` for every backend.
 
-    The reason distinguishes *why* a tier is being skipped — a missing
+    The reason distinguishes *why* a backend is unavailable — a missing
     import (``"numpy is not installed"``) vs. an explicit environment switch
     (``"disabled via REPRO_DISABLE_NUMPY"``) — so the CLI and the engine's
     unavailable-backend warning can say so instead of a generic shrug.
@@ -178,39 +159,36 @@ def backend_availability() -> Dict[str, Optional[str]]:
 def backend_info() -> Tuple[Dict[str, object], ...]:
     """One metadata row per registered backend, in registration order.
 
-    Each row carries ``name``, ``available`` (the probe's current verdict),
-    ``reason`` (why the probe fails, ``None`` when available) and
-    ``auto_priority``.  This is what the ``avt-bench backends`` CLI
-    subcommand renders.
+    Each row carries ``name``, ``available`` (the probe's current verdict)
+    and ``reason`` (why the probe fails, ``None`` when available).  This is
+    what the ``avt-bench backends`` CLI subcommand renders.
     """
     rows = []
     for name, spec in _REGISTRY.items():
         available, reason = spec.availability()
-        rows.append(
-            {
-                "name": name,
-                "available": available,
-                "reason": reason,
-                "auto_priority": spec.auto_priority,
-            }
-        )
+        rows.append({"name": name, "available": available, "reason": reason})
     return tuple(rows)
 
 
 def resolve_backend(
     backend: Union[str, ExecutionBackend],
     num_vertices: int,
-    threshold: int = COMPACT_THRESHOLD,
+    *,
     workload: str = WORKLOAD_AMORTIZED,
 ) -> str:
     """Resolve a requested backend to a concrete registered *name*.
 
-    Implements the module-level policy: explicit names pass through
-    (validated), ``"auto"`` picks by workload and size.  Raises
-    :class:`~repro.errors.ParameterError` on unknown names.
+    Explicit names pass through (validated); ``"auto"`` follows the rule in
+    the module docstring.  Raises :class:`~repro.errors.ParameterError` on
+    unknown names and on values that are neither a name nor an instance.
     """
     if isinstance(backend, ExecutionBackend):
         return backend.name
+    if not isinstance(backend, str):
+        raise ParameterError(
+            "backend must be a registered name, 'auto' or an ExecutionBackend "
+            f"instance, not {backend!r}"
+        )
     if workload not in _WORKLOADS:
         raise ParameterError(
             f"unknown workload {workload!r}; expected one of {sorted(_WORKLOADS)}"
@@ -222,33 +200,15 @@ def resolve_backend(
                 f"unknown backend {backend!r}; expected one of {known}"
             )
         return backend
-    if workload == WORKLOAD_ONE_SHOT:
+    if workload == WORKLOAD_ONE_SHOT or num_vertices < COMPACT_THRESHOLD:
         return BACKEND_DICT
-    # Measured policy first: an active calibration table answers amortised
-    # workloads with the empirical winner of the size band (rule 2 in the
-    # module docstring); anything it cannot answer — no table, no covering
-    # band, winner not currently available/registered — falls through to
-    # the priority ladder.
-    table = active_calibration()
-    if table is not None:
-        winner = table.winner_for(num_vertices, available=available_backends())
-        if winner is not None and winner in _REGISTRY:
-            return winner
-    if num_vertices < threshold:
-        return BACKEND_DICT
-    best = BACKEND_DICT
-    best_priority = _REGISTRY[BACKEND_DICT].auto_priority if BACKEND_DICT in _REGISTRY else 0
-    for name, spec in _REGISTRY.items():
-        if spec.auto_priority > best_priority and spec.is_available():
-            best, best_priority = name, spec.auto_priority
-    return best
+    return BACKEND_NUMPY if _REGISTRY[BACKEND_NUMPY].is_available() else BACKEND_DICT
 
 
 def get_backend(
     backend: Union[str, ExecutionBackend],
     num_vertices: int = 0,
     *,
-    threshold: int = COMPACT_THRESHOLD,
     workload: str = WORKLOAD_AMORTIZED,
 ) -> ExecutionBackend:
     """Return the :class:`ExecutionBackend` for a ``backend=`` kwarg value.
@@ -259,7 +219,7 @@ def get_backend(
     """
     if isinstance(backend, ExecutionBackend):
         return backend
-    name = resolve_backend(backend, num_vertices, threshold=threshold, workload=workload)
+    name = resolve_backend(backend, num_vertices, workload=workload)
     # Probe availability on every call, not just the building one: a backend
     # can become unavailable after its instance was cached (e.g. the
     # REPRO_DISABLE_NUMPY switch flipping mid-process), and the contract is

@@ -9,7 +9,6 @@ Installed as the ``avt-bench`` console script::
     avt-bench summary --dataset gnutella  # one-problem comparison of all trackers
     avt-bench serve-sim --dataset gnutella  # online engine simulation
     avt-bench backends                    # registered execution backends
-    avt-bench calibrate --out cal.json    # measured backend sweep for "auto"
     avt-bench trace critical-path t.jsonl # analyze a --trace-out span file
     avt-bench trace flame t.jsonl --out collapsed.txt   # flamegraph input
     avt-bench trace tree a.jsonl --diff b.jsonl         # latency delta by span
@@ -20,7 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.avt import metrics
 from repro.bench.experiments import EXPERIMENTS, get_experiment, resolve_profile
@@ -41,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
         nargs="?",
         help=(
             "experiment id (fig03..fig12, table4, ablation_*), 'summary', "
-            "'datasets', 'backends', 'calibrate', 'serve-sim', or 'trace'"
+            "'datasets', 'backends', 'serve-sim', or 'trace'"
         ),
     )
     parser.add_argument("--list", action="store_true", help="list available experiments and exit")
@@ -100,28 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "write the run's metrics registry snapshot here; '.prom'/'.txt' "
             "selects Prometheus text exposition, anything else JSON"
         ),
-    )
-    calibrate = parser.add_argument_group("calibrate options")
-    calibrate.add_argument(
-        "--out",
-        type=Path,
-        default=None,
-        help=(
-            "write the calibration table (JSON) here; load it later via "
-            "load_calibration() or the REPRO_CALIBRATION environment variable"
-        ),
-    )
-    calibrate.add_argument(
-        "--max-vertices",
-        type=int,
-        default=None,
-        help="cap every size band's sample graph at this many vertices (smoke sweeps)",
-    )
-    calibrate.add_argument(
-        "--repetitions",
-        type=int,
-        default=3,
-        help="timing repetitions per (band, workload, backend) cell; minimum is kept",
     )
     return parser
 
@@ -287,61 +264,22 @@ def _run_datasets() -> int:
 
 def _run_backends() -> int:
     """Print every registered execution backend with its availability."""
-    from repro.backends import backend_info
+    from repro.backends import COMPACT_THRESHOLD, backend_info
 
     rows = [
         {
             "backend": info["name"],
             "available": "yes" if info["available"] else "no",
             "reason": info["reason"] or "-",
-            "auto_priority": info["auto_priority"],
         }
         for info in backend_info()
     ]
     print(format_table(rows))
     print()
-    print("'auto' resolves by graph size and workload (see repro.backends.registry).")
-    return 0
-
-
-def _run_calibrate(args: argparse.Namespace) -> int:
-    """Run a calibration sweep and print (and optionally persist) the winners.
-
-    The resulting table is what ``backend="auto"`` consults for amortised
-    workloads once installed — see :mod:`repro.backends.calibrate`.
-    """
-    from repro.backends import CalibrationSpec, backend_availability, run_calibration
-
-    spec = CalibrationSpec(repetitions=max(1, args.repetitions))
-    if args.max_vertices is not None:
-        spec = spec.scaled(max(2, args.max_vertices))
-    skipped = {name: reason for name, reason in backend_availability().items() if reason}
-    for name, reason in sorted(skipped.items()):
-        print(f"skipping backend '{name}': {reason}")
     print(
-        f"calibrating {len(spec.bands)} size bands x {len(spec.workloads)} workloads "
-        f"(best of {spec.repetitions} repetitions)..."
+        "'auto' picks dict for one-shot work, below "
+        f"{COMPACT_THRESHOLD} vertices or without numpy, and numpy otherwise."
     )
-    table = run_calibration(spec)
-    rows = []
-    for band in table.bands:
-        timings = band["timings"]
-        rows.append(
-            {
-                "band": band["name"],
-                "vertices": band["sample_vertices"],
-                "edges": band["sample_edges"],
-                "winner": band["winner"] or "-",
-                "total_seconds": " ".join(
-                    f"{name}={sum(per.values()):.4f}" for name, per in sorted(timings.items())
-                ),
-            }
-        )
-    print(format_table(rows))
-    if args.out is not None:
-        table.save(args.out)
-        print(f"calibration table written to {args.out}")
-        print(f"activate it with REPRO_CALIBRATION={args.out} or load_calibration()")
     return 0
 
 
@@ -521,7 +459,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("  summary                Compare all trackers on one dataset (see --dataset).")
         print("  datasets               Show the bundled dataset stand-ins.")
         print("  backends               Show the registered execution backends.")
-        print("  calibrate              Measure backends per size band for the 'auto' policy.")
         print("  serve-sim              Replay a dataset through the online streaming engine.")
         print("  trace                  Analyze a --trace-out span file (tree, critical-path,")
         print("                         flame; --diff compares two traces).")
@@ -534,8 +471,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _run_datasets()
         if args.experiment == "backends":
             return _run_backends()
-        if args.experiment == "calibrate":
-            return _run_calibrate(args)
         if args.experiment == "serve-sim":
             return _run_serve_sim(args)
         experiment = get_experiment(args.experiment)

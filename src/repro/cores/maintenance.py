@@ -16,16 +16,15 @@ incremental tracker (IncAVT, Algorithm 6) probes.
 The maintainer is backend-aware (see :mod:`repro.backends`): the public
 hashable-vertex graph stays the source of truth for the *structure*, while
 the traversals and the maintained core numbers live in the resolved
-backend's :class:`~repro.backends.MaintenanceKernel` — the dict kernel walks
-the graph directly; the compact kernel (also used by the numpy backend,
-whose vectorisation cannot beat int-set traversals on per-edge subcores)
-mirrors the adjacency into integer-id sets with O(1) upkeep per edge
-operation.  Results are identical
-across backends, and a maintainer can be migrated to another backend
-mid-flight via :meth:`CoreMaintainer.switch_backend` (used by the streaming
-engine when an initially small graph outgrows the dict backend, and — when a
-calibration table is active — whenever the graph crosses into a size band
-with a different measured winner).
+backend's :class:`~repro.backends.MaintenanceKernel`.  There are two: the
+dict kernel walks the graph directly; the numpy backend's kernel
+(:class:`~repro.backends.numpy_backend.CompactMaintenanceKernel`, pure
+Python, because vectorisation cannot beat int-set traversals on per-edge
+subcores) mirrors the adjacency into integer-id sets with O(1) upkeep per
+edge operation.  Results are identical across backends, and a maintainer
+can be migrated to another backend mid-flight via
+:meth:`CoreMaintainer.switch_backend` (used by the streaming engine when an
+initially small graph outgrows the dict backend).
 
 The maintained core numbers are the single source of truth for the incremental
 tracker; a :meth:`validate` hook recomputes them from scratch and raises if

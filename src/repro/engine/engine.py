@@ -50,7 +50,6 @@ from repro.backends import (
     BACKEND_AUTO,
     BACKEND_DICT,
     ExecutionBackend,
-    active_calibration,
     get_backend,
     registered_backends,
 )
@@ -106,18 +105,14 @@ class StreamingAVTEngine:
         omit to compute them fresh.
     backend:
         Execution backend (a registered name — ``"auto"`` / ``"dict"`` /
-        ``"compact"`` / ``"numpy"`` — or an
-        :class:`~repro.backends.ExecutionBackend` instance, see
-        :mod:`repro.backends`) for core maintenance and the cold solvers.
-        ``"auto"`` resolves against the graph handed to the constructor and
-        is **re-resolved at flush time**: an engine that starts empty (or
-        small) on the dict backend migrates its maintainer state to the
-        snapshot backend once the ingested stream grows the graph past the
-        auto threshold, so long-lived engines never stay stuck on the
-        small-graph path.  When a measured calibration table is active
-        (:mod:`repro.backends.calibrate`) flush-time re-resolution follows
-        the table instead, migrating whenever the graph crosses into a size
-        band with a different measured winner.
+        ``"numpy"`` — or an :class:`~repro.backends.ExecutionBackend`
+        instance, see :mod:`repro.backends`) for core maintenance and the
+        cold solvers.  ``"auto"`` resolves against the graph handed to the
+        constructor and is **re-resolved at flush time**: an engine on the
+        dict backend migrates its maintainer state to numpy once the
+        ingested stream grows the graph to
+        :data:`~repro.backends.COMPACT_THRESHOLD` vertices, so long-lived
+        engines never stay stuck on the small-graph path.
     """
 
     def __init__(
@@ -247,15 +242,11 @@ class StreamingAVTEngine:
         effect = self._maintainer.apply_delta(delta)
         # Re-resolve the backend policy against the post-delta graph size: an
         # engine that started below the auto threshold must not stay on the
-        # dict backend forever once the stream grows the graph past it.
-        # Without a calibration table only upgrades away from dict happen (an
-        # explicit "dict" policy resolves to dict and is left alone), so a
-        # graph hovering around the threshold cannot thrash migrations.  With
-        # an active table (repro.backends.calibrate) the measured policy owns
-        # the decision: the winner can change whenever the graph crosses a
-        # size-band boundary, and band edges are coarse enough (4k/32k) that
-        # per-flush oscillation cannot occur.
-        if self._backend.name == BACKEND_DICT or active_calibration() is not None:
+        # dict backend forever once the stream grows the graph past it.  Only
+        # upgrades away from dict happen (an explicit "dict" policy resolves
+        # to dict and is left alone), so a graph hovering around the
+        # threshold cannot thrash migrations.
+        if self._backend.name == BACKEND_DICT:
             resolved = get_backend(
                 self._backend_policy, self._maintainer.graph.num_vertices
             )

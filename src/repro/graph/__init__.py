@@ -2,17 +2,16 @@
 
 The hashable-vertex adjacency-set :class:`Graph` is the mutable public
 representation; :mod:`repro.graph.compact` provides the interning plus flat
-CSR structures that the compact and numpy execution backends
-(:mod:`repro.backends`) are built on.  The backend constants and the
-resolution policy moved to :mod:`repro.backends`; they are re-exported here
-for backwards compatibility.
+CSR structures that the numpy execution backend (:mod:`repro.backends`) is
+built on.  The backend constants and the resolution rule live in
+:mod:`repro.backends`; they are re-exported here for backwards
+compatibility.
 """
 
 from repro.graph.static import Graph
 from repro.graph.dynamic import EdgeDelta, EvolvingGraph, SnapshotSequence
 from repro.graph.compact import (
     BACKEND_AUTO,
-    BACKEND_COMPACT,
     BACKEND_DICT,
     BACKEND_NUMPY,
     BACKENDS,
@@ -29,7 +28,6 @@ __all__ = [
     "EvolvingGraph",
     "SnapshotSequence",
     "BACKEND_AUTO",
-    "BACKEND_COMPACT",
     "BACKEND_DICT",
     "BACKEND_NUMPY",
     "BACKENDS",

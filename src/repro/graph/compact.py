@@ -1,12 +1,12 @@
-"""Compact integer-ID graph backend: interning plus flat-array adjacency.
+"""Compact integer-ID graph structures: interning plus flat-array adjacency.
 
 The public API of the library works with arbitrary hashable vertex
 identifiers held in an adjacency-set ``dict`` (:class:`~repro.graph.static.Graph`).
 That representation is ideal for mutation and for small graphs, but every hot
 kernel — peeling decomposition, the K-order index, the shell-local follower
 cascade, incremental core maintenance — pays hashing and pointer-chasing
-costs on every vertex touch.  This module provides the dense execution layer
-those kernels run on instead:
+costs on every vertex touch.  This module provides the dense structures the
+numpy snapshot backend runs those kernels on instead:
 
 * :class:`VertexInterner` maps hashable vertex ids to dense ``0..n-1``
   integers (and back).  Interning is append-only: an id, once assigned, is
@@ -16,32 +16,32 @@ those kernels run on instead:
   With ``ordered=True`` (the default) vertices are interned in
   :func:`repro.ordering.tie_break_key` order, so the integer id of a vertex
   *is* its deterministic tie-break rank; the peeling kernels exploit this to
-  reproduce bit-identical removal orders with single-int heap entries.
+  reproduce bit-identical removal orders with single-int heap entries.  The
+  numpy backend's :class:`~repro.backends.numpy_backend.NumpyGraph` is built
+  on it and keeps its plain lists for the scalar cascades.
 * :class:`DynamicCompactAdjacency` is the mutable sibling (list of int sets)
-  used by :class:`repro.cores.maintenance.CoreMaintainer` to run the
+  that the numpy backend's maintenance kernel mirrors the graph into, so
+  :class:`repro.cores.maintenance.CoreMaintainer` runs the
   insertion/deletion traversals over ints while the graph evolves.
 
 Backend selection
 -----------------
-Selection no longer lives here: :mod:`repro.backends` owns the
+Selection does not live here: :mod:`repro.backends` owns the
 :class:`~repro.backends.ExecutionBackend` protocol, the registry and the
-``"auto"`` resolution policy (see :mod:`repro.backends.registry` for the
-policy).  This module provides the *data structures* the compact and numpy
-backends are built on.  The historical names (:data:`BACKEND_AUTO`,
-:data:`BACKEND_DICT`, :data:`BACKEND_COMPACT`, :data:`BACKENDS`,
-:data:`COMPACT_THRESHOLD`, :func:`resolve_backend`) are re-exported for
-backwards compatibility.
+``"auto"`` rule (see :mod:`repro.backends.registry`).  The historical names
+(:data:`BACKEND_AUTO`, :data:`BACKEND_DICT`, :data:`BACKEND_NUMPY`,
+:data:`BACKENDS`, :data:`COMPACT_THRESHOLD`, :func:`resolve_backend`) are
+re-exported for backwards compatibility.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional
 
 # Backwards-compatible re-exports: the constants and the resolution policy
 # moved to repro.backends (PR 3); existing imports keep working.
 from repro.backends import (  # noqa: F401
     BACKEND_AUTO,
-    BACKEND_COMPACT,
     BACKEND_DICT,
     BACKEND_NUMPY,
     BACKENDS,

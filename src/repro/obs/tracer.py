@@ -43,6 +43,7 @@ __all__ = [
     "set_enabled",
     "is_enabled",
     "default_tracer",
+    "env_flag",
 ]
 
 logger = logging.getLogger("repro.obs")
@@ -53,9 +54,19 @@ Sink = Callable[[SpanDict], None]
 #: Finished spans kept in the buffer before new ones are dropped (counted).
 MAX_BUFFERED_SPANS = 50_000
 
+
+def env_flag(name: str) -> bool:
+    """Whether environment variable ``name`` is switched on.
+
+    Only ``1``, ``true``, ``yes`` and ``on`` (any case, surrounding blanks
+    ignored) count; unset, empty, ``0``, ``false`` and anything else are off.
+    """
+    return os.environ.get(name, "").strip().lower() in {"1", "true", "yes", "on"}
+
+
 #: Module-level enablement flag — THE single check on the disabled fast path.
 #: Reassigned by :func:`set_enabled`; read directly by :func:`span`.
-enabled: bool = os.environ.get("REPRO_TRACE", "").strip().lower() in {"1", "true", "yes", "on"}
+enabled: bool = env_flag("REPRO_TRACE")
 
 #: Per-thread open-span stacks, keyed by thread ident.  A plain dict (not
 #: ``threading.local``) so the sampling profiler can read *other* threads'

@@ -1,15 +1,16 @@
 """Property tests: all registered execution backends are observationally identical.
 
-The compact and numpy backends (:mod:`repro.backends`) re-implement every
-hot kernel — peeling decomposition, k-core cascades, the K-order remaining
-degrees, follower computation, greedy selection, incremental maintenance —
-over flat int arrays / numpy arrays.  These tests pin the three-way contract
-that makes ``backend="auto"`` safe: for *any* graph (isolated vertices,
-non-integer and mixed-type vertex ids included) every backend returns
-results identical to the dict reference, down to the removal order and the
-instrumentation counters.  Each test runs dict vs compact and, when numpy is
-installed, dict vs numpy (skipped cleanly otherwise — the import gate is
-part of the contract, and the no-numpy CI job exercises it).
+The numpy backend (:mod:`repro.backends`) re-implements every hot kernel —
+peeling decomposition, k-core cascades, the K-order remaining degrees,
+follower computation, greedy selection, incremental maintenance — over an
+interned snapshot, as numpy passes or id-list loops.  These tests pin the
+contract that makes ``backend="auto"`` safe: for *any* graph (isolated
+vertices, non-integer and mixed-type vertex ids included) it returns results
+identical to the dict reference, down to the removal order and the
+instrumentation counters.  Each test runs dict vs numpy when numpy is
+installed (skipped cleanly otherwise — the import gate is part of the
+contract, and the no-numpy CI job exercises it; the id-list cascades are
+also pinned without numpy in ``tests/test_followers.py``).
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ SETTINGS = settings(
 #: The non-reference backends, each compared against the dict reference.
 #: numpy is skipped (not failed) on interpreters missing it.
 OTHER_BACKENDS = [
-    "compact",
     pytest.param(
         "numpy",
         marks=pytest.mark.skipif(not numpy_available(), reason="numpy is not installed"),

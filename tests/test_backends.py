@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import importlib.util
+
 import pytest
 
 from repro.anchored.greedy import GreedyAnchoredKCore
 from repro.backends import (
-    BACKEND_COMPACT,
     BACKEND_DICT,
     BACKEND_NUMPY,
     COMPACT_THRESHOLD,
@@ -22,7 +23,7 @@ from repro.backends import (
     resolve_backend,
 )
 from repro.backends import registry as backend_registry
-from repro.backends.dict_backend import DictBackend
+from repro.backends.dict_backend import DictBackend, dict_anchored_peel, dict_k_core
 from repro.cores.maintenance import CoreMaintainer
 from repro.engine import StreamingAVTEngine
 from repro.errors import ParameterError
@@ -33,10 +34,10 @@ needs_numpy = pytest.mark.skipif(not numpy_available(), reason="numpy is not ins
 
 
 def _expected_auto_winner() -> str:
-    """What the priority ladder should pick on a large amortised workload."""
+    """What ``auto`` should pick on a large amortised workload."""
     if numpy_available():
         return BACKEND_NUMPY
-    return BACKEND_COMPACT
+    return BACKEND_DICT
 
 
 @pytest.fixture
@@ -53,36 +54,40 @@ def scratch_registry():
 
 class TestRegistry:
     def test_builtins_are_registered(self):
-        assert registered_backends() == (BACKEND_DICT, BACKEND_COMPACT, BACKEND_NUMPY)
+        assert registered_backends() == (BACKEND_DICT, BACKEND_NUMPY)
 
     def test_available_backends_reflects_numpy_gate(self):
         names = available_backends()
-        assert BACKEND_DICT in names and BACKEND_COMPACT in names
+        assert BACKEND_DICT in names
         assert (BACKEND_NUMPY in names) == numpy_available()
 
     def test_backend_info_rows(self):
         rows = {row["name"]: row for row in backend_info()}
-        assert set(rows[BACKEND_DICT]) == {"name", "available", "reason", "auto_priority"}
+        assert set(rows[BACKEND_DICT]) == {"name", "available", "reason"}
         assert rows[BACKEND_DICT]["available"]
-        # The auto ladder: numpy 20 > compact 10 > dict 0.
-        assert [rows[name]["auto_priority"] for name in registered_backends()] == [0, 10, 20]
+        assert list(rows) == list(registered_backends())
 
     def test_get_backend_passes_instances_through(self):
         instance = get_backend("dict")
         assert get_backend(instance, 10**9) is instance
 
     def test_get_backend_caches_instances(self):
-        assert get_backend("compact") is get_backend("compact", 5)
+        assert get_backend("dict") is get_backend("dict", 5)
 
     def test_unknown_backend_raises(self):
-        with pytest.raises(ParameterError):
-            get_backend("warp")
-        with pytest.raises(ParameterError):
-            resolve_backend("warp", 0)
+        graph = Graph(edges=[(0, 1), (1, 2), (2, 0)])
+        # Unhashable values must not escape as a raw TypeError.
+        for value in ("warp", None, 3, ["dict"], {"dict"}):
+            with pytest.raises(ParameterError):
+                get_backend(value)
+            with pytest.raises(ParameterError):
+                resolve_backend(value, 0)
+            with pytest.raises(ParameterError):
+                GreedyAnchoredKCore(graph, 2, 1, backend=value).select()
 
-    @pytest.mark.parametrize("name", ["sharded", "numba"])
+    @pytest.mark.parametrize("name", ["sharded", "numba", "compact"])
     def test_removed_backends_are_unknown(self, name):
-        with pytest.raises(ParameterError, match=r"\['auto', 'compact', 'dict', 'numpy'\]"):
+        with pytest.raises(ParameterError, match=r"\['auto', 'dict', 'numpy'\]"):
             get_backend(name)
 
     def test_duplicate_registration_raises_unless_replaced(self, scratch_registry):
@@ -98,13 +103,10 @@ class TestRegistry:
     def test_unavailable_backend_rejected_by_name_and_skipped_by_auto(
         self, scratch_registry
     ):
-        register_backend(
-            "vapour", DictBackend, auto_priority=999, is_available=lambda: False
-        )
+        register_backend("vapour", DictBackend, is_available=lambda: False)
         assert "vapour" not in available_backends()
         with pytest.raises(ParameterError):
             get_backend("vapour")
-        # auto must skip the unavailable candidate despite its priority.
         assert resolve_backend("auto", COMPACT_THRESHOLD) != "vapour"
 
     def test_availability_is_probed_even_for_cached_instances(self, scratch_registry):
@@ -136,7 +138,7 @@ class TestAutoPolicy:
     def test_small_graphs_resolve_to_dict(self):
         assert resolve_backend("auto", COMPACT_THRESHOLD - 1) == BACKEND_DICT
 
-    def test_large_amortised_workloads_pick_highest_priority(self):
+    def test_large_amortised_workloads_pick_numpy(self):
         expected = _expected_auto_winner()
         assert resolve_backend("auto", COMPACT_THRESHOLD) == expected
         assert (
@@ -149,7 +151,12 @@ class TestAutoPolicy:
 
     def test_explicit_names_bypass_the_policy(self):
         assert resolve_backend("dict", 10**9) == BACKEND_DICT
-        assert resolve_backend("compact", 1, workload=WORKLOAD_ONE_SHOT) == BACKEND_COMPACT
+        assert resolve_backend("numpy", 1, workload=WORKLOAD_ONE_SHOT) == BACKEND_NUMPY
+
+    def test_custom_backends_are_only_used_by_name(self, scratch_registry):
+        register_backend("custom", DictBackend)
+        assert resolve_backend("auto", 10**6) == _expected_auto_winner()
+        assert resolve_backend("custom", 10**6) == "custom"
 
     def test_unknown_workload_raises(self):
         with pytest.raises(ParameterError):
@@ -253,13 +260,14 @@ class TestMaintainerSwitch:
         assert not maintainer.switch_backend("dict")
         assert maintainer.backend == BACKEND_DICT
 
+    @needs_numpy
     def test_switch_migrates_without_recomputation(self):
         graph = Graph(edges=[(0, 1), (1, 2), (2, 0), (2, 3)])
         maintainer = CoreMaintainer(graph, backend="dict")
         # Corrupt one maintained value: a migration must carry it over
         # verbatim (proving no decomposition re-ran), not silently heal it.
         maintainer._kernel._core[3] = 7
-        assert maintainer.switch_backend("compact")
+        assert maintainer.switch_backend("numpy")
         assert maintainer.core(3) == 7
 
 
@@ -278,20 +286,19 @@ class TestNumpyKernels:
         assert ngraph.num_vertices == 4 and ngraph.num_edges == 2
         assert ngraph.row.shape[0] == 2 * graph.num_edges
 
-    def test_numpy_peel_matches_compact_peel(self):
+    def test_numpy_peel_matches_dict_peel(self):
         from repro.backends.numpy_backend import NumpyGraph, numpy_peel
-        from repro.cores.decomposition import compact_peel
-        from repro.graph.compact import CompactGraph
 
         graph = Graph(
             edges=[(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3), (5, 6)],
             vertices=list(range(7)) + ["lonely"],
         )
-        cgraph = CompactGraph.from_graph(graph, ordered=True)
-        core_c, order_c = compact_peel(cgraph, anchor_ids=[0])
-        core_n, order_n = numpy_peel(NumpyGraph(cgraph), anchor_ids=[0])
-        assert core_n.tolist() == core_c
-        assert order_n == order_c
+        ngraph = NumpyGraph.from_graph(graph, ordered=True)
+        vertices = ngraph.interner.vertices
+        core_n, order_n = numpy_peel(ngraph, anchor_ids=[ngraph.interner.id_of(0)])
+        reference = dict_anchored_peel(graph, frozenset({0}))
+        assert {vertices[vid]: core_n[vid] for vid in range(len(vertices))} == reference.core
+        assert tuple(vertices[vid] for vid in order_n) == reference.order
 
     def test_numpy_peel_empty_graph(self):
         from repro.backends.numpy_backend import NumpyGraph, numpy_peel
@@ -299,18 +306,14 @@ class TestNumpyKernels:
         core, order = numpy_peel(NumpyGraph.from_graph(Graph()))
         assert core.tolist() == [] and order == []
 
-    def test_numpy_k_core_matches_compact(self):
+    def test_numpy_k_core_matches_dict_k_core(self):
         from repro.backends.numpy_backend import NumpyGraph, numpy_k_core_ids
-        from repro.cores.decomposition import compact_k_core_ids
-        from repro.graph.compact import CompactGraph
 
         graph = Graph(edges=[(0, 1), (1, 2), (2, 0), (2, 3)], vertices=[0, 1, 2, 3, 9])
-        cgraph = CompactGraph.from_graph(graph, ordered=False)
-        ngraph = NumpyGraph(cgraph)
+        ngraph = NumpyGraph.from_graph(graph, ordered=False)
         for k in range(4):
-            assert set(numpy_k_core_ids(ngraph, k).tolist()) == compact_k_core_ids(
-                cgraph, k
-            )
+            members = ngraph.interner.translate(numpy_k_core_ids(ngraph, k).tolist())
+            assert members == dict_k_core(graph, k)
 
 
 class TestAvailabilityReasons:
@@ -319,7 +322,6 @@ class TestAvailabilityReasons:
     def test_available_backends_report_no_reason(self):
         report = backend_availability()
         assert report[BACKEND_DICT] is None
-        assert report[BACKEND_COMPACT] is None
 
     def test_missing_import_reason(self, monkeypatch):
         # The env switch takes precedence, so clear it to probe the
@@ -337,6 +339,19 @@ class TestAvailabilityReasons:
         report = backend_availability()
         assert report[BACKEND_NUMPY] == "disabled via REPRO_DISABLE_NUMPY"
 
+    @pytest.mark.parametrize(
+        "value, disables",
+        [("0", False), ("false", False), ("", False), ("off", False),
+         ("1", True), ("true", True), (" YES ", True), ("on", True)],
+    )
+    def test_env_switch_parses_like_repro_trace(self, monkeypatch, value, disables):
+        monkeypatch.setenv("REPRO_DISABLE_NUMPY", value)
+        available = importlib.util.find_spec("numpy") is not None and not disables
+        assert numpy_available() == available
+        assert (backend_availability()[BACKEND_NUMPY] is None) == available
+        expected = BACKEND_NUMPY if available else BACKEND_DICT
+        assert resolve_backend("auto", 100_000) == expected
+
     def test_get_backend_error_names_the_reason(self, monkeypatch):
         monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
         with pytest.raises(ParameterError, match="disabled via REPRO_DISABLE_NUMPY"):
@@ -344,7 +359,7 @@ class TestAvailabilityReasons:
 
     def test_disabled_numpy_falls_back_without_warnings(self, monkeypatch, recwarn):
         monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
-        assert resolve_backend("auto", COMPACT_THRESHOLD) == BACKEND_COMPACT
+        assert resolve_backend("auto", COMPACT_THRESHOLD) == BACKEND_DICT
         get_backend("auto", COMPACT_THRESHOLD)
         assert not recwarn.list
 

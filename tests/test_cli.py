@@ -51,9 +51,9 @@ class TestBackends:
     def test_backends_table(self, capsys):
         assert main(["backends"]) == 0
         output = capsys.readouterr().out
-        for name in ("dict", "compact", "numpy"):
+        for name in ("dict", "numpy"):
             assert name in output
-        assert "auto_priority" in output
+        assert "compact" not in output
         assert "reason" in output  # why an unavailable tier is being skipped
 
     def test_backends_table_names_the_disable_switch(self, capsys, monkeypatch):
@@ -64,43 +64,6 @@ class TestBackends:
     def test_backends_listed(self, capsys):
         assert main(["--list"]) == 0
         assert "backends" in capsys.readouterr().out
-
-
-class TestCalibrate:
-    def test_calibrate_writes_a_loadable_table(self, capsys, tmp_path):
-        from repro.backends import CalibrationTable
-
-        out = tmp_path / "calibration.json"
-        assert (
-            main(
-                [
-                    "calibrate",
-                    "--max-vertices",
-                    "160",
-                    "--repetitions",
-                    "1",
-                    "--out",
-                    str(out),
-                ]
-            )
-            == 0
-        )
-        output = capsys.readouterr().out
-        assert "winner" in output
-        assert "calibration table written" in output
-        table = CalibrationTable.load(out)
-        assert table.band_names() == ("small", "medium", "large")
-        assert table.winner_for(100) is not None
-
-    def test_calibrate_reports_skipped_backends(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
-        assert main(["calibrate", "--max-vertices", "64", "--repetitions", "1"]) == 0
-        output = capsys.readouterr().out
-        assert "skipping backend 'numpy': disabled via REPRO_DISABLE_NUMPY" in output
-
-    def test_calibrate_listed(self, capsys):
-        assert main(["--list"]) == 0
-        assert "calibrate" in capsys.readouterr().out
 
 
 class TestServeSim:
@@ -117,12 +80,12 @@ class TestServeSim:
                 "--budget",
                 "2",
                 "--backend",
-                "compact",
+                "dict",
             ]
         )
         assert code == 0
         output = capsys.readouterr().out
-        assert "backend=compact" in output
+        assert "backend=dict" in output
 
     def test_unknown_backend_flag_rejected(self, capsys):
         assert main(["serve-sim", "--dataset", "gnutella", "--backend", "warp"]) == 2

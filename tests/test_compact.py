@@ -1,14 +1,13 @@
-"""Unit tests for the compact integer-ID backend structures."""
+"""Unit tests for the compact integer-ID snapshot structures."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cores.decomposition import compact_k_core_ids, compact_peel, core_decomposition
 from repro.errors import ParameterError, VertexNotFoundError
 from repro.graph.compact import (
-    BACKEND_COMPACT,
     BACKEND_DICT,
+    BACKEND_NUMPY,
     COMPACT_THRESHOLD,
     CompactGraph,
     DynamicCompactAdjacency,
@@ -59,23 +58,6 @@ class TestCompactGraph:
         cgraph = CompactGraph.from_graph(graph, ordered=True)
         assert [cgraph.interner.vertex_of(vid) for vid in range(3)] == [1, 3, 5]
 
-    def test_compact_peel_requires_ordered_snapshot(self):
-        graph = Graph(edges=[(1, 2)])
-        unordered = CompactGraph.from_graph(graph, ordered=False)
-        with pytest.raises(ParameterError):
-            compact_peel(unordered)
-
-    def test_compact_peel_empty_graph(self):
-        cgraph = CompactGraph.from_graph(Graph())
-        core, order = compact_peel(cgraph)
-        assert core == [] and order == []
-
-    def test_compact_k_core_ids_matches_decomposition(self):
-        graph = Graph(edges=[(0, 1), (1, 2), (2, 0), (2, 3)])
-        cgraph = CompactGraph.from_graph(graph)
-        members = cgraph.interner.translate(compact_k_core_ids(cgraph, 2))
-        assert members == core_decomposition(graph).k_core_vertices(2)
-
 
 class TestDynamicCompactAdjacency:
     def test_mirror_tracks_edges(self):
@@ -98,13 +80,13 @@ class TestResolveBackend:
 
     def test_explicit_backends_pass_through(self):
         assert resolve_backend("dict", 10**9) == BACKEND_DICT
-        assert resolve_backend("compact", 1) == BACKEND_COMPACT
+        assert resolve_backend("numpy", 1) == BACKEND_NUMPY
 
     def test_auto_resolves_by_size(self):
         from repro.backends import numpy_available
 
         assert resolve_backend("auto", COMPACT_THRESHOLD - 1) == BACKEND_DICT
-        expected = "numpy" if numpy_available() else BACKEND_COMPACT
+        expected = BACKEND_NUMPY if numpy_available() else BACKEND_DICT
         assert resolve_backend("auto", COMPACT_THRESHOLD) == expected
 
     def test_unknown_backend_raises(self):

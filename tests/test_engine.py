@@ -566,7 +566,7 @@ class TestCheckpointUnavailableBackendFallback:
             restored = StreamingAVTEngine.restore(path)
         assert restored.core_numbers() == engine.core_numbers()
 
-    @pytest.mark.parametrize("backend", ["sharded", "numba"])
+    @pytest.mark.parametrize("backend", ["sharded", "numba", "compact"])
     def test_checkpoint_naming_a_removed_backend_restores_on_auto(
         self, tmp_path, toy_graph, backend
     ):
@@ -600,18 +600,19 @@ class TestCheckpointUnavailableBackendFallback:
 
     def test_available_backend_restores_without_warning(self, tmp_path):
         graph = Graph(edges=[(0, 1), (1, 2)])
-        engine = StreamingAVTEngine(graph, backend="compact", batch_size=None)
-        path = tmp_path / "compact.ckpt"
+        engine = StreamingAVTEngine(graph, backend="dict", batch_size=None)
+        path = tmp_path / "dict.ckpt"
         engine.checkpoint(path)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             restored = StreamingAVTEngine.restore(path)
-        assert restored.backend == "compact"
+        assert restored.backend == "dict"
+        assert restored.to_state()["backend"] == "dict"
 
     def test_restore_backend_override_wins(self, tmp_path):
         graph = Graph(edges=[(0, 1), (1, 2), (2, 0)])
-        engine = StreamingAVTEngine(graph, backend="compact", batch_size=None)
-        path = tmp_path / "compact.ckpt"
+        engine = StreamingAVTEngine(graph, backend="dict", batch_size=None)
+        path = tmp_path / "dict.ckpt"
         engine.checkpoint(path)
-        restored = StreamingAVTEngine.restore(path, backend="dict")
-        assert restored.backend == "dict"
+        restored = StreamingAVTEngine.restore(path, backend="auto")
+        assert restored.to_state()["backend"] == "auto"

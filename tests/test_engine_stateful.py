@@ -55,7 +55,7 @@ edges = st.tuples(vertices, vertices)
 ks = st.integers(min_value=1, max_value=4)
 budgets = st.integers(min_value=0, max_value=3)
 restore_backends = st.sampled_from(
-    ["auto", "dict", "compact"] + (["numpy"] if numpy_available() else [])
+    ["auto", "dict"] + (["numpy"] if numpy_available() else [])
 )
 
 

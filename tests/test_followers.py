@@ -15,8 +15,14 @@ from repro.anchored.followers import (
     marginal_followers,
 )
 from repro.backends.dict_backend import dict_anchored_peel
-from repro.cores.decomposition import core_numbers, k_core
+from repro.cores.decomposition import (
+    commit_anchor_ids,
+    compact_marginal_followers,
+    core_numbers,
+    k_core,
+)
 from repro.errors import ParameterError, VertexNotFoundError
+from repro.graph.compact import CompactGraph
 from repro.graph.generators import chung_lu_graph
 from repro.graph.static import Graph
 
@@ -233,3 +239,52 @@ class TestCommitAnchorCores:
             core[vertex] = value
         assert core == original
         assert all(type(core[vertex]) is int for vertex in core)
+
+
+class TestIdListCascades:
+    """The integer-id twins behind the numpy kernel, pinned to the dict
+    kernels on plain lists (no numpy needed)."""
+
+    @SETTINGS
+    @given(scenario=anchor_sequences(), k=st.integers(min_value=1, max_value=6))
+    def test_region_cascade_matches_marginal_followers(self, scenario, k):
+        graph, anchors = scenario
+        cgraph = CompactGraph.from_graph(graph, ordered=True)
+        interner = cgraph.interner
+        core = dict_anchored_peel(graph, frozenset(anchors)).core
+        core_ids = [core[vertex] for vertex in interner.vertices]
+        for vertex, value in core.items():
+            if value >= k:
+                continue
+            visit_log = []
+            region = set()
+            expected = marginal_followers(graph, k, vertex, core, visit_log, region_out=region)
+            region_ids = set()
+            gained, visited = compact_marginal_followers(
+                cgraph.indptr,
+                cgraph.indices,
+                k,
+                interner.id_of(vertex),
+                core_ids,
+                region_out=region_ids,
+            )
+            assert interner.translate(gained) == expected
+            assert visited == len(visit_log)
+            assert interner.translate(region_ids) == region
+
+    @SETTINGS
+    @given(scenario=anchor_sequences())
+    def test_commit_ids_match_commit_anchor_cores(self, scenario):
+        graph, anchors = scenario
+        cgraph = CompactGraph.from_graph(graph, ordered=True)
+        vertices = cgraph.interner.vertices
+        for cap in range(1, 6):
+            core = dict(dict_anchored_peel(graph, frozenset()).core)
+            core_ids = [core[vertex] for vertex in vertices]
+            for anchor in anchors:
+                touched = commit_anchor_cores(graph, anchor, core, cap=cap)
+                touched_ids = commit_anchor_ids(
+                    cgraph.indptr, cgraph.indices, core_ids, cgraph.interner.id_of(anchor), cap
+                )
+                assert {(vertices[vid], old) for vid, old in touched_ids} == set(touched)
+                assert dict(zip(vertices, core_ids)) == core

@@ -76,11 +76,11 @@ class TestFormatSeries:
 class TestWriteBenchJson:
     def test_record_carries_execution_block(self, tmp_path):
         path = tmp_path / "BENCH_test.json"
-        write_bench_json(path, "unit", {"value": 1}, backend="compact")
+        write_bench_json(path, "unit", {"value": 1}, backend="numpy")
         record = json.loads(path.read_text(encoding="utf-8"))
         assert record["benchmark"] == "unit"
         assert record["value"] == 1
-        assert record["execution"] == {"backend": "compact"}
+        assert record["execution"] == {"backend": "numpy"}
         assert "git_sha" in record["environment"]
 
     def test_single_process_defaults(self, tmp_path):

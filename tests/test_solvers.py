@@ -233,7 +233,6 @@ def tiny_graphs(draw) -> Graph:
     "backend",
     [
         "dict",
-        "compact",
         pytest.param(
             "numpy",
             marks=pytest.mark.skipif(not numpy_available(), reason="numpy is not installed"),
@@ -280,7 +279,6 @@ def small_graphs_with_anchors(draw):
     "backend",
     [
         "dict",
-        "compact",
         pytest.param(
             "numpy",
             marks=pytest.mark.skipif(not numpy_available(), reason="numpy is not installed"),
