@@ -18,13 +18,10 @@ at or below 5%; ``BENCH_obs.json`` records the margin
 (``5.0 - overhead_pct``) as an enforced floor at 0 so a regression fails
 both the pytest wrapper and the CI ``repro.bench.compare`` sweep.
 
-``test_trace_analysis_bench`` guards the PR-9 analysis tier the same way in
-``BENCH_trace.json``: the sampling profiler at 100 hz must keep its measured
-sampling work at ≤5% of the profiled window (the end-to-end wall delta is
-recorded but too noisy on sub-second legs to enforce), and the critical path
-extracted from a traced replay must cover ≥90% of the root span's wall time
-(it covers ~100% by construction, so the floor catches a broken
-tree/interval reconstruction).
+``test_trace_analysis_bench`` guards the trace analyzers the same way in
+``BENCH_trace.json``: the critical path extracted from a traced replay must
+cover ≥90% of the root span's wall time (it covers ~100% by construction, so
+the floor catches a broken tree/interval reconstruction).
 """
 
 from __future__ import annotations
@@ -35,17 +32,12 @@ from repro.bench.compare import floor_failures
 from repro.bench.reporting import write_bench_json
 from repro.bench.workloads import build_problem
 from repro.engine import StreamingAVTEngine
-from repro.obs import SamplingProfiler, build_span_trees, critical_path, tracer
+from repro.obs import build_span_trees, critical_path, tracer
 
 DATASET = "gnutella"
 BUDGET = 4
 MICRO_CALLS = 100_000
 OVERHEAD_LIMIT_PCT = 5.0
-PROFILER_HZ = 100.0
-PROFILER_LIMIT_PCT = 5.0
-#: Each measured leg repeats the replay until it is at least this long, so
-#: the profiler collects enough samples for a stable overhead estimate.
-PROFILER_MIN_REPLAY_SECONDS = 0.3
 CRITICAL_PATH_COVERAGE_FLOOR = 0.9
 
 
@@ -157,7 +149,7 @@ def run_overhead(bench_profile):
 
 
 def run_trace_analysis(bench_profile):
-    """Profiler-on replay leg + critical-path coverage for BENCH_trace.json."""
+    """Critical-path coverage of a traced replay for BENCH_trace.json."""
     problem = build_problem(
         DATASET,
         budget=BUDGET,
@@ -165,41 +157,6 @@ def run_trace_analysis(bench_profile):
         scale=bench_profile.scale,
         seed=bench_profile.seed,
     )
-
-    previous = tracer.set_enabled(False)
-    try:
-        # A single replay is tens of milliseconds at smoke scales — too short
-        # for a trustworthy overhead ratio.  Repeat it until each measured leg
-        # is long enough that wall-clock noise stays well under the 5% limit.
-        single_seconds = _replay(problem)
-        repeats = max(
-            1, int(PROFILER_MIN_REPLAY_SECONDS / max(single_seconds, 1e-3)) + 1
-        )
-
-        def leg() -> float:
-            started = time.perf_counter()
-            for _ in range(repeats):
-                _replay(problem)
-            return time.perf_counter() - started
-
-        baseline_seconds = min(leg(), leg())
-        profiled = []
-        for _ in range(2):
-            profiler = SamplingProfiler(hz=PROFILER_HZ)
-            with profiler:
-                seconds = leg()
-            profiled.append((seconds, profiler))
-        profiled_seconds, profiler = min(profiled, key=lambda entry: entry[0])
-    finally:
-        tracer.set_enabled(previous)
-    # The enforced overhead is the profiler's measured sampling work as a
-    # fraction of the profiled window — the GIL-holding time that actually
-    # stalls the workload.  The end-to-end wall delta is recorded too, but
-    # run-to-run scheduler noise on sub-second legs swamps a ~1% effect, so
-    # it is informational only (same reasoning as the analytic disabled-span
-    # floor in run_overhead above).
-    profiler_overhead_pct = profiler.overhead_fraction * 100.0
-    wall_delta_pct = (profiled_seconds / max(baseline_seconds, 1e-9) - 1.0) * 100.0
 
     # Traced replay -> critical path of the longest query.  Coverage is ~1.0
     # by construction of the backwards interval walk; the floor guards the
@@ -227,19 +184,6 @@ def run_trace_analysis(bench_profile):
             "num_snapshots": problem.num_snapshots,
             "scale": bench_profile.scale,
         },
-        "profiler": {
-            "hz": PROFILER_HZ,
-            "samples": profiler.samples,
-            "overruns": profiler.overruns,
-            "overhead_pct": profiler_overhead_pct,
-            "wall_delta_pct": wall_delta_pct,
-            "sampling_seconds": profiler.sampling_seconds,
-            "replays_per_leg": repeats,
-            "replay_seconds": {
-                "baseline": baseline_seconds,
-                "profiled": profiled_seconds,
-            },
-        },
         "critical_path": {
             "root": longest.name,
             "wall_seconds": longest.duration,
@@ -249,11 +193,6 @@ def run_trace_analysis(bench_profile):
             "span_count": len(spans),
         },
         "floors": {
-            "profiler_overhead_margin_pct": {
-                "value": PROFILER_LIMIT_PCT - profiler_overhead_pct,
-                "floor": 0.0,
-                "enforced": True,
-            },
             "critical_path_coverage": {
                 "value": coverage,
                 "floor": CRITICAL_PATH_COVERAGE_FLOOR,
@@ -267,13 +206,6 @@ def run_trace_analysis(bench_profile):
             f"(k={problem.k}, l={problem.budget}, T={problem.num_snapshots}, "
             f"scale={bench_profile.scale})",
             "",
-            f"replay x{repeats} (no profiler):    {baseline_seconds * 1e3:.1f} ms",
-            f"replay x{repeats} (profiler {PROFILER_HZ:.0f}hz): {profiled_seconds * 1e3:.1f} ms "
-            f"(wall delta {wall_delta_pct:+.2f}%, {profiler.samples} samples, "
-            f"{profiler.overruns} overruns)",
-            f"sampling work:           {profiler.sampling_seconds * 1e3:.2f} ms "
-            f"= {profiler_overhead_pct:.3f}% of the profiled window "
-            f"(limit {PROFILER_LIMIT_PCT:.0f}%)",
             f"critical path:           {path_seconds * 1e3:.1f} ms of "
             f"{longest.duration * 1e3:.1f} ms root wall "
             f"({coverage * 100:.1f}% coverage, {len(steps)} steps)",
@@ -300,6 +232,5 @@ def test_trace_analysis_bench(benchmark, bench_profile, results_dir, record_repo
     record_report("trace_analysis", report)
     write_bench_json(results_dir / "BENCH_trace.json", "trace_analysis", payload)
 
-    assert payload["profiler"]["samples"] > 0
     assert payload["critical_path"]["coverage"] >= CRITICAL_PATH_COVERAGE_FLOOR
     assert floor_failures(payload) == []

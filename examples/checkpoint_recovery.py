@@ -9,22 +9,16 @@ intact file to fall back to.  This example:
 2. saves two rotated checkpoints and flips one byte of the newest,
 3. watches the digest verification name the damaged section, then restores
    from the rotated sibling and checks the core numbers survived.
-
-Set ``REPRO_FAULTS`` (see :mod:`repro.resilience.faults`) to corrupt the
-saved files through the fault-injection sites instead::
-
-    REPRO_FAULTS="checkpoint.bytes:action=corrupt,section=core,rate=0.5,seed=3,times=0" \\
-        python examples/checkpoint_recovery.py
 """
 
 from __future__ import annotations
 
-import os
 import tempfile
+from pathlib import Path
 
 from repro import StreamingAVTEngine, load_dataset
 from repro.engine.checkpoint import load_checkpoint, read_state, save_checkpoint
-from repro.errors import CheckpointCorruptionError, CheckpointError
+from repro.errors import CheckpointCorruptionError
 
 DATASET = "eu_core"
 K = 4
@@ -47,35 +41,22 @@ def main() -> None:
     print(f"Replaying {DATASET} on backend={engine.backend}:")
     replay(engine, evolving)
 
-    env_plan = os.environ.get("REPRO_FAULTS")
-    if env_plan:
-        print(f"\nCheckpointing with REPRO_FAULTS={env_plan!r}:")
-    else:
-        print("\nCheckpoint verification and fallback:")
+    print("\nCheckpoint verification and fallback:")
     with tempfile.TemporaryDirectory() as scratch:
-        path = os.path.join(scratch, "engine.ckpt")
+        path = Path(scratch) / "engine.ckpt"
         save_checkpoint(engine, path, keep=2)
         save_checkpoint(engine, path, keep=2)
-        if not env_plan:
-            raw = bytearray(open(path, "rb").read())
-            raw[len(raw) // 2] ^= 0xFF  # one flipped byte mid-file
-            with open(path, "wb") as handle:
-                handle.write(bytes(raw))
+        raw = bytearray(path.read_bytes())
+        raw[len(raw) // 2] ^= 0xFF  # one flipped byte mid-file
+        path.write_bytes(bytes(raw))
         try:
             read_state(path)
             print("  newest checkpoint verified intact")
         except CheckpointCorruptionError as error:
             print(f"  corruption detected in section {error.section!r}: digest mismatch")
-        try:
-            restored = load_checkpoint(path, fallback=True)
-        except CheckpointError as error:
-            # Possible when a persistent checkpoint.bytes fault corrupted
-            # every rotation: the load refuses rather than silently
-            # restoring damaged state.
-            print(f"  every rotation corrupt — restore refused: {error}")
-        else:
-            match = restored.core_numbers() == engine.core_numbers()
-            print(f"  restored an intact rotation; core numbers match: {match}")
+        restored = load_checkpoint(path, fallback=True)
+        match = restored.core_numbers() == engine.core_numbers()
+        print(f"  restored an intact rotation; core numbers match: {match}")
 
 
 if __name__ == "__main__":

@@ -187,18 +187,6 @@ exporters                    :class:`~repro.obs.JsonLinesSpanSink` (streaming
                              diffs — also on the command line as
                              ``avt-bench trace {tree,critical-path,flame}``
                              (``--diff`` compares two traces)
-:class:`~repro.obs.SamplingProfiler`
-                             thread-based wall-clock sampling profiler
-                             (``sys._current_frames`` at a configurable hz)
-                             attributing samples both to code stacks and to
-                             the open span stack, with an enforced <=5%
-                             overhead floor in ``BENCH_trace.json``
-:class:`~repro.obs.FlightRecorder`
-                             always-on bounded ring of recent spans + metric
-                             deltas that survives disabled tracing cheaply
-                             and auto-dumps on span errors and checkpoint
-                             failures; inspect it live via
-                             ``engine.flight_record()``
 ===========================  ==================================================
 
 Tracing is off by default and costs one module-flag check per instrumented
@@ -216,30 +204,15 @@ installed at the package root, per library convention).
 
 Failure handling
 ----------------
-:mod:`repro.resilience` makes the checkpoint failure story testable with a
-deterministic fault-injection framework.
-
-*Fault injection* — :class:`~repro.resilience.FaultSpec` describes one fault
-(site, action, match filters, firing schedule); arm a plan programmatically
-(:func:`~repro.resilience.install_plan` / the
-:func:`~repro.resilience.inject` context manager) or from the environment::
-
-    REPRO_FAULTS="checkpoint.bytes:action=corrupt,section=core"
-
-The two sites are checkpoint flush failure (``checkpoint.write``) and
-checkpoint byte corruption (``checkpoint.bytes``); a spec naming any other
-site is rejected.  Every firing increments the
-``resilience.faults_injected`` counter and lands in the flight recorder,
-tracing on or off.
-
-*Verified checkpoints* — checkpoint files carry a versioned manifest with a
-SHA-256 digest per section (graph / core / warm / cache / stats); a
-truncated or bit-flipped file raises
+Engine checkpoints are *verified*: each file carries a versioned manifest
+with a SHA-256 digest per section (graph / core / warm / cache / stats),
+written to a temporary file and renamed into place, so a failed save never
+leaves a partial file.  A truncated or bit-flipped file raises
 :class:`~repro.errors.CheckpointCorruptionError` naming the damaged section
 *before* any unpickling of that section.  ``save_checkpoint(engine, path,
-keep=N)`` rotates the last N checkpoints, and ``load_checkpoint`` falls back
-to the newest intact rotation on corruption; ``examples/checkpoint_recovery.py``
-walks that loop in code.
+keep=N)`` rotates the last N checkpoints, and ``load_checkpoint`` falls
+back to the newest intact rotation on corruption, logging each file it
+skips; ``examples/checkpoint_recovery.py`` walks that loop in code.
 """
 
 import logging as _logging
@@ -311,14 +284,7 @@ from repro.backends import (
     registered_backends,
     resolve_backend,
 )
-from repro.errors import CheckpointCorruptionError, FaultError
-from repro.resilience import (
-    FaultPlan,
-    FaultSpec,
-    clear_plan,
-    inject,
-    install_plan,
-)
+from repro.errors import CheckpointCorruptionError
 from repro.graph import (
     CompactGraph,
     DynamicCompactAdjacency,
@@ -407,14 +373,7 @@ __all__ = [
     "EngineStats",
     "save_checkpoint",
     "load_checkpoint",
-    # resilience
     "CheckpointCorruptionError",
-    "FaultError",
-    "FaultPlan",
-    "FaultSpec",
-    "clear_plan",
-    "inject",
-    "install_plan",
     # observability
     "tracer",
     "MetricsRegistry",

@@ -27,12 +27,7 @@ files (a single pickled envelope) are still read transparently.
 Rotation and fallback: :func:`save_checkpoint` with ``keep=N`` shifts the
 previous file to ``<path>.1`` (and so on, keeping the newest ``N``);
 :func:`load_checkpoint` falls back to the newest intact rotated sibling when
-the primary is corrupted, dumping a flight record for the one it skipped.
-
-Fault-injection sites (:mod:`repro.resilience.faults`): ``checkpoint.write``
-(a ``fail`` action simulates a flush failure before the atomic rename) and
-``checkpoint.bytes`` (a ``corrupt`` action flips one byte after the file is
-written, optionally inside a named ``section=``).
+the primary is corrupted, logging an error for each one it skipped.
 """
 
 from __future__ import annotations
@@ -44,9 +39,8 @@ import pickle
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.errors import CheckpointCorruptionError, CheckpointError, ParameterError
-from repro.obs import flight, tracer
-from repro.resilience import faults
+from repro.errors import CheckpointCorruptionError, CheckpointError, require_int
+from repro.obs import tracer
 
 logger = logging.getLogger("repro.engine.checkpoint")
 
@@ -86,39 +80,6 @@ def _split_sections(state: Dict[str, Any]) -> List[Tuple[str, Dict[str, Any]]]:
     return sections
 
 
-def _maybe_corrupt_bytes(
-    tmp_path: Path, header_len: int, manifest_len: int, manifest_sections: List[Dict[str, Any]]
-) -> None:
-    """The ``checkpoint.bytes`` fault site: flip one byte of the fresh file.
-
-    The site fires once per region (manifest first, then each section in
-    order) so a spec can target a named ``section=``; the flipped byte sits
-    mid-region, guaranteeing a digest mismatch on the next read.
-    """
-    regions: List[Tuple[str, int, int]] = [("manifest", header_len, manifest_len)]
-    offset = header_len + manifest_len
-    for entry in manifest_sections:
-        regions.append((entry["name"], offset, entry["length"]))
-        offset += entry["length"]
-    for name, start, length in regions:
-        spec = faults.fire("checkpoint.bytes", path=str(tmp_path), section=name)
-        if spec is None or length == 0:
-            continue
-        position = start + length // 2
-        with open(tmp_path, "r+b") as handle:
-            handle.seek(position)
-            byte = handle.read(1)
-            handle.seek(position)
-            handle.write(bytes([byte[0] ^ 0xFF]))
-        logger.warning(
-            "injected checkpoint corruption: flipped byte %d (section %r) of %s",
-            position,
-            name,
-            tmp_path,
-        )
-        return
-
-
 def write_state(state: Dict[str, Any], path: PathLike) -> None:
     """Serialise an engine state dict to ``path`` (atomically via a temp file).
 
@@ -126,10 +87,6 @@ def write_state(state: Dict[str, Any], path: PathLike) -> None:
     own digest go first so readers can verify before deserialising.
     """
     path = Path(path)
-    if faults.fire("checkpoint.write", path=str(path)) is not None:
-        # An injected flush failure: surface the same error class a full
-        # disk or dead NFS mount would, before any bytes move.
-        raise CheckpointError(f"cannot write checkpoint to {path}: injected flush failure")
     tmp_path = path.with_name(path.name + ".tmp")
     try:
         blobs: List[bytes] = []
@@ -157,10 +114,7 @@ def write_state(state: Dict[str, Any], path: PathLike) -> None:
             handle.write(manifest)
             for blob in blobs:
                 handle.write(blob)
-        _maybe_corrupt_bytes(tmp_path, len(header), len(manifest), manifest_sections)
         tmp_path.replace(path)
-    except CheckpointError:
-        raise
     except Exception as error:  # OSError, or pickling failures of exotic vertices
         raise CheckpointError(f"cannot write checkpoint to {path}: {error}") from error
     finally:
@@ -186,6 +140,38 @@ def _read_state_legacy(path: Path) -> Dict[str, Any]:
     if not isinstance(state, dict):
         raise CheckpointError(f"checkpoint {path} carries no state payload")
     return state
+
+
+def _manifest_entries(path: Path, manifest_bytes: bytes) -> List[Dict[str, Any]]:
+    """Decode a digest-verified manifest and check the shape of its sections.
+
+    A matching digest proves the bytes are the ones written, not that the
+    writer wrote a well-formed manifest, so a bad shape is reported as a
+    corrupted ``manifest`` section rather than escaping as a raw exception.
+    """
+    try:
+        entries = json.loads(manifest_bytes)["sections"]
+    except (ValueError, KeyError, TypeError) as error:
+        raise CheckpointCorruptionError(
+            path, "manifest", f"undecodable manifest: {error}"
+        ) from error
+    if not isinstance(entries, list):
+        raise CheckpointCorruptionError(
+            path, "manifest", f"sections is {type(entries).__name__}, not a list"
+        )
+    for entry in entries:
+        length = entry.get("length") if isinstance(entry, dict) else None
+        if not (
+            isinstance(length, int)
+            and not isinstance(length, bool)
+            and length >= 0
+            and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("sha256"), str)
+        ):
+            raise CheckpointCorruptionError(
+                path, "manifest", f"malformed section entry {entry!r}"
+            )
+    return entries
 
 
 def read_state(path: PathLike) -> Dict[str, Any]:
@@ -238,16 +224,10 @@ def read_state(path: PathLike) -> Dict[str, Any]:
             raise CheckpointCorruptionError(
                 path, "manifest", f"digest mismatch ({digest[:12]}… != {parts[3][:12]}…)"
             )
-        try:
-            manifest = json.loads(manifest_bytes)
-            entries = manifest["sections"]
-        except (ValueError, KeyError, TypeError) as error:
-            raise CheckpointCorruptionError(
-                path, "manifest", f"undecodable manifest: {error}"
-            ) from error
+        entries = _manifest_entries(path, manifest_bytes)
         state: Dict[str, Any] = {}
         for entry in entries:
-            name = entry.get("name", "?")
+            name = entry["name"]
             length = entry["length"]
             blob = handle.read(length)
             if len(blob) != length:
@@ -303,8 +283,7 @@ def save_checkpoint(engine: Any, path: PathLike, keep: int = 1) -> None:
     write failure never destroys the last good checkpoint, and
     :func:`load_checkpoint` can fall back down the chain.
     """
-    if keep < 1:
-        raise ParameterError("save_checkpoint keep must be >= 1")
+    require_int("keep", keep, 1)
     path = Path(path)
     with tracer.span("engine.checkpoint.save") as save_span:
         if keep > 1:
@@ -330,8 +309,8 @@ def load_checkpoint(
 
     With ``fallback`` (the default) a corrupted or unreadable primary falls
     back to the newest intact rotated sibling (``<path>.1``, ``<path>.2``,
-    …), dumping a flight record naming each checkpoint skipped; the original
-    error is re-raised only when every candidate fails.
+    …), logging an error naming each checkpoint skipped; the original error
+    is re-raised only when every candidate fails.
     """
     from repro.engine.engine import StreamingAVTEngine
 
@@ -355,13 +334,6 @@ def load_checkpoint(
                 if first_error is None:
                     first_error = error
                 if len(candidates) > 1:
-                    section = getattr(error, "section", None)
-                    flight.default_recorder().dump(
-                        "checkpoint-fallback",
-                        path=str(candidate),
-                        section=section,
-                        error=str(error),
-                    )
                     logger.error(
                         "checkpoint %s unusable (%s); trying next rotation",
                         candidate,

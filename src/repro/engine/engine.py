@@ -570,47 +570,22 @@ class StreamingAVTEngine:
     def checkpoint(self, path: Any, keep: int = 1) -> None:
         """Persist the engine to ``path`` (see :mod:`repro.engine.checkpoint`).
 
-        ``keep`` > 1 rotates previous checkpoints to ``<path>.1``… so
-        :meth:`restore` can fall back when the newest file is corrupted.
-        A failed save dumps the flight recorder (recent spans + metric
-        deltas) before re-raising, so post-mortems of checkpoint failures in
-        long-running engines have the surrounding context.
+        ``keep`` must be an integer >= 1; above 1 it rotates previous
+        checkpoints to ``<path>.1``… so :meth:`restore` can fall back when
+        the newest file is corrupted.  A failed save raises
+        :class:`~repro.errors.CheckpointError`, and the previous checkpoint
+        survives (as ``<path>.1`` when rotating).
         """
         from repro.engine.checkpoint import save_checkpoint
-        from repro.obs.flight import default_recorder
 
-        try:
-            save_checkpoint(self, path, keep=keep)
-        except CheckpointError as error:
-            default_recorder().dump(
-                "checkpoint-save-failed", path=str(path), error=str(error)
-            )
-            raise
+        save_checkpoint(self, path, keep=keep)
 
     @classmethod
     def restore(cls, path: Any, **overrides: Any) -> "StreamingAVTEngine":
         """Rebuild an engine from a checkpoint file written by :meth:`checkpoint`."""
         from repro.engine.checkpoint import load_checkpoint
-        from repro.obs.flight import default_recorder
 
-        try:
-            return load_checkpoint(path, **overrides)
-        except CheckpointError as error:
-            default_recorder().dump(
-                "checkpoint-restore-failed", path=str(path), error=str(error)
-            )
-            raise
-
-    def flight_record(self) -> Dict[str, Any]:
-        """The live flight record: recent spans, metric deltas, past dumps.
-
-        Delegates to the process-wide always-on recorder
-        (:func:`repro.obs.flight.default_recorder`); cheap to call from an
-        operator endpoint or a crash handler.
-        """
-        from repro.obs.flight import default_recorder
-
-        return default_recorder().record()
+        return load_checkpoint(path, **overrides)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         graph = self._maintainer.graph

@@ -81,19 +81,6 @@ class CheckpointCorruptionError(CheckpointError):
         self.section = section
 
 
-class FaultError(ReproError):
-    """Raised by an injected ``error``-action fault (:mod:`repro.resilience`).
-
-    Deliberately a :class:`ReproError` subclass so fault-injection tests
-    exercise the exact handling paths a real failure would take.
-    """
-
-    def __init__(self, site: str, detail: str = "") -> None:
-        super().__init__(f"injected fault at {site}" + (f": {detail}" if detail else ""))
-        self.site = site
-
-
-
 def require_int(name: str, value: object, minimum: int) -> None:
     """Raise :class:`ParameterError` unless ``value`` is an integer ``>= minimum``.
 

@@ -9,21 +9,14 @@ piece              role
                    near-zero-overhead no-op path while disabled.
 ``MetricsRegistry``  Counters / gauges / log-bucketed histograms behind one
                    ``{name, type, value, labels}`` snapshot schema; the
-                   legacy stats surfaces are views over it.
+                   legacy stats surfaces are views over it, and histogram
+                   buckets keep trace-id exemplars.
 ``exporters``      JSON-lines span sink, Prometheus text exposition, and
                    snapshot writers for the CLI and benches.
 ``analyze``        Trace analytics over finished spans: span-tree
                    reconstruction, Dapper-style critical-path extraction,
                    per-name self-time flamegraph aggregation
                    (collapsed-stack output), and two-trace latency diffs.
-``profile``        Thread-based wall-clock sampling profiler
-                   (``sys._current_frames`` at a configurable hz) that
-                   attributes samples to the open span stack as well as to
-                   code, with an enforced ≤5% overhead floor.
-``flight``         Always-on flight recorder: a bounded ring of recent
-                   spans + metric deltas that survives ``enabled=False``
-                   cheaply and dumps automatically on span errors and
-                   checkpoint failures (``engine.flight_record()``).
 =================  ==========================================================
 
 Enable tracing programmatically (``tracer.set_enabled(True)``), per run
@@ -45,8 +38,6 @@ from repro.obs.analyze import (
     render_tree,
     self_time_by_name,
 )
-from repro.obs.flight import FlightRecorder, default_recorder
-from repro.obs.profile import SamplingProfiler
 from repro.obs.exporters import (
     JsonLinesSpanSink,
     read_spans_jsonl,
@@ -78,9 +69,6 @@ __all__ = [
     "render_collapsed",
     "render_tree",
     "diff_traces",
-    "SamplingProfiler",
-    "FlightRecorder",
-    "default_recorder",
     "Counter",
     "Gauge",
     "Histogram",

@@ -253,9 +253,6 @@ class MetricsRegistry:
     def get(self, name: str, **labels: str) -> Optional[Metric]:
         return self._metrics.get((name, _label_key(labels)))
 
-    def metrics(self) -> List[Metric]:
-        return list(self._metrics.values())
-
     def __len__(self) -> int:
         return len(self._metrics)
 

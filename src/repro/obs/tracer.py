@@ -35,14 +35,12 @@ __all__ = [
     "span",
     "current_span",
     "current_trace_id",
-    "thread_span_stacks",
     "drain",
     "add_sink",
     "remove_sink",
     "enabled",
     "set_enabled",
     "is_enabled",
-    "default_tracer",
     "env_flag",
 ]
 
@@ -68,11 +66,10 @@ def env_flag(name: str) -> bool:
 #: Reassigned by :func:`set_enabled`; read directly by :func:`span`.
 enabled: bool = env_flag("REPRO_TRACE")
 
-#: Per-thread open-span stacks, keyed by thread ident.  A plain dict (not
-#: ``threading.local``) so the sampling profiler can read *other* threads'
-#: stacks; all accesses are single dict/list ops, atomic under the GIL.
-#: Entries are removed when a thread's outermost span exits, so the dict does
-#: not grow with thread churn.
+#: Per-thread open-span stacks, keyed by thread ident.  All accesses are
+#: single dict/list ops, atomic under the GIL.  Entries are removed when a
+#: thread's outermost span exits, so the dict does not grow with thread
+#: churn.
 _STACKS: Dict[int, List["Span"]] = {}
 _id_lock = threading.Lock()
 _id_state = {"pid": os.getpid(), "next": 1}
@@ -235,10 +232,6 @@ class Tracer:
 _DEFAULT = Tracer()
 
 
-def default_tracer() -> Tracer:
-    return _DEFAULT
-
-
 def span(name: str, **attrs: Any):
     """Start a span on the default tracer (module-level fast path)."""
     if not enabled:
@@ -260,23 +253,6 @@ def current_trace_id() -> Optional[str]:
     """
     stack = _STACKS.get(threading.get_ident())
     return stack[-1].trace_id if stack else None
-
-
-def thread_span_stacks() -> Dict[int, List[str]]:
-    """Snapshot of every thread's open span-name stack, outermost first.
-
-    Read-only view for the sampling profiler: it maps each thread ident with
-    at least one open span to the span names on its stack.  Safe to call from
-    any thread — iteration copies under the GIL and tolerates concurrent
-    push/pop (a stack observed mid-mutation just yields a slightly stale
-    list, which is fine for statistical sampling).
-    """
-    snapshot: Dict[int, List[str]] = {}
-    for ident, stack in list(_STACKS.items()):
-        names = [open_span.name for open_span in list(stack)]
-        if names:
-            snapshot[ident] = names
-    return snapshot
 
 
 def drain() -> List[SpanDict]:

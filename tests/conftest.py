@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import random
-from typing import FrozenSet, Iterable, List, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 import networkx as nx
 import pytest
@@ -56,6 +57,35 @@ def reference_greedy(
     core = anchored_core_decomposition(graph, anchors, backend="dict").core
     size = sum(1 for value in core.values() if value >= k)
     return tuple(anchors), frozenset(followers), size
+
+
+def section_regions(path) -> Dict[str, Tuple[int, int]]:
+    """``{name: (start, length)}`` byte regions of a format-2 checkpoint.
+
+    Covers the JSON manifest (as ``"manifest"``) and every section it lists.
+    """
+    with open(path, "rb") as handle:
+        header = handle.readline()
+        manifest_len = int(header.split()[2])
+        manifest = json.loads(handle.read(manifest_len))
+    regions = {"manifest": (len(header), manifest_len)}
+    offset = len(header) + manifest_len
+    for section in manifest["sections"]:
+        regions[section["name"]] = (offset, section["length"])
+        offset += section["length"]
+    return regions
+
+
+def flip_section_byte(path, section: str) -> None:
+    """Invert the middle byte of one region of a checkpoint file."""
+    start, length = section_regions(path)[section]
+    assert length > 0, f"checkpoint region {section!r} is empty"
+    position = start + length // 2
+    with open(path, "r+b") as handle:
+        handle.seek(position)
+        byte = handle.read(1)
+        handle.seek(position)
+        handle.write(bytes([byte[0] ^ 0xFF]))
 
 
 @pytest.fixture

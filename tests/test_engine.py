@@ -533,6 +533,16 @@ class TestCheckpoint:
         assert not path.exists()
         assert not path.with_name(path.name + ".tmp").exists()
 
+    def test_engine_checkpoint_and_restore_failures_raise_checkpoint_error(
+        self, toy_graph, tmp_path
+    ):
+        engine = StreamingAVTEngine(toy_graph)
+        engine.query(3, 2)
+        with pytest.raises(CheckpointError):
+            engine.checkpoint(tmp_path / "no-such-dir" / "engine.ckpt")
+        with pytest.raises(CheckpointError):
+            StreamingAVTEngine.restore(tmp_path / "missing.ckpt")
+
 
 class TestCheckpointUnavailableBackendFallback:
     """Restoring a checkpoint whose persisted backend is unknown or

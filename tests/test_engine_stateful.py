@@ -8,8 +8,9 @@ vertices the engine does not know yet.  The rules interleave single inserts
 (self-loops included, which must fail at ingest and buffer nothing),
 removals (absent edges and self-loops included), whole deltas, flushes,
 exact and warm queries, checkpoint + restore into a fresh engine on every
-available backend, and rotated saves with one injected ``checkpoint.bytes``
-corruption.  After every step the engine must agree with the oracles:
+available backend, and rotated saves whose newest file then has one byte of
+its ``core`` section flipped.  After every step the engine must agree with
+the oracles:
 
 * with nothing pending, its graph (vertex set included) equals the shadow
   graph and its core numbers equal
@@ -40,11 +41,11 @@ from repro.anchored.followers import compute_followers
 from repro.backends import numpy_available
 from repro.cores.decomposition import core_numbers
 from repro.engine import StreamingAVTEngine, load_checkpoint
-from repro.errors import CheckpointError, SelfLoopError
+from repro.engine.checkpoint import read_state
+from repro.errors import CheckpointCorruptionError, CheckpointError, SelfLoopError
 from repro.graph.dynamic import EdgeDelta
 from repro.graph.static import Graph
-from repro.resilience import FaultSpec, faults
-from tests.conftest import reference_greedy
+from tests.conftest import flip_section_byte, reference_greedy
 
 #: The engine starts on these; edges may also name vertices 12-15.
 VERTICES = range(12)
@@ -176,10 +177,11 @@ class EngineMachine(RuleBasedStateMachine):
 
     @rule()
     def save_with_corrupted_core(self):
-        spec = FaultSpec("checkpoint.bytes", "corrupt", match={"section": "core"})
-        with faults.inject(spec):
-            self.engine.checkpoint(self.rotation, keep=2)
-        assert spec.fired == 1
+        self.engine.checkpoint(self.rotation, keep=2)
+        flip_section_byte(self.rotation, "core")
+        with pytest.raises(CheckpointCorruptionError) as excinfo:
+            read_state(self.rotation)
+        assert excinfo.value.section == "core"
         older = self.saved[:1]
         self.saved = [(False, durable_state(self.engine))] + older
         if older and older[0][0]:

@@ -1,6 +1,5 @@
-"""Tests for the PR-9 analysis tier: :mod:`repro.obs.analyze`,
-:mod:`repro.obs.profile`, :mod:`repro.obs.flight`, histogram exemplars and
-the ``avt-bench trace`` CLI.
+"""Tests for the trace analyzers (:mod:`repro.obs.analyze`), histogram
+exemplars and the ``avt-bench trace`` CLI.
 
 Includes the acceptance criterion: the critical path of a serve-sim
 ``--trace-out`` artifact sums to within 10% of the root span's wall time.
@@ -16,17 +15,13 @@ import pytest
 from repro.cli import main
 from repro.engine import StreamingAVTEngine
 from repro.engine.stats import EngineStats
-from repro.errors import CheckpointError, ParameterError
+from repro.errors import ParameterError
 from repro.graph.static import Graph
-from repro.obs.profile import UNTRACED
 from repro.obs import (
-    FlightRecorder,
     MetricsRegistry,
-    SamplingProfiler,
     build_span_trees,
     critical_path,
     critical_path_by_name,
-    default_recorder,
     diff_traces,
     flame_stacks,
     read_spans_jsonl,
@@ -290,186 +285,6 @@ class TestServeSimCriticalPath:
         empty = tmp_path / "empty.jsonl"
         empty.write_text("", encoding="utf-8")
         assert main(["trace", "critical-path", str(empty)]) == 2
-
-
-class TestSamplingProfiler:
-    def test_samples_attributed_to_open_spans(self, traced):
-        with SamplingProfiler(hz=200) as profiler:
-            with tracer.span("profiled.outer"):
-                with tracer.span("profiled.inner"):
-                    _busy(0.25)
-        assert not profiler.running
-        assert profiler.samples > 0
-        assert profiler.duration_seconds > 0.2
-
-        # Idle helper threads (executor queue managers, etc.) sample as
-        # <untraced>; the hottest *traced* stack must be the busy spans.
-        traced_entries = [
-            entry
-            for entry in profiler.span_profile()
-            if entry["stack"] != list(UNTRACED)
-        ]
-        assert traced_entries, "no span-attributed samples"
-        hottest = traced_entries[0]
-        assert hottest["stack"] == ["profiled.outer", "profiled.inner"]
-        assert hottest["samples"] > 0
-        assert 0.0 < hottest["fraction"] <= 1.0
-
-        code_profile = profiler.code_profile()
-        assert code_profile
-        assert any(
-            any("_busy" in frame for frame in entry["stack"])
-            for entry in code_profile
-        )
-
-    def test_collapsed_output_and_untraced_attribution(self):
-        previous = tracer.set_enabled(False)
-        try:
-            with SamplingProfiler(hz=200) as profiler:
-                _busy(0.1)
-        finally:
-            tracer.set_enabled(previous)
-        assert profiler.samples > 0
-        collapsed = profiler.collapsed("span")
-        assert collapsed.startswith("<untraced> ")
-        for line in profiler.collapsed("code").splitlines():
-            stack, _, weight = line.rpartition(" ")
-            assert stack and weight.isdigit()
-
-    def test_parameter_validation(self):
-        with pytest.raises(ParameterError):
-            SamplingProfiler(hz=0)
-        with pytest.raises(ParameterError):
-            SamplingProfiler(hz=100000)
-        profiler = SamplingProfiler(hz=50)
-        with pytest.raises(ParameterError):
-            profiler.collapsed("nope")
-        profiler.start()
-        try:
-            with pytest.raises(ParameterError):
-                profiler.start()
-        finally:
-            profiler.stop()
-
-    def test_stop_records_registry_gauges(self):
-        from repro.obs import global_registry
-
-        with SamplingProfiler(hz=120):
-            _busy(0.05)
-        registry = global_registry()
-        assert registry.gauge("obs.profiler.hz").value == 120
-        assert registry.gauge("obs.profiler.samples").value >= 0
-
-
-class TestFlightRecorder:
-    def test_ring_is_bounded(self, traced):
-        recorder = FlightRecorder(capacity=3, auto_dump_on_error=False)
-        recorder.install()
-        try:
-            for index in range(7):
-                with tracer.span("ring", index=index):
-                    pass
-        finally:
-            recorder.uninstall()
-        assert len(recorder) == 3
-        record = recorder.record()
-        assert [entry["attrs"]["index"] for entry in record["spans"]] == [4, 5, 6]
-
-    def test_error_span_triggers_auto_dump(self, traced):
-        recorder = FlightRecorder(capacity=16)
-        recorder.install()
-        try:
-            with tracer.span("setup"):
-                pass
-            with pytest.raises(RuntimeError):
-                with tracer.span("exploding"):
-                    raise RuntimeError("boom")
-        finally:
-            recorder.uninstall()
-        assert len(recorder.dumps) == 1
-        dump = recorder.dumps[0]
-        assert dump["reason"] == "span-error:exploding"
-        assert dump["context"]["error"] == "RuntimeError"
-        assert [entry["name"] for entry in dump["spans"]] == ["setup", "exploding"]
-
-    def test_metric_deltas_since_baseline(self):
-        from repro.obs import global_registry
-
-        recorder = FlightRecorder(capacity=4, auto_dump_on_error=False)
-        counter = global_registry().counter("test.flight.delta")
-        counter.inc(5)
-        deltas = {entry["name"]: entry["delta"] for entry in recorder.metric_deltas()}
-        assert deltas["test.flight.delta"] == 5
-        # dump rolls the baseline
-        recorder.dump("manual")
-        assert all(
-            entry["name"] != "test.flight.delta" for entry in recorder.metric_deltas()
-        )
-
-    def test_dump_writes_file_when_dir_configured(self, tmp_path, traced):
-        recorder = FlightRecorder(capacity=4, dump_dir=str(tmp_path))
-        recorder.install()
-        try:
-            with tracer.span("kept"):
-                pass
-            recorder.dump("manual-test", detail=42)
-        finally:
-            recorder.uninstall()
-        files = list(tmp_path.glob("flight-*.json"))
-        assert len(files) == 1
-        payload = json.loads(files[0].read_text(encoding="utf-8"))
-        assert payload["reason"] == "manual-test"
-        assert payload["context"] == {"detail": 42}
-        assert [entry["name"] for entry in payload["spans"]] == ["kept"]
-
-    def test_default_recorder_survives_disabled_tracing(self, traced):
-        recorder = default_recorder()
-        with tracer.span("before.disable"):
-            pass
-        tracer.drain()
-        ring_names = [entry["name"] for entry in recorder.record()["spans"]]
-        assert "before.disable" in ring_names
-        tracer.set_enabled(False)
-        with tracer.span("while.disabled"):
-            pass
-        # nothing recorded while disabled, but the ring is intact
-        ring_names = [entry["name"] for entry in recorder.record()["spans"]]
-        assert "while.disabled" not in ring_names
-        assert "before.disable" in ring_names
-
-    def test_engine_flight_record_exposes_recent_spans(self, traced):
-        engine = StreamingAVTEngine(Graph(edges=[(0, 1), (1, 2), (2, 0)]))
-        engine.query(2, 1)
-        tracer.drain()
-        record = engine.flight_record()
-        assert {"spans", "metric_deltas", "dumps", "capacity"} <= set(record)
-        assert any(entry["name"] == "engine.query" for entry in record["spans"])
-
-    def test_checkpoint_failure_dumps_flight_record(self, tmp_path, traced):
-        engine = StreamingAVTEngine(Graph(edges=[(0, 1), (1, 2), (2, 0)]))
-        engine.query(2, 1)
-        recorder = default_recorder()
-        # The dump deque is bounded, so identify our dumps by the unique tmp
-        # paths rather than by position (earlier tests may have filled it).
-        bad_path = tmp_path / "no-such-dir" / "ck.json"
-        with pytest.raises(CheckpointError):
-            engine.checkpoint(bad_path)
-        dump = next(
-            d
-            for d in recorder.dumps
-            if d["reason"] == "checkpoint-save-failed"
-            and d["context"]["path"] == str(bad_path)
-        )
-        assert dump["context"]["error"]
-
-        missing = tmp_path / "missing.json"
-        with pytest.raises(CheckpointError):
-            StreamingAVTEngine.restore(missing)
-        assert any(
-            d["reason"] == "checkpoint-restore-failed"
-            and d["context"]["path"] == str(missing)
-            for d in recorder.dumps
-        )
 
 
 class TestExemplars:
