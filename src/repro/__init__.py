@@ -50,28 +50,30 @@ The library is layered; each layer only depends on the ones above it::
     repro.avt       per-snapshot trackers · IncAVTTracker            ── dynamic tracking
     repro.engine    StreamingAVTEngine (ingest, cache, warm solves)  ── online serving
 
-*Execution backends* — every hot kernel (peeling decomposition, k-core
-cascades, K-order ``deg+``, the follower cascades and candidate scans behind
-the anchored core index, the incremental maintenance traversals) is defined
-once as the :class:`~repro.backends.ExecutionBackend` protocol and
-implemented by the registered backends; public modules never branch on a
-backend name, they call through the object the registry resolves.  The two
-built-ins:
+*Execution backends* — every hot solver kernel (peeling decomposition,
+k-core cascades, K-order ``deg+``, the follower cascades and candidate scans
+behind the anchored core index) is defined once as the
+:class:`~repro.backends.ExecutionBackend` protocol and implemented by the
+registered backends; public modules never branch on a backend name, they
+call through the object the registry resolves.  The two built-ins:
 
 ================  =============================================  =========================================
 backend           implementation                                 ``auto`` picks it when
 ================  =============================================  =========================================
-``dict``          hashable vertices over the adjacency-set       the graph has fewer than
-                  graph; zero setup or translation cost          :data:`~repro.backends.COMPACT_THRESHOLD`
-                                                                 vertices, for any one-shot cascade (a
-                                                                 single O(n + m) pass cannot amortise a
-                                                                 snapshot build), or numpy is unavailable
-``numpy``         an interned CSR snapshot: vectorised passes    every other case
+``dict``          hashable vertices over the adjacency-set       the work is a one-shot cascade (a single
+                  graph; zero setup or translation cost          O(n + m) pass cannot amortise a snapshot
+                                                                 build), or numpy is unavailable
+``numpy``         an interned CSR snapshot: vectorised passes    every other case, at any graph size
                   for peels, k-cores, the capped index build,
                   candidate scans and OLAK's whole-shell
                   cascade; id-list loops for the region
-                  follower cascade, commits and maintenance
+                  follower cascade and commits
 ================  =============================================  =========================================
+
+Incremental core maintenance is not a backend kernel:
+:class:`CoreMaintainer` runs one pure-Python integer-id kernel on every
+backend, with a live ``{vertex: core}`` map beside its id list, and sets it
+up in one interning pass (a bucket cascade over its adjacency mirror).
 
 Both backends guarantee identical core numbers and removal orders from the
 full peels behind ``decompose``/``korder``, identical capped index states
@@ -140,8 +142,7 @@ warning.
 
     class MyBackend(ExecutionBackend):
         name = "mine"
-        ...  # decompose / k_core / remaining_degrees /
-             # build_core_index / build_maintenance
+        ...  # decompose / k_core / remaining_degrees / build_core_index
 
     register_backend("mine", MyBackend)
     GreedyAnchoredKCore(graph, k=3, budget=5, backend="mine")
@@ -152,10 +153,10 @@ explaining *why* — missing import vs. ``REPRO_DISABLE_NUMPY`` switch) lets
 optional-dependency backends like numpy step aside gracefully —
 ``avt-bench backends`` prints the registry with availability and reasons.
 
-*Dynamic re-resolution* — ``StreamingAVTEngine(backend="auto")`` re-resolves
-at flush time and migrates its :class:`CoreMaintainer` state, so an engine
-that starts empty moves from dict to numpy once the ingested stream crosses
-the threshold.
+*Backend resolution* — ``StreamingAVTEngine(backend="auto")`` resolves its
+backend once, at construction; since ``auto`` does not depend on graph
+size, an engine that starts empty runs its cold solves on the same backend
+it would pick for the grown graph, and its maintainer never migrates.
 
 Observability
 -------------
@@ -274,7 +275,6 @@ from repro.backends import (
     BACKEND_DICT,
     BACKEND_NUMPY,
     BACKENDS,
-    COMPACT_THRESHOLD,
     ExecutionBackend,
     available_backends,
     backend_availability,
@@ -317,7 +317,6 @@ __all__ = [
     "BACKEND_DICT",
     "BACKEND_NUMPY",
     "BACKENDS",
-    "COMPACT_THRESHOLD",
     "CompactGraph",
     "DynamicCompactAdjacency",
     "ExecutionBackend",

@@ -89,8 +89,9 @@ class IncAVTTracker:
         and ``None`` disables restarts.
     backend:
         Execution backend (``"auto"`` / ``"dict"`` / ``"numpy"``, see
-        :mod:`repro.backends`) used for core maintenance and the Greedy
-        first-snapshot/restart solves.
+        :mod:`repro.backends`) used for the Greedy first-snapshot/restart
+        solves.  Core maintenance runs the same integer-id kernel on every
+        backend (:mod:`repro.cores.maintenance`).
     """
 
     name = "IncAVT"
@@ -138,9 +139,7 @@ class IncAVTTracker:
             return result
 
         # Snapshot 1: solved from scratch with the Greedy algorithm (Algorithm 6, line 2).
-        maintainer = CoreMaintainer(
-            problem.evolving_graph.base, copy_graph=True, backend=self._backend
-        )
+        maintainer = CoreMaintainer(problem.evolving_graph.base, copy_graph=True)
         first_graph = maintainer.graph
         greedy = GreedyAnchoredKCore(
             first_graph, problem.k, problem.budget, backend=self._backend

@@ -2,30 +2,32 @@
 
 The public API of the library speaks hashable vertex ids over the
 adjacency-set :class:`~repro.graph.static.Graph`.  *How* the hot kernels run
-— peeling decomposition, k-core cascades, K-order remaining degrees, the
-follower cascades and candidate scans of the anchored core index, and the
-incremental maintenance traversals — is delegated to an
-:class:`~repro.backends.base.ExecutionBackend` looked up in a registry:
+— peeling decomposition, k-core cascades, K-order remaining degrees, and the
+follower cascades and candidate scans of the anchored core index — is
+delegated to an :class:`~repro.backends.base.ExecutionBackend` looked up in a
+registry:
 
 ``dict``
     The reference implementation straight over the adjacency-set graph.
-    No setup cost, no translation; fastest on small graphs and the only
-    backend on an interpreter without numpy.
+    No setup cost, no translation; the backend for one-shot cascades and
+    the only backend on an interpreter without numpy.
 ``numpy``
     The snapshot backend: kernels over an interned CSR snapshot
     (:mod:`repro.graph.compact`).  Full peels, k-core cascades, the capped
     index build, candidate scans and the whole-shell cascade are vectorised
-    numpy passes; the region follower cascade, the commit risers and the
-    maintenance traversals stay pure Python over integer ids, where they
-    are faster (:mod:`repro.backends.numpy_backend`).  Import-gated: the
-    package works without numpy and this backend simply reports unavailable.
+    numpy passes; the region follower cascade and the commit risers stay
+    pure Python over integer ids, where they are faster
+    (:mod:`repro.backends.numpy_backend`).  Import-gated: the package works
+    without numpy and this backend simply reports unavailable.
 
 Both produce identical core numbers, identical removal orders and identical
 instrumentation counts (``tests/test_backend_equivalence.py``).
-``backend="auto"`` — the default everywhere — picks dict for one-shot work,
-below :data:`COMPACT_THRESHOLD` vertices or without numpy, and numpy
-otherwise (:mod:`repro.backends.registry`).  Custom backends plug in through
-:func:`register_backend` and are used when named.
+``backend="auto"`` — the default everywhere — picks dict for one-shot work
+or without numpy, and numpy for amortised work at any graph size
+(:mod:`repro.backends.registry`).  Custom backends plug in through
+:func:`register_backend` and are used when named.  Incremental core
+maintenance does not go through a backend: :mod:`repro.cores.maintenance`
+runs one integer-id kernel everywhere.
 
 The built-ins are registered here with lazy factories so that importing
 :mod:`repro.backends` stays dependency-free and cycle-free: implementation
@@ -43,12 +45,10 @@ from repro.backends.base import (
     BACKEND_DICT,
     BACKEND_NUMPY,
     BACKENDS,
-    COMPACT_THRESHOLD,
     WORKLOAD_AMORTIZED,
     WORKLOAD_ONE_SHOT,
     CoreIndexKernel,
     ExecutionBackend,
-    MaintenanceKernel,
 )
 from repro.backends.registry import (
     available_backends,
@@ -66,12 +66,10 @@ __all__ = [
     "BACKEND_DICT",
     "BACKEND_NUMPY",
     "BACKENDS",
-    "COMPACT_THRESHOLD",
     "WORKLOAD_AMORTIZED",
     "WORKLOAD_ONE_SHOT",
     "CoreIndexKernel",
     "ExecutionBackend",
-    "MaintenanceKernel",
     "available_backends",
     "backend_availability",
     "backend_info",

@@ -1,27 +1,25 @@
 """The :class:`ExecutionBackend` protocol: the kernel surface of the library.
 
-Every hot computation in the library — the peeling decomposition, the one-shot
-k-core cascade, the K-order remaining degrees, the follower cascades behind
-:class:`repro.anchored.anchored_core.AnchoredCoreIndex`, and the incremental
-maintenance traversals of :class:`repro.cores.maintenance.CoreMaintainer` —
-is expressed against the abstract surface defined here.  Public modules never
-branch on a backend name; they obtain an :class:`ExecutionBackend` from the
-registry (:mod:`repro.backends.registry`) and call through it.  Adding a new
+Every hot computation of the solvers — the peeling decomposition, the
+one-shot k-core cascade, the K-order remaining degrees, and the candidate
+scans and follower cascades behind
+:class:`repro.anchored.anchored_core.AnchoredCoreIndex` — is expressed
+against the abstract surface defined here.  Incremental core maintenance is
+not: :class:`repro.cores.maintenance.CoreMaintainer` runs one integer-id
+kernel of its own on every backend.  Public modules never branch on a
+backend name; they obtain an :class:`ExecutionBackend` from the registry
+(:mod:`repro.backends.registry`) and call through it.  Adding a new
 backend is therefore additive: implement this surface, call
 :func:`repro.backends.register_backend`, and every solver, tracker and the
 streaming engine can run on it via ``backend="<name>"``.
 
 The surface splits into one-shot kernels (methods directly on the backend)
-and two long-lived kernel handles that amortise a per-graph setup cost:
-
-* :class:`CoreIndexKernel` — the state behind ``AnchoredCoreIndex``: the
-  anchored core numbers capped at the index's ``k`` and the
-  ``(k-1)``-shell's removal order, kept up to date as anchors commit, plus
-  the candidate scans and follower cascades that read them.  Built once
-  per (graph, solver run); the graph must not mutate while it is alive.
-* :class:`MaintenanceKernel` — the state behind ``CoreMaintainer``: the
-  maintained core numbers plus whatever adjacency mirror the backend needs to
-  run the insertion/deletion traversals while the graph evolves.
+and one long-lived kernel handle that amortises a per-graph setup cost:
+:class:`CoreIndexKernel`, the state behind ``AnchoredCoreIndex``.  It holds
+the anchored core numbers capped at the index's ``k`` and the
+``(k-1)``-shell's removal order, kept up to date as anchors commit, plus the
+candidate scans and follower cascades that read them.  It is built once per
+(graph, solver run); the graph must not mutate while it is alive.
 
 Contract shared by all implementations (enforced by
 ``tests/test_backend_equivalence.py``): identical core numbers, identical
@@ -97,7 +95,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 # ---------------------------------------------------------------------------
 # Backend names
 # ---------------------------------------------------------------------------
-#: Resolution policy: pick a registered backend by graph size and workload.
+#: Resolution policy: pick a registered backend by workload and availability.
 BACKEND_AUTO = "auto"
 #: The adjacency-set ``dict`` implementation (hashable vertices, no setup).
 BACKEND_DICT = "dict"
@@ -108,20 +106,14 @@ BACKEND_NUMPY = "numpy"
 #: Every built-in ``backend=`` value (third-party backends register more).
 BACKENDS = (BACKEND_AUTO, BACKEND_DICT, BACKEND_NUMPY)
 
-#: ``auto`` switches from the dict backend to the numpy snapshot backend at
-#: this vertex count.  The crossover is where interning cost is clearly
-#: amortised by the kernels; below it the dict path's lack of translation
-#: wins.
-COMPACT_THRESHOLD = 4096
-
 # ---------------------------------------------------------------------------
 # Workload hints for the auto policy
 # ---------------------------------------------------------------------------
 #: A single O(n + m) pass (e.g. one k-core cascade): building a snapshot
 #: costs as much as the pass itself, so translation can never pay off.
 WORKLOAD_ONE_SHOT = "one-shot"
-#: Work that amortises a per-graph setup: a full peel, a long-lived core
-#: index reused across refreshes/scans/cascades, or incremental maintenance.
+#: Work that amortises a per-graph setup: a full peel, or a long-lived core
+#: index reused across refreshes/scans/cascades.
 WORKLOAD_AMORTIZED = "amortized"
 
 
@@ -244,69 +236,6 @@ class CoreIndexKernel(ABC):
         return gained, visited, None
 
 
-class MaintenanceKernel(ABC):
-    """Per-graph state behind :class:`repro.cores.maintenance.CoreMaintainer`.
-
-    The maintainer's hashable-vertex :class:`~repro.graph.static.Graph` stays
-    the source of truth for the structure; the kernel keeps the maintained
-    core numbers (and any adjacency mirror) in whatever representation its
-    traversals want.  Structure upkeep (:meth:`add_vertex` / :meth:`add_edge`
-    / :meth:`remove_edge`) is called *after* the graph itself mutated, before
-    the matching traversal runs.
-    """
-
-    @abstractmethod
-    def add_vertex(self, vertex: "Vertex") -> None:
-        """Register a brand-new vertex at core number 0."""
-
-    @abstractmethod
-    def add_edge(self, u: "Vertex", v: "Vertex") -> None:
-        """Mirror an edge insertion (both endpoints already registered)."""
-
-    @abstractmethod
-    def remove_edge(self, u: "Vertex", v: "Vertex") -> None:
-        """Mirror an edge removal."""
-
-    @abstractmethod
-    def process_insertion(
-        self, u: "Vertex", v: "Vertex"
-    ) -> Tuple[Set["Vertex"], Set["Vertex"]]:
-        """Run the insertion traversal (Lemmas 1-2) for a just-added edge.
-
-        Returns ``(increased, visited)``: the vertices whose core number rose,
-        and every vertex the traversal examined.
-        """
-
-    @abstractmethod
-    def process_deletion(
-        self, u: "Vertex", v: "Vertex"
-    ) -> Tuple[Set["Vertex"], Set["Vertex"]]:
-        """Run the deletion cascade (Lemmas 3-4) for a just-removed edge.
-
-        Returns ``(decreased, visited)``.
-        """
-
-    @abstractmethod
-    def core(self, vertex: "Vertex") -> int:
-        """Maintained core number of ``vertex``; raises ``KeyError`` if unknown."""
-
-    @abstractmethod
-    def core_get(self, vertex: "Vertex", default: Optional[int] = None) -> Optional[int]:
-        """``dict.get``-style core lookup."""
-
-    @abstractmethod
-    def core_numbers(self) -> Dict["Vertex", int]:
-        """A copy of the maintained core numbers."""
-
-    @abstractmethod
-    def k_core_vertices(self, k: int) -> Set["Vertex"]:
-        """``{v : core(v) >= k}`` under the maintained core numbers."""
-
-    @abstractmethod
-    def shell_vertices(self, k: int) -> Set["Vertex"]:
-        """``{v : core(v) == k}`` under the maintained core numbers."""
-
-
 class ExecutionBackend(ABC):
     """One execution layer for every hot kernel in the library.
 
@@ -350,17 +279,11 @@ class ExecutionBackend(ABC):
         return decomposition, self.remaining_degrees(graph, rank)
 
     # ------------------------------------------------------------------
-    # Long-lived kernel handles
+    # Long-lived kernel handle
     # ------------------------------------------------------------------
     @abstractmethod
     def build_core_index(self, graph: "Graph") -> CoreIndexKernel:
         """Build the anchored-core-index kernel for a frozen graph snapshot."""
-
-    @abstractmethod
-    def build_maintenance(
-        self, graph: "Graph", core: Dict["Vertex", int]
-    ) -> MaintenanceKernel:
-        """Build the maintenance kernel for ``graph`` with trusted ``core``."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} name={self.name!r}>"

@@ -2,11 +2,11 @@
 
 This is the historical implementation of every kernel, operating directly on
 hashable vertices with no setup or translation cost — the backend ``auto``
-picks for small graphs, for one-shot cascades and whenever numpy is
-unavailable, and the reference the numpy backend is property-tested against.
-The follower cascades delegate to the public functions in
-:mod:`repro.anchored.followers` (which double as the paper-facing reference
-algorithms); the peeling, cascade and maintenance traversals live here.
+picks for one-shot cascades and whenever numpy is unavailable, and the
+reference the numpy backend is property-tested against.  The follower
+cascades delegate to the public functions in :mod:`repro.anchored.followers`
+(which double as the paper-facing reference algorithms); the peeling and
+cascades live here.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from repro.backends.base import (
     BACKEND_DICT,
     CoreIndexKernel,
     ExecutionBackend,
-    MaintenanceKernel,
 )
 from repro.anchored.followers import (
     commit_anchor_cores,
@@ -344,131 +343,6 @@ class DictCoreIndexKernel(CoreIndexKernel):
         return gained, len(visit_log), frozenset(region)
 
 
-class DictMaintenanceKernel(MaintenanceKernel):
-    """Maintenance traversals straight over the maintained graph."""
-
-    def __init__(self, graph: Graph, core: Dict[Vertex, int]) -> None:
-        self._graph = graph
-        self._core = core
-
-    # -- structure upkeep: the graph itself is the structure -------------
-    def add_vertex(self, vertex: Vertex) -> None:
-        self._core[vertex] = 0
-
-    def add_edge(self, u: Vertex, v: Vertex) -> None:
-        pass
-
-    def remove_edge(self, u: Vertex, v: Vertex) -> None:
-        pass
-
-    # -- views -----------------------------------------------------------
-    def core(self, vertex: Vertex) -> int:
-        return self._core[vertex]
-
-    def core_get(self, vertex: Vertex, default: Optional[int] = None) -> Optional[int]:
-        return self._core.get(vertex, default)
-
-    def core_numbers(self) -> Dict[Vertex, int]:
-        return dict(self._core)
-
-    def k_core_vertices(self, k: int) -> Set[Vertex]:
-        return {vertex for vertex, value in self._core.items() if value >= k}
-
-    def shell_vertices(self, k: int) -> Set[Vertex]:
-        return {vertex for vertex, value in self._core.items() if value == k}
-
-    # -- insertion traversal (Lemmas 1-2) --------------------------------
-    def process_insertion(self, u: Vertex, v: Vertex) -> Tuple[Set[Vertex], Set[Vertex]]:
-        core = self._core
-        root_core = min(core[u], core[v])
-        roots = [w for w in (u, v) if core[w] == root_core]
-
-        # Subcore: shell-root_core vertices reachable from the roots through
-        # shell-root_core vertices.  Only these can rise, and by at most 1.
-        candidates: Set[Vertex] = set()
-        stack: List[Vertex] = []
-        for root in roots:
-            if root not in candidates:
-                candidates.add(root)
-                stack.append(root)
-        while stack:
-            current = stack.pop()
-            for neighbour in self._graph.neighbors(current):
-                if core[neighbour] == root_core and neighbour not in candidates:
-                    candidates.add(neighbour)
-                    stack.append(neighbour)
-
-        # Eviction: a candidate can rise only if it keeps more than root_core
-        # neighbours among (higher-core vertices ∪ surviving candidates).
-        support: Dict[Vertex, int] = {}
-        for candidate in candidates:
-            support[candidate] = sum(
-                1
-                for neighbour in self._graph.neighbors(candidate)
-                if core[neighbour] > root_core or neighbour in candidates
-            )
-        evict_queue = [w for w, s in support.items() if s <= root_core]
-        evicted: Set[Vertex] = set()
-        while evict_queue:
-            w = evict_queue.pop()
-            if w in evicted:
-                continue
-            evicted.add(w)
-            for neighbour in self._graph.neighbors(w):
-                if neighbour in candidates and neighbour not in evicted:
-                    support[neighbour] -= 1
-                    if support[neighbour] <= root_core:
-                        evict_queue.append(neighbour)
-
-        increased = candidates - evicted
-        for w in increased:
-            core[w] = root_core + 1
-        return increased, candidates
-
-    # -- deletion cascade (Lemmas 3-4) ------------------------------------
-    def process_deletion(self, u: Vertex, v: Vertex) -> Tuple[Set[Vertex], Set[Vertex]]:
-        core = self._core
-        root_core = min(core[u], core[v])
-        visited: Set[Vertex] = set()
-
-        # Support of a shell-root_core vertex: neighbours with core >= root_core
-        # (its max core degree).  A vertex drops when support falls below core.
-        support: Dict[Vertex, int] = {}
-
-        def compute_support(w: Vertex) -> int:
-            return sum(1 for x in self._graph.neighbors(w) if core[x] >= root_core)
-
-        dropped: Set[Vertex] = set()
-        queue: List[Vertex] = []
-        for w in (u, v):
-            if core[w] == root_core and w not in dropped:
-                visited.add(w)
-                support[w] = compute_support(w)
-                if support[w] < root_core:
-                    dropped.add(w)
-                    queue.append(w)
-
-        while queue:
-            w = queue.pop()
-            # Visit neighbours before lowering core(w): their lazily computed
-            # support still counts w, and the explicit decrement below then
-            # accounts for w exactly once.
-            for x in self._graph.neighbors(w):
-                if core[x] != root_core or x in dropped:
-                    continue
-                visited.add(x)
-                if x not in support:
-                    support[x] = compute_support(x)
-                # ``w`` no longer counts towards x's support.
-                support[x] -= 1
-                if support[x] < root_core:
-                    dropped.add(x)
-                    queue.append(x)
-            core[w] = root_core - 1
-
-        return dropped, visited
-
-
 class DictBackend(ExecutionBackend):
     """The reference backend: every kernel over the adjacency-set graph."""
 
@@ -494,8 +368,3 @@ class DictBackend(ExecutionBackend):
 
     def build_core_index(self, graph: Graph) -> DictCoreIndexKernel:
         return DictCoreIndexKernel(graph)
-
-    def build_maintenance(
-        self, graph: Graph, core: Dict[Vertex, int]
-    ) -> DictMaintenanceKernel:
-        return DictMaintenanceKernel(graph, core)

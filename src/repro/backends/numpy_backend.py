@@ -27,11 +27,11 @@ for its work:
   single edge-level boolean reduction over ``(row, col)`` arrays.
 * **Region-sized work** stays scalar over the plain-list CSR: the region
   follower cascade behind every Greedy evaluation
-  (:func:`repro.cores.decomposition.compact_marginal_followers`), the
-  commit risers (:func:`repro.cores.decomposition.commit_anchor_ids`), and
-  the maintenance traversals (:class:`CompactMaintenanceKernel`).  These
-  touch a handful of vertices per call, where numpy's per-call overhead
-  would dwarf the work.
+  (:func:`repro.cores.decomposition.compact_marginal_followers`) and the
+  commit risers (:func:`repro.cores.decomposition.commit_anchor_ids`).
+  These touch a handful of vertices per call, where numpy's per-call
+  overhead would dwarf the work.  For the same reason incremental core
+  maintenance has no numpy kernel at all (:mod:`repro.cores.maintenance`).
 
 Import of numpy is gated: this module is only loaded by the registry's lazy
 factory once ``repro.backends.numpy_available()`` reports true, so the rest
@@ -53,7 +53,6 @@ from repro.backends.base import (
     BACKEND_NUMPY,
     CoreIndexKernel,
     ExecutionBackend,
-    MaintenanceKernel,
 )
 from repro.cores.decomposition import (
     ANCHOR_CORE,
@@ -61,7 +60,7 @@ from repro.cores.decomposition import (
     commit_anchor_ids,
     compact_marginal_followers,
 )
-from repro.graph.compact import CompactGraph, DynamicCompactAdjacency
+from repro.graph.compact import CompactGraph
 from repro.graph.static import Graph, Vertex
 
 
@@ -529,166 +528,6 @@ class NumpyCoreIndexKernel(CoreIndexKernel):
         return translate(gained_ids), visited, frozenset(translate(region_ids))
 
 
-class CompactMaintenanceKernel(MaintenanceKernel):
-    """Maintenance traversals over an integer-id adjacency mirror.
-
-    The maintained graph stays the source of truth for the structure; this
-    kernel mirrors it into :class:`~repro.graph.compact.DynamicCompactAdjacency`
-    (one set of neighbour ids per vertex) and keeps the core numbers in a
-    flat list indexed by id, so the subcore/eviction traversals run entirely
-    over small ints.  Mirror upkeep is O(1) per edge operation.
-
-    The traversal bodies are deliberate twins of
-    :class:`~repro.backends.dict_backend.DictMaintenanceKernel` (hot inner
-    loops, no shared indirection); any algorithmic change must land in both,
-    and the cross-backend equivalence suite is the guard that they never
-    diverge.
-    """
-
-    def __init__(self, graph: Graph, core: Dict[Vertex, int]) -> None:
-        self._mirror = DynamicCompactAdjacency.from_graph(graph)
-        self._icore: List[int] = [
-            core.get(vertex, 0) for vertex in self._mirror.interner.vertices
-        ]
-
-    # -- structure upkeep -------------------------------------------------
-    def add_vertex(self, vertex: Vertex) -> None:
-        vid = self._mirror.ensure_vertex(vertex)
-        while len(self._icore) <= vid:
-            self._icore.append(0)
-
-    def add_edge(self, u: Vertex, v: Vertex) -> None:
-        interner = self._mirror.interner
-        self._mirror.add_edge_ids(interner.id_of(u), interner.id_of(v))
-
-    def remove_edge(self, u: Vertex, v: Vertex) -> None:
-        interner = self._mirror.interner
-        self._mirror.remove_edge_ids(interner.id_of(u), interner.id_of(v))
-
-    # -- views -------------------------------------------------------------
-    def core(self, vertex: Vertex) -> int:
-        vid = self._mirror.interner.get_id(vertex)
-        if vid < 0:
-            raise KeyError(vertex)
-        return self._icore[vid]
-
-    def core_get(self, vertex: Vertex, default: Optional[int] = None) -> Optional[int]:
-        vid = self._mirror.interner.get_id(vertex)
-        return default if vid < 0 else self._icore[vid]
-
-    def core_numbers(self) -> Dict[Vertex, int]:
-        # The interner's vertex list is kept in exact sync with the graph,
-        # so zipping it against the core array avoids n hash lookups.
-        return dict(zip(self._mirror.interner.vertices, self._icore))
-
-    def k_core_vertices(self, k: int) -> Set[Vertex]:
-        return {
-            vertex
-            for vertex, value in zip(self._mirror.interner.vertices, self._icore)
-            if value >= k
-        }
-
-    def shell_vertices(self, k: int) -> Set[Vertex]:
-        return {
-            vertex
-            for vertex, value in zip(self._mirror.interner.vertices, self._icore)
-            if value == k
-        }
-
-    # -- insertion traversal (Lemmas 1-2) ----------------------------------
-    def process_insertion(self, u: Vertex, v: Vertex) -> Tuple[Set[Vertex], Set[Vertex]]:
-        interner = self._mirror.interner
-        u_id, v_id = interner.id_of(u), interner.id_of(v)
-        icore = self._icore
-        adj = self._mirror.adj
-        root_core = min(icore[u_id], icore[v_id])
-        roots = [w for w in (u_id, v_id) if icore[w] == root_core]
-
-        candidates: Set[int] = set()
-        stack: List[int] = []
-        for root in roots:
-            if root not in candidates:
-                candidates.add(root)
-                stack.append(root)
-        while stack:
-            current = stack.pop()
-            for neighbour in adj[current]:
-                if icore[neighbour] == root_core and neighbour not in candidates:
-                    candidates.add(neighbour)
-                    stack.append(neighbour)
-
-        support: Dict[int, int] = {}
-        for candidate in candidates:
-            support[candidate] = sum(
-                1
-                for neighbour in adj[candidate]
-                if icore[neighbour] > root_core or neighbour in candidates
-            )
-        evict_queue = [w for w, s in support.items() if s <= root_core]
-        evicted: Set[int] = set()
-        while evict_queue:
-            w = evict_queue.pop()
-            if w in evicted:
-                continue
-            evicted.add(w)
-            for neighbour in adj[w]:
-                if neighbour in candidates and neighbour not in evicted:
-                    support[neighbour] -= 1
-                    if support[neighbour] <= root_core:
-                        evict_queue.append(neighbour)
-
-        increased_ids = candidates - evicted
-        risen = root_core + 1
-        for w in increased_ids:
-            icore[w] = risen
-        vertices = interner.vertices
-        return (
-            {vertices[w] for w in increased_ids},
-            {vertices[w] for w in candidates},
-        )
-
-    # -- deletion cascade (Lemmas 3-4) --------------------------------------
-    def process_deletion(self, u: Vertex, v: Vertex) -> Tuple[Set[Vertex], Set[Vertex]]:
-        interner = self._mirror.interner
-        u_id, v_id = interner.id_of(u), interner.id_of(v)
-        icore = self._icore
-        adj = self._mirror.adj
-        root_core = min(icore[u_id], icore[v_id])
-        visited: Set[int] = set()
-
-        support: Dict[int, int] = {}
-
-        def compute_support(w: int) -> int:
-            return sum(1 for x in adj[w] if icore[x] >= root_core)
-
-        dropped: Set[int] = set()
-        queue: List[int] = []
-        for w in (u_id, v_id):
-            if icore[w] == root_core and w not in dropped:
-                visited.add(w)
-                support[w] = compute_support(w)
-                if support[w] < root_core:
-                    dropped.add(w)
-                    queue.append(w)
-
-        while queue:
-            w = queue.pop()
-            for x in adj[w]:
-                if icore[x] != root_core or x in dropped:
-                    continue
-                visited.add(x)
-                if x not in support:
-                    support[x] = compute_support(x)
-                support[x] -= 1
-                if support[x] < root_core:
-                    dropped.add(x)
-                    queue.append(x)
-            icore[w] = root_core - 1
-
-        vertices = interner.vertices
-        return {vertices[w] for w in dropped}, {vertices[w] for w in visited}
-
-
 class NumpyBackend(ExecutionBackend):
     """Vectorised numpy kernels behind the shared CSR/interner contract."""
 
@@ -760,8 +599,3 @@ class NumpyBackend(ExecutionBackend):
 
     def build_core_index(self, graph: Graph) -> NumpyCoreIndexKernel:
         return NumpyCoreIndexKernel(graph)
-
-    def build_maintenance(
-        self, graph: Graph, core: Dict[Vertex, int]
-    ) -> CompactMaintenanceKernel:
-        return CompactMaintenanceKernel(graph, core)

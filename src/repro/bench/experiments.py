@@ -9,8 +9,10 @@ parameter, one series per algorithm.
 Profiles
 --------
 ``quick``
-    Two datasets at reduced scale; finishes in a couple of minutes and is the
-    default for ``pytest benchmarks/``.
+    Two datasets at reduced scale; the default profile.  CI runs the
+    paper-figure benches at it, naming each ``benchmarks/bench_*.py`` file:
+    ``pytest benchmarks/`` collects no tests, because nothing configures
+    pytest to collect ``bench_*.py`` files.
 ``medium``
     All six dataset stand-ins at half scale — the configuration recorded in
     ``EXPERIMENTS.md``.

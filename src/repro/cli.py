@@ -264,7 +264,7 @@ def _run_datasets() -> int:
 
 def _run_backends() -> int:
     """Print every registered execution backend with its availability."""
-    from repro.backends import COMPACT_THRESHOLD, backend_info
+    from repro.backends import backend_info
 
     rows = [
         {
@@ -277,8 +277,8 @@ def _run_backends() -> int:
     print(format_table(rows))
     print()
     print(
-        "'auto' picks dict for one-shot work, below "
-        f"{COMPACT_THRESHOLD} vertices or without numpy, and numpy otherwise."
+        "'auto' picks dict for one-shot work or without numpy, and numpy "
+        "otherwise, at any graph size."
     )
     return 0
 

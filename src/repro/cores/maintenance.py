@@ -13,33 +13,36 @@ updates via :meth:`apply_delta` additionally report the paper's ``VI`` and
 number is ``k - 1`` afterwards — which is exactly the candidate pool the
 incremental tracker (IncAVT, Algorithm 6) probes.
 
-The maintainer is backend-aware (see :mod:`repro.backends`): the public
-hashable-vertex graph stays the source of truth for the *structure*, while
-the traversals and the maintained core numbers live in the resolved
-backend's :class:`~repro.backends.MaintenanceKernel`.  There are two: the
-dict kernel walks the graph directly; the numpy backend's kernel
-(:class:`~repro.backends.numpy_backend.CompactMaintenanceKernel`, pure
-Python, because vectorisation cannot beat int-set traversals on per-edge
-subcores) mirrors the adjacency into integer-id sets with O(1) upkeep per
-edge operation.  Results are identical across backends, and a maintainer
-can be migrated to another backend mid-flight via
-:meth:`CoreMaintainer.switch_backend` (used by the streaming engine when an
-initially small graph outgrows the dict backend).
+The public hashable-vertex graph stays the source of truth for the
+*structure*.  The traversals run in one integer-id kernel, whatever execution
+backend the solvers use: it mirrors the adjacency into
+:class:`~repro.graph.compact.DynamicCompactAdjacency` (one set of neighbour
+ids per vertex, O(1) upkeep per edge operation), keeps the core numbers in a
+flat list indexed by id for the traversals, and keeps a live
+``{vertex: core}`` map beside it that every view reads, so no read translates
+ids.  The kernel is pure Python: vectorisation cannot beat int-set traversals
+on per-edge subcores, and maintenance runs the same with or without numpy.
+
+Set-up interns the graph once, into the mirror, and takes the core numbers
+from the bucket cascade of Batagelj and Zaversnik ("An O(m) Algorithm for
+Cores Decomposition of Networks", 2003) over the mirror's ids.  It builds no
+removal order and interns nothing a second time.  Trusted core numbers (a
+checkpoint restore) skip the cascade.
 
 The maintained core numbers are the single source of truth for the incremental
-tracker; a :meth:`validate` hook recomputes them from scratch and raises if
-they ever diverge, and the property-based tests exercise that hook on random
-edit sequences.
+tracker; a :meth:`CoreMaintainer.validate` hook recomputes them from scratch
+with a full peel and raises if either the map or the id list ever diverges,
+and the property-based tests exercise that hook on random edit sequences.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Set, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.backends import BACKEND_AUTO, ExecutionBackend, get_backend
 from repro.cores.decomposition import core_numbers as recompute_core_numbers
-from repro.errors import InvariantViolationError, ParameterError
+from repro.errors import InvariantViolationError, require_int
+from repro.graph.compact import DynamicCompactAdjacency
 from repro.graph.dynamic import EdgeDelta
 from repro.graph.static import Edge, Graph, Vertex
 
@@ -104,6 +107,191 @@ class DeltaEffect:
         return self.increased | self.decreased
 
 
+def bucket_cores(adj: List[Set[int]]) -> List[int]:
+    """Core numbers of an id adjacency, by the bucket cascade.
+
+    Batagelj and Zaversnik's O(m) cascade with lazy buckets: a vertex whose
+    remaining degree falls to ``d`` goes into bucket ``d`` unless ``d`` is
+    already below the level being drained, where it still has a pending
+    entry in the current bucket.  Buckets drain in level order, and a
+    vertex popped at ``level`` has core number ``level``.  A popped vertex's
+    remaining degree is set negative and only falls from there, so its
+    later entries are skipped and it is never bucketed again.  Only core
+    numbers come out: no removal order, so no tie-break.
+    """
+    degree = [len(row) for row in adj]
+    core = [0] * len(degree)
+    buckets: List[List[int]] = [[] for _ in range(max(degree, default=-1) + 1)]
+    for vid, value in enumerate(degree):
+        buckets[value].append(vid)
+    for level, bucket in enumerate(buckets):
+        while bucket:
+            vid = bucket.pop()
+            if degree[vid] < 0:
+                continue
+            degree[vid] = -1
+            core[vid] = level
+            for neighbour in adj[vid]:
+                remaining = degree[neighbour] - 1
+                degree[neighbour] = remaining
+                if remaining >= level:
+                    buckets[remaining].append(neighbour)
+    return core
+
+
+class _IdKernel:
+    """The maintained core numbers and the traversals over an id mirror.
+
+    ``core_map`` (``{vertex: core}``) and the id-indexed list ``_icore``
+    always agree: the traversals and :meth:`add_vertex` write both.  The
+    maintainer mutates its graph first and then calls :meth:`insert` /
+    :meth:`remove`, which update the mirror and run the traversal in one
+    call, so every endpoint is looked up once.
+    """
+
+    __slots__ = ("core_map", "_icore", "_adj", "_ids", "_vertices", "_mirror")
+
+    def __init__(self, graph: Graph, core: Optional[Dict[Vertex, int]] = None) -> None:
+        mirror = DynamicCompactAdjacency.from_graph(graph)
+        vertices = mirror.interner.vertices
+        if core is None:
+            self._icore = bucket_cores(mirror.adj)
+            self.core_map: Dict[Vertex, int] = dict(zip(vertices, self._icore))
+        else:
+            self.core_map = {vertex: core.get(vertex, 0) for vertex in vertices}
+            self._icore = list(self.core_map.values())
+        self._mirror = mirror
+        self._adj = mirror.adj
+        self._ids = mirror.interner.ids
+        self._vertices = vertices
+
+    def add_vertex(self, vertex: Vertex) -> None:
+        """Register a brand-new vertex at core number 0."""
+        self._mirror.ensure_vertex(vertex)
+        self._icore.append(0)
+        self.core_map[vertex] = 0
+
+    def id_core_numbers(self) -> Dict[Vertex, int]:
+        """The id list read back as ``{vertex: core}`` (validation only)."""
+        return dict(zip(self._vertices, self._icore))
+
+    # -- insertion traversal (Lemmas 1-2) ----------------------------------
+    def insert(self, u: Vertex, v: Vertex) -> Tuple[Set[Vertex], Set[Vertex]]:
+        """Mirror a just-added edge and run the insertion traversal.
+
+        Returns ``(increased, visited)``: the vertices whose core number
+        rose, and every vertex the traversal examined.
+        """
+        u_id, v_id = self._ids[u], self._ids[v]
+        adj = self._adj
+        adj[u_id].add(v_id)
+        adj[v_id].add(u_id)
+        icore = self._icore
+        root_core = min(icore[u_id], icore[v_id])
+        roots = [w for w in (u_id, v_id) if icore[w] == root_core]
+
+        # Subcore: shell-root_core vertices reachable from the roots through
+        # shell-root_core vertices.  Only these can rise, and by at most 1.
+        candidates: Set[int] = set()
+        stack: List[int] = []
+        for root in roots:
+            if root not in candidates:
+                candidates.add(root)
+                stack.append(root)
+        while stack:
+            current = stack.pop()
+            for neighbour in adj[current]:
+                if icore[neighbour] == root_core and neighbour not in candidates:
+                    candidates.add(neighbour)
+                    stack.append(neighbour)
+
+        # Eviction: a candidate can rise only if it keeps more than root_core
+        # neighbours among (higher-core vertices ∪ surviving candidates).
+        support: Dict[int, int] = {}
+        for candidate in candidates:
+            support[candidate] = len(
+                [
+                    neighbour
+                    for neighbour in adj[candidate]
+                    if icore[neighbour] > root_core or neighbour in candidates
+                ]
+            )
+        evict_queue = [w for w, s in support.items() if s <= root_core]
+        evicted: Set[int] = set()
+        while evict_queue:
+            w = evict_queue.pop()
+            if w in evicted:
+                continue
+            evicted.add(w)
+            for neighbour in adj[w]:
+                if neighbour in candidates and neighbour not in evicted:
+                    support[neighbour] -= 1
+                    if support[neighbour] <= root_core:
+                        evict_queue.append(neighbour)
+
+        risen = root_core + 1
+        vertices = self._vertices
+        core_map = self.core_map
+        increased: Set[Vertex] = set()
+        for w in candidates - evicted:
+            icore[w] = risen
+            vertex = vertices[w]
+            core_map[vertex] = risen
+            increased.add(vertex)
+        return increased, {vertices[w] for w in candidates}
+
+    # -- deletion cascade (Lemmas 3-4) --------------------------------------
+    def remove(self, u: Vertex, v: Vertex) -> Tuple[Set[Vertex], Set[Vertex]]:
+        """Mirror a just-removed edge and run the deletion cascade.
+
+        Returns ``(decreased, visited)``.
+        """
+        u_id, v_id = self._ids[u], self._ids[v]
+        adj = self._adj
+        adj[u_id].discard(v_id)
+        adj[v_id].discard(u_id)
+        icore = self._icore
+        root_core = min(icore[u_id], icore[v_id])
+        visited: Set[int] = set()
+
+        # Support of a shell-root_core vertex: neighbours with core >= root_core
+        # (its max core degree).  A vertex drops when support falls below core.
+        support: Dict[int, int] = {}
+        dropped: Set[int] = set()
+        queue: List[int] = []
+        for w in (u_id, v_id):
+            if icore[w] == root_core and w not in dropped:
+                visited.add(w)
+                support[w] = len([x for x in adj[w] if icore[x] >= root_core])
+                if support[w] < root_core:
+                    dropped.add(w)
+                    queue.append(w)
+
+        lowered = root_core - 1
+        vertices = self._vertices
+        core_map = self.core_map
+        while queue:
+            w = queue.pop()
+            # Visit neighbours before lowering core(w): their lazily computed
+            # support still counts w, and the explicit decrement below then
+            # accounts for w exactly once.
+            for x in adj[w]:
+                if icore[x] != root_core or x in dropped:
+                    continue
+                visited.add(x)
+                if x not in support:
+                    support[x] = len([y for y in adj[x] if icore[y] >= root_core])
+                # ``w`` no longer counts towards x's support.
+                support[x] -= 1
+                if support[x] < root_core:
+                    dropped.add(x)
+                    queue.append(x)
+            icore[w] = lowered
+            core_map[vertices[w]] = lowered
+
+        return {vertices[w] for w in dropped}, {vertices[w] for w in visited}
+
+
 class CoreMaintainer:
     """Maintains core numbers of a graph under edge insertions and deletions."""
 
@@ -112,24 +300,16 @@ class CoreMaintainer:
         graph: Graph,
         copy_graph: bool = True,
         core: Optional[Dict[Vertex, int]] = None,
-        backend: Union[str, ExecutionBackend] = BACKEND_AUTO,
     ) -> None:
-        """Wrap ``graph``; recompute core numbers unless ``core`` supplies them.
+        """Wrap ``graph``; compute core numbers unless ``core`` supplies them.
 
         ``core`` exists for checkpoint restore: a caller that persisted the
         maintained core numbers alongside the graph can resume without paying
         a fresh decomposition.  The values are trusted; :meth:`validate`
-        cross-checks them on demand.  ``backend`` selects the traversal
-        implementation (``"auto"`` resolves by initial graph size).
+        cross-checks them on demand.
         """
         self._graph = graph.copy() if copy_graph else graph
-        self._backend = get_backend(backend, self._graph.num_vertices)
-        initial = (
-            dict(core)
-            if core is not None
-            else recompute_core_numbers(self._graph, backend=self._backend)
-        )
-        self._kernel = self._backend.build_maintenance(self._graph, initial)
+        self._kernel = _IdKernel(self._graph, core)
         self._visited_last = 0
 
     # ------------------------------------------------------------------
@@ -140,53 +320,21 @@ class CoreMaintainer:
         """The maintained graph (mutated in place by the update methods)."""
         return self._graph
 
-    @property
-    def backend(self) -> str:
-        """The name of the resolved execution backend (e.g. ``"dict"``)."""
-        return self._backend.name
-
-    @property
-    def backend_instance(self) -> ExecutionBackend:
-        """The resolved :class:`~repro.backends.ExecutionBackend` itself."""
-        return self._backend
-
-    def switch_backend(self, backend: Union[str, ExecutionBackend]) -> bool:
-        """Migrate the maintained state onto another execution backend.
-
-        Rebuilds the backend's maintenance kernel from the live graph and the
-        *current* maintained core numbers — no decomposition is re-run, so
-        the migration is O(n + m) structure mirroring only.  Returns whether
-        a switch actually happened (requesting the current backend, or
-        ``"auto"`` resolving to it, is a no-op).  The streaming engine calls
-        this at flush time when a graph that started below the auto threshold
-        outgrows the dict backend.
-        """
-        target = get_backend(backend, self._graph.num_vertices)
-        if target.name == self._backend.name:
-            return False
-        self._kernel = target.build_maintenance(self._graph, self.core_numbers())
-        self._backend = target
-        return True
-
     def core_numbers(self) -> Dict[Vertex, int]:
         """Return a copy of the maintained core numbers."""
-        return self._kernel.core_numbers()
+        return dict(self._kernel.core_map)
 
     def core(self, vertex: Vertex) -> int:
         """Return the maintained core number of ``vertex``."""
-        return self._kernel.core(vertex)
-
-    def _core_get(self, vertex: Vertex, default: Optional[int] = None) -> Optional[int]:
-        """``dict.get``-style lookup through the kernel."""
-        return self._kernel.core_get(vertex, default)
+        return self._kernel.core_map[vertex]
 
     def k_core_vertices(self, k: int) -> Set[Vertex]:
         """Return ``{v : core(v) >= k}`` under the maintained core numbers."""
-        return self._kernel.k_core_vertices(k)
+        return {vertex for vertex, value in self._kernel.core_map.items() if value >= k}
 
     def shell_vertices(self, k: int) -> Set[Vertex]:
         """Return ``{v : core(v) == k}`` under the maintained core numbers."""
-        return self._kernel.shell_vertices(k)
+        return {vertex for vertex, value in self._kernel.core_map.items() if value == k}
 
     # ------------------------------------------------------------------
     # Single-edge updates
@@ -204,8 +352,7 @@ class CoreMaintainer:
                 self._kernel.add_vertex(vertex)
         if not self._graph.add_edge(u, v):
             return set()
-        self._kernel.add_edge(u, v)
-        increased, visited = self._kernel.process_insertion(u, v)
+        increased, visited = self._kernel.insert(u, v)
         self._visited_last = len(visited)
         self._visited_vertices_last = visited
         return increased
@@ -218,8 +365,7 @@ class CoreMaintainer:
         if not self._graph.has_edge(u, v):
             return set()
         self._graph.remove_edge(u, v)
-        self._kernel.remove_edge(u, v)
-        decreased, visited = self._kernel.process_deletion(u, v)
+        decreased, visited = self._kernel.remove(u, v)
         self._visited_last = len(visited)
         self._visited_vertices_last = visited
         return decreased
@@ -252,34 +398,36 @@ class CoreMaintainer:
     def apply_delta(self, delta: EdgeDelta, k: Optional[int] = None) -> DeltaEffect:
         """Apply one snapshot delta (insertions first, then deletions).
 
-        When ``k`` is given, the returned :class:`DeltaEffect` also carries the
-        ``VI`` / ``VR`` candidate pools for that ``k`` (vertices touched by the
-        respective phase whose updated core number is ``k - 1``).  The
-        k-independent ``touched`` sets are always recorded, counting only
-        *effective* operations — inserting a present edge or removing an
-        absent one leaves no trace, so consumers can treat an empty ``touched``
-        as "the graph did not change".
+        When ``k`` is given (an integer >= 1), the returned
+        :class:`DeltaEffect` also carries the ``VI`` / ``VR`` candidate pools
+        for that ``k`` (vertices touched by the respective phase whose
+        updated core number is ``k - 1``).  The k-independent ``touched``
+        sets are always recorded, counting only *effective* operations —
+        inserting a present edge or removing an absent one leaves no trace,
+        so consumers can treat an empty ``touched`` as "the graph did not
+        change".
         """
-        if k is not None and k < 1:
-            raise ParameterError("k must be >= 1 when requesting affected pools")
+        if k is not None:
+            require_int("k", k, 1)
         effect = DeltaEffect()
         if delta.is_empty():
             return effect
 
         pre_core = effect.pre_update_core
+        core_map = self._kernel.core_map
         for u, v in delta.inserted:
             if self._graph.has_edge(u, v):
                 continue
             for endpoint in (u, v):
                 if endpoint not in pre_core:
-                    value = self._core_get(endpoint)
+                    value = core_map.get(endpoint)
                     if value is not None:
                         pre_core[endpoint] = value
             increased = self.insert_edge(u, v)
             for vertex in self._visited_vertices_last:
                 if vertex not in pre_core:
                     # An insertion raises a risen vertex by exactly 1.
-                    pre_core[vertex] = self.core(vertex) - (1 if vertex in increased else 0)
+                    pre_core[vertex] = core_map[vertex] - (1 if vertex in increased else 0)
             effect.increased |= increased
             effect.insertion_touched.update((u, v))
             effect.insertion_touched |= increased
@@ -291,12 +439,12 @@ class CoreMaintainer:
                 continue
             for endpoint in (u, v):
                 if endpoint not in pre_core:
-                    pre_core[endpoint] = self.core(endpoint)
+                    pre_core[endpoint] = core_map[endpoint]
             decreased = self.remove_edge(u, v)
             for vertex in self._visited_vertices_last:
                 if vertex not in pre_core:
                     # A deletion lowers a dropped vertex by exactly 1.
-                    pre_core[vertex] = self.core(vertex) + (1 if vertex in decreased else 0)
+                    pre_core[vertex] = core_map[vertex] + (1 if vertex in decreased else 0)
             effect.decreased |= decreased
             effect.deletion_touched.update((u, v))
             effect.deletion_touched |= decreased
@@ -306,10 +454,10 @@ class CoreMaintainer:
         if k is not None:
             target = k - 1
             effect.insertion_affected = {
-                vertex for vertex in effect.insertion_touched if self._core_get(vertex) == target
+                vertex for vertex in effect.insertion_touched if core_map.get(vertex) == target
             }
             effect.deletion_affected = {
-                vertex for vertex in effect.deletion_touched if self._core_get(vertex) == target
+                vertex for vertex in effect.deletion_touched if core_map.get(vertex) == target
             }
         return effect
 
@@ -319,11 +467,11 @@ class CoreMaintainer:
         Used when a caller mutates the maintained graph wholesale (e.g. a
         snapshot delta so large that per-edge maintenance would cost more than
         one fresh decomposition — the situation the paper describes for
-        high-churn snapshots).  The backend kernel is rebuilt alongside (the
-        caller may have added or removed arbitrary edges and vertices).
+        high-churn snapshots).  The kernel is rebuilt the way the constructor
+        builds it (the caller may have added or removed arbitrary edges and
+        vertices).
         """
-        fresh = recompute_core_numbers(self._graph, backend=self._backend)
-        self._kernel = self._backend.build_maintenance(self._graph, fresh)
+        self._kernel = _IdKernel(self._graph)
         self._visited_last = 0
         self._visited_vertices_last = set()
 
@@ -331,21 +479,27 @@ class CoreMaintainer:
     # Validation
     # ------------------------------------------------------------------
     def validate(self) -> None:
-        """Recompute core numbers from scratch and raise on any divergence."""
+        """Recompute core numbers with a full peel; raise on any divergence.
+
+        Both stores are checked against the recomputation: the core map the
+        views read and the id list the traversals read.
+        """
         fresh = recompute_core_numbers(self._graph)
-        maintained = self.core_numbers()
-        if fresh != maintained:
-            differing = {
-                vertex: (maintained.get(vertex), fresh.get(vertex))
-                for vertex in set(fresh) | set(maintained)
-                if maintained.get(vertex) != fresh.get(vertex)
-            }
-            raise InvariantViolationError(
-                f"maintained core numbers diverged from recomputation: {differing}"
-            )
+        for store, maintained in (
+            ("core map", self._kernel.core_map),
+            ("id list", self._kernel.id_core_numbers()),
+        ):
+            if fresh != maintained:
+                differing = {
+                    vertex: (maintained.get(vertex), fresh.get(vertex))
+                    for vertex in set(fresh) | set(maintained)
+                    if maintained.get(vertex) != fresh.get(vertex)
+                }
+                raise InvariantViolationError(
+                    f"maintained core numbers ({store}) diverged from "
+                    f"recomputation: {differing}"
+                )
 
     # Default values so apply_delta can read them even before any update ran.
-    # The traversal implementations themselves (Lemmas 1-4) live in the
-    # backend maintenance kernels (repro/backends/).
     _visited_vertices_last: Set[Vertex] = frozenset()  # type: ignore[assignment]
     _visited_last: int = 0

@@ -266,13 +266,20 @@ def rotated_paths(path: PathLike, keep: int) -> List[Path]:
 
 
 def _rotate(path: Path, keep: int) -> None:
-    """Shift existing checkpoints down the chain, dropping the oldest."""
+    """Shift existing checkpoints down the chain, dropping the oldest.
+
+    Raises :class:`CheckpointError` naming ``path`` when a file cannot be
+    dropped or moved (for example, a directory sits in the chain).
+    """
     chain = rotated_paths(path, keep)
-    if chain[-1].exists():
-        chain[-1].unlink()
-    for index in range(len(chain) - 1, 0, -1):
-        if chain[index - 1].exists():
-            chain[index - 1].replace(chain[index])
+    try:
+        if chain[-1].exists():
+            chain[-1].unlink()
+        for index in range(len(chain) - 1, 0, -1):
+            if chain[index - 1].exists():
+                chain[index - 1].replace(chain[index])
+    except OSError as error:
+        raise CheckpointError(f"cannot rotate checkpoints of {path}: {error}") from error
 
 
 def save_checkpoint(engine: Any, path: PathLike, keep: int = 1) -> None:
@@ -281,7 +288,8 @@ def save_checkpoint(engine: Any, path: PathLike, keep: int = 1) -> None:
     With ``keep > 1`` the previous checkpoint survives as ``<path>.1`` (and
     so on, newest-first) — the rotation happens *before* the write, so a
     write failure never destroys the last good checkpoint, and
-    :func:`load_checkpoint` can fall back down the chain.
+    :func:`load_checkpoint` can fall back down the chain.  A rotation that
+    fails raises :class:`CheckpointError` and writes nothing.
     """
     require_int("keep", keep, 1)
     path = Path(path)

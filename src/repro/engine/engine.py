@@ -48,7 +48,6 @@ from repro.engine.ingest import IngestBuffer
 from repro.engine.stats import EngineStats
 from repro.backends import (
     BACKEND_AUTO,
-    BACKEND_DICT,
     ExecutionBackend,
     get_backend,
     registered_backends,
@@ -106,13 +105,12 @@ class StreamingAVTEngine:
     backend:
         Execution backend (a registered name — ``"auto"`` / ``"dict"`` /
         ``"numpy"`` — or an :class:`~repro.backends.ExecutionBackend`
-        instance, see :mod:`repro.backends`) for core maintenance and the
-        cold solvers.  ``"auto"`` resolves against the graph handed to the
-        constructor and is **re-resolved at flush time**: an engine on the
-        dict backend migrates its maintainer state to numpy once the
-        ingested stream grows the graph to
-        :data:`~repro.backends.COMPACT_THRESHOLD` vertices, so long-lived
-        engines never stay stuck on the small-graph path.
+        instance, see :mod:`repro.backends`) for the cold solvers, resolved
+        once at construction (``"auto"`` is numpy whenever numpy is
+        available, at any graph size).  Core maintenance does not depend on
+        it: :class:`~repro.cores.maintenance.CoreMaintainer` runs one
+        integer-id kernel on every backend, so nothing migrates as the graph
+        grows.
     """
 
     def __init__(
@@ -134,16 +132,11 @@ class StreamingAVTEngine:
                 f"unknown solver {default_solver!r}; expected one of {sorted(SOLVERS)}"
             )
         initial_graph = graph if graph is not None else Graph()
-        # The requested policy is kept for checkpoints and flush-time
-        # re-resolution; ``_backend`` is the currently resolved object.
+        # The requested policy is kept for checkpoints; ``_backend`` is the
+        # resolved object.
         self._backend_policy = backend
         self._backend = get_backend(backend, initial_graph.num_vertices)
-        self._maintainer = CoreMaintainer(
-            initial_graph,
-            copy_graph=copy_graph,
-            core=core,
-            backend=self._backend,
-        )
+        self._maintainer = CoreMaintainer(initial_graph, copy_graph=copy_graph, core=core)
         self._buffer = IngestBuffer(self._maintainer.graph)
         self._cache = ResultCache(cache_capacity)
         self._stats = EngineStats()
@@ -182,11 +175,7 @@ class StreamingAVTEngine:
 
     @property
     def backend(self) -> str:
-        """Name of the currently resolved execution backend.
-
-        Under the ``"auto"`` policy this can change over the engine's
-        lifetime: flushes re-resolve it as the graph grows.
-        """
+        """Name of the execution backend the cold solvers run on."""
         return self._backend.name
 
     @property
@@ -240,26 +229,6 @@ class StreamingAVTEngine:
         started = time.perf_counter()
         delta = self._buffer.flush()
         effect = self._maintainer.apply_delta(delta)
-        # Re-resolve the backend policy against the post-delta graph size: an
-        # engine that started below the auto threshold must not stay on the
-        # dict backend forever once the stream grows the graph past it.  Only
-        # upgrades away from dict happen (an explicit "dict" policy resolves
-        # to dict and is left alone), so a graph hovering around the
-        # threshold cannot thrash migrations.
-        if self._backend.name == BACKEND_DICT:
-            resolved = get_backend(
-                self._backend_policy, self._maintainer.graph.num_vertices
-            )
-            if resolved.name != self._backend.name and self._maintainer.switch_backend(
-                resolved
-            ):
-                self._backend = resolved
-                logger.info(
-                    "backend re-resolved to %r at %d vertices (policy %r)",
-                    resolved.name,
-                    self._maintainer.graph.num_vertices,
-                    self._backend_policy,
-                )
         self._stats.deltas_applied += 1
         self._stats.edges_inserted += len(delta.inserted)
         self._stats.edges_removed += len(delta.removed)
@@ -470,8 +439,8 @@ class StreamingAVTEngine:
             "warm_queries": self._warm_queries,
             "default_solver": self._default_solver,
             # The *policy*, not the resolved object: a restored engine
-            # re-resolves against its (restored) graph size, and the state
-            # stays JSON-serialisable.
+            # resolves it in the restoring process, and the state stays
+            # JSON-serialisable.
             "backend": backend_name,
             "warm": {
                 warm_key: {

@@ -15,7 +15,6 @@ from repro.graph.compact import (
     BACKEND_DICT,
     BACKEND_NUMPY,
     BACKENDS,
-    COMPACT_THRESHOLD,
     CompactGraph,
     DynamicCompactAdjacency,
     VertexInterner,
@@ -31,7 +30,6 @@ __all__ = [
     "BACKEND_DICT",
     "BACKEND_NUMPY",
     "BACKENDS",
-    "COMPACT_THRESHOLD",
     "CompactGraph",
     "DynamicCompactAdjacency",
     "VertexInterner",

@@ -20,9 +20,9 @@ numpy snapshot backend runs those kernels on instead:
   numpy backend's :class:`~repro.backends.numpy_backend.NumpyGraph` is built
   on it and keeps its plain lists for the scalar cascades.
 * :class:`DynamicCompactAdjacency` is the mutable sibling (list of int sets)
-  that the numpy backend's maintenance kernel mirrors the graph into, so
-  :class:`repro.cores.maintenance.CoreMaintainer` runs the
-  insertion/deletion traversals over ints while the graph evolves.
+  that :class:`repro.cores.maintenance.CoreMaintainer` mirrors the graph
+  into on every backend, so the insertion/deletion traversals run over ints
+  while the graph evolves.
 
 Backend selection
 -----------------
@@ -30,8 +30,8 @@ Selection does not live here: :mod:`repro.backends` owns the
 :class:`~repro.backends.ExecutionBackend` protocol, the registry and the
 ``"auto"`` rule (see :mod:`repro.backends.registry`).  The historical names
 (:data:`BACKEND_AUTO`, :data:`BACKEND_DICT`, :data:`BACKEND_NUMPY`,
-:data:`BACKENDS`, :data:`COMPACT_THRESHOLD`, :func:`resolve_backend`) are
-re-exported for backwards compatibility.
+:data:`BACKENDS`, :func:`resolve_backend`) are re-exported for backwards
+compatibility.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from repro.backends import (  # noqa: F401
     BACKEND_DICT,
     BACKEND_NUMPY,
     BACKENDS,
-    COMPACT_THRESHOLD,
     resolve_backend,
 )
 from repro.errors import VertexNotFoundError
@@ -101,6 +100,11 @@ class VertexInterner:
     def vertices(self) -> List[Vertex]:
         """The interned vertices, indexed by id (live list — do not mutate)."""
         return self._vertices
+
+    @property
+    def ids(self) -> Dict[Vertex, int]:
+        """The ``{vertex: id}`` mapping (live dict — do not mutate)."""
+        return self._ids
 
     def translate(self, vids: Iterable[int]) -> set:
         """Return ``vids`` as a set of the original hashable vertices."""
@@ -199,30 +203,41 @@ class CompactGraph:
 class DynamicCompactAdjacency:
     """Mutable integer-ID adjacency: one set of neighbour ids per vertex.
 
-    The incremental maintenance kernels traverse this structure instead of the
-    hashable-vertex graph: neighbour iteration yields small ints, and the core
-    numbers live in a flat list indexed by id.  Vertices are append-only
+    The incremental maintenance kernel traverses this structure instead of
+    the hashable-vertex graph: neighbour iteration yields small ints, and the
+    core numbers live in a flat list indexed by id.  Vertices are append-only
     (edge removal keeps endpoints), matching :class:`CoreMaintainer`'s
     contract.
     """
 
     __slots__ = ("interner", "adj")
 
-    def __init__(self, interner: Optional[VertexInterner] = None) -> None:
+    def __init__(
+        self,
+        interner: Optional[VertexInterner] = None,
+        adj: Optional[List[set]] = None,
+    ) -> None:
         self.interner = interner if interner is not None else VertexInterner()
-        self.adj: List[set] = [set() for _ in range(len(self.interner))]
+        self.adj: List[set] = (
+            adj if adj is not None else [set() for _ in range(len(self.interner))]
+        )
 
     @classmethod
     def from_graph(cls, graph: Graph) -> "DynamicCompactAdjacency":
-        """Mirror the adjacency of ``graph`` (ids in graph iteration order)."""
-        mirror = cls(VertexInterner(graph.vertices()))
-        ids = mirror.interner._ids
-        adj = mirror.adj
-        for vertex in graph.vertices():
-            row = adj[ids[vertex]]
-            for neighbour in graph.neighbors(vertex):
-                row.add(ids[neighbour])
-        return mirror
+        """Mirror the adjacency of ``graph`` (ids in graph iteration order).
+
+        One interning pass: graph vertices are distinct, so ids are assigned
+        by position without a lookup per vertex, and each row is built from
+        the neighbour set in one call.
+        """
+        interner = VertexInterner()
+        vertices = interner._vertices
+        vertices.extend(graph.vertices())
+        ids = interner._ids
+        ids.update(zip(vertices, range(len(vertices))))
+        lookup = ids.__getitem__
+        neighbors = graph.neighbors
+        return cls(interner, [set(map(lookup, neighbors(vertex))) for vertex in vertices])
 
     def ensure_vertex(self, vertex: Vertex) -> int:
         """Intern ``vertex`` (creating an empty adjacency row) and return its id."""

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import json
 import random
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 import networkx as nx
 import pytest
 
 from repro.anchored.followers import compute_followers, follower_gain
-from repro.cores.decomposition import anchored_core_decomposition
+from repro.cores.decomposition import anchored_core_decomposition, core_numbers
+from repro.cores.maintenance import CoreMaintainer
 from repro.graph.generators import barabasi_albert_graph, chung_lu_graph, erdos_renyi_graph
 from repro.graph.datasets import toy_example_evolving_graph, toy_example_graph
 from repro.graph.static import Graph, Vertex
@@ -57,6 +58,114 @@ def reference_greedy(
     core = anchored_core_decomposition(graph, anchors, backend="dict").core
     size = sum(1 for value in core.values() if value >= k)
     return tuple(anchors), frozenset(followers), size
+
+
+class ReferenceMaintenanceKernel:
+    """Core maintenance straight from Lemmas 1-4 over the hashable graph.
+
+    The maintenance twin of :func:`reference_greedy`: it implements the
+    surface :class:`~repro.cores.maintenance.CoreMaintainer` calls on its
+    kernel (``core_map``, ``add_vertex``, ``insert``, ``remove``,
+    ``id_core_numbers``) with no id mirror, so swapping it into a second
+    maintainer runs ``apply_delta``'s bookkeeping over an independent
+    implementation of the traversals.  Like the maintainer's kernel, it is
+    called after the graph itself has mutated.
+    """
+
+    def __init__(self, graph: Graph, core: Dict[Vertex, int]) -> None:
+        self._graph = graph
+        self.core_map = dict(core)
+
+    def add_vertex(self, vertex: Vertex) -> None:
+        self.core_map[vertex] = 0
+
+    def id_core_numbers(self) -> Dict[Vertex, int]:
+        return dict(self.core_map)
+
+    def insert(self, u: Vertex, v: Vertex) -> Tuple[Set[Vertex], Set[Vertex]]:
+        """Insertion traversal; returns ``(increased, visited)``."""
+        core = self.core_map
+        neighbors = self._graph.neighbors
+        root_core = min(core[u], core[v])
+        # Subcore: shell-root_core vertices reachable from the roots through
+        # shell-root_core vertices.  Only these can rise, and by at most 1.
+        candidates: Set[Vertex] = {w for w in (u, v) if core[w] == root_core}
+        stack = list(candidates)
+        while stack:
+            for neighbour in neighbors(stack.pop()):
+                if core[neighbour] == root_core and neighbour not in candidates:
+                    candidates.add(neighbour)
+                    stack.append(neighbour)
+        # Eviction: a candidate rises only if it keeps more than root_core
+        # neighbours among (higher-core vertices ∪ surviving candidates).
+        support = {
+            w: sum(1 for x in neighbors(w) if core[x] > root_core or x in candidates)
+            for w in candidates
+        }
+        evict_queue = [w for w, count in support.items() if count <= root_core]
+        evicted: Set[Vertex] = set()
+        while evict_queue:
+            w = evict_queue.pop()
+            if w in evicted:
+                continue
+            evicted.add(w)
+            for x in neighbors(w):
+                if x in candidates and x not in evicted:
+                    support[x] -= 1
+                    if support[x] <= root_core:
+                        evict_queue.append(x)
+        increased = candidates - evicted
+        for w in increased:
+            core[w] = root_core + 1
+        return increased, candidates
+
+    def remove(self, u: Vertex, v: Vertex) -> Tuple[Set[Vertex], Set[Vertex]]:
+        """Deletion cascade; returns ``(decreased, visited)``."""
+        core = self.core_map
+        neighbors = self._graph.neighbors
+        root_core = min(core[u], core[v])
+        # Support of a shell-root_core vertex: neighbours with core >=
+        # root_core.  A vertex drops when its support falls below its core.
+        support: Dict[Vertex, int] = {}
+        visited: Set[Vertex] = set()
+        dropped: Set[Vertex] = set()
+        queue: List[Vertex] = []
+        for w in (u, v):
+            if core[w] == root_core and w not in dropped:
+                visited.add(w)
+                support[w] = sum(1 for x in neighbors(w) if core[x] >= root_core)
+                if support[w] < root_core:
+                    dropped.add(w)
+                    queue.append(w)
+        while queue:
+            w = queue.pop()
+            # Neighbours are visited before core(w) drops, so a lazily
+            # computed support still counts w and the decrement removes it.
+            for x in neighbors(w):
+                if core[x] != root_core or x in dropped:
+                    continue
+                visited.add(x)
+                if x not in support:
+                    support[x] = sum(1 for y in neighbors(x) if core[y] >= root_core)
+                support[x] -= 1
+                if support[x] < root_core:
+                    dropped.add(x)
+                    queue.append(x)
+            core[w] = root_core - 1
+        return dropped, visited
+
+
+def reference_maintainer(graph: Graph) -> CoreMaintainer:
+    """A :class:`CoreMaintainer` of ``graph`` running the reference kernel.
+
+    Its starting core numbers come from the dict backend's full peel, not
+    from the maintainer's own set-up cascade.
+    """
+    maintainer = CoreMaintainer(graph)
+    maintainer._kernel = ReferenceMaintenanceKernel(
+        maintainer.graph, core_numbers(maintainer.graph, backend="dict")
+    )
+    return maintainer
 
 
 def section_regions(path) -> Dict[str, Tuple[int, int]]:

@@ -2,8 +2,8 @@
 
 The numpy backend (:mod:`repro.backends`) re-implements every hot kernel —
 peeling decomposition, k-core cascades, the K-order remaining degrees,
-follower computation, greedy selection, incremental maintenance — over an
-interned snapshot, as numpy passes or id-list loops.  These tests pin the
+follower computation, greedy selection — over an interned snapshot, as numpy
+passes or id-list loops.  These tests pin the
 contract that makes ``backend="auto"`` safe: for *any* graph (isolated
 vertices, non-integer and mixed-type vertex ids included) it returns results
 identical to the dict reference, down to the removal order and the
@@ -11,6 +11,10 @@ instrumentation counters.  Each test runs dict vs numpy when numpy is
 installed (skipped cleanly otherwise — the import gate is part of the
 contract, and the no-numpy CI job exercises it; the id-list cascades are
 also pinned without numpy in ``tests/test_followers.py``).
+
+Incremental maintenance has one kernel on every backend; its tests here
+run it against ``tests/conftest.py``'s reference kernel over the hashable
+graph, and need no numpy.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from repro.backends import numpy_available
 from repro.cores.decomposition import (
     anchored_core_decomposition,
     core_decomposition,
+    core_numbers,
     k_core,
 )
 from repro.cores.korder import KOrder
@@ -35,6 +40,7 @@ from repro.cores.maintenance import CoreMaintainer
 from repro.engine import StreamingAVTEngine
 from repro.graph.dynamic import EdgeDelta
 from repro.graph.static import Graph
+from tests.conftest import reference_maintainer
 
 SETTINGS = settings(
     max_examples=50,
@@ -223,35 +229,49 @@ def edit_scripts(draw):
     return graph, operations
 
 
-@pytest.mark.parametrize("other", OTHER_BACKENDS)
+def _assert_views_match_a_fresh_peel(maintainer: CoreMaintainer) -> None:
+    """Every view of the maintained cores answers as the dict backend's peel."""
+    expected = core_numbers(maintainer.graph, backend="dict")
+    assert maintainer.core_numbers() == expected
+    for vertex, value in expected.items():
+        assert maintainer.core(vertex) == value
+    for k in range(max(expected.values(), default=0) + 2):
+        assert maintainer.k_core_vertices(k) == {
+            vertex for vertex, value in expected.items() if value >= k
+        }
+        assert maintainer.shell_vertices(k) == {
+            vertex for vertex, value in expected.items() if value == k
+        }
+
+
 @SETTINGS
 @given(script=edit_scripts())
-def test_maintenance_identical_across_backends(other, script):
+def test_maintenance_matches_the_reference_kernel(script):
     graph, operations = script
-    dict_maintainer = CoreMaintainer(graph, backend="dict")
-    other_maintainer = CoreMaintainer(graph, backend=other)
+    maintainer = CoreMaintainer(graph)
+    reference = reference_maintainer(graph)
     for insert, (u, v) in operations:
         if insert:
-            assert dict_maintainer.insert_edge(u, v) == other_maintainer.insert_edge(u, v)
+            assert maintainer.insert_edge(u, v) == reference.insert_edge(u, v)
         else:
-            assert dict_maintainer.remove_edge(u, v) == other_maintainer.remove_edge(u, v)
-        assert dict_maintainer._visited_last == other_maintainer._visited_last
-    assert dict_maintainer.core_numbers() == other_maintainer.core_numbers()
-    other_maintainer.validate()
+            assert maintainer.remove_edge(u, v) == reference.remove_edge(u, v)
+        assert maintainer._visited_last == reference._visited_last
+    assert maintainer.core_numbers() == reference.core_numbers()
+    maintainer.validate()
+    _assert_views_match_a_fresh_peel(maintainer)
 
 
-@pytest.mark.parametrize("other", OTHER_BACKENDS)
 @SETTINGS
 @given(script=edit_scripts(), k=st.integers(min_value=1, max_value=4))
-def test_apply_delta_identical_across_backends(other, script, k):
+def test_apply_delta_matches_the_reference_kernel(script, k):
     graph, operations = script
     inserted = [edge for insert, edge in operations if insert]
     removed = [edge for insert, edge in operations if not insert]
     delta = EdgeDelta.from_iterables(inserted=inserted, removed=removed)
-    dict_maintainer = CoreMaintainer(graph, backend="dict")
-    other_maintainer = CoreMaintainer(graph, backend=other)
-    dict_effect = dict_maintainer.apply_delta(delta, k=k)
-    other_effect = other_maintainer.apply_delta(delta, k=k)
+    maintainer = CoreMaintainer(graph)
+    reference = reference_maintainer(graph)
+    effect = maintainer.apply_delta(delta, k=k)
+    reference_effect = reference.apply_delta(delta, k=k)
     for attribute in (
         "increased",
         "decreased",
@@ -262,24 +282,10 @@ def test_apply_delta_identical_across_backends(other, script, k):
         "pre_update_core",
         "visited",
     ):
-        assert getattr(dict_effect, attribute) == getattr(other_effect, attribute), attribute
-    assert dict_maintainer.core_numbers() == other_maintainer.core_numbers()
-    other_maintainer.validate()
-
-
-@pytest.mark.parametrize("other", OTHER_BACKENDS)
-@SETTINGS
-@given(graph=graphs())
-def test_backend_switch_preserves_maintained_state(other, graph):
-    """switch_backend migrates core numbers exactly (both directions)."""
-    maintainer = CoreMaintainer(graph, backend="dict")
-    before = maintainer.core_numbers()
-    assert maintainer.switch_backend(other)
-    assert maintainer.backend == _backend_name(other)
-    assert maintainer.core_numbers() == before
+        assert getattr(effect, attribute) == getattr(reference_effect, attribute), attribute
+    assert maintainer.core_numbers() == reference.core_numbers()
     maintainer.validate()
-    assert maintainer.switch_backend("dict")
-    assert maintainer.core_numbers() == before
+    _assert_views_match_a_fresh_peel(maintainer)
 
 
 # ---------------------------------------------------------------------------

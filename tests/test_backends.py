@@ -10,7 +10,6 @@ from repro.anchored.greedy import GreedyAnchoredKCore
 from repro.backends import (
     BACKEND_DICT,
     BACKEND_NUMPY,
-    COMPACT_THRESHOLD,
     WORKLOAD_AMORTIZED,
     WORKLOAD_ONE_SHOT,
     available_backends,
@@ -24,7 +23,6 @@ from repro.backends import (
 )
 from repro.backends import registry as backend_registry
 from repro.backends.dict_backend import DictBackend, dict_anchored_peel, dict_k_core
-from repro.cores.maintenance import CoreMaintainer
 from repro.engine import StreamingAVTEngine
 from repro.errors import ParameterError
 from repro.graph.dynamic import EdgeDelta
@@ -34,7 +32,7 @@ needs_numpy = pytest.mark.skipif(not numpy_available(), reason="numpy is not ins
 
 
 def _expected_auto_winner() -> str:
-    """What ``auto`` should pick on a large amortised workload."""
+    """What ``auto`` should pick on an amortised workload of any size."""
     if numpy_available():
         return BACKEND_NUMPY
     return BACKEND_DICT
@@ -107,7 +105,7 @@ class TestRegistry:
         assert "vapour" not in available_backends()
         with pytest.raises(ParameterError):
             get_backend("vapour")
-        assert resolve_backend("auto", COMPACT_THRESHOLD) != "vapour"
+        assert resolve_backend("auto", 10**6) != "vapour"
 
     def test_availability_is_probed_even_for_cached_instances(self, scratch_registry):
         available = True
@@ -135,19 +133,22 @@ class TestRegistry:
 
 
 class TestAutoPolicy:
-    def test_small_graphs_resolve_to_dict(self):
-        assert resolve_backend("auto", COMPACT_THRESHOLD - 1) == BACKEND_DICT
-
-    def test_large_amortised_workloads_pick_numpy(self):
+    @pytest.mark.parametrize("num_vertices", [0, 1, 10**9])
+    def test_amortised_workloads_pick_numpy_at_any_size(self, num_vertices):
         expected = _expected_auto_winner()
-        assert resolve_backend("auto", COMPACT_THRESHOLD) == expected
+        assert resolve_backend("auto", num_vertices) == expected
         assert (
-            resolve_backend("auto", COMPACT_THRESHOLD, workload=WORKLOAD_AMORTIZED)
+            resolve_backend("auto", num_vertices, workload=WORKLOAD_AMORTIZED)
             == expected
         )
+        assert get_backend("auto", num_vertices).name == expected
 
     def test_one_shot_cascades_stay_on_dict_at_any_size(self):
-        assert resolve_backend("auto", 10**9, workload=WORKLOAD_ONE_SHOT) == BACKEND_DICT
+        for num_vertices in (0, 1, 10**9):
+            assert (
+                resolve_backend("auto", num_vertices, workload=WORKLOAD_ONE_SHOT)
+                == BACKEND_DICT
+            )
 
     def test_explicit_names_bypass_the_policy(self):
         assert resolve_backend("dict", 10**9) == BACKEND_DICT
@@ -170,7 +171,7 @@ class TestAutoPolicy:
         from repro.cores.korder import KOrder
         from repro.graph.compact import CompactGraph
 
-        graph = Graph(edges=[(i, i + 1) for i in range(COMPACT_THRESHOLD + 10)])
+        graph = Graph(edges=[(i, i + 1) for i in range(100)])
         decomposition = core_decomposition(graph, backend="dict")
 
         def boom(*args, **kwargs):
@@ -182,7 +183,7 @@ class TestAutoPolicy:
 
 
 class TestEngineReResolution:
-    """The ROADMAP footgun: an engine started empty must not stay on dict."""
+    """An engine resolves its backend once, at construction, and keeps it."""
 
     @staticmethod
     def _growth_delta(num_vertices: int) -> EdgeDelta:
@@ -190,28 +191,19 @@ class TestEngineReResolution:
             inserted=[(i, i + 1) for i in range(num_vertices - 1)], removed=[]
         )
 
-    def test_empty_auto_engine_upgrades_after_crossing_threshold(self):
+    def test_empty_auto_engine_starts_on_the_amortised_backend(self):
         engine = StreamingAVTEngine(backend="auto", batch_size=None)
-        assert engine.backend == BACKEND_DICT
-        engine.ingest(self._growth_delta(COMPACT_THRESHOLD + 64))
+        assert engine.backend == _expected_auto_winner()
+        engine.ingest(self._growth_delta(64))
         engine.flush()
         assert engine.backend == _expected_auto_winner()
-        # The maintainer migrated (state intact, traversals keep working).
         engine._maintainer.validate()
-        engine.ingest_insert(0, 2)
-        engine.flush()
         answer = engine.query(k=1, budget=0, warm=False)
-        assert answer.anchored_core_size == COMPACT_THRESHOLD + 64
+        assert answer.anchored_core_size == 64
 
     def test_explicit_dict_engine_never_upgrades(self):
         engine = StreamingAVTEngine(backend="dict", batch_size=None)
-        engine.ingest(self._growth_delta(COMPACT_THRESHOLD + 64))
-        engine.flush()
-        assert engine.backend == BACKEND_DICT
-
-    def test_small_auto_engine_stays_on_dict(self):
-        engine = StreamingAVTEngine(backend="auto", batch_size=None)
-        engine.ingest(self._growth_delta(16))
+        engine.ingest(self._growth_delta(64))
         engine.flush()
         assert engine.backend == BACKEND_DICT
 
@@ -244,31 +236,14 @@ class TestEngineReResolution:
 
     def test_restored_engine_re_resolves_from_checkpoint(self, tmp_path):
         engine = StreamingAVTEngine(backend="auto", batch_size=None)
-        engine.ingest(self._growth_delta(COMPACT_THRESHOLD + 64))
+        engine.ingest(self._growth_delta(64))
         engine.flush()
         path = tmp_path / "grown.ckpt"
         engine.checkpoint(path)
         restored = StreamingAVTEngine.restore(path)
         # The checkpoint stores the *policy* ("auto"); the restored engine
-        # resolves it against the restored (large) graph immediately.
+        # resolves it in the restoring process.
         assert restored.backend == engine.backend
-
-
-class TestMaintainerSwitch:
-    def test_switch_to_same_backend_is_noop(self):
-        maintainer = CoreMaintainer(Graph(edges=[(0, 1)]), backend="dict")
-        assert not maintainer.switch_backend("dict")
-        assert maintainer.backend == BACKEND_DICT
-
-    @needs_numpy
-    def test_switch_migrates_without_recomputation(self):
-        graph = Graph(edges=[(0, 1), (1, 2), (2, 0), (2, 3)])
-        maintainer = CoreMaintainer(graph, backend="dict")
-        # Corrupt one maintained value: a migration must carry it over
-        # verbatim (proving no decomposition re-ran), not silently heal it.
-        maintainer._kernel._core[3] = 7
-        assert maintainer.switch_backend("numpy")
-        assert maintainer.core(3) == 7
 
 
 @needs_numpy
@@ -359,8 +334,8 @@ class TestAvailabilityReasons:
 
     def test_disabled_numpy_falls_back_without_warnings(self, monkeypatch, recwarn):
         monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
-        assert resolve_backend("auto", COMPACT_THRESHOLD) == BACKEND_DICT
-        get_backend("auto", COMPACT_THRESHOLD)
+        assert resolve_backend("auto", 10**6) == BACKEND_DICT
+        get_backend("auto", 10**6)
         assert not recwarn.list
 
     def test_generic_reason_without_provider(self, scratch_registry):

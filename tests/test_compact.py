@@ -8,7 +8,6 @@ from repro.errors import ParameterError, VertexNotFoundError
 from repro.graph.compact import (
     BACKEND_DICT,
     BACKEND_NUMPY,
-    COMPACT_THRESHOLD,
     CompactGraph,
     DynamicCompactAdjacency,
     VertexInterner,
@@ -82,12 +81,16 @@ class TestResolveBackend:
         assert resolve_backend("dict", 10**9) == BACKEND_DICT
         assert resolve_backend("numpy", 1) == BACKEND_NUMPY
 
-    def test_auto_resolves_by_size(self):
-        from repro.backends import numpy_available
+    def test_auto_resolves_by_workload(self):
+        from repro.backends import WORKLOAD_ONE_SHOT, numpy_available
 
-        assert resolve_backend("auto", COMPACT_THRESHOLD - 1) == BACKEND_DICT
         expected = BACKEND_NUMPY if numpy_available() else BACKEND_DICT
-        assert resolve_backend("auto", COMPACT_THRESHOLD) == expected
+        for num_vertices in (0, 1, 10**9):
+            assert resolve_backend("auto", num_vertices) == expected
+            assert (
+                resolve_backend("auto", num_vertices, workload=WORKLOAD_ONE_SHOT)
+                == BACKEND_DICT
+            )
 
     def test_unknown_backend_raises(self):
         with pytest.raises(ParameterError):

@@ -144,6 +144,14 @@ class TestMixedWorkloads:
         trusted.validate()
         trusted.insert_edge(1, 9)
         trusted.validate()
+        # Trusted values are taken verbatim, not recomputed: a wrong one is
+        # carried until validate() cross-checks it.
+        wrong = reference.core_numbers()
+        wrong[8] = 7
+        corrupted = CoreMaintainer(toy_graph, core=wrong)
+        assert corrupted.core(8) == 7
+        with pytest.raises(InvariantViolationError):
+            corrupted.validate()
 
     def test_refresh_from_graph(self):
         graph = Graph(edges=[(1, 2), (2, 3)])
@@ -181,8 +189,15 @@ class TestApplyDelta:
 
     def test_apply_delta_rejects_bad_k(self, toy_graph):
         maintainer = CoreMaintainer(toy_graph)
-        with pytest.raises(ParameterError):
-            maintainer.apply_delta(EdgeDelta(), k=0)
+        delta = EdgeDelta.from_iterables(inserted=[(2, 5)], removed=[(2, 11)])
+        for k in (0, 2.5, True, "3"):
+            with pytest.raises(ParameterError):
+                maintainer.apply_delta(EdgeDelta(), k=k)
+            with pytest.raises(ParameterError):
+                maintainer.apply_delta(delta, k=k)
+        # Rejected before anything is applied.
+        assert not maintainer.graph.has_edge(2, 5)
+        assert maintainer.apply_delta(delta, k=3).touched
 
     def test_apply_delta_empty_fast_path(self, toy_graph):
         maintainer = CoreMaintainer(toy_graph)
@@ -256,9 +271,16 @@ class TestApplyDelta:
             assert maintainer.core_numbers() == core_numbers(current)
 
     def test_validate_raises_on_corruption(self, toy_graph):
+        # The views read the core map and the traversals read the id list:
+        # corrupting either one alone must fail validation.
         maintainer = CoreMaintainer(toy_graph)
-        maintainer._kernel._core[8] = 99
-        with pytest.raises(InvariantViolationError):
+        maintainer._kernel._icore[maintainer._kernel._ids[8]] = 99
+        assert maintainer.core(8) == 3
+        with pytest.raises(InvariantViolationError, match="id list"):
+            maintainer.validate()
+        maintainer = CoreMaintainer(toy_graph)
+        maintainer._kernel.core_map[8] = 99
+        with pytest.raises(InvariantViolationError, match="core map"):
             maintainer.validate()
 
 

@@ -199,6 +199,25 @@ class TestCheckpointVerification:
         restored = load_checkpoint(path, fallback=True)
         assert restored.to_state()["core"] == engine.to_state()["core"]
 
+    def test_failed_rotation_is_a_checkpoint_error(self, tmp_path):
+        engine = checkpointed_engine()
+        path = tmp_path / "ck"
+        save_checkpoint(engine, path, keep=2)
+        before = load_checkpoint(path).to_state()
+        blocker = path.with_name("ck.1")
+        blocker.mkdir()
+        (blocker / "occupied").write_text("not a checkpoint")
+        engine.ingest_insert("e", "a")
+        engine.flush()
+        with pytest.raises(CheckpointError, match="ck"):
+            engine.checkpoint(path, keep=2)
+        assert not path.with_name("ck.tmp").exists()
+        # Nothing was written: the earlier checkpoint is still the primary.
+        restored = StreamingAVTEngine.restore(path)
+        assert restored.graph_version == before["version"]
+        assert restored.to_state()["core"] == before["core"]
+        assert not restored.graph.has_edge("e", "a")
+
     def test_legacy_format1_still_reads(self, tmp_path):
         engine = checkpointed_engine()
         path = tmp_path / "legacy"
