@@ -9,9 +9,8 @@ and the produced report is both printed and written to
 Profiles
 --------
 The experiments honour ``AVT_BENCH_PROFILE`` (``quick`` by default, ``medium``
-or ``full`` for the larger runs recorded in ``EXPERIMENTS.md``) and
-``AVT_BENCH_SCALE`` for ad-hoc scale overrides; see
-:mod:`repro.bench.experiments`.
+or ``full`` for larger runs) and ``AVT_BENCH_SCALE`` for ad-hoc scale
+overrides; see :mod:`repro.bench.experiments`.
 
 Run benches by naming their files (``python -m pytest
 benchmarks/bench_fig03_time_vs_k.py ...``): ``pytest benchmarks/`` collects

@@ -15,8 +15,7 @@ check); this example turns it on for a short streaming session and then
    for ``flamegraph.pl`` / speedscope);
 3. prints the engine's unified metrics snapshot and a derived latency
    percentile, the same ``{name, type, value, labels}`` records that
-   ``avt-bench serve-sim --metrics-out`` exports and every ``BENCH_*.json``
-   embeds.
+   ``avt-bench serve-sim --metrics-out`` exports.
 
 The same analyses run offline over an ``avt-bench serve-sim --trace-out``
 file via ``avt-bench trace {tree,critical-path,flame}``.
@@ -114,10 +113,7 @@ def main() -> None:
         f"  engine.latency.hit: count={hit_latency.count} "
         f"p50={percentiles['p50'] * 1e3:.3f}ms p99={percentiles['p99'] * 1e3:.3f}ms"
     )
-    print(
-        "the same snapshot ships via 'avt-bench serve-sim --trace-out/--metrics-out' "
-        "and inside every BENCH_*.json"
-    )
+    print("the same snapshot ships via 'avt-bench serve-sim --trace-out/--metrics-out'")
 
 
 if __name__ == "__main__":

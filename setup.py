@@ -1,8 +1,7 @@
-"""Setuptools shim.
+"""Setuptools shim with no package metadata of its own.
 
-Kept alongside ``pyproject.toml`` so that editable installs also work in
-offline environments whose setuptools predates native wheel support
-(``pip install -e . --no-build-isolation --no-use-pep517``).
+Nothing needs installing: the library, its tests, the benchmarks and the
+examples all run from the source tree with ``PYTHONPATH=src``.
 """
 
 from setuptools import setup

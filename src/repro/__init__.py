@@ -78,11 +78,8 @@ up in one interning pass (a bucket cascade over its adjacency mirror).
 Both backends guarantee identical core numbers and removal orders from the
 full peels behind ``decompose``/``korder``, identical capped index states
 (below), and identical instrumentation counts (enforced by
-``tests/test_backend_equivalence.py``); only speed differs —
-``benchmarks/bench_backend_compare.py`` tracks the gap in
-``BENCH_backend.json``, and emits ``BENCH_incremental.json`` (incremental vs
-full-recompute Greedy on the backend ``auto`` picks) with a ``floors``
-block read by ``python -m repro.bench.compare``.
+``tests/test_backend_equivalence.py``); only speed differs, and the
+repository benchmark (``perfbench/``) measures it end to end.
 
 *Capped index and delta refresh* — an anchored core index never peels its
 snapshot.  From construction on it keeps only what the greedy loops read at
@@ -108,9 +105,6 @@ kernel         ``refresh`` and ``commit_anchor`` paths
                same riser cascades over id lists
                (:func:`repro.cores.decomposition.commit_anchor_ids`); the
                shell order is the peel's vectorised Phase-B shell pass
-custom         inherits the protocol default for ``commit_anchor`` — a
-               ``refresh``, touched unknown (``None``) — so third-party
-               kernels keep working
 =============  ==============================================================
 
 IncAVT's swap/fill pass reuses the riser cascades, capped at ``k``, on a copy
@@ -124,9 +118,9 @@ memoize marginal gains across rounds: each candidate evaluation is cached
 with its read region and invalidated only when a commit touches that region
 or its one-hop neighbourhood, so each round re-runs O(invalidated) cascades
 instead of O(candidates) — anchors, followers and the paper's
-instrumentation counters stay bit-identical to the full-recompute path
-(``incremental=False``), enforced by ``tests/test_incremental_refresh.py``
-and the ``BENCH_incremental.json`` floor.  The
+instrumentation counters stay bit-identical to a Greedy that re-runs every
+cascade every round, enforced by ``tests/test_incremental_refresh.py``
+against an index-free reference Greedy built from full anchored peels.  The
 determinism hinges on the interning semantics: :class:`~repro.graph.VertexInterner`
 assigns dense ids in first-seen order and never moves them, and ordered
 :class:`~repro.graph.CompactGraph` snapshots intern in
@@ -147,6 +141,10 @@ warning.
     register_backend("mine", MyBackend)
     GreedyAnchoredKCore(graph, k=3, budget=5, backend="mine")
 
+The kernel ``build_core_index`` returns implements every
+:class:`~repro.backends.CoreIndexKernel` method; ``commit_anchor`` and the
+region cascade have no fallback, since Greedy's gain cache needs their
+exact touched sets and regions.
 Custom backends run when named; ``auto`` only picks dict or numpy.  An
 ``is_available`` probe (with an optional ``availability_reason`` companion
 explaining *why* — missing import vs. ``REPRO_DISABLE_NUMPY`` switch) lets
@@ -191,8 +189,8 @@ exporters                    :class:`~repro.obs.JsonLinesSpanSink` (streaming
 ===========================  ==================================================
 
 Tracing is off by default and costs one module-flag check per instrumented
-site when disabled (``benchmarks/bench_obs_overhead.py`` enforces a <=5%
-replay-overhead floor in ``BENCH_obs.json``).  Enable it with
+site when disabled; the repository benchmark's end-to-end metrics run with
+tracing off, so they include that cost.  Enable it with
 ``repro.obs.tracer.set_enabled(True)``, the ``REPRO_TRACE=1`` environment
 variable, or ``avt-bench serve-sim --trace-out spans.jsonl --metrics-out
 metrics.prom`` for a fully traced replay; ``examples/traced_query.py`` walks

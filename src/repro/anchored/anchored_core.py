@@ -8,8 +8,8 @@ infinite degree, so the core numbers that drive steps (1) and (2) must be the
 
 * the anchored core numbers of the current graph + anchor set capped at
   ``k``, and the removal order of the ``(k-1)``-shell, built by a cascade
-  over the levels below ``k`` at construction and on :meth:`set_anchors`,
-  and kept up to date whenever an anchor is committed;
+  over the levels below ``k`` at construction and kept up to date whenever
+  an anchor is committed;
 * Theorem-3 candidate pruning with or without the K-order position condition;
 * fast marginal follower computation (shell-local cascade); and
 * the instrumentation counters (candidates evaluated, vertices visited) that
@@ -19,11 +19,11 @@ The index is execution-backend-agnostic: it validates inputs, owns the anchor
 set and the instrumentation, and delegates every kernel — the capped build,
 the candidate scans, the follower cascades — to the
 :class:`~repro.backends.CoreIndexKernel` built by the resolved
-:class:`~repro.backends.ExecutionBackend` (``backend="auto"`` picks by graph
-size; see :mod:`repro.backends.registry`).  Snapshot-based kernels build
-their snapshot once for the index's lifetime — valid because the solvers
-never mutate the graph during a selection run — and results are identical
-across all registered backends.
+:class:`~repro.backends.ExecutionBackend` (``backend="auto"`` picks numpy
+when it is available and dict otherwise; see :mod:`repro.backends.registry`).
+Snapshot-based kernels build their snapshot once for the index's lifetime —
+valid because the solvers never mutate the graph during a selection run —
+and results are identical across all registered backends.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ class AnchoredCoreIndex:
     capped contract of :mod:`repro.backends.base`): every core number
     equals ``min(anchored core number, k)`` with anchors at infinity, and
     the ``(k-1)``-shell keeps its full-peel removal order after every lower
-    vertex; other positions are unspecified.  Construction,
-    :meth:`set_anchors` and :meth:`commit_anchor` all keep that state, and
+    vertex; other positions are unspecified.  Construction and
+    :meth:`commit_anchor` both keep that state, and
     every query method reads only ``core >= k``, ``core == k - 1`` and those
     positions, so its answers equal those on a full anchored peel.  Use
     :func:`~repro.cores.decomposition.anchored_core_decomposition` for exact
@@ -191,16 +191,15 @@ class AnchoredCoreIndex:
 
     def evaluate_candidate(
         self, candidate: Vertex
-    ) -> Tuple[Set[Vertex], int, Optional[FrozenSet[Vertex]]]:
+    ) -> Tuple[Set[Vertex], int, FrozenSet[Vertex]]:
         """Like :meth:`marginal_followers` but also reports the read scope.
 
         Returns ``(gained, visited, region)``: the followers gained by
         anchoring ``candidate`` next, the raw visited count of the cascade,
-        and the explored shell-local region (``None`` when the kernel cannot
-        report it, in which case the evaluation is not safely cacheable).
-        Instrumentation is updated exactly as by :meth:`marginal_followers`;
-        ``visited`` is returned raw so a memoizing caller can replay it later
-        through :meth:`record_cached_evaluation`.
+        and the explored shell-local region.  Instrumentation is updated
+        exactly as by :meth:`marginal_followers`; ``visited`` is returned raw
+        so a memoizing caller can replay it later through
+        :meth:`record_cached_evaluation`.
         """
         with tracer.span("kernel.marginal_followers_with_region") as mf_span:
             gained, visited, region = self._kernel.marginal_followers_with_region(
@@ -217,8 +216,8 @@ class AnchoredCoreIndex:
         The paper's counters (``candidates_evaluated``, ``visited_vertices``)
         report the *algorithmic* work of the greedy selection; a memoized
         evaluation replays the counts its cascade reported when it actually
-        ran, so the instrumentation stays bit-identical to the
-        full-recompute path while the cascades themselves are skipped.
+        ran, so the instrumentation stays bit-identical to a fresh
+        evaluation while the cascades themselves are skipped.
         """
         self.candidates_evaluated += 1
         self.visited_vertices += max(visited, 1)
@@ -226,19 +225,14 @@ class AnchoredCoreIndex:
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def add_anchor(self, vertex: Vertex) -> None:
-        """Commit ``vertex`` as an anchor (same as :meth:`commit_anchor`)."""
-        self.commit_anchor(vertex)
-
-    def commit_anchor(self, vertex: Vertex) -> Optional[FrozenSet[Vertex]]:
+    def commit_anchor(self, vertex: Vertex) -> FrozenSet[Vertex]:
         """Commit ``vertex`` as an anchor through the kernel's incremental path.
 
         The kernel keeps the state capped at ``k`` (the delta-refresh
-        contract of :mod:`repro.backends.base`).  Returns the *touched set*
-        — every vertex whose stored core number changed (the new anchor
-        included) — or ``None`` when the kernel fell back to a rebuild
-        without diffing (treat as "anything may have changed").  Committing an existing anchor is a
-        no-op and returns an empty set.
+        contract of :mod:`repro.backends.base`).  Returns the *touched set*:
+        every vertex whose stored core number changed, the new anchor
+        included.  Committing an existing anchor is a no-op and returns an
+        empty set.
         """
         if not self._graph.has_vertex(vertex):
             raise VertexNotFoundError(vertex)
@@ -249,17 +243,5 @@ class AnchoredCoreIndex:
             "kernel.commit_anchor", backend=self._backend.name
         ) as commit_span:
             touched = self._kernel.commit_anchor(vertex, self._anchors, self._k)
-            commit_span.set(touched=len(touched) if touched is not None else -1)
+            commit_span.set(touched=len(touched))
         return touched
-
-    def set_anchors(self, anchors: Iterable[Vertex]) -> None:
-        """Replace the anchor set wholesale and rebuild the capped state."""
-        new_anchors = set(anchors)
-        for anchor in new_anchors:
-            if not self._graph.has_vertex(anchor):
-                raise VertexNotFoundError(anchor)
-        self._anchors = new_anchors
-        with tracer.span(
-            "kernel.peel", backend=self._backend.name, anchors=len(new_anchors)
-        ):
-            self._kernel.refresh(self._anchors, self._k)

@@ -54,7 +54,7 @@ from repro.backends import (
     get_backend,
 )
 from repro.cores.decomposition import ANCHOR_CORE
-from repro.errors import ParameterError, VertexNotFoundError
+from repro.errors import ParameterError, VertexNotFoundError, require_int
 from repro.graph.static import Graph, Vertex
 
 
@@ -80,9 +80,9 @@ def anchored_k_core(
 
 
 def _check_query(graph: Graph, k: int, anchor_set: Set[Vertex]) -> None:
-    """Reject a negative ``k`` and anchors that are not vertices of ``graph``."""
-    if k < 0:
-        raise ParameterError("k must be non-negative")
+    """Reject a ``k`` that is not a non-negative integer and anchors that are
+    not vertices of ``graph``."""
+    require_int("k", k, 0)
     for anchor in anchor_set:
         if not graph.has_vertex(anchor):
             raise VertexNotFoundError(anchor)

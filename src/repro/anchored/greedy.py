@@ -7,15 +7,15 @@ later-ordered neighbour in the ``(k-1)``-shell can gain followers) and the
 follower computation is the fast shell-local cascade instead of a full core
 decomposition per candidate.
 
-On top of the paper's algorithm, the default ``incremental`` mode avoids
-recomputation *within* a snapshot without changing a single result:
+On top of the paper's algorithm, the selection avoids recomputation *within*
+a snapshot without changing a single result:
 
 * **Capped anchor commits.**  Committing the round's winner goes through
   :meth:`~repro.anchored.anchored_core.AnchoredCoreIndex.commit_anchor`, the
   kernels' delta-refresh path.  It keeps only what the next round reads at
   ``k``: single-anchor riser cascades at the levels up to ``k``, and one
-  re-order of the ``(k-1)``-shell.  It also reports
-  the exact *touched set* of vertices whose core number changed.
+  re-order of the ``(k-1)``-shell.  It also reports the exact *touched set*
+  of vertices whose core number changed.
 * **Memoized marginal gains.**  A candidate's evaluation reads only the core
   numbers of its explored shell-local region, the candidate, and their
   neighbours.  Each evaluation is cached together with that region; after a
@@ -24,14 +24,9 @@ recomputation *within* a snapshot without changing a single result:
   it from a neighbouring region vertex) are invalidated and re-run.  Valid
   cached gains are *exact*, so each round re-runs O(invalidated) cascades
   instead of O(candidates) — while anchors, followers and the instrumentation
-  counters stay bit-identical to the full-recompute path (cached evaluations
-  replay their recorded visit counts).
-
-``incremental=False`` restores the full-recompute behaviour (a capped
-rebuild of the index per commit, no gain cache, every candidate cascaded
-every round) — the benchmark baseline.  It shares the capped build with the
-default path, so the tests' independent exact referee is a reference Greedy
-built from full anchored peels, not this mode.
+  counters stay bit-identical to evaluating every candidate every round
+  (cached evaluations replay their recorded visit counts).  The tests'
+  exact referee is a reference Greedy built from full anchored peels.
 
 A CELF-style lazy variant — evaluating stale candidates in descending
 cached-gain order and stopping once a fresh gain dominates every remaining
@@ -69,7 +64,7 @@ class _CachedGain:
     cached result is exact as long as no committed anchor touches the scope
     or its one-hop neighbourhood.  ``visited`` is the raw cascade count the
     evaluation reported, replayed into the instrumentation on every reuse so
-    the paper's counters match the full-recompute path bit for bit.
+    the paper's counters match a fresh evaluation bit for bit.
     """
 
     followers: FrozenSet[Vertex]
@@ -95,11 +90,6 @@ class GreedyAnchoredKCore:
         Stop early once no candidate gains any followers (default); the paper's
         formulation allows fewer than ``l`` anchors in that situation because
         additional anchors cannot enlarge the anchored k-core.
-    incremental:
-        Use the delta-refresh commit path and memoize marginal gains across
-        rounds (default).  Results — anchors, followers, visited counts — are
-        identical either way; ``False`` forces the full-recompute behaviour
-        (the benchmark baseline).
     backend:
         Execution backend for the core index (``"auto"`` / ``"dict"`` /
         ``"numpy"``, see :mod:`repro.backends`); results are identical,
@@ -116,7 +106,6 @@ class GreedyAnchoredKCore:
         order_pruning: bool = True,
         stop_on_zero_gain: bool = True,
         initial_anchors: Iterable[Vertex] = (),
-        incremental: bool = True,
         backend: Union[str, ExecutionBackend] = BACKEND_AUTO,
     ) -> None:
         require_int("k", k, 1)
@@ -130,7 +119,6 @@ class GreedyAnchoredKCore:
         self._initial_anchors = tuple(dict.fromkeys(initial_anchors))
         if len(self._initial_anchors) > budget:
             raise ParameterError("initial_anchors must not outnumber the budget")
-        self._incremental = incremental
         self._backend = backend
 
     def select(self) -> AnchoredKCoreResult:
@@ -141,7 +129,6 @@ class GreedyAnchoredKCore:
             algorithm=self.name,
             k=self._k,
             budget=self._budget,
-            incremental=self._incremental,
         ) as select_span:
             index = AnchoredCoreIndex(
                 self._graph, self._k, anchors=self._initial_anchors, backend=self._backend
@@ -168,20 +155,15 @@ class GreedyAnchoredKCore:
                             index.record_cached_evaluation(entry.visited)
                             stats.cache_hits += 1
                             gained = entry.followers
-                        elif self._incremental:
+                        else:
                             raw, visited, region = index.evaluate_candidate(candidate)
                             stats.candidates_recomputed += 1
                             gained = frozenset(raw)
-                            if region is not None:
-                                cache[candidate] = _CachedGain(
-                                    followers=gained,
-                                    visited=visited,
-                                    scope=region | {candidate},
-                                )
-                        else:
-                            # Full-recompute baseline: no region capture, no cache.
-                            gained = frozenset(index.marginal_followers(candidate))
-                            stats.candidates_recomputed += 1
+                            cache[candidate] = _CachedGain(
+                                followers=gained,
+                                visited=visited,
+                                scope=region | {candidate},
+                            )
                         if len(gained) > len(best_gain):
                             best_vertex, best_gain = candidate, gained
                     eval_span.set(
@@ -193,15 +175,9 @@ class GreedyAnchoredKCore:
                 with tracer.span(
                     "greedy.commit", round=round_number, gain=len(best_gain)
                 ) as commit_span:
-                    if self._incremental:
-                        touched = index.commit_anchor(best_vertex)
-                        self._invalidate(cache, touched)
-                        commit_span.set(
-                            touched=len(touched) if touched is not None else -1
-                        )
-                    else:
-                        # Full-recompute baseline: a capped rebuild of the index.
-                        index.set_anchors(chosen + [best_vertex])
+                    touched = index.commit_anchor(best_vertex)
+                    self._invalidate(cache, touched)
+                    commit_span.set(touched=len(touched))
                 stats.commit_seconds.append(time.perf_counter() - commit_started)
                 chosen.append(best_vertex)
                 stats.iterations += 1
@@ -222,9 +198,7 @@ class GreedyAnchoredKCore:
         )
 
     def _invalidate(
-        self,
-        cache: Dict[Vertex, _CachedGain],
-        touched: Optional[FrozenSet[Vertex]],
+        self, cache: Dict[Vertex, _CachedGain], touched: FrozenSet[Vertex]
     ) -> None:
         """Drop every cached gain the last commit may have changed.
 
@@ -234,12 +208,8 @@ class GreedyAnchoredKCore:
         affect a cached entry only if ``touched`` (expanded by one hop)
         intersects the entry's scope — including the case where the region
         itself would now grow or shrink, since any vertex joining or leaving
-        the region is itself touched or adjacent to it.  ``None`` means the
-        kernel could not bound the change: drop everything.
+        the region is itself touched or adjacent to it.
         """
-        if touched is None:
-            cache.clear()
-            return
         if not cache or not touched:
             return
         invalid_zone: Set[Vertex] = set(touched)

@@ -127,7 +127,7 @@ class RCMAnchoredKCore:
                     best_vertex, best_gain = candidate, gained
             if best_vertex is None or (self._stop_on_zero_gain and not best_gain):
                 break
-            index.add_anchor(best_vertex)
+            index.commit_anchor(best_vertex)
             chosen.append(best_vertex)
             stats.iterations += 1
 

@@ -74,9 +74,8 @@ class SolverStats:
         Total vertices touched by follower computations and candidate scans —
         the quantity plotted in the paper's Figures 4, 6 and 8.  This is the
         *algorithmic* cost model: a memoized evaluation replays the counts
-        its cascade reported when it actually ran, so the figure stays
-        comparable (and bit-identical) across the memoized and
-        full-recompute paths.
+        its cascade reported when it actually ran, so the figure is
+        bit-identical to re-running every evaluation every round.
     runtime_seconds:
         Wall-clock time spent inside the solver.
     iterations:
@@ -87,8 +86,8 @@ class SolverStats:
         figures do not include index-maintenance work.
     candidates_recomputed:
         Candidate evaluations that actually ran a cascade (memoized Greedy
-        only re-runs candidates its invalidation marked stale; without
-        memoization this equals ``candidates_evaluated``).
+        only re-runs candidates its invalidation marked stale; the solvers
+        without a gain cache leave it at 0).
     cache_hits:
         Candidate evaluations answered from the memoized gain cache.
     commit_seconds:

@@ -3,7 +3,7 @@
 These helpers turn a collection of :class:`~repro.avt.problem.AVTResult`
 objects (one per algorithm, same problem) into the headline quantities the
 paper reports: speed-ups, visited-vertex ratios, and follower-quality ratios.
-They are used by the experiment harness, the CLI and ``EXPERIMENTS.md``.
+They are used by the experiment harness and the CLI.
 """
 
 from __future__ import annotations

@@ -58,11 +58,10 @@ The delta-refresh contract
 perform: adding a single anchor.  It keeps the capped contract for the
 enlarged anchor set.  The return value is the *touched set*: every vertex
 whose stored core number changed (the new anchor included, finite →
-infinity), or ``None`` when the kernel cannot bound the change, in which case
-callers must assume anything may have changed.  Kernels that do not override
-it fall back to :meth:`~CoreIndexKernel.refresh` (and return ``None``).  The
-built-in kernels run the single-anchor riser cascades at levels up to ``k``
-only (:func:`repro.anchored.followers.commit_anchor_cores`, whose docstring
+infinity).  The memoized Greedy invalidates its cached gains by it, so it
+must be exact, and the method has no fallback.  The built-in kernels run
+the single-anchor riser cascades at levels up to ``k`` only
+(:func:`repro.anchored.followers.commit_anchor_cores`, whose docstring
 gives the exactness argument, and its id-list twin
 :func:`repro.cores.decomposition.commit_anchor_ids` behind the numpy
 kernel), which lift a vertex to at most ``k``, then re-order the
@@ -78,7 +77,6 @@ from typing import (
     FrozenSet,
     Iterable,
     Mapping,
-    Optional,
     Set,
     Tuple,
 )
@@ -134,33 +132,27 @@ class CoreIndexKernel(ABC):
         ``min(anchored core, k)``, the ``(k-1)``-shell ranked in full-peel
         order after every lower vertex."""
 
+    @abstractmethod
     def commit_anchor(
         self, vertex: "Vertex", anchors: Set["Vertex"], k: int
-    ) -> Optional[FrozenSet["Vertex"]]:
-        """Add one anchor incrementally; return the touched set (or ``None``).
+    ) -> FrozenSet["Vertex"]:
+        """Add one anchor incrementally; return the touched set.
 
         ``anchors`` is the *full* new anchor set, ``vertex`` the one member
         that was just added, and ``k`` the degree constraint the state is
         kept for.  Afterwards the state must satisfy the capped contract in
         the module docstring.  Returns the exact set of vertices whose core
-        number changed, or ``None`` when the kernel cannot bound the change
-        — this default rebuilds with :meth:`refresh` and returns ``None`` so
-        custom kernels keep working without implementing the incremental
-        path.
+        number changed.
         """
-        self.refresh(set(anchors), k)
-        return None
 
-    def removal_ranks(self) -> Optional[Mapping["Vertex", int]]:
-        """The current removal ranks, or ``None`` if the kernel hides them.
+    @abstractmethod
+    def removal_ranks(self) -> Mapping["Vertex", int]:
+        """The current removal ranks (tests and diagnostics).
 
-        Optional introspection (tests and diagnostics).  Only the
-        ``(k-1)``-shell's relative order and its place after every lower
-        vertex are specified; ranks need not be contiguous, and positions
-        outside the shell are unspecified.  Kernels that do not track ranks
-        per vertex may return ``None``.
+        Only the ``(k-1)``-shell's relative order and its place after every
+        lower vertex are specified; ranks need not be contiguous, and
+        positions outside the shell are unspecified.
         """
-        return None
 
     @abstractmethod
     def core_of(self, vertex: "Vertex") -> float:
@@ -217,9 +209,10 @@ class CoreIndexKernel(ABC):
         instrumentation figures.
         """
 
+    @abstractmethod
     def marginal_followers_with_region(
         self, k: int, candidate: "Vertex"
-    ) -> Tuple[Set["Vertex"], int, Optional[FrozenSet["Vertex"]]]:
+    ) -> Tuple[Set["Vertex"], int, FrozenSet["Vertex"]]:
         """Region-restricted follower cascade that also reports its region.
 
         Returns ``(gained, visited, region)`` where ``gained`` and
@@ -229,11 +222,7 @@ class CoreIndexKernel(ABC):
         evaluation, which memoizing callers use to decide when a cached
         result is still valid: the result can only change when a commit's
         touched set intersects ``region ∪ {candidate}`` or their neighbours.
-        This default reports an unknown region (``None``, never cacheable) so
-        custom kernels keep working.
         """
-        gained, visited = self.marginal_followers(k, candidate, False)
-        return gained, visited, None
 
 
 class ExecutionBackend(ABC):

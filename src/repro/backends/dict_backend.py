@@ -12,7 +12,7 @@ cascades live here.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Set, Tuple
 
 from repro.backends.base import (
     BACKEND_DICT,
@@ -254,7 +254,7 @@ class DictCoreIndexKernel(CoreIndexKernel):
 
     def commit_anchor(
         self, vertex: Vertex, anchors: Set[Vertex], k: int
-    ) -> Optional[FrozenSet[Vertex]]:
+    ) -> FrozenSet[Vertex]:
         """Capped commit (the delta-refresh contract of
         :mod:`repro.backends.base`): the riser cascades of
         :func:`~repro.anchored.followers.commit_anchor_cores` at levels up to
@@ -334,7 +334,7 @@ class DictCoreIndexKernel(CoreIndexKernel):
 
     def marginal_followers_with_region(
         self, k: int, candidate: Vertex
-    ) -> Tuple[Set[Vertex], int, Optional[FrozenSet[Vertex]]]:
+    ) -> Tuple[Set[Vertex], int, FrozenSet[Vertex]]:
         visit_log: List[Vertex] = []
         region: Set[Vertex] = set()
         gained = marginal_followers(

@@ -1,8 +1,7 @@
 """Experiment harness: workloads, sweep runner, per-figure experiments, reporting.
 
-Floor enforcement for the ``BENCH_*.json`` perf records lives in
-:mod:`repro.bench.compare` (kept out of this namespace so
-``python -m repro.bench.compare`` runs without a double-import warning).
+This package reproduces the paper's tables and figures.  Performance is
+measured by the repository benchmark, ``perfbench/``.
 """
 
 from repro.bench.experiments import EXPERIMENTS, BenchProfile, get_experiment, resolve_profile

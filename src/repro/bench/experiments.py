@@ -14,8 +14,7 @@ Profiles
     ``pytest benchmarks/`` collects no tests, because nothing configures
     pytest to collect ``bench_*.py`` files.
 ``medium``
-    All six dataset stand-ins at half scale — the configuration recorded in
-    ``EXPERIMENTS.md``.
+    All six dataset stand-ins at half scale.
 ``full``
     All six stand-ins at full stand-in scale with the paper's parameter grids
     (T = 30, l up to 20); expect an hour or more of pure-Python runtime.
@@ -374,7 +373,7 @@ def experiment_table4_anchor_selection(profile: BenchProfile) -> Tuple[Experimen
 
 
 # ---------------------------------------------------------------------------
-# Ablations (design choices called out in DESIGN.md)
+# Ablations of two design choices: candidate pruning and core maintenance
 # ---------------------------------------------------------------------------
 def experiment_ablation_pruning(profile: BenchProfile) -> Tuple[ExperimentTable, str]:
     """Ablation: Theorem-3 candidate pruning and shell-local follower computation.

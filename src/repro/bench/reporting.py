@@ -4,13 +4,12 @@ The paper's figures are log-scale line charts with one line per algorithm.
 Since this repository has no plotting dependency, each figure is rendered as
 the underlying series — one block per dataset, one line per algorithm, one
 ``x=y`` pair per parameter value — plus an ASCII table of the raw rows.  The
-same renderers feed the CLI, the benchmark harness printouts, and
-``EXPERIMENTS.md``.
+same renderers feed the CLI and the benchmark harness printouts.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 from repro.bench.runner import ExperimentTable
 
@@ -111,79 +110,3 @@ def _format_value(value: object) -> str:
         return f"{value:.3f}"
     return str(value)
 
-
-# ---------------------------------------------------------------------------
-# Machine-readable benchmark records (perf trajectory across PRs)
-# ---------------------------------------------------------------------------
-def bench_environment() -> Dict[str, object]:
-    """Return the provenance stamp attached to every benchmark JSON record.
-
-    Captures the git SHA (``"unknown"`` outside a checkout), a UTC timestamp
-    and the Python version, so ``BENCH_*.json`` files from different PRs can
-    be compared as a time series.
-    """
-    import platform
-    import subprocess
-    from datetime import datetime, timezone
-    from pathlib import Path
-
-    try:
-        sha = (
-            subprocess.run(
-                ["git", "rev-parse", "HEAD"],
-                capture_output=True,
-                text=True,
-                timeout=10,
-                check=True,
-                # Resolve against the checkout this module lives in, not the
-                # process cwd — the record must stamp the code under test.
-                cwd=Path(__file__).resolve().parents[3],
-            ).stdout.strip()
-        )
-    except Exception:
-        sha = "unknown"
-    return {
-        "git_sha": sha,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-    }
-
-
-def write_bench_json(
-    path,
-    name: str,
-    payload: Mapping[str, object],
-    *,
-    backend: str = "auto",
-    metrics=None,
-) -> None:
-    """Write one benchmark record as pretty-printed JSON with provenance.
-
-    ``payload`` holds the benchmark-specific numbers (timings, hit rates,
-    speedups); the record wraps it with the benchmark ``name``,
-    :func:`bench_environment`, an ``execution`` block recording the backend
-    name the run used, and a ``metrics`` block — the unified
-    metrics-registry snapshot of the run (see :mod:`repro.obs`).  ``metrics``
-    may be a :class:`~repro.obs.MetricsRegistry`, an already-materialised
-    snapshot list, or ``None`` to capture the process-wide registry, so
-    records from differently configured runs can be compared as a time
-    series down to individual counters.
-    """
-    import json
-    from pathlib import Path
-
-    from repro.obs import MetricsRegistry, global_registry
-
-    if metrics is None:
-        metrics = global_registry()
-    if isinstance(metrics, MetricsRegistry):
-        metrics = metrics.snapshot()
-    record = {
-        "benchmark": name,
-        "environment": bench_environment(),
-        "execution": {"backend": backend},
-        **dict(payload),
-        "metrics": list(metrics),
-    }
-    Path(path).write_text(json.dumps(record, indent=2, sort_keys=False) + "\n", encoding="utf-8")

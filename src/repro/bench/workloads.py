@@ -47,7 +47,7 @@ def build_problem(
 
 
 def dataset_k_values(dataset: str) -> Tuple[int, ...]:
-    """Return the k grid the paper sweeps for ``dataset`` (scaled, see DESIGN.md)."""
+    """Return the k grid the paper sweeps for ``dataset`` (scaled with its graph)."""
     return dataset_spec(dataset).k_values
 
 

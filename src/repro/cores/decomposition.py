@@ -51,7 +51,7 @@ from repro.backends import (
     ExecutionBackend,
     get_backend,
 )
-from repro.errors import ParameterError
+from repro.errors import ParameterError, require_int
 from repro.graph.static import Graph, Vertex
 
 #: Core value assigned to anchored vertices — they can never be peeled.
@@ -293,8 +293,7 @@ def k_core(
     :class:`~repro.anchored.anchored_core.AnchoredCoreIndex` — run the
     snapshot-native cascade through their backend kernel instead.
     """
-    if k < 0:
-        raise ParameterError("k must be non-negative")
+    require_int("k", k, 0)
     return get_backend(backend, graph.num_vertices, workload=WORKLOAD_ONE_SHOT).k_core(
         graph, k
     )

@@ -20,9 +20,8 @@ CollegeMsg       temporal messaging       1,899       10.7          temporal str
 The stand-ins are scaled down (hundreds to a few thousand vertices) so the
 pure-Python harness finishes in minutes; vertex counts, average degrees,
 skewness and the snapshot-evolution procedure follow the table above
-proportionally.  The substitution is documented in ``DESIGN.md``; real SNAP
-files can be loaded with :mod:`repro.graph.io` and passed through the same
-experiment harness.
+proportionally.  Real SNAP files can be loaded with :mod:`repro.graph.io`
+and passed through the same experiment harness.
 """
 
 from __future__ import annotations
@@ -79,7 +78,7 @@ _SPECS: Dict[str, DatasetSpec] = {
         default_k=10,
         k_values=(5, 10, 15, 20),
     ),
-    # NOTE: k grids are scaled together with the graphs — see DESIGN.md.  The
+    # NOTE: k grids are scaled together with the graphs.  The
     # dense datasets keep the paper's high-k grid; the temporal stand-ins use a
     # grid that matches their (smaller) degeneracy.
     "gnutella": DatasetSpec(

@@ -9,7 +9,7 @@ from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 import networkx as nx
 import pytest
 
-from repro.anchored.followers import compute_followers, follower_gain
+from repro.anchored.followers import compute_followers, follower_gain, marginal_followers
 from repro.cores.decomposition import anchored_core_decomposition, core_numbers
 from repro.cores.maintenance import CoreMaintainer
 from repro.graph.generators import barabasi_albert_graph, chung_lu_graph, erdos_renyi_graph
@@ -33,7 +33,7 @@ def random_graph(seed: int, num_vertices: int = 40, num_edges: int = 80) -> Grap
 
 def reference_greedy(
     graph: Graph, k: int, budget: int, initial_anchors: Iterable[Vertex] = ()
-) -> Tuple[Tuple[Vertex, ...], FrozenSet[Vertex], int]:
+) -> Tuple[Tuple[Vertex, ...], FrozenSet[Vertex], int, int, int]:
     """Greedy (Algorithm 2) from definitions only: no ``AnchoredCoreIndex``.
 
     Each round scans every vertex whose exact anchored core number (a full
@@ -41,11 +41,28 @@ def reference_greedy(
     a strictly larger :func:`follower_gain`, and stops on zero gain.
     Theorem-3 pruning only skips vertices that gain nothing, so this
     selects what :class:`~repro.anchored.greedy.GreedyAnchoredKCore` must.
-    Returns ``(anchors, followers, anchored core size)``.
+
+    The paper's counters come from the same peel.  Each round evaluates
+    the Theorem-3 candidates: vertices below ``k`` with a ``(k-1)``-shell
+    neighbour later in the removal order.  Each one counts the length of
+    its :func:`marginal_followers` visit log, at least 1.  Returns
+    ``(anchors, followers, anchored core size, candidates evaluated,
+    vertices visited)``.
     """
     anchors: List[Vertex] = list(dict.fromkeys(initial_anchors))
+    evaluated = visited = 0
     while len(anchors) < budget:
-        core = anchored_core_decomposition(graph, anchors, backend="dict").core
+        decomposition = anchored_core_decomposition(graph, anchors, backend="dict")
+        core = decomposition.core
+        rank = {vertex: position for position, vertex in enumerate(decomposition.order)}
+        for u, value in core.items():
+            if value < k and any(
+                core[v] == k - 1 and rank[v] > rank[u] for v in graph.neighbors(u)
+            ):
+                visit_log: List[Vertex] = []
+                marginal_followers(graph, k, u, core, visit_log)
+                evaluated += 1
+                visited += max(len(visit_log), 1)
         best, best_gain = None, 0
         for vertex in sorted((v for v, value in core.items() if value < k), key=tie_break_key):
             gain = len(follower_gain(graph, k, anchors, vertex, backend="dict"))
@@ -57,7 +74,7 @@ def reference_greedy(
     followers = compute_followers(graph, k, anchors, backend="dict")
     core = anchored_core_decomposition(graph, anchors, backend="dict").core
     size = sum(1 for value in core.values() if value >= k)
-    return tuple(anchors), frozenset(followers), size
+    return tuple(anchors), frozenset(followers), size, evaluated, visited
 
 
 class ReferenceMaintenanceKernel:

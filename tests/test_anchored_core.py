@@ -97,30 +97,24 @@ class TestFollowerEvaluation:
 
 
 class TestMutation:
-    def test_add_anchor_updates_followers(self, toy_graph):
+    def test_commit_anchor_updates_followers(self, toy_graph):
         index = AnchoredCoreIndex(toy_graph, 3)
-        index.add_anchor(10)
+        index.commit_anchor(10)
         assert index.followers() == compute_followers(toy_graph, 3, {10})
-        index.add_anchor(17)
+        index.commit_anchor(17)
         assert index.followers() == compute_followers(toy_graph, 3, {10, 17})
 
-    def test_add_anchor_twice_is_idempotent(self, toy_graph):
+    def test_commit_anchor_twice_is_idempotent(self, toy_graph):
         index = AnchoredCoreIndex(toy_graph, 3)
-        index.add_anchor(10)
+        index.commit_anchor(10)
         followers = index.followers()
-        index.add_anchor(10)
+        assert index.commit_anchor(10) == frozenset()
         assert index.followers() == followers
 
     def test_add_unknown_anchor_raises(self, toy_graph):
         index = AnchoredCoreIndex(toy_graph, 3)
         with pytest.raises(VertexNotFoundError):
-            index.add_anchor(12345)
-
-    def test_set_anchors_replaces_the_set(self, toy_graph):
-        index = AnchoredCoreIndex(toy_graph, 3, anchors=[10, 17])
-        index.set_anchors([7, 10])
-        assert index.anchors == {7, 10}
-        assert index.followers() == {2, 3, 5, 6, 11}
+            index.commit_anchor(12345)
 
     def test_shell_view(self, toy_graph):
         index = AnchoredCoreIndex(toy_graph, 3)

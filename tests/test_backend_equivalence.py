@@ -39,6 +39,7 @@ from repro.cores.korder import KOrder
 from repro.cores.maintenance import CoreMaintainer
 from repro.engine import StreamingAVTEngine
 from repro.graph.dynamic import EdgeDelta
+from repro.graph.generators import chung_lu_graph
 from repro.graph.static import Graph
 from tests.conftest import reference_maintainer
 
@@ -209,6 +210,23 @@ def test_rcm_identical_across_backends(other, graph_and_k, budget):
     _assert_results_equal(
         RCMAnchoredKCore(graph, k, budget, backend="dict").select(),
         RCMAnchoredKCore(graph, k, budget, backend=other).select(),
+    )
+
+
+@pytest.mark.parametrize("other", OTHER_BACKENDS)
+def test_backends_identical_on_a_graph_large_enough_for_vectorised_waves(other):
+    """The graphs above have at most 12 vertices, so numpy's peel frontiers
+    stay under its scalar-drain cutoff and its vectorised waves never run
+    there; a 3k-vertex power-law graph runs them."""
+    graph = chung_lu_graph(3000, 9000, seed=42)
+    reference = core_decomposition(graph, backend="dict")
+    decomposition = core_decomposition(graph, backend=other)
+    assert dict(decomposition.core) == dict(reference.core)
+    assert decomposition.order == reference.order
+    assert k_core(graph, 4, backend=other) == k_core(graph, 4, backend="dict")
+    _assert_results_equal(
+        GreedyAnchoredKCore(graph, 4, 2, backend="dict").select(),
+        GreedyAnchoredKCore(graph, 4, 2, backend=other).select(),
     )
 
 

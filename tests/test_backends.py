@@ -12,6 +12,7 @@ from repro.backends import (
     BACKEND_NUMPY,
     WORKLOAD_AMORTIZED,
     WORKLOAD_ONE_SHOT,
+    CoreIndexKernel,
     available_backends,
     backend_availability,
     backend_info,
@@ -130,6 +131,22 @@ class TestRegistry:
         assert TracingBackend.index_builds == 1
         reference = GreedyAnchoredKCore(graph, 2, 1, backend="dict").select()
         assert result.anchors == reference.anchors
+
+    @pytest.mark.parametrize(
+        "method", ["commit_anchor", "marginal_followers_with_region", "removal_ranks"]
+    )
+    def test_custom_kernel_must_implement_the_incremental_surface(self, method):
+        """Greedy's gain cache needs exact touched sets and regions, so the
+        protocol has no fallback for them: a kernel missing one cannot be
+        built."""
+        namespace = {
+            name: lambda self, *args: None
+            for name in CoreIndexKernel.__abstractmethods__
+            if name != method
+        }
+        partial_kernel = type("PartialKernel", (CoreIndexKernel,), namespace)
+        with pytest.raises(TypeError, match=method):
+            partial_kernel()
 
 
 class TestAutoPolicy:

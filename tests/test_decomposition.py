@@ -94,6 +94,11 @@ class TestDecompositionResult:
         with pytest.raises(ParameterError):
             k_core(toy_graph, -1)
 
+    @pytest.mark.parametrize("k", [2.5, "3", True, None])
+    def test_k_core_rejects_non_integer_k(self, toy_graph, k):
+        with pytest.raises(ParameterError):
+            k_core(toy_graph, k)
+
     def test_degeneracy(self, toy_graph):
         assert degeneracy(toy_graph) == 3
         assert degeneracy(Graph()) == 0

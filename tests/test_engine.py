@@ -9,6 +9,8 @@ import pytest
 
 from repro.anchored.followers import compute_followers
 from repro.anchored.greedy import GreedyAnchoredKCore
+from repro.bench.experiments import resolve_profile
+from repro.bench.workloads import build_problem
 from repro.cores.decomposition import core_numbers
 from repro.engine import (
     CacheKey,
@@ -395,6 +397,30 @@ class TestEngineStats:
     def test_summary_mentions_hit_rate(self):
         stats = EngineStats(queries=2, cache_hits=1, cache_misses=1)
         assert "hit rate 50.0%" in stats.summary()
+
+    def test_replay_takes_every_path_and_hits_beat_cold_solves(self):
+        """The quick-profile gnutella replay at scale 0.15: one cold solve,
+        then per delta a warm refresh and a repeat served from the cache."""
+        profile = resolve_profile("quick")
+        problem = build_problem(
+            "gnutella",
+            budget=4,
+            num_snapshots=profile.num_snapshots,
+            scale=0.15,
+            seed=profile.seed,
+        )
+        evolving = problem.evolving_graph
+        engine = StreamingAVTEngine(evolving.base)
+        engine.query(problem.k, problem.budget)
+        for delta in evolving.deltas:
+            engine.ingest(delta)
+            engine.query(problem.k, problem.budget)
+            engine.query(problem.k, problem.budget)
+        stats = engine.stats
+        assert stats.cache_hits >= 1
+        assert stats.warm_solves >= 1
+        assert stats.cold_solves >= 1
+        assert stats.mean_latency("hit") < stats.mean_latency("cold")
 
 
 # ---------------------------------------------------------------------------

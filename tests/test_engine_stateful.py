@@ -143,7 +143,7 @@ class EngineMachine(RuleBasedStateMachine):
         answer = self.engine.query(k, budget, warm=False)
         # The reference builds no AnchoredCoreIndex, so it shares no code
         # with the capped build and commits the engine runs.
-        anchors, followers, size = reference_greedy(self.shadow, k, budget)
+        anchors, followers, size, _, _ = reference_greedy(self.shadow, k, budget)
         assert answer.anchors == anchors
         assert answer.followers == followers
         assert answer.anchored_core_size == size

@@ -62,6 +62,11 @@ class TestAnchoredKCore:
         with pytest.raises(ParameterError):
             anchored_k_core(toy_graph, -1)
 
+    @pytest.mark.parametrize("k", [2.5, "3", True, None])
+    def test_non_integer_k_raises(self, toy_graph, k):
+        with pytest.raises(ParameterError):
+            anchored_k_core(toy_graph, k, {4})
+
 
 class TestComputeFollowers:
     def test_example_3_followers(self, toy_graph):
@@ -98,6 +103,18 @@ class TestComputeFollowers:
     def test_precomputed_core_path_rejects_negative_k(self, toy_graph):
         with pytest.raises(ParameterError):
             compute_followers(toy_graph, -1, {7}, k_core_vertices=set(toy_graph.vertices()))
+
+    @pytest.mark.parametrize("k", [2.5, "3", True, None])
+    def test_both_paths_reject_non_integer_k(self, toy_graph, k):
+        plain = k_core(toy_graph, 3)
+        with pytest.raises(ParameterError):
+            compute_followers(toy_graph, k, {7})
+        with pytest.raises(ParameterError):
+            compute_followers(toy_graph, k, {7}, k_core_vertices=plain)
+        with pytest.raises(ParameterError):
+            follower_gain(toy_graph, k, [], 7)
+        with pytest.raises(ParameterError):
+            follower_gain(toy_graph, k, [], 7, k_core_vertices=plain)
 
 
 class TestMarginalFollowers:

@@ -328,7 +328,7 @@ def reference_update_anchor_set(
             if best is None or best_gain == 0:
                 break
             anchors.append(best)
-            index.add_anchor(best)
+            index.commit_anchor(best)
             stats.iterations += 1
         stats.candidates_evaluated += index.candidates_evaluated
         stats.visited_vertices += index.visited_vertices

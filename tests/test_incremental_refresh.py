@@ -13,10 +13,11 @@ Two referees keep the capped and incremental paths honest:
   vertex, and candidate sets and shell queries equal to those derived from
   the full peel; and the returned touched set must be exactly the
   core-number diff.
-* **Solver-level**: the memoized Greedy (``incremental=True``, the default)
-  must select bit-identical anchors and followers and report bit-identical
-  instrumentation (``candidates_evaluated``, ``visited_vertices``) as the
-  PR-4 full-recompute path (``incremental=False``), on seeded random graphs
+* **Solver-level**: the memoized Greedy must select bit-identical anchors
+  and followers and report bit-identical instrumentation
+  (``candidates_evaluated``, ``visited_vertices``) as the index-free
+  reference Greedy (``tests/conftest.py::reference_greedy``, which re-runs
+  every evaluation every round on a full dict peel), on random graphs
   across every backend — while actually recomputing fewer cascades.
 
 The same vertex-pool strategies as ``tests/test_backend_equivalence.py`` are
@@ -31,12 +32,13 @@ from hypothesis import strategies as st
 
 from repro.anchored.anchored_core import AnchoredCoreIndex
 from repro.anchored.greedy import GreedyAnchoredKCore
-from repro.backends import CoreIndexKernel, numpy_available
-from repro.backends.dict_backend import DictBackend, DictCoreIndexKernel
+from repro.backends import numpy_available
 from repro.cores.decomposition import ANCHOR_CORE, anchored_core_decomposition
 from repro.graph.generators import chung_lu_graph
 from repro.graph.static import Graph
 from repro.ordering import tie_break_key
+
+from tests.conftest import reference_greedy
 
 SETTINGS = settings(
     max_examples=50,
@@ -100,7 +102,6 @@ def _assert_capped_state(index: AnchoredCoreIndex, graph: Graph, anchors, k: int
         for v, value in full_core.items()
     }
     ranks = index.kernel.removal_ranks()
-    assert ranks is not None
     # The shell in full-peel order must rank strictly increasing.
     shell = [v for v in decomposition.order if full_core[v] == k - 1]
     shell_ranks = [ranks[v] for v in shell]
@@ -177,8 +178,7 @@ def test_commit_anchor_matches_full_refresh(backend, scenario):
         touched = incremental.commit_anchor(anchor)
         committed.append(anchor)
         _assert_capped_state(incremental, graph, committed, k)
-        # The touched set is the exact core-number diff (built-in kernels
-        # never fall back to the unknown-change None).
+        # The touched set is the exact core-number diff.
         after = dict(incremental.core_numbers())
         expected = {
             vertex for vertex, value in after.items() if before[vertex] != value
@@ -227,23 +227,17 @@ def test_shell_histogram_queries_match_core_numbers(backend, scenario):
 @SETTINGS
 @given(scenario=commit_scenarios(), budget=st.integers(min_value=0, max_value=4))
 def test_greedy_memoized_equals_full_recompute(backend, scenario, budget):
-    """Memoized Greedy == PR-4 Greedy: anchors, followers, stats.visited."""
-    graph, k, initial_anchors, = scenario
-    memoized = GreedyAnchoredKCore(
-        graph, k, budget, backend=backend, incremental=True
-    ).select()
-    full = GreedyAnchoredKCore(
-        graph, k, budget, backend=backend, incremental=False
-    ).select()
-    assert memoized.anchors == full.anchors
-    assert memoized.followers == full.followers
-    assert memoized.anchored_core_size == full.anchored_core_size
-    assert memoized.stats.candidates_evaluated == full.stats.candidates_evaluated
-    assert memoized.stats.visited_vertices == full.stats.visited_vertices
-    # The full path recomputes every evaluation; the memoized path never
-    # recomputes more than that.
-    assert full.stats.candidates_recomputed == full.stats.candidates_evaluated
-    assert full.stats.cache_hits == 0
+    """Memoized Greedy == the reference Greedy that re-runs every evaluation
+    every round: anchors, followers, size and both paper counters."""
+    graph, k, _ = scenario
+    memoized = GreedyAnchoredKCore(graph, k, budget, backend=backend).select()
+    anchors, followers, size, evaluated, visited = reference_greedy(graph, k, budget)
+    assert memoized.anchors == anchors
+    assert memoized.followers == followers
+    assert memoized.anchored_core_size == size
+    assert memoized.stats.candidates_evaluated == evaluated
+    assert memoized.stats.visited_vertices == visited
+    # Every evaluation is either a cascade or a cache hit.
     assert (
         memoized.stats.candidates_recomputed + memoized.stats.cache_hits
         == memoized.stats.candidates_evaluated
@@ -252,69 +246,16 @@ def test_greedy_memoized_equals_full_recompute(backend, scenario, budget):
 
 def test_memoization_avoids_cascades_on_a_real_instance():
     """On a non-trivial graph most evaluations come from the gain cache."""
-    graph = chung_lu_graph(1500, 4500, seed=11)
+    graph = chung_lu_graph(200, 600, seed=11)
     result = GreedyAnchoredKCore(graph, 4, 6, backend=SNAPSHOT_BACKEND).select()
     stats = result.stats
     assert stats.iterations > 1
-    assert stats.cache_hits > 0
-    assert stats.candidates_recomputed < stats.candidates_evaluated
+    assert stats.cache_hits > stats.candidates_recomputed
     assert len(stats.commit_seconds) == stats.iterations
-    # And the selection is still exactly the full-recompute selection.
-    baseline = GreedyAnchoredKCore(
-        graph, 4, 6, backend=SNAPSHOT_BACKEND, incremental=False
-    ).select()
-    assert result.anchors == baseline.anchors
-    assert result.followers == baseline.followers
-    assert result.stats.visited_vertices == baseline.stats.visited_vertices
-
-
-# ---------------------------------------------------------------------------
-# Custom-backend fallback: kernels that do not implement commit_anchor
-# ---------------------------------------------------------------------------
-class _FallbackKernel(DictCoreIndexKernel):
-    """A dict kernel with the incremental path hidden (protocol defaults)."""
-
-    def commit_anchor(self, vertex, anchors, k):
-        return CoreIndexKernel.commit_anchor(self, vertex, anchors, k)
-
-    def marginal_followers_with_region(self, k, candidate):
-        return CoreIndexKernel.marginal_followers_with_region(self, k, candidate)
-
-
-class _FallbackBackend(DictBackend):
-    name = "dict-fallback"
-
-    def build_core_index(self, graph):
-        return _FallbackKernel(graph)
-
-
-@SETTINGS
-@given(scenario=commit_scenarios(), budget=st.integers(min_value=0, max_value=3))
-def test_custom_backend_without_incremental_path_keeps_working(scenario, budget):
-    """The protocol defaults (full refresh, None touched/region) stay exact."""
-    graph, k, _ = scenario
-    fallback = GreedyAnchoredKCore(
-        graph, k, budget, backend=_FallbackBackend(), incremental=True
-    ).select()
-    reference = GreedyAnchoredKCore(
-        graph, k, budget, backend="dict", incremental=False
-    ).select()
-    assert fallback.anchors == reference.anchors
-    assert fallback.followers == reference.followers
-    assert fallback.stats.candidates_evaluated == reference.stats.candidates_evaluated
-    assert fallback.stats.visited_vertices == reference.stats.visited_vertices
-    # Nothing is cacheable without a region, so nothing may be served stale.
-    assert fallback.stats.cache_hits == 0
-
-
-@SETTINGS
-@given(scenario=commit_scenarios())
-def test_fallback_commit_returns_none_and_full_state(scenario):
-    graph, k, anchors = scenario
-    index = AnchoredCoreIndex(graph, k, backend=_FallbackBackend())
-    committed = []
-    for anchor in anchors:
-        touched = index.commit_anchor(anchor)
-        committed.append(anchor)
-        assert touched is None
-        _assert_capped_state(index, graph, committed, k)
+    # And the selection and counters are still exactly the reference's.
+    anchors, followers, size, evaluated, visited = reference_greedy(graph, 4, 6)
+    assert result.anchors == anchors
+    assert result.followers == followers
+    assert result.anchored_core_size == size
+    assert stats.candidates_evaluated == evaluated
+    assert stats.visited_vertices == visited

@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-import json
-
 from repro.bench.reporting import (
     format_followers_series,
     format_series,
     format_speedup_summary,
     format_table,
-    write_bench_json,
 )
 from repro.bench.runner import ExperimentTable
 
@@ -72,19 +69,3 @@ class TestFormatSeries:
         text = format_speedup_summary(table, baseline="OLAK")
         assert "[x]" not in text
 
-
-class TestWriteBenchJson:
-    def test_record_carries_execution_block(self, tmp_path):
-        path = tmp_path / "BENCH_test.json"
-        write_bench_json(path, "unit", {"value": 1}, backend="numpy")
-        record = json.loads(path.read_text(encoding="utf-8"))
-        assert record["benchmark"] == "unit"
-        assert record["value"] == 1
-        assert record["execution"] == {"backend": "numpy"}
-        assert "git_sha" in record["environment"]
-
-    def test_single_process_defaults(self, tmp_path):
-        path = tmp_path / "BENCH_default.json"
-        write_bench_json(path, "unit", {})
-        record = json.loads(path.read_text(encoding="utf-8"))
-        assert record["execution"] == {"backend": "auto"}

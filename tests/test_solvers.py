@@ -274,7 +274,6 @@ def small_graphs_with_anchors(draw):
     return Graph(edges=edges, vertices=vertices), anchors
 
 
-@pytest.mark.parametrize("incremental", [True, False])
 @pytest.mark.parametrize(
     "backend",
     [
@@ -291,14 +290,18 @@ def small_graphs_with_anchors(draw):
     k=st.integers(min_value=1, max_value=5),
     extra=st.integers(min_value=0, max_value=3),
 )
-def test_greedy_equals_the_index_free_reference(backend, incremental, scenario, k, extra):
-    """Greedy picks what the definitions-only reference Greedy picks."""
+def test_greedy_equals_the_index_free_reference(backend, scenario, k, extra):
+    """Greedy picks, and counts, what the definitions-only reference Greedy does."""
     graph, initial = scenario
     budget = len(initial) + extra
     result = GreedyAnchoredKCore(
-        graph, k, budget, initial_anchors=initial, incremental=incremental, backend=backend
+        graph, k, budget, initial_anchors=initial, backend=backend
     ).select()
-    anchors, followers, size = reference_greedy(graph, k, budget, initial)
+    anchors, followers, size, evaluated, visited = reference_greedy(
+        graph, k, budget, initial
+    )
     assert result.anchors == anchors
     assert result.followers == followers
     assert result.anchored_core_size == size
+    assert result.stats.candidates_evaluated == evaluated
+    assert result.stats.visited_vertices == visited
