@@ -1,9 +1,16 @@
-"""Setuptools shim with no package metadata of its own.
+"""Package metadata and the ``avt-bench`` console script.
 
-Nothing needs installing: the library, its tests, the benchmarks and the
+Installing is optional: the library, its tests, the benchmarks and the
 examples all run from the source tree with ``PYTHONPATH=src``.
+``pip install -e .`` adds the ``avt-bench`` command, the same as
+``python -m repro.cli``.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    entry_points={"console_scripts": ["avt-bench = repro.cli:main"]},
+)

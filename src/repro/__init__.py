@@ -42,8 +42,8 @@ The library is layered; each layer only depends on the ones above it::
     repro.graph     Graph (adjacency-set dict, hashable vertex ids)  ── public substrate
                     compact: VertexInterner · CompactGraph (CSR) ·
                     DynamicCompactAdjacency                          ── snapshot structures
-    repro.backends  ExecutionBackend protocol · registry · auto
-                    rule · dict / numpy kernels                      ── execution layer
+    repro.backends  ExecutionBackend protocol · get_backend and the
+                    auto rule · dict / numpy kernels                 ── execution layer
     repro.cores     core_decomposition · KOrder · CoreMaintainer     ── k-core machinery
     repro.anchored  followers · AnchoredCoreIndex ·
                     Greedy / OLAK / RCM / brute force                ── anchored k-core
@@ -53,9 +53,11 @@ The library is layered; each layer only depends on the ones above it::
 *Execution backends* — every hot solver kernel (peeling decomposition,
 k-core cascades, K-order ``deg+``, the follower cascades and candidate scans
 behind the anchored core index) is defined once as the
-:class:`~repro.backends.ExecutionBackend` protocol and implemented by the
-registered backends; public modules never branch on a backend name, they
-call through the object the registry resolves.  The two built-ins:
+:class:`~repro.backends.ExecutionBackend` protocol and implemented by two
+backends; public modules never branch on a backend name, they call through
+the object :func:`~repro.backends.get_backend` resolves.  Every
+``backend=`` argument takes ``"auto"``, ``"dict"``, ``"numpy"`` or an
+``ExecutionBackend`` instance, which is used as given:
 
 ================  =============================================  =========================================
 backend           implementation                                 ``auto`` picks it when
@@ -130,31 +132,13 @@ policy name, and restoring a checkpoint whose backend is unknown or
 unavailable in the restoring process falls back to ``"auto"`` with a
 warning.
 
-*Custom backends* — implement the protocol and register it::
-
-    from repro.backends import ExecutionBackend, register_backend
-
-    class MyBackend(ExecutionBackend):
-        name = "mine"
-        ...  # decompose / k_core / remaining_degrees / build_core_index
-
-    register_backend("mine", MyBackend)
-    GreedyAnchoredKCore(graph, k=3, budget=5, backend="mine")
-
-The kernel ``build_core_index`` returns implements every
-:class:`~repro.backends.CoreIndexKernel` method; ``commit_anchor`` and the
-region cascade have no fallback, since Greedy's gain cache needs their
-exact touched sets and regions.
-Custom backends run when named; ``auto`` only picks dict or numpy.  An
-``is_available`` probe (with an optional ``availability_reason`` companion
-explaining *why* — missing import vs. ``REPRO_DISABLE_NUMPY`` switch) lets
-optional-dependency backends like numpy step aside gracefully —
-``avt-bench backends`` prints the registry with availability and reasons.
-
 *Backend resolution* — ``StreamingAVTEngine(backend="auto")`` resolves its
 backend once, at construction; since ``auto`` does not depend on graph
 size, an engine that starts empty runs its cold solves on the same backend
 it would pick for the grown graph, and its maintainer never migrates.
+Without numpy, or with ``REPRO_DISABLE_NUMPY=1``, the numpy backend reports
+unavailable and says why; ``auto`` then runs everything on dict, and
+``avt-bench backends`` prints both backends with the reason.
 
 Observability
 -------------
@@ -274,12 +258,7 @@ from repro.backends import (
     BACKEND_NUMPY,
     BACKENDS,
     ExecutionBackend,
-    available_backends,
-    backend_availability,
-    backend_info,
     get_backend,
-    register_backend,
-    registered_backends,
     resolve_backend,
 )
 from repro.errors import CheckpointCorruptionError
@@ -319,12 +298,7 @@ __all__ = [
     "DynamicCompactAdjacency",
     "ExecutionBackend",
     "VertexInterner",
-    "available_backends",
-    "backend_availability",
-    "backend_info",
     "get_backend",
-    "register_backend",
-    "registered_backends",
     "resolve_backend",
     # datasets
     "DATASET_NAMES",

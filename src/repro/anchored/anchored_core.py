@@ -20,10 +20,10 @@ set and the instrumentation, and delegates every kernel — the capped build,
 the candidate scans, the follower cascades — to the
 :class:`~repro.backends.CoreIndexKernel` built by the resolved
 :class:`~repro.backends.ExecutionBackend` (``backend="auto"`` picks numpy
-when it is available and dict otherwise; see :mod:`repro.backends.registry`).
+when it is available and dict otherwise; see :mod:`repro.backends`).
 Snapshot-based kernels build their snapshot once for the index's lifetime —
 valid because the solvers never mutate the graph during a selection run —
-and results are identical across all registered backends.
+and results are identical on both backends.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from repro.obs import tracer
 class AnchoredCoreIndex:
     """Mutable index of a graph, a degree constraint ``k`` and a growing anchor set.
 
-    ``backend`` selects the execution layer (a registered name, ``"auto"``,
-    or an :class:`~repro.backends.ExecutionBackend` instance — see
+    ``backend`` selects the execution layer (``"auto"``, ``"dict"``,
+    ``"numpy"``, or an :class:`~repro.backends.ExecutionBackend` instance — see
     :mod:`repro.backends`).  The graph must not be mutated while the index is
     alive (the solvers never do).
 
@@ -70,7 +70,7 @@ class AnchoredCoreIndex:
         for anchor in self._anchors:
             if not graph.has_vertex(anchor):
                 raise VertexNotFoundError(anchor)
-        self._backend = get_backend(backend, graph.num_vertices)
+        self._backend = get_backend(backend)
         self._kernel = self._backend.build_core_index(graph)
         self._plain_k_core: Optional[Set[Vertex]] = None
         # Instrumentation shared with the solver wrappers.

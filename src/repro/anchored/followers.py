@@ -70,13 +70,11 @@ def anchored_k_core(
     plain k-core.  Runs a single O(n + m) deletion cascade; the workload-aware
     ``"auto"`` policy resolves one-shot cascades to the dict backend at any
     size because a lone pass cannot amortise building a snapshot (see
-    :mod:`repro.backends.registry`).
+    :mod:`repro.backends`).
     """
     anchor_set = set(anchors)
     _check_query(graph, k, anchor_set)
-    return get_backend(backend, graph.num_vertices, workload=WORKLOAD_ONE_SHOT).k_core(
-        graph, k, anchor_set
-    )
+    return get_backend(backend, workload=WORKLOAD_ONE_SHOT).k_core(graph, k, anchor_set)
 
 
 def _check_query(graph: Graph, k: int, anchor_set: Set[Vertex]) -> None:

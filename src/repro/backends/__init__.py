@@ -1,11 +1,10 @@
-"""Pluggable execution backends for every hot kernel in the library.
+"""The two execution backends for every hot kernel, and how one is picked.
 
 The public API of the library speaks hashable vertex ids over the
 adjacency-set :class:`~repro.graph.static.Graph`.  *How* the hot kernels run
 — peeling decomposition, k-core cascades, K-order remaining degrees, and the
 follower cascades and candidate scans of the anchored core index — is
-delegated to an :class:`~repro.backends.base.ExecutionBackend` looked up in a
-registry:
+delegated to an :class:`~repro.backends.base.ExecutionBackend`:
 
 ``dict``
     The reference implementation straight over the adjacency-set graph.
@@ -21,24 +20,34 @@ registry:
     without numpy and this backend simply reports unavailable.
 
 Both produce identical core numbers, identical removal orders and identical
-instrumentation counts (``tests/test_backend_equivalence.py``).
-``backend="auto"`` — the default everywhere — picks dict for one-shot work
-or without numpy, and numpy for amortised work at any graph size
-(:mod:`repro.backends.registry`).  Custom backends plug in through
-:func:`register_backend` and are used when named.  Incremental core
-maintenance does not go through a backend: :mod:`repro.cores.maintenance`
+instrumentation counts (``tests/test_backend_equivalence.py``).  Incremental
+core maintenance does not go through a backend: :mod:`repro.cores.maintenance`
 runs one integer-id kernel everywhere.
 
-The built-ins are registered here with lazy factories so that importing
-:mod:`repro.backends` stays dependency-free and cycle-free: implementation
-modules (which import the graph/cores/anchored layers) only load on first
-use.
+Selection
+---------
+Every ``backend=`` argument in the library takes one of :data:`BACKENDS`
+(``"auto"``, ``"dict"``, ``"numpy"``) or an :class:`ExecutionBackend`
+instance, which is used as given.  :func:`get_backend` turns the value into
+a backend object.  It imports a backend's module the first time that backend
+is asked for, so importing this package never imports numpy or the layers
+the implementations build on.
+
+``"auto"`` resolves to dict for one-shot work (``workload="one-shot"``: a
+single O(n + m) pass such as :func:`repro.cores.decomposition.k_core`, which
+can never amortise building an interned snapshot) and whenever numpy is
+unavailable.  For amortised work at any graph size it resolves to numpy:
+numpy wins Greedy from about 1,000 vertices, and below that it loses well
+under a millisecond per solve.  Asking for ``"numpy"`` while it is
+unavailable raises :class:`~repro.errors.ParameterError` naming the reason,
+and so does any value that is neither a name in :data:`BACKENDS` nor an
+instance.
 """
 
 from __future__ import annotations
 
 import importlib.util
-from typing import Optional
+from typing import Dict, Optional, Union
 
 from repro.backends.base import (
     BACKEND_AUTO,
@@ -50,15 +59,7 @@ from repro.backends.base import (
     CoreIndexKernel,
     ExecutionBackend,
 )
-from repro.backends.registry import (
-    available_backends,
-    backend_availability,
-    backend_info,
-    get_backend,
-    register_backend,
-    registered_backends,
-    resolve_backend,
-)
+from repro.errors import ParameterError
 from repro.obs.tracer import env_flag
 
 __all__ = [
@@ -70,16 +71,17 @@ __all__ = [
     "WORKLOAD_ONE_SHOT",
     "CoreIndexKernel",
     "ExecutionBackend",
-    "available_backends",
-    "backend_availability",
-    "backend_info",
     "get_backend",
     "numpy_available",
     "numpy_unavailable_reason",
-    "register_backend",
-    "registered_backends",
     "resolve_backend",
 ]
+
+_WORKLOADS = (WORKLOAD_ONE_SHOT, WORKLOAD_AMORTIZED)
+
+#: One shared instance per backend name, built on first use (backends keep
+#: all state in the kernel handles they build).
+_INSTANCES: Dict[str, ExecutionBackend] = {}
 
 
 def numpy_unavailable_reason() -> Optional[str]:
@@ -107,22 +109,67 @@ def numpy_available() -> bool:
     return numpy_unavailable_reason() is None
 
 
-def _make_dict_backend() -> ExecutionBackend:
-    from repro.backends.dict_backend import DictBackend
+def resolve_backend(
+    backend: Union[str, ExecutionBackend],
+    num_vertices: int = 0,
+    *,
+    workload: str = WORKLOAD_AMORTIZED,
+) -> str:
+    """The backend name a ``backend=`` value runs on.
 
-    return DictBackend()
+    An instance gives its own name and ``"dict"``/``"numpy"`` pass through;
+    ``"auto"`` follows the rule in the module docstring.  ``num_vertices``
+    is unused (the rule does not read graph size); it stays only for
+    callers that still pass it positionally.
+    """
+    if isinstance(backend, ExecutionBackend):
+        return backend.name
+    if not isinstance(backend, str) or backend not in BACKENDS:
+        raise ParameterError(
+            f"unknown backend {backend!r}; expected one of {sorted(BACKENDS)} "
+            "or an ExecutionBackend instance"
+        )
+    if workload not in _WORKLOADS:
+        raise ParameterError(
+            f"unknown workload {workload!r}; expected one of {sorted(_WORKLOADS)}"
+        )
+    if backend != BACKEND_AUTO:
+        return backend
+    if workload == WORKLOAD_ONE_SHOT or not numpy_available():
+        return BACKEND_DICT
+    return BACKEND_NUMPY
 
 
-def _make_numpy_backend() -> ExecutionBackend:
-    from repro.backends.numpy_backend import NumpyBackend
+def get_backend(
+    backend: Union[str, ExecutionBackend],
+    num_vertices: int = 0,
+    *,
+    workload: str = WORKLOAD_AMORTIZED,
+) -> ExecutionBackend:
+    """The :class:`ExecutionBackend` for a ``backend=`` value.
 
-    return NumpyBackend()
-
-
-register_backend(BACKEND_DICT, _make_dict_backend)
-register_backend(
-    BACKEND_NUMPY,
-    _make_numpy_backend,
-    is_available=numpy_available,
-    availability_reason=numpy_unavailable_reason,
-)
+    An instance is returned as is, so a resolved backend can be passed on
+    through ``backend=`` without a second resolution.  A name resolves as in
+    :func:`resolve_backend` (``num_vertices`` is unused there too) to one
+    process-wide instance.
+    """
+    if isinstance(backend, ExecutionBackend):
+        return backend
+    name = resolve_backend(backend, workload=workload)
+    if name == BACKEND_NUMPY:
+        # Checked on every call, not only when the instance is built: the
+        # REPRO_DISABLE_NUMPY switch can be set after it was cached, and
+        # asking for numpy by name must then fail loudly.
+        reason = numpy_unavailable_reason()
+        if reason is not None:
+            raise ParameterError(
+                f"backend 'numpy' is unavailable ({reason}); use 'dict' or 'auto'"
+            )
+    instance = _INSTANCES.get(name)
+    if instance is None:
+        if name == BACKEND_NUMPY:
+            from repro.backends.numpy_backend import NumpyBackend as backend_class
+        else:
+            from repro.backends.dict_backend import DictBackend as backend_class
+        instance = _INSTANCES[name] = backend_class()
+    return instance

@@ -7,11 +7,11 @@ scans and follower cascades behind
 against the abstract surface defined here.  Incremental core maintenance is
 not: :class:`repro.cores.maintenance.CoreMaintainer` runs one integer-id
 kernel of its own on every backend.  Public modules never branch on a
-backend name; they obtain an :class:`ExecutionBackend` from the registry
-(:mod:`repro.backends.registry`) and call through it.  Adding a new
-backend is therefore additive: implement this surface, call
-:func:`repro.backends.register_backend`, and every solver, tracker and the
-streaming engine can run on it via ``backend="<name>"``.
+backend name; they obtain an :class:`ExecutionBackend` from
+:func:`repro.backends.get_backend` and call through it.  There are two,
+``dict`` and ``numpy``; any object implementing this surface can also be
+passed as ``backend=`` wherever a name can (tests substitute fakes this
+way).
 
 The surface splits into one-shot kernels (methods directly on the backend)
 and one long-lived kernel handle that amortises a per-graph setup cost:
@@ -81,11 +81,6 @@ from typing import (
     Tuple,
 )
 
-# LAYERING GUARD: this module (and registry.py / the package __init__) must
-# never import repro.graph or repro.cores at runtime — only under
-# TYPE_CHECKING or inside the lazy backend factories.  repro.graph.compact
-# re-imports the backend constants from here for backwards compatibility, so
-# a non-lazy downward import would close an import cycle at package load.
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cores.decomposition import CoreDecomposition
     from repro.graph.static import Graph, Vertex
@@ -93,7 +88,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 # ---------------------------------------------------------------------------
 # Backend names
 # ---------------------------------------------------------------------------
-#: Resolution policy: pick a registered backend by workload and availability.
+#: Resolution policy: pick dict or numpy by workload and availability.
 BACKEND_AUTO = "auto"
 #: The adjacency-set ``dict`` implementation (hashable vertices, no setup).
 BACKEND_DICT = "dict"
@@ -101,7 +96,7 @@ BACKEND_DICT = "dict"
 #: id-list cascades (optional dependency).
 BACKEND_NUMPY = "numpy"
 
-#: Every built-in ``backend=`` value (third-party backends register more).
+#: Every backend name a ``backend=`` argument accepts.
 BACKENDS = (BACKEND_AUTO, BACKEND_DICT, BACKEND_NUMPY)
 
 # ---------------------------------------------------------------------------
@@ -229,10 +224,11 @@ class ExecutionBackend(ABC):
     """One execution layer for every hot kernel in the library.
 
     Implementations are stateless (all state lives in the kernel handles they
-    build), so a single instance is shared process-wide by the registry.
+    build), so :func:`repro.backends.get_backend` shares one instance of each
+    process-wide.
     """
 
-    #: Registry name; also what ``resolved_backend.name``-style introspection
+    #: Backend name; also what ``resolved_backend.name``-style introspection
     #: (e.g. ``AnchoredCoreIndex.backend``) reports.
     name: str = "abstract"
 

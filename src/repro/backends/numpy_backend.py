@@ -33,9 +33,9 @@ for its work:
   overhead would dwarf the work.  For the same reason incremental core
   maintenance has no numpy kernel at all (:mod:`repro.cores.maintenance`).
 
-Import of numpy is gated: this module is only loaded by the registry's lazy
-factory once ``repro.backends.numpy_available()`` reports true, so the rest
-of the library works on a numpy-free interpreter.
+Import of numpy is gated: :func:`repro.backends.get_backend` loads this
+module only once ``repro.backends.numpy_available()`` reports true, so the
+rest of the library works on a numpy-free interpreter.
 """
 
 from __future__ import annotations
@@ -534,7 +534,7 @@ class NumpyBackend(ExecutionBackend):
     name = BACKEND_NUMPY
 
     def __init__(self) -> None:
-        if np is None:  # pragma: no cover - registry filters first
+        if np is None:  # pragma: no cover - get_backend checks first
             raise ImportError(
                 "the numpy execution backend requires numpy; "
                 "install it or pick backend='dict'"

@@ -8,7 +8,7 @@ Installed as the ``avt-bench`` console script::
     avt-bench table4 --csv out.csv        # also dump the raw rows as CSV
     avt-bench summary --dataset gnutella  # one-problem comparison of all trackers
     avt-bench serve-sim --dataset gnutella  # online engine simulation
-    avt-bench backends                    # registered execution backends
+    avt-bench backends                    # the two execution backends
     avt-bench trace critical-path t.jsonl # analyze a --trace-out span file
     avt-bench trace flame t.jsonl --out collapsed.txt   # flamegraph input
     avt-bench trace tree a.jsonl --diff b.jsonl         # latency delta by span
@@ -78,8 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--backend",
         default="auto",
         help=(
-            "execution backend for the engine: 'auto' or any registered "
-            "name (see 'avt-bench backends')"
+            "execution backend for the engine: 'auto', 'dict' or 'numpy' "
+            "(see 'avt-bench backends')"
         ),
     )
     serve.add_argument(
@@ -131,18 +131,14 @@ def _run_summary(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_cli_backend(args: argparse.Namespace) -> str:
-    """Validate the serve-sim ``--backend`` flag and return it as a policy."""
-    from repro.backends import registered_backends
+def _check_output_dirs(args: argparse.Namespace, flags: Sequence[str]) -> None:
+    """Reject an output path whose directory does not exist, before any work."""
     from repro.errors import ParameterError
 
-    backend = args.backend
-    if backend != "auto" and backend not in registered_backends():
-        raise ParameterError(
-            f"unknown backend {backend!r}; "
-            f"expected 'auto' or one of {sorted(registered_backends())}"
-        )
-    return backend
+    for flag in flags:
+        path = getattr(args, flag[2:].replace("-", "_"))
+        if path is not None and not path.parent.is_dir():
+            raise ParameterError(f"{flag} {path}: directory {path.parent} does not exist")
 
 
 def _run_serve_sim(args: argparse.Namespace) -> int:
@@ -153,8 +149,10 @@ def _run_serve_sim(args: argparse.Namespace) -> int:
     writes the engine's metrics-registry snapshot (plus the process-wide
     registry) after the replay, as Prometheus text or JSON by extension.
     """
+    from repro.backends import get_backend
     from repro.obs import JsonLinesSpanSink, global_registry, tracer, write_metrics
 
+    get_backend(args.backend)  # reject a bad --backend before loading the dataset
     sink = None
     previous_enabled = None
     if args.trace_out is not None:
@@ -199,7 +197,7 @@ def _serve_sim_replay(args: argparse.Namespace, drain_spans: bool = False):
         cache_capacity=args.cache_capacity,
         batch_size=args.batch_size,
         warm_queries=not args.cold,
-        backend=_resolve_cli_backend(args),
+        backend=args.backend,
     )
     queries_per_step = max(1, args.queries_per_step)
     print(
@@ -263,16 +261,17 @@ def _run_datasets() -> int:
 
 
 def _run_backends() -> int:
-    """Print every registered execution backend with its availability."""
-    from repro.backends import backend_info
+    """Print both execution backends with their availability."""
+    from repro.backends import BACKEND_DICT, BACKEND_NUMPY, numpy_unavailable_reason
 
+    numpy_reason = numpy_unavailable_reason()
     rows = [
+        {"backend": BACKEND_DICT, "available": "yes", "reason": "-"},
         {
-            "backend": info["name"],
-            "available": "yes" if info["available"] else "no",
-            "reason": info["reason"] or "-",
-        }
-        for info in backend_info()
+            "backend": BACKEND_NUMPY,
+            "available": "no" if numpy_reason else "yes",
+            "reason": numpy_reason or "-",
+        },
     ]
     print(format_table(rows))
     print()
@@ -380,6 +379,7 @@ def _run_trace(argv: Sequence[str]) -> int:
         help="flame: write the collapsed stacks to this file instead of stdout",
     )
     args = parser.parse_args(argv)
+    _check_output_dirs(args, ["--out"])
 
     if args.diff is not None:
         return _print_trace_diff(args)
@@ -458,13 +458,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"  {name:<22} {doc}")
         print("  summary                Compare all trackers on one dataset (see --dataset).")
         print("  datasets               Show the bundled dataset stand-ins.")
-        print("  backends               Show the registered execution backends.")
+        print("  backends               Show the execution backends and their availability.")
         print("  serve-sim              Replay a dataset through the online streaming engine.")
         print("  trace                  Analyze a --trace-out span file (tree, critical-path,")
         print("                         flame; --diff compares two traces).")
         return 0
 
     try:
+        _check_output_dirs(args, ["--csv", "--checkpoint", "--trace-out", "--metrics-out"])
         if args.experiment == "summary":
             return _run_summary(args)
         if args.experiment == "datasets":

@@ -13,10 +13,10 @@ process in which a designated anchor set is never removed (anchored vertices
 Section 2.1).  Anchored vertices receive the core value
 :data:`ANCHOR_CORE` (infinity).
 
-Execution is dispatched through the :mod:`repro.backends` registry: every
-function here accepts ``backend=`` (a registered name, ``"auto"``, or an
-:class:`~repro.backends.ExecutionBackend` instance) and calls the resolved
-backend's kernel.  All registered backends produce *identical* core numbers
+Execution is dispatched through :func:`repro.backends.get_backend`: every
+function here accepts ``backend=`` (``"auto"``, ``"dict"``, ``"numpy"``, or
+an :class:`~repro.backends.ExecutionBackend` instance) and calls the
+resolved backend's kernel.  Both backends produce *identical* core numbers
 **and** identical removal orders — the numpy backend's snapshot interns
 vertices in tie-break order so the integer id doubles as the deterministic
 tie-break rank.  This module also hosts the id-list cascades the numpy
@@ -131,16 +131,14 @@ def anchored_core_decomposition(
     Anchored vertices still contribute to their neighbours' degrees throughout
     the peeling, which is exactly the anchored k-core semantics of
     Definition 4: the anchored k-core for any ``k`` is
-    ``{v : core(v) >= k}`` with anchors mapped to infinity.  Every registered
-    backend produces the same mapping and the same removal order.
+    ``{v : core(v) >= k}`` with anchors mapped to infinity.  Both backends
+    produce the same mapping and the same removal order.
     """
     anchor_set = frozenset(anchors)
     for anchor in anchor_set:
         if not graph.has_vertex(anchor):
             raise ParameterError(f"anchor {anchor!r} is not a vertex of the graph")
-    return get_backend(
-        backend, graph.num_vertices, workload=WORKLOAD_AMORTIZED
-    ).decompose(graph, anchor_set)
+    return get_backend(backend, workload=WORKLOAD_AMORTIZED).decompose(graph, anchor_set)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +284,7 @@ def k_core(
 
     Implemented as a direct peeling cascade, which is faster than a full
     decomposition when only a single ``k`` is needed.  The default
-    ``"auto"`` policy is workload-aware (see :mod:`repro.backends.registry`):
+    ``"auto"`` policy is workload-aware (see :mod:`repro.backends`):
     a one-shot cascade cannot amortise building a snapshot, so ``auto``
     resolves to the dict backend at any size.  Consumers that hold a
     reusable snapshot — e.g.
@@ -294,9 +292,7 @@ def k_core(
     snapshot-native cascade through their backend kernel instead.
     """
     require_int("k", k, 0)
-    return get_backend(backend, graph.num_vertices, workload=WORKLOAD_ONE_SHOT).k_core(
-        graph, k
-    )
+    return get_backend(backend, workload=WORKLOAD_ONE_SHOT).k_core(graph, k)
 
 
 def k_shell(

@@ -24,13 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Set, Union
 
-from repro.backends import (
-    BACKEND_AUTO,
-    BACKEND_DICT,
-    WORKLOAD_ONE_SHOT,
-    ExecutionBackend,
-    get_backend,
-)
+from repro.backends import BACKEND_AUTO, BACKEND_DICT, ExecutionBackend, get_backend
 from repro.cores.decomposition import ANCHOR_CORE, CoreDecomposition, core_decomposition
 from repro.errors import InvariantViolationError, VertexNotFoundError
 from repro.graph.static import Graph, Vertex
@@ -53,7 +47,7 @@ class KOrder:
         decomposition: Optional[CoreDecomposition] = None,
         backend: Union[str, ExecutionBackend] = BACKEND_AUTO,
     ) -> None:
-        backend_obj = get_backend(backend, graph.num_vertices)
+        backend_obj = get_backend(backend)
         self._backend = backend_obj.name
         deg_plus: Optional[Dict[Vertex, int]] = None
         if decomposition is None:
@@ -70,12 +64,9 @@ class KOrder:
         if deg_plus is None:
             # A caller-supplied decomposition leaves nothing to amortise a
             # snapshot build against, so the lone deg+ pass always runs on
-            # the dict kernel (as it did before the registry existed) — a
-            # snapshot-based backend would build an O(n + m) structure to
-            # feed one O(n + m) pass.
-            deg_plus = get_backend(
-                BACKEND_DICT, graph.num_vertices, workload=WORKLOAD_ONE_SHOT
-            ).remaining_degrees(graph, self._rank)
+            # the dict kernel — a snapshot-based backend would build an
+            # O(n + m) structure to feed one O(n + m) pass.
+            deg_plus = get_backend(BACKEND_DICT).remaining_degrees(graph, self._rank)
         self._deg_plus = deg_plus
 
     # ------------------------------------------------------------------

@@ -4,8 +4,10 @@ The max core degree ``mcd(u)`` is the number of neighbours of ``u`` whose core
 number is at least ``core(u)``.  It upper-bounds how much support ``u`` has for
 staying in its current core: ``mcd(u) >= core(u)`` always holds, and after an
 edge deletion a vertex whose ``mcd`` drops below its core number must have its
-core number decreased (Lemma 4).  The incremental maintenance layer uses these
-helpers for both the deletion cascade and the insertion candidate search.
+core number decreased (Lemma 4).  These are the paper-facing definitions over
+the hashable graph; the incremental maintenance kernel
+(:mod:`repro.cores.maintenance`) does not call them, and keeps its own
+support counts over integer ids.
 """
 
 from __future__ import annotations

@@ -46,12 +46,7 @@ from repro.cores.maintenance import CoreMaintainer, DeltaEffect
 from repro.engine.cache import CacheKey, ResultCache
 from repro.engine.ingest import IngestBuffer
 from repro.engine.stats import EngineStats
-from repro.backends import (
-    BACKEND_AUTO,
-    ExecutionBackend,
-    get_backend,
-    registered_backends,
-)
+from repro.backends import BACKEND_AUTO, BACKENDS, ExecutionBackend, get_backend
 from repro.errors import CheckpointError, ParameterError, require_int
 from repro.graph.dynamic import EdgeDelta
 from repro.graph.static import Graph, Vertex
@@ -103,9 +98,9 @@ class StreamingAVTEngine:
         Trusted precomputed core numbers for ``graph`` (checkpoint restore);
         omit to compute them fresh.
     backend:
-        Execution backend (a registered name — ``"auto"`` / ``"dict"`` /
-        ``"numpy"`` — or an :class:`~repro.backends.ExecutionBackend`
-        instance, see :mod:`repro.backends`) for the cold solvers, resolved
+        Execution backend (``"auto"``, ``"dict"``, ``"numpy"``, or an
+        :class:`~repro.backends.ExecutionBackend` instance, see
+        :mod:`repro.backends`) for the cold solvers, resolved
         once at construction (``"auto"`` is numpy whenever numpy is
         available, at any graph size).  Core maintenance does not depend on
         it: :class:`~repro.cores.maintenance.CoreMaintainer` runs one
@@ -135,7 +130,7 @@ class StreamingAVTEngine:
         # The requested policy is kept for checkpoints; ``_backend`` is the
         # resolved object.
         self._backend_policy = backend
-        self._backend = get_backend(backend, initial_graph.num_vertices)
+        self._backend = get_backend(backend)
         self._maintainer = CoreMaintainer(initial_graph, copy_graph=copy_graph, core=core)
         self._buffer = IngestBuffer(self._maintainer.graph)
         self._cache = ResultCache(cache_capacity)
@@ -421,13 +416,12 @@ class StreamingAVTEngine:
             if isinstance(self._backend_policy, str)
             else self._backend_policy.name
         )
-        if backend_name != BACKEND_AUTO and backend_name not in registered_backends():
+        if backend_name not in BACKENDS:
             # Fail at checkpoint time, not restore time: a state naming a
-            # backend the registry does not know can never be restored.
+            # backend outside the built-in set can never be restored.
             raise CheckpointError(
-                f"engine uses unregistered backend {backend_name!r}; "
-                "register_backend() it before checkpointing so a restored "
-                "engine can resolve it"
+                f"engine uses backend {backend_name!r}; only {sorted(BACKENDS)} "
+                "can be checkpointed and restored"
             )
         graph = self._maintainer.graph
         return {
@@ -460,18 +454,23 @@ class StreamingAVTEngine:
         }
 
     @staticmethod
-    def _restorable_backend(policy: Any, num_vertices: int) -> Any:
+    def _restorable_backend(policy: Any) -> Any:
         """Resolve a checkpoint's backend policy in the restoring process.
 
         Returns the policy itself when it resolves, or ``"auto"`` with a
         warning when the persisted backend is unknown or unavailable here —
         restoring on weaker hardware/installs must not brick a checkpoint
-        whose state is backend-independent anyway.
+        whose state is backend-independent anyway.  A policy that is not a
+        name at all is a malformed state.
         """
+        if not isinstance(policy, (str, ExecutionBackend)):
+            raise CheckpointError(
+                f"malformed engine state: backend must be a name, not {policy!r}"
+            )
         if not isinstance(policy, str) or policy == BACKEND_AUTO:
             return policy
         try:
-            get_backend(policy, num_vertices)
+            get_backend(policy)
         except ParameterError as error:
             logger.warning(
                 "checkpoint backend %r is not available in this process "
@@ -508,7 +507,7 @@ class StreamingAVTEngine:
                 backend_policy = overrides.pop("backend")
             else:
                 backend_policy = cls._restorable_backend(
-                    state.get("backend", BACKEND_AUTO), len(state["vertices"])
+                    state.get("backend", BACKEND_AUTO)
                 )
             engine = cls(
                 graph,

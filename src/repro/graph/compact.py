@@ -3,10 +3,10 @@
 The public API of the library works with arbitrary hashable vertex
 identifiers held in an adjacency-set ``dict`` (:class:`~repro.graph.static.Graph`).
 That representation is ideal for mutation and for small graphs, but every hot
-kernel — peeling decomposition, the K-order index, the shell-local follower
-cascade, incremental core maintenance — pays hashing and pointer-chasing
-costs on every vertex touch.  This module provides the dense structures the
-numpy snapshot backend runs those kernels on instead:
+kernel pays hashing and pointer-chasing costs on every vertex touch.  This
+module provides the dense structures that the numpy snapshot backend runs
+its peels, k-core cascades, K-order ``deg+`` pass and anchored-core-index
+kernels on, and that incremental core maintenance mirrors the graph into:
 
 * :class:`VertexInterner` maps hashable vertex ids to dense ``0..n-1``
   integers (and back).  Interning is append-only: an id, once assigned, is
@@ -24,29 +24,13 @@ numpy snapshot backend runs those kernels on instead:
   into on every backend, so the insertion/deletion traversals run over ints
   while the graph evolves.
 
-Backend selection
------------------
-Selection does not live here: :mod:`repro.backends` owns the
-:class:`~repro.backends.ExecutionBackend` protocol, the registry and the
-``"auto"`` rule (see :mod:`repro.backends.registry`).  The historical names
-(:data:`BACKEND_AUTO`, :data:`BACKEND_DICT`, :data:`BACKEND_NUMPY`,
-:data:`BACKENDS`, :func:`resolve_backend`) are re-exported for backwards
-compatibility.
+Backend names and their selection live in :mod:`repro.backends`.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional
 
-# Backwards-compatible re-exports: the constants and the resolution policy
-# moved to repro.backends (PR 3); existing imports keep working.
-from repro.backends import (  # noqa: F401
-    BACKEND_AUTO,
-    BACKEND_DICT,
-    BACKEND_NUMPY,
-    BACKENDS,
-    resolve_backend,
-)
 from repro.errors import VertexNotFoundError
 from repro.graph.static import Graph, Vertex
 from repro.ordering import tie_break_key

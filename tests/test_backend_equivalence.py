@@ -1,4 +1,4 @@
-"""Property tests: all registered execution backends are observationally identical.
+"""Property tests: the two execution backends are observationally identical.
 
 The numpy backend (:mod:`repro.backends`) re-implements every hot kernel —
 peeling decomposition, k-core cascades, the K-order remaining degrees,
@@ -102,7 +102,7 @@ def graphs_with_k(draw):
 
 
 def _backend_name(backend) -> str:
-    """The registry name of a ``backend=`` parameter (string or instance)."""
+    """The backend name of a ``backend=`` parameter (string or instance)."""
     return backend if isinstance(backend, str) else backend.name
 
 

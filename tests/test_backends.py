@@ -1,4 +1,4 @@
-"""Unit tests for the execution-backend protocol, registry and auto policy."""
+"""Unit tests for the execution-backend protocol, backend lookup and the auto policy."""
 
 from __future__ import annotations
 
@@ -13,16 +13,11 @@ from repro.backends import (
     WORKLOAD_AMORTIZED,
     WORKLOAD_ONE_SHOT,
     CoreIndexKernel,
-    available_backends,
-    backend_availability,
-    backend_info,
     get_backend,
     numpy_available,
-    register_backend,
-    registered_backends,
+    numpy_unavailable_reason,
     resolve_backend,
 )
-from repro.backends import registry as backend_registry
 from repro.backends.dict_backend import DictBackend, dict_anchored_peel, dict_k_core
 from repro.engine import StreamingAVTEngine
 from repro.errors import ParameterError
@@ -39,32 +34,9 @@ def _expected_auto_winner() -> str:
     return BACKEND_DICT
 
 
-@pytest.fixture
-def scratch_registry():
-    """Let a test register throwaway backends without leaking them."""
-    before = dict(backend_registry._REGISTRY)
-    instances = dict(backend_registry._INSTANCES)
-    yield
-    backend_registry._REGISTRY.clear()
-    backend_registry._REGISTRY.update(before)
-    backend_registry._INSTANCES.clear()
-    backend_registry._INSTANCES.update(instances)
-
-
 class TestRegistry:
-    def test_builtins_are_registered(self):
-        assert registered_backends() == (BACKEND_DICT, BACKEND_NUMPY)
-
-    def test_available_backends_reflects_numpy_gate(self):
-        names = available_backends()
-        assert BACKEND_DICT in names
-        assert (BACKEND_NUMPY in names) == numpy_available()
-
-    def test_backend_info_rows(self):
-        rows = {row["name"]: row for row in backend_info()}
-        assert set(rows[BACKEND_DICT]) == {"name", "available", "reason"}
-        assert rows[BACKEND_DICT]["available"]
-        assert list(rows) == list(registered_backends())
+    """``get_backend``: the closed name set, shared instances, and instances
+    passed as given."""
 
     def test_get_backend_passes_instances_through(self):
         instance = get_backend("dict")
@@ -89,34 +61,16 @@ class TestRegistry:
         with pytest.raises(ParameterError, match=r"\['auto', 'dict', 'numpy'\]"):
             get_backend(name)
 
-    def test_duplicate_registration_raises_unless_replaced(self, scratch_registry):
-        register_backend("scratch", DictBackend)
-        with pytest.raises(ParameterError):
-            register_backend("scratch", DictBackend)
-        register_backend("scratch", DictBackend, replace=True)
+    def test_availability_is_probed_even_for_cached_instances(self, monkeypatch):
+        monkeypatch.delenv("REPRO_DISABLE_NUMPY", raising=False)
+        if importlib.util.find_spec("numpy") is None:
+            pytest.skip("numpy is not installed")
+        assert get_backend(BACKEND_NUMPY) is get_backend(BACKEND_NUMPY)  # cached
+        monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
+        with pytest.raises(ParameterError, match="disabled via REPRO_DISABLE_NUMPY"):
+            get_backend(BACKEND_NUMPY)
 
-    def test_auto_name_is_reserved(self):
-        with pytest.raises(ParameterError):
-            register_backend("auto", DictBackend)
-
-    def test_unavailable_backend_rejected_by_name_and_skipped_by_auto(
-        self, scratch_registry
-    ):
-        register_backend("vapour", DictBackend, is_available=lambda: False)
-        assert "vapour" not in available_backends()
-        with pytest.raises(ParameterError):
-            get_backend("vapour")
-        assert resolve_backend("auto", 10**6) != "vapour"
-
-    def test_availability_is_probed_even_for_cached_instances(self, scratch_registry):
-        available = True
-        register_backend("flaky", DictBackend, is_available=lambda: available)
-        assert get_backend("flaky") is get_backend("flaky")  # instance cached
-        available = False
-        with pytest.raises(ParameterError):
-            get_backend("flaky")
-
-    def test_custom_backend_usable_end_to_end(self, scratch_registry):
+    def test_custom_backend_usable_end_to_end(self):
         class TracingBackend(DictBackend):
             name = "tracing"
             index_builds = 0
@@ -125,9 +79,8 @@ class TestRegistry:
                 TracingBackend.index_builds += 1
                 return super().build_core_index(graph)
 
-        register_backend("tracing", TracingBackend)
         graph = Graph(edges=[(0, 1), (1, 2), (2, 0), (2, 3)])
-        result = GreedyAnchoredKCore(graph, 2, 1, backend="tracing").select()
+        result = GreedyAnchoredKCore(graph, 2, 1, backend=TracingBackend()).select()
         assert TracingBackend.index_builds == 1
         reference = GreedyAnchoredKCore(graph, 2, 1, backend="dict").select()
         assert result.anchors == reference.anchors
@@ -170,11 +123,6 @@ class TestAutoPolicy:
     def test_explicit_names_bypass_the_policy(self):
         assert resolve_backend("dict", 10**9) == BACKEND_DICT
         assert resolve_backend("numpy", 1, workload=WORKLOAD_ONE_SHOT) == BACKEND_NUMPY
-
-    def test_custom_backends_are_only_used_by_name(self, scratch_registry):
-        register_backend("custom", DictBackend)
-        assert resolve_backend("auto", 10**6) == _expected_auto_winner()
-        assert resolve_backend("custom", 10**6) == "custom"
 
     def test_unknown_workload_raises(self):
         with pytest.raises(ParameterError):
@@ -235,20 +183,15 @@ class TestEngineReResolution:
         with pytest.raises(CheckpointError):
             engine.checkpoint(tmp_path / "orphan.ckpt")
 
-    def test_checkpoint_with_registered_backend_instance_round_trips(
-        self, tmp_path, scratch_registry
-    ):
-        class AdoptedBackend(DictBackend):
-            name = "adopted"
-
-        register_backend("adopted", AdoptedBackend)
-        engine = StreamingAVTEngine(backend=AdoptedBackend(), batch_size=None)
+    def test_checkpoint_with_registered_backend_instance_round_trips(self, tmp_path):
+        engine = StreamingAVTEngine(backend=get_backend("dict"), batch_size=None)
         engine.ingest_insert(0, 1)
         engine.flush()
-        path = tmp_path / "adopted.ckpt"
+        path = tmp_path / "dict.ckpt"
         engine.checkpoint(path)
         restored = StreamingAVTEngine.restore(path)
-        assert restored.backend == "adopted"
+        assert restored.backend == BACKEND_DICT
+        assert restored.to_state()["backend"] == BACKEND_DICT
         assert restored.core_numbers() == engine.core_numbers()
 
     def test_restored_engine_re_resolves_from_checkpoint(self, tmp_path):
@@ -309,27 +252,21 @@ class TestNumpyKernels:
 
 
 class TestAvailabilityReasons:
-    """The registry reports *why* a tier is skipped, not just that it is."""
-
-    def test_available_backends_report_no_reason(self):
-        report = backend_availability()
-        assert report[BACKEND_DICT] is None
+    """The numpy backend reports *why* it is unavailable, not just that it is."""
 
     def test_missing_import_reason(self, monkeypatch):
         # The env switch takes precedence, so clear it to probe the
         # import-gate reason itself (the suite may run under
         # REPRO_DISABLE_NUMPY=1 to exercise the fallback path).
         monkeypatch.delenv("REPRO_DISABLE_NUMPY", raising=False)
-        report = backend_availability()
         if numpy_available():
-            assert report[BACKEND_NUMPY] is None
+            assert numpy_unavailable_reason() is None
         else:
-            assert report[BACKEND_NUMPY] == "numpy is not installed"
+            assert numpy_unavailable_reason() == "numpy is not installed"
 
     def test_env_disable_reasons(self, monkeypatch):
         monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
-        report = backend_availability()
-        assert report[BACKEND_NUMPY] == "disabled via REPRO_DISABLE_NUMPY"
+        assert numpy_unavailable_reason() == "disabled via REPRO_DISABLE_NUMPY"
 
     @pytest.mark.parametrize(
         "value, disables",
@@ -340,7 +277,7 @@ class TestAvailabilityReasons:
         monkeypatch.setenv("REPRO_DISABLE_NUMPY", value)
         available = importlib.util.find_spec("numpy") is not None and not disables
         assert numpy_available() == available
-        assert (backend_availability()[BACKEND_NUMPY] is None) == available
+        assert (numpy_unavailable_reason() is None) == available
         expected = BACKEND_NUMPY if available else BACKEND_DICT
         assert resolve_backend("auto", 100_000) == expected
 
@@ -354,13 +291,3 @@ class TestAvailabilityReasons:
         assert resolve_backend("auto", 10**6) == BACKEND_DICT
         get_backend("auto", 10**6)
         assert not recwarn.list
-
-    def test_generic_reason_without_provider(self, scratch_registry):
-        register_backend("vapourware", DictBackend, is_available=lambda: False)
-        assert backend_availability()["vapourware"] == "a runtime dependency is missing"
-
-    def test_backend_info_includes_reason_column(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
-        rows = {row["name"]: row for row in backend_info()}
-        assert rows[BACKEND_NUMPY]["reason"] == "disabled via REPRO_DISABLE_NUMPY"
-        assert rows[BACKEND_DICT]["reason"] is None

@@ -123,6 +123,31 @@ class TestServeSim:
         assert "serve-sim" in capsys.readouterr().out
 
 
+class TestOutputPaths:
+    """An output path in a missing directory fails before any work runs."""
+
+    def test_csv_in_missing_directory(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("AVT_BENCH_SCALE", "0.12")
+        path = tmp_path / "missing" / "x.csv"
+        assert main(["fig03", "--csv", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "Running" not in captured.out
+        assert captured.err == (
+            f"error: --csv {path}: directory {path.parent} does not exist\n"
+        )
+
+    @pytest.mark.parametrize("flag", ["--metrics-out", "--trace-out", "--checkpoint"])
+    def test_serve_sim_output_in_missing_directory(self, tmp_path, capsys, flag):
+        path = tmp_path / "missing" / "out"
+        argv = ["serve-sim", "--scale", "0.12", "--snapshots", "3", flag, str(path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "serve-sim on" not in captured.out
+        assert captured.err == (
+            f"error: {flag} {path}: directory {path.parent} does not exist\n"
+        )
+
+
 class TestExperiments:
     def test_unknown_experiment_returns_error(self, capsys):
         assert main(["fig99"]) == 2

@@ -4,15 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ParameterError, VertexNotFoundError
-from repro.graph.compact import (
-    BACKEND_DICT,
-    BACKEND_NUMPY,
-    CompactGraph,
-    DynamicCompactAdjacency,
-    VertexInterner,
-    resolve_backend,
-)
+from repro.errors import VertexNotFoundError
+from repro.graph.compact import CompactGraph, DynamicCompactAdjacency, VertexInterner
 from repro.graph.static import Graph
 
 
@@ -72,26 +65,3 @@ class TestDynamicCompactAdjacency:
         mirror.remove_edge_ids(c, d)
         assert d not in mirror.adj[c]
         mirror.remove_edge_ids(c, d)  # removing an absent edge is a no-op
-
-
-class TestResolveBackend:
-    """The policy itself lives in repro.backends; this pins the re-export."""
-
-    def test_explicit_backends_pass_through(self):
-        assert resolve_backend("dict", 10**9) == BACKEND_DICT
-        assert resolve_backend("numpy", 1) == BACKEND_NUMPY
-
-    def test_auto_resolves_by_workload(self):
-        from repro.backends import WORKLOAD_ONE_SHOT, numpy_available
-
-        expected = BACKEND_NUMPY if numpy_available() else BACKEND_DICT
-        for num_vertices in (0, 1, 10**9):
-            assert resolve_backend("auto", num_vertices) == expected
-            assert (
-                resolve_backend("auto", num_vertices, workload=WORKLOAD_ONE_SHOT)
-                == BACKEND_DICT
-            )
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(ParameterError):
-            resolve_backend("warp", 10)

@@ -652,3 +652,21 @@ class TestCheckpointUnavailableBackendFallback:
         engine.checkpoint(path)
         restored = StreamingAVTEngine.restore(path, backend="auto")
         assert restored.to_state()["backend"] == "auto"
+
+    @pytest.mark.parametrize("backend", [5, None, ["dict"], {"x": 1}])
+    def test_malformed_backend_is_a_checkpoint_error(self, tmp_path, toy_graph, backend):
+        engine = StreamingAVTEngine(toy_graph, backend="dict", batch_size=None)
+        state = engine.to_state()
+        state["backend"] = backend
+        with pytest.raises(CheckpointError, match="malformed engine state"):
+            StreamingAVTEngine.from_state(state)
+        # So a restore skips the damaged file for the intact rotation ...
+        path = tmp_path / "engine.ckpt"
+        engine.checkpoint(path)
+        engine.checkpoint(path, keep=2)
+        write_state(state, path)
+        restored = load_checkpoint(path, fallback=True)
+        assert restored.core_numbers() == engine.core_numbers()
+        # ... while an explicit override is the caller's bad parameter.
+        with pytest.raises(ParameterError):
+            StreamingAVTEngine.restore(path.with_name("engine.ckpt.1"), backend=backend)

@@ -7,7 +7,7 @@ Two referees keep the capped and incremental paths honest:
   :meth:`~repro.anchored.anchored_core.AnchoredCoreIndex.commit_anchor`,
   the index must meet the capped contract against a full exact anchored
   peel (:func:`~repro.cores.decomposition.anchored_core_decomposition` on
-  the dict backend, which builds no index), on every registered backend:
+  the dict backend, which builds no index), on both backends:
   core numbers equal to ``min(full peel, k)`` with anchors at infinity, the
   ``(k-1)``-shell in the full peel's relative order and after every lower
   vertex, and candidate sets and shell queries equal to those derived from

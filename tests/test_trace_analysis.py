@@ -279,6 +279,11 @@ class TestServeSimCriticalPath:
         assert "latency delta by span name" in diff_output
         assert "(+0.000ms)" in diff_output
 
+    def test_flame_out_in_missing_directory(self, trace_path, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "collapsed.txt"
+        assert main(["trace", "flame", str(trace_path), "--out", str(out_path)]) == 2
+        assert f"error: --out {out_path}" in capsys.readouterr().err
+
     def test_cli_errors_are_reported(self, tmp_path, capsys):
         assert main(["trace", "critical-path", str(tmp_path / "missing.jsonl")]) == 2
         assert "error:" in capsys.readouterr().err
