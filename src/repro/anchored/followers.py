@@ -36,6 +36,7 @@ figures.
 from __future__ import annotations
 
 from typing import (
+    Container,
     Dict,
     Iterable,
     List,
@@ -90,7 +91,7 @@ def compute_followers(
     graph: Graph,
     k: int,
     anchors: Iterable[Vertex],
-    k_core_vertices: Optional[Set[Vertex]] = None,
+    k_core_vertices: Optional[Container[Vertex]] = None,
     backend: Union[str, ExecutionBackend] = BACKEND_AUTO,
 ) -> Set[Vertex]:
     """Return ``F_k(S, G)``: the followers of the anchor set ``S`` (Definition 3).
@@ -101,9 +102,12 @@ def compute_followers(
     Without ``k_core_vertices`` this is the reference: two O(n + m) deletion
     cascades on ``backend`` (the anchored k-core and the plain one).
 
-    With ``k_core_vertices`` — which must be exactly the plain k-core ``K`` —
+    With ``k_core_vertices`` — which must be exactly the plain k-core ``K``,
+    given as any container that answers ``in`` (a set, or the O(1) live view
+    of :meth:`repro.cores.maintenance.CoreMaintainer.k_core_vertices`) —
     the work follows the anchors instead of the graph, and ``backend`` is
-    unused.  A region grows from the anchors outside ``K`` through vertices
+    unused.  Only membership is asked of ``K``; it is never iterated.  A
+    region grows from the anchors outside ``K`` through vertices
     that are not in ``K``, not anchors and have degree at least ``k``; each
     region vertex counts its supporters (neighbours in ``K``, in ``S`` or in
     the region), and a local cascade peels every vertex left with fewer than
@@ -159,7 +163,7 @@ def follower_gain(
     k: int,
     base_anchors: Iterable[Vertex],
     candidate: Vertex,
-    k_core_vertices: Optional[Set[Vertex]] = None,
+    k_core_vertices: Optional[Container[Vertex]] = None,
     backend: Union[str, ExecutionBackend] = BACKEND_AUTO,
 ) -> Set[Vertex]:
     """Return the extra followers gained by adding ``candidate`` to ``base_anchors``.

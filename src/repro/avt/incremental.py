@@ -29,10 +29,11 @@ the swap targets first, and copies them only when a swap or a fill will run;
 most snapshots of a smooth sequence need neither.
 
 The reported followers come from
-:func:`~repro.anchored.followers.compute_followers` given the maintained
-plain k-core, which peels only the region grown from the anchors outside it.
-A snapshot therefore costs its core maintenance plus one O(n) scan for the
-plain k-core, not a peel of the whole graph.
+:func:`~repro.anchored.followers.compute_followers` given the maintainer's
+live view of the plain k-core, which peels only the region grown from the
+anchors outside it.  The view answers membership and size in O(1), so a
+snapshot costs its core maintenance and the work around its anchors, not a
+peel or a scan of the whole graph.
 
 Because the candidate pool is restricted to the region the delta actually
 touched, IncAVT visits far fewer vertices per snapshot than re-running any of
@@ -190,17 +191,18 @@ class IncAVTTracker:
                 maintenance_visited = effect.visited
             stats.maintenance_visited += maintenance_visited
 
-            # Reporting for this snapshot: the plain k-core comes for free from
-            # the maintained core numbers, and the followers from a cascade
-            # over the region around the anchors outside it — no peel of the
-            # whole graph, which is part of IncAVT's win.
+            # Reporting for this snapshot: the plain k-core is the maintainer's
+            # live view, and the followers come from a cascade over the region
+            # around the anchors outside it — no peel or scan of the whole
+            # graph, which is part of IncAVT's win.
             snapshot_graph = maintainer.graph
             plain_core = maintainer.k_core_vertices(problem.k)
             followers = compute_followers(
                 snapshot_graph, problem.k, anchors, k_core_vertices=plain_core
             )
             stats.runtime_seconds = time.perf_counter() - started
-            anchored_size = len(plain_core | set(anchors) | followers)
+            # Followers lie outside K and S: |K ∪ S ∪ F| = |K| + |S \ K| + |F|.
+            anchored_size = len(plain_core) + len(set(anchors) - plain_core) + len(followers)
             result.append(
                 SnapshotResult(
                     timestamp=timestamp,

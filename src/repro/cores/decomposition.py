@@ -85,10 +85,12 @@ class CoreDecomposition:
 
     def k_core_vertices(self, k: int) -> Set[Vertex]:
         """Return the vertices of the k-core (anchors always qualify)."""
+        require_int("k", k, 0)
         return {vertex for vertex, value in self.core.items() if value >= k}
 
     def shell_vertices(self, k: int) -> Set[Vertex]:
         """Return the k-shell: vertices with core number exactly ``k``."""
+        require_int("k", k, 0)
         return {vertex for vertex, value in self.core.items() if value == k}
 
     def shells(self) -> Dict[int, List[Vertex]]:

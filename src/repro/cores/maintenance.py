@@ -15,33 +15,55 @@ incremental tracker (IncAVT, Algorithm 6) probes.
 
 The public hashable-vertex graph stays the source of truth for the
 *structure*.  The traversals run in one integer-id kernel, whatever execution
-backend the solvers use: it mirrors the adjacency into
+backend the solvers use.  It mirrors the adjacency into
 :class:`~repro.graph.compact.DynamicCompactAdjacency` (one set of neighbour
-ids per vertex, O(1) upkeep per edge operation), keeps the core numbers in a
-flat list indexed by id for the traversals, and keeps a live
-``{vertex: core}`` map beside it that every view reads, so no read translates
-ids.  The kernel is pure Python: vectorisation cannot beat int-set traversals
-on per-edge subcores, and maintenance runs the same with or without numpy.
+ids per vertex, O(1) upkeep per edge operation) and keeps the core numbers in
+three stores that every core change updates together:
+
+- a flat list indexed by id, which the traversals read;
+- the level sets ``levels[r] = {id : core(id) >= r}``, one per ``r`` from 0
+  to the top core.  A rise ``c -> c+1`` adds the id to ``levels[c+1]`` and a
+  drop ``c -> c-1`` discards it from ``levels[c]``, both O(1);
+- a live ``{vertex: core}`` map, which :meth:`CoreMaintainer.core` and
+  :meth:`CoreMaintainer.core_numbers` read.
+
+The level sets bound a deletion's work by the supporters it counts, not by
+whole neighbourhoods (compare Li, Yu and Mao, "Efficient Core Maintenance in
+Large Dynamic Graphs", TKDE 2014).  A removal at root core ``r`` takes a vertex's
+supporters as ``adj & levels[r]``, counts them, and walks that set if the
+vertex drops.  CPython intersects two sets by walking the smaller one, in C,
+so a hub row of thousands of neighbours costs only the few of them at core
+``>= r``.  They also make :meth:`CoreMaintainer.k_core_vertices` an O(1)
+live view of ``levels[k]``, so no read of the k-core scans n.  The kernel is
+pure Python: vectorisation cannot beat int-set traversals on per-edge
+subcores, and maintenance runs the same with or without numpy.
+
+:meth:`CoreMaintainer.apply_delta` runs on ids.  It looks each endpoint's id
+up once, the kernel takes and returns id sets, and the pre-update cores and
+the touched sets are kept by id and translated to vertices once per delta.
 
 Set-up interns the graph once, into the mirror, and takes the core numbers
 from the bucket cascade of Batagelj and Zaversnik ("An O(m) Algorithm for
 Cores Decomposition of Networks", 2003) over the mirror's ids.  It builds no
 removal order and interns nothing a second time.  Trusted core numbers (a
-checkpoint restore) skip the cascade.
+checkpoint restore) skip the cascade.  Either way the level sets are then
+built once, top down, in O(n + sum of cores) set inserts.
 
 The maintained core numbers are the single source of truth for the incremental
 tracker; a :meth:`CoreMaintainer.validate` hook recomputes them from scratch
-with a full peel and raises if either the map or the id list ever diverges,
-and the property-based tests exercise that hook on random edit sequences.
+with a full peel and raises if the map, the id list or any level set ever
+diverges, and the property-based tests exercise that hook on random edit
+sequences.
 """
 
 from __future__ import annotations
 
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.cores.decomposition import core_numbers as recompute_core_numbers
-from repro.errors import InvariantViolationError, require_int
+from repro.errors import InvariantViolationError, SelfLoopError, require_int
 from repro.graph.compact import DynamicCompactAdjacency
 from repro.graph.dynamic import EdgeDelta
 from repro.graph.static import Edge, Graph, Vertex
@@ -139,54 +161,76 @@ def bucket_cores(adj: List[Set[int]]) -> List[int]:
     return core
 
 
+def _core_levels(icore: Sequence[int]) -> List[Set[int]]:
+    """``levels[r] = {id : icore[id] >= r}`` for every ``r`` up to the top core.
+
+    Built top down: each level is the one above it plus its own shell, so
+    the work is O(n + sum of cores) set inserts, done in C.
+    """
+    shells: List[List[int]] = [[] for _ in range(max(icore, default=0) + 1)]
+    for vid, value in enumerate(icore):
+        shells[value].append(vid)
+    levels: List[Set[int]] = []
+    above: Set[int] = set()
+    for shell in reversed(shells):
+        above = above.union(shell)
+        levels.append(above)
+    levels.reverse()
+    return levels
+
+
 class _IdKernel:
     """The maintained core numbers and the traversals over an id mirror.
 
-    ``core_map`` (``{vertex: core}``) and the id-indexed list ``_icore``
-    always agree: the traversals and :meth:`add_vertex` write both.  The
-    maintainer mutates its graph first and then calls :meth:`insert` /
-    :meth:`remove`, which update the mirror and run the traversal in one
-    call, so every endpoint is looked up once.
+    ``icore`` (core number by id), ``levels`` (``levels[r]`` holds the ids of
+    core ``>= r``, for every ``r`` up to the top core) and ``core_map``
+    (``{vertex: core}``) always agree: the traversals and :meth:`add_vertex`
+    write all three.  ``ids`` and ``vertices`` translate between the two
+    vertex spaces.  The maintainer mutates its graph first and then calls
+    :meth:`insert` / :meth:`remove` with the endpoint ids; each updates the
+    mirror, runs its traversal and returns id sets.
     """
 
-    __slots__ = ("core_map", "_icore", "_adj", "_ids", "_vertices", "_mirror")
+    __slots__ = ("core_map", "icore", "levels", "ids", "vertices", "_adj", "_mirror")
 
     def __init__(self, graph: Graph, core: Optional[Dict[Vertex, int]] = None) -> None:
+        self.build(graph, core)
+
+    def build(self, graph: Graph, core: Optional[Dict[Vertex, int]] = None) -> None:
+        """(Re)build every store from ``graph``; ``core`` supplies trusted cores."""
         mirror = DynamicCompactAdjacency.from_graph(graph)
         vertices = mirror.interner.vertices
         if core is None:
-            self._icore = bucket_cores(mirror.adj)
-            self.core_map: Dict[Vertex, int] = dict(zip(vertices, self._icore))
+            self.icore = bucket_cores(mirror.adj)
+            self.core_map: Dict[Vertex, int] = dict(zip(vertices, self.icore))
         else:
             self.core_map = {vertex: core.get(vertex, 0) for vertex in vertices}
-            self._icore = list(self.core_map.values())
+            self.icore = list(self.core_map.values())
+        self.levels = _core_levels(self.icore)
         self._mirror = mirror
         self._adj = mirror.adj
-        self._ids = mirror.interner.ids
-        self._vertices = vertices
+        self.ids = mirror.interner.ids
+        self.vertices = vertices
 
-    def add_vertex(self, vertex: Vertex) -> None:
-        """Register a brand-new vertex at core number 0."""
-        self._mirror.ensure_vertex(vertex)
-        self._icore.append(0)
+    def add_vertex(self, vertex: Vertex) -> int:
+        """Register a brand-new vertex at core number 0 and return its id."""
+        vid = self._mirror.ensure_vertex(vertex)
+        self.icore.append(0)
+        self.levels[0].add(vid)
         self.core_map[vertex] = 0
-
-    def id_core_numbers(self) -> Dict[Vertex, int]:
-        """The id list read back as ``{vertex: core}`` (validation only)."""
-        return dict(zip(self._vertices, self._icore))
+        return vid
 
     # -- insertion traversal (Lemmas 1-2) ----------------------------------
-    def insert(self, u: Vertex, v: Vertex) -> Tuple[Set[Vertex], Set[Vertex]]:
+    def insert(self, u_id: int, v_id: int) -> Tuple[Set[int], Set[int]]:
         """Mirror a just-added edge and run the insertion traversal.
 
-        Returns ``(increased, visited)``: the vertices whose core number
-        rose, and every vertex the traversal examined.
+        Returns ``(risen, visited)``: the ids whose core number rose, and
+        every id the traversal examined.
         """
-        u_id, v_id = self._ids[u], self._ids[v]
         adj = self._adj
         adj[u_id].add(v_id)
         adj[v_id].add(u_id)
-        icore = self._icore
+        icore = self.icore
         root_core = min(icore[u_id], icore[v_id])
         roots = [w for w in (u_id, v_id) if icore[w] == root_core]
 
@@ -207,6 +251,8 @@ class _IdKernel:
 
         # Eviction: a candidate can rise only if it keeps more than root_core
         # neighbours among (higher-core vertices ∪ surviving candidates).
+        # Candidates sit in low shells with short rows, where a list count
+        # beats a set intersection.
         support: Dict[int, int] = {}
         for candidate in candidates:
             support[candidate] = len(
@@ -229,67 +275,108 @@ class _IdKernel:
                     if support[neighbour] <= root_core:
                         evict_queue.append(neighbour)
 
-        risen = root_core + 1
-        vertices = self._vertices
-        core_map = self.core_map
-        increased: Set[Vertex] = set()
-        for w in candidates - evicted:
-            icore[w] = risen
-            vertex = vertices[w]
-            core_map[vertex] = risen
-            increased.add(vertex)
-        return increased, {vertices[w] for w in candidates}
+        risen = candidates - evicted
+        if risen:
+            value = root_core + 1
+            levels = self.levels
+            if value == len(levels):
+                levels.append(set())
+            levels[value] |= risen
+            vertices = self.vertices
+            core_map = self.core_map
+            for w in risen:
+                icore[w] = value
+                core_map[vertices[w]] = value
+        return risen, candidates
 
     # -- deletion cascade (Lemmas 3-4) --------------------------------------
-    def remove(self, u: Vertex, v: Vertex) -> Tuple[Set[Vertex], Set[Vertex]]:
+    def remove(self, u_id: int, v_id: int) -> Tuple[Set[int], Set[int]]:
         """Mirror a just-removed edge and run the deletion cascade.
 
-        Returns ``(decreased, visited)``.
+        Returns ``(dropped, visited)`` ids.
         """
-        u_id, v_id = self._ids[u], self._ids[v]
         adj = self._adj
         adj[u_id].discard(v_id)
         adj[v_id].discard(u_id)
-        icore = self._icore
+        icore = self.icore
         root_core = min(icore[u_id], icore[v_id])
+        # ``level`` holds exactly the ids of core >= root_core, so a vertex's
+        # supporters (its max core degree) are its row intersected with it,
+        # and only they can be visited.  A vertex drops when its support
+        # falls below its core.  The cascade only lowers, so a supporter set
+        # kept from a vertex's first visit holds every current supporter;
+        # its other members were lowered, and the walk skips them.
+        level = self.levels[root_core]
         visited: Set[int] = set()
-
-        # Support of a shell-root_core vertex: neighbours with core >= root_core
-        # (its max core degree).  A vertex drops when support falls below core.
+        supporters: Dict[int, Set[int]] = {}
         support: Dict[int, int] = {}
         dropped: Set[int] = set()
         queue: List[int] = []
         for w in (u_id, v_id):
             if icore[w] == root_core and w not in dropped:
                 visited.add(w)
-                support[w] = len([x for x in adj[w] if icore[x] >= root_core])
+                supporters[w] = found = adj[w] & level
+                support[w] = len(found)
                 if support[w] < root_core:
                     dropped.add(w)
                     queue.append(w)
 
         lowered = root_core - 1
-        vertices = self._vertices
+        vertices = self.vertices
         core_map = self.core_map
         while queue:
             w = queue.pop()
-            # Visit neighbours before lowering core(w): their lazily computed
-            # support still counts w, and the explicit decrement below then
-            # accounts for w exactly once.
-            for x in adj[w]:
+            # Visit neighbours before lowering core(w): w is still in
+            # ``level``, so their lazily computed support still counts w, and
+            # the explicit decrement below then accounts for w exactly once.
+            for x in supporters[w]:
                 if icore[x] != root_core or x in dropped:
                     continue
                 visited.add(x)
                 if x not in support:
-                    support[x] = len([y for y in adj[x] if icore[y] >= root_core])
+                    supporters[x] = found = adj[x] & level
+                    support[x] = len(found)
                 # ``w`` no longer counts towards x's support.
                 support[x] -= 1
                 if support[x] < root_core:
                     dropped.add(x)
                     queue.append(x)
             icore[w] = lowered
+            level.discard(w)
             core_map[vertices[w]] = lowered
+        return dropped, visited
 
-        return {vertices[w] for w in dropped}, {vertices[w] for w in visited}
+
+class _KCoreView(AbstractSet):
+    """``{vertex : core(vertex) >= k}``, read live from the kernel's ``levels[k]``.
+
+    ``in`` and ``len`` are O(1); iteration translates ids.  Set operators
+    return plain sets.
+    """
+
+    __slots__ = ("_kernel", "_k")
+
+    def __init__(self, kernel: _IdKernel, k: int) -> None:
+        self._kernel = kernel
+        self._k = k
+
+    def _level(self) -> Set[int]:
+        levels = self._kernel.levels
+        return levels[self._k] if self._k < len(levels) else set()
+
+    def __contains__(self, vertex: object) -> bool:
+        vid = self._kernel.ids.get(vertex)
+        return vid is not None and vid in self._level()
+
+    def __len__(self) -> int:
+        return len(self._level())
+
+    def __iter__(self) -> Iterator[Vertex]:
+        return map(self._kernel.vertices.__getitem__, self._level())
+
+    @classmethod
+    def _from_iterable(cls, iterable: Iterable[Vertex]) -> Set[Vertex]:
+        return set(iterable)
 
 
 class CoreMaintainer:
@@ -328,34 +415,55 @@ class CoreMaintainer:
         """Return the maintained core number of ``vertex``."""
         return self._kernel.core_map[vertex]
 
-    def k_core_vertices(self, k: int) -> Set[Vertex]:
-        """Return ``{v : core(v) >= k}`` under the maintained core numbers."""
-        return {vertex for vertex, value in self._kernel.core_map.items() if value >= k}
+    def k_core_vertices(self, k: int) -> AbstractSet[Vertex]:
+        """Return ``{v : core(v) >= k}`` as a read-only live view, in O(1).
+
+        The view reads the maintained level set itself: ``in`` and ``len``
+        are O(1) and iteration translates ids.  It is live: every later
+        update of this maintainer shows through it (and iterating it while
+        an update runs fails like iterating a changing set), so take
+        ``set(view)`` to keep a snapshot.
+        """
+        require_int("k", k, 0)
+        return _KCoreView(self._kernel, k)
 
     def shell_vertices(self, k: int) -> Set[Vertex]:
-        """Return ``{v : core(v) == k}`` under the maintained core numbers."""
-        return {vertex for vertex, value in self._kernel.core_map.items() if value == k}
+        """Return ``{v : core(v) == k}``, read from the level sets (no scan of n)."""
+        require_int("k", k, 0)
+        levels = self._kernel.levels
+        if k >= len(levels):
+            return set()
+        shell = levels[k] - levels[k + 1] if k + 1 < len(levels) else levels[k]
+        return set(map(self._kernel.vertices.__getitem__, shell))
 
     # ------------------------------------------------------------------
     # Single-edge updates
     # ------------------------------------------------------------------
+    def _intern(self, vertex: Vertex) -> int:
+        """The kernel id of ``vertex``, adding it to the graph and the kernel if new."""
+        vid = self._kernel.ids.get(vertex)
+        if vid is None:
+            self._graph.add_vertex(vertex)
+            vid = self._kernel.add_vertex(vertex)
+        return vid
+
     def insert_edge(self, u: Vertex, v: Vertex) -> Set[Vertex]:
         """Insert edge ``(u, v)`` and return the vertices whose core increased.
 
         Inserting an edge that already exists is a no-op returning the empty
         set.  New endpoints are added with core number updated from scratch
         locally (a fresh vertex starts at core 0 before the edge is counted).
+        A self-loop raises :class:`~repro.errors.SelfLoopError` before
+        anything changes.
         """
-        for vertex in (u, v):
-            if not self._graph.has_vertex(vertex):
-                self._graph.add_vertex(vertex)
-                self._kernel.add_vertex(vertex)
+        if u == v:
+            raise SelfLoopError(u)
+        u_id, v_id = self._intern(u), self._intern(v)
         if not self._graph.add_edge(u, v):
             return set()
-        increased, visited = self._kernel.insert(u, v)
+        risen, visited = self._kernel.insert(u_id, v_id)
         self._visited_last = len(visited)
-        self._visited_vertices_last = visited
-        return increased
+        return set(map(self._kernel.vertices.__getitem__, risen))
 
     def remove_edge(self, u: Vertex, v: Vertex) -> Set[Vertex]:
         """Remove edge ``(u, v)`` and return the vertices whose core decreased.
@@ -365,10 +473,10 @@ class CoreMaintainer:
         if not self._graph.has_edge(u, v):
             return set()
         self._graph.remove_edge(u, v)
-        decreased, visited = self._kernel.remove(u, v)
+        ids = self._kernel.ids
+        dropped, visited = self._kernel.remove(ids[u], ids[v])
         self._visited_last = len(visited)
-        self._visited_vertices_last = visited
-        return decreased
+        return set(map(self._kernel.vertices.__getitem__, dropped))
 
     # ------------------------------------------------------------------
     # Batch updates
@@ -405,59 +513,81 @@ class CoreMaintainer:
         sets are always recorded, counting only *effective* operations —
         inserting a present edge or removing an absent one leaves no trace,
         so consumers can treat an empty ``touched`` as "the graph did not
-        change".
+        change".  An inserted self-loop raises
+        :class:`~repro.errors.SelfLoopError` before anything changes.
+
+        The delta runs on kernel ids: each endpoint is looked up once, and
+        the pre-update cores and the touched sets are kept by id and
+        translated to vertices once, at the end.
         """
         if k is not None:
             require_int("k", k, 1)
         effect = DeltaEffect()
         if delta.is_empty():
             return effect
-
-        pre_core = effect.pre_update_core
-        core_map = self._kernel.core_map
         for u, v in delta.inserted:
-            if self._graph.has_edge(u, v):
+            if u == v:
+                raise SelfLoopError(u)
+
+        graph = self._graph
+        kernel = self._kernel
+        ids = kernel.ids
+        icore = kernel.icore
+        pre_core: Dict[int, int] = {}
+        visits = 0
+        increased: Set[int] = set()
+        insertion_touched: Set[int] = set()
+        for u, v in delta.inserted:
+            u_id, v_id = self._intern(u), self._intern(v)
+            if not graph.add_edge(u, v):
                 continue
-            for endpoint in (u, v):
-                if endpoint not in pre_core:
-                    value = core_map.get(endpoint)
-                    if value is not None:
-                        pre_core[endpoint] = value
-            increased = self.insert_edge(u, v)
-            for vertex in self._visited_vertices_last:
-                if vertex not in pre_core:
+            pre_core.setdefault(u_id, icore[u_id])
+            pre_core.setdefault(v_id, icore[v_id])
+            risen, visited = kernel.insert(u_id, v_id)
+            for w in visited:
+                if w not in pre_core:
                     # An insertion raises a risen vertex by exactly 1.
-                    pre_core[vertex] = core_map[vertex] - (1 if vertex in increased else 0)
-            effect.increased |= increased
-            effect.insertion_touched.update((u, v))
-            effect.insertion_touched |= increased
-            effect.insertion_touched |= self._visited_vertices_last
-            effect.visited += self._visited_last
+                    pre_core[w] = icore[w] - (w in risen)
+            increased |= risen
+            insertion_touched.add(u_id)
+            insertion_touched.add(v_id)
+            insertion_touched |= visited
+            visits += len(visited)
 
+        decreased: Set[int] = set()
+        deletion_touched: Set[int] = set()
         for u, v in delta.removed:
-            if not self._graph.has_edge(u, v):
+            if not graph.has_edge(u, v):
                 continue
-            for endpoint in (u, v):
-                if endpoint not in pre_core:
-                    pre_core[endpoint] = core_map[endpoint]
-            decreased = self.remove_edge(u, v)
-            for vertex in self._visited_vertices_last:
-                if vertex not in pre_core:
+            graph.remove_edge(u, v)
+            u_id, v_id = ids[u], ids[v]
+            pre_core.setdefault(u_id, icore[u_id])
+            pre_core.setdefault(v_id, icore[v_id])
+            dropped, visited = kernel.remove(u_id, v_id)
+            for w in visited:
+                if w not in pre_core:
                     # A deletion lowers a dropped vertex by exactly 1.
-                    pre_core[vertex] = core_map[vertex] + (1 if vertex in decreased else 0)
-            effect.decreased |= decreased
-            effect.deletion_touched.update((u, v))
-            effect.deletion_touched |= decreased
-            effect.deletion_touched |= self._visited_vertices_last
-            effect.visited += self._visited_last
+                    pre_core[w] = icore[w] + (w in dropped)
+            decreased |= dropped
+            deletion_touched.add(u_id)
+            deletion_touched.add(v_id)
+            deletion_touched |= visited
+            visits += len(visited)
 
+        effect.visited = visits
+        vertex_of = kernel.vertices.__getitem__
+        effect.increased = set(map(vertex_of, increased))
+        effect.decreased = set(map(vertex_of, decreased))
+        effect.insertion_touched = set(map(vertex_of, insertion_touched))
+        effect.deletion_touched = set(map(vertex_of, deletion_touched))
+        effect.pre_update_core = {vertex_of(w): value for w, value in pre_core.items()}
         if k is not None:
             target = k - 1
             effect.insertion_affected = {
-                vertex for vertex in effect.insertion_touched if core_map.get(vertex) == target
+                vertex_of(w) for w in insertion_touched if icore[w] == target
             }
             effect.deletion_affected = {
-                vertex for vertex in effect.deletion_touched if core_map.get(vertex) == target
+                vertex_of(w) for w in deletion_touched if icore[w] == target
             }
         return effect
 
@@ -467,13 +597,12 @@ class CoreMaintainer:
         Used when a caller mutates the maintained graph wholesale (e.g. a
         snapshot delta so large that per-edge maintenance would cost more than
         one fresh decomposition — the situation the paper describes for
-        high-churn snapshots).  The kernel is rebuilt the way the constructor
-        builds it (the caller may have added or removed arbitrary edges and
-        vertices).
+        high-churn snapshots).  The kernel is rebuilt in place, the way the
+        constructor builds it (the caller may have added or removed arbitrary
+        edges and vertices), so k-core views taken earlier stay live.
         """
-        self._kernel = _IdKernel(self._graph)
+        self._kernel.build(self._graph)
         self._visited_last = 0
-        self._visited_vertices_last = set()
 
     # ------------------------------------------------------------------
     # Validation
@@ -481,13 +610,16 @@ class CoreMaintainer:
     def validate(self) -> None:
         """Recompute core numbers with a full peel; raise on any divergence.
 
-        Both stores are checked against the recomputation: the core map the
-        views read and the id list the traversals read.
+        Every store is checked against the recomputation: the core map the
+        views read, the id list the traversals read, and each set of the
+        level store (``levels[r]`` must hold exactly the ids of core
+        ``>= r``).
         """
         fresh = recompute_core_numbers(self._graph)
+        kernel = self._kernel
         for store, maintained in (
-            ("core map", self._kernel.core_map),
-            ("id list", self._kernel.id_core_numbers()),
+            ("core map", kernel.core_map),
+            ("id list", dict(zip(kernel.vertices, kernel.icore))),
         ):
             if fresh != maintained:
                 differing = {
@@ -499,7 +631,16 @@ class CoreMaintainer:
                     f"maintained core numbers ({store}) diverged from "
                     f"recomputation: {differing}"
                 )
-
-    # Default values so apply_delta can read them even before any update ran.
-    _visited_vertices_last: Set[Vertex] = frozenset()  # type: ignore[assignment]
-    _visited_last: int = 0
+        icore = kernel.icore
+        levels = kernel.levels
+        for level in range(max(len(levels), max(icore, default=0) + 1)):
+            expected = {vid for vid, value in enumerate(icore) if value >= level}
+            actual = levels[level] if level < len(levels) else set()
+            if actual != expected:
+                vertex_of = kernel.vertices.__getitem__
+                raise InvariantViolationError(
+                    f"maintained core numbers (level store) diverged from "
+                    f"recomputation at level {level}: missing "
+                    f"{set(map(vertex_of, expected - actual))}, extra "
+                    f"{set(map(vertex_of, actual - expected))}"
+                )

@@ -368,6 +368,8 @@ class StreamingAVTEngine:
                 warm_span.set(refreshed=True, stale=len(state.stale))
             plain_core = self._maintainer.k_core_vertices(k)
             followers = compute_followers(graph, k, anchors, k_core_vertices=plain_core)
+            # Followers lie outside K and S: |K ∪ S ∪ F| = |K| + |S \ K| + |F|.
+            size = len(plain_core) + len(set(anchors) - plain_core) + len(followers)
             solver_stats.runtime_seconds = time.perf_counter() - started
             warm_span.set(anchors=len(anchors), followers=len(followers))
         self._stats.warm_solves += 1
@@ -380,7 +382,7 @@ class StreamingAVTEngine:
             budget=budget,
             anchors=tuple(anchors),
             followers=frozenset(followers),
-            anchored_core_size=len(plain_core | set(anchors) | followers),
+            anchored_core_size=size,
             stats=solver_stats,
         )
 

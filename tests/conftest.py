@@ -77,27 +77,39 @@ def reference_greedy(
     return tuple(anchors), frozenset(followers), size, evaluated, visited
 
 
+class _Identity:
+    """Id-to-vertex lookup for a kernel whose ids are the vertices themselves."""
+
+    def __getitem__(self, vertex: Vertex) -> Vertex:
+        return vertex
+
+
 class ReferenceMaintenanceKernel:
     """Core maintenance straight from Lemmas 1-4 over the hashable graph.
 
     The maintenance twin of :func:`reference_greedy`: it implements the
     surface :class:`~repro.cores.maintenance.CoreMaintainer` calls on its
-    kernel (``core_map``, ``add_vertex``, ``insert``, ``remove``,
-    ``id_core_numbers``) with no id mirror, so swapping it into a second
-    maintainer runs ``apply_delta``'s bookkeeping over an independent
-    implementation of the traversals.  Like the maintainer's kernel, it is
-    called after the graph itself has mutated.
+    kernel (``core_map``, ``add_vertex``, ``insert``, ``remove`` and the id
+    surface ``ids``, ``vertices``, ``icore``) with no id mirror and no level
+    sets, so swapping it into a second maintainer runs ``apply_delta``'s
+    bookkeeping over an independent implementation of the traversals.  Every
+    vertex is its own id (so ``None``, which ``ids.get`` answers for an
+    unknown vertex, cannot be one), and supports are counted over whole
+    neighbourhoods.  Like the maintainer's kernel, it is called after the
+    graph itself has mutated.
     """
 
     def __init__(self, graph: Graph, core: Dict[Vertex, int]) -> None:
         self._graph = graph
         self.core_map = dict(core)
+        self.icore = self.core_map
+        self.ids = {vertex: vertex for vertex in core}
+        self.vertices = _Identity()
 
-    def add_vertex(self, vertex: Vertex) -> None:
+    def add_vertex(self, vertex: Vertex) -> Vertex:
         self.core_map[vertex] = 0
-
-    def id_core_numbers(self) -> Dict[Vertex, int]:
-        return dict(self.core_map)
+        self.ids[vertex] = vertex
+        return vertex
 
     def insert(self, u: Vertex, v: Vertex) -> Tuple[Set[Vertex], Set[Vertex]]:
         """Insertion traversal; returns ``(increased, visited)``."""

@@ -6,13 +6,14 @@ import random
 
 import pytest
 
-from repro.cores.decomposition import core_numbers
+from repro.cores.decomposition import core_decomposition, core_numbers
 from repro.cores.maintenance import CoreMaintainer, DeltaEffect
-from repro.errors import InvariantViolationError, ParameterError
+from repro.errors import InvariantViolationError, ParameterError, SelfLoopError
 from repro.graph.dynamic import EdgeDelta
+from repro.graph.generators import chung_lu_graph
 from repro.graph.static import Graph
 
-from tests.conftest import random_graph
+from tests.conftest import random_graph, reference_maintainer
 
 
 class TestSingleEdgeInsertion:
@@ -271,10 +272,10 @@ class TestApplyDelta:
             assert maintainer.core_numbers() == core_numbers(current)
 
     def test_validate_raises_on_corruption(self, toy_graph):
-        # The views read the core map and the traversals read the id list:
-        # corrupting either one alone must fail validation.
+        # The core map, the id list and the level sets are three stores:
+        # corrupting any one alone must fail validation.
         maintainer = CoreMaintainer(toy_graph)
-        maintainer._kernel._icore[maintainer._kernel._ids[8]] = 99
+        maintainer._kernel.icore[maintainer._kernel.ids[8]] = 99
         assert maintainer.core(8) == 3
         with pytest.raises(InvariantViolationError, match="id list"):
             maintainer.validate()
@@ -282,6 +283,37 @@ class TestApplyDelta:
         maintainer._kernel.core_map[8] = 99
         with pytest.raises(InvariantViolationError, match="core map"):
             maintainer.validate()
+        # Vertex 8 is in the top core (3): drop it from that level set only.
+        maintainer = CoreMaintainer(toy_graph)
+        maintainer._kernel.levels[3].discard(maintainer._kernel.ids[8])
+        assert maintainer.core(8) == 3 and maintainer.core_numbers() == core_numbers(toy_graph)
+        with pytest.raises(InvariantViolationError, match="level store"):
+            maintainer.validate()
+
+
+class TestSelfLoops:
+    """A self-loop is rejected before the maintainer changes anything."""
+
+    @staticmethod
+    def _state(maintainer):
+        graph = maintainer.graph
+        return set(graph.vertices()), graph.edge_set(), maintainer.core_numbers()
+
+    def test_insert_edge_rejects_a_self_loop_before_any_change(self):
+        maintainer = CoreMaintainer(Graph(edges=[(1, 2), (2, 3), (1, 3)]))
+        before = self._state(maintainer)
+        with pytest.raises(SelfLoopError):
+            maintainer.insert_edge(9, 9)
+        assert self._state(maintainer) == before
+        maintainer.validate()
+
+    def test_apply_delta_rejects_a_self_loop_before_any_change(self):
+        maintainer = CoreMaintainer(Graph(edges=[(1, 2), (2, 3), (1, 3)]))
+        before = self._state(maintainer)
+        with pytest.raises(SelfLoopError):
+            maintainer.apply_delta(EdgeDelta(inserted=((1, 4), (6, 6))), k=2)
+        assert self._state(maintainer) == before
+        maintainer.validate()
 
 
 class TestViews:
@@ -290,3 +322,73 @@ class TestViews:
         assert maintainer.k_core_vertices(3) == {8, 9, 12, 13, 16}
         assert maintainer.shell_vertices(1) == {4}
         assert maintainer.core(8) == 3
+
+    def test_k_core_view_is_live(self, toy_graph):
+        maintainer = CoreMaintainer(toy_graph)
+        view = maintainer.k_core_vertices(4)
+        assert len(view) == 0 and 8 not in view
+        # Joining the 3-core's five members into a clique lifts them to core 4.
+        top = [8, 9, 12, 13, 16]
+        for i, u in enumerate(top):
+            for v in top[i + 1 :]:
+                maintainer.insert_edge(u, v)
+        assert view == {8, 9, 12, 13, 16} and len(view) == 5 and 8 in view
+        assert 999 not in view and view | {1} == {1, 8, 9, 12, 13, 16}
+        maintainer.remove_edge(8, 9)
+        maintainer.validate()
+        assert view == {
+            vertex for vertex, value in maintainer.core_numbers().items() if value >= 4
+        }
+        maintainer.refresh_from_graph()
+        assert set(view) == set(maintainer.k_core_vertices(4))
+
+
+@pytest.mark.parametrize("k", [2.5, True, "2", None])
+@pytest.mark.parametrize("view", ["k_core_vertices", "shell_vertices"])
+@pytest.mark.parametrize("owner", ["maintainer", "decomposition"])
+def test_core_views_reject_a_non_integer_k(toy_graph, owner, view, k):
+    source = (
+        CoreMaintainer(toy_graph) if owner == "maintainer" else core_decomposition(toy_graph)
+    )
+    with pytest.raises(ParameterError, match="k must be an integer"):
+        getattr(source, view)(k)
+
+
+def test_deletions_among_hubs_match_the_reference_and_a_fresh_peel():
+    """The dense regime: deletion support counts and cascades over hub rows
+    far longer than the level they intersect.
+
+    At seed 7 the graph's top core is 21 with 32 members, and its top degree
+    is 857.  Each delta removes edges among the vertices of the top three
+    cores and puts back some that an earlier delta removed.
+    """
+    graph = chung_lu_graph(2000, 6000, seed=7)
+    maintainer = CoreMaintainer(graph)
+    reference = reference_maintainer(graph)
+    rng = random.Random(7)
+    removed_so_far = []
+    cascades = 0
+    for _ in range(20):
+        core = maintainer.core_numbers()
+        top = max(core.values())
+        hubs = sorted(vertex for vertex, value in core.items() if value >= top - 2)
+        hub_set = set(hubs)
+        hub_edges = sorted(
+            (u, v) for u in hubs for v in maintainer.graph.neighbors(u) if v in hub_set and u < v
+        )
+        removed = rng.sample(hub_edges, min(6, len(hub_edges)))
+        inserted = rng.sample(removed_so_far, min(2, len(removed_so_far)))
+        removed_so_far = [edge for edge in removed_so_far if edge not in inserted] + removed
+        delta = EdgeDelta.from_iterables(inserted=inserted, removed=removed)
+        effect = maintainer.apply_delta(delta, k=top)
+        # Dataclass equality compares all eight fields.
+        assert effect == reference.apply_delta(delta, k=top)
+        cascades += len(effect.decreased)
+        maintainer.validate()
+        expected = core_numbers(maintainer.graph, backend="dict")
+        for k in range(max(expected.values()) + 2):
+            assert maintainer.k_core_vertices(k) == {
+                vertex for vertex, value in expected.items() if value >= k
+            }
+    # The deltas must actually lower cores, or the cascade never ran.
+    assert cascades > 0
