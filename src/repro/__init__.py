@@ -104,13 +104,18 @@ kernel         ``refresh`` and ``commit_anchor`` paths
                each, the single-anchor shell lemma); then one within-shell
                cascade over the ``(k-1)``-shell
 ``numpy``      the peel's vectorised waves stopped before level ``k``; the
-               same riser cascades over id lists
+               same riser cascades on ids, over the snapshot's CSR row view
                (:func:`repro.cores.decomposition.commit_anchor_ids`); the
                shell order is the peel's vectorised Phase-B shell pass
 =============  ==============================================================
 
-IncAVT's swap/fill pass reuses the riser cascades, capped at ``k``, on a copy
-of the maintained core numbers, so a warm update runs no peel.  Its followers
+IncAVT's swap/fill pass runs on the core maintainer's integer ids
+(:meth:`~repro.cores.maintenance.CoreMaintainer.id_store`): it reads its
+region and candidate pool from the adjacency and level sets, and runs the
+id riser cascades (:func:`repro.cores.decomposition.commit_anchor_ids`),
+capped at ``k``, on a list copy of the maintained core numbers, so a warm
+update runs no peel.  Gains are memoized across its swap targets by the
+same read-scope argument as Greedy's gain cache (below).  Its followers
 come from :func:`~repro.anchored.compute_followers` given the maintained
 k-core, which peels only the region grown from the anchors outside it.
 

@@ -28,9 +28,10 @@ The numpy backend runs the same cascades over its interned snapshot: the
 region cascade and :func:`commit_anchor_cores` as integer-id twins
 (:func:`repro.cores.decomposition.compact_marginal_followers` and
 :func:`repro.cores.decomposition.commit_anchor_ids`), and the whole-shell
-cascade as vectorised passes.  Both backends return identical follower sets
-and report the same visited-vertex counts for the paper's instrumentation
-figures.
+cascade as vectorised passes.  IncAVT's swap/fill pass runs the same id
+twins over the core maintainer's ids.  Both backends return identical
+follower sets and report the same visited-vertex counts for the paper's
+instrumentation figures.
 """
 
 from __future__ import annotations
@@ -302,9 +303,8 @@ def commit_anchor_cores(
     already in the j-core, above it the anchor has no shell-``(j-1)``
     neighbour to seed a region.  Each cascade reads only the old numbers, so
     the writes happen after all of them.  The dict kernel's ``commit_anchor``
-    and IncAVT's swap/fill pass run it with ``cap=k``;
-    :func:`repro.cores.decomposition.commit_anchor_ids` is its id twin for
-    the numpy kernel.
+    runs it with ``cap=k``.  :func:`repro.cores.decomposition.commit_anchor_ids`
+    is its id twin, which the numpy kernel and IncAVT's swap/fill pass run.
 
     Returns ``[(vertex, previous value)]`` for every changed vertex, the
     anchor first.  Each vertex appears once, so writing the pairs back in

@@ -49,7 +49,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Union
 
 from repro.anchored.anchored_core import AnchoredCoreIndex
 from repro.anchored.result import AnchoredKCoreResult, SolverStats
-from repro.errors import ParameterError, require_int
+from repro.errors import ParameterError, require_bool, require_int
 from repro.backends import BACKEND_AUTO, ExecutionBackend
 from repro.graph.static import Graph, Vertex
 from repro.obs import tracer
@@ -110,6 +110,8 @@ class GreedyAnchoredKCore:
     ) -> None:
         require_int("k", k, 1)
         require_int("budget", budget, 0)
+        require_bool("order_pruning", order_pruning)
+        require_bool("stop_on_zero_gain", stop_on_zero_gain)
         self._graph = graph
         self._k = k
         self._budget = budget

@@ -21,7 +21,7 @@ from typing import Iterable, List, Optional, Set, Union
 
 from repro.anchored.anchored_core import AnchoredCoreIndex
 from repro.anchored.result import AnchoredKCoreResult, SolverStats
-from repro.errors import ParameterError, require_int
+from repro.errors import ParameterError, require_bool, require_int
 from repro.backends import BACKEND_AUTO, ExecutionBackend
 from repro.graph.static import Graph, Vertex
 from repro.ordering import tie_break_key
@@ -43,6 +43,7 @@ class OLAKAnchoredKCore:
     ) -> None:
         require_int("k", k, 1)
         require_int("budget", budget, 0)
+        require_bool("stop_on_zero_gain", stop_on_zero_gain)
         self._graph = graph
         self._k = k
         self._budget = budget

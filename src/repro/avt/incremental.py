@@ -19,14 +19,24 @@ first snapshot with the Greedy algorithm, then for every subsequent snapshot:
    the carried-forward set is smaller than the budget, the spare budget is
    filled greedily from the same restricted pool.
 
-The swap/fill pass builds no anchored core index.  It takes one copy of the
-maintained core numbers and raises it to the anchored core numbers of each
-anchor set it evaluates with the per-level riser cascades of
-:func:`repro.anchored.followers.commit_anchor_cores`, capped at ``k``; the
-undo list each commit returns restores the copy between swap targets.  It
-reads the maintained core numbers through :meth:`CoreMaintainer.core` to find
-the swap targets first, and copies them only when a swap or a fill will run;
-most snapshots of a smooth sequence need neither.
+The swap/fill pass builds no anchored core index and runs on the maintenance
+kernel's integer ids (:meth:`CoreMaintainer.id_store`).  It grows the region
+over the kernel's adjacency sets and reads the k-core and the ``(k-1)``-shell
+from its level sets, so finding the pool costs the region's edges, not a
+scan of the graph.  Only when a swap or a fill will run does it copy the
+maintained core list; it raises that copy to the anchored core numbers of
+each anchor set it evaluates with the per-level riser cascades of
+:func:`repro.cores.decomposition.commit_anchor_ids`, capped at ``k``, and
+the undo list each commit returns restores it between swap targets.  Most
+snapshots of a smooth sequence need neither.
+
+Successive swap targets evaluate the same pool on anchor sets that differ in
+one or two anchors, so most gains repeat.  Each gain is memoized with its read
+scope, the way :class:`~repro.anchored.greedy.GreedyAnchoredKCore` memoizes
+gains across rounds.  Moving to the next anchor set drops only the entries
+whose scope a changed core number can reach; the changed ids come from the
+two sets' undo lists.  A reused gain replays its recorded visit count, so the
+paper's counters are the same as if every cascade ran again.
 
 The reported followers come from
 :func:`~repro.anchored.followers.compute_followers` given the maintainer's
@@ -46,19 +56,19 @@ import numbers
 import time
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
-from repro.anchored.followers import (
-    commit_anchor_cores,
-    compute_followers,
-    marginal_followers,
-)
+from repro.anchored.followers import compute_followers
 from repro.anchored.greedy import GreedyAnchoredKCore
 from repro.anchored.result import AnchoredKCoreResult, SolverStats
 from repro.avt.problem import AVTProblem, AVTResult, SnapshotResult
-from repro.cores.decomposition import ANCHOR_CORE
-from repro.cores.maintenance import CoreMaintainer
-from repro.errors import ParameterError, require_int
+from repro.cores.decomposition import (
+    ANCHOR_CORE,
+    commit_anchor_ids,
+    compact_marginal_followers,
+)
+from repro.cores.maintenance import CoreMaintainer, IdStore
+from repro.errors import ParameterError, require_bool, require_int
 from repro.backends import BACKEND_AUTO, ExecutionBackend
-from repro.graph.static import Graph, Vertex
+from repro.graph.static import Vertex
 from repro.ordering import tie_break_key
 
 
@@ -105,7 +115,9 @@ class IncAVTTracker:
         restart_churn_ratio: Optional[float] = 0.15,
         backend: Union[str, ExecutionBackend] = BACKEND_AUTO,
     ) -> None:
+        require_bool("fill_budget", fill_budget)
         require_int("neighbourhood_hops", neighbourhood_hops, 0)
+        require_bool("swap_all_anchors", swap_all_anchors)
         if restart_churn_ratio is not None and (
             isinstance(restart_churn_ratio, bool)
             or not isinstance(restart_churn_ratio, numbers.Real)
@@ -249,39 +261,17 @@ class IncAVTTracker:
     # ------------------------------------------------------------------
     # Anchor-set update (Algorithm 6, lines 9-16)
     # ------------------------------------------------------------------
-    def _affected_region(self, graph: Graph, affected: Set[Vertex]) -> Set[Vertex]:
-        """Expand the affected vertices by the configured neighbourhood radius."""
-        region: Set[Vertex] = {vertex for vertex in affected if graph.has_vertex(vertex)}
-        frontier = set(region)
+    def _affected_region(self, store: IdStore, affected: Set[Vertex]) -> Set[int]:
+        """The affected vertices' ids, grown by the neighbourhood radius."""
+        adj = store.adj
+        region = {store.ids[vertex] for vertex in affected if vertex in store.ids}
+        frontier = region
         for _ in range(self._neighbourhood_hops):
-            next_frontier: Set[Vertex] = set()
-            for vertex in frontier:
-                next_frontier.update(graph.neighbors(vertex))
-            next_frontier -= region
-            region |= next_frontier
-            frontier = next_frontier
+            if not frontier:
+                break
+            frontier = set().union(*[adj[vid] for vid in frontier]) - region
+            region |= frontier
         return region
-
-    def _candidate_pool(
-        self,
-        graph: Graph,
-        k: int,
-        core: Dict[Vertex, int],
-        region: Set[Vertex],
-        exclude: Set[Vertex],
-    ) -> List[Vertex]:
-        """Filter the affected region down to plausible anchor candidates."""
-        target = k - 1
-        filtered: List[Vertex] = []
-        for vertex in region:
-            if vertex in exclude:
-                continue
-            if core.get(vertex, 0) >= k:
-                continue
-            # Theorem-3 relaxation: a useful anchor must touch the (k-1)-shell.
-            if any(core.get(neighbour) == target for neighbour in graph.neighbors(vertex)):
-                filtered.append(vertex)
-        return sorted(filtered, key=tie_break_key)
 
     def _update_anchor_set(
         self,
@@ -292,10 +282,10 @@ class IncAVTTracker:
         affected: Set[Vertex],
     ) -> Tuple[List[Vertex], SolverStats]:
         """Swap / extend the carried-forward anchor set using the affected pool."""
-        stats = SolverStats()
-        graph = maintainer.graph
-        anchors = [anchor for anchor in previous_anchors if graph.has_vertex(anchor)]
-        region = self._affected_region(graph, affected)
+        store = maintainer.id_store()
+        ids, vertices, adj, icore, levels = store
+        anchors = [ids[anchor] for anchor in previous_anchors if anchor in ids]
+        region = self._affected_region(store, affected)
 
         # Which carried-forward anchors are worth re-examining: those the delta
         # touched, plus anchors the evolution absorbed into the k-core (their
@@ -303,70 +293,119 @@ class IncAVTTracker:
         if self._swap_all_anchors:
             swap_targets = list(anchors)
         else:
-            swap_targets = [
-                anchor
-                for anchor in anchors
-                if anchor in region or maintainer.core(anchor) >= k
-            ]
+            swap_targets = [anchor for anchor in anchors if anchor in region or icore[anchor] >= k]
         fill = self._fill_budget and len(anchors) < budget
         if not swap_targets and not fill:
             # Nothing to swap and no budget to spend: the O(n) copy of the
             # core numbers and the pool scan would be wasted.
-            return anchors, stats
+            return [vertices[anchor] for anchor in anchors], SolverStats()
 
-        core = maintainer.core_numbers()
-        pool = self._candidate_pool(graph, k, core, region, exclude=set(anchors))
+        # Theorem-3 relaxation: a useful anchor sits in the region, outside
+        # the k-core, next to the (k-1)-shell.  Past the top core both
+        # levels are empty.
+        k_core = levels[k] if k < len(levels) else set()
+        shell = levels[k - 1] - k_core if k - 1 < len(levels) else set()
+        anchor_set = set(anchors)
+        pool = [
+            vid for vid in region.difference(k_core, anchor_set) if not adj[vid].isdisjoint(shell)
+        ]
+        pool.sort(key=lambda vid: tie_break_key(vertices[vid]))
         if not pool:
-            return anchors, stats
+            return [vertices[anchor] for anchor in anchors], SolverStats()
 
-        def gain_of(candidate: Vertex) -> int:
-            visit_log: List[Vertex] = []
-            gained = marginal_followers(graph, k, candidate, core, visit_log)
-            stats.candidates_evaluated += 1
-            stats.visited_vertices += max(len(visit_log), 1)
-            return len(gained)
+        # The working state: the maintained core numbers, raised in place to
+        # the anchored ones (capped at k) of the anchor set being evaluated.
+        core = list(icore)
+        evaluated = visited = iterations = 0
+        # candidate id -> (gain, visited count as counted, scope).  An entry
+        # is exact while no core number in its scope (the explored region
+        # plus the candidate) or next to it changes, the argument of Greedy's
+        # gain cache (GreedyAnchoredKCore._invalidate).
+        memo: Dict[int, Tuple[int, int, Set[int]]] = {}
+
+        def gain_of(candidate: int) -> int:
+            nonlocal evaluated, visited
+            entry = memo.get(candidate)
+            if entry is None:
+                scope = {candidate}
+                gained, count = compact_marginal_followers(adj, k, candidate, core, scope)
+                entry = memo[candidate] = (len(gained), max(count, 1), scope)
+            # A hit replays the recorded count, so the paper's counters equal
+            # those of re-running every cascade.
+            evaluated += 1
+            visited += entry[1]
+            return entry[0]
+
+        def retire(changed: Set[int]) -> None:
+            """Drop every memoized gain a change of ``changed`` can reach."""
+            if not memo or not changed:
+                return
+            zone = changed.union(*[adj[vid] for vid in changed])
+            for candidate in [c for c, entry in memo.items() if not zone.isdisjoint(entry[2])]:
+                del memo[candidate]
+
+        def commit_all(chosen: List[int], skip: Optional[int] = None) -> List[Tuple[int, float]]:
+            undo: List[Tuple[int, float]] = []
+            for anchor in chosen:
+                if anchor != skip:
+                    undo.extend(commit_anchor_ids(adj, core, anchor, k))
+            return undo
+
+        # ``raised`` maps every id the current state raised above its
+        # maintained core number to its value there.  Commits only raise, so
+        # two states differ exactly on the ids raised in one of them to a
+        # value the other does not hold: found from the two maps in
+        # O(|undo|), not by comparing n numbers.
+        raised: Dict[int, float] = {}
+
+        def move_to(undo: List[Tuple[int, float]]) -> None:
+            nonlocal raised
+            now = {vid: core[vid] for vid, _ in undo}
+            changed = {vid for vid, value in raised.items() if now.get(vid) != value}
+            changed.update(vid for vid in now if vid not in raised)
+            retire(changed)
+            raised = now
 
         for old_anchor in swap_targets:
             position = anchors.index(old_anchor)
-            undo: List[Tuple[Vertex, float]] = []
-            for anchor in anchors:
-                if anchor != old_anchor:
-                    undo.extend(commit_anchor_cores(graph, anchor, core, cap=k))
+            undo = commit_all(anchors, skip=old_anchor)
+            move_to(undo)
             # Only committed vertices move, so the base set's followers are
             # the committed non-anchors that reached the k-core.
             base_followers = {
-                vertex for vertex, _ in undo if k <= core[vertex] != ANCHOR_CORE
+                vid for vid, value in raised.items() if k <= value != ANCHOR_CORE
             }
             base_total = len(base_followers)
 
-            def total_with(candidate: Vertex) -> int:
+            def total_with(candidate: int) -> int:
                 already_follower = 1 if candidate in base_followers else 0
                 return base_total + gain_of(candidate) - already_follower
 
             best_vertex = old_anchor
             best_total = total_with(old_anchor)
             for candidate in pool:
-                if candidate in anchors:
+                if candidate in anchor_set:
                     continue
                 total = total_with(candidate)
                 if total > best_total:
                     best_vertex, best_total = candidate, total
             if best_vertex != old_anchor:
                 anchors[position] = best_vertex
-            stats.iterations += 1
-            for vertex, value in reversed(undo):
-                core[vertex] = value
+                anchor_set = set(anchors)
+            iterations += 1
+            for vid, value in reversed(undo):
+                core[vid] = value
 
         # Fill phase: spend any unused budget on the restricted pool (a swap
-        # never changes the number of anchors).
+        # never changes the number of anchors).  Gains memoized for the last
+        # swap target carry over as far as the state change allows.
         if fill:
-            for anchor in anchors:
-                commit_anchor_cores(graph, anchor, core, cap=k)
+            move_to(commit_all(anchors))
             while len(anchors) < budget:
-                best_vertex: Optional[Vertex] = None
+                best_vertex: Optional[int] = None
                 best_gain = 0
                 for candidate in pool:
-                    if candidate in anchors:
+                    if candidate in anchor_set:
                         continue
                     gain = gain_of(candidate)
                     if gain > best_gain:
@@ -374,7 +413,12 @@ class IncAVTTracker:
                 if best_vertex is None or best_gain == 0:
                     break
                 anchors.append(best_vertex)
-                commit_anchor_cores(graph, best_vertex, core, cap=k)
-                stats.iterations += 1
+                anchor_set.add(best_vertex)
+                # Every id a commit returns rose.
+                retire({vid for vid, _ in commit_anchor_ids(adj, core, best_vertex, k)})
+                iterations += 1
 
-        return anchors, stats
+        stats = SolverStats(
+            candidates_evaluated=evaluated, visited_vertices=visited, iterations=iterations
+        )
+        return [vertices[anchor] for anchor in anchors], stats

@@ -62,7 +62,7 @@ infinity).  The memoized Greedy invalidates its cached gains by it, so it
 must be exact, and the method has no fallback.  The built-in kernels run
 the single-anchor riser cascades at levels up to ``k`` only
 (:func:`repro.anchored.followers.commit_anchor_cores`, whose docstring
-gives the exactness argument, and its id-list twin
+gives the exactness argument, and its id twin
 :func:`repro.cores.decomposition.commit_anchor_ids` behind the numpy
 kernel), which lift a vertex to at most ``k``, then re-order the
 ``(k-1)``-shell the same way as :meth:`~CoreIndexKernel.refresh`.

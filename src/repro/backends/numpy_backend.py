@@ -32,6 +32,10 @@ for its work:
   These touch a handful of vertices per call, where numpy's per-call
   overhead would dwarf the work.  For the same reason incremental core
   maintenance has no numpy kernel at all (:mod:`repro.cores.maintenance`).
+  Both cascades read neighbours as ``rows[vid]``: the snapshot passes
+  :class:`CsrRows`, a view that slices a row out of the plain lists, and
+  IncAVT's swap/fill pass runs the same two functions over the maintenance
+  kernel's adjacency sets.
 
 Import of numpy is gated: :func:`repro.backends.get_backend` loads this
 module only once ``repro.backends.numpy_available()`` reports true, so the
@@ -64,6 +68,27 @@ from repro.graph.compact import CompactGraph
 from repro.graph.static import Graph, Vertex
 
 
+class CsrRows:
+    """``rows[vid]`` is ``indices[indptr[vid]:indptr[vid + 1]]``.
+
+    The ``rows`` argument of the id cascades
+    (:func:`repro.cores.decomposition.compact_marginal_followers` and
+    :func:`repro.cores.decomposition.commit_anchor_ids`) over a snapshot's
+    plain-list CSR: each lookup slices one row, which the cascades then
+    iterate.  Needs no numpy.
+    """
+
+    __slots__ = ("indptr", "indices")
+
+    def __init__(self, indptr: List[int], indices: List[int]) -> None:
+        self.indptr = indptr
+        self.indices = indices
+
+    def __getitem__(self, vid: int) -> List[int]:
+        indptr = self.indptr
+        return self.indices[indptr[vid] : indptr[vid + 1]]
+
+
 class NumpyGraph:
     """CSR snapshot with numpy arrays, sharing the interner contract.
 
@@ -78,6 +103,7 @@ class NumpyGraph:
         "indices",
         "indptr_list",
         "indices_list",
+        "rows",
         "degrees",
         "ordered",
         "num_edges",
@@ -95,6 +121,7 @@ class NumpyGraph:
         # loop over list-indexed rows is the faster tool.
         self.indptr_list = cgraph.indptr
         self.indices_list = cgraph.indices
+        self.rows = CsrRows(cgraph.indptr, cgraph.indices)
         self.degrees = self.indptr[1:] - self.indptr[:-1]
         self.ordered = cgraph.ordered
         self.num_edges = cgraph.num_edges
@@ -399,7 +426,7 @@ class NumpyCoreIndexKernel(CoreIndexKernel):
     riser cascades of :func:`repro.cores.decomposition.commit_anchor_ids`
     and re-orders the same shell.  Region follower cascades run
     :func:`repro.cores.decomposition.compact_marginal_followers` over the
-    plain-list CSR with the numpy core array as storage.
+    snapshot's :class:`CsrRows` with the numpy core array as storage.
     """
 
     def __init__(self, graph: Graph) -> None:
@@ -427,11 +454,11 @@ class NumpyCoreIndexKernel(CoreIndexKernel):
 
     def commit_anchor(self, vertex: Vertex, anchors: Set[Vertex], k: int):
         # The riser cascades are scalar work on a small region: the shared
-        # id-array kernel runs over the plain-list CSR with the numpy core
-        # array as storage.
+        # id cascade runs over the CSR row view with the numpy core array as
+        # storage.
         ngraph = self._ngraph
         touched = commit_anchor_ids(
-            ngraph.indptr_list, ngraph.indices_list, self._core, ngraph.interner.id_of(vertex), k
+            ngraph.rows, self._core, ngraph.interner.id_of(vertex), k
         )
         self._rank_shell(k)
         self._core_map_cache = None
@@ -509,7 +536,7 @@ class NumpyCoreIndexKernel(CoreIndexKernel):
             )
         else:
             gained_ids, visited = compact_marginal_followers(
-                ngraph.indptr_list, ngraph.indices_list, k, candidate_id, self._core
+                ngraph.rows, k, candidate_id, self._core
             )
         return ngraph.interner.translate(gained_ids), visited
 
@@ -517,8 +544,7 @@ class NumpyCoreIndexKernel(CoreIndexKernel):
         ngraph = self._ngraph
         region_ids: Set[int] = set()
         gained_ids, visited = compact_marginal_followers(
-            ngraph.indptr_list,
-            ngraph.indices_list,
+            ngraph.rows,
             k,
             ngraph.interner.id_of(candidate),
             self._core,

@@ -19,11 +19,13 @@ an :class:`~repro.backends.ExecutionBackend` instance) and calls the
 resolved backend's kernel.  Both backends produce *identical* core numbers
 **and** identical removal orders — the numpy backend's snapshot interns
 vertices in tie-break order so the integer id doubles as the deterministic
-tie-break rank.  This module also hosts the id-list cascades the numpy
-kernel runs over its snapshot's plain-list CSR, where per-call numpy
-overhead would dwarf the work: the region follower cascade
-:func:`compact_marginal_followers` and the capped commit
-:func:`commit_anchor_ids` built on it.
+tie-break rank.  This module also hosts the one integer-id implementation
+of the region follower cascade, :func:`compact_marginal_followers`, and of
+the capped commit built on it, :func:`commit_anchor_ids`.  Both read a
+vertex's neighbours as ``rows[vid]``, so they run unchanged on the numpy
+kernel's CSR row view (per-call numpy overhead would dwarf their
+region-sized work) and on the maintenance kernel's adjacency sets, where
+IncAVT's swap/fill pass runs them.
 """
 
 from __future__ import annotations
@@ -144,24 +146,27 @@ def anchored_core_decomposition(
 
 
 # ---------------------------------------------------------------------------
-# Id-list cascades
+# Id cascades
 # ---------------------------------------------------------------------------
 def compact_marginal_followers(
-    indptr: Sequence[int],
-    indices: Sequence[int],
+    rows: Sequence[Iterable[int]],
     k: int,
     candidate_id: int,
     core: Sequence[float],
     region_out: Optional[Set[int]] = None,
 ) -> Tuple[Set[int], int]:
-    """Region-restricted follower cascade over plain-list CSR rows.
+    """Region-restricted follower cascade over integer ids.
 
-    The id twin of :func:`repro.anchored.followers.marginal_followers`:
-    ``core`` is indexed by vertex id (a list or a numpy array) and holds the
-    *current* (possibly anchored) core numbers.  Returns ``(follower ids,
-    visited count)`` where the visited count matches the dict cascade's
-    ``visit_log`` length exactly (region pops plus cascade removals).
-    ``region_out`` receives the explored region ids when supplied.
+    The id twin of :func:`repro.anchored.followers.marginal_followers`.
+    ``rows[vid]`` iterates the neighbour ids of ``vid``: the maintenance
+    kernel's adjacency sets, or the numpy kernel's CSR row view
+    (:class:`repro.backends.numpy_backend.CsrRows`, which slices
+    ``indices[indptr[vid]:indptr[vid + 1]]``).  ``core`` is indexed by id (a
+    list or a numpy array) and holds the *current* (possibly anchored) core
+    numbers.  Returns ``(follower ids, visited count)`` where the visited
+    count matches the dict cascade's ``visit_log`` length exactly (region
+    pops plus cascade removals).  ``region_out`` receives the explored region
+    ids when supplied.
     """
     if k < 1:
         raise ParameterError("k must be >= 1 for follower computation")
@@ -173,16 +178,14 @@ def compact_marginal_followers(
 
     region: Set[int] = set()
     stack: List[int] = []
-    for position in range(indptr[candidate_id], indptr[candidate_id + 1]):
-        neighbour = indices[position]
+    for neighbour in rows[candidate_id]:
         if core[neighbour] == target and neighbour not in region:
             region.add(neighbour)
             stack.append(neighbour)
     while stack:
         current = stack.pop()
         visited += 1
-        for position in range(indptr[current], indptr[current + 1]):
-            neighbour = indices[position]
+        for neighbour in rows[current]:
             if (
                 core[neighbour] == target
                 and neighbour not in region
@@ -199,8 +202,7 @@ def compact_marginal_followers(
     support: Dict[int, int] = {}
     for vid in region:
         count = 0
-        for position in range(indptr[vid], indptr[vid + 1]):
-            neighbour = indices[position]
+        for neighbour in rows[vid]:
             if neighbour == candidate_id:
                 count += 1
             elif core[neighbour] >= k:
@@ -217,8 +219,7 @@ def compact_marginal_followers(
             continue
         removed.add(vid)
         visited += 1
-        for position in range(indptr[vid], indptr[vid + 1]):
-            neighbour = indices[position]
+        for neighbour in rows[vid]:
             if neighbour in region and neighbour not in removed:
                 support[neighbour] -= 1
                 if support[neighbour] < k:
@@ -227,16 +228,18 @@ def compact_marginal_followers(
 
 
 def commit_anchor_ids(
-    indptr: Sequence[int],
-    indices: Sequence[int],
+    rows: Sequence[Iterable[int]],
     core: MutableSequence[float],
     anchor_id: int,
     cap: int,
 ) -> List[Tuple[int, float]]:
     """Raise ``core`` to the anchored core numbers with ``anchor_id`` added,
     cascading only the levels up to ``cap`` — the id twin of
-    :func:`repro.anchored.followers.commit_anchor_cores` behind the numpy
-    kernel's ``commit_anchor`` (``core`` may be a list or a numpy array).
+    :func:`repro.anchored.followers.commit_anchor_cores`, over the same
+    ``rows`` as :func:`compact_marginal_followers`.  The numpy kernel's
+    ``commit_anchor`` runs it on its CSR row view with the numpy core array
+    as storage; IncAVT's swap/fill pass runs it on the maintenance kernel's
+    adjacency sets and a list copy of its core numbers.
 
     Adding one anchor raises every other core number by at most 1, and the
     vertices that rise to level ``j`` are the anchor's level-``j`` followers
@@ -252,15 +255,15 @@ def commit_anchor_ids(
     x = anchor_id
     anchor_core = core[x]
     levels: Set[int] = set()
-    for position in range(indptr[x], indptr[x + 1]):
-        value = core[indices[position]]
+    for neighbour in rows[x]:
+        value = core[neighbour]
         if anchor_core <= value < cap:
             levels.add(int(value) + 1)
 
     touched: List[Tuple[int, float]] = [(x, anchor_core)]
     risers_by_level: Dict[int, Set[int]] = {}
     for j in levels:
-        risers, _ = compact_marginal_followers(indptr, indices, j, x, core)
+        risers, _ = compact_marginal_followers(rows, j, x, core)
         if risers:
             risers_by_level[j] = risers
             touched.extend((vid, j - 1) for vid in risers)

@@ -27,6 +27,10 @@ three stores that every core change updates together:
 - a live ``{vertex: core}`` map, which :meth:`CoreMaintainer.core` and
   :meth:`CoreMaintainer.core_numbers` read.
 
+:meth:`CoreMaintainer.id_store` hands the id space and the first two stores
+out read-only, for passes that run on ids themselves: IncAVT's swap/fill
+pass reads its region, pool and core numbers there.
+
 The level sets bound a deletion's work by the supporters it counts, not by
 whole neighbourhoods (compare Li, Yu and Mao, "Efficient Core Maintenance in
 Large Dynamic Graphs", TKDE 2014).  A removal at root core ``r`` takes a vertex's
@@ -60,7 +64,18 @@ from __future__ import annotations
 
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.cores.decomposition import core_numbers as recompute_core_numbers
 from repro.errors import InvariantViolationError, SelfLoopError, require_int
@@ -179,6 +194,26 @@ def _core_levels(icore: Sequence[int]) -> List[Set[int]]:
     return levels
 
 
+class IdStore(NamedTuple):
+    """The maintenance kernel's id space and core stores, as
+    :meth:`CoreMaintainer.id_store` hands them out.
+
+    Every field is the kernel's own object, not a copy, so later updates show
+    through; readers must not mutate any of them.
+
+    ``ids`` maps a vertex to its id and ``vertices`` maps an id back.
+    ``adj[id]`` is the set of the id's neighbour ids and ``icore[id]`` its
+    core number.  ``levels[r]`` is the set of ids of core ``>= r`` for every
+    ``r`` up to the top core; a level past the end of the list is empty.
+    """
+
+    ids: Mapping[Vertex, int]
+    vertices: Sequence[Vertex]
+    adj: Sequence[Set[int]]
+    icore: Sequence[int]
+    levels: Sequence[Set[int]]
+
+
 class _IdKernel:
     """The maintained core numbers and the traversals over an id mirror.
 
@@ -186,12 +221,13 @@ class _IdKernel:
     core ``>= r``, for every ``r`` up to the top core) and ``core_map``
     (``{vertex: core}``) always agree: the traversals and :meth:`add_vertex`
     write all three.  ``ids`` and ``vertices`` translate between the two
-    vertex spaces.  The maintainer mutates its graph first and then calls
-    :meth:`insert` / :meth:`remove` with the endpoint ids; each updates the
-    mirror, runs its traversal and returns id sets.
+    vertex spaces, and ``adj`` holds the mirror's neighbour-id sets.  The
+    maintainer mutates its graph first and then calls :meth:`insert` /
+    :meth:`remove` with the endpoint ids; each updates the mirror, runs its
+    traversal and returns id sets.
     """
 
-    __slots__ = ("core_map", "icore", "levels", "ids", "vertices", "_adj", "_mirror")
+    __slots__ = ("core_map", "icore", "levels", "ids", "vertices", "adj", "_mirror")
 
     def __init__(self, graph: Graph, core: Optional[Dict[Vertex, int]] = None) -> None:
         self.build(graph, core)
@@ -208,7 +244,7 @@ class _IdKernel:
             self.icore = list(self.core_map.values())
         self.levels = _core_levels(self.icore)
         self._mirror = mirror
-        self._adj = mirror.adj
+        self.adj = mirror.adj
         self.ids = mirror.interner.ids
         self.vertices = vertices
 
@@ -227,7 +263,7 @@ class _IdKernel:
         Returns ``(risen, visited)``: the ids whose core number rose, and
         every id the traversal examined.
         """
-        adj = self._adj
+        adj = self.adj
         adj[u_id].add(v_id)
         adj[v_id].add(u_id)
         icore = self.icore
@@ -295,7 +331,7 @@ class _IdKernel:
 
         Returns ``(dropped, visited)`` ids.
         """
-        adj = self._adj
+        adj = self.adj
         adj[u_id].discard(v_id)
         adj[v_id].discard(u_id)
         icore = self.icore
@@ -414,6 +450,18 @@ class CoreMaintainer:
     def core(self, vertex: Vertex) -> int:
         """Return the maintained core number of ``vertex``."""
         return self._kernel.core_map[vertex]
+
+    def id_store(self) -> IdStore:
+        """The kernel's ids, adjacency sets, core list and level sets, read-only.
+
+        O(1): the fields are the live stores themselves (see
+        :class:`IdStore`), so a pass that works on ids reads them without a
+        copy or a translation, and copies only what it will write.  Do not
+        mutate them.  They stay live across edge updates; take a new store
+        after :meth:`refresh_from_graph`, which rebuilds the kernel.
+        """
+        kernel = self._kernel
+        return IdStore(kernel.ids, kernel.vertices, kernel.adj, kernel.icore, kernel.levels)
 
     def k_core_vertices(self, k: int) -> AbstractSet[Vertex]:
         """Return ``{v : core(v) >= k}`` as a read-only live view, in O(1).

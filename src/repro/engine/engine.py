@@ -47,7 +47,7 @@ from repro.engine.cache import CacheKey, ResultCache
 from repro.engine.ingest import IngestBuffer
 from repro.engine.stats import EngineStats
 from repro.backends import BACKEND_AUTO, BACKENDS, ExecutionBackend, get_backend
-from repro.errors import CheckpointError, ParameterError, require_int
+from repro.errors import CheckpointError, ParameterError, require_bool, require_int
 from repro.graph.dynamic import EdgeDelta
 from repro.graph.static import Graph, Vertex
 from repro.obs import tracer
@@ -122,6 +122,7 @@ class StreamingAVTEngine:
     ) -> None:
         if batch_size is not None:
             require_int("batch_size", batch_size, 1)
+        require_bool("warm_queries", warm_queries)
         if default_solver not in SOLVERS:
             raise ParameterError(
                 f"unknown solver {default_solver!r}; expected one of {sorted(SOLVERS)}"
@@ -296,10 +297,12 @@ class StreamingAVTEngine:
         ingested event.  Resolution order: result cache (same graph version) →
         warm IncAVT refresh of the previous anchors (if enabled and available)
         → cold static solver.  The returned result is cached for the current
-        version.
+        version.  ``warm`` (``True``, ``False``, or ``None`` for the engine's
+        ``warm_queries`` default) overrides the warm policy for this query.
         """
         require_int("k", k, 1)
         require_int("budget", budget, 0)
+        require_bool("warm", warm, allow_none=True)
         solver_name = solver if solver is not None else self._default_solver
         if solver_name not in SOLVERS:
             raise ParameterError(
@@ -502,6 +505,12 @@ class StreamingAVTEngine:
         :class:`RuntimeWarning` instead of refusing to restore — the state
         itself is backend-independent.  An explicit ``backend=`` override is
         never second-guessed: if it cannot be resolved, the restore fails.
+
+        A persisted backend that is not a name, or a persisted
+        ``warm_queries`` that is not ``True`` or ``False``, makes the state
+        malformed: :class:`~repro.errors.CheckpointError`, so a restore falls
+        back to the rotated checkpoint.  A bad explicit override is the
+        caller's :class:`~repro.errors.ParameterError`.
         """
         try:
             graph = Graph(edges=state["edges"], vertices=state["vertices"])
@@ -511,13 +520,22 @@ class StreamingAVTEngine:
                 backend_policy = cls._restorable_backend(
                     state.get("backend", BACKEND_AUTO)
                 )
+            if "warm_queries" in overrides:
+                warm_queries = overrides.pop("warm_queries")
+            else:
+                warm_queries = state["warm_queries"]
+                if not isinstance(warm_queries, bool):
+                    raise CheckpointError(
+                        f"malformed engine state: warm_queries must be True or "
+                        f"False, not {warm_queries!r}"
+                    )
             engine = cls(
                 graph,
                 copy_graph=False,
                 core=state["core"],
                 cache_capacity=overrides.pop("cache_capacity", state["cache"]["capacity"]),
                 batch_size=overrides.pop("batch_size", state["batch_size"]),
-                warm_queries=overrides.pop("warm_queries", state["warm_queries"]),
+                warm_queries=warm_queries,
                 default_solver=overrides.pop("default_solver", state["default_solver"]),
                 backend=backend_policy,
             )

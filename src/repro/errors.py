@@ -95,3 +95,19 @@ def require_int(name: str, value: object, minimum: int) -> None:
     if value < minimum:
         bound = "non-negative" if minimum == 0 else f">= {minimum}"
         raise ParameterError(f"{name} must be {bound}")
+
+
+def require_bool(name: str, value: object, allow_none: bool = False) -> None:
+    """Raise :class:`ParameterError` unless ``value`` is ``True`` or ``False``.
+
+    The one check behind every public on/off switch.  A truthy stand-in such
+    as the string ``"no"`` or ``"false"`` would otherwise switch the option
+    on; ``0`` and ``1`` are refused too, so a switch is never read from a
+    number by accident.  ``allow_none`` admits ``None`` for switches where it
+    means "use the default".
+    """
+    if value is None and allow_none:
+        return
+    if not isinstance(value, bool):
+        expected = "True, False or None" if allow_none else "True or False"
+        raise ParameterError(f"{name} must be {expected}, not {value!r}")

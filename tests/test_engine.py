@@ -25,7 +25,9 @@ from repro.engine import (
 )
 from repro.errors import CheckpointError, ParameterError, SelfLoopError
 from repro.graph.datasets import toy_example_graph
+from repro.engine.engine import WARM_ALGORITHM
 from repro.graph.dynamic import EdgeDelta
+from repro.graph.generators import chung_lu_graph
 from repro.graph.static import Graph
 
 
@@ -284,6 +286,28 @@ class TestEngineQueries:
         engine.query(3, 2)
         assert engine.stats.cold_solves == 2
         assert engine.stats.warm_solves == 0
+
+    @pytest.mark.parametrize("flag", ["no", "false", 0, 1, [False]])
+    def test_non_bool_warm_flags_are_rejected(self, flag):
+        # A truthy string used to switch the warm heuristic on for a caller
+        # who asked for exact answers.
+        graph = chung_lu_graph(300, 900, skew=1.2, seed=3)
+        with pytest.raises(ParameterError, match="warm_queries"):
+            StreamingAVTEngine(graph, warm_queries=flag)
+        with pytest.raises(ParameterError, match="warm_queries"):
+            StreamingAVTEngine(graph, warm_queries=None)
+        engine = StreamingAVTEngine(graph)
+        engine.query(3, 4)
+        # Four edges among core-2 vertices: the cached answer goes stale and
+        # the warm state survives, so a warm policy would answer warm.
+        low = sorted(v for v, c in engine.core_numbers().items() if c <= 2)
+        for u, v in list(zip(low[::2], low[1::2]))[:4]:
+            engine.ingest_insert(u, v)
+        engine.flush()
+        with pytest.raises(ParameterError, match="warm"):
+            engine.query(3, 4, warm=flag)
+        assert engine.query(3, 4, warm=True).algorithm == WARM_ALGORITHM
+        assert engine.query(3, 4, warm=False).algorithm != WARM_ALGORITHM
 
     def test_noop_ingest_does_not_bump_version_or_evict(self, toy_graph):
         engine = StreamingAVTEngine(toy_graph)
@@ -652,6 +676,27 @@ class TestCheckpointUnavailableBackendFallback:
         engine.checkpoint(path)
         restored = StreamingAVTEngine.restore(path, backend="auto")
         assert restored.to_state()["backend"] == "auto"
+
+    @pytest.mark.parametrize("flag", ["no", "false", 0, 1, None])
+    def test_malformed_warm_queries_is_a_checkpoint_error(self, tmp_path, toy_graph, flag):
+        engine = StreamingAVTEngine(toy_graph, batch_size=None)
+        state = engine.to_state()
+        state["warm_queries"] = flag
+        with pytest.raises(CheckpointError, match="malformed engine state"):
+            StreamingAVTEngine.from_state(state)
+        # So a restore skips the damaged file for the intact rotation ...
+        path = tmp_path / "engine.ckpt"
+        engine.checkpoint(path)
+        engine.checkpoint(path, keep=2)
+        write_state(state, path)
+        restored = load_checkpoint(path, fallback=True)
+        assert restored.core_numbers() == engine.core_numbers()
+        # ... while an explicit override is the caller's bad parameter.
+        with pytest.raises(ParameterError, match="warm_queries"):
+            StreamingAVTEngine.restore(path.with_name("engine.ckpt.1"), warm_queries=flag)
+        assert StreamingAVTEngine.restore(path, warm_queries=False).to_state()[
+            "warm_queries"
+        ] is False
 
     @pytest.mark.parametrize("backend", [5, None, ["dict"], {"x": 1}])
     def test_malformed_backend_is_a_checkpoint_error(self, tmp_path, toy_graph, backend):

@@ -15,6 +15,7 @@ from repro.errors import (
     SnapshotError,
     VertexNotFoundError,
 )
+from repro.errors import require_bool
 from repro.graph.static import Graph
 
 
@@ -55,3 +56,22 @@ class TestHierarchy:
             graph.remove_edge(1, 2)
         with pytest.raises(ReproError):
             graph.add_edge(3, 3)
+
+
+class TestRequireBool:
+    @pytest.mark.parametrize("value", [True, False])
+    def test_accepts_bools(self, value):
+        require_bool("flag", value)
+        require_bool("flag", value, allow_none=True)
+
+    def test_none_only_where_allowed(self):
+        require_bool("flag", None, allow_none=True)
+        with pytest.raises(ParameterError, match="flag must be True or False, not None"):
+            require_bool("flag", None)
+
+    @pytest.mark.parametrize("value", ["no", "false", "", 0, 1, 0.0, [False], object()])
+    def test_rejects_stand_ins(self, value):
+        with pytest.raises(ParameterError, match="flag"):
+            require_bool("flag", value)
+        with pytest.raises(ParameterError, match="True, False or None"):
+            require_bool("flag", value, allow_none=True)

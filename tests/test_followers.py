@@ -15,6 +15,7 @@ from repro.anchored.followers import (
     marginal_followers,
 )
 from repro.backends.dict_backend import dict_anchored_peel
+from repro.backends.numpy_backend import CsrRows
 from repro.cores.decomposition import (
     commit_anchor_ids,
     compact_marginal_followers,
@@ -258,9 +259,18 @@ class TestCommitAnchorCores:
         assert all(type(core[vertex]) is int for vertex in core)
 
 
+def id_rows(cgraph):
+    """Both kinds of ``rows`` the id cascades run on: the numpy kernel's CSR
+    row view and IncAVT's adjacency sets (neither needs numpy)."""
+    return (
+        CsrRows(cgraph.indptr, cgraph.indices),
+        [set(cgraph.neighbor_ids(vid)) for vid in range(cgraph.num_vertices)],
+    )
+
+
 class TestIdListCascades:
-    """The integer-id twins behind the numpy kernel, pinned to the dict
-    kernels on plain lists (no numpy needed)."""
+    """The integer-id twins behind the numpy kernel and IncAVT's swap/fill
+    pass, pinned to the dict kernels on plain lists (no numpy needed)."""
 
     @SETTINGS
     @given(scenario=anchor_sequences(), k=st.integers(min_value=1, max_value=6))
@@ -276,18 +286,14 @@ class TestIdListCascades:
             visit_log = []
             region = set()
             expected = marginal_followers(graph, k, vertex, core, visit_log, region_out=region)
-            region_ids = set()
-            gained, visited = compact_marginal_followers(
-                cgraph.indptr,
-                cgraph.indices,
-                k,
-                interner.id_of(vertex),
-                core_ids,
-                region_out=region_ids,
-            )
-            assert interner.translate(gained) == expected
-            assert visited == len(visit_log)
-            assert interner.translate(region_ids) == region
+            for rows in id_rows(cgraph):
+                region_ids = set()
+                gained, visited = compact_marginal_followers(
+                    rows, k, interner.id_of(vertex), core_ids, region_out=region_ids
+                )
+                assert interner.translate(gained) == expected
+                assert visited == len(visit_log)
+                assert interner.translate(region_ids) == region
 
     @SETTINGS
     @given(scenario=anchor_sequences())
@@ -296,12 +302,13 @@ class TestIdListCascades:
         cgraph = CompactGraph.from_graph(graph, ordered=True)
         vertices = cgraph.interner.vertices
         for cap in range(1, 6):
-            core = dict(dict_anchored_peel(graph, frozenset()).core)
-            core_ids = [core[vertex] for vertex in vertices]
-            for anchor in anchors:
-                touched = commit_anchor_cores(graph, anchor, core, cap=cap)
-                touched_ids = commit_anchor_ids(
-                    cgraph.indptr, cgraph.indices, core_ids, cgraph.interner.id_of(anchor), cap
-                )
-                assert {(vertices[vid], old) for vid, old in touched_ids} == set(touched)
-                assert dict(zip(vertices, core_ids)) == core
+            for rows in id_rows(cgraph):
+                core = dict(dict_anchored_peel(graph, frozenset()).core)
+                core_ids = [core[vertex] for vertex in vertices]
+                for anchor in anchors:
+                    touched = commit_anchor_cores(graph, anchor, core, cap=cap)
+                    touched_ids = commit_anchor_ids(
+                        rows, core_ids, cgraph.interner.id_of(anchor), cap
+                    )
+                    assert {(vertices[vid], old) for vid, old in touched_ids} == set(touched)
+                    assert dict(zip(vertices, core_ids)) == core

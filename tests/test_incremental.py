@@ -13,6 +13,7 @@ from repro.anchored.anchored_core import AnchoredCoreIndex
 from repro.anchored.followers import compute_followers
 from repro.anchored.greedy import GreedyAnchoredKCore
 from repro.anchored.result import SolverStats
+from repro.avt import incremental
 from repro.avt.incremental import IncAVTTracker
 from repro.avt.problem import AVTProblem
 from repro.avt.trackers import GreedyTracker, OLAKTracker
@@ -22,6 +23,7 @@ from repro.graph.datasets import load_dataset, toy_example_evolving_graph
 from repro.graph.dynamic import EdgeDelta, EvolvingGraph
 from repro.graph.generators import chung_lu_graph
 from repro.graph.static import Graph, Vertex
+from repro.ordering import tie_break_key
 
 SETTINGS = settings(
     max_examples=50,
@@ -123,13 +125,25 @@ class TestRefreshAnchors:
     def test_no_swap_target_and_full_budget_skip_the_core_copy(self, toy_problem, monkeypatch):
         maintainer = CoreMaintainer(toy_problem.evolving_graph.base)
         copies = []
-        original = CoreMaintainer.core_numbers
+
+        class CopySpy(list):
+            """The kernel's core list; a full read (the pass's copy) is logged."""
+
+            def __iter__(self):
+                copies.append(len(self))
+                return super().__iter__()
+
+        original = CoreMaintainer.id_store
 
         def spy(self):
-            copies.append(self)
-            return original(self)
+            store = original(self)
+            return store._replace(icore=CopySpy(store.icore))
 
-        monkeypatch.setattr(CoreMaintainer, "core_numbers", spy)
+        def no_dict_copy(self):
+            raise AssertionError("the pass copied the core map")
+
+        monkeypatch.setattr(CoreMaintainer, "id_store", spy)
+        monkeypatch.setattr(CoreMaintainer, "core_numbers", no_dict_copy)
         # {15, 17} and their neighbours touch neither anchor, and neither
         # anchor is in the 3-core.
         tracker = IncAVTTracker()
@@ -137,9 +151,10 @@ class TestRefreshAnchors:
         assert anchors == [7, 10]
         assert _counters(stats) == (0, 0, 0)
         assert copies == []
-        # Spare budget to fill: now the pass needs the copy.
-        tracker._update_anchor_set(maintainer, 3, 3, [7, 10], {15, 17})
-        assert copies == [maintainer]
+        # Spare budget to fill: now the pass copies the core list, once.
+        anchors, stats = tracker._update_anchor_set(maintainer, 3, 3, [7, 10], {15, 17})
+        assert anchors[:2] == [7, 10] and len(anchors) == 3
+        assert copies == [maintainer.graph.num_vertices]
 
 
 class TestIncrementalAdvantage:
@@ -238,6 +253,13 @@ class TestParameterValidation:
             with pytest.raises(ParameterError):
                 IncAVTTracker(neighbourhood_hops=bad)
 
+    @pytest.mark.parametrize("option", ["fill_budget", "swap_all_anchors"])
+    @pytest.mark.parametrize("flag", ["no", "false", "", 0, 1, None, [True]])
+    def test_rejects_non_bool_switches(self, option, flag):
+        # A truthy string such as "no" used to switch the option on.
+        with pytest.raises(ParameterError, match=option):
+            IncAVTTracker(**{option: flag})
+
     def test_rejects_negative_restart_churn_ratio(self):
         with pytest.raises(ParameterError):
             IncAVTTracker(restart_churn_ratio=-1.0)
@@ -269,15 +291,37 @@ def reference_update_anchor_set(
 
     A full anchored peel per swap target and one more for the fill phase:
     slow, but every number it reads comes straight from an anchored core
-    decomposition, which makes it the referee of the tracker's pass.
+    decomposition, which makes it the referee of the tracker's pass.  It
+    shares no code with the pass: its region and pool come from the
+    hashable graph and a copy of the maintained core numbers, not from the
+    kernel's id stores, and its indexes run the dict kernel's cascades, not
+    the id cascades the pass runs.
     """
     stats = SolverStats()
     graph = maintainer.graph
     core = maintainer.core_numbers()
     anchors = [anchor for anchor in previous_anchors if graph.has_vertex(anchor)]
 
-    region = tracker._affected_region(graph, affected)
-    pool = tracker._candidate_pool(graph, k, core, region, exclude=set(anchors))
+    # The affected vertices, grown by the tracker's neighbourhood radius.
+    region = {vertex for vertex in affected if graph.has_vertex(vertex)}
+    frontier = set(region)
+    for _ in range(tracker._neighbourhood_hops):
+        grown = set()
+        for vertex in frontier:
+            grown.update(graph.neighbors(vertex))
+        frontier = grown - region
+        region |= frontier
+    # Theorem-3 relaxation: outside the k-core, next to the (k-1)-shell.
+    pool = sorted(
+        (
+            vertex
+            for vertex in region
+            if vertex not in anchors
+            and core[vertex] < k
+            and any(core[neighbour] == k - 1 for neighbour in graph.neighbors(vertex))
+        ),
+        key=tie_break_key,
+    )
     if not pool:
         return anchors, stats
 
@@ -291,7 +335,7 @@ def reference_update_anchor_set(
     for old_anchor in swap_targets:
         position = anchors.index(old_anchor)
         base_anchors = [anchor for anchor in anchors if anchor != old_anchor]
-        index = AnchoredCoreIndex(graph, k, anchors=base_anchors)
+        index = AnchoredCoreIndex(graph, k, anchors=base_anchors, backend="dict")
         base_followers = index.followers()
         base_total = len(base_followers)
 
@@ -315,7 +359,7 @@ def reference_update_anchor_set(
         stats.iterations += 1
 
     if tracker._fill_budget and len(anchors) < budget:
-        index = AnchoredCoreIndex(graph, k, anchors=anchors)
+        index = AnchoredCoreIndex(graph, k, anchors=anchors, backend="dict")
         while len(anchors) < budget:
             best: Optional[Vertex] = None
             best_gain = 0
@@ -349,12 +393,13 @@ def _assert_pass_matches_reference(tracker, maintainer, k, budget, carried, affe
     graph = maintainer.graph
     assert compute_followers(graph, k, anchors) == compute_followers(graph, k, expected)
     assert _counters(stats) == _counters(expected_stats)
-    return anchors
+    return anchors, stats
 
 
 @st.composite
 def swap_fill_scenarios(draw):
-    """A graded random graph, a delta on it, carried anchors and an affected set."""
+    """A graded random graph, a delta on it, carried anchors, an affected set
+    and a neighbourhood radius."""
     seed = draw(st.integers(min_value=0, max_value=10_000))
     num_vertices = draw(st.integers(min_value=8, max_value=45))
     density = draw(st.sampled_from((2.0, 2.5, 3.0)))
@@ -373,15 +418,18 @@ def swap_fill_scenarios(draw):
     else:
         carried = draw(st.lists(st.sampled_from(vertices), max_size=budget, unique=True))
     extra = draw(st.lists(st.sampled_from(vertices), max_size=num_vertices))
-    return graph, delta, k, budget, carried, extra
+    hops = draw(st.sampled_from((1, 1, 0, 2)))
+    return graph, delta, k, budget, carried, extra, hops
 
 
 @pytest.mark.parametrize("swap_all_anchors, fill_budget", PASS_CONFIGS)
 @SETTINGS
 @given(scenario=swap_fill_scenarios())
 def test_swap_fill_pass_matches_index_reference(swap_all_anchors, fill_budget, scenario):
-    graph, delta, k, budget, carried, extra = scenario
-    tracker = IncAVTTracker(swap_all_anchors=swap_all_anchors, fill_budget=fill_budget)
+    graph, delta, k, budget, carried, extra, hops = scenario
+    tracker = IncAVTTracker(
+        swap_all_anchors=swap_all_anchors, fill_budget=fill_budget, neighbourhood_hops=hops
+    )
     maintainer = CoreMaintainer(graph)
     effect = maintainer.apply_delta(delta, k=k)
     # The engine passes everything a flush touched; the tracker passes VI ∪ VR.
@@ -390,21 +438,60 @@ def test_swap_fill_pass_matches_index_reference(swap_all_anchors, fill_budget, s
 
 
 @pytest.mark.parametrize("swap_all_anchors, fill_budget", PASS_CONFIGS)
-def test_tracked_sequence_matches_index_reference(swap_all_anchors, fill_budget):
-    """Every snapshot of a real sequence; the pass swaps (and fills) there."""
+def test_tracked_sequence_matches_index_reference(swap_all_anchors, fill_budget, monkeypatch):
+    """Every snapshot of a real sequence; the pass swaps (and fills) there.
+
+    Where a pass evaluates several anchor sets it reuses memoized gains: it
+    runs fewer cascades than it counts evaluations, while every counter
+    equals the referee's."""
+    cascades = []
+    cascade = incremental.compact_marginal_followers
+
+    def counted(*args, **kwargs):
+        cascades.append(args[2])
+        return cascade(*args, **kwargs)
+
+    monkeypatch.setattr(incremental, "compact_marginal_followers", counted)
     evolving = load_dataset("college_msg", num_snapshots=6, scale=0.3, seed=4)
     k, budget = 3, 4
     tracker = IncAVTTracker(swap_all_anchors=swap_all_anchors, fill_budget=fill_budget)
     maintainer = CoreMaintainer(evolving.base)
     anchors = list(GreedyAnchoredKCore(maintainer.graph, k, budget - 2).select().anchors)
-    swaps = fills = 0
+    swaps = fills = evaluated = 0
     for delta in evolving.deltas:
         effect = maintainer.apply_delta(delta, k=k)
-        refreshed = _assert_pass_matches_reference(
+        refreshed, stats = _assert_pass_matches_reference(
             tracker, maintainer, k, budget, anchors, effect.affected
         )
         swaps += refreshed[: len(anchors)] != anchors
         fills += len(refreshed) > len(anchors)
+        evaluated += stats.candidates_evaluated
         anchors = refreshed
     assert swaps > 0
     assert (fills > 0) == fill_budget
+    assert 0 < len(cascades) <= evaluated
+    if swap_all_anchors or fill_budget:
+        # Several anchor sets per pass here, so the memo answers some
+        # evaluations.  With only the touched anchors as swap targets, each
+        # pass of this sequence has one, and nothing to reuse.
+        assert len(cascades) < evaluated
+
+
+def test_a_commit_retires_the_gains_it_can_reach():
+    """Two carried anchors; the commit that differs between their swap
+    targets changes a pool candidate's gain, so a gain kept from the first
+    target would keep the second anchor where the referee swaps it.
+
+    A triangle (the 2-core) with the path 0-3-4 and the separate path
+    5-6-7-8, every path vertex at core 1.  For target 5, anchor 4 is
+    committed: 8 would gain nothing, since 5 is a leaf.  For target 4,
+    anchor 5 is committed, and 8 gains 6 and 7, the path between two
+    anchors, against the one follower (3) that 4 keeps.
+    """
+    graph = Graph(edges=[(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (5, 6), (6, 7), (7, 8)])
+    maintainer = CoreMaintainer(graph)
+    tracker = IncAVTTracker()
+    anchors, _ = _assert_pass_matches_reference(
+        tracker, maintainer, 2, 2, [5, 4], {3, 4, 5, 6, 7, 8}
+    )
+    assert anchors == [5, 8]

@@ -342,6 +342,35 @@ class TestViews:
         maintainer.refresh_from_graph()
         assert set(view) == set(maintainer.k_core_vertices(4))
 
+    def test_id_store_mirrors_the_graph_and_the_cores(self, toy_graph):
+        maintainer = CoreMaintainer(toy_graph)
+        store = maintainer.id_store()
+
+        def check(store):
+            graph = maintainer.graph
+            cores = maintainer.core_numbers()
+            assert len(store.vertices) == graph.num_vertices
+            for vertex in graph.vertices():
+                vid = store.ids[vertex]
+                assert store.vertices[vid] == vertex
+                assert {store.vertices[u] for u in store.adj[vid]} == set(graph.neighbors(vertex))
+                assert store.icore[vid] == cores[vertex]
+            for level, members in enumerate(store.levels):
+                assert {store.vertices[u] for u in members} == set(
+                    maintainer.k_core_vertices(level)
+                )
+
+        check(store)
+        # The stores are live: edge updates and new vertices show through.
+        maintainer.insert_edge(8, 99)
+        for u, v in [(8, 9), (9, 12)]:
+            maintainer.remove_edge(u, v)
+        check(store)
+        assert maintainer.id_store().icore is store.icore
+        # A rebuild replaces them, so a pass takes a new store after one.
+        maintainer.refresh_from_graph()
+        check(maintainer.id_store())
+
 
 @pytest.mark.parametrize("k", [2.5, True, "2", None])
 @pytest.mark.parametrize("view", ["k_core_vertices", "shell_vertices"])

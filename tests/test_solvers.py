@@ -74,6 +74,13 @@ class TestResultContract:
             solver_cls(toy_graph, k, budget)
 
     @pytest.mark.parametrize("solver_cls", HEURISTICS)
+    @pytest.mark.parametrize("flag", ["no", "false", 0, 1, None, [False]])
+    def test_non_bool_stop_on_zero_gain_rejected(self, toy_graph, solver_cls, flag):
+        # "no" is truthy: it used to switch the option on silently.
+        with pytest.raises(ParameterError, match="stop_on_zero_gain"):
+            solver_cls(toy_graph, 3, 2, stop_on_zero_gain=flag)
+
+    @pytest.mark.parametrize("solver_cls", HEURISTICS)
     def test_zero_budget_returns_no_anchors(self, toy_graph, solver_cls):
         result = solver_cls(toy_graph, 3, 0).select()
         assert result.anchors == ()
@@ -110,6 +117,16 @@ class TestGreedy:
         unpruned = GreedyAnchoredKCore(toy_graph, 3, 2, order_pruning=False).select()
         assert pruned.num_followers == unpruned.num_followers
         assert unpruned.stats.candidates_evaluated >= pruned.stats.candidates_evaluated
+
+    @pytest.mark.parametrize("flag", ["no", "false", "", 0, 1, None])
+    def test_non_bool_order_pruning_rejected(self, flag):
+        graph = chung_lu_graph(300, 900, skew=1.2, seed=3)
+        unpruned = GreedyAnchoredKCore(graph, 3, 4, order_pruning=False).select()
+        pruned = GreedyAnchoredKCore(graph, 3, 4, order_pruning=True).select()
+        # The switch is observable: pruning evaluates fewer candidates.
+        assert pruned.stats.candidates_evaluated < unpruned.stats.candidates_evaluated
+        with pytest.raises(ParameterError, match="order_pruning"):
+            GreedyAnchoredKCore(graph, 3, 4, order_pruning=flag)
 
     def test_stop_on_zero_gain(self):
         # A clique has no useful anchors: greedy should stop with none selected.
