@@ -44,15 +44,15 @@ The library is layered; each layer only depends on the ones above it::
                     DynamicCompactAdjacency                          ── snapshot structures
     repro.backends  ExecutionBackend protocol · get_backend and the
                     auto rule · dict / numpy kernels                 ── execution layer
-    repro.cores     core_decomposition · KOrder · CoreMaintainer     ── k-core machinery
+    repro.cores     core_decomposition · CoreMaintainer              ── k-core machinery
     repro.anchored  followers · AnchoredCoreIndex ·
                     Greedy / OLAK / RCM / brute force                ── anchored k-core
     repro.avt       per-snapshot trackers · IncAVTTracker            ── dynamic tracking
     repro.engine    StreamingAVTEngine (ingest, cache, warm solves)  ── online serving
 
 *Execution backends* — every hot solver kernel (peeling decomposition,
-k-core cascades, K-order ``deg+``, the follower cascades and candidate scans
-behind the anchored core index) is defined once as the
+k-core cascades, the follower cascades and candidate scans behind the
+anchored core index) is defined once as the
 :class:`~repro.backends.ExecutionBackend` protocol and implemented by two
 backends; public modules never branch on a backend name, they call through
 the object :func:`~repro.backends.get_backend` resolves.  Every
@@ -78,8 +78,8 @@ backend, with a live ``{vertex: core}`` map beside its id list, and sets it
 up in one interning pass (a bucket cascade over its adjacency mirror).
 
 Both backends guarantee identical core numbers and removal orders from the
-full peels behind ``decompose``/``korder``, identical capped index states
-(below), and identical instrumentation counts (enforced by
+full peel behind ``decompose``, identical capped index states (below), and
+identical instrumentation counts (enforced by
 ``tests/test_backend_equivalence.py``); only speed differs, and the
 repository benchmark (``perfbench/``) measures it end to end.
 
@@ -242,7 +242,6 @@ from repro.avt import (
 )
 from repro.cores import (
     CoreMaintainer,
-    KOrder,
     core_decomposition,
     core_numbers,
     k_core,
@@ -317,7 +316,6 @@ __all__ = [
     "core_numbers",
     "k_core",
     "k_shell",
-    "KOrder",
     "CoreMaintainer",
     # anchored k-core
     "anchored_k_core",

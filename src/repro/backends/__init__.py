@@ -2,9 +2,9 @@
 
 The public API of the library speaks hashable vertex ids over the
 adjacency-set :class:`~repro.graph.static.Graph`.  *How* the hot kernels run
-— peeling decomposition, k-core cascades, K-order remaining degrees, and the
-follower cascades and candidate scans of the anchored core index — is
-delegated to an :class:`~repro.backends.base.ExecutionBackend`:
+— peeling decomposition, k-core cascades, and the follower cascades and
+candidate scans of the anchored core index — is delegated to an
+:class:`~repro.backends.base.ExecutionBackend`:
 
 ``dict``
     The reference implementation straight over the adjacency-set graph.

@@ -1,13 +1,12 @@
 """The :class:`ExecutionBackend` protocol: the kernel surface of the library.
 
 Every hot computation of the solvers — the peeling decomposition, the
-one-shot k-core cascade, the K-order remaining degrees, and the candidate
-scans and follower cascades behind
-:class:`repro.anchored.anchored_core.AnchoredCoreIndex` — is expressed
-against the abstract surface defined here.  Incremental core maintenance is
-not: :class:`repro.cores.maintenance.CoreMaintainer` runs one integer-id
-kernel of its own on every backend.  Public modules never branch on a
-backend name; they obtain an :class:`ExecutionBackend` from
+one-shot k-core cascade, and the candidate scans and follower cascades
+behind :class:`repro.anchored.anchored_core.AnchoredCoreIndex` — is
+expressed against the abstract surface defined here.  Incremental core
+maintenance is not: :class:`repro.cores.maintenance.CoreMaintainer` runs
+one integer-id kernel of its own on every backend.  Public modules never
+branch on a backend name; they obtain an :class:`ExecutionBackend` from
 :func:`repro.backends.get_backend` and call through it.  There are two,
 ``dict`` and ``numpy``; any object implementing this surface can also be
 passed as ``backend=`` wherever a name can (tests substitute fakes this
@@ -44,12 +43,11 @@ This state is deterministic, so it is identical across backends.  Every
 query at that ``k`` answers as on the full peel's state, because each one
 tests only ``core >= k`` or ``core == k - 1``, and Theorem-3 pruning
 compares ranks only against a ``(k-1)``-shell neighbour.  The full exact
-peel stays behind :meth:`ExecutionBackend.decompose` and
-:meth:`ExecutionBackend.korder`.  The built-in kernels build the state with
-a cascade over the levels ``0 .. k-1`` only (the dict backend's bucket
-cascade :func:`repro.backends.dict_backend.dict_capped_cores`, or the numpy
-backend's level-limited waves) and then order the ``(k-1)``-shell with one
-within-shell cascade.
+peel stays behind :meth:`ExecutionBackend.decompose`.  The built-in kernels
+build the state with a cascade over the levels ``0 .. k-1`` only (the dict
+backend's bucket cascade :func:`repro.backends.dict_backend.dict_capped_cores`,
+or the numpy backend's level-limited waves) and then order the
+``(k-1)``-shell with one within-shell cascade.
 
 The delta-refresh contract
 --------------------------
@@ -73,7 +71,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import (
     TYPE_CHECKING,
-    Dict,
     FrozenSet,
     Iterable,
     Mapping,
@@ -246,22 +243,6 @@ class ExecutionBackend(ABC):
         self, graph: "Graph", k: int, anchors: Iterable["Vertex"] = ()
     ) -> Set["Vertex"]:
         """The (anchored) k-core via a direct O(n + m) deletion cascade."""
-
-    @abstractmethod
-    def remaining_degrees(
-        self, graph: "Graph", rank: Mapping["Vertex", int]
-    ) -> Dict["Vertex", int]:
-        """``deg+`` for every ranked vertex: neighbours positioned after it."""
-
-    def korder(self, graph: "Graph") -> Tuple["CoreDecomposition", Dict["Vertex", int]]:
-        """Decomposition plus remaining degrees, amortising shared setup.
-
-        The default runs :meth:`decompose` then :meth:`remaining_degrees`;
-        snapshot-based backends override it to build their snapshot once.
-        """
-        decomposition = self.decompose(graph)
-        rank = {vertex: position for position, vertex in enumerate(decomposition.order)}
-        return decomposition, self.remaining_degrees(graph, rank)
 
     # ------------------------------------------------------------------
     # Long-lived kernel handle

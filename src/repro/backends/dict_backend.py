@@ -354,17 +354,5 @@ class DictBackend(ExecutionBackend):
     def k_core(self, graph: Graph, k: int, anchors: Iterable[Vertex] = ()) -> Set[Vertex]:
         return dict_k_core(graph, k, anchors)
 
-    def remaining_degrees(
-        self, graph: Graph, rank: Mapping[Vertex, int]
-    ) -> Dict[Vertex, int]:
-        deg_plus: Dict[Vertex, int] = {}
-        for vertex, own_rank in rank.items():
-            count = 0
-            for neighbour in graph.neighbors(vertex):
-                if rank.get(neighbour, -1) > own_rank:
-                    count += 1
-            deg_plus[vertex] = count
-        return deg_plus
-
     def build_core_index(self, graph: Graph) -> DictCoreIndexKernel:
         return DictCoreIndexKernel(graph)

@@ -23,8 +23,7 @@ for its work:
 * **The anchored core index** never peels: its build runs Phase A only
   up to level ``k`` and orders only the ``(k-1)``-shell with Phase B's
   shell pass.  The candidate scan gathers that shell's neighbours and
-  filters them with one boolean pass.  The K-order ``deg+`` pass is a
-  single edge-level boolean reduction over ``(row, col)`` arrays.
+  filters them with one boolean pass.
 * **Region-sized work** stays scalar over the plain-list CSR: the region
   follower cascade behind every Greedy evaluation
   (:func:`repro.cores.decomposition.compact_marginal_followers`) and the
@@ -107,7 +106,6 @@ class NumpyGraph:
         "degrees",
         "ordered",
         "num_edges",
-        "_row",
     )
 
     def __init__(self, cgraph: CompactGraph) -> None:
@@ -125,7 +123,6 @@ class NumpyGraph:
         self.degrees = self.indptr[1:] - self.indptr[:-1]
         self.ordered = cgraph.ordered
         self.num_edges = cgraph.num_edges
-        self._row = None
 
     @classmethod
     def from_graph(cls, graph: Graph, ordered: bool = True) -> "NumpyGraph":
@@ -134,15 +131,6 @@ class NumpyGraph:
     @property
     def num_vertices(self) -> int:
         return len(self.interner)
-
-    @property
-    def row(self):
-        """Edge-level source ids: ``row[e]`` owns ``indices[e]`` (lazy)."""
-        if self._row is None:
-            self._row = np.repeat(
-                np.arange(self.num_vertices, dtype=np.int64), self.degrees
-            )
-        return self._row
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"NumpyGraph(n={self.num_vertices}, m={self.num_edges}, ordered={self.ordered})"
@@ -586,42 +574,6 @@ class NumpyBackend(ExecutionBackend):
         return ngraph.interner.translate(
             numpy_k_core_ids(ngraph, k, anchor_ids).tolist()
         )
-
-    @staticmethod
-    def _deg_plus_array(ngraph: NumpyGraph, rank_arr):
-        mask = rank_arr[ngraph.indices] > rank_arr[ngraph.row]
-        return np.bincount(ngraph.row[mask], minlength=ngraph.num_vertices)
-
-    def remaining_degrees(
-        self, graph: Graph, rank: Mapping[Vertex, int]
-    ) -> Dict[Vertex, int]:
-        ngraph = NumpyGraph.from_graph(graph, ordered=False)
-        vertices = ngraph.interner.vertices
-        if not vertices:
-            return {}
-        rank_arr = np.asarray([rank.get(vertex, -1) for vertex in vertices], dtype=np.int64)
-        deg_plus = self._deg_plus_array(ngraph, rank_arr)
-        return {
-            vertices[vid]: int(deg_plus[vid])
-            for vid in range(len(vertices))
-            if rank_arr[vid] >= 0
-        }
-
-    def korder(self, graph: Graph):
-        """One numpy snapshot amortised over the peel and the deg+ pass."""
-        ngraph = NumpyGraph.from_graph(graph, ordered=True)
-        n = ngraph.num_vertices
-        core_arr, order_ids = numpy_peel(ngraph)
-        vertices = ngraph.interner.vertices
-        core = {vertices[vid]: int(core_arr[vid]) for vid in range(n)}
-        order = tuple(vertices[vid] for vid in order_ids)
-        decomposition = CoreDecomposition(core=core, order=order)
-        if n == 0:
-            return decomposition, {}
-        rank_arr = np.zeros(n, dtype=np.int64)
-        rank_arr[np.asarray(order_ids, dtype=np.int64)] = np.arange(n)
-        deg_plus = self._deg_plus_array(ngraph, rank_arr)
-        return decomposition, {vertices[vid]: int(deg_plus[vid]) for vid in range(n)}
 
     def build_core_index(self, graph: Graph) -> NumpyCoreIndexKernel:
         return NumpyCoreIndexKernel(graph)

@@ -1,4 +1,4 @@
-"""k-core machinery: decomposition, K-order index, and incremental maintenance."""
+"""k-core machinery: decomposition with its removal order, and incremental maintenance."""
 
 from repro.cores.decomposition import (
     CoreDecomposition,
@@ -9,9 +9,7 @@ from repro.cores.decomposition import (
     k_core,
     k_shell,
 )
-from repro.cores.korder import KOrder
 from repro.cores.maintenance import CoreMaintainer, DeltaEffect
-from repro.cores.mcd import max_core_degree, max_core_degrees
 
 __all__ = [
     "CoreDecomposition",
@@ -21,9 +19,6 @@ __all__ = [
     "degeneracy",
     "k_core",
     "k_shell",
-    "KOrder",
     "CoreMaintainer",
     "DeltaEffect",
-    "max_core_degree",
-    "max_core_degrees",
 ]

@@ -4,8 +4,10 @@ The k-core of a graph is its maximal subgraph in which every vertex has degree
 at least ``k`` (Definition 1); the core number of a vertex is the largest ``k``
 for which it belongs to the k-core (Definition 2).  This module implements the
 classic peeling algorithm (repeatedly remove a minimum-degree vertex), which
-also yields the vertex removal order that seeds the K-order index of
-Section 4.1.
+also yields the vertex removal order.  That order is the static K-order of
+Definition 5 (Section 4.1): ``u`` precedes ``v`` when ``core(u) < core(v)``,
+or when their cores are equal and ``u`` was peeled first.  It is a legal
+peel: no vertex ``v`` has more than ``core(v)`` neighbours after it.
 
 It additionally implements *anchored* core decomposition: the same peeling
 process in which a designated anchor set is never removed (anchored vertices
@@ -53,7 +55,7 @@ from repro.backends import (
     ExecutionBackend,
     get_backend,
 )
-from repro.errors import ParameterError, require_int
+from repro.errors import ParameterError, VertexNotFoundError, require_int
 from repro.graph.static import Graph, Vertex
 
 #: Core value assigned to anchored vertices — they can never be peeled.
@@ -83,7 +85,10 @@ class CoreDecomposition:
 
     def core_of(self, vertex: Vertex) -> float:
         """Return the core number of ``vertex``."""
-        return self.core[vertex]
+        try:
+            return self.core[vertex]
+        except KeyError:
+            raise VertexNotFoundError(vertex) from None
 
     def k_core_vertices(self, k: int) -> Set[Vertex]:
         """Return the vertices of the k-core (anchors always qualify)."""
@@ -94,16 +99,6 @@ class CoreDecomposition:
         """Return the k-shell: vertices with core number exactly ``k``."""
         require_int("k", k, 0)
         return {vertex for vertex, value in self.core.items() if value == k}
-
-    def shells(self) -> Dict[int, List[Vertex]]:
-        """Return ``{core value: vertices in removal order}`` for finite cores."""
-        grouped: Dict[int, List[Vertex]] = {}
-        for vertex in self.order:
-            value = self.core[vertex]
-            if value == ANCHOR_CORE:
-                continue
-            grouped.setdefault(int(value), []).append(vertex)
-        return grouped
 
     def degeneracy(self) -> int:
         """Return the largest finite core number (0 for an empty graph)."""

@@ -78,7 +78,7 @@ from typing import (
 )
 
 from repro.cores.decomposition import core_numbers as recompute_core_numbers
-from repro.errors import InvariantViolationError, SelfLoopError, require_int
+from repro.errors import InvariantViolationError, SelfLoopError, VertexNotFoundError, require_int
 from repro.graph.compact import DynamicCompactAdjacency
 from repro.graph.dynamic import EdgeDelta
 from repro.graph.static import Edge, Graph, Vertex
@@ -449,7 +449,10 @@ class CoreMaintainer:
 
     def core(self, vertex: Vertex) -> int:
         """Return the maintained core number of ``vertex``."""
-        return self._kernel.core_map[vertex]
+        try:
+            return self._kernel.core_map[vertex]
+        except KeyError:
+            raise VertexNotFoundError(vertex) from None
 
     def id_store(self) -> IdStore:
         """The kernel's ids, adjacency sets, core list and level sets, read-only.

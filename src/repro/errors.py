@@ -53,9 +53,10 @@ class ParameterError(ReproError):
 class InvariantViolationError(ReproError):
     """Raised when an internal data-structure invariant check fails.
 
-    These checks are cheap assertions kept in production code because the
-    order-based maintenance structures are easy to corrupt silently; failing
-    loudly is preferable to returning wrong anchor sets.
+    :meth:`repro.cores.maintenance.CoreMaintainer.validate` raises it when
+    one of the maintained stores (the core map, the id list or the level
+    sets) disagrees with a fresh decomposition; failing loudly is preferable
+    to returning wrong anchor sets.
     """
 
 

@@ -5,8 +5,8 @@ identifiers held in an adjacency-set ``dict`` (:class:`~repro.graph.static.Graph
 That representation is ideal for mutation and for small graphs, but every hot
 kernel pays hashing and pointer-chasing costs on every vertex touch.  This
 module provides the dense structures that the numpy snapshot backend runs
-its peels, k-core cascades, K-order ``deg+`` pass and anchored-core-index
-kernels on, and that incremental core maintenance mirrors the graph into:
+its peels, k-core cascades and anchored-core-index kernels on, and that
+incremental core maintenance mirrors the graph into:
 
 * :class:`VertexInterner` maps hashable vertex ids to dense ``0..n-1``
   integers (and back).  Interning is append-only: an id, once assigned, is

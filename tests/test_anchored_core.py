@@ -8,6 +8,7 @@ from repro.anchored.anchored_core import AnchoredCoreIndex
 from repro.anchored.followers import compute_followers, follower_gain
 from repro.cores.decomposition import ANCHOR_CORE
 from repro.errors import ParameterError, VertexNotFoundError
+from repro.graph.static import Graph
 
 
 class TestConstruction:
@@ -51,6 +52,13 @@ class TestCandidates:
         candidates = index.candidate_anchors()
         assert 10 not in candidates
         assert candidates.isdisjoint(index.anchored_core_vertices())
+        # A 5-clique is its own 4-core: at k = 4 there is no 3-shell and
+        # no candidate, with or without order pruning.
+        clique = AnchoredCoreIndex(
+            Graph(edges=[(u, v) for u in range(5) for v in range(u + 1, 5)]), 4
+        )
+        assert clique.candidate_anchors(order_pruning=True) == set()
+        assert clique.candidate_anchors(order_pruning=False) == set()
 
     def test_order_pruning_is_a_subset_of_relaxed_filter(self, cl_graph):
         index = AnchoredCoreIndex(cl_graph, 4)

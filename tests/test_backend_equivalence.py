@@ -1,14 +1,13 @@
 """Property tests: the two execution backends are observationally identical.
 
 The numpy backend (:mod:`repro.backends`) re-implements every hot kernel —
-peeling decomposition, k-core cascades, the K-order remaining degrees,
-follower computation, greedy selection — over an interned snapshot, as numpy
-passes or id-list loops.  These tests pin the
-contract that makes ``backend="auto"`` safe: for *any* graph (isolated
-vertices, non-integer and mixed-type vertex ids included) it returns results
-identical to the dict reference, down to the removal order and the
-instrumentation counters.  Each test runs dict vs numpy when numpy is
-installed (skipped cleanly otherwise — the import gate is part of the
+peeling decomposition, k-core cascades, follower computation, greedy
+selection — over an interned snapshot, as numpy passes or id-list loops.
+These tests pin the contract that makes ``backend="auto"`` safe: for *any*
+graph (isolated vertices, non-integer and mixed-type vertex ids included) it
+returns results identical to the dict reference, down to the removal order
+and the instrumentation counters.  Each test runs dict vs numpy when numpy
+is installed (skipped cleanly otherwise — the import gate is part of the
 contract, and the no-numpy CI job exercises it; the id-list cascades are
 also pinned without numpy in ``tests/test_followers.py``).
 
@@ -35,7 +34,6 @@ from repro.cores.decomposition import (
     core_numbers,
     k_core,
 )
-from repro.cores.korder import KOrder
 from repro.cores.maintenance import CoreMaintainer
 from repro.engine import StreamingAVTEngine
 from repro.graph.dynamic import EdgeDelta
@@ -136,20 +134,6 @@ def test_k_core_and_anchored_cascade_identical(other, graph_and_k):
     assert anchored_k_core(graph, k, anchors, backend="dict") == anchored_k_core(
         graph, k, anchors, backend=other
     )
-
-
-@pytest.mark.parametrize("other", OTHER_BACKENDS)
-@SETTINGS
-@given(graph=graphs())
-def test_korder_identical_across_backends(other, graph):
-    dict_order = KOrder(graph, backend="dict")
-    other_order = KOrder(graph, backend=other)
-    assert dict_order.core_numbers() == other_order.core_numbers()
-    assert dict_order.shells() == other_order.shells()
-    for vertex in graph.vertices():
-        assert dict_order.rank(vertex) == other_order.rank(vertex)
-        assert dict_order.remaining_degree(vertex) == other_order.remaining_degree(vertex)
-    other_order.validate()
 
 
 @pytest.mark.parametrize("other", OTHER_BACKENDS)

@@ -128,23 +128,22 @@ class TestAutoPolicy:
         with pytest.raises(ParameterError):
             resolve_backend("auto", 10, workload="batch")
 
-    def test_korder_with_supplied_decomposition_stays_on_dict_under_auto(
-        self, monkeypatch
-    ):
-        """A lone deg+ pass is one-shot work: auto must not build a snapshot."""
-        from repro.cores.decomposition import core_decomposition
-        from repro.cores.korder import KOrder
+    def test_one_shot_callers_build_no_snapshot_under_auto(self, monkeypatch):
+        """A single k-core cascade is one-shot work: auto must not build a snapshot."""
+        from repro.anchored.followers import anchored_k_core
+        from repro.cores.decomposition import k_core
         from repro.graph.compact import CompactGraph
 
         graph = Graph(edges=[(i, i + 1) for i in range(100)])
-        decomposition = core_decomposition(graph, backend="dict")
 
         def boom(*args, **kwargs):
-            raise AssertionError("snapshot built for a one-shot deg+ pass")
+            raise AssertionError("snapshot built for one-shot work")
 
         monkeypatch.setattr(CompactGraph, "from_graph", classmethod(boom))
-        korder = KOrder(graph, decomposition=decomposition, backend="auto")
-        assert korder.remaining_degree(0) == 1
+        assert k_core(graph, 1, backend="auto") == set(graph.vertices())
+        # The cascade peels the path from its far end back to vertex 1;
+        # the anchor keeps itself.
+        assert anchored_k_core(graph, 2, [0], backend="auto") == {0}
 
 
 class TestEngineReResolution:
@@ -219,7 +218,6 @@ class TestNumpyKernels:
         assert ngraph.indptr.tolist() == cgraph.indptr
         assert ngraph.indices.tolist() == cgraph.indices
         assert ngraph.num_vertices == 4 and ngraph.num_edges == 2
-        assert ngraph.row.shape[0] == 2 * graph.num_edges
 
     def test_numpy_peel_matches_dict_peel(self):
         from repro.backends.numpy_backend import NumpyGraph, numpy_peel

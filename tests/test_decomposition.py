@@ -16,7 +16,7 @@ from repro.cores.decomposition import (
     k_core,
     k_shell,
 )
-from repro.errors import ParameterError
+from repro.errors import ParameterError, VertexNotFoundError
 from repro.graph.static import Graph
 
 from tests.conftest import random_graph, to_networkx
@@ -72,10 +72,12 @@ class TestDecompositionResult:
         second = core_decomposition(cl_graph)
         assert first.order == second.order
 
-    def test_shells_partition_vertices(self, cl_graph):
-        decomposition = core_decomposition(cl_graph)
-        shell_union = [vertex for shell in decomposition.shells().values() for vertex in shell]
-        assert sorted(shell_union, key=repr) == sorted(cl_graph.vertices(), key=repr)
+    @pytest.mark.parametrize("anchors", [(), (1,)], ids=["plain", "anchored"])
+    def test_core_of_unknown_vertex_raises_vertex_not_found(self, anchors):
+        decomposition = anchored_core_decomposition(Graph(edges=[(1, 2)]), anchors)
+        assert decomposition.core_of(2) == 1
+        with pytest.raises(VertexNotFoundError):
+            decomposition.core_of(99)
 
     def test_k_core_and_shell_helpers(self, toy_graph):
         assert k_core(toy_graph, 3) == {8, 9, 12, 13, 16}

@@ -7,6 +7,9 @@ relationships the paper's evaluation relies on.
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+
 import pytest
 
 from repro import (
@@ -97,8 +100,15 @@ class TestPublicAPI:
     def test_star_import_surface(self):
         import repro
 
-        for name in repro.__all__:
-            assert hasattr(repro, name), name
+        packages = [repro] + [
+            importlib.import_module(info.name)
+            for info in pkgutil.walk_packages(repro.__path__, "repro.")
+            if info.ispkg
+        ]
+        assert len(packages) > 1
+        for package in packages:
+            for name in package.__all__:
+                assert hasattr(package, name), f"{package.__name__}.{name}"
 
     def test_quickstart_docstring_flow(self):
         problem = AVTProblem(

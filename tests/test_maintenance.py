@@ -8,7 +8,12 @@ import pytest
 
 from repro.cores.decomposition import core_decomposition, core_numbers
 from repro.cores.maintenance import CoreMaintainer, DeltaEffect
-from repro.errors import InvariantViolationError, ParameterError, SelfLoopError
+from repro.errors import (
+    InvariantViolationError,
+    ParameterError,
+    SelfLoopError,
+    VertexNotFoundError,
+)
 from repro.graph.dynamic import EdgeDelta
 from repro.graph.generators import chung_lu_graph
 from repro.graph.static import Graph
@@ -322,6 +327,13 @@ class TestViews:
         assert maintainer.k_core_vertices(3) == {8, 9, 12, 13, 16}
         assert maintainer.shell_vertices(1) == {4}
         assert maintainer.core(8) == 3
+
+    def test_core_of_unknown_vertex_raises_vertex_not_found(self):
+        maintainer = CoreMaintainer(Graph(edges=[(1, 2)]))
+        with pytest.raises(VertexNotFoundError):
+            maintainer.core(99)
+        maintainer.insert_edge(2, 99)
+        assert maintainer.core(99) == 1
 
     def test_k_core_view_is_live(self, toy_graph):
         maintainer = CoreMaintainer(toy_graph)

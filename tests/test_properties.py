@@ -3,7 +3,8 @@
 These are the guarantees the rest of the system is built on:
 
 * core decomposition agrees with networkx on arbitrary graphs;
-* the K-order produced by decomposition is always a valid removal order;
+* the removal order of a plain or anchored decomposition (the static
+  K-order of Definition 5) is always a legal peel;
 * incremental core maintenance always agrees with recomputation from scratch;
 * the fast follower computation agrees with the exact deletion cascade;
 * anchored k-cores are monotone in the anchor set and contain the plain k-core.
@@ -22,8 +23,12 @@ from repro.anchored.followers import (
     full_shell_followers,
     marginal_followers,
 )
-from repro.cores.decomposition import core_numbers, k_core
-from repro.cores.korder import KOrder
+from repro.cores.decomposition import (
+    anchored_core_decomposition,
+    core_decomposition,
+    core_numbers,
+    k_core,
+)
 from repro.cores.maintenance import CoreMaintainer
 from repro.graph.dynamic import EdgeDelta
 from repro.graph.static import Graph
@@ -56,6 +61,15 @@ def graphs_with_vertex(draw):
     graph = draw(graphs())
     vertex = draw(st.sampled_from(sorted(graph.vertices())))
     return graph, vertex
+
+
+@st.composite
+def graphs_with_anchors(draw):
+    """A graph plus an anchor set of up to three of its vertices."""
+    graph = draw(graphs())
+    vertices = sorted(graph.vertices())
+    anchors = draw(st.lists(st.sampled_from(vertices), max_size=3, unique=True))
+    return graph, anchors
 
 
 @st.composite
@@ -92,9 +106,27 @@ def test_k_core_matches_networkx(graph, k):
 
 
 @SETTINGS
-@given(graphs())
-def test_korder_is_always_a_valid_removal_order(graph):
-    KOrder.from_graph(graph).validate()
+@given(graphs_with_anchors())
+def test_removal_order_is_a_legal_peel(data):
+    """The order lists every vertex once, by non-decreasing core number,
+    and when a vertex ``v`` is removed at most ``core(v)`` of its neighbours
+    are still present.  Anchors are never removed, so they are skipped."""
+    graph, anchors = data
+    for decomposition in (
+        core_decomposition(graph),
+        anchored_core_decomposition(graph, anchors),
+    ):
+        core = decomposition.core
+        order = decomposition.order
+        assert sorted(order) == sorted(graph.vertices())
+        values = [core[vertex] for vertex in order]
+        assert values == sorted(values)
+        position = {vertex: rank for rank, vertex in enumerate(order)}
+        for rank, vertex in enumerate(order):
+            if vertex in decomposition.anchors:
+                continue
+            later = sum(1 for neighbour in graph.neighbors(vertex) if position[neighbour] > rank)
+            assert later <= core[vertex]
 
 
 @SETTINGS
