@@ -106,7 +106,9 @@ kernel         ``refresh`` and ``commit_anchor`` paths
 ``numpy``      the peel's vectorised waves stopped before level ``k``; the
                same riser cascades on ids, over the snapshot's CSR row view
                (:func:`repro.cores.decomposition.commit_anchor_ids`); the
-               shell order is the peel's vectorised Phase-B shell pass
+               shell order is the peel's vectorised Phase-B shell pass.  The
+               snapshot of a solve over a maintained graph is gathered from
+               the maintainer's id rows, not interned from the graph (below)
 =============  ==============================================================
 
 IncAVT's swap/fill pass runs on the core maintainer's integer ids
@@ -132,7 +134,14 @@ determinism hinges on the interning semantics: :class:`~repro.graph.VertexIntern
 assigns dense ids in first-seen order and never moves them, and ordered
 :class:`~repro.graph.CompactGraph` snapshots intern in
 :func:`repro.ordering.tie_break_key` order so the integer id doubles as the
-deterministic tie-break rank.  Engine checkpoints persist the backend
+deterministic tie-break rank.  A solve that holds a
+:class:`CoreMaintainer` (an engine's cold and exact queries, IncAVT's first
+snapshot and restarts) runs on the backend
+:meth:`~repro.backends.ExecutionBackend.bound_to` returns for it.  On numpy
+that backend gathers the snapshot from the maintainer's id rows, in the
+tie-break order the maintainer caches until its vertex set changes, so the
+same id == rank contract holds without interning the graph a second time.
+Engine checkpoints persist the backend
 policy name, and restoring a checkpoint whose backend is unknown or
 unavailable in the restoring process falls back to ``"auto"`` with a
 warning.

@@ -21,7 +21,7 @@ from repro.anchored.anchored_core import AnchoredCoreIndex
 from repro.anchored.followers import anchored_k_core, compute_followers
 from repro.anchored.result import AnchoredKCoreResult, SolverStats
 from repro.errors import ParameterError, require_int
-from repro.backends import BACKEND_AUTO, ExecutionBackend
+from repro.backends import BACKEND_AUTO, WORKLOAD_ONE_SHOT, ExecutionBackend, get_backend
 from repro.graph.static import Graph, Vertex
 from repro.ordering import tie_break_key
 
@@ -59,7 +59,10 @@ class BruteForceAnchoredKCore:
         self._k = k
         self._budget = budget
         self._max_combinations = max_combinations
-        self._backend = backend
+        self._backend = get_backend(backend)
+        # select()'s plain k-core is a one-shot cascade.  Its backend is
+        # resolved here too, so the solve imports no backend module.
+        self._k_core_backend = get_backend(BACKEND_AUTO, workload=WORKLOAD_ONE_SHOT)
         self._universe = (
             None if candidate_universe is None else sorted(set(candidate_universe), key=tie_break_key)
         )
@@ -94,7 +97,7 @@ class BruteForceAnchoredKCore:
                 "reduce the budget, shrink the graph, or raise the bound explicitly"
             )
 
-        plain_core = anchored_k_core(self._graph, self._k, ())
+        plain_core = anchored_k_core(self._graph, self._k, (), backend=self._k_core_backend)
         best_anchors: Tuple[Vertex, ...] = ()
         best_followers: Set[Vertex] = set()
         stats = SolverStats()

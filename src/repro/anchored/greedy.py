@@ -50,7 +50,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Union
 from repro.anchored.anchored_core import AnchoredCoreIndex
 from repro.anchored.result import AnchoredKCoreResult, SolverStats
 from repro.errors import ParameterError, require_bool, require_int
-from repro.backends import BACKEND_AUTO, ExecutionBackend
+from repro.backends import BACKEND_AUTO, ExecutionBackend, get_backend
 from repro.graph.static import Graph, Vertex
 from repro.obs import tracer
 from repro.ordering import tie_break_key
@@ -121,7 +121,9 @@ class GreedyAnchoredKCore:
         self._initial_anchors = tuple(dict.fromkeys(initial_anchors))
         if len(self._initial_anchors) > budget:
             raise ParameterError("initial_anchors must not outnumber the budget")
-        self._backend = backend
+        # Resolved here, not in select(): a bad name fails at construction,
+        # and the lazy backend import stays out of the solve's timing.
+        self._backend = get_backend(backend)
 
     def select(self) -> AnchoredKCoreResult:
         """Run the greedy selection and return the resulting anchor set."""

@@ -22,7 +22,7 @@ from typing import Iterable, List, Optional, Set, Union
 from repro.anchored.anchored_core import AnchoredCoreIndex
 from repro.anchored.result import AnchoredKCoreResult, SolverStats
 from repro.errors import ParameterError, require_bool, require_int
-from repro.backends import BACKEND_AUTO, ExecutionBackend
+from repro.backends import BACKEND_AUTO, ExecutionBackend, get_backend
 from repro.graph.static import Graph, Vertex
 from repro.ordering import tie_break_key
 
@@ -52,7 +52,7 @@ class OLAKAnchoredKCore:
         self._initial_anchors = tuple(dict.fromkeys(initial_anchors))
         if len(self._initial_anchors) > budget:
             raise ParameterError("initial_anchors must not outnumber the budget")
-        self._backend = backend
+        self._backend = get_backend(backend)
 
     def select(self) -> AnchoredKCoreResult:
         """Run the OLAK-style selection and return the resulting anchor set."""

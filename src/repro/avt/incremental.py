@@ -45,6 +45,13 @@ anchors outside it.  The view answers membership and size in O(1), so a
 snapshot costs its core maintenance and the work around its anchors, not a
 peel or a scan of the whole graph.
 
+The Greedy solves of the first snapshot and of every restart run on the
+maintained graph, on the backend bound to the maintainer
+(:meth:`~repro.backends.ExecutionBackend.bound_to`).  On numpy their
+snapshot is gathered from the maintainer's id rows in its cached tie-break
+order: the maintainer's set-up, or a restart's kernel rebuild, has already
+interned the graph, and the solve does not intern it again.
+
 Because the candidate pool is restricted to the region the delta actually
 touched, IncAVT visits far fewer vertices per snapshot than re-running any of
 the static algorithms — the effect the paper's Figures 3-8 measure.
@@ -67,7 +74,7 @@ from repro.cores.decomposition import (
 )
 from repro.cores.maintenance import CoreMaintainer, IdStore
 from repro.errors import ParameterError, require_bool, require_int
-from repro.backends import BACKEND_AUTO, ExecutionBackend
+from repro.backends import BACKEND_AUTO, ExecutionBackend, get_backend
 from repro.graph.static import Vertex
 from repro.ordering import tie_break_key
 
@@ -101,8 +108,11 @@ class IncAVTTracker:
     backend:
         Execution backend (``"auto"`` / ``"dict"`` / ``"numpy"``, see
         :mod:`repro.backends`) used for the Greedy first-snapshot/restart
-        solves.  Core maintenance runs the same integer-id kernel on every
-        backend (:mod:`repro.cores.maintenance`).
+        solves, resolved at construction.  Each :meth:`track` binds it to
+        its maintainer (:meth:`~repro.backends.ExecutionBackend.bound_to`),
+        so on numpy those solves gather their snapshot from the
+        maintainer's ids.  Core maintenance runs the same integer-id kernel
+        on every backend (:mod:`repro.cores.maintenance`).
     """
 
     name = "IncAVT"
@@ -131,7 +141,9 @@ class IncAVTTracker:
         self._neighbourhood_hops = neighbourhood_hops
         self._swap_all_anchors = swap_all_anchors
         self._restart_churn_ratio = restart_churn_ratio
-        self._backend = backend
+        # Resolved here, not in track(): a bad name fails at construction,
+        # and the lazy backend import stays out of the first snapshot's time.
+        self._backend = get_backend(backend)
 
     # ------------------------------------------------------------------
     # Public API
@@ -154,9 +166,10 @@ class IncAVTTracker:
         # Snapshot 1: solved from scratch with the Greedy algorithm (Algorithm 6, line 2).
         maintainer = CoreMaintainer(problem.evolving_graph.base, copy_graph=True)
         first_graph = maintainer.graph
-        greedy = GreedyAnchoredKCore(
-            first_graph, problem.k, problem.budget, backend=self._backend
-        )
+        # Greedy's snapshots of the maintained graph, here and at every
+        # restart, come from the maintainer's id space.
+        backend = self._backend.bound_to(maintainer)
+        greedy = GreedyAnchoredKCore(first_graph, problem.k, problem.budget, backend=backend)
         first = greedy.select()
         result.append(
             SnapshotResult(
@@ -190,7 +203,7 @@ class IncAVTTracker:
                 delta.apply(maintainer.graph)
                 maintainer.refresh_from_graph()
                 restart = GreedyAnchoredKCore(
-                    maintainer.graph, problem.k, problem.budget, backend=self._backend
+                    maintainer.graph, problem.k, problem.budget, backend=backend
                 ).select()
                 anchors = list(restart.anchors)
                 stats = restart.stats

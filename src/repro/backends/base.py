@@ -26,6 +26,17 @@ Contract shared by all implementations (enforced by
 order so integer id doubles as tie-break rank), identical follower sets and
 identical visited-vertex instrumentation counts.
 
+A solve over a maintained graph — the engine's cold and exact queries,
+IncAVT's first snapshot and its restarts — runs on the backend that
+:meth:`ExecutionBackend.bound_to` returns for the
+:class:`~repro.cores.maintenance.CoreMaintainer`.  The numpy backend's bound
+form gathers the snapshot from the maintainer's id rows, in the tie-break
+order the maintainer caches, instead of interning the graph again.  That
+snapshot is the same CSR up to the order inside each row, and id ==
+tie-break rank still holds, so every kernel and the capped contract below
+are unchanged.  Nothing reads the order inside a row: the cascades are
+confluent, and the shell order's heap keys are (degree, rank).
+
 The capped contract
 -------------------
 A :class:`CoreIndexKernel` keeps only what a greedy round at the index's
@@ -80,6 +91,7 @@ from typing import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cores.decomposition import CoreDecomposition
+    from repro.cores.maintenance import CoreMaintainer
     from repro.graph.static import Graph, Vertex
 
 # ---------------------------------------------------------------------------
@@ -222,7 +234,8 @@ class ExecutionBackend(ABC):
 
     Implementations are stateless (all state lives in the kernel handles they
     build), so :func:`repro.backends.get_backend` shares one instance of each
-    process-wide.
+    process-wide.  A backend returned by :meth:`bound_to` holds only its
+    maintainer.
     """
 
     #: Backend name; also what ``resolved_backend.name``-style introspection
@@ -250,6 +263,18 @@ class ExecutionBackend(ABC):
     @abstractmethod
     def build_core_index(self, graph: "Graph") -> CoreIndexKernel:
         """Build the anchored-core-index kernel for a frozen graph snapshot."""
+
+    def bound_to(self, maintainer: "CoreMaintainer") -> "ExecutionBackend":
+        """The backend to run solves over ``maintainer.graph`` with.
+
+        A backend that builds a snapshot may return one bound to the
+        maintainer, whose :meth:`build_core_index` gathers the snapshot of
+        ``maintainer.graph`` from the maintainer's id space instead of
+        interning the graph again, and builds from the graph as usual for any
+        other graph.  The snapshot is still built inside that call and lives
+        only as long as its kernel.  The default returns the backend itself.
+        """
+        return self
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} name={self.name!r}>"

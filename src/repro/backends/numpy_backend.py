@@ -3,8 +3,7 @@
 Every kernel runs over an ordered, interned CSR snapshot
 (:class:`~repro.graph.compact.CompactGraph`, ids in tie-break order so the
 integer id doubles as the tie-break rank), kept both as numpy arrays and as
-the plain lists it was built from.  Each layer uses whichever form is faster
-for its work:
+plain lists.  Each layer uses whichever form is faster for its work:
 
 * **Peeling** runs in two phases.  Phase A computes the core numbers with
   vectorised wave peeling (kill every vertex at or below the current level at
@@ -36,6 +35,23 @@ for its work:
   IncAVT's swap/fill pass runs the same two functions over the maintenance
   kernel's adjacency sets.
 
+Where the snapshot comes from:
+
+* **A bare graph** (one-shot calls, and Greedy over a snapshot sequence,
+  the paper's per-snapshot baseline) is interned by
+  :meth:`CompactGraph.from_graph <repro.graph.compact.CompactGraph.from_graph>`:
+  a tie-break sort, then one gather of the neighbour rows.
+* **A maintained graph** is not interned again.  The backend that
+  :meth:`NumpyBackend.bound_to` returns for a
+  :class:`~repro.cores.maintenance.CoreMaintainer` builds the index of
+  ``maintainer.graph`` with :meth:`NumpyGraph.from_maintainer`: it takes the
+  maintainer's ids in its cached tie-break order, gathers their adjacency
+  sets in that order, flattens them once and maps them through a rank
+  array.  Id == tie-break rank holds as before; only the order inside a
+  row differs, and no kernel reads it.  The snapshot is built inside
+  :meth:`NumpyBackend.build_core_index` and lives as long as its kernel,
+  one solve.
+
 Import of numpy is gated: :func:`repro.backends.get_backend` loads this
 module only once ``repro.backends.numpy_available()`` reports true, so the
 rest of the library works on a numpy-free interpreter.
@@ -45,10 +61,26 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
+from itertools import chain
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+)
 
 try:  # pragma: no cover - exercised implicitly by the no-numpy CI job
     import numpy as np
+
+    # ``np.unique`` reads ``np.ma``, which numpy 2 imports lazily on first
+    # use (about 19 ms).  Importing it with this module keeps that import
+    # out of the first solve, whose runtime_seconds would report it.
+    import numpy.ma  # noqa: F401
 except ImportError:  # pragma: no cover
     np = None
 
@@ -63,8 +95,11 @@ from repro.cores.decomposition import (
     commit_anchor_ids,
     compact_marginal_followers,
 )
-from repro.graph.compact import CompactGraph
+from repro.graph.compact import CompactGraph, VertexInterner
 from repro.graph.static import Graph, Vertex
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cores.maintenance import CoreMaintainer
 
 
 class CsrRows:
@@ -93,7 +128,9 @@ class NumpyGraph:
 
     Built *from* a :class:`~repro.graph.compact.CompactGraph`, so ordered
     snapshots intern in tie-break order (id == rank), and the source's
-    plain lists stay available to the scalar kernels.
+    plain lists stay available to the scalar kernels.  The compact graph
+    comes from the graph (:meth:`from_graph`) or from a maintainer's id
+    space (:meth:`from_maintainer`).
     """
 
     __slots__ = (
@@ -108,10 +145,14 @@ class NumpyGraph:
         "num_edges",
     )
 
-    def __init__(self, cgraph: CompactGraph) -> None:
+    def __init__(self, cgraph: CompactGraph, indptr=None, indices=None) -> None:
+        """``indptr`` and ``indices`` may pass the int64 arrays that
+        ``cgraph``'s lists were made from, so they are not converted back."""
         self.interner = cgraph.interner
-        self.indptr = np.asarray(cgraph.indptr, dtype=np.int64)
-        self.indices = np.asarray(cgraph.indices, dtype=np.int64)
+        self.indptr = np.asarray(cgraph.indptr, dtype=np.int64) if indptr is None else indptr
+        self.indices = (
+            np.asarray(cgraph.indices, dtype=np.int64) if indices is None else indices
+        )
         # The source CompactGraph's plain-list CSR is kept (shared, not
         # copied) for the scalar kernels — the cascade drain, the region
         # follower cascade and the commit risers: on a thin wave or a small
@@ -127,6 +168,38 @@ class NumpyGraph:
     @classmethod
     def from_graph(cls, graph: Graph, ordered: bool = True) -> "NumpyGraph":
         return cls(CompactGraph.from_graph(graph, ordered=ordered))
+
+    @classmethod
+    def from_maintainer(cls, maintainer: "CoreMaintainer") -> "NumpyGraph":
+        """The ordered snapshot of ``maintainer.graph``, from its id space.
+
+        The maintainer's cached tie-break order gives each id its rank.  The
+        id rows are gathered in that order, flattened once and mapped through
+        a rank array, so id == tie-break rank as in :meth:`from_graph`,
+        without a tie-break sort (once the order is cached) or a vertex
+        lookup.  Only the order inside a row can differ from
+        :meth:`from_graph`'s.
+        """
+        store = maintainer.id_store()
+        order = maintainer.tie_break_order()
+        n = len(order)
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.arange(n, dtype=np.int64)
+        rows = list(map(store.adj.__getitem__, order))
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, rows), dtype=np.int64, count=n), out=indptr[1:])
+        flat = np.fromiter(
+            chain.from_iterable(rows), dtype=np.int64, count=int(indptr[-1])
+        )
+        indices = rank[flat]
+        cgraph = CompactGraph(
+            VertexInterner.of_distinct(map(store.vertices.__getitem__, order)),
+            indptr.tolist(),
+            indices.tolist(),
+            ordered=True,
+            num_edges=maintainer.graph.num_edges,
+        )
+        return cls(cgraph, indptr, indices)
 
     @property
     def num_vertices(self) -> int:
@@ -408,6 +481,9 @@ def numpy_full_shell_followers(
 class NumpyCoreIndexKernel(CoreIndexKernel):
     """Anchored-core-index state over one ordered numpy snapshot.
 
+    The kernel takes the snapshot it runs on (:class:`NumpyGraph`, ordered)
+    and keeps it for its lifetime.
+
     :meth:`refresh` runs Phase A of the peel only up to level ``k``
     (:func:`_wave_cores` with a limit) and orders only the ``(k-1)``-shell
     (Phase B's :func:`_shell_order`); :meth:`commit_anchor` runs the capped
@@ -417,9 +493,9 @@ class NumpyCoreIndexKernel(CoreIndexKernel):
     snapshot's :class:`CsrRows` with the numpy core array as storage.
     """
 
-    def __init__(self, graph: Graph) -> None:
-        self._ngraph = NumpyGraph.from_graph(graph, ordered=True)
-        n = self._ngraph.num_vertices
+    def __init__(self, ngraph: NumpyGraph) -> None:
+        self._ngraph = ngraph
+        n = ngraph.num_vertices
         self._core = np.zeros(n, dtype=np.float64)
         self._rank = np.zeros(n, dtype=np.int64)
         self._core_map_cache: Optional[Dict[Vertex, float]] = None
@@ -543,16 +619,26 @@ class NumpyCoreIndexKernel(CoreIndexKernel):
 
 
 class NumpyBackend(ExecutionBackend):
-    """Vectorised numpy kernels behind the shared CSR/interner contract."""
+    """Vectorised numpy kernels behind the shared CSR/interner contract.
+
+    ``maintainer`` binds the backend to a
+    :class:`~repro.cores.maintenance.CoreMaintainer` (:meth:`bound_to`): an
+    index built over ``maintainer.graph`` then takes its snapshot from the
+    maintainer's id space.  The shared instance is unbound.
+    """
 
     name = BACKEND_NUMPY
 
-    def __init__(self) -> None:
+    def __init__(self, maintainer: Optional["CoreMaintainer"] = None) -> None:
         if np is None:  # pragma: no cover - get_backend checks first
             raise ImportError(
                 "the numpy execution backend requires numpy; "
                 "install it or pick backend='dict'"
             )
+        self._maintainer = maintainer
+
+    def bound_to(self, maintainer: "CoreMaintainer") -> "NumpyBackend":
+        return NumpyBackend(maintainer)
 
     def decompose(self, graph: Graph, anchors: FrozenSet[Vertex] = frozenset()):
         anchor_set = frozenset(anchors)
@@ -576,4 +662,10 @@ class NumpyBackend(ExecutionBackend):
         )
 
     def build_core_index(self, graph: Graph) -> NumpyCoreIndexKernel:
-        return NumpyCoreIndexKernel(graph)
+        # The snapshot is built here, inside the call, whichever way: it
+        # lives only as long as the kernel, and this is the call a traced
+        # run times as the build.
+        maintainer = self._maintainer
+        if maintainer is not None and graph is maintainer.graph:
+            return NumpyCoreIndexKernel(NumpyGraph.from_maintainer(maintainer))
+        return NumpyCoreIndexKernel(NumpyGraph.from_graph(graph, ordered=True))

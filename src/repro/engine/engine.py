@@ -22,6 +22,12 @@ paper's central observation — maintain, don't recompute — at three levels:
    pass ``warm=False`` (or construct with ``warm_queries=False``) for exact
    from-scratch answers on every miss.
 
+Cold and exact answers run the static solver on the maintained graph.  Its
+backend is bound to the engine's maintainer once, at construction, so on
+numpy the solve's snapshot is gathered from the maintainer's id rows in the
+maintainer's cached tie-break order rather than interned from the graph
+again.  The snapshot lives only as long as that one solve.
+
 Checkpoint/restore (:mod:`repro.engine.checkpoint`) persists the whole engine
 — graph, core numbers, version counter, warm states, cache contents, stats —
 so a restarted server resumes without a single decomposition.
@@ -102,10 +108,11 @@ class StreamingAVTEngine:
         :class:`~repro.backends.ExecutionBackend` instance, see
         :mod:`repro.backends`) for the cold solvers, resolved
         once at construction (``"auto"`` is numpy whenever numpy is
-        available, at any graph size).  Core maintenance does not depend on
-        it: :class:`~repro.cores.maintenance.CoreMaintainer` runs one
-        integer-id kernel on every backend, so nothing migrates as the graph
-        grows.
+        available, at any graph size) and bound to the engine's maintainer
+        (:meth:`~repro.backends.ExecutionBackend.bound_to`).  Core
+        maintenance does not depend on it:
+        :class:`~repro.cores.maintenance.CoreMaintainer` runs one integer-id
+        kernel on every backend, so nothing migrates as the graph grows.
     """
 
     def __init__(
@@ -129,10 +136,12 @@ class StreamingAVTEngine:
             )
         initial_graph = graph if graph is not None else Graph()
         # The requested policy is kept for checkpoints; ``_backend`` is the
-        # resolved object.
+        # resolved object bound to the maintainer, so a numpy cold solve
+        # gathers its snapshot from the maintainer's ids.
         self._backend_policy = backend
-        self._backend = get_backend(backend)
+        resolved = get_backend(backend)
         self._maintainer = CoreMaintainer(initial_graph, copy_graph=copy_graph, core=core)
+        self._backend = resolved.bound_to(self._maintainer)
         self._buffer = IngestBuffer(self._maintainer.graph)
         self._cache = ResultCache(cache_capacity)
         self._stats = EngineStats()

@@ -12,13 +12,18 @@ incremental core maintenance mirrors the graph into:
   integers (and back).  Interning is append-only: an id, once assigned, is
   stable for the interner's lifetime.
 * :class:`CompactGraph` is a frozen CSR-style snapshot — ``indptr`` /
-  ``indices`` flat arrays of ints — built from a :class:`Graph` in one pass.
-  With ``ordered=True`` (the default) vertices are interned in
-  :func:`repro.ordering.tie_break_key` order, so the integer id of a vertex
-  *is* its deterministic tie-break rank; the peeling kernels exploit this to
-  reproduce bit-identical removal orders with single-int heap entries.  The
-  numpy backend's :class:`~repro.backends.numpy_backend.NumpyGraph` is built
-  on it and keeps its plain lists for the scalar cascades.
+  ``indices`` flat arrays of ints — built from a :class:`Graph` in one
+  gather: ids are assigned by position and the neighbour rows are flattened
+  and translated in one ``map``.  With ``ordered=True`` (the default)
+  vertices are interned in :func:`repro.ordering.tie_break_key` order, so
+  the integer id of a vertex *is* its deterministic tie-break rank; the
+  peeling kernels exploit this to reproduce bit-identical removal orders
+  with single-int heap entries.  The numpy backend's
+  :class:`~repro.backends.numpy_backend.NumpyGraph` is built on it and keeps
+  its plain lists for the scalar cascades.  An exact solve over a
+  maintained graph does not intern the graph again: the numpy backend
+  gathers the same CSR (rows in another order) from the maintainer's id
+  rows instead (:meth:`~repro.backends.numpy_backend.NumpyGraph.from_maintainer`).
 * :class:`DynamicCompactAdjacency` is the mutable sibling (list of int sets)
   that :class:`repro.cores.maintenance.CoreMaintainer` mirrors the graph
   into on every backend, so the insertion/deletion traversals run over ints
@@ -29,6 +34,7 @@ Backend names and their selection live in :mod:`repro.backends`.
 
 from __future__ import annotations
 
+from itertools import accumulate, chain
 from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.errors import VertexNotFoundError
@@ -52,6 +58,18 @@ class VertexInterner:
         if vertices is not None:
             for vertex in vertices:
                 self.intern(vertex)
+
+    @classmethod
+    def of_distinct(cls, vertices: Iterable[Vertex]) -> "VertexInterner":
+        """Intern distinct ``vertices`` by position: id ``i`` is the ``i``-th.
+
+        No lookup per vertex, unlike the constructor, so the caller must
+        not repeat a vertex.
+        """
+        interner = cls()
+        interner._vertices.extend(vertices)
+        interner._ids.update(zip(interner._vertices, range(len(interner._vertices))))
+        return interner
 
     def intern(self, vertex: Vertex) -> int:
         """Return the id of ``vertex``, assigning the next dense id if new."""
@@ -112,8 +130,9 @@ class CompactGraph:
     """Frozen CSR snapshot of a :class:`~repro.graph.static.Graph`.
 
     ``indices[indptr[i]:indptr[i + 1]]`` holds the neighbour ids of vertex
-    ``i``; ``degrees[i]`` is that row's length.  The structure is a snapshot:
-    mutating the source graph afterwards does not update it.
+    ``i``; ``degrees[i]`` is that row's length, computed on read.  The order
+    inside a row is unspecified.  The structure is a snapshot: mutating the
+    source graph afterwards does not update it.
 
     With ``ordered=True`` vertices are interned in deterministic
     :func:`~repro.ordering.tie_break_key` order, making the integer id double
@@ -122,7 +141,7 @@ class CompactGraph:
     whose results are order-independent sets, e.g. the k-core cascade.
     """
 
-    __slots__ = ("interner", "indptr", "indices", "degrees", "ordered", "num_edges")
+    __slots__ = ("interner", "indptr", "indices", "ordered", "num_edges")
 
     def __init__(
         self,
@@ -137,26 +156,23 @@ class CompactGraph:
         self.indices = indices
         self.ordered = ordered
         self.num_edges = num_edges
-        self.degrees = [
-            indptr[i + 1] - indptr[i] for i in range(len(interner))
-        ]
 
     @classmethod
     def from_graph(cls, graph: Graph, ordered: bool = True) -> "CompactGraph":
-        """Build a CSR snapshot of ``graph`` (one adjacency pass)."""
+        """Build a CSR snapshot of ``graph`` in one gather.
+
+        Ids are assigned by position in the vertex order, and every row is
+        translated in one ``map`` over the chained neighbour sets, so there
+        is one dict lookup per neighbour entry and no call per vertex.
+        """
         if ordered:
             vertex_order = sorted(graph.vertices(), key=tie_break_key)
         else:
             vertex_order = list(graph.vertices())
-        interner = VertexInterner(vertex_order)
-        ids = interner._ids
-        indptr: List[int] = [0]
-        indices: List[int] = []
-        append = indices.append
-        for vertex in vertex_order:
-            for neighbour in graph.neighbors(vertex):
-                append(ids[neighbour])
-            indptr.append(len(indices))
+        interner = VertexInterner.of_distinct(vertex_order)
+        rows = list(map(graph.neighbors, vertex_order))
+        indices = list(map(interner.ids.__getitem__, chain.from_iterable(rows)))
+        indptr = list(accumulate(map(len, rows), initial=0))
         return cls(
             interner,
             indptr,
@@ -164,6 +180,12 @@ class CompactGraph:
             ordered=ordered,
             num_edges=graph.num_edges,
         )
+
+    @property
+    def degrees(self) -> List[int]:
+        """Row lengths by id (a fresh list)."""
+        indptr = self.indptr
+        return [indptr[i + 1] - indptr[i] for i in range(len(self.interner))]
 
     @property
     def num_vertices(self) -> int:
@@ -214,14 +236,12 @@ class DynamicCompactAdjacency:
         by position without a lookup per vertex, and each row is built from
         the neighbour set in one call.
         """
-        interner = VertexInterner()
-        vertices = interner._vertices
-        vertices.extend(graph.vertices())
-        ids = interner._ids
-        ids.update(zip(vertices, range(len(vertices))))
-        lookup = ids.__getitem__
+        interner = VertexInterner.of_distinct(graph.vertices())
+        lookup = interner.ids.__getitem__
         neighbors = graph.neighbors
-        return cls(interner, [set(map(lookup, neighbors(vertex))) for vertex in vertices])
+        return cls(
+            interner, [set(map(lookup, neighbors(vertex))) for vertex in interner.vertices]
+        )
 
     def ensure_vertex(self, vertex: Vertex) -> int:
         """Intern ``vertex`` (creating an empty adjacency row) and return its id."""

@@ -9,6 +9,7 @@ import pytest
 
 from repro.anchored.followers import compute_followers
 from repro.anchored.greedy import GreedyAnchoredKCore
+from repro.backends import ExecutionBackend, get_backend, numpy_available
 from repro.bench.experiments import resolve_profile
 from repro.bench.workloads import build_problem
 from repro.cores.decomposition import core_numbers
@@ -200,6 +201,46 @@ class TestEngineQueries:
         assert result.anchors == scratch.anchors
         assert result.followers == scratch.followers
         assert engine.stats.cold_solves == 1
+
+    @pytest.mark.parametrize("backend", ["dict"] + (["numpy"] if numpy_available() else []))
+    def test_a_cold_query_builds_its_snapshot_in_one_build_call(self, backend, monkeypatch):
+        # The walk a traced perfbench run makes: every loaded backend class
+        # that defines build_core_index is timed as the snapshot build.  So a
+        # cold query calls it once, and the snapshot is built inside it.
+        get_backend(backend)
+        depth = [0]
+        builds = []
+        pending = [ExecutionBackend]
+        while pending:
+            cls = pending.pop()
+            pending.extend(cls.__subclasses__())
+            if cls is not ExecutionBackend and "build_core_index" in vars(cls):
+
+                def counted(self, graph, _build=vars(cls)["build_core_index"]):
+                    builds.append(type(self).__name__)
+                    depth[0] += 1
+                    try:
+                        return _build(self, graph)
+                    finally:
+                        depth[0] -= 1
+
+                monkeypatch.setattr(cls, "build_core_index", counted)
+        snapshots = []
+        if backend == "numpy":
+            from repro.backends.numpy_backend import NumpyGraph
+
+            for name in ("from_graph", "from_maintainer"):
+                monkeypatch.setattr(
+                    NumpyGraph,
+                    name,
+                    lambda *args, _build=getattr(NumpyGraph, name), **kwargs: (
+                        snapshots.append(depth[0]) or _build(*args, **kwargs)
+                    ),
+                )
+        engine = StreamingAVTEngine(chung_lu_graph(300, 900, skew=1.2, seed=3), backend=backend)
+        engine.query(3, 4, warm=False)
+        assert len(builds) == 1
+        assert snapshots == ([1] if backend == "numpy" else [])
 
     def test_repeated_query_is_served_from_cache_without_solver(self, toy_graph):
         engine = StreamingAVTEngine(toy_graph)

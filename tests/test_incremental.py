@@ -244,6 +244,11 @@ class TestParameterValidation:
         with pytest.raises(ParameterError):
             IncAVTTracker().refresh_anchors(maintainer, k, budget, (4,), {3, 4})
 
+    def test_unknown_backend_fails_at_construction(self):
+        # It used to fail only inside track(), after the maintainer set-up.
+        with pytest.raises(ParameterError, match="unknown backend"):
+            IncAVTTracker(backend="sparse")
+
     def test_rejects_negative_neighbourhood_hops(self):
         with pytest.raises(ParameterError):
             IncAVTTracker(neighbourhood_hops=-3)

@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.anchored.bruteforce import BruteForceAnchoredKCore
 from repro.anchored.exact_small_k import ExactSmallK
 from repro.anchored.followers import compute_followers
@@ -98,6 +106,66 @@ class TestResultContract:
             solver_cls(two_triangles, 2, 2, initial_anchors=[3, 4, 5, 6])
         # Duplicates do not count against the budget.
         solver_cls(two_triangles, 2, 2, initial_anchors=[6, 7, 6])
+
+
+#: Run in a fresh interpreter: construct one solver (argv[1]) on the toy
+#: graph, then print the modules its first solve loads.
+FIRST_SOLVE = textwrap.dedent(
+    """
+    import json
+    import sys
+
+    from repro.anchored.bruteforce import BruteForceAnchoredKCore
+    from repro.anchored.greedy import GreedyAnchoredKCore
+    from repro.anchored.olak import OLAKAnchoredKCore
+    from repro.anchored.rcm import RCMAnchoredKCore
+    from repro.avt.incremental import IncAVTTracker
+    from repro.avt.problem import AVTProblem
+    from repro.graph.datasets import toy_example_evolving_graph
+
+    evolving = toy_example_evolving_graph()
+    name = sys.argv[1]
+    if name == "IncAVTTracker":
+        problem = AVTProblem(evolving, k=3, budget=2)
+        tracker = IncAVTTracker()
+        solve = lambda: tracker.track(problem)
+    else:
+        solve = globals()[name](evolving.base, 3, 2).select
+    before = set(sys.modules)
+    solve()
+    print(json.dumps(sorted(set(sys.modules) - before)))
+    """
+)
+
+
+class TestBackendResolution:
+    """Every solver resolves ``backend=`` when it is constructed."""
+
+    @pytest.mark.parametrize("solver_cls", ALL_SOLVERS)
+    def test_unknown_backend_fails_at_construction(self, toy_graph, solver_cls):
+        with pytest.raises(ParameterError, match="unknown backend"):
+            solver_cls(toy_graph, 3, 2, backend="sparse")
+
+    @pytest.mark.parametrize(
+        "solver_name", [cls.__name__ for cls in ALL_SOLVERS] + ["IncAVTTracker"]
+    )
+    def test_the_first_solve_in_a_process_imports_nothing(self, solver_name):
+        # A solve that imports the backend (numpy with it) reports the
+        # import as its runtime_seconds: 0.2 s on a 17-vertex graph.  The
+        # child inherits REPRO_TRACE and REPRO_DISABLE_NUMPY, so each suite
+        # configuration checks its own path.
+        source = str(Path(repro.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        completed = subprocess.run(
+            [sys.executable, "-c", FIRST_SOLVE, solver_name],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=env,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert json.loads(completed.stdout.splitlines()[-1]) == []
 
 
 class TestGreedy:
