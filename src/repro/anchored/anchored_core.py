@@ -7,9 +7,9 @@ infinite degree, so the core numbers that drive steps (1) and (2) must be the
 *anchored* core numbers.  :class:`AnchoredCoreIndex` packages that state:
 
 * the anchored core numbers of the current graph + anchor set capped at
-  ``k``, and the removal order of the ``(k-1)``-shell, built by a cascade
-  over the levels below ``k`` at construction and kept up to date whenever
-  an anchor is committed;
+  ``k``, and the removal order within each component of the
+  ``(k-1)``-shell, built by a cascade over the levels below ``k`` at
+  construction and kept up to date whenever an anchor is committed;
 * Theorem-3 candidate pruning with or without the K-order position condition;
 * fast marginal follower computation (shell-local cascade); and
 * the instrumentation counters (candidates evaluated, vertices visited) that
@@ -46,12 +46,16 @@ class AnchoredCoreIndex:
 
     The state is capped at this index's ``k`` from construction on (the
     capped contract of :mod:`repro.backends.base`): every core number
-    equals ``min(anchored core number, k)`` with anchors at infinity, and
-    the ``(k-1)``-shell keeps its full-peel removal order after every lower
-    vertex; other positions are unspecified.  Construction and
-    :meth:`commit_anchor` both keep that state, and
-    every query method reads only ``core >= k``, ``core == k - 1`` and those
-    positions, so its answers equal those on a full anchored peel.  Use
+    equals ``min(anchored core number, k)`` with anchors at infinity, each
+    connected component of the ``(k-1)``-shell's subgraph keeps its
+    full-peel removal order, and the shell ranks after every lower vertex;
+    other positions, and the order between shell components, are
+    unspecified.  Construction and :meth:`commit_anchor` both keep that
+    state, and every query method reads only ``core >= k``,
+    ``core == k - 1`` and those positions (Theorem-3 pruning compares a
+    shell member only with its neighbours below ``k``, which lie in its own
+    component or below the shell), so its answers equal those on a full
+    anchored peel.  Use
     :func:`~repro.cores.decomposition.anchored_core_decomposition` for exact
     values at every level.
     """

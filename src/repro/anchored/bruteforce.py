@@ -34,8 +34,9 @@ class BruteForceAnchoredKCore:
     graph, k, budget:
         Problem instance, as for the heuristics.
     max_combinations:
-        Safety valve: if the number of anchor-set combinations exceeds this
-        bound a :class:`ParameterError` is raised instead of running for hours.
+        Safety valve, a positive integer: if the number of anchor-set
+        combinations exceeds this bound a :class:`ParameterError` is raised
+        instead of running for hours.
         Raise it explicitly for larger case studies.
     candidate_universe:
         Optional explicit universe to enumerate; defaults to every vertex
@@ -55,6 +56,7 @@ class BruteForceAnchoredKCore:
     ) -> None:
         require_int("k", k, 1)
         require_int("budget", budget, 0)
+        require_int("max_combinations", max_combinations, 1)
         self._graph = graph
         self._k = k
         self._budget = budget

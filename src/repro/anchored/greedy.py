@@ -13,9 +13,11 @@ a snapshot without changing a single result:
 * **Capped anchor commits.**  Committing the round's winner goes through
   :meth:`~repro.anchored.anchored_core.AnchoredCoreIndex.commit_anchor`, the
   kernels' delta-refresh path.  It keeps only what the next round reads at
-  ``k``: single-anchor riser cascades at the levels up to ``k``, and one
-  re-order of the ``(k-1)``-shell.  It also reports the exact *touched set*
-  of vertices whose core number changed.
+  ``k``: single-anchor riser cascades at the levels up to ``k``, and a
+  re-order of the ``(k-1)``-shell components the commit reached (the numpy
+  kernel; the dict kernel re-orders the whole shell).  Theorem-3 pruning
+  reads the order only within a shell component.  It also reports the
+  exact *touched set* of vertices whose core number changed.
 * **Memoized marginal gains.**  A candidate's evaluation reads only the core
   numbers of its explored shell-local region, the candidate, and their
   neighbours.  Each evaluation is cached together with that region; after a

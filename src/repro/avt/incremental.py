@@ -59,6 +59,7 @@ the static algorithms — the effect the paper's Figures 3-8 measure.
 
 from __future__ import annotations
 
+import math
 import numbers
 import time
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
@@ -103,8 +104,8 @@ class IncAVTTracker:
         maintained).  The paper observes the same effect: K-order maintenance
         "downgrades when the percentage of updated edges is high" (Section
         6.2.2), which is visible as the IncAVT time jump at eu-core T=21.
-        Must be non-negative; ``0.0`` re-solves every snapshot that changed,
-        and ``None`` disables restarts.
+        Must be a non-negative number (NaN is refused); ``0.0`` re-solves
+        every snapshot that changed, and ``None`` disables restarts.
     backend:
         Execution backend (``"auto"`` / ``"dict"`` / ``"numpy"``, see
         :mod:`repro.backends`) used for the Greedy first-snapshot/restart
@@ -131,6 +132,9 @@ class IncAVTTracker:
         if restart_churn_ratio is not None and (
             isinstance(restart_churn_ratio, bool)
             or not isinstance(restart_churn_ratio, numbers.Real)
+            # NaN compares false with every ratio, so it would turn restarts
+            # off silently; only None does that.
+            or math.isnan(restart_churn_ratio)
             or restart_churn_ratio < 0
         ):
             raise ParameterError(

@@ -22,9 +22,10 @@ candidate scans and follower cascades that read them.  It is built once per
 
 Contract shared by all implementations (enforced by
 ``tests/test_backend_equivalence.py``): identical core numbers, identical
-*removal orders* (vertices interned in :func:`repro.ordering.tie_break_key`
-order so integer id doubles as tie-break rank), identical follower sets and
-identical visited-vertex instrumentation counts.
+*removal orders* from :meth:`ExecutionBackend.decompose` (vertices interned
+in :func:`repro.ordering.tie_break_key` order so integer id doubles as
+tie-break rank), identical follower sets and identical visited-vertex
+instrumentation counts.
 
 A solve over a maintained graph — the engine's cold and exact queries,
 IncAVT's first snapshot and its restarts — runs on the backend that
@@ -45,20 +46,24 @@ after every :meth:`CoreIndexKernel.commit_anchor` at the same ``k``:
 
 * every core number equals ``min(anchored core number, k)``, and anchors
   are infinity;
-* the ``(k-1)``-shell's members appear in the removal ranks in the same
-  relative order as in a full anchored peel;
+* within each connected component of the ``(k-1)``-shell's subgraph, the
+  members appear in the removal ranks in the same relative order as in a
+  full anchored peel;
 * every ``(k-1)``-shell member ranks after every vertex below ``k - 1``.
-  Other positions are unspecified.
+  Other positions, and the order between two shell components, are
+  unspecified.
 
-This state is deterministic, so it is identical across backends.  Every
-query at that ``k`` answers as on the full peel's state, because each one
-tests only ``core >= k`` or ``core == k - 1``, and Theorem-3 pruning
-compares ranks only against a ``(k-1)``-shell neighbour.  The full exact
-peel stays behind :meth:`ExecutionBackend.decompose`.  The built-in kernels
-build the state with a cascade over the levels ``0 .. k-1`` only (the dict
-backend's bucket cascade :func:`repro.backends.dict_backend.dict_capped_cores`,
-or the numpy backend's level-limited waves) and then order the
-``(k-1)``-shell with one within-shell cascade.
+The core numbers are identical across backends; the ranks may differ
+between shell components.  Every query at that ``k`` answers as on the
+full peel's state, because each one tests only ``core >= k`` or
+``core == k - 1``, and Theorem-3 pruning compares a ``(k-1)``-shell
+member's rank only with its neighbours below ``k``, which lie in its own
+component or below the shell.  The full exact peel stays behind
+:meth:`ExecutionBackend.decompose`.  The built-in kernels build the state
+with a cascade over the levels ``0 .. k-1`` only (the dict backend's bucket
+cascade :func:`repro.backends.dict_backend.dict_capped_cores`, or the numpy
+backend's level-limited waves) and then order the ``(k-1)``-shell with one
+within-shell cascade.
 
 The delta-refresh contract
 --------------------------
@@ -74,7 +79,11 @@ the single-anchor riser cascades at levels up to ``k`` only
 gives the exactness argument, and its id twin
 :func:`repro.cores.decomposition.commit_anchor_ids` behind the numpy
 kernel), which lift a vertex to at most ``k``, then re-order the
-``(k-1)``-shell the same way as :meth:`~CoreIndexKernel.refresh`.
+``(k-1)``-shell the same way as :meth:`~CoreIndexKernel.refresh`.  The
+numpy kernel re-orders only the shell components that contain or neighbour
+a touched vertex, ranked above every rank it handed out before, so every
+other component keeps its ranks; the dict kernel re-orders the whole
+shell.  Both meet the capped contract.
 """
 
 from __future__ import annotations
@@ -133,8 +142,8 @@ class CoreIndexKernel(ABC):
     @abstractmethod
     def refresh(self, anchors: Set["Vertex"], k: int) -> None:
         """Build the capped state for ``anchors`` at ``k``: core numbers
-        ``min(anchored core, k)``, the ``(k-1)``-shell ranked in full-peel
-        order after every lower vertex."""
+        ``min(anchored core, k)``, each ``(k-1)``-shell component ranked in
+        full-peel order, and the shell after every lower vertex."""
 
     @abstractmethod
     def commit_anchor(
@@ -153,9 +162,10 @@ class CoreIndexKernel(ABC):
     def removal_ranks(self) -> Mapping["Vertex", int]:
         """The current removal ranks (tests and diagnostics).
 
-        Only the ``(k-1)``-shell's relative order and its place after every
-        lower vertex are specified; ranks need not be contiguous, and
-        positions outside the shell are unspecified.
+        Only the relative order within each connected component of the
+        ``(k-1)``-shell's subgraph and the shell's place after every lower
+        vertex are specified; ranks need not be contiguous, and positions
+        outside the shell or between two shell components are unspecified.
         """
 
     @abstractmethod

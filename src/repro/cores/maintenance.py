@@ -83,7 +83,13 @@ from typing import (
 )
 
 from repro.cores.decomposition import core_numbers as recompute_core_numbers
-from repro.errors import InvariantViolationError, SelfLoopError, VertexNotFoundError, require_int
+from repro.errors import (
+    InvariantViolationError,
+    SelfLoopError,
+    VertexNotFoundError,
+    require_bool,
+    require_int,
+)
 from repro.graph.compact import DynamicCompactAdjacency
 from repro.graph.dynamic import EdgeDelta
 from repro.graph.static import Edge, Graph, Vertex
@@ -451,6 +457,7 @@ class CoreMaintainer:
         a fresh decomposition.  The values are trusted; :meth:`validate`
         cross-checks them on demand.
         """
+        require_bool("copy_graph", copy_graph)
         self._graph = graph.copy() if copy_graph else graph
         self._kernel = _IdKernel(self._graph, core)
         self._visited_last = 0

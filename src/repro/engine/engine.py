@@ -87,7 +87,7 @@ class StreamingAVTEngine:
     ----------
     graph:
         Initial graph (defaults to empty).  Copied unless ``copy_graph`` is
-        false.
+        ``False`` (a bool, like every switch).
     cache_capacity:
         Maximum number of cached query answers (LRU beyond that).
     batch_size:
@@ -127,9 +127,12 @@ class StreamingAVTEngine:
         core: Optional[Dict[Vertex, int]] = None,
         backend: Union[str, ExecutionBackend] = BACKEND_AUTO,
     ) -> None:
+        # Every argument is checked before the O(n + m) maintainer build.
+        require_int("cache_capacity", cache_capacity, 1)
         if batch_size is not None:
             require_int("batch_size", batch_size, 1)
         require_bool("warm_queries", warm_queries)
+        require_bool("copy_graph", copy_graph)
         if default_solver not in SOLVERS:
             raise ParameterError(
                 f"unknown solver {default_solver!r}; expected one of {sorted(SOLVERS)}"

@@ -418,7 +418,26 @@ class TestEngineQueries:
                 StreamingAVTEngine(toy_graph, batch_size=bad)
             with pytest.raises(ParameterError):
                 StreamingAVTEngine(toy_graph, cache_capacity=bad)
+        with pytest.raises(ParameterError, match="cache_capacity"):
+            StreamingAVTEngine(toy_graph, cache_capacity=0)
+        # A truthy "false" used to copy the graph, and a falsy 0 to share it.
+        for bad in ("false", 0, 1, None):
+            with pytest.raises(ParameterError, match="copy_graph"):
+                StreamingAVTEngine(toy_graph, copy_graph=bad)
         assert StreamingAVTEngine(toy_graph, batch_size=None).pending_updates == 0
+
+    @pytest.mark.parametrize(
+        "argument", [{"cache_capacity": 0}, {"cache_capacity": "3"}, {"copy_graph": "no"}]
+    )
+    def test_bad_arguments_fail_before_the_maintainer_is_built(
+        self, toy_graph, monkeypatch, argument
+    ):
+        def build(*args, **kwargs):
+            raise AssertionError("the O(n + m) maintainer was built")
+
+        monkeypatch.setattr("repro.engine.engine.CoreMaintainer", build)
+        with pytest.raises(ParameterError, match=next(iter(argument))):
+            StreamingAVTEngine(toy_graph, **argument)
 
     def test_engine_on_empty_graph(self):
         engine = StreamingAVTEngine()

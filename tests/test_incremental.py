@@ -268,7 +268,9 @@ class TestParameterValidation:
     def test_rejects_negative_restart_churn_ratio(self):
         with pytest.raises(ParameterError):
             IncAVTTracker(restart_churn_ratio=-1.0)
-        for bad in ("x", True, [0.1]):
+        # NaN compares false with every churn ratio, so it would silently
+        # turn restarts off, which only None may do.
+        for bad in ("x", True, [0.1], float("nan")):
             with pytest.raises(ParameterError):
                 IncAVTTracker(restart_churn_ratio=bad)
         IncAVTTracker(restart_churn_ratio=None)

@@ -8,11 +8,11 @@ Two referees keep the capped and incremental paths honest:
   the index must meet the capped contract against a full exact anchored
   peel (:func:`~repro.cores.decomposition.anchored_core_decomposition` on
   the dict backend, which builds no index), on both backends:
-  core numbers equal to ``min(full peel, k)`` with anchors at infinity, the
-  ``(k-1)``-shell in the full peel's relative order and after every lower
-  vertex, and candidate sets and shell queries equal to those derived from
-  the full peel; and the returned touched set must be exactly the
-  core-number diff.
+  core numbers equal to ``min(full peel, k)`` with anchors at infinity,
+  each connected component of the ``(k-1)``-shell's subgraph in the full
+  peel's relative order, the shell after every lower vertex, and candidate
+  sets and shell queries equal to those derived from the full peel; and
+  the returned touched set must be exactly the core-number diff.
 * **Solver-level**: the memoized Greedy must select bit-identical anchors
   and followers and report bit-identical instrumentation
   (``candidates_evaluated``, ``visited_vertices``) as the index-free
@@ -25,6 +25,8 @@ used so the interner paths (sparse ints, strings, mixed types) stay covered.
 """
 
 from __future__ import annotations
+
+from typing import List, Set
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -91,6 +93,26 @@ def commit_scenarios(draw):
     return graph, k, anchors
 
 
+def shell_components(graph: Graph, shell) -> List[Set]:
+    """The connected components of the subgraph ``shell`` induces."""
+    members = set(shell)
+    components: List[Set] = []
+    seen: Set = set()
+    for root in shell:
+        if root in seen:
+            continue
+        component = {root}
+        stack = [root]
+        while stack:
+            for w in graph.neighbors(stack.pop()):
+                if w in members and w not in component:
+                    component.add(w)
+                    stack.append(w)
+        seen |= component
+        components.append(component)
+    return components
+
+
 def _assert_capped_state(index: AnchoredCoreIndex, graph: Graph, anchors, k: int):
     """The capped contract: ``index`` vs a full exact anchored peel of
     ``graph`` with ``anchors`` (dict backend, no index involved)."""
@@ -102,13 +124,15 @@ def _assert_capped_state(index: AnchoredCoreIndex, graph: Graph, anchors, k: int
         for v, value in full_core.items()
     }
     ranks = index.kernel.removal_ranks()
-    # The shell in full-peel order must rank strictly increasing.
+    # Each component of the shell's subgraph, in full-peel order, must rank
+    # strictly increasing.
     shell = [v for v in decomposition.order if full_core[v] == k - 1]
-    shell_ranks = [ranks[v] for v in shell]
-    assert all(a < b for a, b in zip(shell_ranks, shell_ranks[1:]))
+    for component in shell_components(graph, shell):
+        component_ranks = [ranks[v] for v in shell if v in component]
+        assert all(a < b for a, b in zip(component_ranks, component_ranks[1:]))
     lower = [v for v, value in full_core.items() if value < k - 1]
     if shell and lower:
-        assert max(ranks[v] for v in lower) < min(shell_ranks)
+        assert max(ranks[v] for v in lower) < min(ranks[v] for v in shell)
     for pruning in (True, False):
         expected = {
             u
@@ -147,6 +171,7 @@ def build_scenarios(draw):
 # missing shell order, a missing rank offset and a level loop that stops at
 # k - 1 all break this build; the second example repeats it with an anchor.
 PATH_WITH_ISOLATED = Graph(edges=[(0, 1), (1, 2)], vertices=[0, 1, 2, 3])
+TWO_EDGES = Graph(edges=[(0, 1), (2, 3)], vertices=range(4))
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -168,6 +193,9 @@ def test_capped_build_matches_the_exact_peel(backend, scenario):
 # (2 now peels before 1), and the isolated 3 is a lower shell that the
 # re-ordered ranks must stay above.
 @example(scenario=(PATH_WITH_ISOLATED, 2, [0]))
+# Two 1-shell components: on numpy, anchoring 0 re-ranks only {1}, above
+# the ranks 2 and 3 keep, so the whole shell is out of full-peel order.
+@example(scenario=(TWO_EDGES, 2, [0]))
 def test_commit_anchor_matches_full_refresh(backend, scenario):
     """After every commit the capped state matches the full exact peel."""
     graph, k, anchors = scenario
@@ -184,6 +212,28 @@ def test_commit_anchor_matches_full_refresh(backend, scenario):
             vertex for vertex, value in after.items() if before[vertex] != value
         }
         assert touched == frozenset(expected)
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy is not installed")
+@SETTINGS
+@given(scenario=commit_scenarios())
+# Anchoring 0 touches the component {0, 1} only: 2 and 3 keep ranks 6 and 7.
+@example(scenario=(TWO_EDGES, 2, [0]))
+def test_a_numpy_commit_keeps_the_ranks_of_untouched_components(scenario):
+    """A numpy commit re-ranks only the shell components that contain or
+    neighbour a touched vertex."""
+    graph, k, anchors = scenario
+    index = AnchoredCoreIndex(graph, k, backend="numpy")
+    for anchor in anchors:
+        before = dict(index.kernel.removal_ranks())
+        touched = index.commit_anchor(anchor)
+        after = index.kernel.removal_ranks()
+        reached = set(touched).union(*(graph.neighbors(v) for v in touched))
+        for component in shell_components(graph, index.shell()):
+            if not component & reached:
+                assert {v: after[v] for v in component} == {
+                    v: before[v] for v in component
+                }
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

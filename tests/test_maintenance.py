@@ -136,6 +136,9 @@ class TestMixedWorkloads:
         copied = CoreMaintainer(graph, copy_graph=True)
         copied.insert_edge(3, 4)
         assert not graph.has_edge(3, 4)
+        for bad in ("false", 0, None):
+            with pytest.raises(ParameterError, match="copy_graph"):
+                CoreMaintainer(graph, copy_graph=bad)
 
     def test_insert_edges_returns_union_of_risen_vertices(self):
         maintainer = CoreMaintainer(Graph(edges=[(1, 2), (2, 3), (1, 3)]))

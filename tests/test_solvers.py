@@ -275,6 +275,13 @@ class TestBruteForce:
         with pytest.raises(ParameterError):
             BruteForceAnchoredKCore(cl_graph, 4, 5, max_combinations=10).select()
 
+    @pytest.mark.parametrize("bad", ["x", -1, 0, True, 2.5, None])
+    def test_max_combinations_is_checked_at_construction(self, toy_graph, bad):
+        # "x" used to escape select() as a raw TypeError after the index
+        # build, and -1 or True to fail later with a misleading count.
+        with pytest.raises(ParameterError, match="max_combinations"):
+            BruteForceAnchoredKCore(toy_graph, 3, 2, max_combinations=bad)
+
     def test_explicit_universe(self, toy_graph):
         result = BruteForceAnchoredKCore(
             toy_graph, 3, 2, candidate_universe=[7, 10, 15]
