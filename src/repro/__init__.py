@@ -68,7 +68,7 @@ backend           implementation                                 ``auto`` picks 
 ``numpy``         an interned CSR snapshot: vectorised passes    every other case, at any graph size
                   for peels, k-cores, the capped index build,
                   candidate scans and OLAK's whole-shell
-                  cascade; id-list loops for the region
+                  cascade; scalar id loops for the region
                   follower cascade and commits
 ================  =============================================  =========================================
 
@@ -104,11 +104,12 @@ kernel         ``refresh`` and ``commit_anchor`` paths
                each, the single-anchor shell lemma); then one within-shell
                cascade over the ``(k-1)``-shell
 ``numpy``      the peel's vectorised waves stopped before level ``k``; the
-               same riser cascades on ids, over the snapshot's CSR row view
+               same riser cascades on ids, over the snapshot's rows
                (:func:`repro.cores.decomposition.commit_anchor_ids`); the
-               shell order is the peel's vectorised Phase-B shell pass.  The
-               snapshot of a solve over a maintained graph is gathered from
-               the maintainer's id rows, not interned from the graph (below)
+               shell order is the peel's vectorised Phase-B shell pass,
+               which keys only the shell members it orders.  The snapshot
+               of a solve over a maintained graph is built in the
+               maintainer's ids, not interned from the graph (below)
 =============  ==============================================================
 
 IncAVT's swap/fill pass runs on the core maintainer's integer ids
@@ -130,17 +131,16 @@ instead of O(candidates) — anchors, followers and the paper's
 instrumentation counters stay bit-identical to a Greedy that re-runs every
 cascade every round, enforced by ``tests/test_incremental_refresh.py``
 against an index-free reference Greedy built from full anchored peels.  The
-determinism hinges on the interning semantics: :class:`~repro.graph.VertexInterner`
-assigns dense ids in first-seen order and never moves them, and ordered
-:class:`~repro.graph.CompactGraph` snapshots intern in
-:func:`repro.ordering.tie_break_key` order so the integer id doubles as the
-deterministic tie-break rank.  A solve that holds a
-:class:`CoreMaintainer` (an engine's cold and exact queries, IncAVT's first
-snapshot and restarts) runs on the backend
-:meth:`~repro.backends.ExecutionBackend.bound_to` returns for it.  On numpy
-that backend gathers the snapshot from the maintainer's id rows, in the
-tie-break order the maintainer caches until its vertex set changes, so the
-same id == rank contract holds without interning the graph a second time.
+determinism hinges on one key: every order a solver reads breaks its ties
+by :func:`repro.ordering.tie_break_key`, and no kernel reads an order from
+its integer ids.  The numpy kernels key only the vertices they order (a
+shell, or the components of one that a commit touched), so a snapshot
+keeps its source's ids: a bare graph is interned in its iteration order,
+and a solve that holds a :class:`CoreMaintainer` (an engine's cold and
+exact queries, IncAVT's first snapshot and restarts) runs on the backend
+:meth:`~repro.backends.ExecutionBackend.bound_to` returns for it, which on
+numpy builds the snapshot in the maintainer's ids without interning the
+graph a second time.
 Engine checkpoints persist the backend
 policy name, and restoring a checkpoint whose backend is unknown or
 unavailable in the restoring process falls back to ``"auto"`` with a

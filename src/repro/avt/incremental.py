@@ -48,9 +48,9 @@ peel or a scan of the whole graph.
 The Greedy solves of the first snapshot and of every restart run on the
 maintained graph, on the backend bound to the maintainer
 (:meth:`~repro.backends.ExecutionBackend.bound_to`).  On numpy their
-snapshot is gathered from the maintainer's id rows in its cached tie-break
-order: the maintainer's set-up, or a restart's kernel rebuild, has already
-interned the graph, and the solve does not intern it again.
+snapshot is built in the maintainer's ids, from its adjacency sets: the
+maintainer's set-up, or a restart's kernel rebuild, has already interned
+the graph, and the solve does not intern it again.
 
 Because the candidate pool is restricted to the region the delta actually
 touched, IncAVT visits far fewer vertices per snapshot than re-running any of

@@ -22,21 +22,19 @@ candidate scans and follower cascades that read them.  It is built once per
 
 Contract shared by all implementations (enforced by
 ``tests/test_backend_equivalence.py``): identical core numbers, identical
-*removal orders* from :meth:`ExecutionBackend.decompose` (vertices interned
-in :func:`repro.ordering.tie_break_key` order so integer id doubles as
-tie-break rank), identical follower sets and identical visited-vertex
-instrumentation counts.
+*removal orders* from :meth:`ExecutionBackend.decompose` (every tie broken
+by :func:`repro.ordering.tie_break_key`), identical follower sets and
+identical visited-vertex instrumentation counts.
 
 A solve over a maintained graph — the engine's cold and exact queries,
 IncAVT's first snapshot and its restarts — runs on the backend that
 :meth:`ExecutionBackend.bound_to` returns for the
 :class:`~repro.cores.maintenance.CoreMaintainer`.  The numpy backend's bound
-form gathers the snapshot from the maintainer's id rows, in the tie-break
-order the maintainer caches, instead of interning the graph again.  That
-snapshot is the same CSR up to the order inside each row, and id ==
-tie-break rank still holds, so every kernel and the capped contract below
-are unchanged.  Nothing reads the order inside a row: the cascades are
-confluent, and the shell order's heap keys are (degree, rank).
+form builds the snapshot in the maintainer's own ids, from its adjacency
+sets, instead of interning the graph again.  No kernel reads an order from
+the ids or from the order inside a row: the cascades are confluent, and
+the shell order's heap breaks its ties by the tie-break keys of the shell
+members it orders.
 
 The capped contract
 -------------------

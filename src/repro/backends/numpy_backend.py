@@ -1,9 +1,13 @@
 """The ``numpy`` execution backend: the one snapshot backend.
 
-Every kernel runs over an ordered, interned CSR snapshot
-(:class:`~repro.graph.compact.CompactGraph`, ids in tie-break order so the
-integer id doubles as the tie-break rank), kept both as numpy arrays and as
-plain lists.  Each layer uses whichever form is faster for its work:
+Every kernel runs over a CSR snapshot (:class:`NumpyGraph`) kept as numpy
+arrays for the vectorised passes and as ``rows[vid]`` for the scalar ones.
+Its ids are its source's: a bare graph's iteration order, or a
+maintainer's id space.  They carry no order.  Only two passes read the
+tie-break order, and each keys just the vertices it orders
+(:func:`repro.ordering.tie_break_key`): the within-shell cascade
+(:func:`_shell_order`) and the anchor tail of a full peel.  Each layer uses
+whichever form is faster for its work:
 
 * **Peeling** runs in two phases.  Phase A computes the core numbers with
   vectorised wave peeling (kill every vertex at or below the current level at
@@ -12,7 +16,8 @@ plain lists.  Each layer uses whichever form is faster for its work:
   heap peel shell by shell: each shell's starting effective degrees
   (``# neighbours with core >= c``) come from one vectorised pass, and the
   within-shell cascade — the only genuinely sequential part — runs a packed
-  single-int heap over the same-shell subgraph only.
+  single-int heap over the same-shell subgraph only, its ties broken by the
+  members' tie-break keys.
 * **Whole-graph cascades** (the k-core, the OLAK baseline's whole-shell
   follower cascade) are wave-vectorised: support counters come from masked
   ``bincount`` over gathered neighbour ranges and whole removal fronts are
@@ -24,32 +29,30 @@ plain lists.  Each layer uses whichever form is faster for its work:
   shell pass, and a commit re-orders only the shell components it
   touched.  The candidate scan gathers that shell's neighbours and
   filters them with one boolean pass.
-* **Region-sized work** stays scalar over the plain-list CSR: the region
+* **Region-sized work** stays scalar over ``rows[vid]``: the region
   follower cascade behind every Greedy evaluation
-  (:func:`repro.cores.decomposition.compact_marginal_followers`) and the
-  commit risers (:func:`repro.cores.decomposition.commit_anchor_ids`).
-  These touch a handful of vertices per call, where numpy's per-call
-  overhead would dwarf the work.  For the same reason incremental core
-  maintenance has no numpy kernel at all (:mod:`repro.cores.maintenance`).
-  Both cascades read neighbours as ``rows[vid]``: the snapshot passes
-  :class:`CsrRows`, a view that slices a row out of the plain lists, and
-  IncAVT's swap/fill pass runs the same two functions over the maintenance
-  kernel's adjacency sets.
+  (:func:`repro.cores.decomposition.compact_marginal_followers`), the
+  commit risers (:func:`repro.cores.decomposition.commit_anchor_ids`), the
+  commit's component walk and the thin-wave drain.  These touch a handful
+  of vertices per call, where numpy's per-call overhead would dwarf the
+  work.  For the same reason incremental core maintenance has no numpy
+  kernel at all (:mod:`repro.cores.maintenance`).
 
 Where the snapshot comes from:
 
 * **A bare graph** (one-shot calls, and Greedy over a snapshot sequence,
-  the paper's per-snapshot baseline) is interned by
-  :meth:`CompactGraph.from_graph <repro.graph.compact.CompactGraph.from_graph>`:
-  a tie-break sort, then one gather of the neighbour rows.
+  the paper's per-snapshot baseline) is interned in its own iteration
+  order by :meth:`NumpyGraph.from_graph`: one gather of the neighbour rows,
+  no sort.  ``rows`` is a :class:`CsrRows` view over list copies of the
+  CSR.
 * **A maintained graph** is not interned again.  The backend that
   :meth:`NumpyBackend.bound_to` returns for a
   :class:`~repro.cores.maintenance.CoreMaintainer` builds the index of
-  ``maintainer.graph`` with :meth:`NumpyGraph.from_maintainer`: it takes the
-  maintainer's ids in its cached tie-break order, gathers their adjacency
-  sets in that order, flattens them once and maps them through a rank
-  array.  Id == tie-break rank holds as before; only the order inside a
-  row differs, and no kernel reads it.  The snapshot is built inside
+  ``maintainer.graph`` with :meth:`NumpyGraph.from_maintainer`: it flattens
+  the maintainer's adjacency sets in maintainer-id order into the CSR
+  arrays and reads everything else (``ids``, ``vertices`` and, as
+  ``rows``, the adjacency sets, as IncAVT's swap/fill pass does) from the
+  maintainer's id space.  The snapshot is built inside
   :meth:`NumpyBackend.build_core_index` and lives as long as its kernel,
   one solve.
 
@@ -96,8 +99,9 @@ from repro.cores.decomposition import (
     commit_anchor_ids,
     compact_marginal_followers,
 )
-from repro.graph.compact import CompactGraph, VertexInterner
+from repro.errors import VertexNotFoundError
 from repro.graph.static import Graph, Vertex
+from repro.ordering import tie_break_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cores.maintenance import CoreMaintainer
@@ -106,10 +110,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class CsrRows:
     """``rows[vid]`` is ``indices[indptr[vid]:indptr[vid + 1]]``.
 
-    The ``rows`` argument of the id cascades
-    (:func:`repro.cores.decomposition.compact_marginal_followers` and
-    :func:`repro.cores.decomposition.commit_anchor_ids`) over a snapshot's
-    plain-list CSR: each lookup slices one row, which the cascades then
+    The ``rows`` of a bare graph's snapshot, over plain-list copies of its
+    CSR: each lookup slices one row, which the scalar cascades then
     iterate.  Needs no numpy.
     """
 
@@ -124,90 +126,92 @@ class CsrRows:
         return self.indices[indptr[vid] : indptr[vid + 1]]
 
 
-class NumpyGraph:
-    """CSR snapshot with numpy arrays, sharing the interner contract.
+def _csr(rows, lookup=None):
+    """The int64 ``(indptr, indices)`` of ``rows``, each row mapped through
+    ``lookup`` when given, filled in one pass each."""
+    n = len(rows)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, rows), dtype=np.int64, count=n), out=indptr[1:])
+    flat = chain.from_iterable(rows)
+    if lookup is not None:
+        flat = map(lookup, flat)
+    return indptr, np.fromiter(flat, dtype=np.int64, count=int(indptr[-1]))
 
-    Built *from* a :class:`~repro.graph.compact.CompactGraph`, so ordered
-    snapshots intern in tie-break order (id == rank), and the source's
-    plain lists stay available to the scalar kernels.  The compact graph
-    comes from the graph (:meth:`from_graph`) or from a maintainer's id
-    space (:meth:`from_maintainer`).
+
+class NumpyGraph:
+    """CSR snapshot in its source's id order.
+
+    ``vertices[vid]`` is the vertex of id ``vid`` and ``ids`` maps a vertex
+    back; the snapshot holds ids ``0 .. num_vertices - 1``, which carry no
+    order.  ``indptr``/``indices`` are the int64 CSR the vectorised passes
+    gather from, and ``rows[vid]`` iterates the same neighbour ids for the
+    scalar ones, in whatever order its source keeps them.
+
+    :meth:`from_maintainer` shares the maintainer's own ``ids``,
+    ``vertices`` and adjacency sets, which stay live: the snapshot fixes
+    its vertex count at build, so an id the maintainer hands out later is
+    not in it.
     """
 
     __slots__ = (
-        "interner",
+        "vertices",
+        "ids",
+        "num_vertices",
         "indptr",
         "indices",
-        "indptr_list",
-        "indices_list",
         "rows",
         "degrees",
-        "ordered",
         "num_edges",
     )
 
-    def __init__(self, cgraph: CompactGraph, indptr=None, indices=None) -> None:
-        """``indptr`` and ``indices`` may pass the int64 arrays that
-        ``cgraph``'s lists were made from, so they are not converted back."""
-        self.interner = cgraph.interner
-        self.indptr = np.asarray(cgraph.indptr, dtype=np.int64) if indptr is None else indptr
-        self.indices = (
-            np.asarray(cgraph.indices, dtype=np.int64) if indices is None else indices
-        )
-        # The source CompactGraph's plain-list CSR is kept (shared, not
-        # copied) for the scalar kernels — the cascade drain, the region
-        # follower cascade and the commit risers: on a thin wave or a small
-        # region, per-call numpy overhead dwarfs the work, and a Python
-        # loop over list-indexed rows is the faster tool.
-        self.indptr_list = cgraph.indptr
-        self.indices_list = cgraph.indices
-        self.rows = CsrRows(cgraph.indptr, cgraph.indices)
-        self.degrees = self.indptr[1:] - self.indptr[:-1]
-        self.ordered = cgraph.ordered
-        self.num_edges = cgraph.num_edges
+    def __init__(self, vertices, ids, rows, indptr, indices, num_edges: int) -> None:
+        self.vertices = vertices
+        self.ids = ids
+        self.num_vertices = len(indptr) - 1
+        self.indptr = indptr
+        self.indices = indices
+        self.rows = rows
+        self.degrees = indptr[1:] - indptr[:-1]
+        self.num_edges = num_edges
 
     @classmethod
-    def from_graph(cls, graph: Graph, ordered: bool = True) -> "NumpyGraph":
-        return cls(CompactGraph.from_graph(graph, ordered=ordered))
+    def from_graph(cls, graph: Graph) -> "NumpyGraph":
+        """Intern ``graph`` in its iteration order: id ``i`` is the ``i``-th
+        vertex, and the rows are translated in one pass."""
+        vertices = list(graph.vertices())
+        ids = dict(zip(vertices, range(len(vertices))))
+        indptr, indices = _csr(list(map(graph.neighbors, vertices)), ids.__getitem__)
+        rows = CsrRows(indptr.tolist(), indices.tolist())
+        return cls(vertices, ids, rows, indptr, indices, graph.num_edges)
 
     @classmethod
     def from_maintainer(cls, maintainer: "CoreMaintainer") -> "NumpyGraph":
-        """The ordered snapshot of ``maintainer.graph``, from its id space.
+        """The snapshot of ``maintainer.graph``, in the maintainer's ids.
 
-        The maintainer's cached tie-break order gives each id its rank.  The
-        id rows are gathered in that order, flattened once and mapped through
-        a rank array, so id == tie-break rank as in :meth:`from_graph`,
-        without a tie-break sort (once the order is cached) or a vertex
-        lookup.  Only the order inside a row can differ from
-        :meth:`from_graph`'s.
+        Flattens the maintainer's adjacency sets into the CSR arrays and
+        interns nothing: ids, vertices and ``rows`` are the maintainer's.
         """
         store = maintainer.id_store()
-        order = maintainer.tie_break_order()
-        n = len(order)
-        rank = np.empty(n, dtype=np.int64)
-        rank[order] = np.arange(n, dtype=np.int64)
-        rows = list(map(store.adj.__getitem__, order))
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.fromiter(map(len, rows), dtype=np.int64, count=n), out=indptr[1:])
-        flat = np.fromiter(
-            chain.from_iterable(rows), dtype=np.int64, count=int(indptr[-1])
+        indptr, indices = _csr(store.adj)
+        return cls(
+            store.vertices, store.ids, store.adj, indptr, indices, maintainer.graph.num_edges
         )
-        indices = rank[flat]
-        cgraph = CompactGraph(
-            VertexInterner.of_distinct(map(store.vertices.__getitem__, order)),
-            indptr.tolist(),
-            indices.tolist(),
-            ordered=True,
-            num_edges=maintainer.graph.num_edges,
-        )
-        return cls(cgraph, indptr, indices)
 
-    @property
-    def num_vertices(self) -> int:
-        return len(self.interner)
+    def id_of(self, vertex: Vertex) -> int:
+        """The id of ``vertex``; :class:`~repro.errors.VertexNotFoundError`
+        if it is not in the snapshot."""
+        vid = self.ids.get(vertex, self.num_vertices)
+        if vid >= self.num_vertices:
+            raise VertexNotFoundError(vertex)
+        return vid
+
+    def translate(self, vids: Iterable[int]) -> Set[Vertex]:
+        """``vids`` as a set of vertices."""
+        vertices = self.vertices
+        return {vertices[vid] for vid in vids}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"NumpyGraph(n={self.num_vertices}, m={self.num_edges}, ordered={self.ordered})"
+        return f"NumpyGraph(n={self.num_vertices}, m={self.num_edges})"
 
 
 def _gather(indptr, indices, frontier):
@@ -238,8 +242,7 @@ def _drain_scalar(ngraph, eff, alive, peelable, seeds, limit, core=None, level=0
     and returns the number of vertices killed.  Semantically identical to
     running the vectorised wave loop to exhaustion at the same limit.
     """
-    indptr = ngraph.indptr_list
-    indices = ngraph.indices_list
+    rows = ngraph.rows
     queue = [int(vid) for vid in seeds]
     killed = 0
     while queue:
@@ -250,8 +253,7 @@ def _drain_scalar(ngraph, eff, alive, peelable, seeds, limit, core=None, level=0
         if core is not None:
             core[vid] = level
         killed += 1
-        for position in range(indptr[vid], indptr[vid + 1]):
-            neighbour = indices[position]
+        for neighbour in rows[vid]:
             if alive[neighbour] and peelable[neighbour]:
                 slack = eff[neighbour] - 1
                 eff[neighbour] = slack
@@ -270,13 +272,24 @@ def _shell_order(ngraph: NumpyGraph, core, members, c: int) -> List[int]:
     degree of a shell vertex is its count of ``core >= c`` neighbours
     (anchors are inf) and only same-shell removals change it: the reference
     heap order restricted to the shell is reproduced with a packed local heap
-    over the same-shell subgraph.  A removal changes no degree outside its
-    own component, so the heap over some components pops them in the whole
-    shell's relative order.  The degree counts and the subgraph come from
-    vectorised passes; only the heap loop is scalar.
+    over the same-shell subgraph.  Its ties go by
+    :func:`~repro.ordering.tie_break_key`, which the pass computes for
+    ``members`` only: each member's local index is its key rank among them.
+    A removal changes no degree outside its own component, so the heap over
+    some components pops them in the whole shell's relative order.  The
+    degree counts and the subgraph come from vectorised passes; only the
+    key sort and the heap loop are scalar.
     """
     size = int(members.size)
-    nbrs, counts = _gather(ngraph.indptr, ngraph.indices, members)
+    if not size:
+        return []
+    vertices = ngraph.vertices
+    keys = list(map(tie_break_key, map(vertices.__getitem__, members.tolist())))
+    by_key = np.array(sorted(range(size), key=keys.__getitem__), dtype=np.int64)
+    local_of = np.empty(size, dtype=np.int64)
+    local_of[by_key] = np.arange(size, dtype=np.int64)
+    members_by_key = members[by_key]
+    nbrs, counts = _gather(ngraph.indptr, ngraph.indices, members_by_key)
     member_row = np.repeat(np.arange(size, dtype=np.int64), counts)
     nbr_core = core[nbrs]
     start_eff = np.bincount(member_row[nbr_core >= c], minlength=size)
@@ -284,11 +297,11 @@ def _shell_order(ngraph: NumpyGraph, core, members, c: int) -> List[int]:
     sub_counts = np.bincount(member_row[same], minlength=size)
     sub_indptr = np.concatenate(([0], np.cumsum(sub_counts))).tolist()
     # A same-shell neighbour lies in its member's component, so in ``members``.
-    sub_indices = np.searchsorted(members, nbrs[same]).tolist()
+    sub_indices = local_of[np.searchsorted(members, nbrs[same])].tolist()
 
-    member_list = members.tolist()
+    member_list = members_by_key.tolist()
     eff_local = start_eff.tolist()
-    heap = (start_eff * size + np.arange(size)).tolist() if size else []
+    heap = (start_eff * size + np.arange(size)).tolist()
     heapq.heapify(heap)
     heappush = heapq.heappush
     heappop = heapq.heappop
@@ -361,9 +374,9 @@ def numpy_peel(ngraph: NumpyGraph, anchor_ids: Iterable[int] = ()):
     """Peel a numpy snapshot; return ``(core array, removal order)`` by id.
 
     Bit-identical to the dict backend's heap peel
-    (:func:`repro.backends.dict_backend.dict_anchored_peel`) on an ordered
-    snapshot: same core numbers, same removal order, anchors mapped to
-    infinity and appended last by id.
+    (:func:`repro.backends.dict_backend.dict_anchored_peel`): same core
+    numbers, same removal order, anchors mapped to infinity and appended
+    last in tie-break key order.
     """
     n = ngraph.num_vertices
     core = np.zeros(n, dtype=np.float64)
@@ -386,8 +399,13 @@ def numpy_peel(ngraph: NumpyGraph, anchor_ids: Iterable[int] = ()):
     for c in levels.tolist():
         order.extend(_shell_order(ngraph, core, np.nonzero(core == c)[0], c))
 
-    for vid in np.nonzero(is_anchor)[0].tolist():
-        order.append(vid)
+    vertices = ngraph.vertices
+    order.extend(
+        sorted(
+            np.nonzero(is_anchor)[0].tolist(),
+            key=lambda vid: tie_break_key(vertices[vid]),
+        )
+    )
     return core, order
 
 
@@ -483,10 +501,10 @@ def numpy_full_shell_followers(
 
 
 class NumpyCoreIndexKernel(CoreIndexKernel):
-    """Anchored-core-index state over one ordered numpy snapshot.
+    """Anchored-core-index state over one numpy snapshot.
 
-    The kernel takes the snapshot it runs on (:class:`NumpyGraph`, ordered)
-    and keeps it for its lifetime.
+    The kernel takes the snapshot it runs on (:class:`NumpyGraph`) and keeps
+    it for its lifetime.
 
     :meth:`refresh` runs Phase A of the peel only up to level ``k``
     (:func:`_wave_cores` with a limit) and orders the ``(k-1)``-shell
@@ -500,7 +518,7 @@ class NumpyCoreIndexKernel(CoreIndexKernel):
     ranks are in full-peel order within each shell component, which is the
     capped contract.  Region follower cascades run
     :func:`repro.cores.decomposition.compact_marginal_followers` over the
-    snapshot's :class:`CsrRows` with the numpy core array as storage.
+    snapshot's ``rows`` with the numpy core array as storage.
     """
 
     def __init__(self, ngraph: NumpyGraph) -> None:
@@ -516,7 +534,7 @@ class NumpyCoreIndexKernel(CoreIndexKernel):
         n = ngraph.num_vertices
         core = np.full(n, k, dtype=np.float64)
         peelable = np.ones(n, dtype=bool)
-        anchor_ids = [ngraph.interner.id_of(anchor) for anchor in anchors]
+        anchor_ids = [ngraph.id_of(anchor) for anchor in anchors]
         if anchor_ids:
             core[anchor_ids] = math.inf
             peelable[anchor_ids] = False
@@ -530,15 +548,13 @@ class NumpyCoreIndexKernel(CoreIndexKernel):
 
     def commit_anchor(self, vertex: Vertex, anchors: Set[Vertex], k: int):
         # The riser cascades are scalar work on a small region: the shared
-        # id cascade runs over the CSR row view with the numpy core array as
-        # storage.
+        # id cascade runs over the snapshot's rows with the numpy core array
+        # as storage.
         ngraph = self._ngraph
-        touched = commit_anchor_ids(
-            ngraph.rows, self._core, ngraph.interner.id_of(vertex), k
-        )
+        touched = commit_anchor_ids(ngraph.rows, self._core, ngraph.id_of(vertex), k)
         self._rank_components(self._touched_components(touched, k - 1), k - 1)
         self._core_map_cache = None
-        vertices = ngraph.interner.vertices
+        vertices = ngraph.vertices
         return frozenset(vertices[vid] for vid, _ in touched)
 
     def _touched_components(self, touched, c: int):
@@ -572,28 +588,28 @@ class NumpyCoreIndexKernel(CoreIndexKernel):
         self._rank[order] = np.arange(start, self._next_rank)
 
     def removal_ranks(self) -> Mapping[Vertex, int]:
-        vertices = self._ngraph.interner.vertices
+        vertices = self._ngraph.vertices
         rank = self._rank
-        return {vertices[vid]: int(rank[vid]) for vid in range(len(vertices))}
+        return {vertices[vid]: int(rank[vid]) for vid in range(self._ngraph.num_vertices)}
 
     @staticmethod
     def _as_python(value) -> float:
         return math.inf if math.isinf(value) else int(value)
 
     def core_of(self, vertex: Vertex) -> float:
-        return self._as_python(self._core[self._ngraph.interner.id_of(vertex)])
+        return self._as_python(self._core[self._ngraph.id_of(vertex)])
 
     def core_numbers(self) -> Mapping[Vertex, float]:
         if self._core_map_cache is None:
-            vertices = self._ngraph.interner.vertices
+            vertices = self._ngraph.vertices
             self._core_map_cache = {
                 vertices[vid]: self._as_python(self._core[vid])
-                for vid in range(len(vertices))
+                for vid in range(self._ngraph.num_vertices)
             }
         return self._core_map_cache
 
     def _translate(self, ids) -> Set[Vertex]:
-        return self._ngraph.interner.translate(ids.tolist())
+        return self._ngraph.translate(ids.tolist())
 
     def vertices_with_core_at_least(self, k: int) -> Set[Vertex]:
         return self._translate(np.nonzero(self._core >= k)[0])
@@ -628,7 +644,7 @@ class NumpyCoreIndexKernel(CoreIndexKernel):
         self, k: int, candidate: Vertex, full_shell: bool
     ) -> Tuple[Set[Vertex], int]:
         ngraph = self._ngraph
-        candidate_id = ngraph.interner.id_of(candidate)
+        candidate_id = ngraph.id_of(candidate)
         if full_shell:
             gained_ids, visited = numpy_full_shell_followers(
                 ngraph, k, candidate_id, self._core
@@ -637,7 +653,7 @@ class NumpyCoreIndexKernel(CoreIndexKernel):
             gained_ids, visited = compact_marginal_followers(
                 ngraph.rows, k, candidate_id, self._core
             )
-        return ngraph.interner.translate(gained_ids), visited
+        return ngraph.translate(gained_ids), visited
 
     def marginal_followers_with_region(self, k: int, candidate: Vertex):
         ngraph = self._ngraph
@@ -645,16 +661,16 @@ class NumpyCoreIndexKernel(CoreIndexKernel):
         gained_ids, visited = compact_marginal_followers(
             ngraph.rows,
             k,
-            ngraph.interner.id_of(candidate),
+            ngraph.id_of(candidate),
             self._core,
             region_out=region_ids,
         )
-        translate = ngraph.interner.translate
+        translate = ngraph.translate
         return translate(gained_ids), visited, frozenset(translate(region_ids))
 
 
 class NumpyBackend(ExecutionBackend):
-    """Vectorised numpy kernels behind the shared CSR/interner contract.
+    """Vectorised numpy kernels over :class:`NumpyGraph` snapshots.
 
     ``maintainer`` binds the backend to a
     :class:`~repro.cores.maintenance.CoreMaintainer` (:meth:`bound_to`): an
@@ -677,11 +693,10 @@ class NumpyBackend(ExecutionBackend):
 
     def decompose(self, graph: Graph, anchors: FrozenSet[Vertex] = frozenset()):
         anchor_set = frozenset(anchors)
-        ngraph = NumpyGraph.from_graph(graph, ordered=True)
-        interner = ngraph.interner
-        anchor_ids = [interner.id_of(anchor) for anchor in anchor_set]
+        ngraph = NumpyGraph.from_graph(graph)
+        anchor_ids = [ngraph.id_of(anchor) for anchor in anchor_set]
         core_arr, order_ids = numpy_peel(ngraph, anchor_ids)
-        vertices = interner.vertices
+        vertices = ngraph.vertices
         core = {
             vertices[vid]: (ANCHOR_CORE if math.isinf(core_arr[vid]) else int(core_arr[vid]))
             for vid in range(len(vertices))
@@ -690,11 +705,9 @@ class NumpyBackend(ExecutionBackend):
         return CoreDecomposition(core=core, order=order, anchors=anchor_set)
 
     def k_core(self, graph: Graph, k: int, anchors: Iterable[Vertex] = ()) -> Set[Vertex]:
-        ngraph = NumpyGraph.from_graph(graph, ordered=False)
-        anchor_ids = [ngraph.interner.id_of(anchor) for anchor in anchors]
-        return ngraph.interner.translate(
-            numpy_k_core_ids(ngraph, k, anchor_ids).tolist()
-        )
+        ngraph = NumpyGraph.from_graph(graph)
+        anchor_ids = [ngraph.id_of(anchor) for anchor in anchors]
+        return ngraph.translate(numpy_k_core_ids(ngraph, k, anchor_ids).tolist())
 
     def build_core_index(self, graph: Graph) -> NumpyCoreIndexKernel:
         # The snapshot is built here, inside the call, whichever way: it
@@ -703,4 +716,4 @@ class NumpyBackend(ExecutionBackend):
         maintainer = self._maintainer
         if maintainer is not None and graph is maintainer.graph:
             return NumpyCoreIndexKernel(NumpyGraph.from_maintainer(maintainer))
-        return NumpyCoreIndexKernel(NumpyGraph.from_graph(graph, ordered=True))
+        return NumpyCoreIndexKernel(NumpyGraph.from_graph(graph))

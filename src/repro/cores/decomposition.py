@@ -19,15 +19,16 @@ Execution is dispatched through :func:`repro.backends.get_backend`: every
 function here accepts ``backend=`` (``"auto"``, ``"dict"``, ``"numpy"``, or
 an :class:`~repro.backends.ExecutionBackend` instance) and calls the
 resolved backend's kernel.  Both backends produce *identical* core numbers
-**and** identical removal orders — the numpy backend's snapshot interns
-vertices in tie-break order so the integer id doubles as the deterministic
-tie-break rank.  This module also hosts the one integer-id implementation
-of the region follower cascade, :func:`compact_marginal_followers`, and of
-the capped commit built on it, :func:`commit_anchor_ids`.  Both read a
-vertex's neighbours as ``rows[vid]``, so they run unchanged on the numpy
-kernel's CSR row view (per-call numpy overhead would dwarf their
+**and** identical removal orders: each breaks its ties by
+:func:`repro.ordering.tie_break_key`, the numpy backend shell by shell.
+This module also hosts the one integer-id implementation of the region
+follower cascade, :func:`compact_marginal_followers`, and of the capped
+commit built on it, :func:`commit_anchor_ids`.  Both read a vertex's
+neighbours as ``rows[vid]``, so they run unchanged on a bare numpy
+snapshot's CSR row view (per-call numpy overhead would dwarf their
 region-sized work) and on the maintenance kernel's adjacency sets, where
-IncAVT's swap/fill pass runs them.
+IncAVT's swap/fill pass and the numpy index over a maintained graph run
+them.
 """
 
 from __future__ import annotations
@@ -154,7 +155,8 @@ def compact_marginal_followers(
 
     The id twin of :func:`repro.anchored.followers.marginal_followers`.
     ``rows[vid]`` iterates the neighbour ids of ``vid``: the maintenance
-    kernel's adjacency sets, or the numpy kernel's CSR row view
+    kernel's adjacency sets (which a numpy snapshot of the maintained graph
+    shares), or a bare numpy snapshot's CSR row view
     (:class:`repro.backends.numpy_backend.CsrRows`, which slices
     ``indices[indptr[vid]:indptr[vid + 1]]``).  ``core`` is indexed by id (a
     list or a numpy array) and holds the *current* (possibly anchored) core
@@ -232,9 +234,9 @@ def commit_anchor_ids(
     cascading only the levels up to ``cap`` — the id twin of
     :func:`repro.anchored.followers.commit_anchor_cores`, over the same
     ``rows`` as :func:`compact_marginal_followers`.  The numpy kernel's
-    ``commit_anchor`` runs it on its CSR row view with the numpy core array
-    as storage; IncAVT's swap/fill pass runs it on the maintenance kernel's
-    adjacency sets and a list copy of its core numbers.
+    ``commit_anchor`` runs it on its snapshot's rows with the numpy core
+    array as storage; IncAVT's swap/fill pass runs it on the maintenance
+    kernel's adjacency sets and a list copy of its core numbers.
 
     Adding one anchor raises every other core number by at most 1, and the
     vertices that rise to level ``j`` are the anchor's level-``j`` followers

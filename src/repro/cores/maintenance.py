@@ -29,12 +29,11 @@ three stores that every core change updates together:
 
 :meth:`CoreMaintainer.id_store` hands the id space and the first two stores
 out read-only, for passes that run on ids themselves: IncAVT's swap/fill
-pass reads its region, pool and core numbers there.  The kernel also keeps
-its ids sorted in tie-break order (:meth:`CoreMaintainer.tie_break_order`),
-from which the numpy backend gathers the snapshot of an exact solve over
-the maintained graph instead of interning the graph again.  Ids are
-append-only, so the sorted order is cached: only a new vertex and a kernel
-rebuild (:meth:`CoreMaintainer.refresh_from_graph`) drop it.
+pass reads its region, pool and core numbers there, and the numpy
+backend's snapshot of an exact solve over the maintained graph takes its
+ids, vertices and adjacency rows from it instead of interning the graph
+again.  The ids carry no order; a pass that needs the tie-break order keys
+the vertices it orders.
 
 The level sets bound a deletion's work by the supporters it counts, not by
 whole neighbourhoods (compare Li, Yu and Mao, "Efficient Core Maintenance in
@@ -93,7 +92,6 @@ from repro.errors import (
 from repro.graph.compact import DynamicCompactAdjacency
 from repro.graph.dynamic import EdgeDelta
 from repro.graph.static import Edge, Graph, Vertex
-from repro.ordering import tie_break_key
 
 
 @dataclass
@@ -239,7 +237,7 @@ class _IdKernel:
     traversal and returns id sets.
     """
 
-    __slots__ = ("core_map", "icore", "levels", "ids", "vertices", "adj", "_mirror", "_order")
+    __slots__ = ("core_map", "icore", "levels", "ids", "vertices", "adj", "_mirror")
 
     def __init__(self, graph: Graph, core: Optional[Dict[Vertex, int]] = None) -> None:
         self.build(graph, core)
@@ -259,7 +257,6 @@ class _IdKernel:
         self.adj = mirror.adj
         self.ids = mirror.interner.ids
         self.vertices = vertices
-        self._order: Optional[List[int]] = None
 
     def add_vertex(self, vertex: Vertex) -> int:
         """Register a brand-new vertex at core number 0 and return its id."""
@@ -267,20 +264,7 @@ class _IdKernel:
         self.icore.append(0)
         self.levels[0].add(vid)
         self.core_map[vertex] = 0
-        self._order = None
         return vid
-
-    def tie_break_order(self) -> List[int]:
-        """Every id, sorted by the tie-break key of its vertex (cached).
-
-        Ids never change and edges do not move vertices, so the order stays
-        valid until :meth:`add_vertex` or :meth:`build` drops it.
-        """
-        order = self._order
-        if order is None:
-            keys = list(map(tie_break_key, self.vertices))
-            order = self._order = sorted(range(len(keys)), key=keys.__getitem__)
-        return order
 
     # -- insertion traversal (Lemmas 1-2) ----------------------------------
     def insert(self, u_id: int, v_id: int) -> Tuple[Set[int], Set[int]]:
@@ -488,23 +472,14 @@ class CoreMaintainer:
         :class:`IdStore`), so a pass that works on ids reads them without a
         copy or a translation, and copies only what it will write.  Do not
         mutate them.  They stay live across edge updates; take a new store
-        after :meth:`refresh_from_graph`, which rebuilds the kernel.
+        after :meth:`refresh_from_graph`, which rebuilds the kernel.  A
+        numpy index over :attr:`graph` reads ``ids``, ``vertices`` and
+        ``adj`` live for the one solve it serves
+        (:meth:`repro.backends.numpy_backend.NumpyGraph.from_maintainer`),
+        with its vertex count fixed when it is built.
         """
         kernel = self._kernel
         return IdStore(kernel.ids, kernel.vertices, kernel.adj, kernel.icore, kernel.levels)
-
-    def tie_break_order(self) -> Sequence[int]:
-        """The kernel's ids sorted by :func:`~repro.ordering.tie_break_key`
-        of their vertices, so position ``r`` holds the id of tie-break rank
-        ``r``.
-
-        Cached on the kernel: ids are append-only, so the sort runs once per
-        vertex set, and only a new vertex or :meth:`refresh_from_graph`
-        drops the cache.  Edge updates keep it.  The list is shared; do not
-        mutate it.  The numpy backend builds the snapshot of an exact solve
-        over :attr:`graph` from this order and :meth:`id_store`'s rows.
-        """
-        return self._kernel.tie_break_order()
 
     def k_core_vertices(self, k: int) -> AbstractSet[Vertex]:
         """Return ``{v : core(v) >= k}`` as a read-only live view, in O(1).

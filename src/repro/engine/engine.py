@@ -24,9 +24,9 @@ paper's central observation — maintain, don't recompute — at three levels:
 
 Cold and exact answers run the static solver on the maintained graph.  Its
 backend is bound to the engine's maintainer once, at construction, so on
-numpy the solve's snapshot is gathered from the maintainer's id rows in the
-maintainer's cached tie-break order rather than interned from the graph
-again.  The snapshot lives only as long as that one solve.
+numpy the solve's snapshot is built in the maintainer's ids, from its
+adjacency sets, rather than interned from the graph again.  The snapshot
+lives only as long as that one solve.
 
 Checkpoint/restore (:mod:`repro.engine.checkpoint`) persists the whole engine
 — graph, core numbers, version counter, warm states, cache contents, stats —
@@ -65,6 +65,18 @@ SOLVERS: Dict[str, Callable[[Graph, int, int], Any]] = {
     "olak": OLAKAnchoredKCore,
     "rcm": RCMAnchoredKCore,
 }
+
+
+def _require_solver(name: Any) -> str:
+    """``name`` if it is a key of :data:`SOLVERS`, else :class:`ParameterError`.
+
+    A name that is not a string is refused before the lookup, which would
+    let an unhashable one (a list, a dict) escape as a raw ``TypeError``.
+    """
+    if not isinstance(name, str) or name not in SOLVERS:
+        raise ParameterError(f"unknown solver {name!r}; expected one of {sorted(SOLVERS)}")
+    return name
+
 
 #: Algorithm label of heuristic warm answers; exact-mode queries refuse to
 #: reuse cache entries carrying it.
@@ -133,10 +145,7 @@ class StreamingAVTEngine:
             require_int("batch_size", batch_size, 1)
         require_bool("warm_queries", warm_queries)
         require_bool("copy_graph", copy_graph)
-        if default_solver not in SOLVERS:
-            raise ParameterError(
-                f"unknown solver {default_solver!r}; expected one of {sorted(SOLVERS)}"
-            )
+        _require_solver(default_solver)
         initial_graph = graph if graph is not None else Graph()
         # The requested policy is kept for checkpoints; ``_backend`` is the
         # resolved object bound to the maintainer, so a numpy cold solve
@@ -315,11 +324,7 @@ class StreamingAVTEngine:
         require_int("k", k, 1)
         require_int("budget", budget, 0)
         require_bool("warm", warm, allow_none=True)
-        solver_name = solver if solver is not None else self._default_solver
-        if solver_name not in SOLVERS:
-            raise ParameterError(
-                f"unknown solver {solver_name!r}; expected one of {sorted(SOLVERS)}"
-            )
+        solver_name = _require_solver(solver if solver is not None else self._default_solver)
         use_warm = self._warm_queries if warm is None else warm
 
         with tracer.span(

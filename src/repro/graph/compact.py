@@ -4,26 +4,21 @@ The public API of the library works with arbitrary hashable vertex
 identifiers held in an adjacency-set ``dict`` (:class:`~repro.graph.static.Graph`).
 That representation is ideal for mutation and for small graphs, but every hot
 kernel pays hashing and pointer-chasing costs on every vertex touch.  This
-module provides the dense structures that the numpy snapshot backend runs
-its peels, k-core cascades and anchored-core-index kernels on, and that
-incremental core maintenance mirrors the graph into:
+module provides dense integer-id structures, among them the one incremental
+core maintenance mirrors the graph into:
 
 * :class:`VertexInterner` maps hashable vertex ids to dense ``0..n-1``
   integers (and back).  Interning is append-only: an id, once assigned, is
   stable for the interner's lifetime.
 * :class:`CompactGraph` is a frozen CSR-style snapshot — ``indptr`` /
-  ``indices`` flat arrays of ints — built from a :class:`Graph` in one
+  ``indices`` flat lists of ints — built from a :class:`Graph` in one
   gather: ids are assigned by position and the neighbour rows are flattened
   and translated in one ``map``.  With ``ordered=True`` (the default)
   vertices are interned in :func:`repro.ordering.tie_break_key` order, so
-  the integer id of a vertex *is* its deterministic tie-break rank; the
-  peeling kernels exploit this to reproduce bit-identical removal orders
-  with single-int heap entries.  The numpy backend's
-  :class:`~repro.backends.numpy_backend.NumpyGraph` is built on it and keeps
-  its plain lists for the scalar cascades.  An exact solve over a
-  maintained graph does not intern the graph again: the numpy backend
-  gathers the same CSR (rows in another order) from the maintainer's id
-  rows instead (:meth:`~repro.backends.numpy_backend.NumpyGraph.from_maintainer`).
+  the integer id of a vertex is its tie-break rank.  No library kernel
+  relies on that: the numpy backend builds its own snapshot
+  (:class:`~repro.backends.numpy_backend.NumpyGraph`) in its source's id
+  order and keys only the vertices it puts in order.
 * :class:`DynamicCompactAdjacency` is the mutable sibling (list of int sets)
   that :class:`repro.cores.maintenance.CoreMaintainer` mirrors the graph
   into on every backend, so the insertion/deletion traversals run over ints
@@ -135,10 +130,9 @@ class CompactGraph:
     source graph afterwards does not update it.
 
     With ``ordered=True`` vertices are interned in deterministic
-    :func:`~repro.ordering.tie_break_key` order, making the integer id double
-    as the tie-break rank the peeling kernels need.  ``ordered=False`` skips
-    the sort (one ``repr`` call per vertex) and is appropriate for kernels
-    whose results are order-independent sets, e.g. the k-core cascade.
+    :func:`~repro.ordering.tie_break_key` order, so the integer id is the
+    vertex's tie-break rank.  ``ordered=False`` skips the sort (one ``repr``
+    call per vertex) and interns in the graph's iteration order.
     """
 
     __slots__ = ("interner", "indptr", "indices", "ordered", "num_edges")

@@ -77,6 +77,26 @@ def reference_greedy(
     return tuple(anchors), frozenset(followers), size, evaluated, visited
 
 
+def shell_components(graph: Graph, shell) -> List[Set]:
+    """The connected components of the subgraph ``shell`` induces."""
+    members = set(shell)
+    components: List[Set] = []
+    seen: Set = set()
+    for root in shell:
+        if root in seen:
+            continue
+        component = {root}
+        stack = [root]
+        while stack:
+            for w in graph.neighbors(stack.pop()):
+                if w in members and w not in component:
+                    component.add(w)
+                    stack.append(w)
+        seen |= component
+        components.append(component)
+    return components
+
+
 class _Identity:
     """Id-to-vertex lookup for a kernel whose ids are the vertices themselves."""
 

@@ -20,7 +20,7 @@ from repro.backends import (
 )
 from repro.backends.dict_backend import DictBackend, dict_anchored_peel, dict_k_core
 from repro.engine import StreamingAVTEngine
-from repro.errors import ParameterError
+from repro.errors import ParameterError, VertexNotFoundError
 from repro.graph.dynamic import EdgeDelta
 from repro.graph.static import Graph
 
@@ -131,6 +131,7 @@ class TestAutoPolicy:
     def test_one_shot_callers_build_no_snapshot_under_auto(self, monkeypatch):
         """A single k-core cascade is one-shot work: auto must not build a snapshot."""
         from repro.anchored.followers import anchored_k_core
+        from repro.backends.numpy_backend import NumpyGraph
         from repro.cores.decomposition import k_core
         from repro.graph.compact import CompactGraph
 
@@ -140,6 +141,9 @@ class TestAutoPolicy:
             raise AssertionError("snapshot built for one-shot work")
 
         monkeypatch.setattr(CompactGraph, "from_graph", classmethod(boom))
+        # Every numpy snapshot, from a graph or a maintainer, is constructed
+        # here.
+        monkeypatch.setattr(NumpyGraph, "__init__", boom)
         assert k_core(graph, 1, backend="auto") == set(graph.vertices())
         # The cascade peels the path from its far end back to vertex 1;
         # the anchor keeps itself.
@@ -208,28 +212,37 @@ class TestEngineReResolution:
 @needs_numpy
 class TestNumpyKernels:
     def test_numpy_graph_shares_interner_contract(self):
+        """A bare snapshot interns like an unordered CompactGraph: ids by
+        position in the graph's iteration order, no sort."""
         from repro.backends.numpy_backend import NumpyGraph
         from repro.graph.compact import CompactGraph
 
-        graph = Graph(edges=[(1, 2), (2, 3)], vertices=[1, 2, 3, 99])
-        cgraph = CompactGraph.from_graph(graph, ordered=True)
-        ngraph = NumpyGraph(cgraph)
-        assert ngraph.interner is cgraph.interner
-        assert ngraph.indptr.tolist() == cgraph.indptr
-        assert ngraph.indices.tolist() == cgraph.indices
-        assert ngraph.num_vertices == 4 and ngraph.num_edges == 2
+        graph = Graph(edges=[(3, 2), (2, "a"), (-1, 3)], vertices=[3, 2, "a", 99, -1])
+        cgraph = CompactGraph.from_graph(graph, ordered=False)
+        ngraph = NumpyGraph.from_graph(graph)
+        assert ngraph.vertices == cgraph.interner.vertices == list(graph.vertices())
+        assert ngraph.ids == cgraph.interner.ids
+        assert ngraph.indptr.tolist() == ngraph.rows.indptr == cgraph.indptr
+        assert ngraph.indices.tolist() == ngraph.rows.indices == cgraph.indices
+        assert ngraph.num_vertices == 5 and ngraph.num_edges == 3
+        assert ngraph.translate([0, 2]) == {3, "a"}
+        with pytest.raises(VertexNotFoundError):
+            ngraph.id_of("missing")
 
     def test_numpy_peel_matches_dict_peel(self):
         from repro.backends.numpy_backend import NumpyGraph, numpy_peel
 
+        # Ids follow the graph's iteration order, the reverse of tie-break
+        # order, so the shell ties and the anchor tail are broken by key.
         graph = Graph(
             edges=[(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3), (5, 6)],
-            vertices=list(range(7)) + ["lonely"],
+            vertices=["lonely"] + list(range(6, -1, -1)),
         )
-        ngraph = NumpyGraph.from_graph(graph, ordered=True)
-        vertices = ngraph.interner.vertices
-        core_n, order_n = numpy_peel(ngraph, anchor_ids=[ngraph.interner.id_of(0)])
-        reference = dict_anchored_peel(graph, frozenset({0}))
+        ngraph = NumpyGraph.from_graph(graph)
+        vertices = ngraph.vertices
+        anchors = [6, 0]
+        core_n, order_n = numpy_peel(ngraph, anchor_ids=map(ngraph.id_of, anchors))
+        reference = dict_anchored_peel(graph, frozenset(anchors))
         assert {vertices[vid]: core_n[vid] for vid in range(len(vertices))} == reference.core
         assert tuple(vertices[vid] for vid in order_n) == reference.order
 
@@ -243,9 +256,9 @@ class TestNumpyKernels:
         from repro.backends.numpy_backend import NumpyGraph, numpy_k_core_ids
 
         graph = Graph(edges=[(0, 1), (1, 2), (2, 0), (2, 3)], vertices=[0, 1, 2, 3, 9])
-        ngraph = NumpyGraph.from_graph(graph, ordered=False)
+        ngraph = NumpyGraph.from_graph(graph)
         for k in range(4):
-            members = ngraph.interner.translate(numpy_k_core_ids(ngraph, k).tolist())
+            members = ngraph.translate(numpy_k_core_ids(ngraph, k).tolist())
             assert members == dict_k_core(graph, k)
 
 

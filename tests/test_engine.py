@@ -409,6 +409,12 @@ class TestEngineQueries:
                 engine.query(k, budget)
         with pytest.raises(ParameterError):
             StreamingAVTEngine(toy_graph, default_solver="nope")
+        # An unhashable name must not escape as a raw TypeError.
+        for bad in (["greedy"], {}):
+            with pytest.raises(ParameterError, match="unknown solver"):
+                StreamingAVTEngine(toy_graph, default_solver=bad)
+            with pytest.raises(ParameterError, match="unknown solver"):
+                engine.query(2, 1, solver=bad)
         with pytest.raises(ParameterError):
             StreamingAVTEngine(toy_graph, batch_size=0)
         # Fractions must not be accepted (and checkpointed), and strings or

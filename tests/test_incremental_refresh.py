@@ -26,8 +26,6 @@ used so the interner paths (sparse ints, strings, mixed types) stay covered.
 
 from __future__ import annotations
 
-from typing import List, Set
-
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -40,7 +38,7 @@ from repro.graph.generators import chung_lu_graph
 from repro.graph.static import Graph
 from repro.ordering import tie_break_key
 
-from tests.conftest import reference_greedy
+from tests.conftest import reference_greedy, shell_components
 
 SETTINGS = settings(
     max_examples=50,
@@ -91,26 +89,6 @@ def commit_scenarios(draw):
     universe = sorted(graph.vertices(), key=tie_break_key)
     anchors = draw(st.lists(st.sampled_from(universe), max_size=4, unique=True))
     return graph, k, anchors
-
-
-def shell_components(graph: Graph, shell) -> List[Set]:
-    """The connected components of the subgraph ``shell`` induces."""
-    members = set(shell)
-    components: List[Set] = []
-    seen: Set = set()
-    for root in shell:
-        if root in seen:
-            continue
-        component = {root}
-        stack = [root]
-        while stack:
-            for w in graph.neighbors(stack.pop()):
-                if w in members and w not in component:
-                    component.add(w)
-                    stack.append(w)
-        seen |= component
-        components.append(component)
-    return components
 
 
 def _assert_capped_state(index: AnchoredCoreIndex, graph: Graph, anchors, k: int):

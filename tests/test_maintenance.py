@@ -17,7 +17,6 @@ from repro.errors import (
 from repro.graph.dynamic import EdgeDelta
 from repro.graph.generators import chung_lu_graph
 from repro.graph.static import Graph
-from repro.ordering import tie_break_key
 
 from tests.conftest import random_graph, reference_maintainer
 
@@ -386,31 +385,6 @@ class TestViews:
         # A rebuild replaces them, so a pass takes a new store after one.
         maintainer.refresh_from_graph()
         check(maintainer.id_store())
-
-    def test_tie_break_order_is_cached_until_the_vertex_set_changes(self):
-        maintainer = CoreMaintainer(Graph(edges=[(3, 1), ("b", 2), ((0,), -2)]))
-
-        def expected():
-            vertices = maintainer.id_store().vertices
-            return sorted(range(len(vertices)), key=lambda vid: tie_break_key(vertices[vid]))
-
-        order = maintainer.tie_break_order()
-        assert order == expected()
-        # Edge updates among known vertices keep the cached list.
-        maintainer.insert_edge(1, 2)
-        maintainer.apply_delta(EdgeDelta.from_iterables(inserted=[(3, "b")], removed=[(3, 1)]))
-        assert maintainer.tie_break_order() is order
-        # A new vertex drops it; -1 sorts before every other vertex.
-        maintainer.insert_edge(-1, 3)
-        assert maintainer.tie_break_order() == expected()
-        assert maintainer.id_store().vertices[maintainer.tie_break_order()[0]] == -1
-        maintainer.apply_delta(EdgeDelta.from_iterables(inserted=[("a", 2)]))
-        assert maintainer.tie_break_order() == expected()
-        # So does a rebuild, which renumbers the ids from the graph.
-        maintainer.graph.remove_vertex("b")
-        maintainer.graph.add_edge((), 2)
-        maintainer.refresh_from_graph()
-        assert maintainer.tie_break_order() == expected()
 
 
 @pytest.mark.parametrize("k", [2.5, True, "2", None])
