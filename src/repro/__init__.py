@@ -40,8 +40,8 @@ Architecture
 The library is layered; each layer only depends on the ones above it::
 
     repro.graph     Graph (adjacency-set dict, hashable vertex ids)  ── public substrate
-                    compact: VertexInterner · CompactGraph (CSR) ·
-                    DynamicCompactAdjacency                          ── snapshot structures
+                    compact: VertexInterner ·
+                    DynamicCompactAdjacency                          ── id structures
     repro.backends  ExecutionBackend protocol · get_backend and the
                     auto rule · dict / numpy kernels                 ── execution layer
     repro.cores     core_decomposition · CoreMaintainer              ── k-core machinery
@@ -103,13 +103,13 @@ kernel         ``refresh`` and ``commit_anchor`` paths
                (:func:`repro.anchored.followers.commit_anchor_cores`, +1
                each, the single-anchor shell lemma); then one within-shell
                cascade over the ``(k-1)``-shell
-``numpy``      the peel's vectorised waves stopped before level ``k``; the
-               same riser cascades on ids, over the snapshot's rows
+``numpy``      the peel's vectorised waves stopped before level ``k``, or,
+               for a solve over a maintained graph, the maintainer's core
+               numbers capped at ``k`` (below); the same riser cascades on
+               ids, over the snapshot's rows
                (:func:`repro.cores.decomposition.commit_anchor_ids`); the
                shell order is the peel's vectorised Phase-B shell pass,
-               which keys only the shell members it orders.  The snapshot
-               of a solve over a maintained graph is built in the
-               maintainer's ids, not interned from the graph (below)
+               which keys only the shell members it orders
 =============  ==============================================================
 
 IncAVT's swap/fill pass runs on the core maintainer's integer ids
@@ -140,7 +140,8 @@ and a solve that holds a :class:`CoreMaintainer` (an engine's cold and
 exact queries, IncAVT's first snapshot and restarts) runs on the backend
 :meth:`~repro.backends.ExecutionBackend.bound_to` returns for it, which on
 numpy builds the snapshot in the maintainer's ids without interning the
-graph a second time.
+graph a second time, reads the maintained core numbers and plain k-core
+instead of peeling, and flattens only the rows of the ids below ``k``.
 Engine checkpoints persist the backend
 policy name, and restoring a checkpoint whose backend is unknown or
 unavailable in the restoring process falls back to ``"auto"`` with a
@@ -276,7 +277,6 @@ from repro.backends import (
 )
 from repro.errors import CheckpointCorruptionError
 from repro.graph import (
-    CompactGraph,
     DynamicCompactAdjacency,
     EdgeDelta,
     EvolvingGraph,
@@ -307,7 +307,6 @@ __all__ = [
     "BACKEND_DICT",
     "BACKEND_NUMPY",
     "BACKENDS",
-    "CompactGraph",
     "DynamicCompactAdjacency",
     "ExecutionBackend",
     "VertexInterner",

@@ -31,10 +31,13 @@ IncAVT's first snapshot and its restarts — runs on the backend that
 :meth:`ExecutionBackend.bound_to` returns for the
 :class:`~repro.cores.maintenance.CoreMaintainer`.  The numpy backend's bound
 form builds the snapshot in the maintainer's own ids, from its adjacency
-sets, instead of interning the graph again.  No kernel reads an order from
-the ids or from the order inside a row: the cascades are confluent, and
-the shell order's heap breaks its ties by the tie-break keys of the shell
-members it orders.
+sets, instead of interning the graph again, and its index reads the
+maintained core numbers and level sets instead of deriving them again: it
+flattens only the rows of the ids whose maintained core is below ``k``,
+and with no anchors it neither peels nor runs the k-core cascade.  No
+kernel reads an order from the ids or from the order inside a row: the
+cascades are confluent, and the shell order's heap breaks its ties by the
+tie-break keys of the shell members it orders.
 
 The capped contract
 -------------------
@@ -60,8 +63,9 @@ component or below the shell.  The full exact peel stays behind
 :meth:`ExecutionBackend.decompose`.  The built-in kernels build the state
 with a cascade over the levels ``0 .. k-1`` only (the dict backend's bucket
 cascade :func:`repro.backends.dict_backend.dict_capped_cores`, or the numpy
-backend's level-limited waves) and then order the ``(k-1)``-shell with one
-within-shell cascade.
+backend's level-limited waves), except that the numpy backend's bound
+form, refreshed with no anchors, copies the maintained cores capped at
+``k``; each then orders the ``(k-1)``-shell with one within-shell cascade.
 
 The delta-refresh contract
 --------------------------
@@ -278,9 +282,11 @@ class ExecutionBackend(ABC):
         A backend that builds a snapshot may return one bound to the
         maintainer, whose :meth:`build_core_index` gathers the snapshot of
         ``maintainer.graph`` from the maintainer's id space instead of
-        interning the graph again, and builds from the graph as usual for any
-        other graph.  The snapshot is still built inside that call and lives
-        only as long as its kernel.  The default returns the backend itself.
+        interning the graph again, and whose index may read the maintained
+        core numbers instead of peeling; it builds from the graph as usual
+        for any other graph.  The snapshot is still built inside that call
+        and lives only as long as its kernel.  The default returns the
+        backend itself.
         """
         return self
 

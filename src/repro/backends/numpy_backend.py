@@ -24,11 +24,12 @@ whichever form is faster for its work:
   processed per iteration.  Deletion cascades are confluent, so the
   surviving set is identical to the sequential reference; the visited-vertex
   instrumentation (shell size plus removals) is matched exactly.
-* **The anchored core index** never peels: its build runs Phase A only
-  up to level ``k`` and orders only the ``(k-1)``-shell with Phase B's
-  shell pass, and a commit re-orders only the shell components it
-  touched.  The candidate scan gathers that shell's neighbours and
-  filters them with one boolean pass.
+* **The anchored core index** never peels: over a maintained graph its
+  build reads the maintainer's core numbers capped at ``k``, over a bare
+  graph it runs Phase A only up to level ``k``, and either way it orders
+  only the ``(k-1)``-shell with Phase B's shell pass.  A commit re-orders
+  only the shell components it touched.  The candidate scan gathers that
+  shell's neighbours and filters them with one boolean pass.
 * **Region-sized work** stays scalar over ``rows[vid]``: the region
   follower cascade behind every Greedy evaluation
   (:func:`repro.cores.decomposition.compact_marginal_followers`), the
@@ -45,16 +46,20 @@ Where the snapshot comes from:
   order by :meth:`NumpyGraph.from_graph`: one gather of the neighbour rows,
   no sort.  ``rows`` is a :class:`CsrRows` view over list copies of the
   CSR.
-* **A maintained graph** is not interned again.  The backend that
-  :meth:`NumpyBackend.bound_to` returns for a
-  :class:`~repro.cores.maintenance.CoreMaintainer` builds the index of
-  ``maintainer.graph`` with :meth:`NumpyGraph.from_maintainer`: it flattens
-  the maintainer's adjacency sets in maintainer-id order into the CSR
-  arrays and reads everything else (``ids``, ``vertices`` and, as
-  ``rows``, the adjacency sets, as IncAVT's swap/fill pass does) from the
-  maintainer's id space.  The snapshot is built inside
-  :meth:`NumpyBackend.build_core_index` and lives as long as its kernel,
-  one solve.
+* **A maintained graph** is not interned again, and its core numbers are
+  not derived again.  The backend that :meth:`NumpyBackend.bound_to`
+  returns for a :class:`~repro.cores.maintenance.CoreMaintainer` builds
+  the index of ``maintainer.graph`` on :meth:`NumpyGraph.from_maintainer`,
+  which takes ``ids``, ``vertices`` and, as ``rows``, the adjacency sets
+  (as IncAVT's swap/fill pass does) from the maintainer's id space and
+  flattens nothing.  The kernel's :meth:`~NumpyCoreIndexKernel.refresh`
+  then reads the maintained cores (``icore``) and the plain k-core
+  (``levels[k]``), and flattens into the CSR arrays only the rows of the
+  ids whose maintained core is below ``k``: anchoring only raises a core,
+  so every row a pass gathers is one of those (at k = 4 on perfbench's
+  50k-vertex graph, 41,095 of 300,000 neighbour entries).  The snapshot
+  is built inside :meth:`NumpyBackend.build_core_index` and lives as long
+  as its kernel, one solve.
 
 Import of numpy is gated: :func:`repro.backends.get_backend` loads this
 module only once ``repro.backends.numpy_available()`` reports true, so the
@@ -65,7 +70,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from itertools import chain
+from itertools import chain, compress
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -104,7 +109,7 @@ from repro.graph.static import Graph, Vertex
 from repro.ordering import tie_break_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cores.maintenance import CoreMaintainer
+    from repro.cores.maintenance import CoreMaintainer, IdStore
 
 
 class CsrRows:
@@ -144,13 +149,15 @@ class NumpyGraph:
     ``vertices[vid]`` is the vertex of id ``vid`` and ``ids`` maps a vertex
     back; the snapshot holds ids ``0 .. num_vertices - 1``, which carry no
     order.  ``indptr``/``indices`` are the int64 CSR the vectorised passes
-    gather from, and ``rows[vid]`` iterates the same neighbour ids for the
+    gather from, and ``rows[vid]`` iterates the neighbour ids for the
     scalar ones, in whatever order its source keeps them.
 
-    :meth:`from_maintainer` shares the maintainer's own ``ids``,
-    ``vertices`` and adjacency sets, which stay live: the snapshot fixes
-    its vertex count at build, so an id the maintainer hands out later is
-    not in it.
+    ``store`` is ``None`` for a bare graph's snapshot, whose CSR holds every
+    row.  :meth:`from_maintainer` keeps the maintainer's
+    :class:`~repro.cores.maintenance.IdStore` there and shares its ``ids``,
+    ``vertices`` and adjacency sets, which stay live: the snapshot fixes its
+    vertex count at build, so an id the maintainer hands out later is not
+    in it.  Its CSR holds only the rows :meth:`flatten` was given.
     """
 
     __slots__ = (
@@ -160,19 +167,28 @@ class NumpyGraph:
         "indptr",
         "indices",
         "rows",
-        "degrees",
         "num_edges",
+        "store",
     )
 
-    def __init__(self, vertices, ids, rows, indptr, indices, num_edges: int) -> None:
+    def __init__(
+        self,
+        vertices,
+        ids,
+        rows,
+        indptr,
+        indices,
+        num_edges: int,
+        store: Optional[IdStore] = None,
+    ) -> None:
         self.vertices = vertices
         self.ids = ids
         self.num_vertices = len(indptr) - 1
         self.indptr = indptr
         self.indices = indices
         self.rows = rows
-        self.degrees = indptr[1:] - indptr[:-1]
         self.num_edges = num_edges
+        self.store = store
 
     @classmethod
     def from_graph(cls, graph: Graph) -> "NumpyGraph":
@@ -188,14 +204,36 @@ class NumpyGraph:
     def from_maintainer(cls, maintainer: "CoreMaintainer") -> "NumpyGraph":
         """The snapshot of ``maintainer.graph``, in the maintainer's ids.
 
-        Flattens the maintainer's adjacency sets into the CSR arrays and
-        interns nothing: ids, vertices and ``rows`` are the maintainer's.
+        Interns and flattens nothing: ids, vertices, ``rows`` and ``store``
+        are the maintainer's, and every row of the CSR arrays starts empty.
+        The index kernel flattens the rows it will gather once it knows its
+        ``k`` (:meth:`NumpyCoreIndexKernel.refresh`).
         """
         store = maintainer.id_store()
-        indptr, indices = _csr(store.adj)
+        n = len(store.vertices)
         return cls(
-            store.vertices, store.ids, store.adj, indptr, indices, maintainer.graph.num_edges
+            store.vertices,
+            store.ids,
+            store.adj,
+            np.zeros(n + 1, dtype=np.int64),
+            np.zeros(0, dtype=np.int64),
+            maintainer.graph.num_edges,
+            store,
         )
+
+    def flatten(self, keep) -> None:
+        """Make the CSR arrays hold the rows of the ids ``keep`` marks (a
+        boolean array by id), read from ``rows``; every other row is empty
+        there."""
+        lengths = np.fromiter(map(len, self.rows), dtype=np.int64, count=self.num_vertices)
+        lengths[~keep] = 0
+        indptr = np.zeros(self.num_vertices + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        kept = compress(self.rows, keep.tolist())
+        self.indices = np.fromiter(
+            chain.from_iterable(kept), dtype=np.int64, count=int(indptr[-1])
+        )
+        self.indptr = indptr
 
     def id_of(self, vertex: Vertex) -> int:
         """The id of ``vertex``; :class:`~repro.errors.VertexNotFoundError`
@@ -326,8 +364,9 @@ def _shell_order(ngraph: NumpyGraph, core, members, c: int) -> List[int]:
 def _wave_cores(ngraph: NumpyGraph, core, peelable, limit=None) -> None:
     """Phase A of the peel: write core numbers into ``core`` by wave peeling.
 
-    Only ``peelable`` vertices are removed; the others (anchors) keep
-    supporting their neighbours.  With a ``limit`` the peel stops before
+    Only ``peelable`` vertices are removed, and only their rows are
+    gathered; the others (anchors, and ids a limited peel cannot reach)
+    keep supporting their neighbours.  With a ``limit`` the peel stops before
     level ``limit`` and leaves every vertex it has not reached as it was.
     ``level`` mirrors the heap peel's running-max ``current_core``.  Each
     full-array scan happens once per *level* (levels strictly increase);
@@ -339,7 +378,7 @@ def _wave_cores(ngraph: NumpyGraph, core, peelable, limit=None) -> None:
     indptr = ngraph.indptr
     indices = ngraph.indices
     alive = np.ones(n, dtype=bool)
-    eff = ngraph.degrees.astype(np.int64)
+    eff = np.diff(ngraph.indptr)
     remaining = int(peelable.sum())
     level = 0
     while remaining:
@@ -422,7 +461,7 @@ def numpy_k_core_ids(ngraph: NumpyGraph, k: int, anchor_ids: Iterable[int] = ())
         is_anchor[anchor_list] = True
     peelable = ~is_anchor
     alive = np.ones(n, dtype=bool)
-    eff = ngraph.degrees.astype(np.int64)
+    eff = np.diff(ngraph.indptr)
     # One full scan seeds the cascade; later frontiers come from the
     # just-decremented neighbours only, and thin waves fall back to the
     # scalar drain (O(m) total, not O(n * waves)).
@@ -506,9 +545,18 @@ class NumpyCoreIndexKernel(CoreIndexKernel):
     The kernel takes the snapshot it runs on (:class:`NumpyGraph`) and keeps
     it for its lifetime.
 
-    :meth:`refresh` runs Phase A of the peel only up to level ``k``
-    (:func:`_wave_cores` with a limit) and orders the ``(k-1)``-shell
-    (Phase B's :func:`_shell_order`); :meth:`commit_anchor` runs the capped
+    :meth:`refresh` takes the capped core numbers and orders the
+    ``(k-1)``-shell (Phase B's :func:`_shell_order`).  On a bare snapshot
+    it runs Phase A of the peel only up to level ``k`` (:func:`_wave_cores`
+    with a limit), and :meth:`plain_k_core` runs the k-core cascade.  On a
+    maintainer's snapshot (``NumpyGraph.store``) it first flattens the rows
+    of the ids below ``k`` (:meth:`NumpyGraph.flatten`); with no anchors
+    the cores are ``min(icore, k)``, copied from the maintainer, and the
+    plain k-core is a copy of its ``levels[k]``, both taken at refresh.
+    With anchors, which no library caller passes there, the level-limited
+    peel runs over those rows, and the ids at or above ``k`` are not
+    peeled: their anchored cores are at least their maintained ones.
+    :meth:`commit_anchor` runs the capped
     riser cascades of :func:`repro.cores.decomposition.commit_anchor_ids`
     and re-orders only the shell components the commit touched, so a commit
     costs the components it reaches, not the whole shell (at k = 4 on a
@@ -527,18 +575,34 @@ class NumpyCoreIndexKernel(CoreIndexKernel):
         self._core = np.zeros(n, dtype=np.float64)
         self._rank = np.zeros(n, dtype=np.int64)
         self._next_rank = n
+        self._plain_core = None
         self._core_map_cache: Optional[Dict[Vertex, float]] = None
 
     def refresh(self, anchors: Set[Vertex], k: int) -> None:
         ngraph = self._ngraph
         n = ngraph.num_vertices
-        core = np.full(n, k, dtype=np.float64)
-        peelable = np.ones(n, dtype=bool)
         anchor_ids = [ngraph.id_of(anchor) for anchor in anchors]
-        if anchor_ids:
-            core[anchor_ids] = math.inf
-            peelable[anchor_ids] = False
-        _wave_cores(ngraph, core, peelable, limit=k)
+        store = ngraph.store
+        if store is None:
+            peelable = np.ones(n, dtype=bool)
+            self._plain_core = None
+        else:
+            # The maintained cores are the plain ones, and anchoring only
+            # raises a core: an id the maintainer puts at k or above stays
+            # at k, is never peeled and has no row any pass gathers.
+            maintained = np.fromiter(store.icore, dtype=np.int64, count=n)
+            peelable = maintained < k
+            ngraph.flatten(peelable)
+            level = store.levels[k] if k < len(store.levels) else ()
+            self._plain_core = np.fromiter(level, dtype=np.int64, count=len(level))
+        if store is not None and not anchor_ids:
+            core = np.minimum(maintained, k).astype(np.float64)
+        else:
+            core = np.full(n, k, dtype=np.float64)
+            if anchor_ids:
+                core[anchor_ids] = math.inf
+                peelable[anchor_ids] = False
+            _wave_cores(ngraph, core, peelable, limit=k)
         self._core = core
         # Every vertex below the shell ranks 0, and the shell from n up.
         self._rank = np.zeros(n, dtype=np.int64)
@@ -621,7 +685,10 @@ class NumpyCoreIndexKernel(CoreIndexKernel):
         return self._translate(np.nonzero(self._core == value)[0])
 
     def plain_k_core(self, k: int) -> Set[Vertex]:
-        return self._translate(numpy_k_core_ids(self._ngraph, k))
+        plain = self._plain_core
+        if plain is None:
+            plain = numpy_k_core_ids(self._ngraph, k)
+        return self._translate(plain)
 
     def candidate_anchors(self, k: int, order_pruning: bool) -> Set[Vertex]:
         # Walk the (k-1)-shell: a candidate is a neighbour of a shell member

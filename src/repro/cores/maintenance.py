@@ -29,11 +29,13 @@ three stores that every core change updates together:
 
 :meth:`CoreMaintainer.id_store` hands the id space and the first two stores
 out read-only, for passes that run on ids themselves: IncAVT's swap/fill
-pass reads its region, pool and core numbers there, and the numpy
-backend's snapshot of an exact solve over the maintained graph takes its
-ids, vertices and adjacency rows from it instead of interning the graph
-again.  The ids carry no order; a pass that needs the tie-break order keys
-the vertices it orders.
+pass reads its region, pool and core numbers there.  The numpy backend's
+index of an exact solve over the maintained graph takes its ids, vertices
+and adjacency rows from it instead of interning the graph again, and its
+core numbers from it instead of peeling: its capped cores are ``icore``
+capped at its ``k``, its plain k-core is ``levels[k]``, and it flattens
+only the rows of the ids below ``k``.  The ids carry no order; a pass that
+needs the tie-break order keys the vertices it orders.
 
 The level sets bound a deletion's work by the supporters it counts, not by
 whole neighbourhoods (compare Li, Yu and Mao, "Efficient Core Maintenance in
@@ -58,7 +60,9 @@ checkpoint restore) skip the cascade.  Either way the level sets are then
 built once, top down, in O(n + sum of cores) set inserts.
 
 The maintained core numbers are the single source of truth for the incremental
-tracker; a :meth:`CoreMaintainer.validate` hook recomputes them from scratch
+tracker and for the exact solves over the maintained graph (the engine's
+cold and exact queries, IncAVT's first snapshot and its restarts); a
+:meth:`CoreMaintainer.validate` hook recomputes them from scratch
 with a full peel and raises if the map, the id list or any level set ever
 diverges, and the property-based tests exercise that hook on random edit
 sequences.
@@ -439,7 +443,11 @@ class CoreMaintainer:
         ``core`` exists for checkpoint restore: a caller that persisted the
         maintained core numbers alongside the graph can resume without paying
         a fresh decomposition.  The values are trusted; :meth:`validate`
-        cross-checks them on demand.
+        cross-checks them on demand.  Everything that reads the maintained
+        cores reads them as given: the update traversals, IncAVT's swap/fill
+        pass and, on numpy, the index of every exact solve over
+        :attr:`graph`, which takes its capped cores and its plain k-core
+        from them.
         """
         require_bool("copy_graph", copy_graph)
         self._graph = graph.copy() if copy_graph else graph
@@ -476,7 +484,8 @@ class CoreMaintainer:
         numpy index over :attr:`graph` reads ``ids``, ``vertices`` and
         ``adj`` live for the one solve it serves
         (:meth:`repro.backends.numpy_backend.NumpyGraph.from_maintainer`),
-        with its vertex count fixed when it is built.
+        with its vertex count fixed when it is built, and copies ``icore``
+        (capped at its ``k``) and ``levels[k]`` when it is refreshed.
         """
         kernel = self._kernel
         return IdStore(kernel.ids, kernel.vertices, kernel.adj, kernel.icore, kernel.levels)

@@ -114,7 +114,11 @@ class StreamingAVTEngine:
         One of ``"greedy"``, ``"olak"``, ``"rcm"``.
     core:
         Trusted precomputed core numbers for ``graph`` (checkpoint restore);
-        omit to compute them fresh.
+        omit to compute them fresh.  They are read as given: core
+        maintenance starts from them, warm queries read them and, on numpy,
+        so does every exact query, whose index takes its capped cores and
+        its plain k-core from them instead of peeling.
+        :meth:`~repro.cores.maintenance.CoreMaintainer.validate` checks them.
     backend:
         Execution backend (``"auto"``, ``"dict"``, ``"numpy"``, or an
         :class:`~repro.backends.ExecutionBackend` instance, see
@@ -515,6 +519,10 @@ class StreamingAVTEngine:
 
         ``overrides`` replace construction-time settings (``cache_capacity``,
         ``batch_size``, ``warm_queries``, ``default_solver``).
+
+        The persisted core numbers are trusted (``core`` in the class
+        docstring): core maintenance, warm queries and, on numpy, exact
+        queries read them as they are.
 
         When the persisted backend policy is unavailable in the restoring
         process (e.g. a ``"numpy"`` checkpoint restored on an interpreter

@@ -1,40 +1,33 @@
-"""Compact integer-ID graph structures: interning plus flat-array adjacency.
+"""Integer-id graph structures: interning plus an id adjacency mirror.
 
 The public API of the library works with arbitrary hashable vertex
 identifiers held in an adjacency-set ``dict`` (:class:`~repro.graph.static.Graph`).
 That representation is ideal for mutation and for small graphs, but every hot
 kernel pays hashing and pointer-chasing costs on every vertex touch.  This
-module provides dense integer-id structures, among them the one incremental
-core maintenance mirrors the graph into:
+module provides the dense integer-id structures incremental core
+maintenance mirrors the graph into:
 
 * :class:`VertexInterner` maps hashable vertex ids to dense ``0..n-1``
   integers (and back).  Interning is append-only: an id, once assigned, is
   stable for the interner's lifetime.
-* :class:`CompactGraph` is a frozen CSR-style snapshot — ``indptr`` /
-  ``indices`` flat lists of ints — built from a :class:`Graph` in one
-  gather: ids are assigned by position and the neighbour rows are flattened
-  and translated in one ``map``.  With ``ordered=True`` (the default)
-  vertices are interned in :func:`repro.ordering.tie_break_key` order, so
-  the integer id of a vertex is its tie-break rank.  No library kernel
-  relies on that: the numpy backend builds its own snapshot
-  (:class:`~repro.backends.numpy_backend.NumpyGraph`) in its source's id
-  order and keys only the vertices it puts in order.
-* :class:`DynamicCompactAdjacency` is the mutable sibling (list of int sets)
-  that :class:`repro.cores.maintenance.CoreMaintainer` mirrors the graph
-  into on every backend, so the insertion/deletion traversals run over ints
-  while the graph evolves.
+* :class:`DynamicCompactAdjacency` is the mutable id adjacency (list of int
+  sets) that :class:`repro.cores.maintenance.CoreMaintainer` mirrors the
+  graph into on every backend, so the insertion/deletion traversals run
+  over ints while the graph evolves.  An exact solve over a maintained
+  graph reads the same sets: the numpy backend's snapshot of it
+  (:meth:`~repro.backends.numpy_backend.NumpyGraph.from_maintainer`)
+  flattens the rows it gathers from them.  A bare graph's numpy snapshot
+  interns the graph itself (:meth:`~repro.backends.numpy_backend.NumpyGraph.from_graph`).
 
 Backend names and their selection live in :mod:`repro.backends`.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, chain
 from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.errors import VertexNotFoundError
 from repro.graph.static import Graph, Vertex
-from repro.ordering import tie_break_key
 
 
 class VertexInterner:
@@ -119,85 +112,6 @@ class VertexInterner:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"VertexInterner(n={len(self._vertices)})"
-
-
-class CompactGraph:
-    """Frozen CSR snapshot of a :class:`~repro.graph.static.Graph`.
-
-    ``indices[indptr[i]:indptr[i + 1]]`` holds the neighbour ids of vertex
-    ``i``; ``degrees[i]`` is that row's length, computed on read.  The order
-    inside a row is unspecified.  The structure is a snapshot: mutating the
-    source graph afterwards does not update it.
-
-    With ``ordered=True`` vertices are interned in deterministic
-    :func:`~repro.ordering.tie_break_key` order, so the integer id is the
-    vertex's tie-break rank.  ``ordered=False`` skips the sort (one ``repr``
-    call per vertex) and interns in the graph's iteration order.
-    """
-
-    __slots__ = ("interner", "indptr", "indices", "ordered", "num_edges")
-
-    def __init__(
-        self,
-        interner: VertexInterner,
-        indptr: List[int],
-        indices: List[int],
-        ordered: bool,
-        num_edges: int,
-    ) -> None:
-        self.interner = interner
-        self.indptr = indptr
-        self.indices = indices
-        self.ordered = ordered
-        self.num_edges = num_edges
-
-    @classmethod
-    def from_graph(cls, graph: Graph, ordered: bool = True) -> "CompactGraph":
-        """Build a CSR snapshot of ``graph`` in one gather.
-
-        Ids are assigned by position in the vertex order, and every row is
-        translated in one ``map`` over the chained neighbour sets, so there
-        is one dict lookup per neighbour entry and no call per vertex.
-        """
-        if ordered:
-            vertex_order = sorted(graph.vertices(), key=tie_break_key)
-        else:
-            vertex_order = list(graph.vertices())
-        interner = VertexInterner.of_distinct(vertex_order)
-        rows = list(map(graph.neighbors, vertex_order))
-        indices = list(map(interner.ids.__getitem__, chain.from_iterable(rows)))
-        indptr = list(accumulate(map(len, rows), initial=0))
-        return cls(
-            interner,
-            indptr,
-            indices,
-            ordered=ordered,
-            num_edges=graph.num_edges,
-        )
-
-    @property
-    def degrees(self) -> List[int]:
-        """Row lengths by id (a fresh list)."""
-        indptr = self.indptr
-        return [indptr[i + 1] - indptr[i] for i in range(len(self.interner))]
-
-    @property
-    def num_vertices(self) -> int:
-        """Number of vertices in the snapshot."""
-        return len(self.interner)
-
-    def neighbor_ids(self, vid: int) -> List[int]:
-        """Return the neighbour ids of ``vid`` (a fresh list)."""
-        return self.indices[self.indptr[vid] : self.indptr[vid + 1]]
-
-    def __len__(self) -> int:
-        return len(self.interner)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CompactGraph(n={self.num_vertices}, m={self.num_edges}, "
-            f"ordered={self.ordered})"
-        )
 
 
 class DynamicCompactAdjacency:

@@ -24,15 +24,23 @@ from repro.ordering import edge_tie_break_key, tie_break_key
 
 
 def _normalise_edge(edge: Edge) -> Tuple[Vertex, Vertex]:
-    """Return the edge as a canonically ordered tuple so deltas compare cleanly."""
+    """Return the edge as a canonically ordered tuple so deltas compare cleanly.
+
+    Both orientations of an edge give the same tuple.  Ids that ``<``
+    orders one way round go smaller first; any other pair (equal ids, ids
+    ``<`` cannot compare, or ids it orders partially, such as two
+    frozensets neither of which contains the other) goes by the shared
+    tie-break key.
+    """
     u, v = edge
     try:
-        return (u, v) if u <= v else (v, u)  # type: ignore[operator]
+        if u < v:  # type: ignore[operator]
+            return (u, v)
+        if v < u:  # type: ignore[operator]
+            return (v, u)
     except TypeError:
-        # Mixed / unorderable vertex types: fall back to the shared tie-break
-        # ordering, which is stable within a single process and sufficient for
-        # set semantics.
-        return (u, v) if tie_break_key(u) <= tie_break_key(v) else (v, u)
+        pass
+    return (u, v) if tie_break_key(u) <= tie_break_key(v) else (v, u)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+from itertools import accumulate
 
 import pytest
 
@@ -133,14 +134,12 @@ class TestAutoPolicy:
         from repro.anchored.followers import anchored_k_core
         from repro.backends.numpy_backend import NumpyGraph
         from repro.cores.decomposition import k_core
-        from repro.graph.compact import CompactGraph
 
         graph = Graph(edges=[(i, i + 1) for i in range(100)])
 
         def boom(*args, **kwargs):
             raise AssertionError("snapshot built for one-shot work")
 
-        monkeypatch.setattr(CompactGraph, "from_graph", classmethod(boom))
         # Every numpy snapshot, from a graph or a maintainer, is constructed
         # here.
         monkeypatch.setattr(NumpyGraph, "__init__", boom)
@@ -212,18 +211,22 @@ class TestEngineReResolution:
 @needs_numpy
 class TestNumpyKernels:
     def test_numpy_graph_shares_interner_contract(self):
-        """A bare snapshot interns like an unordered CompactGraph: ids by
-        position in the graph's iteration order, no sort."""
+        """A bare snapshot interns in the graph's iteration order: ids by
+        position, no sort, and each row its vertex's neighbours."""
         from repro.backends.numpy_backend import NumpyGraph
-        from repro.graph.compact import CompactGraph
 
         graph = Graph(edges=[(3, 2), (2, "a"), (-1, 3)], vertices=[3, 2, "a", 99, -1])
-        cgraph = CompactGraph.from_graph(graph, ordered=False)
         ngraph = NumpyGraph.from_graph(graph)
-        assert ngraph.vertices == cgraph.interner.vertices == list(graph.vertices())
-        assert ngraph.ids == cgraph.interner.ids
-        assert ngraph.indptr.tolist() == ngraph.rows.indptr == cgraph.indptr
-        assert ngraph.indices.tolist() == ngraph.rows.indices == cgraph.indices
+        vertices = list(graph.vertices())
+        assert ngraph.vertices == vertices
+        assert ngraph.ids == {vertex: vid for vid, vertex in enumerate(vertices)}
+        indptr, indices = ngraph.indptr.tolist(), ngraph.indices.tolist()
+        assert indptr == ngraph.rows.indptr and indices == ngraph.rows.indices
+        assert indptr == list(accumulate(map(graph.degree, vertices), initial=0))
+        for vid, vertex in enumerate(vertices):
+            row = indices[indptr[vid] : indptr[vid + 1]]
+            assert row == ngraph.rows[vid]
+            assert [vertices[other] for other in row] == list(graph.neighbors(vertex))
         assert ngraph.num_vertices == 5 and ngraph.num_edges == 3
         assert ngraph.translate([0, 2]) == {3, "a"}
         with pytest.raises(VertexNotFoundError):

@@ -1,11 +1,11 @@
-"""Unit tests for the compact integer-ID snapshot structures."""
+"""Unit tests for the integer-id interner and adjacency mirror."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import VertexNotFoundError
-from repro.graph.compact import CompactGraph, DynamicCompactAdjacency, VertexInterner
+from repro.graph.compact import DynamicCompactAdjacency, VertexInterner
 from repro.graph.static import Graph
 
 
@@ -30,25 +30,6 @@ class TestVertexInterner:
     def test_translate_round_trips(self):
         interner = VertexInterner([10, "x", 20])
         assert interner.translate([0, 2]) == {10, 20}
-
-
-class TestCompactGraph:
-    def test_csr_shape_matches_graph(self):
-        graph = Graph(edges=[(1, 2), (2, 3)], vertices=[1, 2, 3, 99])
-        cgraph = CompactGraph.from_graph(graph)
-        assert cgraph.num_vertices == 4
-        assert cgraph.num_edges == 2
-        assert sum(cgraph.degrees) == 2 * graph.num_edges
-        two = cgraph.interner.id_of(2)
-        neighbours = cgraph.interner.translate(cgraph.neighbor_ids(two))
-        assert neighbours == {1, 3}
-        # Vertex 99 is isolated: empty row.
-        assert cgraph.neighbor_ids(cgraph.interner.id_of(99)) == []
-
-    def test_ordered_snapshot_ids_follow_tie_break_order(self):
-        graph = Graph(vertices=[5, 1, 3])
-        cgraph = CompactGraph.from_graph(graph, ordered=True)
-        assert [cgraph.interner.vertex_of(vid) for vid in range(3)] == [1, 3, 5]
 
 
 class TestDynamicCompactAdjacency:

@@ -368,6 +368,17 @@ class TestEngineQueries:
         assert engine.graph_version == 0
         assert engine.stats.cache_hits == 1
 
+    def test_a_round_trip_over_partially_ordered_ids_cancels(self):
+        # ``<=`` on frozensets is the subset test, under which neither of
+        # these two comes first; both orientations must key one edge.
+        a, b = frozenset({1}), frozenset({2})
+        engine = StreamingAVTEngine(Graph(vertices=[a, b]), batch_size=None)
+        engine.ingest_insert(a, b)
+        engine.ingest_remove(b, a)
+        engine.flush()
+        assert not engine.graph.has_edge(a, b)
+        assert engine.graph_version == 0
+
     @pytest.mark.parametrize("batch_size", [1, 2, 64, None])
     def test_vertex_set_does_not_depend_on_batch_size(self, batch_size):
         # An insert→remove round trip to an unknown vertex creates it, as the

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import accumulate, chain
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -23,7 +25,7 @@ from repro.cores.decomposition import (
     k_core,
 )
 from repro.errors import ParameterError, VertexNotFoundError
-from repro.graph.compact import CompactGraph
+from repro.graph.compact import DynamicCompactAdjacency
 from repro.graph.generators import chung_lu_graph
 from repro.graph.static import Graph
 
@@ -259,13 +261,14 @@ class TestCommitAnchorCores:
         assert all(type(core[vertex]) is int for vertex in core)
 
 
-def id_rows(cgraph):
-    """Both kinds of ``rows`` the id cascades run on: the numpy kernel's CSR
-    row view and IncAVT's adjacency sets (neither needs numpy)."""
-    return (
-        CsrRows(cgraph.indptr, cgraph.indices),
-        [set(cgraph.neighbor_ids(vid)) for vid in range(cgraph.num_vertices)],
-    )
+def id_rows(mirror):
+    """Both kinds of ``rows`` the id cascades run on, over ``mirror``'s ids:
+    a bare numpy snapshot's CSR row view and the maintainer's adjacency
+    sets, which IncAVT and a bound numpy snapshot read (neither needs
+    numpy)."""
+    indptr = list(accumulate(map(len, mirror.adj), initial=0))
+    indices = list(chain.from_iterable(mirror.adj))
+    return CsrRows(indptr, indices), [set(row) for row in mirror.adj]
 
 
 class TestIdListCascades:
@@ -276,8 +279,8 @@ class TestIdListCascades:
     @given(scenario=anchor_sequences(), k=st.integers(min_value=1, max_value=6))
     def test_region_cascade_matches_marginal_followers(self, scenario, k):
         graph, anchors = scenario
-        cgraph = CompactGraph.from_graph(graph, ordered=True)
-        interner = cgraph.interner
+        mirror = DynamicCompactAdjacency.from_graph(graph)
+        interner = mirror.interner
         core = dict_anchored_peel(graph, frozenset(anchors)).core
         core_ids = [core[vertex] for vertex in interner.vertices]
         for vertex, value in core.items():
@@ -286,7 +289,7 @@ class TestIdListCascades:
             visit_log = []
             region = set()
             expected = marginal_followers(graph, k, vertex, core, visit_log, region_out=region)
-            for rows in id_rows(cgraph):
+            for rows in id_rows(mirror):
                 region_ids = set()
                 gained, visited = compact_marginal_followers(
                     rows, k, interner.id_of(vertex), core_ids, region_out=region_ids
@@ -299,16 +302,16 @@ class TestIdListCascades:
     @given(scenario=anchor_sequences())
     def test_commit_ids_match_commit_anchor_cores(self, scenario):
         graph, anchors = scenario
-        cgraph = CompactGraph.from_graph(graph, ordered=True)
-        vertices = cgraph.interner.vertices
+        mirror = DynamicCompactAdjacency.from_graph(graph)
+        vertices = mirror.interner.vertices
         for cap in range(1, 6):
-            for rows in id_rows(cgraph):
+            for rows in id_rows(mirror):
                 core = dict(dict_anchored_peel(graph, frozenset()).core)
                 core_ids = [core[vertex] for vertex in vertices]
                 for anchor in anchors:
                     touched = commit_anchor_cores(graph, anchor, core, cap=cap)
                     touched_ids = commit_anchor_ids(
-                        rows, core_ids, cgraph.interner.id_of(anchor), cap
+                        rows, core_ids, mirror.interner.id_of(anchor), cap
                     )
                     assert {(vertices[vid], old) for vid, old in touched_ids} == set(touched)
                     assert dict(zip(vertices, core_ids)) == core

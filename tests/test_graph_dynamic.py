@@ -3,10 +3,26 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.errors import SnapshotError
-from repro.graph.dynamic import EdgeDelta, EvolvingGraph, SnapshotSequence
+from repro.graph.dynamic import EdgeDelta, EvolvingGraph, SnapshotSequence, _normalise_edge
 from repro.graph.static import Graph
+
+#: Vertex ids of each kind an edge may join.  A frozenset's ``<`` is the
+#: proper-subset test, which orders only some pairs.
+ID_KINDS = (
+    st.integers(),
+    st.text(max_size=3),
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.frozensets(st.integers(0, 3), max_size=3),
+)
+#: Two ids of one kind, or of any two kinds.
+ID_PAIRS = st.one_of(
+    st.sampled_from(ID_KINDS).flatmap(lambda kind: st.tuples(kind, kind)),
+    st.tuples(st.one_of(ID_KINDS), st.one_of(ID_KINDS)),
+)
 
 
 def build_snapshots():
@@ -25,6 +41,18 @@ class TestEdgeDelta:
         assert delta.inserted == ((1, 2),)
         assert delta.removed == ((3, 4),)
         assert delta.num_changes == 2
+
+    @given(edge=ID_PAIRS)
+    @example(edge=(frozenset({1}), frozenset({2})))
+    def test_both_orientations_of_an_edge_normalise_alike(self, edge):
+        u, v = edge
+        assert _normalise_edge((u, v)) == _normalise_edge((v, u))
+
+    def test_reversed_edges_over_partially_ordered_ids_are_one_change(self):
+        a, b = frozenset({1}), frozenset({2})
+        delta = EdgeDelta.from_iterables(inserted=[(a, b), (b, a)])
+        assert len(delta.inserted) == 1
+        assert delta.num_changes == 1
 
     def test_between_computes_symmetric_difference(self):
         first, second, _ = build_snapshots()

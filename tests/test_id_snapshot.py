@@ -4,18 +4,21 @@ An exact solve that holds a :class:`~repro.cores.maintenance.CoreMaintainer`
 (an engine's cold query, IncAVT's first snapshot and its restarts) runs on
 the backend :meth:`~repro.backends.ExecutionBackend.bound_to` returns.  On
 numpy, that backend builds the index's snapshot from the maintainer's id
-space: its ids, vertices and adjacency sets, with no sort and no interning.
-A bare graph's snapshot interns the graph in its iteration order instead.
-Neither id order is the tie-break order, and the two differ, so the kernels
-key only the vertices they order.  These tests pin:
+space: its ids, vertices and adjacency sets, with no sort and no interning,
+and the index reads the maintainer's core numbers instead of peeling.  Its
+CSR holds only the rows of the ids whose maintained core is below ``k``.
+A bare graph's snapshot interns the graph in its iteration order and holds
+every row.  Neither id order is the tie-break order, and the two differ, so
+the kernels key only the vertices they order.  These tests pin:
 
-* both snapshots hold the same vertices, and each vertex the same neighbour
-  set, compared by vertex (their ids differ);
-* after ``refresh`` with a drawn anchor set, and after each of a few
-  ``commit_anchor`` calls, both numpy kernels hold the dict kernel's core
-  numbers, candidates under both pruning modes, ``(gained, visited,
-  region)`` for every candidate and touched sets, and removal ranks in the
+* after ``refresh`` with no anchors and with a drawn non-empty anchor set,
+  and after each of a few ``commit_anchor`` calls, both numpy kernels hold
+  the dict kernel's core numbers and plain k-core, candidates under both
+  pruning modes, ``(gained, visited, region)`` and the whole-shell
+  followers for every candidate, touched sets, and removal ranks in the
   dict kernel's (full-peel) order within each ``(k-1)``-shell component;
+* a refresh with no anchors over a maintained graph neither peels nor runs
+  the k-core cascade, and its CSR holds exactly the rows below ``k``;
 * an index build keys (:func:`~repro.ordering.tie_break_key`) no vertex
   outside the ``(k-1)``-shell;
 * a bound kernel keeps the vertex set it was built with when its
@@ -25,7 +28,9 @@ The graphs mix vertex types (ints, negative ints, strings, tuples), and
 every maintainer's ids are out of tie-break order: it gained vertices
 through ``insert_edge`` and ``apply_delta``, or gained one that sorts
 before every other vertex, or was rebuilt by ``refresh_from_graph`` after
-the graph lost and gained vertices.
+the graph lost and gained vertices.  In the first two scenarios the
+maintained cores a bound index reads come from those maintenance edits,
+not from the set-up's bucket cascade.
 """
 
 from __future__ import annotations
@@ -42,8 +47,9 @@ from repro.backends import get_backend, numpy_available
 from repro.cores.maintenance import CoreMaintainer
 from repro.errors import VertexNotFoundError
 from repro.graph.dynamic import EdgeDelta
+from repro.graph.generators import chung_lu_graph
 from repro.graph.static import Graph, Vertex
-from repro.ordering import tie_break_key
+from repro.ordering import edge_tie_break_key, tie_break_key
 from tests.conftest import shell_components
 
 pytestmark = pytest.mark.skipif(not numpy_available(), reason="numpy backend unavailable")
@@ -93,24 +99,11 @@ def maintained(scenario: str, base_edges, later_edges) -> CoreMaintainer:
     return maintainer
 
 
-def neighbours_by_vertex(ngraph):
-    """``{vertex: neighbour set}`` of a snapshot, read from its CSR arrays,
-    after checking that ``rows`` and ``ids`` agree with them."""
-    indptr, indices = ngraph.indptr.tolist(), ngraph.indices.tolist()
-    vertices = ngraph.vertices
-    by_vertex = {}
-    for vid in range(ngraph.num_vertices):
-        row = indices[indptr[vid] : indptr[vid + 1]]
-        assert sorted(ngraph.rows[vid]) == sorted(row)
-        assert ngraph.ids[vertices[vid]] == vid
-        by_vertex[vertices[vid]] = ngraph.translate(row)
-    return by_vertex
-
-
 def assert_same_state(kernel, reference, graph: Graph, k: int) -> None:
     """``kernel`` holds ``reference``'s (the dict kernel's) capped state."""
     core = reference.core_numbers()
     assert kernel.core_numbers() == core
+    assert kernel.plain_k_core(k) == reference.plain_k_core(k)
     shell = [vertex for vertex, value in core.items() if value == k - 1]
     ranks, full = kernel.removal_ranks(), reference.removal_ranks()
     for component in shell_components(graph, shell):
@@ -128,6 +121,9 @@ def assert_same_state(kernel, reference, graph: Graph, k: int) -> None:
         assert kernel.marginal_followers_with_region(
             k, candidate
         ) == reference.marginal_followers_with_region(k, candidate)
+        assert kernel.marginal_followers(k, candidate, True) == reference.marginal_followers(
+            k, candidate, True
+        )
 
 
 @pytest.mark.parametrize("scenario", ["grown", "first", "rebuilt"])
@@ -141,43 +137,94 @@ def assert_same_state(kernel, reference, graph: Graph, k: int) -> None:
 def test_an_id_snapshot_reaches_every_state_of_a_graph_snapshot(
     scenario, base_edges, later_edges, k, data
 ):
-    from repro.backends.numpy_backend import NumpyGraph
-
     maintainer = maintained(scenario, base_edges, later_edges)
     graph = maintainer.graph
     vertices = sorted(graph.vertices(), key=tie_break_key)
     if scenario == "first":
         assert vertices[0] == FIRST
-    store = maintainer.id_store()
-    assert list(store.vertices) != vertices  # ids out of tie-break order
-
-    gathered, interned = NumpyGraph.from_maintainer(maintainer), NumpyGraph.from_graph(graph)
-    assert gathered.vertices is store.vertices and gathered.rows is store.adj
-    expected = {vertex: set(graph.neighbors(vertex)) for vertex in vertices}
-    assert neighbours_by_vertex(gathered) == neighbours_by_vertex(interned) == expected
-    assert gathered.num_edges == interned.num_edges == graph.num_edges
+    assert list(maintainer.id_store().vertices) != vertices  # ids out of tie-break order
 
     numpy = get_backend("numpy")
-    from_ids = numpy.bound_to(maintainer).build_core_index(graph)
-    from_graph = numpy.build_core_index(graph)
-    reference = get_backend("dict").build_core_index(graph)
-    kernels = (from_ids, from_graph, reference)
-    anchors = set(data.draw(st.lists(st.sampled_from(vertices), max_size=3)))
-    for kernel in kernels:
-        kernel.refresh(set(anchors), k)
-    assert_same_state(from_ids, reference, graph, k)
-    assert_same_state(from_graph, reference, graph, k)
-    # The numpy ranks read no id order, so the two builds agree exactly.
-    assert from_ids.removal_ranks() == from_graph.removal_ranks()
-    for vertex in data.draw(st.lists(st.sampled_from(vertices), max_size=3)):
-        if vertex in anchors:
-            continue
-        anchors.add(vertex)
-        touched = [kernel.commit_anchor(vertex, set(anchors), k) for kernel in kernels]
-        assert touched[0] == touched[1] == touched[2]
+    drawn = set(data.draw(st.lists(st.sampled_from(vertices), min_size=1, max_size=3)))
+    # No library caller refreshes a bound index with anchors, which takes
+    # the level-limited peel over the rows below k; the public API can.
+    for start in (set(), drawn):
+        from_ids = numpy.bound_to(maintainer).build_core_index(graph)
+        from_graph = numpy.build_core_index(graph)
+        reference = get_backend("dict").build_core_index(graph)
+        kernels = (from_ids, from_graph, reference)
+        anchors = set(start)
+        for kernel in kernels:
+            kernel.refresh(set(anchors), k)
         assert_same_state(from_ids, reference, graph, k)
         assert_same_state(from_graph, reference, graph, k)
+        # The numpy ranks read no id order, so the two builds agree exactly.
         assert from_ids.removal_ranks() == from_graph.removal_ranks()
+        for vertex in data.draw(st.lists(st.sampled_from(vertices), max_size=3)):
+            if vertex in anchors:
+                continue
+            anchors.add(vertex)
+            touched = [kernel.commit_anchor(vertex, set(anchors), k) for kernel in kernels]
+            assert touched[0] == touched[1] == touched[2]
+            assert_same_state(from_ids, reference, graph, k)
+            assert_same_state(from_graph, reference, graph, k)
+            assert from_ids.removal_ranks() == from_graph.removal_ranks()
+
+
+def test_a_bound_refresh_reads_the_maintained_cores(monkeypatch):
+    """With no anchors a bound index neither peels nor runs the k-core
+    cascade, and its CSR holds exactly the rows of the ids below ``k``."""
+    from repro.backends import numpy_backend
+    from repro.backends.numpy_backend import NumpyGraph
+
+    def boom(*args, **kwargs):
+        raise AssertionError("derived what the maintainer already holds")
+
+    monkeypatch.setattr(numpy_backend, "_wave_cores", boom)
+    monkeypatch.setattr(numpy_backend, "numpy_k_core_ids", boom)
+    snapshots = []
+    from_maintainer = NumpyGraph.from_maintainer
+    monkeypatch.setattr(
+        NumpyGraph,
+        "from_maintainer",
+        lambda maintainer: snapshots.append(from_maintainer(maintainer)) or snapshots[-1],
+    )
+    maintainer = CoreMaintainer(chung_lu_graph(300, 900, skew=1.2, seed=3))
+    graph = maintainer.graph
+    # Cores from maintenance edits, not only from the set-up cascade.
+    edges = sorted(graph.edges(), key=edge_tie_break_key)
+    maintainer.apply_delta(
+        EdgeDelta.from_iterables(
+            inserted=[(0, 1), (0, 2), (1, 2), (0, "new")], removed=edges[::9]
+        )
+    )
+    store = maintainer.id_store()
+    numpy, reference = get_backend("numpy").bound_to(maintainer), get_backend("dict")
+    for k in range(1, max(store.icore) + 2):
+        kernel = numpy.build_core_index(maintainer.graph)
+        kernel.refresh(set(), k)
+        expected = reference.build_core_index(maintainer.graph)
+        expected.refresh(set(), k)
+        assert kernel.core_numbers() == expected.core_numbers()
+        assert kernel.plain_k_core(k) == expected.plain_k_core(k) == set(
+            maintainer.k_core_vertices(k)
+        )
+        ngraph = snapshots[-1]
+        # Nothing interned or copied: the snapshot reads the maintainer's own stores.
+        assert ngraph.vertices is store.vertices and ngraph.ids is store.ids
+        assert ngraph.rows is store.adj and ngraph.store == store
+        indptr, indices = ngraph.indptr.tolist(), ngraph.indices.tolist()
+        assert ngraph.num_vertices == len(store.vertices) == graph.num_vertices
+        below = 0
+        for vid, vertex in enumerate(store.vertices):
+            row = indices[indptr[vid] : indptr[vid + 1]]
+            if store.icore[vid] < k:
+                below += 1
+                assert sorted(row) == sorted(store.adj[vid])
+                assert ngraph.translate(row) == graph.neighbors(vertex)
+            else:
+                assert row == []
+        assert 0 < below <= ngraph.num_vertices
 
 
 def test_an_index_build_keys_only_the_shell(monkeypatch):
