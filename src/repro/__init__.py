@@ -65,7 +65,8 @@ backend           implementation                                 ``auto`` picks 
 ``dict``          hashable vertices over the adjacency-set       the work is a one-shot cascade (a single
                   graph; zero setup or translation cost          O(n + m) pass cannot amortise a snapshot
                                                                  build), or numpy is unavailable
-``numpy``         an interned CSR snapshot: vectorised passes    every other case, at any graph size
+``numpy``         a CSR snapshot in integer ids, holding only    every other case, at any graph size
+                  the rows its work reads: vectorised passes
                   for peels, k-cores, the capped index build,
                   candidate scans and OLAK's whole-shell
                   cascade; scalar id loops for the region
@@ -103,10 +104,13 @@ kernel         ``refresh`` and ``commit_anchor`` paths
                (:func:`repro.anchored.followers.commit_anchor_cores`, +1
                each, the single-anchor shell lemma); then one within-shell
                cascade over the ``(k-1)``-shell
-``numpy``      the peel's vectorised waves stopped before level ``k``, or,
-               for a solve over a maintained graph, the maintainer's core
-               numbers capped at ``k`` (below); the same riser cascades on
-               ids, over the snapshot's rows
+``numpy``      the peel's vectorised waves stopped before level ``k``,
+               translating the row of each vertex they remove from the
+               graph's own neighbour sets, or, for a solve over a maintained
+               graph, the maintainer's core numbers capped at ``k`` (below);
+               either way the CSR then holds the rows below ``k`` only, and
+               anchors run the same level-limited waves over them; the same
+               riser cascades on ids, over the snapshot's rows
                (:func:`repro.cores.decomposition.commit_anchor_ids`); the
                shell order is the peel's vectorised Phase-B shell pass,
                which keys only the shell members it orders
@@ -135,8 +139,8 @@ determinism hinges on one key: every order a solver reads breaks its ties
 by :func:`repro.ordering.tie_break_key`, and no kernel reads an order from
 its integer ids.  The numpy kernels key only the vertices they order (a
 shell, or the components of one that a commit touched), so a snapshot
-keeps its source's ids: a bare graph is interned in its iteration order,
-and a solve that holds a :class:`CoreMaintainer` (an engine's cold and
+keeps its source's ids: a bare graph's are its iteration order, and only
+the rows below ``k`` are translated into them, and a solve that holds a :class:`CoreMaintainer` (an engine's cold and
 exact queries, IncAVT's first snapshot and restarts) runs on the backend
 :meth:`~repro.backends.ExecutionBackend.bound_to` returns for it, which on
 numpy builds the snapshot in the maintainer's ids without interning the

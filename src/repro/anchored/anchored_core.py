@@ -31,7 +31,12 @@ from __future__ import annotations
 from typing import FrozenSet, Iterable, Mapping, Optional, Set, Tuple, Union
 
 from repro.backends import BACKEND_AUTO, ExecutionBackend, get_backend
-from repro.errors import VertexNotFoundError, require_int
+from repro.errors import (
+    VertexNotFoundError,
+    distinct_vertices,
+    require_hashable,
+    require_int,
+)
 from repro.graph.static import Graph, Vertex
 from repro.obs import tracer
 
@@ -70,7 +75,7 @@ class AnchoredCoreIndex:
         require_int("k", k, 1)
         self._graph = graph
         self._k = k
-        self._anchors: Set[Vertex] = set(anchors)
+        self._anchors: Set[Vertex] = set(distinct_vertices("anchors", anchors))
         for anchor in self._anchors:
             if not graph.has_vertex(anchor):
                 raise VertexNotFoundError(anchor)
@@ -238,6 +243,7 @@ class AnchoredCoreIndex:
         included.  Committing an existing anchor is a no-op and returns an
         empty set.
         """
+        require_hashable("vertex", vertex)
         if not self._graph.has_vertex(vertex):
             raise VertexNotFoundError(vertex)
         if vertex in self._anchors:

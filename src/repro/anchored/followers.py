@@ -56,7 +56,13 @@ from repro.backends import (
     get_backend,
 )
 from repro.cores.decomposition import ANCHOR_CORE
-from repro.errors import ParameterError, VertexNotFoundError, require_int
+from repro.errors import (
+    ParameterError,
+    VertexNotFoundError,
+    distinct_vertices,
+    require_hashable,
+    require_int,
+)
 from repro.graph.static import Graph, Vertex
 
 
@@ -74,7 +80,7 @@ def anchored_k_core(
     size because a lone pass cannot amortise building a snapshot (see
     :mod:`repro.backends`).
     """
-    anchor_set = set(anchors)
+    anchor_set = set(distinct_vertices("anchors", anchors))
     _check_query(graph, k, anchor_set)
     return get_backend(backend, workload=WORKLOAD_ONE_SHOT).k_core(graph, k, anchor_set)
 
@@ -118,7 +124,7 @@ def compute_followers(
     of ``F''`` would lie in ``K ∪ F''``, so ``K ∪ F''`` would have minimum
     degree ``k`` and ``F''`` would be inside ``K``.
     """
-    anchor_set = set(anchors)
+    anchor_set = set(distinct_vertices("anchors", anchors))
     if k_core_vertices is None:
         anchored = anchored_k_core(graph, k, anchor_set, backend=backend)
         return anchored - anchored_k_core(graph, k, (), backend=backend) - anchor_set
@@ -172,7 +178,8 @@ def follower_gain(
     This is the exact (reference) marginal-gain computation:
     ``F_k(S ∪ {x}) \\ (F_k(S) ∪ {x})``.
     """
-    base_set = set(base_anchors)
+    base_set = set(distinct_vertices("base_anchors", base_anchors))
+    require_hashable("candidate", candidate)
     base_followers = compute_followers(graph, k, base_set, k_core_vertices, backend=backend)
     extended = compute_followers(
         graph, k, base_set | {candidate}, k_core_vertices, backend=backend

@@ -51,7 +51,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Union
 
 from repro.anchored.anchored_core import AnchoredCoreIndex
 from repro.anchored.result import AnchoredKCoreResult, SolverStats
-from repro.errors import ParameterError, require_bool, require_int
+from repro.errors import ParameterError, distinct_vertices, require_bool, require_int
 from repro.backends import BACKEND_AUTO, ExecutionBackend, get_backend
 from repro.graph.static import Graph, Vertex
 from repro.obs import tracer
@@ -120,7 +120,7 @@ class GreedyAnchoredKCore:
         self._order_pruning = order_pruning
         self._stop_on_zero_gain = stop_on_zero_gain
         # Distinct anchors, first occurrence kept: each one spends budget once.
-        self._initial_anchors = tuple(dict.fromkeys(initial_anchors))
+        self._initial_anchors = distinct_vertices("initial_anchors", initial_anchors)
         if len(self._initial_anchors) > budget:
             raise ParameterError("initial_anchors must not outnumber the budget")
         # Resolved here, not in select(): a bad name fails at construction,

@@ -21,7 +21,7 @@ from typing import Iterable, List, Optional, Set, Union
 
 from repro.anchored.anchored_core import AnchoredCoreIndex
 from repro.anchored.result import AnchoredKCoreResult, SolverStats
-from repro.errors import ParameterError, require_bool, require_int
+from repro.errors import ParameterError, distinct_vertices, require_bool, require_int
 from repro.backends import BACKEND_AUTO, ExecutionBackend, get_backend
 from repro.graph.static import Graph, Vertex
 from repro.ordering import tie_break_key
@@ -49,7 +49,7 @@ class OLAKAnchoredKCore:
         self._budget = budget
         self._stop_on_zero_gain = stop_on_zero_gain
         # Distinct anchors, first occurrence kept: each one spends budget once.
-        self._initial_anchors = tuple(dict.fromkeys(initial_anchors))
+        self._initial_anchors = distinct_vertices("initial_anchors", initial_anchors)
         if len(self._initial_anchors) > budget:
             raise ParameterError("initial_anchors must not outnumber the budget")
         self._backend = get_backend(backend)

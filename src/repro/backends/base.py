@@ -32,12 +32,15 @@ IncAVT's first snapshot and its restarts — runs on the backend that
 :class:`~repro.cores.maintenance.CoreMaintainer`.  The numpy backend's bound
 form builds the snapshot in the maintainer's own ids, from its adjacency
 sets, instead of interning the graph again, and its index reads the
-maintained core numbers and level sets instead of deriving them again: it
-flattens only the rows of the ids whose maintained core is below ``k``,
-and with no anchors it neither peels nor runs the k-core cascade.  No
-kernel reads an order from the ids or from the order inside a row: the
-cascades are confluent, and the shell order's heap breaks its ties by the
-tie-break keys of the shell members it orders.
+maintained core numbers instead of deriving them again: with no anchors
+it neither peels nor runs the k-core cascade.  An unbound numpy index over
+a bare graph derives the capped cores from scratch, with a peel stopped at
+level ``k`` that translates into ids only the rows of the vertices it
+removes.  Either way the snapshot's CSR holds only the rows of the ids
+below ``k``, since anchoring only raises a core.  No kernel reads an order
+from the ids or from the order inside a row: the cascades are confluent,
+and the shell order's heap breaks its ties by the tie-break keys of the
+shell members it orders.
 
 The capped contract
 -------------------
@@ -64,8 +67,9 @@ component or below the shell.  The full exact peel stays behind
 with a cascade over the levels ``0 .. k-1`` only (the dict backend's bucket
 cascade :func:`repro.backends.dict_backend.dict_capped_cores`, or the numpy
 backend's level-limited waves), except that the numpy backend's bound
-form, refreshed with no anchors, copies the maintained cores capped at
-``k``; each then orders the ``(k-1)``-shell with one within-shell cascade.
+form copies the maintained cores capped at ``k`` and, only for anchors,
+runs its waves over the rows below ``k``; each then orders the
+``(k-1)``-shell with one within-shell cascade.
 
 The delta-refresh contract
 --------------------------

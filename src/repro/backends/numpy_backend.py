@@ -26,8 +26,10 @@ whichever form is faster for its work:
   instrumentation (shell size plus removals) is matched exactly.
 * **The anchored core index** never peels: over a maintained graph its
   build reads the maintainer's core numbers capped at ``k``, over a bare
-  graph it runs Phase A only up to level ``k``, and either way it orders
-  only the ``(k-1)``-shell with Phase B's shell pass.  A commit re-orders
+  graph it runs Phase A only up to level ``k``, and either way its CSR then
+  holds only the rows of the ids below ``k`` and it orders only the
+  ``(k-1)``-shell with Phase B's shell pass.  Anchors given to a refresh
+  run Phase A up to level ``k`` again, over those rows.  A commit re-orders
   only the shell components it touched.  The candidate scan gathers that
   shell's neighbours and filters them with one boolean pass.
 * **Region-sized work** stays scalar over ``rows[vid]``: the region
@@ -42,10 +44,17 @@ whichever form is faster for its work:
 Where the snapshot comes from:
 
 * **A bare graph** (one-shot calls, and Greedy over a snapshot sequence,
-  the paper's per-snapshot baseline) is interned in its own iteration
-  order by :meth:`NumpyGraph.from_graph`: one gather of the neighbour rows,
-  no sort.  ``rows`` is a :class:`CsrRows` view over list copies of the
-  CSR.
+  the paper's per-snapshot baseline) keeps its own iteration order as ids
+  (:meth:`NumpyGraph.from_graph`: no sort), and its neighbour sets are
+  translated into ids only where the work reads them.  ``decompose`` and
+  ``k_core`` need every row and translate them all.  An index's
+  :meth:`~NumpyCoreIndexKernel.refresh` derives ``min(core, k)`` from
+  scratch with Phase A stopped at level ``k`` (the capped form of
+  Batagelj and Zaversnik's O(m) peel, 2003), which translates the row of
+  each id it removes, a wave at a time, and keeps it; the CSR is built
+  from exactly those rows, the ids below ``k`` (at k = 4 on perfbench's
+  50k-vertex graph, 41,095 of 300,000 neighbour entries).  ``rows`` is a
+  :class:`CsrRows`.
 * **A maintained graph** is not interned again, and its core numbers are
   not derived again.  The backend that :meth:`NumpyBackend.bound_to`
   returns for a :class:`~repro.cores.maintenance.CoreMaintainer` builds
@@ -53,13 +62,13 @@ Where the snapshot comes from:
   which takes ``ids``, ``vertices`` and, as ``rows``, the adjacency sets
   (as IncAVT's swap/fill pass does) from the maintainer's id space and
   flattens nothing.  The kernel's :meth:`~NumpyCoreIndexKernel.refresh`
-  then reads the maintained cores (``icore``) and the plain k-core
-  (``levels[k]``), and flattens into the CSR arrays only the rows of the
-  ids whose maintained core is below ``k``: anchoring only raises a core,
-  so every row a pass gathers is one of those (at k = 4 on perfbench's
-  50k-vertex graph, 41,095 of 300,000 neighbour entries).  The snapshot
-  is built inside :meth:`NumpyBackend.build_core_index` and lives as long
-  as its kernel, one solve.
+  then reads the maintained cores (``icore``), and flattens into the CSR
+  arrays only the rows of the ids whose maintained core is below ``k``.
+
+Either way, anchoring only raises a core, so every row a pass gathers is
+a row below ``k``, and the plain k-core is the ids whose capped core is
+``k``.  The snapshot is built inside :meth:`NumpyBackend.build_core_index`
+and lives as long as its kernel, one solve.
 
 Import of numpy is gated: :func:`repro.backends.get_backend` loads this
 module only once ``repro.backends.numpy_available()`` reports true, so the
@@ -113,34 +122,32 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class CsrRows:
-    """``rows[vid]`` is ``indices[indptr[vid]:indptr[vid + 1]]``.
+    """``rows[vid]``, the neighbour ids of ``vid`` in a bare graph's snapshot.
 
-    The ``rows`` of a bare graph's snapshot, over plain-list copies of its
-    CSR: each lookup slices one row, which the scalar cascades then
-    iterate.  Needs no numpy.
+    ``sets[vid]`` is the graph's own neighbour set of the vertex of id
+    ``vid`` and ``lookup`` maps a vertex to its id.  A row the CSR holds is
+    ``indices[indptr[vid]:indptr[vid + 1]]``, sliced from plain-list copies
+    of the CSR arrays (:meth:`NumpyGraph.set_csr` keeps them in step); any
+    other row is translated from ``sets[vid]`` on every read.  A bare
+    index's CSR holds only the rows below its ``k``, which are the rows the
+    scalar cascades read; only a commit of an anchor already at ``k`` reads
+    one outside it.  Needs no numpy.
     """
 
-    __slots__ = ("indptr", "indices")
+    __slots__ = ("sets", "lookup", "indptr", "indices")
 
-    def __init__(self, indptr: List[int], indices: List[int]) -> None:
-        self.indptr = indptr
-        self.indices = indices
+    def __init__(self, sets: List[Set[Vertex]], lookup) -> None:
+        self.sets = sets
+        self.lookup = lookup
+        self.indptr: List[int] = [0] * (len(sets) + 1)
+        self.indices: List[int] = []
 
     def __getitem__(self, vid: int) -> List[int]:
         indptr = self.indptr
-        return self.indices[indptr[vid] : indptr[vid + 1]]
-
-
-def _csr(rows, lookup=None):
-    """The int64 ``(indptr, indices)`` of ``rows``, each row mapped through
-    ``lookup`` when given, filled in one pass each."""
-    n = len(rows)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.fromiter(map(len, rows), dtype=np.int64, count=n), out=indptr[1:])
-    flat = chain.from_iterable(rows)
-    if lookup is not None:
-        flat = map(lookup, flat)
-    return indptr, np.fromiter(flat, dtype=np.int64, count=int(indptr[-1]))
+        start, stop = indptr[vid], indptr[vid + 1]
+        if start == stop:
+            return list(map(self.lookup, self.sets[vid]))
+        return self.indices[start:stop]
 
 
 class NumpyGraph:
@@ -150,14 +157,17 @@ class NumpyGraph:
     back; the snapshot holds ids ``0 .. num_vertices - 1``, which carry no
     order.  ``indptr``/``indices`` are the int64 CSR the vectorised passes
     gather from, and ``rows[vid]`` iterates the neighbour ids for the
-    scalar ones, in whatever order its source keeps them.
+    scalar ones, in whatever order its source keeps them.  Neither build
+    flattens anything: every row of the CSR starts empty, and holds only
+    the rows :meth:`flatten` or :meth:`set_csr` put there later.
 
-    ``store`` is ``None`` for a bare graph's snapshot, whose CSR holds every
-    row.  :meth:`from_maintainer` keeps the maintainer's
+    ``store`` is ``None`` for a bare graph's snapshot (:meth:`from_graph`),
+    whose ``rows`` is a :class:`CsrRows` over the graph's own neighbour
+    sets.  :meth:`from_maintainer` keeps the maintainer's
     :class:`~repro.cores.maintenance.IdStore` there and shares its ``ids``,
     ``vertices`` and adjacency sets, which stay live: the snapshot fixes its
     vertex count at build, so an id the maintainer hands out later is not
-    in it.  Its CSR holds only the rows :meth:`flatten` was given.
+    in it.
     """
 
     __slots__ = (
@@ -172,68 +182,71 @@ class NumpyGraph:
     )
 
     def __init__(
-        self,
-        vertices,
-        ids,
-        rows,
-        indptr,
-        indices,
-        num_edges: int,
-        store: Optional[IdStore] = None,
+        self, vertices, ids, rows, num_edges: int, store: Optional[IdStore] = None
     ) -> None:
         self.vertices = vertices
         self.ids = ids
-        self.num_vertices = len(indptr) - 1
-        self.indptr = indptr
-        self.indices = indices
+        self.num_vertices = len(vertices)
+        self.indptr = np.zeros(self.num_vertices + 1, dtype=np.int64)
+        self.indices = self.indptr[:0]
         self.rows = rows
         self.num_edges = num_edges
         self.store = store
 
     @classmethod
     def from_graph(cls, graph: Graph) -> "NumpyGraph":
-        """Intern ``graph`` in its iteration order: id ``i`` is the ``i``-th
-        vertex, and the rows are translated in one pass."""
+        """The snapshot of ``graph`` in its iteration order: id ``i`` is the
+        ``i``-th vertex, and ``rows`` reads the graph's own neighbour sets.
+
+        Translates and flattens nothing; :meth:`flatten` or the index
+        kernel's capped peel (:meth:`NumpyCoreIndexKernel.refresh`) fills
+        the CSR with the rows its work reads.
+        """
         vertices = list(graph.vertices())
         ids = dict(zip(vertices, range(len(vertices))))
-        indptr, indices = _csr(list(map(graph.neighbors, vertices)), ids.__getitem__)
-        rows = CsrRows(indptr.tolist(), indices.tolist())
-        return cls(vertices, ids, rows, indptr, indices, graph.num_edges)
+        rows = CsrRows(list(graph.neighbor_sets()), ids.__getitem__)
+        return cls(vertices, ids, rows, graph.num_edges)
 
     @classmethod
     def from_maintainer(cls, maintainer: "CoreMaintainer") -> "NumpyGraph":
         """The snapshot of ``maintainer.graph``, in the maintainer's ids.
 
         Interns and flattens nothing: ids, vertices, ``rows`` and ``store``
-        are the maintainer's, and every row of the CSR arrays starts empty.
-        The index kernel flattens the rows it will gather once it knows its
-        ``k`` (:meth:`NumpyCoreIndexKernel.refresh`).
+        are the maintainer's.  The index kernel flattens the rows it will
+        gather once it knows its ``k`` (:meth:`NumpyCoreIndexKernel.refresh`).
         """
         store = maintainer.id_store()
-        n = len(store.vertices)
-        return cls(
-            store.vertices,
-            store.ids,
-            store.adj,
-            np.zeros(n + 1, dtype=np.int64),
-            np.zeros(0, dtype=np.int64),
-            maintainer.graph.num_edges,
-            store,
-        )
+        return cls(store.vertices, store.ids, store.adj, maintainer.graph.num_edges, store)
 
     def flatten(self, keep) -> None:
         """Make the CSR arrays hold the rows of the ids ``keep`` marks (a
-        boolean array by id), read from ``rows``; every other row is empty
-        there."""
-        lengths = np.fromiter(map(len, self.rows), dtype=np.int64, count=self.num_vertices)
+        boolean array by id), read from ``rows`` and, on a bare snapshot,
+        translated from the graph's neighbour sets; every other row is
+        empty there."""
+        rows = self.rows
+        bare = self.store is None
+        sets = rows.sets if bare else rows
+        lengths = np.fromiter(map(len, sets), dtype=np.int64, count=self.num_vertices)
         lengths[~keep] = 0
         indptr = np.zeros(self.num_vertices + 1, dtype=np.int64)
         np.cumsum(lengths, out=indptr[1:])
-        kept = compress(self.rows, keep.tolist())
-        self.indices = np.fromiter(
-            chain.from_iterable(kept), dtype=np.int64, count=int(indptr[-1])
-        )
+        flat = chain.from_iterable(compress(sets, keep.tolist()))
+        if bare:
+            flat = map(rows.lookup, flat)
+        self.set_csr(indptr, np.fromiter(flat, dtype=np.int64, count=int(indptr[-1])))
+
+    def set_csr(self, indptr, indices) -> None:
+        """Make ``indptr``/``indices`` the CSR arrays (and, on a bare
+        snapshot, the lists its :class:`CsrRows` slices)."""
         self.indptr = indptr
+        self.indices = indices
+        if self.store is None:
+            self.rows.indptr = indptr.tolist()
+            self.rows.indices = indices.tolist()
+
+    def gather(self, frontier):
+        """The concatenated CSR rows of ``frontier`` (an id array)."""
+        return _gather(self.indptr, self.indices, frontier)[0]
 
     def id_of(self, vertex: Vertex) -> int:
         """The id of ``vertex``; :class:`~repro.errors.VertexNotFoundError`
@@ -271,16 +284,16 @@ def _gather(indptr, indices, frontier):
 _SCALAR_DRAIN_CUTOFF = 48
 
 
-def _drain_scalar(ngraph, eff, alive, peelable, seeds, limit, core=None, level=0):
+def _drain_scalar(rows, eff, alive, peelable, seeds, limit, core=None, level=0):
     """Finish a cascade with a scalar queue once waves go thin.
 
     Transitively kills every alive, peelable vertex whose effective degree is
-    (or drops) <= ``limit``, starting from ``seeds``; updates ``eff`` and
-    ``alive`` in place, assigns ``core[v] = level`` when ``core`` is given,
-    and returns the number of vertices killed.  Semantically identical to
-    running the vectorised wave loop to exhaustion at the same limit.
+    (or drops) <= ``limit``, starting from ``seeds``, reading each killed
+    vertex's row once from ``rows``; updates ``eff`` and ``alive`` in place,
+    assigns ``core[v] = level`` when ``core`` is given, and returns the
+    number of vertices killed.  Semantically identical to running the
+    vectorised wave loop to exhaustion at the same limit.
     """
-    rows = ngraph.rows
     queue = [int(vid) for vid in seeds]
     killed = 0
     while queue:
@@ -361,12 +374,15 @@ def _shell_order(ngraph: NumpyGraph, core, members, c: int) -> List[int]:
     return order
 
 
-def _wave_cores(ngraph: NumpyGraph, core, peelable, limit=None) -> None:
+def _wave_cores(rows, gather, eff, core, peelable, limit=None) -> None:
     """Phase A of the peel: write core numbers into ``core`` by wave peeling.
 
-    Only ``peelable`` vertices are removed, and only their rows are
-    gathered; the others (anchors, and ids a limited peel cannot reach)
-    keep supporting their neighbours.  With a ``limit`` the peel stops before
+    ``eff`` holds every vertex's degree on entry and is consumed.  Only
+    ``peelable`` vertices are removed, and only their rows are read, each
+    once, as the peel removes the vertex: a wave's through ``gather`` (the
+    concatenated rows of an id array), a thin wave's through ``rows[vid]``.
+    The others (anchors, and ids a limited peel cannot reach) keep
+    supporting their neighbours.  With a ``limit`` the peel stops before
     level ``limit`` and leaves every vertex it has not reached as it was.
     ``level`` mirrors the heap peel's running-max ``current_core``.  Each
     full-array scan happens once per *level* (levels strictly increase);
@@ -374,11 +390,8 @@ def _wave_cores(ngraph: NumpyGraph, core, peelable, limit=None) -> None:
     just-decremented neighbours only, keeping the cascade O(m) instead of
     O(n * waves) on long-cascade graphs (paths, grids).
     """
-    n = ngraph.num_vertices
-    indptr = ngraph.indptr
-    indices = ngraph.indices
+    n = len(eff)
     alive = np.ones(n, dtype=bool)
-    eff = np.diff(ngraph.indptr)
     remaining = int(peelable.sum())
     level = 0
     while remaining:
@@ -392,13 +405,13 @@ def _wave_cores(ngraph: NumpyGraph, core, peelable, limit=None) -> None:
         while frontier.size:
             if frontier.size < _SCALAR_DRAIN_CUTOFF:
                 remaining -= _drain_scalar(
-                    ngraph, eff, alive, peelable, frontier, level, core=core, level=level
+                    rows, eff, alive, peelable, frontier, level, core=core, level=level
                 )
                 break
             core[frontier] = level
             alive[frontier] = False
             remaining -= int(frontier.size)
-            nbrs, _ = _gather(indptr, indices, frontier)
+            nbrs = gather(frontier)
             if nbrs.size:
                 nbrs = nbrs[alive[nbrs] & peelable[nbrs]]
             if nbrs.size:
@@ -407,6 +420,78 @@ def _wave_cores(ngraph: NumpyGraph, core, peelable, limit=None) -> None:
                 frontier = touched[eff[touched] <= level]
             else:
                 frontier = nbrs
+
+
+class _RecordedRows:
+    """The row source of a bare index's capped peel (:func:`_capped_cores`).
+
+    :func:`_wave_cores` reads the row of each id it removes, once.  This
+    source translates that row from the graph's neighbour set (the
+    :class:`CsrRows` ``sets``, through its ``lookup``), a whole wave in one
+    pass, and keeps it, so :meth:`csr` lays out exactly the rows the peel
+    read without translating any of them again.
+    """
+
+    def __init__(self, rows: CsrRows, degrees) -> None:
+        self._sets = rows.sets
+        self._lookup = rows.lookup
+        self._degrees = degrees
+        # The rows read, in the order read: per wave, then by the drain.
+        self._wave_ids: List = []
+        self._wave_rows: List = []
+        self._drained_ids: List[int] = []
+        self._drained_rows: List[int] = []
+
+    def gather(self, frontier):
+        rows = chain.from_iterable(map(self._sets.__getitem__, frontier.tolist()))
+        nbrs = np.fromiter(
+            map(self._lookup, rows),
+            dtype=np.int64,
+            count=int(self._degrees[frontier].sum()),
+        )
+        self._wave_ids.append(frontier)
+        self._wave_rows.append(nbrs)
+        return nbrs
+
+    def __getitem__(self, vid: int) -> List[int]:
+        row = list(map(self._lookup, self._sets[vid]))
+        self._drained_ids.append(vid)
+        self._drained_rows.extend(row)
+        return row
+
+    def csr(self):
+        """``(indptr, indices)`` holding the rows read, and every other row
+        empty."""
+        read = np.concatenate(self._wave_ids + [np.array(self._drained_ids, dtype=np.int64)])
+        flat = np.concatenate(self._wave_rows + [np.array(self._drained_rows, dtype=np.int64)])
+        counts = self._degrees[read]
+        starts = np.zeros(read.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=starts[1:])
+        lengths = np.zeros(self._degrees.size, dtype=np.int64)
+        lengths[read] = counts
+        indptr = np.zeros(lengths.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        # ``flat`` holds the rows in the order read (each id once); lay them
+        # out by id.
+        return indptr, _gather(starts, flat, np.argsort(read))[0]
+
+
+def _capped_cores(ngraph: NumpyGraph, k: int):
+    """``min(core, k)`` by id of a bare snapshot, derived from scratch.
+
+    The level-limited wave peel, fed the rows of the graph's own neighbour
+    sets as it removes their vertices: the ids below ``k``, whose rows the
+    snapshot's CSR then holds, and no other row.
+    """
+    n = ngraph.num_vertices
+    degrees = np.fromiter(map(len, ngraph.rows.sets), dtype=np.int64, count=n)
+    source = _RecordedRows(ngraph.rows, degrees)
+    capped = np.full(n, k, dtype=np.int64)
+    _wave_cores(
+        source, source.gather, degrees.copy(), capped, np.ones(n, dtype=bool), limit=k
+    )
+    ngraph.set_csr(*source.csr())
+    return capped
 
 
 def numpy_peel(ngraph: NumpyGraph, anchor_ids: Iterable[int] = ()):
@@ -428,7 +513,7 @@ def numpy_peel(ngraph: NumpyGraph, anchor_ids: Iterable[int] = ()):
     if anchor_list:
         is_anchor[anchor_list] = True
     peelable = ~is_anchor
-    _wave_cores(ngraph, core, peelable)
+    _wave_cores(ngraph.rows, ngraph.gather, np.diff(ngraph.indptr), core, peelable)
     if anchor_list:
         core[is_anchor] = math.inf
 
@@ -468,7 +553,7 @@ def numpy_k_core_ids(ngraph: NumpyGraph, k: int, anchor_ids: Iterable[int] = ())
     frontier = np.nonzero(peelable & (eff < k))[0]
     while frontier.size:
         if frontier.size < _SCALAR_DRAIN_CUTOFF:
-            _drain_scalar(ngraph, eff, alive, peelable, frontier, k - 1)
+            _drain_scalar(ngraph.rows, eff, alive, peelable, frontier, k - 1)
             break
         alive[frontier] = False
         nbrs, _ = _gather(indptr, indices, frontier)
@@ -545,18 +630,18 @@ class NumpyCoreIndexKernel(CoreIndexKernel):
     The kernel takes the snapshot it runs on (:class:`NumpyGraph`) and keeps
     it for its lifetime.
 
-    :meth:`refresh` takes the capped core numbers and orders the
-    ``(k-1)``-shell (Phase B's :func:`_shell_order`).  On a bare snapshot
-    it runs Phase A of the peel only up to level ``k`` (:func:`_wave_cores`
-    with a limit), and :meth:`plain_k_core` runs the k-core cascade.  On a
-    maintainer's snapshot (``NumpyGraph.store``) it first flattens the rows
-    of the ids below ``k`` (:meth:`NumpyGraph.flatten`); with no anchors
-    the cores are ``min(icore, k)``, copied from the maintainer, and the
-    plain k-core is a copy of its ``levels[k]``, both taken at refresh.
-    With anchors, which no library caller passes there, the level-limited
-    peel runs over those rows, and the ids at or above ``k`` are not
-    peeled: their anchored cores are at least their maintained ones.
-    :meth:`commit_anchor` runs the capped
+    :meth:`refresh` first takes the plain cores capped at ``k`` and puts
+    the rows of the ids below ``k`` in the CSR.  On a bare snapshot it
+    derives them from scratch (:func:`_capped_cores`: Phase A of the peel
+    up to level ``k``, whose rows it keeps); on a maintainer's snapshot
+    (``NumpyGraph.store``) it copies ``min(icore, k)`` and flattens those
+    rows (:meth:`NumpyGraph.flatten`).  From there both run one path: the
+    plain k-core is the ids at ``k``; with no anchors the capped cores are
+    the state, and with anchors the level-limited peel (:func:`_wave_cores`)
+    runs again over the rows below ``k``, where the ids at or above ``k``
+    are not peeled, since their anchored cores are at least their plain
+    ones.  Then it orders the ``(k-1)``-shell (Phase B's
+    :func:`_shell_order`).  :meth:`commit_anchor` runs the capped
     riser cascades of :func:`repro.cores.decomposition.commit_anchor_ids`
     and re-orders only the shell components the commit touched, so a commit
     costs the components it reaches, not the whole shell (at k = 4 on a
@@ -575,34 +660,33 @@ class NumpyCoreIndexKernel(CoreIndexKernel):
         self._core = np.zeros(n, dtype=np.float64)
         self._rank = np.zeros(n, dtype=np.int64)
         self._next_rank = n
-        self._plain_core = None
+        self._plain_core = np.zeros(0, dtype=np.int64)
         self._core_map_cache: Optional[Dict[Vertex, float]] = None
 
     def refresh(self, anchors: Set[Vertex], k: int) -> None:
         ngraph = self._ngraph
         n = ngraph.num_vertices
         anchor_ids = [ngraph.id_of(anchor) for anchor in anchors]
+        # The plain cores capped at k, and a CSR of the rows below k only:
+        # anchoring only raises a core, so an id at k or above stays at k,
+        # is never peeled and has no row any pass gathers.
         store = ngraph.store
         if store is None:
-            peelable = np.ones(n, dtype=bool)
-            self._plain_core = None
+            plain = _capped_cores(ngraph, k)
         else:
-            # The maintained cores are the plain ones, and anchoring only
-            # raises a core: an id the maintainer puts at k or above stays
-            # at k, is never peeled and has no row any pass gathers.
             maintained = np.fromiter(store.icore, dtype=np.int64, count=n)
-            peelable = maintained < k
-            ngraph.flatten(peelable)
-            level = store.levels[k] if k < len(store.levels) else ()
-            self._plain_core = np.fromiter(level, dtype=np.int64, count=len(level))
-        if store is not None and not anchor_ids:
-            core = np.minimum(maintained, k).astype(np.float64)
-        else:
+            ngraph.flatten(maintained < k)
+            plain = np.minimum(maintained, k)
+        self._plain_core = np.nonzero(plain >= k)[0]
+        if anchor_ids:
             core = np.full(n, k, dtype=np.float64)
-            if anchor_ids:
-                core[anchor_ids] = math.inf
-                peelable[anchor_ids] = False
-            _wave_cores(ngraph, core, peelable, limit=k)
+            core[anchor_ids] = math.inf
+            peelable = plain < k
+            peelable[anchor_ids] = False
+            eff = np.diff(ngraph.indptr)
+            _wave_cores(ngraph.rows, ngraph.gather, eff, core, peelable, limit=k)
+        else:
+            core = plain.astype(np.float64)
         self._core = core
         # Every vertex below the shell ranks 0, and the shell from n up.
         self._rank = np.zeros(n, dtype=np.int64)
@@ -685,10 +769,7 @@ class NumpyCoreIndexKernel(CoreIndexKernel):
         return self._translate(np.nonzero(self._core == value)[0])
 
     def plain_k_core(self, k: int) -> Set[Vertex]:
-        plain = self._plain_core
-        if plain is None:
-            plain = numpy_k_core_ids(self._ngraph, k)
-        return self._translate(plain)
+        return self._translate(self._plain_core)
 
     def candidate_anchors(self, k: int, order_pruning: bool) -> Set[Vertex]:
         # Walk the (k-1)-shell: a candidate is a neighbour of a shell member
@@ -758,9 +839,16 @@ class NumpyBackend(ExecutionBackend):
     def bound_to(self, maintainer: "CoreMaintainer") -> "NumpyBackend":
         return NumpyBackend(maintainer)
 
+    @staticmethod
+    def _every_row(graph: Graph) -> NumpyGraph:
+        """The snapshot of ``graph`` with every row in its CSR."""
+        ngraph = NumpyGraph.from_graph(graph)
+        ngraph.flatten(np.ones(ngraph.num_vertices, dtype=bool))
+        return ngraph
+
     def decompose(self, graph: Graph, anchors: FrozenSet[Vertex] = frozenset()):
         anchor_set = frozenset(anchors)
-        ngraph = NumpyGraph.from_graph(graph)
+        ngraph = self._every_row(graph)
         anchor_ids = [ngraph.id_of(anchor) for anchor in anchor_set]
         core_arr, order_ids = numpy_peel(ngraph, anchor_ids)
         vertices = ngraph.vertices
@@ -772,7 +860,7 @@ class NumpyBackend(ExecutionBackend):
         return CoreDecomposition(core=core, order=order, anchors=anchor_set)
 
     def k_core(self, graph: Graph, k: int, anchors: Iterable[Vertex] = ()) -> Set[Vertex]:
-        ngraph = NumpyGraph.from_graph(graph)
+        ngraph = self._every_row(graph)
         anchor_ids = [ngraph.id_of(anchor) for anchor in anchors]
         return ngraph.translate(numpy_k_core_ids(ngraph, k, anchor_ids).tolist())
 

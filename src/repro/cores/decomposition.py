@@ -56,7 +56,12 @@ from repro.backends import (
     ExecutionBackend,
     get_backend,
 )
-from repro.errors import ParameterError, VertexNotFoundError, require_int
+from repro.errors import (
+    ParameterError,
+    VertexNotFoundError,
+    distinct_vertices,
+    require_int,
+)
 from repro.graph.static import Graph, Vertex
 
 #: Core value assigned to anchored vertices — they can never be peeled.
@@ -134,7 +139,7 @@ def anchored_core_decomposition(
     ``{v : core(v) >= k}`` with anchors mapped to infinity.  Both backends
     produce the same mapping and the same removal order.
     """
-    anchor_set = frozenset(anchors)
+    anchor_set = frozenset(distinct_vertices("anchors", anchors))
     for anchor in anchor_set:
         if not graph.has_vertex(anchor):
             raise ParameterError(f"anchor {anchor!r} is not a vertex of the graph")
@@ -156,14 +161,14 @@ def compact_marginal_followers(
     The id twin of :func:`repro.anchored.followers.marginal_followers`.
     ``rows[vid]`` iterates the neighbour ids of ``vid``: the maintenance
     kernel's adjacency sets (which a numpy snapshot of the maintained graph
-    shares), or a bare numpy snapshot's CSR row view
-    (:class:`repro.backends.numpy_backend.CsrRows`, which slices
-    ``indices[indptr[vid]:indptr[vid + 1]]``).  ``core`` is indexed by id (a
-    list or a numpy array) and holds the *current* (possibly anchored) core
-    numbers.  Returns ``(follower ids, visited count)`` where the visited
-    count matches the dict cascade's ``visit_log`` length exactly (region
-    pops plus cascade removals).  ``region_out`` receives the explored region
-    ids when supplied.
+    shares), or a bare numpy snapshot's rows
+    (:class:`repro.backends.numpy_backend.CsrRows`, which slices a row from
+    its CSR or translates one the CSR does not hold).  ``core`` is indexed
+    by id (a list or a numpy array) and holds the *current* (possibly
+    anchored) core numbers.  Returns ``(follower ids, visited count)``
+    where the visited count matches the dict cascade's ``visit_log`` length
+    exactly (region pops plus cascade removals).  ``region_out`` receives
+    the explored region ids when supplied.
     """
     if k < 1:
         raise ParameterError("k must be >= 1 for follower computation")

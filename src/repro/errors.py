@@ -8,6 +8,7 @@ swallowing programming errors such as :class:`TypeError`.
 from __future__ import annotations
 
 import numbers
+from typing import Iterable, Tuple
 
 
 class ReproError(Exception):
@@ -112,3 +113,25 @@ def require_bool(name: str, value: object, allow_none: bool = False) -> None:
     if not isinstance(value, bool):
         expected = "True, False or None" if allow_none else "True or False"
         raise ParameterError(f"{name} must be {expected}, not {value!r}")
+
+
+def require_hashable(name: str, value: object) -> None:
+    """Raise :class:`ParameterError` unless ``value`` is hashable.
+
+    The one check behind every anchor argument: a vertex must be hashable,
+    and a list or a set passed as one fails here, naming the argument,
+    instead of escaping as a raw :class:`TypeError` from a set or a lookup.
+    """
+    try:
+        hash(value)
+    except TypeError:
+        raise ParameterError(f"{name}: a vertex must be hashable, not {value!r}") from None
+
+
+def distinct_vertices(name: str, vertices: Iterable[object]) -> Tuple[object, ...]:
+    """``vertices`` without repeats, first occurrence kept, each checked by
+    :func:`require_hashable`."""
+    values = tuple(vertices)
+    for value in values:
+        require_hashable(name, value)
+    return tuple(dict.fromkeys(values))

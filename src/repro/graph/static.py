@@ -11,7 +11,17 @@ test-suite as an independent oracle.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Set,
+    Tuple,
+    ValuesView,
+)
 
 from repro.errors import EdgeNotFoundError, SelfLoopError, VertexNotFoundError
 
@@ -155,6 +165,11 @@ class Graph:
             return self._adj[vertex]
         except KeyError:
             raise VertexNotFoundError(vertex) from None
+
+    def neighbor_sets(self) -> ValuesView[Set[Vertex]]:
+        """Return every vertex's neighbour set in :meth:`vertices` order
+        (live views — do not mutate)."""
+        return self._adj.values()
 
     def degree(self, vertex: Vertex) -> int:
         """Return the number of neighbours of ``vertex``."""

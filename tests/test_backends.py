@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import importlib.util
-from itertools import accumulate
 
 import pytest
 
@@ -208,11 +207,27 @@ class TestEngineReResolution:
         assert restored.backend == engine.backend
 
 
+def every_row(graph):
+    """A bare snapshot of ``graph`` with every row in its CSR, as
+    ``decompose`` and ``k_core`` build it."""
+    import numpy as np
+
+    from repro.backends.numpy_backend import NumpyGraph
+
+    ngraph = NumpyGraph.from_graph(graph)
+    ngraph.flatten(np.ones(ngraph.num_vertices, dtype=bool))
+    return ngraph
+
+
 @needs_numpy
 class TestNumpyKernels:
     def test_numpy_graph_shares_interner_contract(self):
-        """A bare snapshot interns in the graph's iteration order: ids by
-        position, no sort, and each row its vertex's neighbours."""
+        """A bare snapshot takes the graph's iteration order (ids by
+        position, no sort) and its own neighbour sets, and flattens nothing:
+        ``rows[vid]`` translates a row the CSR does not hold and slices one
+        it does."""
+        import numpy as np
+
         from repro.backends.numpy_backend import NumpyGraph
 
         graph = Graph(edges=[(3, 2), (2, "a"), (-1, 3)], vertices=[3, 2, "a", 99, -1])
@@ -220,20 +235,29 @@ class TestNumpyKernels:
         vertices = list(graph.vertices())
         assert ngraph.vertices == vertices
         assert ngraph.ids == {vertex: vid for vid, vertex in enumerate(vertices)}
-        indptr, indices = ngraph.indptr.tolist(), ngraph.indices.tolist()
-        assert indptr == ngraph.rows.indptr and indices == ngraph.rows.indices
-        assert indptr == list(accumulate(map(graph.degree, vertices), initial=0))
-        for vid, vertex in enumerate(vertices):
-            row = indices[indptr[vid] : indptr[vid + 1]]
-            assert row == ngraph.rows[vid]
-            assert [vertices[other] for other in row] == list(graph.neighbors(vertex))
+        assert all(
+            ngraph.rows.sets[vid] is graph.neighbors(vertex) for vid, vertex in enumerate(vertices)
+        )
+        assert ngraph.indptr.tolist() == [0] * 6 and ngraph.indices.size == 0
+        keep = np.array([True, False, True, False, False])
+        for flattened in (False, True):
+            if flattened:
+                ngraph.flatten(keep)
+            indptr, indices = ngraph.indptr.tolist(), ngraph.indices.tolist()
+            assert indptr == ngraph.rows.indptr and indices == ngraph.rows.indices
+            for vid, vertex in enumerate(vertices):
+                row = indices[indptr[vid] : indptr[vid + 1]]
+                assert row == (ngraph.rows[vid] if flattened and keep[vid] else [])
+                assert ngraph.translate(ngraph.rows[vid]) == graph.neighbors(vertex)
+                assert len(ngraph.rows[vid]) == graph.degree(vertex)
+        assert ngraph.indptr.tolist() == [0, 2, 2, 3, 3, 3]
         assert ngraph.num_vertices == 5 and ngraph.num_edges == 3
         assert ngraph.translate([0, 2]) == {3, "a"}
         with pytest.raises(VertexNotFoundError):
             ngraph.id_of("missing")
 
     def test_numpy_peel_matches_dict_peel(self):
-        from repro.backends.numpy_backend import NumpyGraph, numpy_peel
+        from repro.backends.numpy_backend import numpy_peel
 
         # Ids follow the graph's iteration order, the reverse of tie-break
         # order, so the shell ties and the anchor tail are broken by key.
@@ -241,7 +265,7 @@ class TestNumpyKernels:
             edges=[(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3), (5, 6)],
             vertices=["lonely"] + list(range(6, -1, -1)),
         )
-        ngraph = NumpyGraph.from_graph(graph)
+        ngraph = every_row(graph)
         vertices = ngraph.vertices
         anchors = [6, 0]
         core_n, order_n = numpy_peel(ngraph, anchor_ids=map(ngraph.id_of, anchors))
@@ -250,16 +274,16 @@ class TestNumpyKernels:
         assert tuple(vertices[vid] for vid in order_n) == reference.order
 
     def test_numpy_peel_empty_graph(self):
-        from repro.backends.numpy_backend import NumpyGraph, numpy_peel
+        from repro.backends.numpy_backend import numpy_peel
 
-        core, order = numpy_peel(NumpyGraph.from_graph(Graph()))
+        core, order = numpy_peel(every_row(Graph()))
         assert core.tolist() == [] and order == []
 
     def test_numpy_k_core_matches_dict_k_core(self):
-        from repro.backends.numpy_backend import NumpyGraph, numpy_k_core_ids
+        from repro.backends.numpy_backend import numpy_k_core_ids
 
         graph = Graph(edges=[(0, 1), (1, 2), (2, 0), (2, 3)], vertices=[0, 1, 2, 3, 9])
-        ngraph = NumpyGraph.from_graph(graph)
+        ngraph = every_row(graph)
         for k in range(4):
             members = ngraph.translate(numpy_k_core_ids(ngraph, k).tolist())
             assert members == dict_k_core(graph, k)

@@ -75,3 +75,39 @@ class TestRequireBool:
             require_bool("flag", value)
         with pytest.raises(ParameterError, match="True, False or None"):
             require_bool("flag", value, allow_none=True)
+
+
+def test_an_unhashable_anchor_is_a_parameter_error():
+    """Every anchor argument goes through ``require_hashable``: a list given
+    as a vertex fails with a ParameterError naming the argument, not a raw
+    ``TypeError: unhashable type``."""
+    from repro.anchored.anchored_core import AnchoredCoreIndex
+    from repro.anchored.followers import anchored_k_core, compute_followers, follower_gain
+    from repro.anchored.greedy import GreedyAnchoredKCore
+    from repro.anchored.olak import OLAKAnchoredKCore
+    from repro.anchored.rcm import RCMAnchoredKCore
+    from repro.cores.decomposition import anchored_core_decomposition
+
+    graph = Graph(edges=[(0, 1), (1, 2), (2, 0), (2, 3)])
+    bad = [[1], 3]
+    sites = {
+        "initial_anchors": [
+            lambda solver=solver: solver(graph, 2, 2, initial_anchors=bad)
+            for solver in (GreedyAnchoredKCore, OLAKAnchoredKCore, RCMAnchoredKCore)
+        ],
+        "anchors": [
+            lambda: AnchoredCoreIndex(graph, 2, anchors=bad),
+            lambda: anchored_core_decomposition(graph, bad),
+            lambda: compute_followers(graph, 2, bad),
+            lambda: compute_followers(graph, 2, bad, k_core_vertices={0, 1, 2}),
+            lambda: anchored_k_core(graph, 2, bad),
+        ],
+        "base_anchors": [lambda: follower_gain(graph, 2, bad, 3)],
+        "candidate": [lambda: follower_gain(graph, 2, [3], [1])],
+        "vertex": [lambda: AnchoredCoreIndex(graph, 2).commit_anchor([1])],
+    }
+    for name, calls in sites.items():
+        message = rf"^{name}: a vertex must be hashable, not \[1\]$"
+        for call in calls:
+            with pytest.raises(ParameterError, match=message):
+                call()

@@ -5,11 +5,13 @@ An exact solve that holds a :class:`~repro.cores.maintenance.CoreMaintainer`
 the backend :meth:`~repro.backends.ExecutionBackend.bound_to` returns.  On
 numpy, that backend builds the index's snapshot from the maintainer's id
 space: its ids, vertices and adjacency sets, with no sort and no interning,
-and the index reads the maintainer's core numbers instead of peeling.  Its
-CSR holds only the rows of the ids whose maintained core is below ``k``.
-A bare graph's snapshot interns the graph in its iteration order and holds
-every row.  Neither id order is the tie-break order, and the two differ, so
-the kernels key only the vertices they order.  These tests pin:
+and the index reads the maintainer's core numbers instead of peeling.  A
+bare graph's snapshot takes the graph in its iteration order and its own
+neighbour sets, and its index derives the capped cores from scratch with
+the level-limited peel, which translates only the rows it removes.  Either
+way the CSR holds only the rows of the ids whose core is below ``k``.
+Neither id order is the tie-break order, and the two differ, so the
+kernels key only the vertices they order.  These tests pin:
 
 * after ``refresh`` with no anchors and with a drawn non-empty anchor set,
   and after each of a few ``commit_anchor`` calls, both numpy kernels hold
@@ -18,7 +20,10 @@ the kernels key only the vertices they order.  These tests pin:
   followers for every candidate, touched sets, and removal ranks in the
   dict kernel's (full-peel) order within each ``(k-1)``-shell component;
 * a refresh with no anchors over a maintained graph neither peels nor runs
-  the k-core cascade, and its CSR holds exactly the rows below ``k``;
+  the k-core cascade, a bare one runs no k-core cascade, and the CSR of
+  either holds exactly the rows below ``k``, while ``rows[vid]`` still
+  reads the whole row of an id outside it;
+* neither build flattens a row;
 * an index build keys (:func:`~repro.ordering.tie_break_key`) no vertex
   outside the ``(k-1)``-shell;
 * a bound kernel keeps the vertex set it was built with when its
@@ -44,6 +49,7 @@ from hypothesis import strategies as st
 
 from repro import ordering
 from repro.backends import get_backend, numpy_available
+from repro.cores.decomposition import core_numbers
 from repro.cores.maintenance import CoreMaintainer
 from repro.errors import VertexNotFoundError
 from repro.graph.dynamic import EdgeDelta
@@ -126,6 +132,18 @@ def assert_same_state(kernel, reference, graph: Graph, k: int) -> None:
         )
 
 
+def built_snapshots(monkeypatch, build: str) -> List:
+    """Every snapshot ``NumpyGraph.<build>`` makes from now on, in order."""
+    from repro.backends.numpy_backend import NumpyGraph
+
+    snapshots: List = []
+    original = getattr(NumpyGraph, build)
+    monkeypatch.setattr(
+        NumpyGraph, build, lambda source: snapshots.append(original(source)) or snapshots[-1]
+    )
+    return snapshots
+
+
 @pytest.mark.parametrize("scenario", ["grown", "first", "rebuilt"])
 @SETTINGS
 @given(
@@ -175,20 +193,13 @@ def test_a_bound_refresh_reads_the_maintained_cores(monkeypatch):
     """With no anchors a bound index neither peels nor runs the k-core
     cascade, and its CSR holds exactly the rows of the ids below ``k``."""
     from repro.backends import numpy_backend
-    from repro.backends.numpy_backend import NumpyGraph
 
     def boom(*args, **kwargs):
         raise AssertionError("derived what the maintainer already holds")
 
     monkeypatch.setattr(numpy_backend, "_wave_cores", boom)
     monkeypatch.setattr(numpy_backend, "numpy_k_core_ids", boom)
-    snapshots = []
-    from_maintainer = NumpyGraph.from_maintainer
-    monkeypatch.setattr(
-        NumpyGraph,
-        "from_maintainer",
-        lambda maintainer: snapshots.append(from_maintainer(maintainer)) or snapshots[-1],
-    )
+    snapshots = built_snapshots(monkeypatch, "from_maintainer")
     maintainer = CoreMaintainer(chung_lu_graph(300, 900, skew=1.2, seed=3))
     graph = maintainer.graph
     # Cores from maintenance edits, not only from the set-up cascade.
@@ -225,6 +236,85 @@ def test_a_bound_refresh_reads_the_maintained_cores(monkeypatch):
             else:
                 assert row == []
         assert 0 < below <= ngraph.num_vertices
+
+
+def test_a_bare_refresh_flattens_only_the_rows_below_k(monkeypatch):
+    """With no anchors a bare index derives ``min(core, k)`` from scratch
+    and runs no k-core cascade, and its CSR holds exactly the rows of the
+    ids below ``k``, each whole, and no other row."""
+    from repro.backends import numpy_backend
+
+    def boom(*args, **kwargs):
+        raise AssertionError("ran the k-core cascade")
+
+    monkeypatch.setattr(numpy_backend, "numpy_k_core_ids", boom)
+    snapshots = built_snapshots(monkeypatch, "from_graph")
+    graph = chung_lu_graph(300, 900, skew=1.2, seed=3)
+    # Vertices of other types, so ids, vertices and tie-break order differ.
+    graph.add_edges([("a", 0), ("a", 1), ("a", (2,)), ((2,), 0), (-4, "a")])
+    graph.add_vertex("lonely")
+    numpy, reference = get_backend("numpy"), get_backend("dict")
+    top = max(core_numbers(graph, backend="dict").values())
+    for k in range(1, top + 2):
+        kernel = numpy.build_core_index(graph)
+        kernel.refresh(set(), k)
+        expected = reference.build_core_index(graph)
+        expected.refresh(set(), k)
+        core = expected.core_numbers()
+        assert kernel.core_numbers() == core
+        assert kernel.plain_k_core(k) == expected.plain_k_core(k)
+        ngraph = snapshots[-1]
+        indptr, indices = ngraph.indptr.tolist(), ngraph.indices.tolist()
+        assert ngraph.rows.indptr == indptr and ngraph.rows.indices == indices
+        below = 0
+        for vid, vertex in enumerate(ngraph.vertices):
+            row = indices[indptr[vid] : indptr[vid + 1]]
+            if core[vertex] < k:
+                below += 1
+                assert len(row) == graph.degree(vertex)
+                assert ngraph.translate(row) == graph.neighbors(vertex)
+            else:
+                assert row == []
+        assert 0 < below <= ngraph.num_vertices
+    assert below == ngraph.num_vertices
+
+
+def test_a_commit_reads_the_whole_row_of_an_id_outside_the_csr(monkeypatch):
+    """Committing a vertex already in the k-core reads its row, which no
+    CSR of the rows below ``k`` holds: the bare snapshot's ``rows``
+    translates it from the graph, the bound one's is the maintainer's set.
+    The commit reaches the shell only through that row."""
+    snapshots = built_snapshots(monkeypatch, "from_graph")
+    # A 4-clique (core 3), a triangle hung on its member 0 (core 2) and a
+    # path (core 1); at k = 3 the clique is the k-core, the triangle the
+    # shell.
+    clique = [0, 1, "c", (3,)]
+    graph = Graph(
+        edges=[(u, v) for i, u in enumerate(clique) for v in clique[i + 1 :]]
+        + [("t", -5), (-5, (9, 9)), ((9, 9), "t"), ("t", 0), ("p", -5), ("q", "p")]
+    )
+    maintainer = CoreMaintainer(graph)
+    numpy = get_backend("numpy")
+    kernels = (
+        numpy.bound_to(maintainer).build_core_index(graph),
+        numpy.build_core_index(graph),
+        get_backend("dict").build_core_index(graph),
+    )
+    for kernel in kernels:
+        kernel.refresh(set(), 3)
+    bare = snapshots[-1]
+    assert bare.indices[bare.indptr[bare.id_of(0)] : bare.indptr[bare.id_of(0) + 1]].size == 0
+    triangle = {"t", -5, (9, 9)}
+    assert kernels[1].shell_vertices(2) == triangle
+    before = kernels[1].removal_ranks()
+    touched = [kernel.commit_anchor(0, {0}, 3) for kernel in kernels]
+    assert touched[0] == touched[1] == touched[2] == {0}
+    assert kernels[0].removal_ranks() == kernels[1].removal_ranks()
+    # The triangle was re-ranked, above every earlier rank.
+    after = kernels[1].removal_ranks()
+    assert min(after[v] for v in triangle) > max(before.values())
+    for kernel in kernels[:2]:
+        assert_same_state(kernel, kernels[2], graph, 3)
 
 
 def test_an_index_build_keys_only_the_shell(monkeypatch):
@@ -283,28 +373,22 @@ def test_a_bound_kernel_keeps_its_vertex_set_when_the_maintainer_grows():
 
 
 def test_only_the_maintained_graph_is_gathered_from_ids(monkeypatch):
-    from repro.backends.numpy_backend import NumpyGraph
-
-    built: List[str] = []
-    from_maintainer, from_graph = NumpyGraph.from_maintainer, NumpyGraph.from_graph
-    monkeypatch.setattr(
-        NumpyGraph,
-        "from_maintainer",
-        lambda maintainer: built.append("ids") or from_maintainer(maintainer),
-    )
-    monkeypatch.setattr(
-        NumpyGraph,
-        "from_graph",
-        lambda graph: built.append("graph") or from_graph(graph),
-    )
+    """A bound backend takes the maintained graph's snapshot from the
+    maintainer's ids and any other graph's from the graph, and neither build
+    flattens a row: the index's refresh does, once it knows its ``k``."""
+    from_ids = built_snapshots(monkeypatch, "from_maintainer")
+    from_graph = built_snapshots(monkeypatch, "from_graph")
     maintainer = CoreMaintainer(Graph(edges=[(0, 1), (1, 2), (2, 0), (2, "x")]))
     numpy = get_backend("numpy")
     bound = numpy.bound_to(maintainer)
     assert bound.name == "numpy"
     bound.build_core_index(maintainer.graph)
+    assert (len(from_ids), len(from_graph)) == (1, 0)
     bound.build_core_index(maintainer.graph.copy())
     numpy.build_core_index(maintainer.graph)
-    assert built == ["ids", "graph", "graph"]
+    assert (len(from_ids), len(from_graph)) == (1, 2)
+    for ngraph in from_ids + from_graph:
+        assert ngraph.indptr.tolist() == [0] * 5 and ngraph.indices.size == 0
 
 
 def test_backends_without_a_snapshot_bind_to_themselves():
