@@ -40,8 +40,7 @@ Architecture
 The library is layered; each layer only depends on the ones above it::
 
     repro.graph     Graph (adjacency-set dict, hashable vertex ids)  ── public substrate
-                    compact: VertexInterner ·
-                    DynamicCompactAdjacency                          ── id structures
+                    IdGraph (the same, interned into integer ids)
     repro.backends  ExecutionBackend protocol · get_backend and the
                     auto rule · dict / numpy kernels                 ── execution layer
     repro.cores     core_decomposition · CoreMaintainer              ── k-core machinery
@@ -75,8 +74,10 @@ backend           implementation                                 ``auto`` picks 
 
 Incremental core maintenance is not a backend kernel:
 :class:`CoreMaintainer` runs one pure-Python integer-id kernel on every
-backend, with a live ``{vertex: core}`` map beside its id list, and sets it
-up in one interning pass (a bucket cascade over its adjacency mirror).
+backend, with a live ``{vertex: core}`` map beside its id list.  It interns
+the caller's graph once, into the ``IdGraph`` it maintains (one set of
+neighbour ids per id, the only copy of its adjacency), and sets the cores up
+with a bucket cascade over those rows.
 
 Both backends guarantee identical core numbers and removal orders from the
 full peel behind ``decompose``, identical capped index states (below), and
@@ -281,12 +282,10 @@ from repro.backends import (
 )
 from repro.errors import CheckpointCorruptionError
 from repro.graph import (
-    DynamicCompactAdjacency,
     EdgeDelta,
     EvolvingGraph,
     Graph,
     SnapshotSequence,
-    VertexInterner,
 )
 from repro.graph.datasets import (
     DATASET_NAMES,
@@ -311,9 +310,7 @@ __all__ = [
     "BACKEND_DICT",
     "BACKEND_NUMPY",
     "BACKENDS",
-    "DynamicCompactAdjacency",
     "ExecutionBackend",
-    "VertexInterner",
     "get_backend",
     "resolve_backend",
     # datasets

@@ -49,8 +49,9 @@ The Greedy solves of the first snapshot and of every restart run on the
 maintained graph, on the backend bound to the maintainer
 (:meth:`~repro.backends.ExecutionBackend.bound_to`).  On numpy their
 snapshot is built in the maintainer's ids, from its adjacency sets: the
-maintainer's set-up, or a restart's kernel rebuild, has already interned
-the graph, and the solve does not intern it again.
+maintainer's set-up has interned the graph once, a restart writes its delta
+into the maintained graph's id rows and recomputes the cores from them, and
+the solve does not intern anything again.
 
 Because the candidate pool is restricted to the region the delta actually
 touched, IncAVT visits far fewer vertices per snapshot than re-running any of
@@ -168,7 +169,7 @@ class IncAVTTracker:
             return result
 
         # Snapshot 1: solved from scratch with the Greedy algorithm (Algorithm 6, line 2).
-        maintainer = CoreMaintainer(problem.evolving_graph.base, copy_graph=True)
+        maintainer = CoreMaintainer(problem.evolving_graph.base)
         first_graph = maintainer.graph
         # Greedy's snapshots of the maintained graph, here and at every
         # restart, come from the maintainer's id space.

@@ -12,7 +12,7 @@ candidate scans of the anchored core index — is delegated to an
     the only backend on an interpreter without numpy.
 ``numpy``
     The snapshot backend: kernels over an interned CSR snapshot
-    (:mod:`repro.graph.compact`).  Full peels, k-core cascades, the capped
+    (:class:`~repro.backends.numpy_backend.NumpyGraph`).  Full peels, k-core cascades, the capped
     index build, candidate scans and the whole-shell cascade are vectorised
     numpy passes; the region follower cascade and the commit risers stay
     pure Python over integer ids, where they are faster

@@ -13,12 +13,14 @@ updates via :meth:`apply_delta` additionally report the paper's ``VI`` and
 number is ``k - 1`` afterwards — which is exactly the candidate pool the
 incremental tracker (IncAVT, Algorithm 6) probes.
 
-The public hashable-vertex graph stays the source of truth for the
-*structure*.  The traversals run in one integer-id kernel, whatever execution
-backend the solvers use.  It mirrors the adjacency into
-:class:`~repro.graph.compact.DynamicCompactAdjacency` (one set of neighbour
-ids per vertex, O(1) upkeep per edge operation) and keeps the core numbers in
-three stores that every core change updates together:
+The maintained graph is stored once, as an
+:class:`~repro.graph.static.IdGraph`: the caller's graph interned into dense
+ids, one set of neighbour ids per id, with O(1) upkeep per edge operation.
+It answers as any :class:`~repro.graph.static.Graph` (its neighbour sets are
+live views over the id rows), and the traversals run over its rows in one
+integer-id kernel, whatever execution backend the solvers use.  The kernel
+keeps the core numbers in three stores that every core change updates
+together:
 
 - a flat list indexed by id, which the traversals read;
 - the level sets ``levels[r] = {id : core(id) >= r}``, one per ``r`` from 0
@@ -27,15 +29,15 @@ three stores that every core change updates together:
 - a live ``{vertex: core}`` map, which :meth:`CoreMaintainer.core` and
   :meth:`CoreMaintainer.core_numbers` read.
 
-:meth:`CoreMaintainer.id_store` hands the id space and the first two stores
-out read-only, for passes that run on ids themselves: IncAVT's swap/fill
-pass reads its region, pool and core numbers there.  The numpy backend's
-index of an exact solve over the maintained graph takes its ids, vertices
-and adjacency rows from it instead of interning the graph again, and its
-core numbers from it instead of peeling: its capped cores are ``icore``
-capped at its ``k``, its plain k-core is ``levels[k]``, and it flattens
-only the rows of the ids below ``k``.  The ids carry no order; a pass that
-needs the tie-break order keys the vertices it orders.
+:meth:`CoreMaintainer.id_store` hands the graph's ids and rows and the
+first two stores out read-only, for passes that run on ids themselves:
+IncAVT's swap/fill pass reads its region, pool and core numbers there.  The
+numpy backend's index of an exact solve over the maintained graph takes its
+ids, vertices and adjacency rows from it instead of interning the graph
+again, and its core numbers from it instead of peeling: its capped cores are
+``icore`` capped at its ``k``, its plain k-core is ``levels[k]``, and it
+flattens only the rows of the ids below ``k``.  The ids carry no order; a
+pass that needs the tie-break order keys the vertices it orders.
 
 The level sets bound a deletion's work by the supporters it counts, not by
 whole neighbourhoods (compare Li, Yu and Mao, "Efficient Core Maintenance in
@@ -49,15 +51,17 @@ pure Python: vectorisation cannot beat int-set traversals on per-edge
 subcores, and maintenance runs the same with or without numpy.
 
 :meth:`CoreMaintainer.apply_delta` runs on ids.  It looks each endpoint's id
-up once, the kernel takes and returns id sets, and the pre-update cores and
-the touched sets are kept by id and translated to vertices once per delta.
+up once, writes the edge to the graph's rows, and the kernel takes and
+returns id sets; the pre-update cores and the touched sets are kept by id and
+translated to vertices once per delta.
 
-Set-up interns the graph once, into the mirror, and takes the core numbers
-from the bucket cascade of Batagelj and Zaversnik ("An O(m) Algorithm for
-Cores Decomposition of Networks", 2003) over the mirror's ids.  It builds no
-removal order and interns nothing a second time.  Trusted core numbers (a
-checkpoint restore) skip the cascade.  Either way the level sets are then
-built once, top down, in O(n + sum of cores) set inserts.
+Set-up interns the caller's graph once, which is also the maintainer's copy
+of it (later updates never touch the caller's graph), and takes the core
+numbers from the bucket cascade of Batagelj and Zaversnik ("An O(m)
+Algorithm for Cores Decomposition of Networks", 2003) over the rows.  It
+builds no removal order.  Trusted core numbers (a checkpoint restore) skip
+the cascade.  Either way the level sets are then built once, top down, in
+O(n + sum of cores) set inserts.
 
 The maintained core numbers are the single source of truth for the incremental
 tracker and for the exact solves over the maintained graph (the engine's
@@ -75,7 +79,6 @@ from dataclasses import dataclass, field
 from typing import (
     Dict,
     Iterable,
-    Iterator,
     List,
     Mapping,
     NamedTuple,
@@ -90,12 +93,11 @@ from repro.errors import (
     InvariantViolationError,
     SelfLoopError,
     VertexNotFoundError,
-    require_bool,
+    require_hashable,
     require_int,
 )
-from repro.graph.compact import DynamicCompactAdjacency
 from repro.graph.dynamic import EdgeDelta
-from repro.graph.static import Edge, Graph, Vertex
+from repro.graph.static import Edge, Graph, IdGraph, IdSetView, Vertex
 
 
 @dataclass
@@ -209,15 +211,16 @@ def _core_levels(icore: Sequence[int]) -> List[Set[int]]:
 
 
 class IdStore(NamedTuple):
-    """The maintenance kernel's id space and core stores, as
+    """The maintained graph's id space and the kernel's core stores, as
     :meth:`CoreMaintainer.id_store` hands them out.
 
-    Every field is the kernel's own object, not a copy, so later updates show
-    through; readers must not mutate any of them.
+    Every field is the maintainer's own object, not a copy, so later updates
+    show through; readers must not mutate any of them.
 
     ``ids`` maps a vertex to its id and ``vertices`` maps an id back.
-    ``adj[id]`` is the set of the id's neighbour ids and ``icore[id]`` its
-    core number.  ``levels[r]`` is the set of ids of core ``>= r`` for every
+    ``adj[id]`` is the set of the id's neighbour ids (the graph's
+    :attr:`~repro.graph.static.IdGraph.rows`) and ``icore[id]`` its core
+    number.  ``levels[r]`` is the set of ids of core ``>= r`` for every
     ``r`` up to the top core; a level past the end of the list is empty.
     """
 
@@ -229,57 +232,51 @@ class IdStore(NamedTuple):
 
 
 class _IdKernel:
-    """The maintained core numbers and the traversals over an id mirror.
+    """The maintained core numbers and the traversals over a graph's id rows.
 
     ``icore`` (core number by id), ``levels`` (``levels[r]`` holds the ids of
     core ``>= r``, for every ``r`` up to the top core) and ``core_map``
     (``{vertex: core}``) always agree: the traversals and :meth:`add_vertex`
-    write all three.  ``ids`` and ``vertices`` translate between the two
-    vertex spaces, and ``adj`` holds the mirror's neighbour-id sets.  The
-    maintainer mutates its graph first and then calls :meth:`insert` /
-    :meth:`remove` with the endpoint ids; each updates the mirror, runs its
-    traversal and returns id sets.
+    write all three.  ``adj`` and ``vertices`` are the graph's ``rows`` and
+    ``id_vertices``.  The maintainer writes an edge to the graph first and
+    then calls :meth:`insert` / :meth:`remove` with the endpoint ids; each
+    runs its traversal and returns id sets.
     """
 
-    __slots__ = ("core_map", "icore", "levels", "ids", "vertices", "adj", "_mirror")
+    __slots__ = ("core_map", "icore", "levels", "vertices", "adj")
 
-    def __init__(self, graph: Graph, core: Optional[Dict[Vertex, int]] = None) -> None:
-        self.build(graph, core)
+    def __init__(self, graph: IdGraph, core: Optional[Dict[Vertex, int]] = None) -> None:
+        self.vertices = graph.id_vertices
+        self.adj = graph.rows
+        self.levels: List[Set[int]] = []
+        self.build(core)
 
-    def build(self, graph: Graph, core: Optional[Dict[Vertex, int]] = None) -> None:
-        """(Re)build every store from ``graph``; ``core`` supplies trusted cores."""
-        mirror = DynamicCompactAdjacency.from_graph(graph)
-        vertices = mirror.interner.vertices
+    def build(self, core: Optional[Dict[Vertex, int]] = None) -> None:
+        """(Re)compute every store from the graph's rows; ``core`` supplies
+        trusted cores.  ``levels`` keeps its list, so views of it stay live."""
+        vertices = self.vertices
         if core is None:
-            self.icore = bucket_cores(mirror.adj)
+            self.icore = bucket_cores(self.adj)
             self.core_map: Dict[Vertex, int] = dict(zip(vertices, self.icore))
         else:
             self.core_map = {vertex: core.get(vertex, 0) for vertex in vertices}
             self.icore = list(self.core_map.values())
-        self.levels = _core_levels(self.icore)
-        self._mirror = mirror
-        self.adj = mirror.adj
-        self.ids = mirror.interner.ids
-        self.vertices = vertices
+        self.levels[:] = _core_levels(self.icore)
 
-    def add_vertex(self, vertex: Vertex) -> int:
-        """Register a brand-new vertex at core number 0 and return its id."""
-        vid = self._mirror.ensure_vertex(vertex)
+    def add_vertex(self, vid: int) -> None:
+        """Register the brand-new vertex of id ``vid`` at core number 0."""
         self.icore.append(0)
         self.levels[0].add(vid)
-        self.core_map[vertex] = 0
-        return vid
+        self.core_map[self.vertices[vid]] = 0
 
     # -- insertion traversal (Lemmas 1-2) ----------------------------------
     def insert(self, u_id: int, v_id: int) -> Tuple[Set[int], Set[int]]:
-        """Mirror a just-added edge and run the insertion traversal.
+        """Run the insertion traversal of a just-added edge.
 
         Returns ``(risen, visited)``: the ids whose core number rose, and
         every id the traversal examined.
         """
         adj = self.adj
-        adj[u_id].add(v_id)
-        adj[v_id].add(u_id)
         icore = self.icore
         root_core = min(icore[u_id], icore[v_id])
         roots = [w for w in (u_id, v_id) if icore[w] == root_core]
@@ -341,13 +338,11 @@ class _IdKernel:
 
     # -- deletion cascade (Lemmas 3-4) --------------------------------------
     def remove(self, u_id: int, v_id: int) -> Tuple[Set[int], Set[int]]:
-        """Mirror a just-removed edge and run the deletion cascade.
+        """Run the deletion cascade of a just-removed edge.
 
         Returns ``(dropped, visited)`` ids.
         """
         adj = self.adj
-        adj[u_id].discard(v_id)
-        adj[v_id].discard(u_id)
         icore = self.icore
         root_core = min(icore[u_id], icore[v_id])
         # ``level`` holds exactly the ids of core >= root_core, so a vertex's
@@ -397,48 +392,17 @@ class _IdKernel:
         return dropped, visited
 
 
-class _KCoreView(AbstractSet):
-    """``{vertex : core(vertex) >= k}``, read live from the kernel's ``levels[k]``.
-
-    ``in`` and ``len`` are O(1); iteration translates ids.  Set operators
-    return plain sets.
-    """
-
-    __slots__ = ("_kernel", "_k")
-
-    def __init__(self, kernel: _IdKernel, k: int) -> None:
-        self._kernel = kernel
-        self._k = k
-
-    def _level(self) -> Set[int]:
-        levels = self._kernel.levels
-        return levels[self._k] if self._k < len(levels) else set()
-
-    def __contains__(self, vertex: object) -> bool:
-        vid = self._kernel.ids.get(vertex)
-        return vid is not None and vid in self._level()
-
-    def __len__(self) -> int:
-        return len(self._level())
-
-    def __iter__(self) -> Iterator[Vertex]:
-        return map(self._kernel.vertices.__getitem__, self._level())
-
-    @classmethod
-    def _from_iterable(cls, iterable: Iterable[Vertex]) -> Set[Vertex]:
-        return set(iterable)
-
-
 class CoreMaintainer:
     """Maintains core numbers of a graph under edge insertions and deletions."""
 
-    def __init__(
-        self,
-        graph: Graph,
-        copy_graph: bool = True,
-        core: Optional[Dict[Vertex, int]] = None,
-    ) -> None:
-        """Wrap ``graph``; compute core numbers unless ``core`` supplies them.
+    def __init__(self, graph: Graph, core: Optional[Dict[Vertex, int]] = None) -> None:
+        """Intern ``graph``; compute core numbers unless ``core`` supplies them.
+
+        The maintained graph (:attr:`graph`) is ``graph`` interned into ids,
+        with its vertices in ``graph``'s order
+        (:class:`~repro.graph.static.IdGraph`).  It is the one copy
+        of the adjacency that the updates write and the traversals read, and
+        ``graph`` itself is never touched again.
 
         ``core`` exists for checkpoint restore: a caller that persisted the
         maintained core numbers alongside the graph can resume without paying
@@ -449,17 +413,20 @@ class CoreMaintainer:
         :attr:`graph`, which takes its capped cores and its plain k-core
         from them.
         """
-        require_bool("copy_graph", copy_graph)
-        self._graph = graph.copy() if copy_graph else graph
+        self._graph = IdGraph(graph)
         self._kernel = _IdKernel(self._graph, core)
-        self._visited_last = 0
 
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------
     @property
-    def graph(self) -> Graph:
-        """The maintained graph (mutated in place by the update methods)."""
+    def graph(self) -> IdGraph:
+        """The maintained graph (mutated in place by the update methods).
+
+        Its rows are the kernel's adjacency.  A caller that mutates it
+        directly must call :meth:`refresh_from_graph` before the next read
+        of the cores.
+        """
         return self._graph
 
     def core_numbers(self) -> Dict[Vertex, int]:
@@ -474,21 +441,23 @@ class CoreMaintainer:
             raise VertexNotFoundError(vertex) from None
 
     def id_store(self) -> IdStore:
-        """The kernel's ids, adjacency sets, core list and level sets, read-only.
+        """The graph's ids and rows and the kernel's core list and level sets,
+        read-only.
 
         O(1): the fields are the live stores themselves (see
         :class:`IdStore`), so a pass that works on ids reads them without a
         copy or a translation, and copies only what it will write.  Do not
         mutate them.  They stay live across edge updates; take a new store
-        after :meth:`refresh_from_graph`, which rebuilds the kernel.  A
+        after :meth:`refresh_from_graph`, which replaces the core list.  A
         numpy index over :attr:`graph` reads ``ids``, ``vertices`` and
         ``adj`` live for the one solve it serves
         (:meth:`repro.backends.numpy_backend.NumpyGraph.from_maintainer`),
         with its vertex count fixed when it is built, and copies ``icore``
         (capped at its ``k``) and ``levels[k]`` when it is refreshed.
         """
+        graph = self._graph
         kernel = self._kernel
-        return IdStore(kernel.ids, kernel.vertices, kernel.adj, kernel.icore, kernel.levels)
+        return IdStore(graph.ids, graph.id_vertices, graph.rows, kernel.icore, kernel.levels)
 
     def k_core_vertices(self, k: int) -> AbstractSet[Vertex]:
         """Return ``{v : core(v) >= k}`` as a read-only live view, in O(1).
@@ -500,7 +469,8 @@ class CoreMaintainer:
         ``set(view)`` to keep a snapshot.
         """
         require_int("k", k, 0)
-        return _KCoreView(self._kernel, k)
+        graph = self._graph
+        return IdSetView(graph.ids, graph.id_vertices, self._kernel.levels, k)
 
     def shell_vertices(self, k: int) -> Set[Vertex]:
         """Return ``{v : core(v) == k}``, read from the level sets (no scan of n)."""
@@ -509,17 +479,17 @@ class CoreMaintainer:
         if k >= len(levels):
             return set()
         shell = levels[k] - levels[k + 1] if k + 1 < len(levels) else levels[k]
-        return set(map(self._kernel.vertices.__getitem__, shell))
+        return set(map(self._graph.id_vertices.__getitem__, shell))
 
     # ------------------------------------------------------------------
     # Single-edge updates
     # ------------------------------------------------------------------
     def _intern(self, vertex: Vertex) -> int:
-        """The kernel id of ``vertex``, adding it to the graph and the kernel if new."""
-        vid = self._kernel.ids.get(vertex)
+        """The id of ``vertex``, adding it to the graph and the kernel if new."""
+        vid = self._graph.ids.get(vertex)
         if vid is None:
-            self._graph.add_vertex(vertex)
-            vid = self._kernel.add_vertex(vertex)
+            vid = self._graph.add_vertex(vertex)
+            self._kernel.add_vertex(vid)
         return vid
 
     def insert_edge(self, u: Vertex, v: Vertex) -> Set[Vertex]:
@@ -528,30 +498,34 @@ class CoreMaintainer:
         Inserting an edge that already exists is a no-op returning the empty
         set.  New endpoints are added with core number updated from scratch
         locally (a fresh vertex starts at core 0 before the edge is counted).
-        A self-loop raises :class:`~repro.errors.SelfLoopError` before
+        A self-loop raises :class:`~repro.errors.SelfLoopError`, and an
+        unhashable endpoint :class:`~repro.errors.ParameterError`, before
         anything changes.
         """
+        require_hashable("u", u)
+        require_hashable("v", v)
         if u == v:
             raise SelfLoopError(u)
         u_id, v_id = self._intern(u), self._intern(v)
-        if not self._graph.add_edge(u, v):
+        if not self._graph.add_edge_ids(u_id, v_id):
             return set()
-        risen, visited = self._kernel.insert(u_id, v_id)
-        self._visited_last = len(visited)
-        return set(map(self._kernel.vertices.__getitem__, risen))
+        risen, _ = self._kernel.insert(u_id, v_id)
+        return set(map(self._graph.id_vertices.__getitem__, risen))
 
     def remove_edge(self, u: Vertex, v: Vertex) -> Set[Vertex]:
         """Remove edge ``(u, v)`` and return the vertices whose core decreased.
 
-        Removing an absent edge is a no-op returning the empty set.
+        Removing an absent edge is a no-op returning the empty set.  An
+        unhashable endpoint raises :class:`~repro.errors.ParameterError`.
         """
-        if not self._graph.has_edge(u, v):
+        require_hashable("u", u)
+        require_hashable("v", v)
+        ids = self._graph.ids
+        u_id, v_id = ids.get(u), ids.get(v)
+        if u_id is None or v_id is None or not self._graph.remove_edge_ids(u_id, v_id):
             return set()
-        self._graph.remove_edge(u, v)
-        ids = self._kernel.ids
-        dropped, visited = self._kernel.remove(ids[u], ids[v])
-        self._visited_last = len(visited)
-        return set(map(self._kernel.vertices.__getitem__, dropped))
+        dropped, _ = self._kernel.remove(u_id, v_id)
+        return set(map(self._graph.id_vertices.__getitem__, dropped))
 
     # ------------------------------------------------------------------
     # Batch updates
@@ -591,9 +565,9 @@ class CoreMaintainer:
         change".  An inserted self-loop raises
         :class:`~repro.errors.SelfLoopError` before anything changes.
 
-        The delta runs on kernel ids: each endpoint is looked up once, and
-        the pre-update cores and the touched sets are kept by id and
-        translated to vertices once, at the end.
+        The delta runs on ids: each endpoint is looked up once, and the
+        pre-update cores and the touched sets are kept by id and translated
+        to vertices once, at the end.
         """
         if k is not None:
             require_int("k", k, 1)
@@ -606,7 +580,7 @@ class CoreMaintainer:
 
         graph = self._graph
         kernel = self._kernel
-        ids = kernel.ids
+        ids = graph.ids
         icore = kernel.icore
         pre_core: Dict[int, int] = {}
         visits = 0
@@ -614,7 +588,7 @@ class CoreMaintainer:
         insertion_touched: Set[int] = set()
         for u, v in delta.inserted:
             u_id, v_id = self._intern(u), self._intern(v)
-            if not graph.add_edge(u, v):
+            if not graph.add_edge_ids(u_id, v_id):
                 continue
             pre_core.setdefault(u_id, icore[u_id])
             pre_core.setdefault(v_id, icore[v_id])
@@ -632,10 +606,9 @@ class CoreMaintainer:
         decreased: Set[int] = set()
         deletion_touched: Set[int] = set()
         for u, v in delta.removed:
-            if not graph.has_edge(u, v):
+            u_id, v_id = ids.get(u), ids.get(v)
+            if u_id is None or v_id is None or not graph.remove_edge_ids(u_id, v_id):
                 continue
-            graph.remove_edge(u, v)
-            u_id, v_id = ids[u], ids[v]
             pre_core.setdefault(u_id, icore[u_id])
             pre_core.setdefault(v_id, icore[v_id])
             dropped, visited = kernel.remove(u_id, v_id)
@@ -650,7 +623,7 @@ class CoreMaintainer:
             visits += len(visited)
 
         effect.visited = visits
-        vertex_of = kernel.vertices.__getitem__
+        vertex_of = graph.id_vertices.__getitem__
         effect.increased = set(map(vertex_of, increased))
         effect.decreased = set(map(vertex_of, decreased))
         effect.insertion_touched = set(map(vertex_of, insertion_touched))
@@ -667,17 +640,18 @@ class CoreMaintainer:
         return effect
 
     def refresh_from_graph(self) -> None:
-        """Recompute all core numbers from the current graph state.
+        """Recompute all core numbers from the current state of :attr:`graph`.
 
-        Used when a caller mutates the maintained graph wholesale (e.g. a
-        snapshot delta so large that per-edge maintenance would cost more than
-        one fresh decomposition — the situation the paper describes for
-        high-churn snapshots).  The kernel is rebuilt in place, the way the
-        constructor builds it (the caller may have added or removed arbitrary
-        edges and vertices), so k-core views taken earlier stay live.
+        Used when a caller mutates :attr:`graph` wholesale through its own
+        mutators (e.g. IncAVT applies a snapshot delta so large that
+        per-edge maintenance would cost more than one fresh decomposition —
+        the situation the paper describes for high-churn snapshots).  Nothing
+        is interned again: the cores come from the bucket cascade over the
+        graph's rows, which already hold every added vertex and edge, and the
+        level sets are rebuilt into the same list, so k-core views taken
+        earlier stay live.
         """
-        self._kernel.build(self._graph)
-        self._visited_last = 0
+        self._kernel.build()
 
     # ------------------------------------------------------------------
     # Validation
@@ -694,7 +668,7 @@ class CoreMaintainer:
         kernel = self._kernel
         for store, maintained in (
             ("core map", kernel.core_map),
-            ("id list", dict(zip(kernel.vertices, kernel.icore))),
+            ("id list", dict(zip(self._graph.id_vertices, kernel.icore))),
         ):
             if fresh != maintained:
                 differing = {
@@ -712,7 +686,7 @@ class CoreMaintainer:
             expected = {vid for vid, value in enumerate(icore) if value >= level}
             actual = levels[level] if level < len(levels) else set()
             if actual != expected:
-                vertex_of = kernel.vertices.__getitem__
+                vertex_of = self._graph.id_vertices.__getitem__
                 raise InvariantViolationError(
                     f"maintained core numbers (level store) diverged from "
                     f"recomputation at level {level}: missing "

@@ -55,7 +55,7 @@ from repro.engine.stats import EngineStats
 from repro.backends import BACKEND_AUTO, BACKENDS, ExecutionBackend, get_backend
 from repro.errors import CheckpointError, ParameterError, require_bool, require_int
 from repro.graph.dynamic import EdgeDelta
-from repro.graph.static import Graph, Vertex
+from repro.graph.static import Graph, IdGraph, Vertex
 from repro.obs import tracer
 
 logger = logging.getLogger("repro.engine")
@@ -98,8 +98,9 @@ class StreamingAVTEngine:
     Parameters
     ----------
     graph:
-        Initial graph (defaults to empty).  Copied unless ``copy_graph`` is
-        ``False`` (a bool, like every switch).
+        Initial graph (defaults to empty).  The engine's maintainer interns
+        it into its own :class:`~repro.graph.static.IdGraph` (:attr:`graph`),
+        so ingesting never touches the caller's graph.
     cache_capacity:
         Maximum number of cached query answers (LRU beyond that).
     batch_size:
@@ -139,7 +140,6 @@ class StreamingAVTEngine:
         batch_size: Optional[int] = 64,
         warm_queries: bool = True,
         default_solver: str = "greedy",
-        copy_graph: bool = True,
         core: Optional[Dict[Vertex, int]] = None,
         backend: Union[str, ExecutionBackend] = BACKEND_AUTO,
     ) -> None:
@@ -148,7 +148,6 @@ class StreamingAVTEngine:
         if batch_size is not None:
             require_int("batch_size", batch_size, 1)
         require_bool("warm_queries", warm_queries)
-        require_bool("copy_graph", copy_graph)
         _require_solver(default_solver)
         initial_graph = graph if graph is not None else Graph()
         # The requested policy is kept for checkpoints; ``_backend`` is the
@@ -156,7 +155,7 @@ class StreamingAVTEngine:
         # gathers its snapshot from the maintainer's ids.
         self._backend_policy = backend
         resolved = get_backend(backend)
-        self._maintainer = CoreMaintainer(initial_graph, copy_graph=copy_graph, core=core)
+        self._maintainer = CoreMaintainer(initial_graph, core=core)
         self._backend = resolved.bound_to(self._maintainer)
         self._buffer = IngestBuffer(self._maintainer.graph)
         self._cache = ResultCache(cache_capacity)
@@ -175,8 +174,13 @@ class StreamingAVTEngine:
     # Views
     # ------------------------------------------------------------------
     @property
-    def graph(self) -> Graph:
-        """The live maintained graph (do not mutate directly — use ingest)."""
+    def graph(self) -> IdGraph:
+        """The live maintained graph (do not mutate directly — use ingest).
+
+        It is the maintainer's :class:`~repro.graph.static.IdGraph`: its
+        neighbour sets are live views over the id rows core maintenance
+        updates.
+        """
         return self._maintainer.graph
 
     @property
@@ -556,7 +560,6 @@ class StreamingAVTEngine:
                     )
             engine = cls(
                 graph,
-                copy_graph=False,
                 core=state["core"],
                 cache_capacity=overrides.pop("cache_capacity", state["cache"]["capacity"]),
                 batch_size=overrides.pop("batch_size", state["batch_size"]),

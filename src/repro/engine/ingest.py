@@ -12,10 +12,11 @@ inserted and removed, and since insertions apply first, the endpoint
 appears exactly as the unbuffered events would have created it.
 ``flush()`` then hands one compact :class:`EdgeDelta` to the core maintainer.
 
-Self-loops are rejected at the door: inserting one raises
-:class:`~repro.errors.SelfLoopError` before anything is buffered, so a bad
-event can never poison a later flush and take valid pending edges down with
-it.  Removing a self-loop is a counted no-op (the edge cannot exist).
+Bad events are rejected at the door, before anything is buffered, so one can
+never poison a later flush and take valid pending edges down with it: an
+unhashable endpoint raises :class:`~repro.errors.ParameterError` on insert
+and remove, and an inserted self-loop :class:`~repro.errors.SelfLoopError`.
+Removing a self-loop is a counted no-op (the edge cannot exist).
 
 Soundness of the cancellation rules rests on the engine's contract that the
 graph only mutates through ``flush()``: between two flushes the graph the
@@ -25,9 +26,10 @@ to, so a no-op at buffering time is still a no-op at flush time.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, Optional, Tuple
 
-from repro.errors import SelfLoopError
+from repro.errors import SelfLoopError, require_hashable
 from repro.graph.dynamic import EdgeDelta, _normalise_edge
 from repro.graph.static import Graph, Vertex
 
@@ -60,23 +62,34 @@ class IngestBuffer:
     def insert(self, u: Vertex, v: Vertex) -> None:
         """Buffer the insertion of edge ``(u, v)``.
 
-        Raises :class:`SelfLoopError` when ``u == v``, buffering nothing.
+        Raises :class:`~repro.errors.ParameterError` for an unhashable
+        endpoint and :class:`SelfLoopError` when ``u == v``, buffering
+        nothing.
         """
+        require_hashable("u", u)
+        require_hashable("v", v)
         if u == v:
             raise SelfLoopError(u)
         self._offer(_normalise_edge((u, v)), 1)
 
     def remove(self, u: Vertex, v: Vertex) -> None:
-        """Buffer the removal of edge ``(u, v)``."""
+        """Buffer the removal of edge ``(u, v)``; an unhashable endpoint raises
+        :class:`~repro.errors.ParameterError`, buffering nothing."""
+        require_hashable("u", u)
+        require_hashable("v", v)
         self._offer(_normalise_edge((u, v)), -1)
 
     def extend(self, delta: EdgeDelta) -> None:
         """Buffer a whole delta (insertions first, matching ``delta.apply``).
 
-        Every inserted edge is checked before any is buffered, so a delta
-        carrying a self-loop raises :class:`SelfLoopError` and leaves the
-        buffer untouched.
+        Every edge is checked before any is buffered, so a delta carrying an
+        unhashable endpoint (:class:`~repro.errors.ParameterError`) or an
+        inserted self-loop (:class:`SelfLoopError`) leaves the buffer
+        untouched.
         """
+        for u, v in chain(delta.inserted, delta.removed):
+            require_hashable("u", u)
+            require_hashable("v", v)
         for u, v in delta.inserted:
             if u == v:
                 raise SelfLoopError(u)

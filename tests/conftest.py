@@ -14,7 +14,7 @@ from repro.cores.decomposition import anchored_core_decomposition, core_numbers
 from repro.cores.maintenance import CoreMaintainer
 from repro.graph.generators import barabasi_albert_graph, chung_lu_graph, erdos_renyi_graph
 from repro.graph.datasets import toy_example_evolving_graph, toy_example_graph
-from repro.graph.static import Graph, Vertex
+from repro.graph.static import Graph, IdGraph, Vertex
 from repro.ordering import tie_break_key
 
 
@@ -97,11 +97,15 @@ def shell_components(graph: Graph, shell) -> List[Set]:
     return components
 
 
-class _Identity:
-    """Id-to-vertex lookup for a kernel whose ids are the vertices themselves."""
+class _CoreById:
+    """A ``{vertex: core}`` map read by the maintained graph's ids."""
 
-    def __getitem__(self, vertex: Vertex) -> Vertex:
-        return vertex
+    def __init__(self, core_map: Dict[Vertex, int], vertices: List[Vertex]) -> None:
+        self._core_map = core_map
+        self._vertices = vertices
+
+    def __getitem__(self, vid: int) -> int:
+        return self._core_map[self._vertices[vid]]
 
 
 class ReferenceMaintenanceKernel:
@@ -109,29 +113,38 @@ class ReferenceMaintenanceKernel:
 
     The maintenance twin of :func:`reference_greedy`: it implements the
     surface :class:`~repro.cores.maintenance.CoreMaintainer` calls on its
-    kernel (``core_map``, ``add_vertex``, ``insert``, ``remove`` and the id
-    surface ``ids``, ``vertices``, ``icore``) with no id mirror and no level
-    sets, so swapping it into a second maintainer runs ``apply_delta``'s
-    bookkeeping over an independent implementation of the traversals.  Every
-    vertex is its own id (so ``None``, which ``ids.get`` answers for an
-    unknown vertex, cannot be one), and supports are counted over whole
-    neighbourhoods.  Like the maintainer's kernel, it is called after the
-    graph itself has mutated.
+    kernel (``core_map``, ``icore``, ``add_vertex``, ``insert`` and
+    ``remove``) with no id lists and no level sets, so swapping it into a
+    second maintainer runs ``apply_delta``'s bookkeeping over an independent
+    implementation of the traversals.  The maintainer speaks the maintained
+    graph's ids to its kernel; this one translates them to vertices at its
+    boundary, walks the graph in vertex space (``neighbors``) and counts
+    supports over whole neighbourhoods.  Like the maintainer's kernel, it is
+    called after the maintainer has written the edge to the graph.
     """
 
-    def __init__(self, graph: Graph, core: Dict[Vertex, int]) -> None:
+    def __init__(self, graph: IdGraph, core: Dict[Vertex, int]) -> None:
         self._graph = graph
         self.core_map = dict(core)
-        self.icore = self.core_map
-        self.ids = {vertex: vertex for vertex in core}
-        self.vertices = _Identity()
+        self.icore = _CoreById(self.core_map, graph.id_vertices)
 
-    def add_vertex(self, vertex: Vertex) -> Vertex:
-        self.core_map[vertex] = 0
-        self.ids[vertex] = vertex
-        return vertex
+    def add_vertex(self, vid: int) -> None:
+        self.core_map[self._graph.id_vertices[vid]] = 0
 
-    def insert(self, u: Vertex, v: Vertex) -> Tuple[Set[Vertex], Set[Vertex]]:
+    def insert(self, u_id: int, v_id: int) -> Tuple[Set[int], Set[int]]:
+        """Insertion traversal; returns ``(increased, visited)`` ids."""
+        return self._by_id(self._insert, u_id, v_id)
+
+    def remove(self, u_id: int, v_id: int) -> Tuple[Set[int], Set[int]]:
+        """Deletion cascade; returns ``(decreased, visited)`` ids."""
+        return self._by_id(self._remove, u_id, v_id)
+
+    def _by_id(self, traversal, u_id: int, v_id: int) -> Tuple[Set[int], Set[int]]:
+        vertices, ids = self._graph.id_vertices, self._graph.ids
+        changed, visited = traversal(vertices[u_id], vertices[v_id])
+        return {ids[w] for w in changed}, {ids[w] for w in visited}
+
+    def _insert(self, u: Vertex, v: Vertex) -> Tuple[Set[Vertex], Set[Vertex]]:
         """Insertion traversal; returns ``(increased, visited)``."""
         core = self.core_map
         neighbors = self._graph.neighbors
@@ -168,7 +181,7 @@ class ReferenceMaintenanceKernel:
             core[w] = root_core + 1
         return increased, candidates
 
-    def remove(self, u: Vertex, v: Vertex) -> Tuple[Set[Vertex], Set[Vertex]]:
+    def _remove(self, u: Vertex, v: Vertex) -> Tuple[Set[Vertex], Set[Vertex]]:
         """Deletion cascade; returns ``(decreased, visited)``."""
         core = self.core_map
         neighbors = self._graph.neighbors

@@ -249,18 +249,29 @@ def _assert_views_match_a_fresh_peel(maintainer: CoreMaintainer) -> None:
 @SETTINGS
 @given(script=edit_scripts())
 def test_maintenance_matches_the_reference_kernel(script):
+    """Edge by edge, the single-edge updates return what the reference
+    kernel's return, and a one-edge delta changes and visits what the
+    reference kernel's does."""
     graph, operations = script
     maintainer = CoreMaintainer(graph)
     reference = reference_maintainer(graph)
+    by_delta = CoreMaintainer(graph)
+    reference_by_delta = reference_maintainer(graph)
     for insert, (u, v) in operations:
         if insert:
             assert maintainer.insert_edge(u, v) == reference.insert_edge(u, v)
+            delta = EdgeDelta.from_iterables(inserted=[(u, v)])
         else:
             assert maintainer.remove_edge(u, v) == reference.remove_edge(u, v)
-        assert maintainer._visited_last == reference._visited_last
-    assert maintainer.core_numbers() == reference.core_numbers()
-    maintainer.validate()
-    _assert_views_match_a_fresh_peel(maintainer)
+            delta = EdgeDelta.from_iterables(removed=[(u, v)])
+        effect = by_delta.apply_delta(delta)
+        reference_effect = reference_by_delta.apply_delta(delta)
+        for attribute in ("increased", "decreased", "visited"):
+            assert getattr(effect, attribute) == getattr(reference_effect, attribute)
+    for checked in (maintainer, by_delta):
+        assert checked.core_numbers() == reference.core_numbers()
+        checked.validate()
+        _assert_views_match_a_fresh_peel(checked)
 
 
 @SETTINGS

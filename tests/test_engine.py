@@ -13,6 +13,7 @@ from repro.backends import ExecutionBackend, get_backend, numpy_available
 from repro.bench.experiments import resolve_profile
 from repro.bench.workloads import build_problem
 from repro.cores.decomposition import core_numbers
+from repro.cores.maintenance import CoreMaintainer
 from repro.engine import (
     CacheKey,
     EngineStats,
@@ -437,14 +438,10 @@ class TestEngineQueries:
                 StreamingAVTEngine(toy_graph, cache_capacity=bad)
         with pytest.raises(ParameterError, match="cache_capacity"):
             StreamingAVTEngine(toy_graph, cache_capacity=0)
-        # A truthy "false" used to copy the graph, and a falsy 0 to share it.
-        for bad in ("false", 0, 1, None):
-            with pytest.raises(ParameterError, match="copy_graph"):
-                StreamingAVTEngine(toy_graph, copy_graph=bad)
         assert StreamingAVTEngine(toy_graph, batch_size=None).pending_updates == 0
 
     @pytest.mark.parametrize(
-        "argument", [{"cache_capacity": 0}, {"cache_capacity": "3"}, {"copy_graph": "no"}]
+        "argument", [{"cache_capacity": 0}, {"cache_capacity": "3"}, {"warm_queries": "no"}]
     )
     def test_bad_arguments_fail_before_the_maintainer_is_built(
         self, toy_graph, monkeypatch, argument
@@ -570,6 +567,36 @@ class TestSelfLoopIngest:
         engine.ingest_remove(1, 1)
         assert engine.pending_updates == 0
         assert engine.stats.updates_cancelled == 1
+
+
+# ---------------------------------------------------------------------------
+# Unhashable endpoints at ingest
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "owner, method, args, name",
+    [
+        ("engine", "ingest_insert", ([1], 2), "u"),
+        ("engine", "ingest_insert", (1, {2}), "v"),
+        ("engine", "ingest_remove", ([1], 2), "u"),
+        ("engine", "ingest", (EdgeDelta(inserted=((1, 4), ([1], 2))),), "u"),
+        ("engine", "ingest", (EdgeDelta(inserted=((1, 4),), removed=((1, [2]),)),), "v"),
+        ("maintainer", "insert_edge", ([1], 2), "u"),
+        ("maintainer", "remove_edge", (1, [2]), "v"),
+    ],
+)
+def test_unhashable_endpoints_fail_at_the_door(owner, method, args, name):
+    """An unhashable endpoint raises :class:`ParameterError` naming the
+    argument, at the engine's ingest calls (a whole delta buffers nothing)
+    and at the maintainer's single-edge updates, and changes nothing."""
+    graph = Graph(edges=[(1, 2), (2, 3), (3, 1)])
+    engine = StreamingAVTEngine(graph, batch_size=None)
+    maintainer = CoreMaintainer(graph)
+    target = engine if owner == "engine" else maintainer
+    with pytest.raises(ParameterError, match=f"^{name}: a vertex must be hashable"):
+        getattr(target, method)(*args)
+    assert engine.pending_updates == 0
+    assert engine.stats.updates_ingested == 0
+    assert engine.graph == graph and maintainer.graph == graph
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ from repro.cores.decomposition import (
     core_numbers,
     k_core,
 )
+from repro.cores.maintenance import CoreMaintainer
 from repro.errors import ParameterError, VertexNotFoundError
-from repro.graph.compact import DynamicCompactAdjacency
 from repro.graph.generators import chung_lu_graph
 from repro.graph.static import Graph
 
@@ -261,18 +261,18 @@ class TestCommitAnchorCores:
         assert all(type(core[vertex]) is int for vertex in core)
 
 
-def id_rows(graph, mirror):
-    """Both kinds of ``rows`` the id cascades run on, over ``mirror``'s ids:
-    a bare numpy snapshot's rows, whose CSR here holds every other row and
-    which translate the rest from ``graph``'s neighbour sets, and the
-    maintainer's adjacency sets, which IncAVT and a bound numpy snapshot
+def id_rows(graph, interned):
+    """Both kinds of ``rows`` the id cascades run on, over the ids of
+    ``interned`` (``graph`` as a maintainer holds it): a bare numpy
+    snapshot's rows, whose CSR here holds every other row and which
+    translate the rest from ``graph``'s neighbour sets, and copies of the
+    maintained graph's own rows, which IncAVT and a bound numpy snapshot
     read (neither needs numpy)."""
-    interner = mirror.interner
-    rows = CsrRows(list(map(graph.neighbors, interner.vertices)), interner.ids.__getitem__)
-    held = [row if vid % 2 else () for vid, row in enumerate(mirror.adj)]
+    rows = CsrRows(list(map(graph.neighbors, interned.id_vertices)), interned.ids.__getitem__)
+    held = [row if vid % 2 else () for vid, row in enumerate(interned.rows)]
     rows.indptr = list(accumulate(map(len, held), initial=0))
     rows.indices = list(chain.from_iterable(held))
-    return rows, [set(row) for row in mirror.adj]
+    return rows, [set(row) for row in interned.rows]
 
 
 class TestIdListCascades:
@@ -283,39 +283,37 @@ class TestIdListCascades:
     @given(scenario=anchor_sequences(), k=st.integers(min_value=1, max_value=6))
     def test_region_cascade_matches_marginal_followers(self, scenario, k):
         graph, anchors = scenario
-        mirror = DynamicCompactAdjacency.from_graph(graph)
-        interner = mirror.interner
+        interned = CoreMaintainer(graph).graph
+        vertices = interned.id_vertices
         core = dict_anchored_peel(graph, frozenset(anchors)).core
-        core_ids = [core[vertex] for vertex in interner.vertices]
+        core_ids = [core[vertex] for vertex in vertices]
         for vertex, value in core.items():
             if value >= k:
                 continue
             visit_log = []
             region = set()
             expected = marginal_followers(graph, k, vertex, core, visit_log, region_out=region)
-            for rows in id_rows(graph, mirror):
+            for rows in id_rows(graph, interned):
                 region_ids = set()
                 gained, visited = compact_marginal_followers(
-                    rows, k, interner.id_of(vertex), core_ids, region_out=region_ids
+                    rows, k, interned.ids[vertex], core_ids, region_out=region_ids
                 )
-                assert interner.translate(gained) == expected
+                assert {vertices[vid] for vid in gained} == expected
                 assert visited == len(visit_log)
-                assert interner.translate(region_ids) == region
+                assert {vertices[vid] for vid in region_ids} == region
 
     @SETTINGS
     @given(scenario=anchor_sequences())
     def test_commit_ids_match_commit_anchor_cores(self, scenario):
         graph, anchors = scenario
-        mirror = DynamicCompactAdjacency.from_graph(graph)
-        vertices = mirror.interner.vertices
+        interned = CoreMaintainer(graph).graph
+        vertices = interned.id_vertices
         for cap in range(1, 6):
-            for rows in id_rows(graph, mirror):
+            for rows in id_rows(graph, interned):
                 core = dict(dict_anchored_peel(graph, frozenset()).core)
                 core_ids = [core[vertex] for vertex in vertices]
                 for anchor in anchors:
                     touched = commit_anchor_cores(graph, anchor, core, cap=cap)
-                    touched_ids = commit_anchor_ids(
-                        rows, core_ids, mirror.interner.id_of(anchor), cap
-                    )
+                    touched_ids = commit_anchor_ids(rows, core_ids, interned.ids[anchor], cap)
                     assert {(vertices[vid], old) for vid, old in touched_ids} == set(touched)
                     assert dict(zip(vertices, core_ids)) == core

@@ -114,7 +114,7 @@ class TestRefreshAnchors:
             edges=[(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3), (5, 6)],
             vertices=range(8),
         )
-        maintainer = CoreMaintainer(graph, copy_graph=True)
+        maintainer = CoreMaintainer(graph)
         tracker = IncAVTTracker()
         anchors, _ = tracker.refresh_anchors(maintainer, 2, 3, [6, 6, 7], {6, 7})
         assert anchors[:2] == [6, 7]

@@ -3,22 +3,31 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.avt.incremental import IncAVTTracker
+from repro.avt.problem import AVTProblem
 from repro.cores.decomposition import core_decomposition, core_numbers
 from repro.cores.maintenance import CoreMaintainer, DeltaEffect
+from repro.engine import StreamingAVTEngine
 from repro.errors import (
     InvariantViolationError,
     ParameterError,
+    ReproError,
     SelfLoopError,
     VertexNotFoundError,
 )
+from repro.graph.datasets import toy_example_evolving_graph, toy_example_graph
 from repro.graph.dynamic import EdgeDelta
 from repro.graph.generators import chung_lu_graph
-from repro.graph.static import Graph
+from repro.graph.static import Graph, IdGraph
 
 from tests.conftest import random_graph, reference_maintainer
+from tests.test_backend_equivalence import graphs
 
 
 class TestSingleEdgeInsertion:
@@ -127,17 +136,13 @@ class TestMixedWorkloads:
         assert decreased == {4} or 4 in decreased
         maintainer.validate()
 
-    def test_copy_graph_flag(self):
+    def test_the_callers_graph_is_never_shared(self):
         graph = Graph(edges=[(1, 2)])
-        shared = CoreMaintainer(graph, copy_graph=False)
-        shared.insert_edge(2, 3)
-        assert graph.has_edge(2, 3)
-        copied = CoreMaintainer(graph, copy_graph=True)
-        copied.insert_edge(3, 4)
-        assert not graph.has_edge(3, 4)
-        for bad in ("false", 0, None):
-            with pytest.raises(ParameterError, match="copy_graph"):
-                CoreMaintainer(graph, copy_graph=bad)
+        maintainer = CoreMaintainer(graph)
+        maintainer.insert_edge(2, 3)
+        maintainer.apply_delta(EdgeDelta.from_iterables(inserted=[(3, 4)], removed=[(1, 2)]))
+        maintainer.graph.add_edge(4, 5)
+        assert graph == Graph(edges=[(1, 2)])
 
     def test_insert_edges_returns_union_of_risen_vertices(self):
         maintainer = CoreMaintainer(Graph(edges=[(1, 2), (2, 3), (1, 3)]))
@@ -163,12 +168,16 @@ class TestMixedWorkloads:
             corrupted.validate()
 
     def test_refresh_from_graph(self):
-        graph = Graph(edges=[(1, 2), (2, 3)])
-        maintainer = CoreMaintainer(graph, copy_graph=False)
-        graph.add_edge(1, 3)  # mutate behind the maintainer's back
+        maintainer = CoreMaintainer(Graph(edges=[(1, 2), (2, 3)]))
+        two_core = maintainer.k_core_vertices(2)
+        # Mutate the maintained graph directly, as IncAVT's restart does.
+        maintainer.graph.add_edge(1, 3)
+        maintainer.graph.add_edge(3, 4)
         maintainer.refresh_from_graph()
         maintainer.validate()
         assert maintainer.core(1) == 2
+        assert maintainer.core(4) == 1
+        assert two_core == {1, 2, 3}  # a view taken before the refresh stays live
 
 
 class TestApplyDelta:
@@ -283,7 +292,7 @@ class TestApplyDelta:
         # The core map, the id list and the level sets are three stores:
         # corrupting any one alone must fail validation.
         maintainer = CoreMaintainer(toy_graph)
-        maintainer._kernel.icore[maintainer._kernel.ids[8]] = 99
+        maintainer._kernel.icore[maintainer.graph.ids[8]] = 99
         assert maintainer.core(8) == 3
         with pytest.raises(InvariantViolationError, match="id list"):
             maintainer.validate()
@@ -293,7 +302,7 @@ class TestApplyDelta:
             maintainer.validate()
         # Vertex 8 is in the top core (3): drop it from that level set only.
         maintainer = CoreMaintainer(toy_graph)
-        maintainer._kernel.levels[3].discard(maintainer._kernel.ids[8])
+        maintainer._kernel.levels[3].discard(maintainer.graph.ids[8])
         assert maintainer.core(8) == 3 and maintainer.core_numbers() == core_numbers(toy_graph)
         with pytest.raises(InvariantViolationError, match="level store"):
             maintainer.validate()
@@ -436,3 +445,125 @@ def test_deletions_among_hubs_match_the_reference_and_a_fresh_peel():
             }
     # The deltas must actually lower cores, or the cascade never ran.
     assert cascades > 0
+
+
+# ---------------------------------------------------------------------------
+# The maintained graph
+# ---------------------------------------------------------------------------
+#: Vertices no pool of ``graphs()`` holds, so edits intern them.
+NEWCOMERS = ("newcomer", 10**6)
+
+
+@st.composite
+def growing_edit_scripts(draw):
+    """A starting graph and edge edits over its vertices and two newcomers;
+    each edit also draws whether it runs as a one-edge delta."""
+    graph = draw(graphs())
+    pool = sorted(graph.vertices(), key=repr) + list(NEWCOMERS)
+    pairs = [(u, v) for i, u in enumerate(pool) for v in pool[i + 1 :]]
+    operations = draw(
+        st.lists(st.tuples(st.booleans(), st.sampled_from(pairs), st.booleans()), max_size=25)
+    )
+    return graph, operations
+
+
+def assert_answers_as(maintained: IdGraph, plain: Graph) -> None:
+    """``maintained`` answers every :class:`Graph` query as ``plain`` does."""
+    assert list(maintained.vertices()) == list(plain.vertices()) == list(maintained)
+    assert set(maintained.edges()) == set(plain.edges())
+    assert maintained.edge_set() == plain.edge_set()
+    assert maintained.num_vertices == plain.num_vertices == len(maintained)
+    assert maintained.num_edges == plain.num_edges == len(list(maintained.edges()))
+    pool = list(plain.vertices()) + list(NEWCOMERS)
+    for u in pool:
+        assert maintained.has_vertex(u) == plain.has_vertex(u) == (u in maintained)
+        for v in pool:
+            assert maintained.has_edge(u, v) == plain.has_edge(u, v)
+    for vertex in plain.vertices():
+        assert maintained.degree(vertex) == plain.degree(vertex)
+        neighbours = maintained.neighbors(vertex)
+        assert neighbours == plain.neighbors(vertex) and set(neighbours) == plain.neighbors(vertex)
+        assert len(neighbours) == plain.degree(vertex)
+    assert maintained == plain and plain == maintained
+    clone = maintained.copy()
+    assert type(clone) is Graph
+    assert clone == plain and clone == maintained
+    assert list(clone.vertices()) == list(plain.vertices())
+    keep = pool[::2]
+    assert maintained.subgraph(keep) == plain.subgraph(keep)
+    assert {frozenset(component) for component in maintained.connected_components()} == {
+        frozenset(component) for component in plain.connected_components()
+    }
+    assert maintained.degree_map() == plain.degree_map()
+    assert maintained.average_degree() == plain.average_degree()
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(script=growing_edit_scripts())
+def test_the_maintained_graph_answers_as_a_plain_graph(script):
+    """Edited through the maintainer, or through its own mutators and then
+    refreshed, the maintained graph answers as a plain graph given the
+    same edits, and its cores stay valid."""
+    graph, operations = script
+    through_maintainer = CoreMaintainer(graph)
+    through_graph = CoreMaintainer(graph)
+    plain = graph.copy()
+    for insert, (u, v), as_delta in operations:
+        if as_delta:
+            # A delta orders each edge's endpoints, and with them new ids.
+            edges = [(u, v)]
+            delta = (
+                EdgeDelta.from_iterables(inserted=edges)
+                if insert
+                else EdgeDelta.from_iterables(removed=edges)
+            )
+            delta.apply(plain)
+            delta.apply(through_graph.graph)
+            through_maintainer.apply_delta(delta)
+        elif insert:
+            plain.add_edge(u, v)
+            through_graph.graph.add_edge(u, v)
+            through_maintainer.insert_edge(u, v)
+        else:
+            if plain.has_edge(u, v):
+                plain.remove_edge(u, v)
+                through_graph.graph.remove_edge(u, v)
+            through_maintainer.remove_edge(u, v)
+        through_graph.refresh_from_graph()
+        for maintainer in (through_maintainer, through_graph):
+            assert_answers_as(maintainer.graph, plain)
+            maintainer.validate()
+    # Ids are permanent: removing a vertex is refused and changes nothing.
+    maintained = through_maintainer.graph
+    vertex = next(maintained.vertices())
+    with pytest.raises(ReproError, match=re.escape(repr(vertex))):
+        maintained.remove_vertex(vertex)
+    assert_answers_as(maintained, plain)
+    through_maintainer.validate()
+
+
+def test_one_adjacency_per_maintained_graph(monkeypatch):
+    """Building a maintainer, an engine or IncAVT's maintainer copies no
+    graph: the maintainer interns the caller's graph once, into the rows its
+    kernel reads, and no later update touches the caller's graph."""
+    evolving = toy_example_evolving_graph()
+    base = evolving.base
+    graph = toy_example_graph()
+    pristine = (list(base.vertices()), base.edge_set()), (list(graph.vertices()), graph.edge_set())
+
+    def refuse(self):
+        raise AssertionError("Graph.copy was called")
+
+    monkeypatch.setattr(Graph, "copy", refuse)
+    maintainer = CoreMaintainer(graph)
+    assert maintainer.id_store().adj is maintainer.graph.rows
+    maintainer.insert_edge(1, 9)
+    u, v = maintainer.graph.ids[1], maintainer.graph.ids[9]
+    assert v in maintainer.id_store().adj[u] and 9 in maintainer.graph.neighbors(1)
+    engine = StreamingAVTEngine(graph, batch_size=1)
+    engine.ingest_insert(2, 9)
+    engine.ingest_remove(1, 2)
+    engine.query(3, 2)
+    IncAVTTracker().track(AVTProblem(evolving, k=3, budget=2))
+    assert (list(base.vertices()), base.edge_set()) == pristine[0]
+    assert (list(graph.vertices()), graph.edge_set()) == pristine[1]
