@@ -173,8 +173,8 @@ surface                      what it gives you
 :class:`~repro.obs.MetricsRegistry`
                              counters / gauges / log-bucketed histograms with
                              one snapshot schema, ``{name, type, value,
-                             labels}``; :class:`EngineStats` and
-                             ``SolverStats`` are views over registries
+                             labels}``; :class:`EngineStats` (plain
+                             attributes) emits the same rows on export
 exporters                    :class:`~repro.obs.JsonLinesSpanSink` (streaming
                              span JSONL), :func:`~repro.obs.to_prometheus` /
                              :func:`~repro.obs.write_metrics` (Prometheus

@@ -57,7 +57,6 @@ from repro.backends import (
 )
 from repro.cores.decomposition import ANCHOR_CORE
 from repro.errors import (
-    ParameterError,
     VertexNotFoundError,
     distinct_vertices,
     require_hashable,
@@ -222,8 +221,8 @@ def marginal_followers(
         is added to it — the read scope of this evaluation, which memoizing
         callers key cache invalidation on.
     """
-    if k < 1:
-        raise ParameterError("k must be >= 1 for follower computation")
+    require_int("k", k, 1)
+    require_hashable("candidate", candidate)
     if not graph.has_vertex(candidate):
         raise VertexNotFoundError(candidate)
     candidate_core = core[candidate]
@@ -363,8 +362,8 @@ def full_shell_followers(
     reachable from the candidate — the behaviour of the OLAK adaptation used as
     a baseline, which therefore reports many more visited vertices.
     """
-    if k < 1:
-        raise ParameterError("k must be >= 1 for follower computation")
+    require_int("k", k, 1)
+    require_hashable("candidate", candidate)
     if not graph.has_vertex(candidate):
         raise VertexNotFoundError(candidate)
     if core[candidate] >= k:

@@ -75,7 +75,7 @@ from repro.cores.decomposition import (
     compact_marginal_followers,
 )
 from repro.cores.maintenance import CoreMaintainer, IdStore
-from repro.errors import ParameterError, require_bool, require_int
+from repro.errors import ParameterError, distinct_vertices, require_bool, require_int
 from repro.backends import BACKEND_AUTO, ExecutionBackend, get_backend
 from repro.graph.static import Vertex
 from repro.ordering import tie_break_key
@@ -273,7 +273,7 @@ class IncAVTTracker:
         require_int("k", k, 1)
         require_int("budget", budget, 0)
         # Distinct anchors, first occurrence kept, then cut to the budget.
-        carried = list(dict.fromkeys(anchors))[:budget]
+        carried = list(distinct_vertices("anchors", anchors))[:budget]
         return self._update_anchor_set(maintainer, k, budget, carried, set(affected))
 
     # ------------------------------------------------------------------

@@ -661,7 +661,7 @@ class NumpyCoreIndexKernel(CoreIndexKernel):
         self._rank = np.zeros(n, dtype=np.int64)
         self._next_rank = n
         self._plain_core = np.zeros(0, dtype=np.int64)
-        self._core_map_cache: Optional[Dict[Vertex, float]] = None
+        self._core_numbers_cache: Optional[Dict[Vertex, float]] = None
 
     def refresh(self, anchors: Set[Vertex], k: int) -> None:
         ngraph = self._ngraph
@@ -692,7 +692,7 @@ class NumpyCoreIndexKernel(CoreIndexKernel):
         self._rank = np.zeros(n, dtype=np.int64)
         self._next_rank = n
         self._rank_components(np.nonzero(core == k - 1)[0], k - 1)
-        self._core_map_cache = None
+        self._core_numbers_cache = None
 
     def commit_anchor(self, vertex: Vertex, anchors: Set[Vertex], k: int):
         # The riser cascades are scalar work on a small region: the shared
@@ -701,7 +701,7 @@ class NumpyCoreIndexKernel(CoreIndexKernel):
         ngraph = self._ngraph
         touched = commit_anchor_ids(ngraph.rows, self._core, ngraph.id_of(vertex), k)
         self._rank_components(self._touched_components(touched, k - 1), k - 1)
-        self._core_map_cache = None
+        self._core_numbers_cache = None
         vertices = ngraph.vertices
         return frozenset(vertices[vid] for vid, _ in touched)
 
@@ -748,13 +748,13 @@ class NumpyCoreIndexKernel(CoreIndexKernel):
         return self._as_python(self._core[self._ngraph.id_of(vertex)])
 
     def core_numbers(self) -> Mapping[Vertex, float]:
-        if self._core_map_cache is None:
+        if self._core_numbers_cache is None:
             vertices = self._ngraph.vertices
-            self._core_map_cache = {
+            self._core_numbers_cache = {
                 vertices[vid]: self._as_python(self._core[vid])
                 for vid in range(self._ngraph.num_vertices)
             }
-        return self._core_map_cache
+        return self._core_numbers_cache
 
     def _translate(self, ids) -> Set[Vertex]:
         return self._ngraph.translate(ids.tolist())

@@ -12,7 +12,6 @@ from functools import lru_cache
 from typing import Optional, Tuple
 
 from repro.avt.problem import AVTProblem
-from repro.errors import ParameterError
 from repro.graph.datasets import dataset_spec, load_dataset
 
 
@@ -37,8 +36,6 @@ def build_problem(
     the same dataset re-uses the same snapshots — exactly how the paper fixes
     the other parameters at their defaults while varying one.
     """
-    if scale <= 0:
-        raise ParameterError("scale must be positive")
     spec = dataset_spec(dataset)
     if k is None:
         k = spec.default_k

@@ -96,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=Path,
         default=None,
         help=(
-            "write the run's metrics registry snapshot here; '.prom'/'.txt' "
+            "write the run's metrics snapshot here; '.prom'/'.txt' "
             "selects Prometheus text exposition, anything else JSON"
         ),
     )
@@ -146,8 +146,8 @@ def _run_serve_sim(args: argparse.Namespace) -> int:
 
     ``--trace-out`` enables hierarchical tracing for the duration of the run
     and streams every finished span to a JSON-lines file; ``--metrics-out``
-    writes the engine's metrics-registry snapshot (plus the process-wide
-    registry) after the replay, as Prometheus text or JSON by extension.
+    writes the engine's stats snapshot (plus the process-wide registry)
+    after the replay, as Prometheus text or JSON by extension.
     """
     from repro.backends import get_backend
     from repro.obs import JsonLinesSpanSink, global_registry, tracer, write_metrics
@@ -173,7 +173,7 @@ def _run_serve_sim(args: argparse.Namespace) -> int:
     if sink is not None:
         print(f"trace written to {args.trace_out} ({sink.spans_written} spans)")
     if args.metrics_out is not None and engine is not None:
-        snapshot = engine.stats.registry.snapshot() + global_registry().snapshot()
+        snapshot = engine.stats.snapshot() + global_registry().snapshot()
         fmt = write_metrics(snapshot, args.metrics_out)
         print(f"metrics snapshot ({fmt}) written to {args.metrics_out}")
     return code

@@ -19,18 +19,18 @@ ids, one set of neighbour ids per id, with O(1) upkeep per edge operation.
 It answers as any :class:`~repro.graph.static.Graph` (its neighbour sets are
 live views over the id rows), and the traversals run over its rows in one
 integer-id kernel, whatever execution backend the solvers use.  The kernel
-keeps the core numbers in three stores that every core change updates
+keeps the core numbers in two stores that every core change updates
 together:
 
-- a flat list indexed by id, which the traversals read;
+- a flat list indexed by id, which the traversals read, and which
+  :meth:`CoreMaintainer.core` and :meth:`CoreMaintainer.core_numbers` read
+  through the graph's ids;
 - the level sets ``levels[r] = {id : core(id) >= r}``, one per ``r`` from 0
   to the top core.  A rise ``c -> c+1`` adds the id to ``levels[c+1]`` and a
-  drop ``c -> c-1`` discards it from ``levels[c]``, both O(1);
-- a live ``{vertex: core}`` map, which :meth:`CoreMaintainer.core` and
-  :meth:`CoreMaintainer.core_numbers` read.
+  drop ``c -> c-1`` discards it from ``levels[c]``, both O(1).
 
-:meth:`CoreMaintainer.id_store` hands the graph's ids and rows and the
-first two stores out read-only, for passes that run on ids themselves:
+:meth:`CoreMaintainer.id_store` hands the graph's ids and rows and both
+stores out read-only, for passes that run on ids themselves:
 IncAVT's swap/fill pass reads its region, pool and core numbers there.  The
 numpy backend's index of an exact solve over the maintained graph takes its
 ids, vertices and adjacency rows from it instead of interning the graph
@@ -67,9 +67,8 @@ The maintained core numbers are the single source of truth for the incremental
 tracker and for the exact solves over the maintained graph (the engine's
 cold and exact queries, IncAVT's first snapshot and its restarts); a
 :meth:`CoreMaintainer.validate` hook recomputes them from scratch
-with a full peel and raises if the map, the id list or any level set ever
-diverges, and the property-based tests exercise that hook on random edit
-sequences.
+with a full peel and raises if the id list or any level set ever diverges,
+and the property-based tests exercise that hook on random edit sequences.
 """
 
 from __future__ import annotations
@@ -234,16 +233,16 @@ class IdStore(NamedTuple):
 class _IdKernel:
     """The maintained core numbers and the traversals over a graph's id rows.
 
-    ``icore`` (core number by id), ``levels`` (``levels[r]`` holds the ids of
-    core ``>= r``, for every ``r`` up to the top core) and ``core_map``
-    (``{vertex: core}``) always agree: the traversals and :meth:`add_vertex`
-    write all three.  ``adj`` and ``vertices`` are the graph's ``rows`` and
-    ``id_vertices``.  The maintainer writes an edge to the graph first and
-    then calls :meth:`insert` / :meth:`remove` with the endpoint ids; each
-    runs its traversal and returns id sets.
+    ``icore`` (core number by id) and ``levels`` (``levels[r]`` holds the
+    ids of core ``>= r``, for every ``r`` up to the top core) always agree:
+    the traversals and :meth:`add_vertex` write both.  ``adj`` and
+    ``vertices`` are the graph's ``rows`` and ``id_vertices``.  The
+    maintainer writes an edge to the graph first and then calls
+    :meth:`insert` / :meth:`remove` with the endpoint ids; each runs its
+    traversal and returns id sets.
     """
 
-    __slots__ = ("core_map", "icore", "levels", "vertices", "adj")
+    __slots__ = ("icore", "levels", "vertices", "adj")
 
     def __init__(self, graph: IdGraph, core: Optional[Dict[Vertex, int]] = None) -> None:
         self.vertices = graph.id_vertices
@@ -254,20 +253,16 @@ class _IdKernel:
     def build(self, core: Optional[Dict[Vertex, int]] = None) -> None:
         """(Re)compute every store from the graph's rows; ``core`` supplies
         trusted cores.  ``levels`` keeps its list, so views of it stay live."""
-        vertices = self.vertices
         if core is None:
             self.icore = bucket_cores(self.adj)
-            self.core_map: Dict[Vertex, int] = dict(zip(vertices, self.icore))
         else:
-            self.core_map = {vertex: core.get(vertex, 0) for vertex in vertices}
-            self.icore = list(self.core_map.values())
+            self.icore = [core.get(vertex, 0) for vertex in self.vertices]
         self.levels[:] = _core_levels(self.icore)
 
     def add_vertex(self, vid: int) -> None:
         """Register the brand-new vertex of id ``vid`` at core number 0."""
         self.icore.append(0)
         self.levels[0].add(vid)
-        self.core_map[self.vertices[vid]] = 0
 
     # -- insertion traversal (Lemmas 1-2) ----------------------------------
     def insert(self, u_id: int, v_id: int) -> Tuple[Set[int], Set[int]]:
@@ -329,11 +324,8 @@ class _IdKernel:
             if value == len(levels):
                 levels.append(set())
             levels[value] |= risen
-            vertices = self.vertices
-            core_map = self.core_map
             for w in risen:
                 icore[w] = value
-                core_map[vertices[w]] = value
         return risen, candidates
 
     # -- deletion cascade (Lemmas 3-4) --------------------------------------
@@ -367,8 +359,6 @@ class _IdKernel:
                     queue.append(w)
 
         lowered = root_core - 1
-        vertices = self.vertices
-        core_map = self.core_map
         while queue:
             w = queue.pop()
             # Visit neighbours before lowering core(w): w is still in
@@ -388,7 +378,6 @@ class _IdKernel:
                     queue.append(x)
             icore[w] = lowered
             level.discard(w)
-            core_map[vertices[w]] = lowered
         return dropped, visited
 
 
@@ -431,12 +420,12 @@ class CoreMaintainer:
 
     def core_numbers(self) -> Dict[Vertex, int]:
         """Return a copy of the maintained core numbers."""
-        return dict(self._kernel.core_map)
+        return dict(zip(self._graph.id_vertices, self._kernel.icore))
 
     def core(self, vertex: Vertex) -> int:
         """Return the maintained core number of ``vertex``."""
         try:
-            return self._kernel.core_map[vertex]
+            return self._kernel.icore[self._graph.ids[vertex]]
         except KeyError:
             raise VertexNotFoundError(vertex) from None
 
@@ -659,27 +648,23 @@ class CoreMaintainer:
     def validate(self) -> None:
         """Recompute core numbers with a full peel; raise on any divergence.
 
-        Every store is checked against the recomputation: the core map the
-        views read, the id list the traversals read, and each set of the
-        level store (``levels[r]`` must hold exactly the ids of core
-        ``>= r``).
+        Both stores are checked against the recomputation: the id list the
+        traversals and the views read, and each set of the level store
+        (``levels[r]`` must hold exactly the ids of core ``>= r``).
         """
         fresh = recompute_core_numbers(self._graph)
         kernel = self._kernel
-        for store, maintained in (
-            ("core map", kernel.core_map),
-            ("id list", dict(zip(self._graph.id_vertices, kernel.icore))),
-        ):
-            if fresh != maintained:
-                differing = {
-                    vertex: (maintained.get(vertex), fresh.get(vertex))
-                    for vertex in set(fresh) | set(maintained)
-                    if maintained.get(vertex) != fresh.get(vertex)
-                }
-                raise InvariantViolationError(
-                    f"maintained core numbers ({store}) diverged from "
-                    f"recomputation: {differing}"
-                )
+        maintained = self.core_numbers()
+        if fresh != maintained:
+            differing = {
+                vertex: (maintained.get(vertex), fresh.get(vertex))
+                for vertex in set(fresh) | set(maintained)
+                if maintained.get(vertex) != fresh.get(vertex)
+            }
+            raise InvariantViolationError(
+                f"maintained core numbers (id list) diverged from "
+                f"recomputation: {differing}"
+            )
         icore = kernel.icore
         levels = kernel.levels
         for level in range(max(len(levels), max(icore, default=0) + 1)):

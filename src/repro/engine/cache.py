@@ -37,17 +37,17 @@ class CacheKey:
 
 
 class ResultCache:
-    """LRU cache of :class:`AnchoredKCoreResult` with version promotion."""
+    """LRU cache of :class:`AnchoredKCoreResult` with version promotion.
+
+    It keeps no counters: the engine counts hits, misses, promotions and
+    invalidations in its :class:`~repro.engine.stats.EngineStats`, from what
+    :meth:`get` and :meth:`promote` return.
+    """
 
     def __init__(self, capacity: int = 256) -> None:
         require_int("cache capacity", capacity, 1)
         self._capacity = capacity
         self._entries: "OrderedDict[CacheKey, AnchoredKCoreResult]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.invalidations = 0
-        self.promotions = 0
 
     # ------------------------------------------------------------------
     # Basic LRU operations
@@ -66,11 +66,8 @@ class ResultCache:
     def get(self, key: CacheKey) -> Optional[AnchoredKCoreResult]:
         """Return the cached result for ``key`` (refreshing recency) or None."""
         result = self._entries.get(key)
-        if result is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
+        if result is not None:
+            self._entries.move_to_end(key)
         return result
 
     def put(self, key: CacheKey, result: AnchoredKCoreResult) -> None:
@@ -80,10 +77,9 @@ class ResultCache:
         self._entries[key] = result
         while len(self._entries) > self._capacity:
             self._entries.popitem(last=False)
-            self.evictions += 1
 
     def clear(self) -> None:
-        """Drop every entry (counters are kept)."""
+        """Drop every entry."""
         self._entries.clear()
 
     # ------------------------------------------------------------------
@@ -115,17 +111,7 @@ class ResultCache:
             else:
                 invalidated += 1
         self._entries = survivors
-        self.promotions += promoted
-        self.invalidations += invalidated
         return promoted, invalidated
-
-    def invalidate(self, predicate: Callable[[CacheKey], bool]) -> int:
-        """Evict every entry whose key satisfies ``predicate``; return count."""
-        doomed = [key for key in self._entries if predicate(key)]
-        for key in doomed:
-            del self._entries[key]
-        self.invalidations += len(doomed)
-        return len(doomed)
 
     # ------------------------------------------------------------------
     # Introspection / checkpointing

@@ -8,21 +8,26 @@ without inventing a vertex codec — the payload stays :mod:`pickle`.  Only
 load checkpoints you wrote yourself; this is server state, not an
 interchange format.
 
-Format 2 (written here) is *verified*: the file opens with an ASCII header
-line naming the format and the manifest digest, followed by a JSON manifest
-listing every section (name, byte length, SHA-256) and then the pickled
-section blobs back to back::
+Format 3, the only one written and read, is *verified*: the file opens
+with an ASCII header line naming the format and the manifest digest,
+followed by a JSON manifest listing every section (name, byte length,
+SHA-256) and then the pickled section blobs back to back::
 
-    repro-engine-checkpoint 2 <manifest-bytes> <manifest-sha256>\\n
-    {"format": 2, "sections": [{"name": "graph", ...}, ...]}
+    repro-engine-checkpoint 3 <manifest-bytes> <manifest-sha256>\\n
+    {"format": 3, "sections": [{"name": "graph", ...}, ...]}
     <graph blob><core blob><engine blob><warm blob><cache blob><stats blob>
 
 :func:`read_state` verifies the manifest against the header digest and every
 section against its manifest digest *before* unpickling anything, so a
 truncated or bit-flipped file surfaces as a
 :class:`~repro.errors.CheckpointCorruptionError` naming the damaged section
-— never as an arbitrary unpickling exception deep inside restore.  Format-1
-files (a single pickled envelope) are still read transparently.
+— never as an arbitrary unpickling exception deep inside restore.  Format 3
+differs from format 2 only in what its cached results pickle: a plain
+:class:`~repro.anchored.result.SolverStats` dataclass.  A format-2 header,
+or a file with no header (format 1, a single pickled envelope), is refused
+with a plain :class:`~repro.errors.CheckpointError` naming what was found,
+and :func:`load_checkpoint` falls back past it like past any unreadable
+file.
 
 Rotation and fallback: :func:`save_checkpoint` with ``keep=N`` shifts the
 previous file to ``<path>.1`` (and so on, keeping the newest ``N``);
@@ -47,9 +52,7 @@ logger = logging.getLogger("repro.engine.checkpoint")
 PathLike = Union[str, Path]
 
 CHECKPOINT_MAGIC = "repro-engine-checkpoint"
-CHECKPOINT_FORMAT = 2
-#: Newest format readable; format 1 (single pickled envelope) stays loadable.
-_LEGACY_FORMAT = 1
+CHECKPOINT_FORMAT = 3
 
 _MAGIC_PREFIX = (CHECKPOINT_MAGIC + " ").encode("ascii")
 _MAX_HEADER = 256
@@ -122,26 +125,6 @@ def write_state(state: Dict[str, Any], path: PathLike) -> None:
             tmp_path.unlink()
 
 
-def _read_state_legacy(path: Path) -> Dict[str, Any]:
-    """Read a format-1 checkpoint: one pickled envelope, no digests."""
-    try:
-        with open(path, "rb") as handle:
-            envelope = pickle.load(handle)
-    except Exception as error:  # pickle surfaces corruption as many exception types
-        raise CheckpointError(f"cannot read checkpoint {path}: {error}") from error
-    if not isinstance(envelope, dict) or envelope.get("magic") != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path} is not a repro engine checkpoint")
-    if envelope.get("format") != _LEGACY_FORMAT:
-        raise CheckpointError(
-            f"checkpoint format {envelope.get('format')!r} is not supported "
-            f"(expected {_LEGACY_FORMAT} or {CHECKPOINT_FORMAT})"
-        )
-    state = envelope.get("state")
-    if not isinstance(state, dict):
-        raise CheckpointError(f"checkpoint {path} carries no state payload")
-    return state
-
-
 def _manifest_entries(path: Path, manifest_bytes: bytes) -> List[Dict[str, Any]]:
     """Decode a digest-verified manifest and check the shape of its sections.
 
@@ -179,7 +162,8 @@ def read_state(path: PathLike) -> Dict[str, Any]:
 
     Raises :class:`CheckpointCorruptionError` (naming the damaged section)
     when any digest disagrees or the file is truncated; plain
-    :class:`CheckpointError` for missing/foreign files.
+    :class:`CheckpointError` for missing/foreign files and for any format
+    other than :data:`CHECKPOINT_FORMAT`.
     """
     path = Path(path)
     if not path.exists():
@@ -191,9 +175,11 @@ def read_state(path: PathLike) -> Dict[str, Any]:
     with handle:
         header = handle.readline(_MAX_HEADER)
         if not header.startswith(_MAGIC_PREFIX):
-            # Not a format-2 header: either a legacy single-pickle checkpoint
-            # or a foreign file — the legacy reader tells them apart.
-            return _read_state_legacy(path)
+            # A format-1 checkpoint (one pickled envelope) or a foreign file.
+            raise CheckpointError(
+                f"{path} has no checkpoint header (format 1 or not a repro "
+                f"engine checkpoint); expected format {CHECKPOINT_FORMAT}"
+            )
         if not header.endswith(b"\n"):
             raise CheckpointCorruptionError(path, "header", "unterminated header line")
         parts = header.decode("ascii", "replace").split()
@@ -203,8 +189,8 @@ def read_state(path: PathLike) -> Dict[str, Any]:
             )
         if parts[1] != str(CHECKPOINT_FORMAT):
             raise CheckpointError(
-                f"checkpoint format {parts[1]!r} is not supported "
-                f"(expected {_LEGACY_FORMAT} or {CHECKPOINT_FORMAT})"
+                f"checkpoint {path} has format {parts[1]!r}; only format "
+                f"{CHECKPOINT_FORMAT} is supported"
             )
         try:
             manifest_len = int(parts[2])

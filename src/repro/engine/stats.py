@@ -7,45 +7,21 @@ scratch) — and the counters here record how often each path fired and how long
 it took.  The acceptance tests lean on these counters to prove that a repeated
 query on an unchanged graph version never invokes a solver.
 
-Since the ``repro.obs`` subsystem landed, :class:`EngineStats` is a *view*
-over a :class:`~repro.obs.metrics.MetricsRegistry` rather than parallel
-bookkeeping: every attribute read/write goes straight to a registry counter,
-per-path latencies additionally feed log-bucketed histograms (p50/p95/p99
-derivable), and :meth:`snapshot` emits the unified
-``{name, type, value, labels}`` schema shared with ``SolverStats``.  The
-legacy flat-dict snapshot format is still accepted by :meth:`from_snapshot`
-so old checkpoints keep restoring; unknown keys (such as counters older
-versions wrote) are ignored.
+The counters are plain attributes (``stats.queries += 1``), and the four
+per-path latency histograms (p50/p95/p99 derivable) are
+:class:`~repro.obs.metrics.Histogram` objects the stats own.  The
+``{name, type, value, labels}`` schema of :mod:`repro.obs` is built only on
+export, by :meth:`EngineStats.snapshot`: the checkpoint's stats section and
+``serve-sim --metrics-out`` read it, and :meth:`EngineStats.from_snapshot`
+restores it, ignoring names it does not know.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Union
+from dataclasses import dataclass, fields
+from typing import Any, Dict, Iterable, List, Optional
 
-from repro.obs.metrics import MetricsRegistry
-
-#: Integer event counters, in declaration order (also the legacy field order).
-_COUNT_FIELDS = (
-    "queries",
-    "cache_hits",
-    "cache_misses",
-    "warm_solves",
-    "cold_solves",
-    "deltas_applied",
-    "edges_inserted",
-    "edges_removed",
-    "updates_ingested",
-    "updates_cancelled",
-    "cache_promotions",
-    "cache_invalidations",
-    "checkpoints_saved",
-    "checkpoints_restored",
-)
-
-#: Wall-clock accumulators (floats), one per answer path plus flushes.
-_SECONDS_FIELDS = ("hit_seconds", "warm_seconds", "cold_seconds", "update_seconds")
-
-FIELDS = _COUNT_FIELDS + _SECONDS_FIELDS
+from repro.obs.metrics import Histogram
 
 #: Latency paths with a dedicated histogram (``engine.latency.<path>``).
 _LATENCY_PATHS = ("hit", "warm", "cold", "update")
@@ -53,6 +29,7 @@ _LATENCY_PATHS = ("hit", "warm", "cold", "update")
 _PREFIX = "engine."
 
 
+@dataclass
 class EngineStats:
     """Counters and latency accumulators for one :class:`StreamingAVTEngine`.
 
@@ -82,25 +59,34 @@ class EngineStats:
     hit_seconds / warm_seconds / cold_seconds / update_seconds:
         Wall-clock accumulators per answer path and for flushes.
 
-    All attributes are registry-backed: ``stats.queries += 1`` increments the
-    ``engine.queries`` counter in :attr:`registry`.  Use
-    :meth:`observe_latency` instead of raw ``*_seconds`` writes where possible
-    — it also feeds the per-path latency histogram.
+    Use :meth:`observe_latency` instead of raw ``*_seconds`` writes where
+    possible: it also feeds the per-path latency histogram.  Equality
+    compares the counters, not the histograms.
     """
 
-    __slots__ = ("registry", "_metrics", "_latency")
+    queries: int = 0
+    cache_hits: int = 0
+    cache_misses: int = 0
+    warm_solves: int = 0
+    cold_solves: int = 0
+    deltas_applied: int = 0
+    edges_inserted: int = 0
+    edges_removed: int = 0
+    updates_ingested: int = 0
+    updates_cancelled: int = 0
+    cache_promotions: int = 0
+    cache_invalidations: int = 0
+    checkpoints_saved: int = 0
+    checkpoints_restored: int = 0
+    hit_seconds: float = 0.0
+    warm_seconds: float = 0.0
+    cold_seconds: float = 0.0
+    update_seconds: float = 0.0
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None, **values: float) -> None:
-        unknown = set(values) - set(FIELDS)
-        if unknown:
-            raise TypeError(f"unexpected EngineStats field(s): {sorted(unknown)}")
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self._metrics = {name: self.registry.counter(_PREFIX + name) for name in FIELDS}
+    def __post_init__(self) -> None:
         self._latency = {
-            path: self.registry.histogram(f"{_PREFIX}latency.{path}") for path in _LATENCY_PATHS
+            path: Histogram(f"{_PREFIX}latency.{path}") for path in _LATENCY_PATHS
         }
-        for name, value in values.items():
-            self._metrics[name].set(value)
 
     # ------------------------------------------------------------------
     # Instrumentation helpers
@@ -114,12 +100,12 @@ class EngineStats:
         if this is the slowest recent observation for its latency bucket, so
         a p99 bucket links straight to an inspectable trace.
         """
-        if path not in self._latency:
-            raise ValueError(f"unknown latency path {path!r}")
-        self._metrics[f"{path}_seconds"].inc(seconds)
-        self._latency[path].observe(seconds, trace_id=trace_id)
+        histogram = self.latency_histogram(path)
+        name = f"{path}_seconds"
+        setattr(self, name, getattr(self, name) + seconds)
+        histogram.observe(seconds, trace_id=trace_id)
 
-    def latency_histogram(self, path: str):
+    def latency_histogram(self, path: str) -> Histogram:
         """The :class:`~repro.obs.metrics.Histogram` behind ``path``."""
         if path not in self._latency:
             raise ValueError(f"unknown latency path {path!r}")
@@ -155,57 +141,37 @@ class EngineStats:
     # ------------------------------------------------------------------
     # Serialisation
     # ------------------------------------------------------------------
-    def values(self) -> Dict[str, float]:
-        """Raw field values as a flat dict (legacy snapshot shape)."""
-        return {name: self._metrics[name].value for name in FIELDS}
-
     def snapshot(self) -> List[Dict[str, Any]]:
         """All metrics in the unified ``{name, type, value, labels}`` schema.
 
-        Includes the per-path latency histograms alongside the flat counters;
-        :meth:`from_snapshot` restores both (and still accepts the pre-obs
-        flat-dict format from old checkpoints).
+        One counter row per attribute, in declaration order, then the four
+        per-path latency histograms; :meth:`from_snapshot` restores both.
         """
-        entries = [self._metrics[name].to_metric() for name in FIELDS]
+        entries = [
+            {
+                "name": _PREFIX + item.name,
+                "type": "counter",
+                "value": getattr(self, item.name),
+                "labels": {},
+            }
+            for item in fields(self)
+        ]
         entries.extend(histogram.to_metric() for histogram in self._latency.values())
         return entries
 
     @classmethod
-    def from_snapshot(
-        cls,
-        state: Union[Dict[str, float], Iterable[Dict[str, Any]]],
-        registry: Optional[MetricsRegistry] = None,
-    ) -> "EngineStats":
-        """Rebuild stats from :meth:`snapshot` output, ignoring unknown keys.
-
-        Accepts both the unified metric-entry list and the legacy
-        ``{field: value}`` flat dict (checkpoint format 1 compatibility).
-        """
-        stats = cls(registry=registry)
-        if isinstance(state, dict):
-            for name, value in state.items():
-                if name in stats._metrics:
-                    stats._metrics[name].set(value)
-            return stats
+    def from_snapshot(cls, state: Iterable[Dict[str, Any]]) -> "EngineStats":
+        """Rebuild stats from :meth:`snapshot` output, ignoring unknown names."""
+        stats = cls()
+        counters = {_PREFIX + item.name: item.name for item in fields(cls)}
+        histograms = {histogram.name: histogram for histogram in stats._latency.values()}
         for entry in state:
-            name = entry.get("name", "")
-            field = name[len(_PREFIX):] if name.startswith(_PREFIX) else name
-            if field in stats._metrics:
-                stats._metrics[field].restore(entry.get("value", 0))
-            elif field.startswith("latency."):
-                path = field[len("latency."):]
-                if path in stats._latency:
-                    stats._latency[path].restore(entry.get("value") or {})
+            name = entry.get("name")
+            if name in counters:
+                setattr(stats, counters[name], entry.get("value", 0))
+            elif name in histograms:
+                histograms[name].restore(entry.get("value") or {})
         return stats
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EngineStats):
-            return NotImplemented
-        return self.values() == other.values()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        fields = ", ".join(f"{name}={value!r}" for name, value in self.values().items() if value)
-        return f"EngineStats({fields})"
 
     def summary(self) -> str:
         """Multi-line human-readable report (used by the CLI and examples)."""
@@ -222,19 +188,3 @@ class EngineStats:
             f"cold={self.mean_latency('cold') * 1e3:.3f}ms",
         ]
         return "\n".join(lines)
-
-
-def _make_field_property(name: str) -> property:
-    def fget(self: EngineStats) -> float:
-        return self._metrics[name].value
-
-    def fset(self: EngineStats, value: float) -> None:
-        self._metrics[name].set(value)
-
-    fget.__name__ = name
-    return property(fget, fset, doc=f"Registry-backed view of ``engine.{name}``.")
-
-
-for _name in FIELDS:
-    setattr(EngineStats, _name, _make_field_property(_name))
-del _name

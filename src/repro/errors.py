@@ -55,9 +55,9 @@ class InvariantViolationError(ReproError):
     """Raised when an internal data-structure invariant check fails.
 
     :meth:`repro.cores.maintenance.CoreMaintainer.validate` raises it when
-    one of the maintained stores (the core map, the id list or the level
-    sets) disagrees with a fresh decomposition; failing loudly is preferable
-    to returning wrong anchor sets.
+    one of the maintained stores (the id list or the level sets) disagrees
+    with a fresh decomposition; failing loudly is preferable to returning
+    wrong anchor sets.
     """
 
 
@@ -130,8 +130,18 @@ def require_hashable(name: str, value: object) -> None:
 
 def distinct_vertices(name: str, vertices: Iterable[object]) -> Tuple[object, ...]:
     """``vertices`` without repeats, first occurrence kept, each checked by
-    :func:`require_hashable`."""
-    values = tuple(vertices)
+    :func:`require_hashable`.
+
+    A value that cannot be iterated, such as a single vertex passed where a
+    collection is expected, raises :class:`ParameterError` naming ``name``.
+    """
+    try:
+        iterator = iter(vertices)
+    except TypeError:
+        raise ParameterError(
+            f"{name} must be an iterable of vertices, not {vertices!r}"
+        ) from None
+    values = tuple(iterator)
     for value in values:
         require_hashable(name, value)
     return tuple(dict.fromkeys(values))

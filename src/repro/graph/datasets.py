@@ -26,10 +26,12 @@ and passed through the same experiment harness.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.errors import DatasetError
+from repro.errors import DatasetError, ParameterError, require_int
 from repro.graph.dynamic import EvolvingGraph, SnapshotSequence
 from repro.graph.generators import (
     chung_lu_graph,
@@ -230,17 +232,35 @@ def load_dataset(
     name:
         One of :data:`DATASET_NAMES`.
     num_snapshots:
-        The number of snapshots ``T`` (the paper uses 30).
+        The number of snapshots ``T`` (the paper uses 30), an integer >= 1.
     seed:
-        Deterministic generator seed.
+        Deterministic generator seed, an integer.
     scale:
-        Multiplier on the stand-in vertex count; benchmarks use ``scale < 1``
-        for quick runs and ``scale = 1`` for the recorded experiments.
+        Multiplier on the stand-in vertex count, a finite real number above
+        0 (not a bool).  Benchmarks use ``scale < 1`` for quick runs and
+        ``scale = 1`` for the recorded experiments.  A scale small enough to
+        round the count below the stand-in's floor (50 vertices, 40 for the
+        temporal ones) builds that smallest stand-in.
     edge_churn:
         Per-step ``(low, high)`` edge removal/insertion counts for the static
         datasets.  Defaults to the paper's 100–250 range scaled by the ratio of
         stand-in to original edge count.
+
+    A bad ``num_snapshots``, ``seed`` or ``scale`` raises
+    :class:`~repro.errors.ParameterError` naming the argument, before any
+    generation; :func:`load_snapshot_sequence` and :func:`dataset_summary`
+    share these checks.
     """
+    require_int("num_snapshots", num_snapshots, 1)
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise ParameterError(f"seed must be an integer, not {seed!r}")
+    if (
+        isinstance(scale, bool)
+        or not isinstance(scale, numbers.Real)
+        or not (math.isfinite(scale) and scale > 0)
+    ):
+        raise ParameterError(f"scale must be a finite number above 0, not {scale!r}")
+    seed = int(seed)
     spec = dataset_spec(name)
     if spec.kind == "static":
         base = _base_graph(spec, seed=seed, scale=scale)

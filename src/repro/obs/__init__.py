@@ -8,8 +8,9 @@ piece              role
 ``tracer``         Hierarchical spans with a context-manager API and a
                    near-zero-overhead no-op path while disabled.
 ``MetricsRegistry``  Counters / gauges / log-bucketed histograms behind one
-                   ``{name, type, value, labels}`` snapshot schema; the
-                   legacy stats surfaces are views over it, and histogram
+                   ``{name, type, value, labels}`` snapshot schema (the
+                   tracer's ``obs.*`` counters); the stats objects are plain
+                   data that emit the same rows on export, and histogram
                    buckets keep trace-id exemplars.
 ``exporters``      JSON-lines span sink, Prometheus text exposition, and
                    snapshot writers for the CLI and benches.

@@ -10,7 +10,7 @@ serves:
   :func:`to_prometheus` renders a registry snapshot, including cumulative
   ``_bucket``/``_sum``/``_count`` series for histograms.
 * **Human summaries** stay where they always were (``EngineStats.summary()``
-  et al.) — those are now views over the registry, so they need no exporter.
+  et al.): they read the stats' plain attributes, so they need no exporter.
 """
 
 from __future__ import annotations

@@ -1,25 +1,24 @@
 """Unified metrics registry: counters, gauges and log-bucketed histograms.
 
-Every stats surface in the codebase (:class:`~repro.engine.stats.EngineStats`,
-:class:`~repro.anchored.result.SolverStats`) is a *view* over one of these registries: the legacy attribute API
-(``stats.queries += 1``) keeps working, but the authoritative storage is a
-metric object here, and every surface can emit the same snapshot schema::
+Every metric emits the same snapshot schema::
 
     {"name": "engine.queries", "type": "counter", "value": 12, "labels": {}}
 
+The process-wide registry (:func:`global_registry`) holds the tracer's
+``obs.*`` bookkeeping, and the exporters render any registry or snapshot.
+The stats objects are plain data and build these rows only on export:
+:meth:`~repro.engine.stats.EngineStats.snapshot` writes its counters in this
+schema and owns its latency :class:`Histogram` objects directly.
+
 Histograms are log-bucketed (geometric bucket boundaries) so p50/p95/p99 are
-derivable from the snapshot without retaining raw samples; a histogram created
-with ``track_values=True`` additionally keeps the exact observations (used for
-``SolverStats.commit_seconds``, which pre-dates the registry and is exposed as
-a real list).
+derivable from the snapshot without retaining raw samples.
 
 Design constraints honoured here:
 
 * **No locks.**  Metric mutation is a single attribute update protected by the
-  GIL; registries must stay picklable because solver stats travel inside
-  checkpointed :class:`~repro.anchored.result.AnchoredKCoreResult` objects.
-* **Cheap hot path.**  Views bind metric objects once at construction and then
-  touch only ``metric.value`` — no registry lookup per increment.
+  GIL.
+* **Cheap hot path.**  Callers bind metric objects once and then touch only
+  ``metric.value``: no registry lookup per increment.
 """
 
 from __future__ import annotations
@@ -68,7 +67,7 @@ class Counter:
         self.value += amount
 
     def set(self, value: Number) -> None:
-        """Overwrite the value (snapshot restore / legacy attribute writes)."""
+        """Overwrite the value (how a gauge is set)."""
         self.value = value
 
     def to_metric(self) -> Dict[str, Any]:
@@ -94,16 +93,10 @@ class Histogram:
     stored (sparse dict), so an idle histogram costs a few attributes.
     """
 
-    __slots__ = ("name", "labels", "count", "sum", "min", "max", "buckets", "samples", "exemplars")
+    __slots__ = ("name", "labels", "count", "sum", "min", "max", "buckets", "exemplars")
     kind = "histogram"
 
-    def __init__(
-        self,
-        name: str,
-        labels: Optional[Dict[str, str]] = None,
-        *,
-        track_values: bool = False,
-    ) -> None:
+    def __init__(self, name: str, labels: Optional[Dict[str, str]] = None) -> None:
         self.name = name
         self.labels = dict(labels or {})
         self.count = 0
@@ -111,7 +104,6 @@ class Histogram:
         self.min = math.inf
         self.max = -math.inf
         self.buckets: Dict[int, int] = {}
-        self.samples: Optional[List[float]] = [] if track_values else None
         #: Per-bucket exemplar: ``{bucket_index: (value, trace_id)}`` for the
         #: slowest recent observation that carried a trace id, so a p99 bucket
         #: links straight to an inspectable trace.
@@ -136,8 +128,6 @@ class Histogram:
             self.max = value
         index = self.bucket_index(value)
         self.buckets[index] = self.buckets.get(index, 0) + 1
-        if self.samples is not None:
-            self.samples.append(value)
         if trace_id is not None:
             # Keep the slowest observation per bucket; ``>=`` so the exemplar
             # is the most *recent* of equally slow observations.
@@ -152,17 +142,12 @@ class Histogram:
     def quantile(self, q: float) -> float:
         """Approximate quantile ``q`` in [0, 1] from bucket upper bounds.
 
-        Exact when ``track_values=True`` (computed from retained samples).
         Returns 0.0 for an empty histogram.
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q!r}")
         if not self.count:
             return 0.0
-        if self.samples is not None:
-            ordered = sorted(self.samples)
-            rank = min(len(ordered) - 1, max(0, int(math.ceil(q * len(ordered))) - 1))
-            return ordered[rank]
         target = q * self.count
         cumulative = 0
         for index in sorted(self.buckets):
@@ -183,8 +168,6 @@ class Histogram:
             "max": self.max if self.count else None,
             "buckets": {str(index): count for index, count in sorted(self.buckets.items())},
         }
-        if self.samples is not None:
-            value["samples"] = list(self.samples)
         if self.exemplars:
             value["exemplars"] = {
                 str(index): {"value": observed, "trace_id": trace_id}
@@ -198,10 +181,6 @@ class Histogram:
         self.min = value["min"] if value.get("min") is not None else math.inf
         self.max = value["max"] if value.get("max") is not None else -math.inf
         self.buckets = {int(index): int(count) for index, count in value.get("buckets", {}).items()}
-        if "samples" in value:
-            self.samples = list(value["samples"])
-        elif self.samples is not None:
-            self.samples = []
         self.exemplars = {
             int(index): (float(entry["value"]), str(entry["trace_id"]))
             for index, entry in value.get("exemplars", {}).items()
@@ -215,8 +194,8 @@ class MetricsRegistry:
     """A named collection of metrics with a uniform snapshot schema.
 
     ``counter``/``gauge``/``histogram`` are get-or-create: calling twice with
-    the same name and labels returns the same object, so views can bind
-    metrics at construction and mutate them without further lookups.
+    the same name and labels returns the same object, so callers can bind
+    metrics once and mutate them without further lookups.
     """
 
     def __init__(self) -> None:
@@ -229,15 +208,8 @@ class MetricsRegistry:
     def gauge(self, name: str, **labels: str) -> Gauge:
         return self._get_or_create(Gauge, name, labels)
 
-    def histogram(self, name: str, *, track_values: bool = False, **labels: str) -> Histogram:
-        key = (name, _label_key(labels))
-        metric = self._metrics.get(key)
-        if metric is None:
-            metric = Histogram(name, labels, track_values=track_values)
-            self._metrics[key] = metric
-        elif not isinstance(metric, Histogram):
-            raise TypeError(f"metric {name!r} already registered as {metric.kind}")
-        return metric
+    def histogram(self, name: str, **labels: str) -> Histogram:
+        return self._get_or_create(Histogram, name, labels)
 
     def _get_or_create(self, cls: Callable[..., Metric], name: str, labels: Dict[str, str]) -> Any:
         key = (name, _label_key(labels))
@@ -275,10 +247,7 @@ class MetricsRegistry:
             labels = entry.get("labels") or {}
             kind = entry.get("type", "counter")
             if kind == "histogram":
-                value = entry.get("value") or {}
-                metric: Metric = self.histogram(
-                    name, track_values="samples" in value, **labels
-                )
+                metric: Metric = self.histogram(name, **labels)
             elif kind == "gauge":
                 metric = self.gauge(name, **labels)
             else:

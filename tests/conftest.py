@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import random
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Set, Tuple
 
 import networkx as nx
 import pytest
@@ -100,12 +100,15 @@ def shell_components(graph: Graph, shell) -> List[Set]:
 class _CoreById:
     """A ``{vertex: core}`` map read by the maintained graph's ids."""
 
-    def __init__(self, core_map: Dict[Vertex, int], vertices: List[Vertex]) -> None:
-        self._core_map = core_map
+    def __init__(self, vertex_core: Dict[Vertex, int], vertices: List[Vertex]) -> None:
+        self._vertex_core = vertex_core
         self._vertices = vertices
 
     def __getitem__(self, vid: int) -> int:
-        return self._core_map[self._vertices[vid]]
+        return self._vertex_core[self._vertices[vid]]
+
+    def __iter__(self) -> Iterator[int]:
+        return map(self._vertex_core.__getitem__, self._vertices)
 
 
 class ReferenceMaintenanceKernel:
@@ -113,10 +116,11 @@ class ReferenceMaintenanceKernel:
 
     The maintenance twin of :func:`reference_greedy`: it implements the
     surface :class:`~repro.cores.maintenance.CoreMaintainer` calls on its
-    kernel (``core_map``, ``icore``, ``add_vertex``, ``insert`` and
-    ``remove``) with no id lists and no level sets, so swapping it into a
-    second maintainer runs ``apply_delta``'s bookkeeping over an independent
-    implementation of the traversals.  The maintainer speaks the maintained
+    kernel (``icore``, ``add_vertex``, ``insert`` and ``remove``) with no id
+    lists and no level sets (its ``icore`` reads a ``{vertex: core}`` map
+    by id), so swapping it into a second maintainer runs ``apply_delta``'s
+    bookkeeping over an independent implementation of the traversals.  The
+    maintainer speaks the maintained
     graph's ids to its kernel; this one translates them to vertices at its
     boundary, walks the graph in vertex space (``neighbors``) and counts
     supports over whole neighbourhoods.  Like the maintainer's kernel, it is
@@ -125,11 +129,11 @@ class ReferenceMaintenanceKernel:
 
     def __init__(self, graph: IdGraph, core: Dict[Vertex, int]) -> None:
         self._graph = graph
-        self.core_map = dict(core)
-        self.icore = _CoreById(self.core_map, graph.id_vertices)
+        self.vertex_core = dict(core)
+        self.icore = _CoreById(self.vertex_core, graph.id_vertices)
 
     def add_vertex(self, vid: int) -> None:
-        self.core_map[self._graph.id_vertices[vid]] = 0
+        self.vertex_core[self._graph.id_vertices[vid]] = 0
 
     def insert(self, u_id: int, v_id: int) -> Tuple[Set[int], Set[int]]:
         """Insertion traversal; returns ``(increased, visited)`` ids."""
@@ -146,7 +150,7 @@ class ReferenceMaintenanceKernel:
 
     def _insert(self, u: Vertex, v: Vertex) -> Tuple[Set[Vertex], Set[Vertex]]:
         """Insertion traversal; returns ``(increased, visited)``."""
-        core = self.core_map
+        core = self.vertex_core
         neighbors = self._graph.neighbors
         root_core = min(core[u], core[v])
         # Subcore: shell-root_core vertices reachable from the roots through
@@ -183,7 +187,7 @@ class ReferenceMaintenanceKernel:
 
     def _remove(self, u: Vertex, v: Vertex) -> Tuple[Set[Vertex], Set[Vertex]]:
         """Deletion cascade; returns ``(decreased, visited)``."""
-        core = self.core_map
+        core = self.vertex_core
         neighbors = self._graph.neighbors
         root_core = min(core[u], core[v])
         # Support of a shell-root_core vertex: neighbours with core >=
@@ -231,7 +235,7 @@ def reference_maintainer(graph: Graph) -> CoreMaintainer:
 
 
 def section_regions(path) -> Dict[str, Tuple[int, int]]:
-    """``{name: (start, length)}`` byte regions of a format-2 checkpoint.
+    """``{name: (start, length)}`` byte regions of a checkpoint file.
 
     Covers the JSON manifest (as ``"manifest"``) and every section it lists.
     """

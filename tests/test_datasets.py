@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.anchored.followers import compute_followers
+from repro.bench.workloads import build_problem
 from repro.cores.decomposition import core_numbers
-from repro.errors import DatasetError
+from repro.errors import DatasetError, ParameterError
 from repro.graph.datasets import (
     DATASET_NAMES,
     dataset_spec,
@@ -85,6 +86,30 @@ class TestLoading:
         )
         for delta in evolving.deltas:
             assert len(delta.removed) <= 2
+
+    @pytest.mark.parametrize(
+        "argument, value",
+        [
+            ("scale", 0),
+            ("scale", -1),
+            ("scale", float("nan")),
+            ("scale", float("inf")),
+            ("scale", "x"),
+            ("scale", True),
+            ("num_snapshots", 2.5),
+            ("seed", "x"),
+            ("seed", 1.5),
+            ("seed", None),
+        ],
+    )
+    def test_bad_arguments_are_parameter_errors(self, argument, value):
+        # One check in load_dataset serves every loader and build_problem,
+        # for static and temporal stand-ins alike, before any generation.
+        loaders = (load_dataset, load_snapshot_sequence, dataset_summary, build_problem)
+        for name in ("gnutella", "mathoverflow"):
+            for load in loaders:
+                with pytest.raises(ParameterError, match=f"^{argument} "):
+                    load(name, **{argument: value})
 
     def test_dataset_summary_fields(self):
         summary = dataset_summary("college_msg", num_snapshots=3, scale=0.3)

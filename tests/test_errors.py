@@ -111,3 +111,53 @@ def test_an_unhashable_anchor_is_a_parameter_error():
         for call in calls:
             with pytest.raises(ParameterError, match=message):
                 call()
+
+
+def test_a_non_iterable_anchor_argument_is_a_parameter_error():
+    """A single vertex passed where a collection of anchors is expected
+    fails with a ParameterError naming the argument, not ``'int' object is
+    not iterable``; the public follower functions check ``k`` and the
+    candidate the same way."""
+    from repro.anchored.anchored_core import AnchoredCoreIndex
+    from repro.anchored.followers import (
+        anchored_k_core,
+        compute_followers,
+        full_shell_followers,
+        marginal_followers,
+    )
+    from repro.anchored.greedy import GreedyAnchoredKCore
+    from repro.anchored.olak import OLAKAnchoredKCore
+    from repro.anchored.rcm import RCMAnchoredKCore
+    from repro.avt.incremental import IncAVTTracker
+    from repro.cores.decomposition import anchored_core_decomposition, core_numbers
+    from repro.cores.maintenance import CoreMaintainer
+
+    graph = Graph(edges=[(0, 1), (1, 2), (2, 0), (2, 3)])
+    core = core_numbers(graph)
+    maintainer = CoreMaintainer(graph)
+    refresh = IncAVTTracker().refresh_anchors
+    followers = (marginal_followers, full_shell_followers)
+    sites = {
+        "initial_anchors": [
+            lambda solver=solver: solver(graph, 2, 2, initial_anchors=5)
+            for solver in (GreedyAnchoredKCore, OLAKAnchoredKCore, RCMAnchoredKCore)
+        ],
+        "anchors": [
+            lambda: AnchoredCoreIndex(graph, 2, anchors=5),
+            lambda: anchored_core_decomposition(graph, 5),
+            lambda: compute_followers(graph, 2, 5),
+            lambda: anchored_k_core(graph, 2, 5),
+            lambda: refresh(maintainer, 2, 2, 5, set()),
+            lambda: refresh(maintainer, 2, 2, [[1]], set()),
+        ],
+        "k": [
+            lambda function=function, k=k: function(graph, k, 3, core)
+            for function in followers
+            for k in ("3", True, 2.0)
+        ],
+        "candidate": [lambda function=function: function(graph, 2, [1], core) for function in followers],
+    }
+    for name, calls in sites.items():
+        for call in calls:
+            with pytest.raises(ParameterError, match=rf"^{name}\b"):
+                call()

@@ -289,16 +289,12 @@ class TestApplyDelta:
             assert maintainer.core_numbers() == core_numbers(current)
 
     def test_validate_raises_on_corruption(self, toy_graph):
-        # The core map, the id list and the level sets are three stores:
-        # corrupting any one alone must fail validation.
+        # The id list and the level sets are two stores: corrupting either
+        # one alone must fail validation.  The views read the id list.
         maintainer = CoreMaintainer(toy_graph)
         maintainer._kernel.icore[maintainer.graph.ids[8]] = 99
-        assert maintainer.core(8) == 3
+        assert maintainer.core(8) == 99 and maintainer.core_numbers()[8] == 99
         with pytest.raises(InvariantViolationError, match="id list"):
-            maintainer.validate()
-        maintainer = CoreMaintainer(toy_graph)
-        maintainer._kernel.core_map[8] = 99
-        with pytest.raises(InvariantViolationError, match="core map"):
             maintainer.validate()
         # Vertex 8 is in the top core (3): drop it from that level set only.
         maintainer = CoreMaintainer(toy_graph)

@@ -9,6 +9,7 @@ counts and durations must agree with the engine's counters.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import math
@@ -222,29 +223,19 @@ class TestMetricsRegistry:
         registry = MetricsRegistry()
         registry.counter("engine.queries").inc(7)
         registry.gauge("engine.cache_size").set(3)
-        histogram = registry.histogram("solver.commit_seconds", track_values=True)
+        histogram = registry.histogram("solver.commit_seconds")
         for value in (0.001, 0.004, 0.1):
             histogram.observe(value)
         restored = MetricsRegistry()
         restored.restore(json.loads(registry.to_json()))
         assert restored.snapshot() == registry.snapshot()
 
-    def test_histogram_quantiles_exact_with_samples(self):
-        histogram = MetricsRegistry().histogram("latency", track_values=True)
-        for value in range(1, 101):
-            histogram.observe(value / 1000.0)
-        assert histogram.quantile(0.5) == pytest.approx(0.050)
-        assert histogram.quantile(0.95) == pytest.approx(0.095)
-        assert histogram.quantile(1.0) == pytest.approx(0.100)
-        percentiles = histogram.percentiles()
-        assert percentiles["p50"] <= percentiles["p95"] <= percentiles["p99"]
-
     def test_histogram_bucket_quantile_bounds(self):
         histogram = MetricsRegistry().histogram("latency")
         for _ in range(300):
             histogram.observe(0.01)
-        # Without samples the quantile is the containing bucket's upper bound:
-        # at most one growth factor above the true value, never below it.
+        # The quantile is the containing bucket's upper bound: at most one
+        # growth factor above the true value, never below it.
         estimate = histogram.quantile(0.99)
         assert 0.01 <= estimate <= 0.01 * math.sqrt(2.0) * 1.0001
         assert histogram.count == 300
@@ -308,7 +299,8 @@ class TestExporters:
 
 
 class TestUnifiedSchema:
-    """The three stats surfaces all emit the same ``{name, type, value, labels}`` rows."""
+    """``EngineStats`` emits the registry's ``{name, type, value, labels}``
+    rows on export; ``SolverStats`` is plain data."""
 
     @staticmethod
     def _assert_schema(snapshot, prefix):
@@ -329,20 +321,74 @@ class TestUnifiedSchema:
         assert restored.queries == 3
         assert restored.latency_histogram("hit").count == 1
 
-    def test_engine_stats_legacy_flat_dict_restores(self):
-        restored = EngineStats.from_snapshot({"queries": 5, "cache_hits": 2})
-        assert restored.queries == 5 and restored.cache_hits == 2
-
     def test_solver_stats_snapshot_schema_and_pickle(self):
+        # Its snapshot is its dataclass fields, and it pickles as one.
         stats = SolverStats(candidates_evaluated=10, iterations=2)
         stats.commit_seconds.append(0.004)
         stats.commit_seconds.append(0.001)
-        snapshot = stats.snapshot()
-        self._assert_schema(snapshot, "solver.")
-        assert SolverStats.from_snapshot(snapshot) == stats
+        assert dataclasses.is_dataclass(SolverStats)
+        assert dataclasses.asdict(stats) == {
+            "candidates_evaluated": 10,
+            "visited_vertices": 0,
+            "runtime_seconds": 0.0,
+            "iterations": 2,
+            "maintenance_visited": 0,
+            "candidates_recomputed": 0,
+            "cache_hits": 0,
+            "commit_seconds": [0.004, 0.001],
+        }
         clone = pickle.loads(pickle.dumps(stats))
         assert clone == stats
-        assert list(clone.commit_seconds) == [0.004, 0.001]
+        assert type(clone.commit_seconds) is list
+        assert clone.commit_seconds == [0.004, 0.001]
+        assert clone != SolverStats(candidates_evaluated=10, iterations=2)
+
+
+def test_no_object_builds_a_registry_it_does_not_export(monkeypatch, tmp_path):
+    """Solves, IncAVT tracking and every engine operation run while no
+    ``MetricsRegistry`` can be built: the stats are plain attributes, and
+    only the process-wide registry (built at import) holds metric objects."""
+    from repro.anchored.greedy import GreedyAnchoredKCore
+    from repro.anchored.olak import OLAKAnchoredKCore
+    from repro.anchored.rcm import RCMAnchoredKCore
+    from repro.avt.incremental import IncAVTTracker
+    from repro.avt.problem import AVTProblem
+    from repro.engine import StreamingAVTEngine
+    from repro.graph.datasets import toy_example_evolving_graph
+    from repro.graph.generators import chung_lu_graph
+
+    def refuse(self):
+        raise AssertionError("a MetricsRegistry was built")
+
+    monkeypatch.setattr(MetricsRegistry, "__init__", refuse)
+    with pytest.raises(AssertionError):
+        MetricsRegistry()
+
+    graph = chung_lu_graph(80, 240, skew=1.2, seed=5)
+    for solver in (GreedyAnchoredKCore, OLAKAnchoredKCore, RCMAnchoredKCore):
+        result = solver(graph, 3, 2).select()
+        assert not hasattr(result.stats, "registry")
+        assert dataclasses.is_dataclass(result.stats)
+    tracked = IncAVTTracker().track(
+        AVTProblem(evolving_graph=toy_example_evolving_graph(), k=3, budget=2)
+    )
+    assert len(tracked.snapshots) == 2
+
+    engine = StreamingAVTEngine(graph, batch_size=None)
+    assert not hasattr(engine.stats, "registry")
+    engine.query(3, 2)
+    low = sorted(vertex for vertex, core in engine.core_numbers().items() if core <= 2)
+    engine.ingest_insert(low[0], low[1])
+    engine.ingest_insert(low[2], low[3])
+    engine.flush()
+    engine.query(3, 2)
+    engine.query(3, 2)
+    stats = engine.stats
+    assert (stats.cold_solves, stats.warm_solves, stats.cache_hits) == (1, 1, 1)
+    engine.checkpoint(tmp_path / "ck")
+    restored = StreamingAVTEngine.restore(tmp_path / "ck")
+    assert restored.stats.queries == 3
+    assert restored.query(3, 2) == engine.query(3, 2)
 
 
 class TestServeSimReconciliation:

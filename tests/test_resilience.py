@@ -6,6 +6,7 @@ fallback restore and failed writes.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.anchored.result import SolverStats
 from repro.engine import StreamingAVTEngine
 from repro.engine.checkpoint import (
     CHECKPOINT_FORMAT,
@@ -25,6 +27,7 @@ from repro.engine.checkpoint import (
     write_state,
 )
 from repro.errors import CheckpointCorruptionError, CheckpointError, ParameterError
+from repro.graph.generators import chung_lu_graph
 from repro.graph.static import Graph
 from tests.conftest import flip_section_byte, section_regions
 
@@ -57,7 +60,7 @@ def fail_temp_file_rename(monkeypatch) -> None:
 
 
 def write_manifest_only(path, manifest) -> None:
-    """Write a format-2 file whose header digest matches ``manifest``."""
+    """Write a checkpoint file whose header digest matches ``manifest``."""
     manifest_bytes = json.dumps(manifest).encode("ascii")
     header = (
         f"{CHECKPOINT_MAGIC} {CHECKPOINT_FORMAT} {len(manifest_bytes)} "
@@ -218,18 +221,72 @@ class TestCheckpointVerification:
         assert restored.to_state()["core"] == before["core"]
         assert not restored.graph.has_edge("e", "a")
 
-    def test_legacy_format1_still_reads(self, tmp_path):
+    def test_format1_and_format2_files_are_refused(self, tmp_path):
+        # Only format 3 is read.  A format-1 envelope (no header) and a
+        # format-2 header each raise a plain CheckpointError, and a restore
+        # falls back past them to the rotated format-3 sibling.
         engine = checkpointed_engine()
-        path = tmp_path / "legacy"
-        envelope = {
-            "magic": "repro-engine-checkpoint",
-            "format": 1,
-            "state": engine.to_state(),
+        path = tmp_path / "ck"
+        save_checkpoint(engine, path, keep=2)
+        save_checkpoint(engine, path, keep=2)
+        envelope = {"magic": CHECKPOINT_MAGIC, "format": 1, "state": engine.to_state()}
+        header = f"{CHECKPOINT_MAGIC} {CHECKPOINT_FORMAT} ".encode("ascii")
+        old_files = {
+            "format 1": pickle.dumps(envelope, protocol=4),
+            "format '2'": path.read_bytes().replace(
+                header, f"{CHECKPOINT_MAGIC} 2 ".encode("ascii"), 1
+            ),
         }
-        with open(path, "wb") as handle:
-            pickle.dump(envelope, handle, protocol=4)
+        for found, payload in old_files.items():
+            path.write_bytes(payload)
+            with pytest.raises(CheckpointError, match=found) as excinfo:
+                read_state(path)
+            assert not isinstance(excinfo.value, CheckpointCorruptionError)
+            with pytest.raises(CheckpointError, match=found):
+                load_checkpoint(path, fallback=False)
+            restored = load_checkpoint(path)
+            assert restored.to_state()["core"] == engine.to_state()["core"]
+
+    def test_round_trip_restores_every_cached_stat(self, tmp_path):
+        """Graph, cores, version, warm states, cached results with their
+        stats (field by field, ``commit_seconds`` included) and the engine's
+        stats all survive a checkpoint."""
+        engine = StreamingAVTEngine(chung_lu_graph(80, 240, skew=1.2, seed=5), batch_size=None)
+        engine.query(3, 2)
+        low = sorted(vertex for vertex, core in engine.core_numbers().items() if core <= 2)
+        engine.ingest_insert(low[0], low[1])
+        engine.ingest_insert(low[2], low[3])
+        engine.query(3, 2)
+        engine.query(3, 2)
+        engine.query(3, 3)
+        assert (engine.stats.cold_solves, engine.stats.warm_solves) == (2, 1)
+        path = tmp_path / "ck"
+        engine.checkpoint(path)
         restored = load_checkpoint(path)
-        assert restored.to_state()["core"] == engine.to_state()["core"]
+
+        assert restored.graph == engine.graph
+        assert restored.core_numbers() == engine.core_numbers()
+        assert restored.graph_version == engine.graph_version
+        assert restored.to_state()["warm"] == engine.to_state()["warm"]
+        cached = dict(engine.cache.items())
+        restored_cached = dict(restored.cache.items())
+        assert list(restored_cached) == list(cached)
+        for key, result in cached.items():
+            for item in dataclasses.fields(SolverStats):
+                expected = getattr(result.stats, item.name)
+                assert getattr(restored_cached[key].stats, item.name) == expected, item.name
+            assert restored_cached[key] == result
+        assert any(result.stats.commit_seconds for result in cached.values())
+        # The file was written before the save was counted, and the restore
+        # counts itself.
+        assert restored.stats == dataclasses.replace(
+            engine.stats, checkpoints_saved=0, checkpoints_restored=1
+        )
+        for name in ("hit", "warm", "cold", "update"):
+            assert (
+                restored.stats.latency_histogram(name).to_metric()
+                == engine.stats.latency_histogram(name).to_metric()
+            )
 
     def test_keep_must_be_positive(self, tmp_path):
         engine = checkpointed_engine()
