@@ -49,35 +49,40 @@ The library is layered; each layer only depends on the ones above it::
     repro.avt       per-snapshot trackers · IncAVTTracker            ── dynamic tracking
     repro.engine    StreamingAVTEngine (ingest, cache, warm solves)  ── online serving
 
-*Execution backends* — every hot solver kernel (peeling decomposition,
-k-core cascades, the follower cascades and candidate scans behind the
-anchored core index) is defined once as the
-:class:`~repro.backends.ExecutionBackend` protocol and implemented by two
-backends; public modules never branch on a backend name, they call through
-the object :func:`~repro.backends.get_backend` resolves.  Every
-``backend=`` argument takes ``"auto"``, ``"dict"``, ``"numpy"`` or an
-``ExecutionBackend`` instance, which is used as given:
+*Execution backends* — every solver kernel whose implementation differs
+between backends (the full peeling decomposition, and the follower
+cascades and candidate scans behind the anchored core index) is defined
+once as the :class:`~repro.backends.ExecutionBackend` protocol and
+implemented by two backends; public modules never branch on a backend
+name, they call through the object :func:`~repro.backends.get_backend`
+resolves.  Every ``backend=`` argument takes ``"auto"``, ``"dict"``,
+``"numpy"`` or an ``ExecutionBackend`` instance, which is used as given:
 
 ================  =============================================  =========================================
 backend           implementation                                 ``auto`` picks it when
 ================  =============================================  =========================================
-``dict``          hashable vertices over the adjacency-set       the work is a one-shot cascade (a single
-                  graph; zero setup or translation cost          O(n + m) pass cannot amortise a snapshot
-                                                                 build), or numpy is unavailable
-``numpy``         a CSR snapshot in integer ids, holding only    every other case, at any graph size
+``dict``          hashable vertices over the adjacency-set       numpy is unavailable
+                  graph; zero setup or translation cost
+``numpy``         a CSR snapshot in integer ids, holding only    numpy is available, at any graph size
                   the rows its work reads: vectorised passes
-                  for peels, k-cores, the capped index build,
+                  for peels, the capped index build,
                   candidate scans and OLAK's whole-shell
                   cascade; scalar id loops for the region
                   follower cascade and commits
 ================  =============================================  =========================================
 
-Incremental core maintenance is not a backend kernel:
-:class:`CoreMaintainer` runs one pure-Python integer-id kernel on every
-backend, with a live ``{vertex: core}`` map beside its id list.  It interns
-the caller's graph once, into the ``IdGraph`` it maintains (one set of
-neighbour ids per id, the only copy of its adjacency), and sets the cores up
-with a bucket cascade over those rows.
+The k-core is not a backend kernel: :func:`~repro.cores.k_core`,
+:func:`~repro.anchored.anchored_k_core` and the reference path of
+:func:`~repro.anchored.compute_followers` run one deletion cascade over
+the adjacency-set graph
+(:func:`repro.cores.decomposition.k_core_cascade`), a single O(n + m)
+pass that building a snapshot would only add to.  Nor is incremental core
+maintenance: :class:`CoreMaintainer` runs one pure-Python integer-id kernel
+on every backend, which keeps the cores in two stores, the id list and
+the level sets ``{id : core >= r}``.  It interns the caller's graph once,
+into the ``IdGraph`` it maintains (one set of neighbour ids per id, the
+only copy of its adjacency), and sets the cores up with a bucket cascade
+over those rows.
 
 Both backends guarantee identical core numbers and removal orders from the
 full peel behind ``decompose``, identical capped index states (below), and
@@ -147,10 +152,9 @@ exact queries, IncAVT's first snapshot and restarts) runs on the backend
 numpy builds the snapshot in the maintainer's ids without interning the
 graph a second time, reads the maintained core numbers and plain k-core
 instead of peeling, and flattens only the rows of the ids below ``k``.
-Engine checkpoints persist the backend
-policy name, and restoring a checkpoint whose backend is unknown or
-unavailable in the restoring process falls back to ``"auto"`` with a
-warning.
+Engine checkpoints store no backend: the backends give identical answers,
+so a restore runs on the ``backend=`` it is given (``"auto"`` by default),
+resolved in the restoring process, as the constructor resolves it.
 
 *Backend resolution* — ``StreamingAVTEngine(backend="auto")`` resolves its
 backend once, at construction; since ``auto`` does not depend on graph

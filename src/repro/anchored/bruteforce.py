@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import time
 from itertools import combinations
-from typing import Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Iterable, List, Optional, Set, Tuple, Union
 
 from repro.anchored.anchored_core import AnchoredCoreIndex
-from repro.anchored.followers import anchored_k_core, compute_followers
+from repro.anchored.followers import compute_followers
 from repro.anchored.result import AnchoredKCoreResult, SolverStats
+from repro.backends import BACKEND_AUTO, ExecutionBackend, get_backend
+from repro.cores.decomposition import k_core_cascade
 from repro.errors import ParameterError, require_int
-from repro.backends import BACKEND_AUTO, WORKLOAD_ONE_SHOT, ExecutionBackend, get_backend
 from repro.graph.static import Graph, Vertex
 from repro.ordering import tie_break_key
 
@@ -62,9 +63,6 @@ class BruteForceAnchoredKCore:
         self._budget = budget
         self._max_combinations = max_combinations
         self._backend = get_backend(backend)
-        # select()'s plain k-core is a one-shot cascade.  Its backend is
-        # resolved here too, so the solve imports no backend module.
-        self._k_core_backend = get_backend(BACKEND_AUTO, workload=WORKLOAD_ONE_SHOT)
         self._universe = (
             None if candidate_universe is None else sorted(set(candidate_universe), key=tie_break_key)
         )
@@ -99,7 +97,7 @@ class BruteForceAnchoredKCore:
                 "reduce the budget, shrink the graph, or raise the bound explicitly"
             )
 
-        plain_core = anchored_k_core(self._graph, self._k, (), backend=self._k_core_backend)
+        plain_core = k_core_cascade(self._graph, self._k)
         best_anchors: Tuple[Vertex, ...] = ()
         best_followers: Set[Vertex] = set()
         stats = SolverStats()

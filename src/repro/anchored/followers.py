@@ -6,7 +6,9 @@ drags into the k-core.  Two implementations are provided:
 
 * :func:`anchored_k_core` / :func:`compute_followers` — exact for arbitrary
   anchor sets.  Without a precomputed plain k-core, :func:`compute_followers`
-  is the O(n + m) deletion-cascade reference; given one, it grows a region
+  is the O(n + m) deletion-cascade reference (two runs of
+  :func:`repro.cores.decomposition.k_core_cascade`, the one k-core cascade
+  of the library); given one, it grows a region
   from the anchors outside the k-core and peels only that, so its work
   follows the anchors rather than the graph; and
 * :func:`marginal_followers` — the fast single-anchor computation used inside
@@ -49,13 +51,8 @@ from typing import (
     Union,
 )
 
-from repro.backends import (
-    BACKEND_AUTO,
-    WORKLOAD_ONE_SHOT,
-    ExecutionBackend,
-    get_backend,
-)
-from repro.cores.decomposition import ANCHOR_CORE
+from repro.backends import BACKEND_AUTO, ExecutionBackend, resolve_backend
+from repro.cores.decomposition import ANCHOR_CORE, k_core_cascade
 from repro.errors import (
     VertexNotFoundError,
     distinct_vertices,
@@ -65,23 +62,16 @@ from repro.errors import (
 from repro.graph.static import Graph, Vertex
 
 
-def anchored_k_core(
-    graph: Graph,
-    k: int,
-    anchors: Iterable[Vertex] = (),
-    backend: Union[str, ExecutionBackend] = BACKEND_AUTO,
-) -> Set[Vertex]:
+def anchored_k_core(graph: Graph, k: int, anchors: Iterable[Vertex] = ()) -> Set[Vertex]:
     """Return the anchored k-core ``C_k(S)``: k-core plus anchors plus followers.
 
     Anchored vertices are never peeled.  With an empty anchor set this is the
-    plain k-core.  Runs a single O(n + m) deletion cascade; the workload-aware
-    ``"auto"`` policy resolves one-shot cascades to the dict backend at any
-    size because a lone pass cannot amortise building a snapshot (see
-    :mod:`repro.backends`).
+    plain k-core.  Runs a single O(n + m) deletion cascade over the
+    adjacency-set graph (:func:`~repro.cores.decomposition.k_core_cascade`).
     """
     anchor_set = set(distinct_vertices("anchors", anchors))
     _check_query(graph, k, anchor_set)
-    return get_backend(backend, workload=WORKLOAD_ONE_SHOT).k_core(graph, k, anchor_set)
+    return k_core_cascade(graph, k, anchor_set)
 
 
 def _check_query(graph: Graph, k: int, anchor_set: Set[Vertex]) -> None:
@@ -106,13 +96,13 @@ def compute_followers(
     nor members of the plain k-core ``K``.
 
     Without ``k_core_vertices`` this is the reference: two O(n + m) deletion
-    cascades on ``backend`` (the anchored k-core and the plain one).
+    cascades (the anchored k-core and the plain one).
 
     With ``k_core_vertices`` — which must be exactly the plain k-core ``K``,
     given as any container that answers ``in`` (a set, or the O(1) live view
     of :meth:`repro.cores.maintenance.CoreMaintainer.k_core_vertices`) —
-    the work follows the anchors instead of the graph, and ``backend`` is
-    unused.  Only membership is asked of ``K``; it is never iterated.  A
+    the work follows the anchors instead of the graph.  Only membership is
+    asked of ``K``; it is never iterated.  A
     region grows from the anchors outside ``K`` through vertices
     that are not in ``K``, not anchors and have degree at least ``k``; each
     region vertex counts its supporters (neighbours in ``K``, in ``S`` or in
@@ -122,11 +112,20 @@ def compute_followers(
     outside ``K`` along followers, every anchored-core neighbour of a vertex
     of ``F''`` would lie in ``K ∪ F''``, so ``K ∪ F''`` would have minimum
     degree ``k`` and ``F''`` would be inside ``K``.
+
+    Both paths run over the adjacency-set graph.  ``backend`` is checked by
+    name, so a typo is a :class:`~repro.errors.ParameterError`, and is
+    otherwise unused; it stays only for callers that still pass it, as
+    :func:`repro.backends.resolve_backend` keeps ``num_vertices``.
     """
+    if backend != BACKEND_AUTO:
+        # ``auto`` is skipped: resolving it probes for numpy (tens of
+        # microseconds), and the warm path calls this on every answer.
+        resolve_backend(backend)
     anchor_set = set(distinct_vertices("anchors", anchors))
     if k_core_vertices is None:
-        anchored = anchored_k_core(graph, k, anchor_set, backend=backend)
-        return anchored - anchored_k_core(graph, k, (), backend=backend) - anchor_set
+        anchored = anchored_k_core(graph, k, anchor_set)
+        return anchored - anchored_k_core(graph, k) - anchor_set
     _check_query(graph, k, anchor_set)
 
     region: Set[Vertex] = set()
@@ -170,7 +169,6 @@ def follower_gain(
     base_anchors: Iterable[Vertex],
     candidate: Vertex,
     k_core_vertices: Optional[Container[Vertex]] = None,
-    backend: Union[str, ExecutionBackend] = BACKEND_AUTO,
 ) -> Set[Vertex]:
     """Return the extra followers gained by adding ``candidate`` to ``base_anchors``.
 
@@ -179,10 +177,8 @@ def follower_gain(
     """
     base_set = set(distinct_vertices("base_anchors", base_anchors))
     require_hashable("candidate", candidate)
-    base_followers = compute_followers(graph, k, base_set, k_core_vertices, backend=backend)
-    extended = compute_followers(
-        graph, k, base_set | {candidate}, k_core_vertices, backend=backend
-    )
+    base_followers = compute_followers(graph, k, base_set, k_core_vertices)
+    extended = compute_followers(graph, k, base_set | {candidate}, k_core_vertices)
     return extended - base_followers - {candidate}
 
 

@@ -2,17 +2,17 @@
 
 The public API of the library speaks hashable vertex ids over the
 adjacency-set :class:`~repro.graph.static.Graph`.  *How* the hot kernels run
-— peeling decomposition, k-core cascades, and the follower cascades and
-candidate scans of the anchored core index — is delegated to an
+— the full peeling decomposition, and the follower cascades and candidate
+scans of the anchored core index — is delegated to an
 :class:`~repro.backends.base.ExecutionBackend`:
 
 ``dict``
     The reference implementation straight over the adjacency-set graph.
-    No setup cost, no translation; the backend for one-shot cascades and
-    the only backend on an interpreter without numpy.
+    No setup cost, no translation; the only backend on an interpreter
+    without numpy.
 ``numpy``
     The snapshot backend: kernels over an interned CSR snapshot
-    (:class:`~repro.backends.numpy_backend.NumpyGraph`).  Full peels, k-core cascades, the capped
+    (:class:`~repro.backends.numpy_backend.NumpyGraph`).  Full peels, the capped
     index build, candidate scans and the whole-shell cascade are vectorised
     numpy passes; the region follower cascade and the commit risers stay
     pure Python over integer ids, where they are faster
@@ -20,9 +20,11 @@ candidate scans of the anchored core index — is delegated to an
     without numpy and this backend simply reports unavailable.
 
 Both produce identical core numbers, identical removal orders and identical
-instrumentation counts (``tests/test_backend_equivalence.py``).  Incremental
-core maintenance does not go through a backend: :mod:`repro.cores.maintenance`
-runs one integer-id kernel everywhere.
+instrumentation counts (``tests/test_backend_equivalence.py``).  Two kernels
+do not go through a backend: the k-core is one deletion cascade over the
+adjacency-set graph (:func:`repro.cores.decomposition.k_core_cascade`), and
+incremental core maintenance (:mod:`repro.cores.maintenance`) runs one
+integer-id kernel everywhere.
 
 Selection
 ---------
@@ -33,12 +35,12 @@ a backend object.  It imports a backend's module the first time that backend
 is asked for, so importing this package never imports numpy or the layers
 the implementations build on.
 
-``"auto"`` resolves to dict for one-shot work (``workload="one-shot"``: a
-single O(n + m) pass such as :func:`repro.cores.decomposition.k_core`, which
-can never amortise building an interned snapshot) and whenever numpy is
-unavailable.  For amortised work at any graph size it resolves to numpy:
-numpy wins Greedy from about 1,000 vertices, and below that it loses well
-under a millisecond per solve.  Asking for ``"numpy"`` while it is
+``"auto"`` has one rule: numpy whenever numpy is available, at any graph
+size, and dict otherwise.  numpy wins Greedy from about 1,000 vertices,
+and below that it loses well under a millisecond per solve.  The rule is
+applied in the running process: an engine checkpoint stores no backend,
+and a restore runs on the ``backend=`` it is given (``"auto"`` by
+default), as the constructor does.  Asking for ``"numpy"`` while it is
 unavailable raises :class:`~repro.errors.ParameterError` naming the reason,
 and so does any value that is neither a name in :data:`BACKENDS` nor an
 instance.
@@ -54,8 +56,6 @@ from repro.backends.base import (
     BACKEND_DICT,
     BACKEND_NUMPY,
     BACKENDS,
-    WORKLOAD_AMORTIZED,
-    WORKLOAD_ONE_SHOT,
     CoreIndexKernel,
     ExecutionBackend,
 )
@@ -67,8 +67,6 @@ __all__ = [
     "BACKEND_DICT",
     "BACKEND_NUMPY",
     "BACKENDS",
-    "WORKLOAD_AMORTIZED",
-    "WORKLOAD_ONE_SHOT",
     "CoreIndexKernel",
     "ExecutionBackend",
     "get_backend",
@@ -76,8 +74,6 @@ __all__ = [
     "numpy_unavailable_reason",
     "resolve_backend",
 ]
-
-_WORKLOADS = (WORKLOAD_ONE_SHOT, WORKLOAD_AMORTIZED)
 
 #: One shared instance per backend name, built on first use (backends keep
 #: all state in the kernel handles they build).
@@ -109,18 +105,13 @@ def numpy_available() -> bool:
     return numpy_unavailable_reason() is None
 
 
-def resolve_backend(
-    backend: Union[str, ExecutionBackend],
-    num_vertices: int = 0,
-    *,
-    workload: str = WORKLOAD_AMORTIZED,
-) -> str:
+def resolve_backend(backend: Union[str, ExecutionBackend], num_vertices: int = 0) -> str:
     """The backend name a ``backend=`` value runs on.
 
     An instance gives its own name and ``"dict"``/``"numpy"`` pass through;
-    ``"auto"`` follows the rule in the module docstring.  ``num_vertices``
-    is unused (the rule does not read graph size); it stays only for
-    callers that still pass it positionally.
+    ``"auto"`` is numpy when :func:`numpy_available`, else dict.
+    ``num_vertices`` is unused (the rule does not read graph size); it
+    stays only for callers that still pass it positionally.
     """
     if isinstance(backend, ExecutionBackend):
         return backend.name
@@ -129,22 +120,13 @@ def resolve_backend(
             f"unknown backend {backend!r}; expected one of {sorted(BACKENDS)} "
             "or an ExecutionBackend instance"
         )
-    if workload not in _WORKLOADS:
-        raise ParameterError(
-            f"unknown workload {workload!r}; expected one of {sorted(_WORKLOADS)}"
-        )
     if backend != BACKEND_AUTO:
         return backend
-    if workload == WORKLOAD_ONE_SHOT or not numpy_available():
-        return BACKEND_DICT
-    return BACKEND_NUMPY
+    return BACKEND_NUMPY if numpy_available() else BACKEND_DICT
 
 
 def get_backend(
-    backend: Union[str, ExecutionBackend],
-    num_vertices: int = 0,
-    *,
-    workload: str = WORKLOAD_AMORTIZED,
+    backend: Union[str, ExecutionBackend], num_vertices: int = 0
 ) -> ExecutionBackend:
     """The :class:`ExecutionBackend` for a ``backend=`` value.
 
@@ -155,7 +137,7 @@ def get_backend(
     """
     if isinstance(backend, ExecutionBackend):
         return backend
-    name = resolve_backend(backend, workload=workload)
+    name = resolve_backend(backend)
     if name == BACKEND_NUMPY:
         # Checked on every call, not only when the instance is built: the
         # REPRO_DISABLE_NUMPY switch can be set after it was cached, and

@@ -1,20 +1,23 @@
 """The :class:`ExecutionBackend` protocol: the kernel surface of the library.
 
-Every hot computation of the solvers — the peeling decomposition, the
-one-shot k-core cascade, and the candidate scans and follower cascades
-behind :class:`repro.anchored.anchored_core.AnchoredCoreIndex` — is
-expressed against the abstract surface defined here.  Incremental core
-maintenance is not: :class:`repro.cores.maintenance.CoreMaintainer` runs
-one integer-id kernel of its own on every backend.  Public modules never
+The kernels whose implementation differs between the backends — the full
+peeling decomposition, and the candidate scans and follower cascades
+behind :class:`repro.anchored.anchored_core.AnchoredCoreIndex` — are
+expressed against the abstract surface defined here.  The rest is not: the
+k-core is one deletion cascade over the adjacency-set graph
+(:func:`repro.cores.decomposition.k_core_cascade`), and incremental core
+maintenance (:class:`repro.cores.maintenance.CoreMaintainer`) runs one
+integer-id kernel of its own, on every backend.  Public modules never
 branch on a backend name; they obtain an :class:`ExecutionBackend` from
 :func:`repro.backends.get_backend` and call through it.  There are two,
 ``dict`` and ``numpy``; any object implementing this surface can also be
 passed as ``backend=`` wherever a name can (tests substitute fakes this
 way).
 
-The surface splits into one-shot kernels (methods directly on the backend)
-and one long-lived kernel handle that amortises a per-graph setup cost:
-:class:`CoreIndexKernel`, the state behind ``AnchoredCoreIndex``.  It holds
+The surface is one kernel directly on the backend, the full peel
+(:meth:`ExecutionBackend.decompose`), and one long-lived kernel handle
+that amortises a per-graph setup cost: :class:`CoreIndexKernel`, the
+state behind ``AnchoredCoreIndex``.  It holds
 the anchored core numbers capped at the index's ``k`` and the
 ``(k-1)``-shell's removal order, kept up to date as anchors commit, plus the
 candidate scans and follower cascades that read them.  It is built once per
@@ -98,7 +101,6 @@ from abc import ABC, abstractmethod
 from typing import (
     TYPE_CHECKING,
     FrozenSet,
-    Iterable,
     Mapping,
     Set,
     Tuple,
@@ -112,7 +114,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 # ---------------------------------------------------------------------------
 # Backend names
 # ---------------------------------------------------------------------------
-#: Resolution policy: pick dict or numpy by workload and availability.
+#: Resolution policy: numpy whenever it is available, else dict.
 BACKEND_AUTO = "auto"
 #: The adjacency-set ``dict`` implementation (hashable vertices, no setup).
 BACKEND_DICT = "dict"
@@ -122,16 +124,6 @@ BACKEND_NUMPY = "numpy"
 
 #: Every backend name a ``backend=`` argument accepts.
 BACKENDS = (BACKEND_AUTO, BACKEND_DICT, BACKEND_NUMPY)
-
-# ---------------------------------------------------------------------------
-# Workload hints for the auto policy
-# ---------------------------------------------------------------------------
-#: A single O(n + m) pass (e.g. one k-core cascade): building a snapshot
-#: costs as much as the pass itself, so translation can never pay off.
-WORKLOAD_ONE_SHOT = "one-shot"
-#: Work that amortises a per-graph setup: a full peel, or a long-lived core
-#: index reused across refreshes/scans/cascades.
-WORKLOAD_AMORTIZED = "amortized"
 
 
 class CoreIndexKernel(ABC):
@@ -259,19 +251,13 @@ class ExecutionBackend(ABC):
     name: str = "abstract"
 
     # ------------------------------------------------------------------
-    # One-shot kernels
+    # The full peel
     # ------------------------------------------------------------------
     @abstractmethod
     def decompose(
         self, graph: "Graph", anchors: FrozenSet["Vertex"] = frozenset()
     ) -> "CoreDecomposition":
         """Full (possibly anchored) peeling decomposition with removal order."""
-
-    @abstractmethod
-    def k_core(
-        self, graph: "Graph", k: int, anchors: Iterable["Vertex"] = ()
-    ) -> Set["Vertex"]:
-        """The (anchored) k-core via a direct O(n + m) deletion cascade."""
 
     # ------------------------------------------------------------------
     # Long-lived kernel handle

@@ -2,11 +2,12 @@
 
 This is the historical implementation of every kernel, operating directly on
 hashable vertices with no setup or translation cost — the backend ``auto``
-picks for one-shot cascades and whenever numpy is unavailable, and the
-reference the numpy backend is property-tested against.  The follower
-cascades delegate to the public functions in :mod:`repro.anchored.followers`
-(which double as the paper-facing reference algorithms); the peeling and
-cascades live here.
+picks when numpy is unavailable, and the reference the numpy backend is
+property-tested against.  The follower cascades delegate to the public
+functions in :mod:`repro.anchored.followers` (which double as the
+paper-facing reference algorithms), and the plain k-core to the one
+deletion cascade, :func:`repro.cores.decomposition.k_core_cascade`; the
+peel and the capped bucket cascade live here.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.anchored.followers import (
     full_shell_followers,
     marginal_followers,
 )
-from repro.cores.decomposition import ANCHOR_CORE, CoreDecomposition
+from repro.cores.decomposition import ANCHOR_CORE, CoreDecomposition, k_core_cascade
 from repro.errors import VertexNotFoundError
 from repro.graph.static import Graph, Vertex
 from repro.ordering import tie_break_key
@@ -130,30 +131,6 @@ def dict_capped_cores(
                 if remaining < k:
                     buckets[remaining if remaining > level else level].append(neighbour)
     return core
-
-
-def dict_k_core(graph: Graph, k: int, anchors: Iterable[Vertex] = ()) -> Set[Vertex]:
-    """(Anchored) k-core by a direct deletion cascade over the dict graph."""
-    anchor_set = set(anchors)
-    degrees = {vertex: graph.degree(vertex) for vertex in graph.vertices()}
-    removed: Set[Vertex] = set()
-    queue = [
-        vertex
-        for vertex, degree in degrees.items()
-        if degree < k and vertex not in anchor_set
-    ]
-    while queue:
-        vertex = queue.pop()
-        if vertex in removed:
-            continue
-        removed.add(vertex)
-        for neighbour in graph.neighbors(vertex):
-            if neighbour in removed or neighbour in anchor_set:
-                continue
-            degrees[neighbour] -= 1
-            if degrees[neighbour] < k:
-                queue.append(neighbour)
-    return {vertex for vertex in degrees if vertex not in removed}
 
 
 def build_shell_index(items: Iterable[Tuple[object, float]]) -> Dict[float, Set[object]]:
@@ -310,7 +287,7 @@ class DictCoreIndexKernel(CoreIndexKernel):
         return set(self._shells.get(value, ()))
 
     def plain_k_core(self, k: int) -> Set[Vertex]:
-        return dict_k_core(self._graph, k)
+        return k_core_cascade(self._graph, k)
 
     def candidate_anchors(self, k: int, order_pruning: bool) -> Set[Vertex]:
         # Walk the (k-1)-shell: a candidate is a neighbour of a shell member
@@ -358,9 +335,6 @@ class DictBackend(ExecutionBackend):
 
     def decompose(self, graph: Graph, anchors: FrozenSet[Vertex] = frozenset()):
         return dict_anchored_peel(graph, frozenset(anchors))
-
-    def k_core(self, graph: Graph, k: int, anchors: Iterable[Vertex] = ()) -> Set[Vertex]:
-        return dict_k_core(graph, k, anchors)
 
     def build_core_index(self, graph: Graph) -> DictCoreIndexKernel:
         return DictCoreIndexKernel(graph)

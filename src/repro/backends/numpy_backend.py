@@ -18,11 +18,11 @@ whichever form is faster for its work:
   within-shell cascade — the only genuinely sequential part — runs a packed
   single-int heap over the same-shell subgraph only, its ties broken by the
   members' tie-break keys.
-* **Whole-graph cascades** (the k-core, the OLAK baseline's whole-shell
-  follower cascade) are wave-vectorised: support counters come from masked
-  ``bincount`` over gathered neighbour ranges and whole removal fronts are
-  processed per iteration.  Deletion cascades are confluent, so the
-  surviving set is identical to the sequential reference; the visited-vertex
+* **The whole-shell cascade** (the OLAK baseline's follower cascade) is
+  wave-vectorised: support counters come from masked ``bincount`` over
+  gathered neighbour ranges and whole removal fronts are processed per
+  iteration.  Deletion cascades are confluent, so the surviving set is
+  identical to the sequential reference; the visited-vertex
   instrumentation (shell size plus removals) is matched exactly.
 * **The anchored core index** never peels: over a maintained graph its
   build reads the maintainer's core numbers capped at ``k``, over a bare
@@ -43,11 +43,11 @@ whichever form is faster for its work:
 
 Where the snapshot comes from:
 
-* **A bare graph** (one-shot calls, and Greedy over a snapshot sequence,
+* **A bare graph** (a full peel, and Greedy over a snapshot sequence,
   the paper's per-snapshot baseline) keeps its own iteration order as ids
   (:meth:`NumpyGraph.from_graph`: no sort), and its neighbour sets are
-  translated into ids only where the work reads them.  ``decompose`` and
-  ``k_core`` need every row and translate them all.  An index's
+  translated into ids only where the work reads them.  ``decompose``
+  needs every row and translates them all.  An index's
   :meth:`~NumpyCoreIndexKernel.refresh` derives ``min(core, k)`` from
   scratch with Phase A stopped at level ``k`` (the capped form of
   Batagelj and Zaversnik's O(m) peel, 2003), which translates the row of
@@ -284,15 +284,15 @@ def _gather(indptr, indices, frontier):
 _SCALAR_DRAIN_CUTOFF = 48
 
 
-def _drain_scalar(rows, eff, alive, peelable, seeds, limit, core=None, level=0):
-    """Finish a cascade with a scalar queue once waves go thin.
+def _drain_scalar(rows, eff, alive, peelable, seeds, core, level):
+    """Finish a peel level with a scalar queue once waves go thin.
 
     Transitively kills every alive, peelable vertex whose effective degree is
-    (or drops) <= ``limit``, starting from ``seeds``, reading each killed
+    (or drops) <= ``level``, starting from ``seeds``, reading each killed
     vertex's row once from ``rows``; updates ``eff`` and ``alive`` in place,
-    assigns ``core[v] = level`` when ``core`` is given, and returns the
-    number of vertices killed.  Semantically identical to running the
-    vectorised wave loop to exhaustion at the same limit.
+    assigns ``core[v] = level``, and returns the number of vertices killed.
+    Semantically identical to running the vectorised wave loop to
+    exhaustion at the same level.
     """
     queue = [int(vid) for vid in seeds]
     killed = 0
@@ -301,14 +301,13 @@ def _drain_scalar(rows, eff, alive, peelable, seeds, limit, core=None, level=0):
         if not alive[vid]:
             continue
         alive[vid] = False
-        if core is not None:
-            core[vid] = level
+        core[vid] = level
         killed += 1
         for neighbour in rows[vid]:
             if alive[neighbour] and peelable[neighbour]:
                 slack = eff[neighbour] - 1
                 eff[neighbour] = slack
-                if slack <= limit:
+                if slack <= level:
                     queue.append(neighbour)
     return killed
 
@@ -404,9 +403,7 @@ def _wave_cores(rows, gather, eff, core, peelable, limit=None) -> None:
         frontier = np.nonzero(active & (eff <= level))[0]
         while frontier.size:
             if frontier.size < _SCALAR_DRAIN_CUTOFF:
-                remaining -= _drain_scalar(
-                    rows, eff, alive, peelable, frontier, level, core=core, level=level
-                )
+                remaining -= _drain_scalar(rows, eff, alive, peelable, frontier, core, level)
                 break
             core[frontier] = level
             alive[frontier] = False
@@ -531,41 +528,6 @@ def numpy_peel(ngraph: NumpyGraph, anchor_ids: Iterable[int] = ()):
         )
     )
     return core, order
-
-
-def numpy_k_core_ids(ngraph: NumpyGraph, k: int, anchor_ids: Iterable[int] = ()):
-    """(Anchored) k-core of a numpy snapshot as an id array (wave cascade)."""
-    n = ngraph.num_vertices
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    indptr = ngraph.indptr
-    indices = ngraph.indices
-    is_anchor = np.zeros(n, dtype=bool)
-    anchor_list = list(anchor_ids)
-    if anchor_list:
-        is_anchor[anchor_list] = True
-    peelable = ~is_anchor
-    alive = np.ones(n, dtype=bool)
-    eff = np.diff(ngraph.indptr)
-    # One full scan seeds the cascade; later frontiers come from the
-    # just-decremented neighbours only, and thin waves fall back to the
-    # scalar drain (O(m) total, not O(n * waves)).
-    frontier = np.nonzero(peelable & (eff < k))[0]
-    while frontier.size:
-        if frontier.size < _SCALAR_DRAIN_CUTOFF:
-            _drain_scalar(ngraph.rows, eff, alive, peelable, frontier, k - 1)
-            break
-        alive[frontier] = False
-        nbrs, _ = _gather(indptr, indices, frontier)
-        if nbrs.size:
-            nbrs = nbrs[alive[nbrs] & peelable[nbrs]]
-        if nbrs.size:
-            eff -= np.bincount(nbrs, minlength=n)
-            touched = np.unique(nbrs)
-            frontier = touched[eff[touched] < k]
-        else:
-            frontier = nbrs
-    return np.nonzero(alive)[0]
 
 
 def _support_cascade(ngraph: NumpyGraph, k: int, candidate_id: int, core, member_mask):
@@ -839,16 +801,11 @@ class NumpyBackend(ExecutionBackend):
     def bound_to(self, maintainer: "CoreMaintainer") -> "NumpyBackend":
         return NumpyBackend(maintainer)
 
-    @staticmethod
-    def _every_row(graph: Graph) -> NumpyGraph:
-        """The snapshot of ``graph`` with every row in its CSR."""
-        ngraph = NumpyGraph.from_graph(graph)
-        ngraph.flatten(np.ones(ngraph.num_vertices, dtype=bool))
-        return ngraph
-
     def decompose(self, graph: Graph, anchors: FrozenSet[Vertex] = frozenset()):
         anchor_set = frozenset(anchors)
-        ngraph = self._every_row(graph)
+        # The full peel reads every row.
+        ngraph = NumpyGraph.from_graph(graph)
+        ngraph.flatten(np.ones(ngraph.num_vertices, dtype=bool))
         anchor_ids = [ngraph.id_of(anchor) for anchor in anchor_set]
         core_arr, order_ids = numpy_peel(ngraph, anchor_ids)
         vertices = ngraph.vertices
@@ -858,11 +815,6 @@ class NumpyBackend(ExecutionBackend):
         }
         order = tuple(vertices[vid] for vid in order_ids)
         return CoreDecomposition(core=core, order=order, anchors=anchor_set)
-
-    def k_core(self, graph: Graph, k: int, anchors: Iterable[Vertex] = ()) -> Set[Vertex]:
-        ngraph = self._every_row(graph)
-        anchor_ids = [ngraph.id_of(anchor) for anchor in anchors]
-        return ngraph.translate(numpy_k_core_ids(ngraph, k, anchor_ids).tolist())
 
     def build_core_index(self, graph: Graph) -> NumpyCoreIndexKernel:
         # The snapshot is built here, inside the call, whichever way: it

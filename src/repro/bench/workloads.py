@@ -12,7 +12,7 @@ from functools import lru_cache
 from typing import Optional, Tuple
 
 from repro.avt.problem import AVTProblem
-from repro.graph.datasets import dataset_spec, load_dataset
+from repro.graph.datasets import check_dataset_arguments, dataset_spec, load_dataset
 
 
 @lru_cache(maxsize=64)
@@ -34,8 +34,11 @@ def build_problem(
     ``k`` defaults to the dataset's default from its :class:`DatasetSpec`.
     The underlying evolving graph is cached, so sweeping ``k`` or ``l`` over
     the same dataset re-uses the same snapshots — exactly how the paper fixes
-    the other parameters at their defaults while varying one.
+    the other parameters at their defaults while varying one.  The dataset
+    arguments are checked before the cache lookup, which hashes them, so an
+    unhashable one is a :class:`~repro.errors.ParameterError` too.
     """
+    check_dataset_arguments(num_snapshots, seed, scale)
     spec = dataset_spec(dataset)
     if k is None:
         k = spec.default_k

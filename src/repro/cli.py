@@ -210,7 +210,7 @@ def _serve_sim_replay(args: argparse.Namespace, drain_spans: bool = False):
 
     def checkpoint_and_verify(step: int, result) -> bool:
         engine.checkpoint(args.checkpoint)
-        restored = StreamingAVTEngine.restore(args.checkpoint)
+        restored = StreamingAVTEngine.restore(args.checkpoint, backend=args.backend)
         check = restored.query(problem.k, problem.budget)
         matches = check.anchors == result.anchors and check.followers == result.followers
         print(
@@ -275,10 +275,7 @@ def _run_backends() -> int:
     ]
     print(format_table(rows))
     print()
-    print(
-        "'auto' picks dict for one-shot work or without numpy, and numpy "
-        "otherwise, at any graph size."
-    )
+    print("'auto' picks numpy whenever it is available, at any graph size, and dict otherwise.")
     return 0
 
 

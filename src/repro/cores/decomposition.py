@@ -15,12 +15,15 @@ process in which a designated anchor set is never removed (anchored vertices
 Section 2.1).  Anchored vertices receive the core value
 :data:`ANCHOR_CORE` (infinity).
 
-Execution is dispatched through :func:`repro.backends.get_backend`: every
-function here accepts ``backend=`` (``"auto"``, ``"dict"``, ``"numpy"``, or
-an :class:`~repro.backends.ExecutionBackend` instance) and calls the
-resolved backend's kernel.  Both backends produce *identical* core numbers
-**and** identical removal orders: each breaks its ties by
-:func:`repro.ordering.tie_break_key`, the numpy backend shell by shell.
+The full peel is dispatched through :func:`repro.backends.get_backend`:
+every function here that peels accepts ``backend=`` (``"auto"``,
+``"dict"``, ``"numpy"``, or an :class:`~repro.backends.ExecutionBackend`
+instance) and calls the resolved backend's ``decompose``.  Both backends
+produce *identical* core numbers **and** identical removal orders: each
+breaks its ties by :func:`repro.ordering.tie_break_key`, the numpy backend
+shell by shell.  The k-core itself is one deletion cascade over the
+adjacency-set graph, :func:`k_core_cascade`, on no backend: it is a single
+O(n + m) pass, which building a snapshot would only add to.
 This module also hosts the one integer-id implementation of the region
 follower cascade, :func:`compact_marginal_followers`, and of the capped
 commit built on it, :func:`commit_anchor_ids`.  Both read a vertex's
@@ -36,6 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import (
+    Container,
     Dict,
     FrozenSet,
     Iterable,
@@ -49,13 +53,7 @@ from typing import (
     Union,
 )
 
-from repro.backends import (
-    BACKEND_AUTO,
-    WORKLOAD_AMORTIZED,
-    WORKLOAD_ONE_SHOT,
-    ExecutionBackend,
-    get_backend,
-)
+from repro.backends import BACKEND_AUTO, ExecutionBackend, get_backend
 from repro.errors import (
     ParameterError,
     VertexNotFoundError,
@@ -143,7 +141,7 @@ def anchored_core_decomposition(
     for anchor in anchor_set:
         if not graph.has_vertex(anchor):
             raise ParameterError(f"anchor {anchor!r} is not a vertex of the graph")
-    return get_backend(backend, workload=WORKLOAD_AMORTIZED).decompose(graph, anchor_set)
+    return get_backend(backend).decompose(graph, anchor_set)
 
 
 # ---------------------------------------------------------------------------
@@ -284,22 +282,50 @@ def core_numbers(
     return {vertex: int(value) for vertex, value in decomposition.core.items()}
 
 
-def k_core(
-    graph: Graph, k: int, backend: Union[str, ExecutionBackend] = BACKEND_AUTO
+def k_core_cascade(
+    graph: Graph, k: int, anchors: Container[Vertex] = frozenset()
 ) -> Set[Vertex]:
+    """The (anchored) k-core of ``graph`` by one deletion cascade.
+
+    Every vertex of degree below ``k`` is deleted, then every neighbour
+    that the deletions leave below ``k``, until none is left; anchors are
+    never deleted and keep supporting their neighbours.  The cascade is
+    confluent, so the survivors are the anchored k-core whatever the order.
+    The arguments are trusted: :func:`k_core`,
+    :func:`repro.anchored.followers.anchored_k_core` and the other callers
+    check them first.
+    """
+    degrees = {vertex: graph.degree(vertex) for vertex in graph.vertices()}
+    removed: Set[Vertex] = set()
+    queue = [
+        vertex
+        for vertex, degree in degrees.items()
+        if degree < k and vertex not in anchors
+    ]
+    while queue:
+        vertex = queue.pop()
+        if vertex in removed:
+            continue
+        removed.add(vertex)
+        for neighbour in graph.neighbors(vertex):
+            if neighbour in removed or neighbour in anchors:
+                continue
+            degrees[neighbour] -= 1
+            if degrees[neighbour] < k:
+                queue.append(neighbour)
+    return {vertex for vertex in degrees if vertex not in removed}
+
+
+def k_core(graph: Graph, k: int) -> Set[Vertex]:
     """Return the vertex set of the k-core of ``graph``.
 
-    Implemented as a direct peeling cascade, which is faster than a full
-    decomposition when only a single ``k`` is needed.  The default
-    ``"auto"`` policy is workload-aware (see :mod:`repro.backends`):
-    a one-shot cascade cannot amortise building a snapshot, so ``auto``
-    resolves to the dict backend at any size.  Consumers that hold a
-    reusable snapshot — e.g.
-    :class:`~repro.anchored.anchored_core.AnchoredCoreIndex` — run the
-    snapshot-native cascade through their backend kernel instead.
+    One deletion cascade (:func:`k_core_cascade`), which is faster than a
+    full decomposition when only a single ``k`` is needed.  An
+    :class:`~repro.anchored.anchored_core.AnchoredCoreIndex` reads the
+    plain k-core from its own capped core numbers instead.
     """
     require_int("k", k, 0)
-    return get_backend(backend, workload=WORKLOAD_ONE_SHOT).k_core(graph, k)
+    return k_core_cascade(graph, k)
 
 
 def k_shell(

@@ -78,10 +78,6 @@ class ResultCache:
         while len(self._entries) > self._capacity:
             self._entries.popitem(last=False)
 
-    def clear(self) -> None:
-        """Drop every entry."""
-        self._entries.clear()
-
     # ------------------------------------------------------------------
     # Version maintenance
     # ------------------------------------------------------------------

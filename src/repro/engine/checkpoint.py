@@ -44,6 +44,7 @@ import pickle
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from repro.backends import BACKEND_AUTO, ExecutionBackend
 from repro.errors import CheckpointCorruptionError, CheckpointError, require_int
 from repro.obs import tracer
 
@@ -294,12 +295,18 @@ def save_checkpoint(engine: Any, path: PathLike, keep: int = 1) -> None:
 
 
 def load_checkpoint(
-    path: PathLike, fallback: bool = True, **engine_kwargs: Any
+    path: PathLike,
+    fallback: bool = True,
+    *,
+    backend: Union[str, ExecutionBackend] = BACKEND_AUTO,
+    **engine_kwargs: Any,
 ) -> Any:
     """Rebuild a :class:`StreamingAVTEngine` from a checkpoint file.
 
-    ``engine_kwargs`` override construction-time settings that are not part
-    of the persisted state (e.g. ``cache_capacity`` to resize on restore).
+    The engine runs on ``backend``, as the constructor's ``backend=``: a
+    checkpoint stores none.  ``engine_kwargs`` replace persisted
+    construction-time settings (e.g. ``cache_capacity`` to resize on
+    restore; see :meth:`StreamingAVTEngine.from_state`).
 
     With ``fallback`` (the default) a corrupted or unreadable primary falls
     back to the newest intact rotated sibling (``<path>.1``, ``<path>.2``,
@@ -323,7 +330,7 @@ def load_checkpoint(
         for candidate in candidates:
             try:
                 state = read_state(candidate)
-                engine = StreamingAVTEngine.from_state(state, **engine_kwargs)
+                engine = StreamingAVTEngine.from_state(state, backend=backend, **engine_kwargs)
             except CheckpointError as error:
                 if first_error is None:
                     first_error = error

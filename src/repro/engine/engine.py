@@ -30,14 +30,15 @@ lives only as long as that one solve.
 
 Checkpoint/restore (:mod:`repro.engine.checkpoint`) persists the whole engine
 — graph, core numbers, version counter, warm states, cache contents, stats —
-so a restarted server resumes without a single decomposition.
+so a restarted server resumes without a single decomposition.  It persists
+no backend: the backends give identical answers, so a restore runs on the
+``backend=`` it is given, resolved in the restoring process.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
@@ -52,7 +53,7 @@ from repro.cores.maintenance import CoreMaintainer, DeltaEffect
 from repro.engine.cache import CacheKey, ResultCache
 from repro.engine.ingest import IngestBuffer
 from repro.engine.stats import EngineStats
-from repro.backends import BACKEND_AUTO, BACKENDS, ExecutionBackend, get_backend
+from repro.backends import BACKEND_AUTO, ExecutionBackend, get_backend
 from repro.errors import CheckpointError, ParameterError, require_bool, require_int
 from repro.graph.dynamic import EdgeDelta
 from repro.graph.static import Graph, IdGraph, Vertex
@@ -150,12 +151,10 @@ class StreamingAVTEngine:
         require_bool("warm_queries", warm_queries)
         _require_solver(default_solver)
         initial_graph = graph if graph is not None else Graph()
-        # The requested policy is kept for checkpoints; ``_backend`` is the
-        # resolved object bound to the maintainer, so a numpy cold solve
-        # gathers its snapshot from the maintainer's ids.
-        self._backend_policy = backend
         resolved = get_backend(backend)
         self._maintainer = CoreMaintainer(initial_graph, core=core)
+        # Bound to the maintainer, so a numpy cold solve gathers its
+        # snapshot from the maintainer's ids.
         self._backend = resolved.bound_to(self._maintainer)
         self._buffer = IngestBuffer(self._maintainer.graph)
         self._cache = ResultCache(cache_capacity)
@@ -439,20 +438,9 @@ class StreamingAVTEngine:
 
         Pending buffered updates are flushed first, so the state describes a
         fully applied graph; restoring therefore never replays maintenance.
+        The backend is not part of the state (see :meth:`from_state`).
         """
         self.flush()
-        backend_name = (
-            self._backend_policy
-            if isinstance(self._backend_policy, str)
-            else self._backend_policy.name
-        )
-        if backend_name not in BACKENDS:
-            # Fail at checkpoint time, not restore time: a state naming a
-            # backend outside the built-in set can never be restored.
-            raise CheckpointError(
-                f"engine uses backend {backend_name!r}; only {sorted(BACKENDS)} "
-                "can be checkpointed and restored"
-            )
         graph = self._maintainer.graph
         return {
             "vertices": list(graph.vertices()),
@@ -462,10 +450,6 @@ class StreamingAVTEngine:
             "batch_size": self._batch_size,
             "warm_queries": self._warm_queries,
             "default_solver": self._default_solver,
-            # The *policy*, not the resolved object: a restored engine
-            # resolves it in the restoring process, and the state stays
-            # JSON-serialisable.
-            "backend": backend_name,
             "warm": {
                 warm_key: {
                     "version": state.version,
@@ -483,42 +467,14 @@ class StreamingAVTEngine:
             "stats": self._stats.snapshot(),
         }
 
-    @staticmethod
-    def _restorable_backend(policy: Any) -> Any:
-        """Resolve a checkpoint's backend policy in the restoring process.
-
-        Returns the policy itself when it resolves, or ``"auto"`` with a
-        warning when the persisted backend is unknown or unavailable here —
-        restoring on weaker hardware/installs must not brick a checkpoint
-        whose state is backend-independent anyway.  A policy that is not a
-        name at all is a malformed state.
-        """
-        if not isinstance(policy, (str, ExecutionBackend)):
-            raise CheckpointError(
-                f"malformed engine state: backend must be a name, not {policy!r}"
-            )
-        if not isinstance(policy, str) or policy == BACKEND_AUTO:
-            return policy
-        try:
-            get_backend(policy)
-        except ParameterError as error:
-            logger.warning(
-                "checkpoint backend %r is not available in this process "
-                "(%s); restoring with backend='auto'",
-                policy,
-                error,
-            )
-            warnings.warn(
-                f"checkpoint backend {policy!r} is not available in this "
-                f"process ({error}); restoring with backend='auto'",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return BACKEND_AUTO
-        return policy
-
     @classmethod
-    def from_state(cls, state: Dict[str, Any], **overrides: Any) -> "StreamingAVTEngine":
+    def from_state(
+        cls,
+        state: Dict[str, Any],
+        *,
+        backend: Union[str, ExecutionBackend] = BACKEND_AUTO,
+        **overrides: Any,
+    ) -> "StreamingAVTEngine":
         """Rebuild an engine from :meth:`to_state` output without recomputation.
 
         ``overrides`` replace construction-time settings (``cache_capacity``,
@@ -528,27 +484,19 @@ class StreamingAVTEngine:
         docstring): core maintenance, warm queries and, on numpy, exact
         queries read them as they are.
 
-        When the persisted backend policy is unavailable in the restoring
-        process (e.g. a ``"numpy"`` checkpoint restored on an interpreter
-        without numpy) the engine falls back to ``"auto"`` with a
-        :class:`RuntimeWarning` instead of refusing to restore — the state
-        itself is backend-independent.  An explicit ``backend=`` override is
-        never second-guessed: if it cannot be resolved, the restore fails.
+        The engine runs on ``backend``, resolved in this process as the
+        constructor resolves it; the state names no backend, and a
+        ``backend`` key that an older writer left in it is ignored, like any
+        key this reader does not read.  The backends give identical
+        answers, so every state restores on every backend.
 
-        A persisted backend that is not a name, or a persisted
-        ``warm_queries`` that is not ``True`` or ``False``, makes the state
-        malformed: :class:`~repro.errors.CheckpointError`, so a restore falls
-        back to the rotated checkpoint.  A bad explicit override is the
-        caller's :class:`~repro.errors.ParameterError`.
+        A persisted ``warm_queries`` that is not ``True`` or ``False`` makes
+        the state malformed: :class:`~repro.errors.CheckpointError`, so a
+        restore falls back to the rotated checkpoint.  A bad ``backend`` or
+        override is the caller's :class:`~repro.errors.ParameterError`.
         """
         try:
             graph = Graph(edges=state["edges"], vertices=state["vertices"])
-            if "backend" in overrides:
-                backend_policy = overrides.pop("backend")
-            else:
-                backend_policy = cls._restorable_backend(
-                    state.get("backend", BACKEND_AUTO)
-                )
             if "warm_queries" in overrides:
                 warm_queries = overrides.pop("warm_queries")
             else:
@@ -565,7 +513,7 @@ class StreamingAVTEngine:
                 batch_size=overrides.pop("batch_size", state["batch_size"]),
                 warm_queries=warm_queries,
                 default_solver=overrides.pop("default_solver", state["default_solver"]),
-                backend=backend_policy,
+                backend=backend,
             )
             if overrides:
                 raise ParameterError(f"unknown restore overrides: {sorted(overrides)}")
@@ -597,11 +545,18 @@ class StreamingAVTEngine:
         save_checkpoint(self, path, keep=keep)
 
     @classmethod
-    def restore(cls, path: Any, **overrides: Any) -> "StreamingAVTEngine":
-        """Rebuild an engine from a checkpoint file written by :meth:`checkpoint`."""
+    def restore(
+        cls,
+        path: Any,
+        *,
+        backend: Union[str, ExecutionBackend] = BACKEND_AUTO,
+        **overrides: Any,
+    ) -> "StreamingAVTEngine":
+        """Rebuild an engine from a checkpoint file written by :meth:`checkpoint`,
+        on ``backend`` (see :meth:`from_state`)."""
         from repro.engine.checkpoint import load_checkpoint
 
-        return load_checkpoint(path, **overrides)
+        return load_checkpoint(path, backend=backend, **overrides)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         graph = self._maintainer.graph

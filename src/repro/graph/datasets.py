@@ -218,6 +218,22 @@ def _temporal_snapshots(
     )
 
 
+def check_dataset_arguments(num_snapshots: object, seed: object, scale: object) -> None:
+    """Raise :class:`~repro.errors.ParameterError` naming the first bad
+    argument of :func:`load_dataset`: ``num_snapshots`` must be an integer
+    >= 1, ``seed`` an integer and ``scale`` a finite real number above 0
+    (none of them a bool)."""
+    require_int("num_snapshots", num_snapshots, 1)
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise ParameterError(f"seed must be an integer, not {seed!r}")
+    if (
+        isinstance(scale, bool)
+        or not isinstance(scale, numbers.Real)
+        or not (math.isfinite(scale) and scale > 0)
+    ):
+        raise ParameterError(f"scale must be a finite number above 0, not {scale!r}")
+
+
 def load_dataset(
     name: str,
     num_snapshots: int = 30,
@@ -248,18 +264,11 @@ def load_dataset(
 
     A bad ``num_snapshots``, ``seed`` or ``scale`` raises
     :class:`~repro.errors.ParameterError` naming the argument, before any
-    generation; :func:`load_snapshot_sequence` and :func:`dataset_summary`
-    share these checks.
+    generation (:func:`check_dataset_arguments`, which
+    :func:`load_snapshot_sequence`, :func:`dataset_summary` and
+    :func:`repro.bench.workloads.build_problem` share).
     """
-    require_int("num_snapshots", num_snapshots, 1)
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-        raise ParameterError(f"seed must be an integer, not {seed!r}")
-    if (
-        isinstance(scale, bool)
-        or not isinstance(scale, numbers.Real)
-        or not (math.isfinite(scale) and scale > 0)
-    ):
-        raise ParameterError(f"scale must be a finite number above 0, not {scale!r}")
+    check_dataset_arguments(num_snapshots, seed, scale)
     seed = int(seed)
     spec = dataset_spec(name)
     if spec.kind == "static":

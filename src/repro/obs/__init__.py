@@ -52,7 +52,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     global_registry,
-    reset_global_registry,
 )
 from repro.obs.tracer import Span, Tracer
 
@@ -75,7 +74,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "global_registry",
-    "reset_global_registry",
     "JsonLinesSpanSink",
     "read_spans_jsonl",
     "write_spans_jsonl",

@@ -33,7 +33,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "global_registry",
-    "reset_global_registry",
 ]
 
 Number = Union[int, float]
@@ -264,11 +263,4 @@ _GLOBAL = MetricsRegistry()
 
 def global_registry() -> MetricsRegistry:
     """The process-wide registry (tracer internals, default bench snapshot)."""
-    return _GLOBAL
-
-
-def reset_global_registry() -> MetricsRegistry:
-    """Swap in a fresh process-wide registry (test isolation) and return it."""
-    global _GLOBAL
-    _GLOBAL = MetricsRegistry()
     return _GLOBAL

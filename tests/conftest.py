@@ -65,13 +65,13 @@ def reference_greedy(
                 visited += max(len(visit_log), 1)
         best, best_gain = None, 0
         for vertex in sorted((v for v, value in core.items() if value < k), key=tie_break_key):
-            gain = len(follower_gain(graph, k, anchors, vertex, backend="dict"))
+            gain = len(follower_gain(graph, k, anchors, vertex))
             if gain > best_gain:
                 best, best_gain = vertex, gain
         if best is None:
             break
         anchors.append(best)
-    followers = compute_followers(graph, k, anchors, backend="dict")
+    followers = compute_followers(graph, k, anchors)
     core = anchored_core_decomposition(graph, anchors, backend="dict").core
     size = sum(1 for value in core.values() if value >= k)
     return tuple(anchors), frozenset(followers), size, evaluated, visited

@@ -1,8 +1,8 @@
 """Property tests: the two execution backends are observationally identical.
 
-The numpy backend (:mod:`repro.backends`) re-implements every hot kernel —
-peeling decomposition, k-core cascades, follower computation, greedy
-selection — over an interned snapshot, as numpy passes or id-list loops.
+The numpy backend (:mod:`repro.backends`) re-implements every backend
+kernel — peeling decomposition, follower computation, greedy selection —
+over an interned snapshot, as numpy passes or id-list loops.
 These tests pin the contract that makes ``backend="auto"`` safe: for *any*
 graph (isolated vertices, non-integer and mixed-type vertex ids included) it
 returns results identical to the dict reference, down to the removal order
@@ -23,7 +23,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.anchored.anchored_core import AnchoredCoreIndex
-from repro.anchored.followers import anchored_k_core
 from repro.anchored.greedy import GreedyAnchoredKCore
 from repro.anchored.olak import OLAKAnchoredKCore
 from repro.anchored.rcm import RCMAnchoredKCore
@@ -32,7 +31,6 @@ from repro.cores.decomposition import (
     anchored_core_decomposition,
     core_decomposition,
     core_numbers,
-    k_core,
 )
 from repro.cores.maintenance import CoreMaintainer
 from repro.engine import StreamingAVTEngine
@@ -127,18 +125,6 @@ def test_decomposition_identical_across_backends(other, graph_and_anchors):
 @pytest.mark.parametrize("other", OTHER_BACKENDS)
 @SETTINGS
 @given(graph_and_k=graphs_with_k())
-def test_k_core_and_anchored_cascade_identical(other, graph_and_k):
-    graph, k = graph_and_k
-    assert k_core(graph, k, backend="dict") == k_core(graph, k, backend=other)
-    anchors = sorted(graph.vertices(), key=repr)[:2]
-    assert anchored_k_core(graph, k, anchors, backend="dict") == anchored_k_core(
-        graph, k, anchors, backend=other
-    )
-
-
-@pytest.mark.parametrize("other", OTHER_BACKENDS)
-@SETTINGS
-@given(graph_and_k=graphs_with_k())
 def test_index_candidates_and_followers_identical(other, graph_and_k):
     graph, k = graph_and_k
     dict_index = AnchoredCoreIndex(graph, k, backend="dict")
@@ -207,7 +193,6 @@ def test_backends_identical_on_a_graph_large_enough_for_vectorised_waves(other):
     decomposition = core_decomposition(graph, backend=other)
     assert dict(decomposition.core) == dict(reference.core)
     assert decomposition.order == reference.order
-    assert k_core(graph, 4, backend=other) == k_core(graph, 4, backend="dict")
     _assert_results_equal(
         GreedyAnchoredKCore(graph, 4, 2, backend="dict").select(),
         GreedyAnchoredKCore(graph, 4, 2, backend=other).select(),

@@ -10,15 +10,14 @@ from repro.anchored.greedy import GreedyAnchoredKCore
 from repro.backends import (
     BACKEND_DICT,
     BACKEND_NUMPY,
-    WORKLOAD_AMORTIZED,
-    WORKLOAD_ONE_SHOT,
     CoreIndexKernel,
+    ExecutionBackend,
     get_backend,
     numpy_available,
     numpy_unavailable_reason,
     resolve_backend,
 )
-from repro.backends.dict_backend import DictBackend, dict_anchored_peel, dict_k_core
+from repro.backends.dict_backend import DictBackend, dict_anchored_peel
 from repro.engine import StreamingAVTEngine
 from repro.errors import ParameterError, VertexNotFoundError
 from repro.graph.dynamic import EdgeDelta
@@ -28,7 +27,7 @@ needs_numpy = pytest.mark.skipif(not numpy_available(), reason="numpy is not ins
 
 
 def _expected_auto_winner() -> str:
-    """What ``auto`` should pick on an amortised workload of any size."""
+    """What ``auto`` should pick, for any work at any size."""
     if numpy_available():
         return BACKEND_NUMPY
     return BACKEND_DICT
@@ -46,6 +45,8 @@ class TestRegistry:
         assert get_backend("dict") is get_backend("dict", 5)
 
     def test_unknown_backend_raises(self):
+        from repro.anchored.followers import compute_followers
+
         graph = Graph(edges=[(0, 1), (1, 2), (2, 0)])
         # Unhashable values must not escape as a raw TypeError.
         for value in ("warp", None, 3, ["dict"], {"dict"}):
@@ -55,6 +56,11 @@ class TestRegistry:
                 resolve_backend(value, 0)
             with pytest.raises(ParameterError):
                 GreedyAnchoredKCore(graph, 2, 1, backend=value).select()
+            # compute_followers reads no backend, but checks the name on
+            # both paths.
+            for k_core_vertices in (None, {0, 1, 2}):
+                with pytest.raises(ParameterError):
+                    compute_followers(graph, 2, [0], k_core_vertices, backend=value)
 
     @pytest.mark.parametrize("name", ["sharded", "numba", "compact"])
     def test_removed_backends_are_unknown(self, name):
@@ -85,6 +91,14 @@ class TestRegistry:
         reference = GreedyAnchoredKCore(graph, 2, 1, backend="dict").select()
         assert result.anchors == reference.anchors
 
+    def test_the_protocol_holds_only_what_a_backend_changes(self):
+        """The k-core cascade is not a backend kernel: a backend implements
+        the full peel and the index kernel, and may bind to a maintainer."""
+        assert ExecutionBackend.__abstractmethods__ == frozenset(
+            {"decompose", "build_core_index"}
+        )
+        assert not hasattr(ExecutionBackend, "k_core")
+
     @pytest.mark.parametrize(
         "method", ["commit_anchor", "marginal_followers_with_region", "removal_ranks"]
     )
@@ -105,47 +119,36 @@ class TestRegistry:
 class TestAutoPolicy:
     @pytest.mark.parametrize("num_vertices", [0, 1, 10**9])
     def test_amortised_workloads_pick_numpy_at_any_size(self, num_vertices):
+        """One rule: numpy whenever it is available, whatever the size."""
         expected = _expected_auto_winner()
         assert resolve_backend("auto", num_vertices) == expected
-        assert (
-            resolve_backend("auto", num_vertices, workload=WORKLOAD_AMORTIZED)
-            == expected
-        )
+        assert resolve_backend("auto") == expected
         assert get_backend("auto", num_vertices).name == expected
-
-    def test_one_shot_cascades_stay_on_dict_at_any_size(self):
-        for num_vertices in (0, 1, 10**9):
-            assert (
-                resolve_backend("auto", num_vertices, workload=WORKLOAD_ONE_SHOT)
-                == BACKEND_DICT
-            )
 
     def test_explicit_names_bypass_the_policy(self):
         assert resolve_backend("dict", 10**9) == BACKEND_DICT
-        assert resolve_backend("numpy", 1, workload=WORKLOAD_ONE_SHOT) == BACKEND_NUMPY
-
-    def test_unknown_workload_raises(self):
-        with pytest.raises(ParameterError):
-            resolve_backend("auto", 10, workload="batch")
+        assert resolve_backend("numpy", 1) == BACKEND_NUMPY
 
     def test_one_shot_callers_build_no_snapshot_under_auto(self, monkeypatch):
-        """A single k-core cascade is one-shot work: auto must not build a snapshot."""
-        from repro.anchored.followers import anchored_k_core
+        """The k-core is one cascade over the adjacency-set graph, on no
+        backend: it builds no snapshot, whatever ``auto`` picks."""
+        from repro.anchored.followers import anchored_k_core, compute_followers
         from repro.backends.numpy_backend import NumpyGraph
         from repro.cores.decomposition import k_core
 
         graph = Graph(edges=[(i, i + 1) for i in range(100)])
 
         def boom(*args, **kwargs):
-            raise AssertionError("snapshot built for one-shot work")
+            raise AssertionError("snapshot built for a k-core cascade")
 
         # Every numpy snapshot, from a graph or a maintainer, is constructed
         # here.
         monkeypatch.setattr(NumpyGraph, "__init__", boom)
-        assert k_core(graph, 1, backend="auto") == set(graph.vertices())
+        assert k_core(graph, 1) == set(graph.vertices())
         # The cascade peels the path from its far end back to vertex 1;
         # the anchor keeps itself.
-        assert anchored_k_core(graph, 2, [0], backend="auto") == {0}
+        assert anchored_k_core(graph, 2, [0]) == {0}
+        assert compute_followers(graph, 1, [0], backend="numpy") == set()
 
 
 class TestEngineReResolution:
@@ -173,16 +176,25 @@ class TestEngineReResolution:
         engine.flush()
         assert engine.backend == BACKEND_DICT
 
-    def test_checkpoint_with_unregistered_backend_instance_fails_fast(self, tmp_path):
-        from repro.errors import CheckpointError
+    def test_custom_backend_instance_checkpoints_and_restores(self, tmp_path):
+        """The state names no backend, so an engine on any instance can be
+        checkpointed, and the restore runs on the ``backend=`` it is given."""
 
         class OrphanBackend(DictBackend):
             name = "orphan"
 
         engine = StreamingAVTEngine(backend=OrphanBackend(), batch_size=None)
-        engine.ingest_insert(0, 1)
-        with pytest.raises(CheckpointError):
-            engine.checkpoint(tmp_path / "orphan.ckpt")
+        engine.ingest(self._growth_delta(8))
+        cached = engine.query(k=1, budget=1)
+        path = tmp_path / "orphan.ckpt"
+        engine.checkpoint(path)
+        assert "backend" not in engine.to_state()
+        restored = StreamingAVTEngine.restore(path)
+        assert restored.backend == _expected_auto_winner()
+        assert restored.core_numbers() == engine.core_numbers()
+        assert restored.query(k=1, budget=1) == cached
+        orphan = OrphanBackend()
+        assert StreamingAVTEngine.restore(path, backend=orphan).backend == "orphan"
 
     def test_checkpoint_with_registered_backend_instance_round_trips(self, tmp_path):
         engine = StreamingAVTEngine(backend=get_backend("dict"), batch_size=None)
@@ -190,10 +202,12 @@ class TestEngineReResolution:
         engine.flush()
         path = tmp_path / "dict.ckpt"
         engine.checkpoint(path)
-        restored = StreamingAVTEngine.restore(path)
+        assert "backend" not in engine.to_state()
+        restored = StreamingAVTEngine.restore(path, backend="dict")
         assert restored.backend == BACKEND_DICT
-        assert restored.to_state()["backend"] == BACKEND_DICT
+        assert "backend" not in restored.to_state()
         assert restored.core_numbers() == engine.core_numbers()
+        assert StreamingAVTEngine.restore(path).backend == _expected_auto_winner()
 
     def test_restored_engine_re_resolves_from_checkpoint(self, tmp_path):
         engine = StreamingAVTEngine(backend="auto", batch_size=None)
@@ -202,14 +216,14 @@ class TestEngineReResolution:
         path = tmp_path / "grown.ckpt"
         engine.checkpoint(path)
         restored = StreamingAVTEngine.restore(path)
-        # The checkpoint stores the *policy* ("auto"); the restored engine
-        # resolves it in the restoring process.
+        # The checkpoint stores no backend; the restored engine resolves
+        # its default, "auto", in the restoring process.
         assert restored.backend == engine.backend
 
 
 def every_row(graph):
     """A bare snapshot of ``graph`` with every row in its CSR, as
-    ``decompose`` and ``k_core`` build it."""
+    ``decompose`` builds it."""
     import numpy as np
 
     from repro.backends.numpy_backend import NumpyGraph
@@ -278,15 +292,6 @@ class TestNumpyKernels:
 
         core, order = numpy_peel(every_row(Graph()))
         assert core.tolist() == [] and order == []
-
-    def test_numpy_k_core_matches_dict_k_core(self):
-        from repro.backends.numpy_backend import numpy_k_core_ids
-
-        graph = Graph(edges=[(0, 1), (1, 2), (2, 0), (2, 3)], vertices=[0, 1, 2, 3, 9])
-        ngraph = every_row(graph)
-        for k in range(4):
-            members = ngraph.translate(numpy_k_core_ids(ngraph, k).tolist())
-            assert members == dict_k_core(graph, k)
 
 
 class TestAvailabilityReasons:

@@ -100,11 +100,16 @@ class TestLoading:
             ("seed", "x"),
             ("seed", 1.5),
             ("seed", None),
+            # Unhashable: build_problem checks before its cache lookup,
+            # which hashes its arguments.
+            ("scale", [1]),
+            ("seed", {}),
+            ("num_snapshots", [3]),
         ],
     )
     def test_bad_arguments_are_parameter_errors(self, argument, value):
-        # One check in load_dataset serves every loader and build_problem,
-        # for static and temporal stand-ins alike, before any generation.
+        # One check serves every loader and build_problem, for static and
+        # temporal stand-ins alike, before any generation.
         loaders = (load_dataset, load_snapshot_sequence, dataset_summary, build_problem)
         for name in ("gnutella", "mathoverflow"):
             for load in loaders:

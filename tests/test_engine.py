@@ -9,7 +9,7 @@ import pytest
 
 from repro.anchored.followers import compute_followers
 from repro.anchored.greedy import GreedyAnchoredKCore
-from repro.backends import ExecutionBackend, get_backend, numpy_available
+from repro.backends import ExecutionBackend, get_backend, numpy_available, resolve_backend
 from repro.bench.experiments import resolve_profile
 from repro.bench.workloads import build_problem
 from repro.cores.decomposition import core_numbers
@@ -699,87 +699,53 @@ class TestCheckpoint:
 
 
 class TestCheckpointUnavailableBackendFallback:
-    """Restoring a checkpoint whose persisted backend is unknown or
-    unavailable in this process falls back to "auto" with a warning."""
+    """A checkpoint stores no backend, so none can be unavailable: a restore
+    runs on the ``backend=`` it is given, ``"auto"`` by default."""
 
-    def test_numpy_checkpoint_restored_without_numpy(self, tmp_path, monkeypatch):
-        graph = Graph(edges=[(0, 1), (1, 2), (2, 0), (2, 3)])
-        engine = StreamingAVTEngine(graph, backend="dict", batch_size=None)
-        engine.query(k=2, budget=1)
-        state = engine.to_state()
-        state["backend"] = "numpy"  # as if written on a numpy-enabled host
-        path = tmp_path / "numpy.ckpt"
-        write_state(state, path)
-
-        monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
-        with pytest.warns(RuntimeWarning, match="numpy"):
-            restored = StreamingAVTEngine.restore(path)
-        assert restored.core_numbers() == engine.core_numbers()
-        # The fallback rewired the policy to auto; a fresh checkpoint of the
-        # restored engine must not resurrect the unavailable name.
-        assert restored.to_state()["backend"] == "auto"
-
-    def test_unregistered_backend_name_also_falls_back(self, tmp_path):
-        graph = Graph(edges=[(0, 1), (1, 2)])
-        engine = StreamingAVTEngine(graph, backend="dict", batch_size=None)
-        state = engine.to_state()
-        state["backend"] = "fpga"
-        path = tmp_path / "fpga.ckpt"
-        write_state(state, path)
-        with pytest.warns(RuntimeWarning, match="fpga"):
-            restored = StreamingAVTEngine.restore(path)
-        assert restored.core_numbers() == engine.core_numbers()
-
-    @pytest.mark.parametrize("backend", ["sharded", "numba", "compact"])
-    def test_checkpoint_naming_a_removed_backend_restores_on_auto(
-        self, tmp_path, toy_graph, backend
-    ):
+    @pytest.mark.parametrize("stored", ["numpy", "sharded", 5])
+    def test_a_stored_backend_is_ignored(self, tmp_path, toy_graph, monkeypatch, stored):
+        """A format-3 file in which an older writer left a ``backend`` key
+        restores like any other, with no warning: on the backend ``auto``
+        picks in this process, or on the ``backend=`` given."""
         engine = StreamingAVTEngine(toy_graph, backend="dict", batch_size=None)
         engine.query(3, 2)
         engine.ingest_insert(1, 5)
         cached = engine.query(3, 2)
         state = engine.to_state()
-        # The shape older versions wrote: a backend configuration next to the
-        # policy name, and degradation counters among the stats.
-        state["backend"] = backend
-        state["backend_config"] = {"num_shards": 4, "partitioner": "hash"}
-        state["stats"] = list(state["stats"]) + [
-            {"name": f"engine.{name}", "type": "counter", "value": 1, "labels": {}}
-            for name in ("degradations", "recovery_probes", "recoveries")
-        ]
-        path = tmp_path / f"{backend}.ckpt"
+        assert "backend" not in state
+        state["backend"] = stored
+        if stored == "numpy":
+            # As if written on a host with numpy and restored on one without.
+            monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
+        elif stored == "sharded":
+            # The shape older versions wrote: a backend configuration next to
+            # the name, and degradation counters among the stats.
+            state["backend_config"] = {"num_shards": 4, "partitioner": "hash"}
+            state["stats"] = list(state["stats"]) + [
+                {"name": f"engine.{name}", "type": "counter", "value": 1, "labels": {}}
+                for name in ("degradations", "recovery_probes", "recoveries")
+            ]
+        path = tmp_path / "older.ckpt"
         write_state(state, path)
 
-        with pytest.warns(RuntimeWarning, match=backend) as caught:
-            restored = StreamingAVTEngine.restore(path)
-        assert len([w for w in caught if w.category is RuntimeWarning]) == 1
-        assert restored.to_state()["backend"] == "auto"
-        assert restored.core_numbers() == engine.core_numbers()
-        assert restored.graph_version == engine.graph_version
-        invocations = restored.stats.solver_invocations
-        answer = restored.query(3, 2)
-        assert restored.stats.solver_invocations == invocations  # cache hit
-        assert answer.anchors == cached.anchors
-        assert answer.followers == cached.followers
-
-    def test_available_backend_restores_without_warning(self, tmp_path):
-        graph = Graph(edges=[(0, 1), (1, 2)])
-        engine = StreamingAVTEngine(graph, backend="dict", batch_size=None)
-        path = tmp_path / "dict.ckpt"
-        engine.checkpoint(path)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             restored = StreamingAVTEngine.restore(path)
-        assert restored.backend == "dict"
-        assert restored.to_state()["backend"] == "dict"
-
-    def test_restore_backend_override_wins(self, tmp_path):
-        graph = Graph(edges=[(0, 1), (1, 2), (2, 0)])
-        engine = StreamingAVTEngine(graph, backend="dict", batch_size=None)
-        path = tmp_path / "dict.ckpt"
-        engine.checkpoint(path)
-        restored = StreamingAVTEngine.restore(path, backend="auto")
-        assert restored.to_state()["backend"] == "auto"
+            on_dict = StreamingAVTEngine.restore(path, backend="dict")
+        assert restored.backend == resolve_backend("auto")
+        assert on_dict.backend == "dict"
+        for resumed in (restored, on_dict):
+            assert resumed.graph_version == engine.graph_version
+            assert resumed.core_numbers() == engine.core_numbers()
+            invocations = resumed.stats.solver_invocations
+            answer = resumed.query(3, 2)
+            assert resumed.stats.solver_invocations == invocations  # cache hit
+            assert answer.anchors == cached.anchors
+            assert answer.followers == cached.followers
+            assert "backend" not in resumed.to_state()
+        # A bad backend= is the caller's parameter, not a damaged file.
+        with pytest.raises(ParameterError, match="unknown backend"):
+            StreamingAVTEngine.restore(path, backend="fpga")
 
     @pytest.mark.parametrize("flag", ["no", "false", 0, 1, None])
     def test_malformed_warm_queries_is_a_checkpoint_error(self, tmp_path, toy_graph, flag):
@@ -801,21 +767,3 @@ class TestCheckpointUnavailableBackendFallback:
         assert StreamingAVTEngine.restore(path, warm_queries=False).to_state()[
             "warm_queries"
         ] is False
-
-    @pytest.mark.parametrize("backend", [5, None, ["dict"], {"x": 1}])
-    def test_malformed_backend_is_a_checkpoint_error(self, tmp_path, toy_graph, backend):
-        engine = StreamingAVTEngine(toy_graph, backend="dict", batch_size=None)
-        state = engine.to_state()
-        state["backend"] = backend
-        with pytest.raises(CheckpointError, match="malformed engine state"):
-            StreamingAVTEngine.from_state(state)
-        # So a restore skips the damaged file for the intact rotation ...
-        path = tmp_path / "engine.ckpt"
-        engine.checkpoint(path)
-        engine.checkpoint(path, keep=2)
-        write_state(state, path)
-        restored = load_checkpoint(path, fallback=True)
-        assert restored.core_numbers() == engine.core_numbers()
-        # ... while an explicit override is the caller's bad parameter.
-        with pytest.raises(ParameterError):
-            StreamingAVTEngine.restore(path.with_name("engine.ckpt.1"), backend=backend)

@@ -66,13 +66,12 @@ restore_backends = st.sampled_from(
 def durable_state(engine: StreamingAVTEngine) -> Dict[str, Any]:
     """``to_state()`` minus what a restore legitimately changes.
 
-    The stats carry the checkpoint counters and the backend policy may be
-    overridden on restore; vertex and edge lists are compared as sets (their
-    order follows adjacency iteration); everything else must survive bit for
-    bit.
+    The stats carry the checkpoint counters; vertex and edge lists are
+    compared as sets (their order follows adjacency iteration); everything
+    else must survive bit for bit.
     """
     state = engine.to_state()
-    del state["stats"], state["backend"]
+    del state["stats"]
     state["vertices"] = set(state["vertices"])
     state["edges"] = {frozenset(edge) for edge in state["edges"]}
     state["warm"] = {
@@ -159,7 +158,7 @@ class EngineMachine(RuleBasedStateMachine):
         answer = self.engine.query(k, budget, warm=True)
         assert len(set(answer.anchors)) == len(answer.anchors) <= budget
         assert all(self.shadow.has_vertex(anchor) for anchor in answer.anchors)
-        reference = compute_followers(self.shadow, k, answer.anchors, backend="dict")
+        reference = compute_followers(self.shadow, k, answer.anchors)
         assert answer.followers == reference
         again = self.engine.query(k, budget, warm=True)
         assert again.anchors == answer.anchors

@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
 from itertools import accumulate, chain
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.anchored.followers import (
     anchored_k_core,
     commit_anchor_cores,
@@ -120,6 +127,56 @@ class TestComputeFollowers:
             follower_gain(toy_graph, k, [], 7, k_core_vertices=plain)
 
 
+#: Run in a fresh interpreter: make the call named by argv[1] on the toy
+#: graph, then print the modules it loaded.
+FIRST_CALL = textwrap.dedent(
+    """
+    import json
+    import sys
+
+    from repro.anchored.followers import anchored_k_core, compute_followers, follower_gain
+    from repro.cores.decomposition import k_core
+    from repro.cores.maintenance import CoreMaintainer
+    from repro.graph.datasets import toy_example_graph
+
+    graph = toy_example_graph()
+    plain = CoreMaintainer(graph).k_core_vertices(3)
+    call = {
+        "k_core": lambda: k_core(graph, 3),
+        "anchored_k_core": lambda: anchored_k_core(graph, 3, [7, 10]),
+        "compute_followers": lambda: compute_followers(graph, 3, [7, 10]),
+        "compute_followers_region": lambda: compute_followers(graph, 3, [7, 10], plain),
+        "follower_gain": lambda: follower_gain(graph, 3, [15], 10),
+    }[sys.argv[1]]
+    before = set(sys.modules)
+    call()
+    print(json.dumps(sorted(set(sys.modules) - before)))
+    """
+)
+
+
+@pytest.mark.parametrize(
+    "call",
+    ["k_core", "anchored_k_core", "compute_followers", "compute_followers_region", "follower_gain"],
+)
+def test_the_first_k_core_call_in_a_process_imports_nothing(call):
+    """The k-core is one cascade in :mod:`repro.cores.decomposition`: no
+    call reaches a backend module (the dict backend's, with ``heapq``),
+    whatever ``auto`` would pick.  The child inherits ``REPRO_TRACE`` and
+    ``REPRO_DISABLE_NUMPY``."""
+    source = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    completed = subprocess.run(
+        [sys.executable, "-c", FIRST_CALL, call],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert json.loads(completed.stdout.splitlines()[-1]) == []
+
+
 class TestMarginalFollowers:
     def test_matches_exact_on_toy_graph(self, toy_graph):
         core = core_numbers(toy_graph)
@@ -215,7 +272,7 @@ class TestRegionFollowers:
         # Duplicates and k-core members included on purpose.
         anchors = data.draw(st.lists(st.sampled_from(sorted(graph.vertices())), max_size=8))
         plain = k_core(graph, k)
-        expected = anchored_k_core(graph, k, anchors, backend="dict") - plain - set(anchors)
+        expected = anchored_k_core(graph, k, anchors) - plain - set(anchors)
         assert compute_followers(graph, k, anchors, k_core_vertices=plain) == expected
 
 

@@ -191,17 +191,43 @@ def test_an_id_snapshot_reaches_every_state_of_a_graph_snapshot(
             assert from_ids.removal_ranks() == from_graph.removal_ranks()
 
 
+def reference_states(graph, ks):
+    """``{k: (capped core numbers, plain k-core)}`` of the dict kernel."""
+    reference = get_backend("dict")
+    states = {}
+    for k in ks:
+        kernel = reference.build_core_index(graph)
+        kernel.refresh(set(), k)
+        states[k] = (dict(kernel.core_numbers()), kernel.plain_k_core(k))
+    return states
+
+
+def forbid_the_k_core_cascade(monkeypatch) -> None:
+    """Make the one k-core cascade raise in every ``repro`` module that
+    binds it, so any path that reaches it fails."""
+    import repro  # noqa: F401  (loads every binder but the lazy dict backend)
+    import repro.backends.dict_backend  # noqa: F401
+    from repro.cores.decomposition import k_core_cascade
+
+    def boom(*args, **kwargs):
+        raise AssertionError("ran the k-core cascade")
+
+    binders = [
+        module
+        for name, module in list(sys.modules.items())
+        if (name == "repro" or name.startswith("repro."))
+        and getattr(module, "k_core_cascade", None) is k_core_cascade
+    ]
+    assert repro.cores.decomposition in binders
+    for module in binders:
+        monkeypatch.setattr(module, "k_core_cascade", boom)
+
+
 def test_a_bound_refresh_reads_the_maintained_cores(monkeypatch):
     """With no anchors a bound index neither peels nor runs the k-core
     cascade, and its CSR holds exactly the rows of the ids below ``k``."""
     from repro.backends import numpy_backend
 
-    def boom(*args, **kwargs):
-        raise AssertionError("derived what the maintainer already holds")
-
-    monkeypatch.setattr(numpy_backend, "_wave_cores", boom)
-    monkeypatch.setattr(numpy_backend, "numpy_k_core_ids", boom)
-    snapshots = built_snapshots(monkeypatch, "from_maintainer")
     maintainer = CoreMaintainer(chung_lu_graph(300, 900, skew=1.2, seed=3))
     graph = maintainer.graph
     # Cores from maintenance edits, not only from the set-up cascade.
@@ -212,16 +238,22 @@ def test_a_bound_refresh_reads_the_maintained_cores(monkeypatch):
         )
     )
     store = maintainer.id_store()
-    numpy, reference = get_backend("numpy").bound_to(maintainer), get_backend("dict")
-    for k in range(1, max(store.icore) + 2):
+    ks = range(1, max(store.icore) + 2)
+    expected = reference_states(graph, ks)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("derived what the maintainer already holds")
+
+    monkeypatch.setattr(numpy_backend, "_wave_cores", boom)
+    forbid_the_k_core_cascade(monkeypatch)
+    snapshots = built_snapshots(monkeypatch, "from_maintainer")
+    numpy = get_backend("numpy").bound_to(maintainer)
+    for k in ks:
         kernel = numpy.build_core_index(maintainer.graph)
         kernel.refresh(set(), k)
-        expected = reference.build_core_index(maintainer.graph)
-        expected.refresh(set(), k)
-        assert kernel.core_numbers() == expected.core_numbers()
-        assert kernel.plain_k_core(k) == expected.plain_k_core(k) == set(
-            maintainer.k_core_vertices(k)
-        )
+        core, plain = expected[k]
+        assert kernel.core_numbers() == core
+        assert kernel.plain_k_core(k) == plain == set(maintainer.k_core_vertices(k))
         ngraph = snapshots[-1]
         # Nothing interned or copied: the snapshot reads the maintainer's own stores.
         assert ngraph.vertices is store.vertices and ngraph.ids is store.ids
@@ -244,27 +276,22 @@ def test_a_bare_refresh_flattens_only_the_rows_below_k(monkeypatch):
     """With no anchors a bare index derives ``min(core, k)`` from scratch
     and runs no k-core cascade, and its CSR holds exactly the rows of the
     ids below ``k``, each whole, and no other row."""
-    from repro.backends import numpy_backend
-
-    def boom(*args, **kwargs):
-        raise AssertionError("ran the k-core cascade")
-
-    monkeypatch.setattr(numpy_backend, "numpy_k_core_ids", boom)
-    snapshots = built_snapshots(monkeypatch, "from_graph")
     graph = chung_lu_graph(300, 900, skew=1.2, seed=3)
     # Vertices of other types, so ids, vertices and tie-break order differ.
     graph.add_edges([("a", 0), ("a", 1), ("a", (2,)), ((2,), 0), (-4, "a")])
     graph.add_vertex("lonely")
-    numpy, reference = get_backend("numpy"), get_backend("dict")
     top = max(core_numbers(graph, backend="dict").values())
-    for k in range(1, top + 2):
+    ks = range(1, top + 2)
+    expected = reference_states(graph, ks)
+    forbid_the_k_core_cascade(monkeypatch)
+    snapshots = built_snapshots(monkeypatch, "from_graph")
+    numpy = get_backend("numpy")
+    for k in ks:
         kernel = numpy.build_core_index(graph)
         kernel.refresh(set(), k)
-        expected = reference.build_core_index(graph)
-        expected.refresh(set(), k)
-        core = expected.core_numbers()
+        core, plain = expected[k]
         assert kernel.core_numbers() == core
-        assert kernel.plain_k_core(k) == expected.plain_k_core(k)
+        assert kernel.plain_k_core(k) == plain
         ngraph = snapshots[-1]
         indptr, indices = ngraph.indptr.tolist(), ngraph.indices.tolist()
         assert ngraph.rows.indptr == indptr and ngraph.rows.indices == indices
