@@ -118,10 +118,7 @@ def compute_followers(
     otherwise unused; it stays only for callers that still pass it, as
     :func:`repro.backends.resolve_backend` keeps ``num_vertices``.
     """
-    if backend != BACKEND_AUTO:
-        # ``auto`` is skipped: resolving it probes for numpy (tens of
-        # microseconds), and the warm path calls this on every answer.
-        resolve_backend(backend)
+    resolve_backend(backend)
     anchor_set = set(distinct_vertices("anchors", anchors))
     if k_core_vertices is None:
         anchored = anchored_k_core(graph, k, anchor_set)

@@ -20,10 +20,14 @@ first snapshot with the Greedy algorithm, then for every subsequent snapshot:
    filled greedily from the same restricted pool.
 
 The swap/fill pass builds no anchored core index and runs on the maintenance
-kernel's integer ids (:meth:`CoreMaintainer.id_store`).  It grows the region
-over the kernel's adjacency sets and reads the k-core and the ``(k-1)``-shell
-from its level sets, so finding the pool costs the region's edges, not a
-scan of the graph.  Only when a swap or a fill will run does it copy the
+kernel's integer ids (:meth:`CoreMaintainer.id_store`).  Its affected pool
+arrives as ids too: the delta's effect hands ``VI ∪ VR`` over by id
+(:attr:`~repro.cores.maintenance.DeltaEffect.affected_ids`), so a snapshot
+translates no touched or affected vertex, and only :meth:`refresh_anchors`,
+whose caller names vertices, looks ids up.  It grows the region over the
+kernel's adjacency sets and reads the k-core and the ``(k-1)``-shell from
+its level sets, so finding the pool costs the region's edges, not a scan of
+the graph.  Only when a swap or a fill will run does it copy the
 maintained core list; it raises that copy to the anchored core numbers of
 each anchor set it evaluates with the per-level riser cascades of
 :func:`repro.cores.decomposition.commit_anchor_ids`, capped at ``k``, and
@@ -63,7 +67,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.anchored.followers import compute_followers
 from repro.anchored.greedy import GreedyAnchoredKCore
@@ -74,7 +78,7 @@ from repro.cores.decomposition import (
     commit_anchor_ids,
     compact_marginal_followers,
 )
-from repro.cores.maintenance import CoreMaintainer, IdStore
+from repro.cores.maintenance import CoreMaintainer
 from repro.errors import ParameterError, distinct_vertices, require_bool, require_int
 from repro.backends import BACKEND_AUTO, ExecutionBackend, get_backend
 from repro.graph.static import Vertex
@@ -216,7 +220,7 @@ class IncAVTTracker:
             else:
                 effect = maintainer.apply_delta(delta, k=problem.k)
                 anchors, stats = self._update_anchor_set(
-                    maintainer, problem.k, problem.budget, anchors, effect.affected
+                    maintainer, problem.k, problem.budget, anchors, effect.affected_ids
                 )
                 maintenance_visited = effect.visited
             stats.maintenance_visited += maintenance_visited
@@ -274,15 +278,16 @@ class IncAVTTracker:
         require_int("budget", budget, 0)
         # Distinct anchors, first occurrence kept, then cut to the budget.
         carried = list(distinct_vertices("anchors", anchors))[:budget]
-        return self._update_anchor_set(maintainer, k, budget, carried, set(affected))
+        ids = maintainer.graph.ids
+        affected_ids = {ids[vertex] for vertex in affected if vertex in ids}
+        return self._update_anchor_set(maintainer, k, budget, carried, affected_ids)
 
     # ------------------------------------------------------------------
     # Anchor-set update (Algorithm 6, lines 9-16)
     # ------------------------------------------------------------------
-    def _affected_region(self, store: IdStore, affected: Set[Vertex]) -> Set[int]:
-        """The affected vertices' ids, grown by the neighbourhood radius."""
-        adj = store.adj
-        region = {store.ids[vertex] for vertex in affected if vertex in store.ids}
+    def _affected_region(self, adj: Sequence[Set[int]], affected_ids: Set[int]) -> Set[int]:
+        """The affected ids, grown by the neighbourhood radius."""
+        region = set(affected_ids)
         frontier = region
         for _ in range(self._neighbourhood_hops):
             if not frontier:
@@ -297,13 +302,13 @@ class IncAVTTracker:
         k: int,
         budget: int,
         previous_anchors: List[Vertex],
-        affected: Set[Vertex],
+        affected_ids: Set[int],
     ) -> Tuple[List[Vertex], SolverStats]:
-        """Swap / extend the carried-forward anchor set using the affected pool."""
-        store = maintainer.id_store()
-        ids, vertices, adj, icore, levels = store
+        """Swap / extend the carried-forward anchor set using the affected
+        pool, given as ids of the maintained graph."""
+        ids, vertices, adj, icore, levels = maintainer.id_store()
         anchors = [ids[anchor] for anchor in previous_anchors if anchor in ids]
-        region = self._affected_region(store, affected)
+        region = self._affected_region(adj, affected_ids)
 
         # Which carried-forward anchors are worth re-examining: those the delta
         # touched, plus anchors the evolution absorbed into the k-core (their

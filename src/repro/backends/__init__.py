@@ -49,6 +49,7 @@ instance.
 from __future__ import annotations
 
 import importlib.util
+from functools import lru_cache
 from typing import Dict, Optional, Union
 
 from repro.backends.base import (
@@ -80,16 +81,24 @@ __all__ = [
 _INSTANCES: Dict[str, ExecutionBackend] = {}
 
 
+@lru_cache(maxsize=None)
+def _numpy_installed() -> bool:
+    """Whether numpy can be imported, probed once per process: the probe
+    searches the import path, tens of microseconds a call."""
+    return importlib.util.find_spec("numpy") is not None
+
+
 def numpy_unavailable_reason() -> Optional[str]:
     """Why the numpy backend is currently unavailable (``None`` = it isn't).
 
     Distinguishes the explicit ``REPRO_DISABLE_NUMPY`` switch from a missing
     import so operators know whether to install or to un-set.  The switch is
     parsed like ``REPRO_TRACE``: only ``1``/``true``/``yes``/``on`` disable.
+    It is read on every call; whether numpy is installed is probed once.
     """
     if env_flag("REPRO_DISABLE_NUMPY"):
         return "disabled via REPRO_DISABLE_NUMPY"
-    if importlib.util.find_spec("numpy") is None:
+    if not _numpy_installed():
         return "numpy is not installed"
     return None
 

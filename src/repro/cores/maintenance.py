@@ -51,9 +51,17 @@ pure Python: vectorisation cannot beat int-set traversals on per-edge
 subcores, and maintenance runs the same with or without numpy.
 
 :meth:`CoreMaintainer.apply_delta` runs on ids.  It looks each endpoint's id
-up once, writes the edge to the graph's rows, and the kernel takes and
-returns id sets; the pre-update cores and the touched sets are kept by id and
-translated to vertices once per delta.
+up once and writes the edge through the graph's id mutators, and the kernel
+records the touched ids and each id's net core change into the delta's own
+set and maps.  A core number moves only when a traversal visits its id, so the
+pre-update cores are the final ones minus the net change.  Most edges settle
+at their lower endpoint alone: an insertion raises it when none of its
+neighbours shares its core, and a removal leaves it when it keeps its
+support, or lowers it alone when none of its supporters shares its core.
+Only the rest walk a subcore or run a cascade.  The returned
+:class:`DeltaEffect` keeps every result by id and translates a vertex-space
+field only when it is first read: IncAVT's swap/fill pass and the engine's
+flush read the ids and translate nothing.
 
 Set-up interns the caller's graph once, which is also the maintainer's copy
 of it (later updates never touch the caller's graph), and takes the core
@@ -75,6 +83,7 @@ from __future__ import annotations
 
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import (
     Dict,
     Iterable,
@@ -99,16 +108,46 @@ from repro.graph.dynamic import EdgeDelta
 from repro.graph.static import Edge, Graph, IdGraph, IdSetView, Vertex
 
 
-@dataclass
+#: The fields :class:`DeltaEffect` equality compares, in vertex space.
+_EFFECT_FIELDS = (
+    "increased",
+    "decreased",
+    "insertion_affected",
+    "deletion_affected",
+    "insertion_touched",
+    "deletion_touched",
+    "pre_update_core",
+    "visited",
+)
+
+
+@dataclass(eq=False, repr=False)
 class DeltaEffect:
     """The effect of applying one snapshot delta to a maintained core index.
+
+    :meth:`CoreMaintainer.apply_delta` computes every result in the
+    maintained graph's id space, in full, before it returns.  Each
+    vertex-space attribute below has an id-space twin named with the suffix
+    ``_ids`` (``pre_update_core_ids`` maps ids to cores), and
+    ``affected_ids`` and ``touched_ids`` are their unions; consumers that
+    work on ids read those.  A vertex-space attribute translates its twin
+    through ``id_vertices`` on its first read and keeps the result.  Ids are
+    permanent and ``id_vertices`` only grows, so a translation made after
+    later updates still reports this delta: only the translation waits for
+    a read, never a read of the core numbers.  Effects are built by
+    :meth:`CoreMaintainer.apply_delta`: the constructor takes
+    ``id_vertices``, the ``_ids`` fields and ``visited``, and the
+    vertex-space attributes are translations, not parameters.
+    ``DeltaEffect()`` is the empty effect, and two effects are equal when
+    their seven vertex-space attributes and ``visited`` are.
 
     Attributes
     ----------
     increased:
         Vertices whose core number rose while applying the delta.
     decreased:
-        Vertices whose core number fell while applying the delta.
+        Vertices whose core number fell while applying the delta.  A vertex
+        that rose and then fell within one delta is in both.
     insertion_affected:
         The paper's ``VI``: vertices touched by the insertion phase whose core
         number is ``k - 1`` in the updated graph.
@@ -124,24 +163,67 @@ class DeltaEffect:
         Every vertex the deletion phase examined, symmetric to
         ``insertion_touched``.
     pre_update_core:
-        Core number each touched vertex had *before* the delta (first-seen
-        snapshot; vertices the delta created are recorded at their
-        creation-time core 0, which correctly marks them as new at every
-        ``k``).  Lets consumers reason about old-vs-new cores without copying
-        the full core index.
+        Core number each touched vertex had *before* the delta (vertices the
+        delta created are recorded at their creation-time core 0, which
+        correctly marks them as new at every ``k``).  Lets consumers reason
+        about old-vs-new cores without copying the full core index.
     visited:
         Number of vertices visited by the maintenance traversals (used by the
         instrumentation figures).
     """
 
-    increased: Set[Vertex] = field(default_factory=set)
-    decreased: Set[Vertex] = field(default_factory=set)
-    insertion_affected: Set[Vertex] = field(default_factory=set)
-    deletion_affected: Set[Vertex] = field(default_factory=set)
-    insertion_touched: Set[Vertex] = field(default_factory=set)
-    deletion_touched: Set[Vertex] = field(default_factory=set)
-    pre_update_core: Dict[Vertex, int] = field(default_factory=dict)
+    #: The maintained graph's ``id_vertices``: the vertex of each id.
+    id_vertices: Sequence[Vertex] = ()
+    increased_ids: AbstractSet[int] = frozenset()
+    decreased_ids: AbstractSet[int] = frozenset()
+    insertion_affected_ids: AbstractSet[int] = frozenset()
+    deletion_affected_ids: AbstractSet[int] = frozenset()
+    insertion_touched_ids: AbstractSet[int] = frozenset()
+    deletion_touched_ids: AbstractSet[int] = frozenset()
+    pre_update_core_ids: Mapping[int, int] = field(default_factory=dict)
     visited: int = 0
+
+    def _vertices(self, id_set: AbstractSet[int]) -> Set[Vertex]:
+        return set(map(self.id_vertices.__getitem__, id_set))
+
+    @cached_property
+    def increased(self) -> Set[Vertex]:
+        return self._vertices(self.increased_ids)
+
+    @cached_property
+    def decreased(self) -> Set[Vertex]:
+        return self._vertices(self.decreased_ids)
+
+    @cached_property
+    def insertion_affected(self) -> Set[Vertex]:
+        return self._vertices(self.insertion_affected_ids)
+
+    @cached_property
+    def deletion_affected(self) -> Set[Vertex]:
+        return self._vertices(self.deletion_affected_ids)
+
+    @cached_property
+    def insertion_touched(self) -> Set[Vertex]:
+        return self._vertices(self.insertion_touched_ids)
+
+    @cached_property
+    def deletion_touched(self) -> Set[Vertex]:
+        return self._vertices(self.deletion_touched_ids)
+
+    @cached_property
+    def pre_update_core(self) -> Dict[Vertex, int]:
+        vertex_of = self.id_vertices.__getitem__
+        return {vertex_of(vid): value for vid, value in self.pre_update_core_ids.items()}
+
+    @property
+    def affected_ids(self) -> Set[int]:
+        """Union of the insertion- and deletion-affected ids."""
+        return self.insertion_affected_ids | self.deletion_affected_ids
+
+    @property
+    def touched_ids(self) -> Set[int]:
+        """Every id examined by either maintenance phase (k-independent)."""
+        return self.insertion_touched_ids | self.deletion_touched_ids
 
     @property
     def affected(self) -> Set[Vertex]:
@@ -157,6 +239,15 @@ class DeltaEffect:
     def changed(self) -> Set[Vertex]:
         """Vertices whose core number actually moved (rose or fell)."""
         return self.increased | self.decreased
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DeltaEffect):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in _EFFECT_FIELDS)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in _EFFECT_FIELDS)
+        return f"DeltaEffect({fields})"
 
 
 def bucket_cores(adj: List[Set[int]]) -> List[int]:
@@ -238,8 +329,16 @@ class _IdKernel:
     the traversals and :meth:`add_vertex` write both.  ``adj`` and
     ``vertices`` are the graph's ``rows`` and ``id_vertices``.  The
     maintainer writes an edge to the graph first and then calls
-    :meth:`insert` / :meth:`remove` with the endpoint ids; each runs its
-    traversal and returns id sets.
+    :meth:`insert` / :meth:`remove` with the endpoint ids, the caller's
+    ``touched`` set and its net-change map ``net``.  Each adds both
+    endpoints and every id its traversal examines to ``touched``, adds the
+    change of every core number it moves to ``net`` (+1 per rise, -1 per
+    drop) and returns how many ids it examined.  When the endpoints sit at
+    different cores, the lower one is the only root, and one pass settles
+    it with no walk, queue or map: an insertion's over its row, unless a
+    neighbour shares its core, and a removal's over its supporters, unless
+    it drops and one of them shares its core.  Only then, or when the
+    endpoints share a core, do the subcore walk and the cascade run.
     """
 
     __slots__ = ("icore", "levels", "vertices", "adj")
@@ -265,46 +364,68 @@ class _IdKernel:
         self.levels[0].add(vid)
 
     # -- insertion traversal (Lemmas 1-2) ----------------------------------
-    def insert(self, u_id: int, v_id: int) -> Tuple[Set[int], Set[int]]:
-        """Run the insertion traversal of a just-added edge.
+    def insert(self, u_id: int, v_id: int, touched: Set[int], net: Dict[int, int]) -> int:
+        """Run the insertion traversal of a just-added edge."""
+        icore = self.icore
+        touched.add(u_id)
+        touched.add(v_id)
+        u_core, v_core = icore[u_id], icore[v_id]
+        if u_core == v_core:
+            root_core = u_core
+            risen, visits = self._subcore_walk((u_id, v_id), root_core, touched)
+        else:
+            root, root_core = (u_id, u_core) if u_core < v_core else (v_id, v_core)
+            # The lower endpoint is the only root.  Unless a neighbour shares
+            # its core, its subcore is itself, and it rises: root_core
+            # neighbours above it held it at its core before the edge, and
+            # the edge adds one.
+            risen, visits = (root,), 1
+            for neighbour in self.adj[root]:
+                if icore[neighbour] == root_core:
+                    risen, visits = self._subcore_walk((root,), root_core, touched)
+                    break
+        if risen:
+            value = root_core + 1
+            levels = self.levels
+            if value == len(levels):
+                levels.append(set())
+            levels[value].update(risen)
+            for w in risen:
+                icore[w] = value
+                net[w] = net.get(w, 0) + 1
+        return visits
 
-        Returns ``(risen, visited)``: the ids whose core number rose, and
-        every id the traversal examined.
-        """
+    def _subcore_walk(
+        self, roots: Tuple[int, ...], root_core: int, touched: Set[int]
+    ) -> Tuple[Set[int], int]:
+        """The ids of the roots' subcore that rise, and the subcore's size;
+        adds the subcore to ``touched``."""
         adj = self.adj
         icore = self.icore
-        root_core = min(icore[u_id], icore[v_id])
-        roots = [w for w in (u_id, v_id) if icore[w] == root_core]
-
         # Subcore: shell-root_core vertices reachable from the roots through
         # shell-root_core vertices.  Only these can rise, and by at most 1.
-        candidates: Set[int] = set()
-        stack: List[int] = []
-        for root in roots:
-            if root not in candidates:
-                candidates.add(root)
-                stack.append(root)
+        # A candidate's support is its neighbours among higher-core vertices
+        # and candidates.  Every shell-root_core neighbour of a candidate is
+        # a candidate, so that is its number of neighbours of core >=
+        # root_core, counted while the walk scans its row.
+        candidates: Set[int] = set(roots)
+        stack = list(roots)
+        support: Dict[int, int] = {}
         while stack:
             current = stack.pop()
+            count = 0
             for neighbour in adj[current]:
-                if icore[neighbour] == root_core and neighbour not in candidates:
-                    candidates.add(neighbour)
-                    stack.append(neighbour)
+                value = icore[neighbour]
+                if value >= root_core:
+                    count += 1
+                    if value == root_core and neighbour not in candidates:
+                        candidates.add(neighbour)
+                        stack.append(neighbour)
+            support[current] = count
 
-        # Eviction: a candidate can rise only if it keeps more than root_core
-        # neighbours among (higher-core vertices ∪ surviving candidates).
-        # Candidates sit in low shells with short rows, where a list count
-        # beats a set intersection.
-        support: Dict[int, int] = {}
-        for candidate in candidates:
-            support[candidate] = len(
-                [
-                    neighbour
-                    for neighbour in adj[candidate]
-                    if icore[neighbour] > root_core or neighbour in candidates
-                ]
-            )
-        evict_queue = [w for w, s in support.items() if s <= root_core]
+        # Eviction: a candidate can rise only if more than root_core of its
+        # supporters remain once evicted candidates stop counting.
+        evict_queue = [w for w, count in support.items() if count <= root_core]
         evicted: Set[int] = set()
         while evict_queue:
             w = evict_queue.pop()
@@ -316,27 +437,50 @@ class _IdKernel:
                     support[neighbour] -= 1
                     if support[neighbour] <= root_core:
                         evict_queue.append(neighbour)
-
-        risen = candidates - evicted
-        if risen:
-            value = root_core + 1
-            levels = self.levels
-            if value == len(levels):
-                levels.append(set())
-            levels[value] |= risen
-            for w in risen:
-                icore[w] = value
-        return risen, candidates
+        touched |= candidates
+        return candidates - evicted, len(candidates)
 
     # -- deletion cascade (Lemmas 3-4) --------------------------------------
-    def remove(self, u_id: int, v_id: int) -> Tuple[Set[int], Set[int]]:
-        """Run the deletion cascade of a just-removed edge.
+    def remove(self, u_id: int, v_id: int, touched: Set[int], net: Dict[int, int]) -> int:
+        """Run the deletion cascade of a just-removed edge."""
+        icore = self.icore
+        touched.add(u_id)
+        touched.add(v_id)
+        adj = self.adj
+        u_core, v_core = icore[u_id], icore[v_id]
+        if u_core == v_core:
+            level = self.levels[u_core]
+            roots = {u_id: adj[u_id] & level, v_id: adj[v_id] & level}
+            return self._cascade(roots, u_core, touched, net)
+        root, root_core = (u_id, u_core) if u_core < v_core else (v_id, v_core)
+        # The lower endpoint is the only root.  It keeps its core while
+        # root_core of its neighbours sit at root_core or above, and when it
+        # drops, it drops alone unless one of them sits at root_core exactly.
+        level = self.levels[root_core]
+        found = adj[root] & level
+        if len(found) >= root_core:
+            return 1
+        for neighbour in found:
+            if icore[neighbour] == root_core:
+                return self._cascade({root: found}, root_core, touched, net)
+        icore[root] = root_core - 1
+        level.discard(root)
+        net[root] = net.get(root, 0) - 1
+        return 1
 
-        Returns ``(dropped, visited)`` ids.
-        """
+    def _cascade(
+        self,
+        supporters: Dict[int, Set[int]],
+        root_core: int,
+        touched: Set[int],
+        net: Dict[int, int],
+    ) -> int:
+        """The deletion cascade at ``root_core`` from the roots that
+        ``supporters`` maps to their supporters; records and returns as
+        :meth:`remove` does.  The cascade adds every vertex it visits to
+        ``supporters``."""
         adj = self.adj
         icore = self.icore
-        root_core = min(icore[u_id], icore[v_id])
         # ``level`` holds exactly the ids of core >= root_core, so a vertex's
         # supporters (its max core degree) are its row intersected with it,
         # and only they can be visited.  A vertex drops when its support
@@ -344,19 +488,15 @@ class _IdKernel:
         # kept from a vertex's first visit holds every current supporter;
         # its other members were lowered, and the walk skips them.
         level = self.levels[root_core]
-        visited: Set[int] = set()
-        supporters: Dict[int, Set[int]] = {}
+        visited: Set[int] = set(supporters)
         support: Dict[int, int] = {}
         dropped: Set[int] = set()
         queue: List[int] = []
-        for w in (u_id, v_id):
-            if icore[w] == root_core and w not in dropped:
-                visited.add(w)
-                supporters[w] = found = adj[w] & level
-                support[w] = len(found)
-                if support[w] < root_core:
-                    dropped.add(w)
-                    queue.append(w)
+        for w, found in supporters.items():
+            support[w] = len(found)
+            if support[w] < root_core:
+                dropped.add(w)
+                queue.append(w)
 
         lowered = root_core - 1
         while queue:
@@ -378,7 +518,9 @@ class _IdKernel:
                     queue.append(x)
             icore[w] = lowered
             level.discard(w)
-        return dropped, visited
+            net[w] = net.get(w, 0) - 1
+        touched |= visited
+        return len(visited)
 
 
 class CoreMaintainer:
@@ -498,7 +640,8 @@ class CoreMaintainer:
         u_id, v_id = self._intern(u), self._intern(v)
         if not self._graph.add_edge_ids(u_id, v_id):
             return set()
-        risen, _ = self._kernel.insert(u_id, v_id)
+        risen: Dict[int, int] = {}
+        self._kernel.insert(u_id, v_id, set(), risen)
         return set(map(self._graph.id_vertices.__getitem__, risen))
 
     def remove_edge(self, u: Vertex, v: Vertex) -> Set[Vertex]:
@@ -513,7 +656,8 @@ class CoreMaintainer:
         u_id, v_id = ids.get(u), ids.get(v)
         if u_id is None or v_id is None or not self._graph.remove_edge_ids(u_id, v_id):
             return set()
-        dropped, _ = self._kernel.remove(u_id, v_id)
+        dropped: Dict[int, int] = {}
+        self._kernel.remove(u_id, v_id, set(), dropped)
         return set(map(self._graph.id_vertices.__getitem__, dropped))
 
     # ------------------------------------------------------------------
@@ -554,15 +698,14 @@ class CoreMaintainer:
         change".  An inserted self-loop raises
         :class:`~repro.errors.SelfLoopError` before anything changes.
 
-        The delta runs on ids: each endpoint is looked up once, and the
-        pre-update cores and the touched sets are kept by id and translated
-        to vertices once, at the end.
+        The delta runs on ids: each endpoint is looked up once, the graph's
+        id mutators write the edge, and the kernel records the touched ids
+        and each id's net core change (see :class:`DeltaEffect`).
         """
         if k is not None:
             require_int("k", k, 1)
-        effect = DeltaEffect()
         if delta.is_empty():
-            return effect
+            return DeltaEffect()
         for u, v in delta.inserted:
             if u == v:
                 raise SelfLoopError(u)
@@ -570,63 +713,52 @@ class CoreMaintainer:
         graph = self._graph
         kernel = self._kernel
         ids = graph.ids
-        icore = kernel.icore
-        pre_core: Dict[int, int] = {}
+        intern = self._intern
         visits = 0
-        increased: Set[int] = set()
         insertion_touched: Set[int] = set()
-        for u, v in delta.inserted:
-            u_id, v_id = self._intern(u), self._intern(v)
-            if not graph.add_edge_ids(u_id, v_id):
-                continue
-            pre_core.setdefault(u_id, icore[u_id])
-            pre_core.setdefault(v_id, icore[v_id])
-            risen, visited = kernel.insert(u_id, v_id)
-            for w in visited:
-                if w not in pre_core:
-                    # An insertion raises a risen vertex by exactly 1.
-                    pre_core[w] = icore[w] - (w in risen)
-            increased |= risen
-            insertion_touched.add(u_id)
-            insertion_touched.add(v_id)
-            insertion_touched |= visited
-            visits += len(visited)
-
-        decreased: Set[int] = set()
         deletion_touched: Set[int] = set()
+        # Per-phase net core change by id: rises in the insertion phase,
+        # drops in the deletion phase.
+        rose: Dict[int, int] = {}
+        fell: Dict[int, int] = {}
+        add_edge_ids, insert = graph.add_edge_ids, kernel.insert
+        for u, v in delta.inserted:
+            u_id, v_id = intern(u), intern(v)
+            if add_edge_ids(u_id, v_id):
+                visits += insert(u_id, v_id, insertion_touched, rose)
+
+        remove_edge_ids, remove = graph.remove_edge_ids, kernel.remove
         for u, v in delta.removed:
             u_id, v_id = ids.get(u), ids.get(v)
-            if u_id is None or v_id is None or not graph.remove_edge_ids(u_id, v_id):
-                continue
-            pre_core.setdefault(u_id, icore[u_id])
-            pre_core.setdefault(v_id, icore[v_id])
-            dropped, visited = kernel.remove(u_id, v_id)
-            for w in visited:
-                if w not in pre_core:
-                    # A deletion lowers a dropped vertex by exactly 1.
-                    pre_core[w] = icore[w] + (w in dropped)
-            decreased |= dropped
-            deletion_touched.add(u_id)
-            deletion_touched.add(v_id)
-            deletion_touched |= visited
-            visits += len(visited)
+            if u_id is not None and v_id is not None and remove_edge_ids(u_id, v_id):
+                visits += remove(u_id, v_id, deletion_touched, fell)
 
-        effect.visited = visits
-        vertex_of = graph.id_vertices.__getitem__
-        effect.increased = set(map(vertex_of, increased))
-        effect.decreased = set(map(vertex_of, decreased))
-        effect.insertion_touched = set(map(vertex_of, insertion_touched))
-        effect.deletion_touched = set(map(vertex_of, deletion_touched))
-        effect.pre_update_core = {vertex_of(w): value for w, value in pre_core.items()}
-        if k is not None:
+        # A core number moves only when a traversal visits its id, so a
+        # touched id's pre-update core is its core now minus its net change.
+        core_of = kernel.icore.__getitem__
+        pre_core = dict(zip(insertion_touched, map(core_of, insertion_touched)))
+        pre_core.update(zip(deletion_touched, map(core_of, deletion_touched)))
+        for changes in (rose, fell):
+            for w, change in changes.items():
+                pre_core[w] -= change
+        if k is None:
+            insertion_affected: AbstractSet[int] = frozenset()
+            deletion_affected: AbstractSet[int] = frozenset()
+        else:
             target = k - 1
-            effect.insertion_affected = {
-                vertex_of(w) for w in insertion_touched if icore[w] == target
-            }
-            effect.deletion_affected = {
-                vertex_of(w) for w in deletion_touched if icore[w] == target
-            }
-        return effect
+            insertion_affected = {w for w in insertion_touched if core_of(w) == target}
+            deletion_affected = {w for w in deletion_touched if core_of(w) == target}
+        return DeltaEffect(
+            graph.id_vertices,
+            increased_ids=set(rose),
+            decreased_ids=set(fell),
+            insertion_affected_ids=insertion_affected,
+            deletion_affected_ids=deletion_affected,
+            insertion_touched_ids=insertion_touched,
+            deletion_touched_ids=deletion_touched,
+            pre_update_core_ids=pre_core,
+            visited=visits,
+        )
 
     def refresh_from_graph(self) -> None:
         """Recompute all core numbers from the current state of :attr:`graph`.

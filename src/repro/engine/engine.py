@@ -242,6 +242,11 @@ class StreamingAVTEngine:
         selectively invalidates the result cache and marks the warm anchor
         states stale around the touched region.  Returns the maintenance
         effect (empty when nothing was pending).
+
+        The cache check reads the effect's touched ids and pre-update cores
+        by id; the touched vertices are translated only when a warm state,
+        whose stale region holds vertices, is kept.  The returned effect
+        translates each of its other fields on its first read.
         """
         if self._buffer.is_empty():
             return DeltaEffect()
@@ -256,7 +261,7 @@ class StreamingAVTEngine:
         self._stats.deltas_applied += 1
         self._stats.edges_inserted += len(delta.inserted)
         self._stats.edges_removed += len(delta.removed)
-        touched = effect.touched
+        touched = effect.touched_ids
         if touched:
             old_version = self._version
             self._version += 1
@@ -264,15 +269,12 @@ class StreamingAVTEngine:
             # core >= k both before and after the delta: then no vertex outside
             # the k-core gained or lost anything, the k-core membership is
             # unchanged, and the anchored answer is byte-identical.  Old cores
-            # come from the effect's first-seen snapshot, so this stays
-            # O(|touched|) rather than O(n).
-            pre_core = effect.pre_update_core
+            # come from the effect's pre-update cores and new ones from the
+            # maintained core list, both by id, so this stays O(|touched|)
+            # rather than O(n).
+            icore = self._maintainer.id_store().icore
             safe_min = min(
-                min(
-                    pre_core.get(vertex, float("inf")),
-                    self._maintainer.core(vertex),
-                )
-                for vertex in touched
+                min(effect.pre_update_core_ids.values()), min(map(icore.__getitem__, touched))
             )
             promoted, invalidated = self._cache.promote(
                 old_version, self._version, keep=lambda key: key.k <= safe_min
@@ -281,15 +283,18 @@ class StreamingAVTEngine:
             self._stats.cache_invalidations += invalidated
             # A warm state whose stale region outgrows half the graph buys
             # nothing over a cold solve — drop it to bound memory in
-            # long-lived engines.
-            stale_limit = max(16, self._maintainer.graph.num_vertices // 2)
-            doomed = []
-            for warm_key, state in self._warm.items():
-                state.stale |= touched
-                if len(state.stale) > stale_limit:
-                    doomed.append(warm_key)
-            for warm_key in doomed:
-                del self._warm[warm_key]
+            # long-lived engines.  Only warm states read the touched
+            # vertices, so only they translate them.
+            if self._warm:
+                stale_limit = max(16, self._maintainer.graph.num_vertices // 2)
+                touched_vertices = effect.touched
+                doomed = []
+                for warm_key, state in self._warm.items():
+                    state.stale |= touched_vertices
+                    if len(state.stale) > stale_limit:
+                        doomed.append(warm_key)
+                for warm_key in doomed:
+                    del self._warm[warm_key]
         self._stats.observe_latency(
             "update", time.perf_counter() - started, trace_id=tracer.current_trace_id()
         )

@@ -139,11 +139,12 @@ DATASET_NAMES: Tuple[str, ...] = (
 def dataset_spec(name: str) -> DatasetSpec:
     """Return the :class:`DatasetSpec` for ``name``.
 
-    Raises :class:`DatasetError` for unknown names.
+    Raises :class:`DatasetError` for unknown names, unhashable ones (a list,
+    a dict) included.
     """
     try:
         return _SPECS[name]
-    except KeyError:
+    except (KeyError, TypeError):
         known = ", ".join(sorted(_SPECS))
         raise DatasetError(f"unknown dataset {name!r}; known datasets: {known}") from None
 

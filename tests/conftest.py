@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import random
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 import networkx as nx
 import pytest
@@ -14,6 +14,7 @@ from repro.cores.decomposition import anchored_core_decomposition, core_numbers
 from repro.cores.maintenance import CoreMaintainer
 from repro.graph.generators import barabasi_albert_graph, chung_lu_graph, erdos_renyi_graph
 from repro.graph.datasets import toy_example_evolving_graph, toy_example_graph
+from repro.graph.dynamic import EdgeDelta
 from repro.graph.static import Graph, IdGraph, Vertex
 from repro.ordering import tie_break_key
 
@@ -118,13 +119,16 @@ class ReferenceMaintenanceKernel:
     surface :class:`~repro.cores.maintenance.CoreMaintainer` calls on its
     kernel (``icore``, ``add_vertex``, ``insert`` and ``remove``) with no id
     lists and no level sets (its ``icore`` reads a ``{vertex: core}`` map
-    by id), so swapping it into a second maintainer runs ``apply_delta``'s
-    bookkeeping over an independent implementation of the traversals.  The
-    maintainer speaks the maintained
-    graph's ids to its kernel; this one translates them to vertices at its
-    boundary, walks the graph in vertex space (``neighbors``) and counts
-    supports over whole neighbourhoods.  Like the maintainer's kernel, it is
+    by id), so swapping it into a second maintainer runs the maintainer's
+    own updates over an independent implementation of the traversals.  The
+    maintainer speaks the maintained graph's ids to its kernel, and hands
+    it the touched set and the net-change map to record into; this one
+    translates the ids to vertices at its boundary, walks the graph in
+    vertex space (``neighbors``), counts supports over whole neighbourhoods
+    and has no shortcut for any case.  Like the maintainer's kernel, it is
     called after the maintainer has written the edge to the graph.
+    :func:`reference_delta_effect` checks ``apply_delta``'s bookkeeping
+    without any of this.
     """
 
     def __init__(self, graph: IdGraph, core: Dict[Vertex, int]) -> None:
@@ -135,18 +139,26 @@ class ReferenceMaintenanceKernel:
     def add_vertex(self, vid: int) -> None:
         self.vertex_core[self._graph.id_vertices[vid]] = 0
 
-    def insert(self, u_id: int, v_id: int) -> Tuple[Set[int], Set[int]]:
-        """Insertion traversal; returns ``(increased, visited)`` ids."""
-        return self._by_id(self._insert, u_id, v_id)
+    def insert(self, u_id: int, v_id: int, touched: Set[int], net: Dict[int, int]) -> int:
+        """Insertion traversal; records as the maintainer's kernel does."""
+        return self._by_id(self._insert, u_id, v_id, touched, net, 1)
 
-    def remove(self, u_id: int, v_id: int) -> Tuple[Set[int], Set[int]]:
-        """Deletion cascade; returns ``(decreased, visited)`` ids."""
-        return self._by_id(self._remove, u_id, v_id)
+    def remove(self, u_id: int, v_id: int, touched: Set[int], net: Dict[int, int]) -> int:
+        """Deletion cascade; records as the maintainer's kernel does."""
+        return self._by_id(self._remove, u_id, v_id, touched, net, -1)
 
-    def _by_id(self, traversal, u_id: int, v_id: int) -> Tuple[Set[int], Set[int]]:
+    def _by_id(
+        self, traversal, u_id: int, v_id: int, touched: Set[int], net: Dict[int, int], step: int
+    ) -> int:
+        """Run ``traversal`` on the endpoints' vertices and record its result
+        by id: the endpoints and every visited id into ``touched``, ``step``
+        per changed id into ``net``; return the number of visited ids."""
         vertices, ids = self._graph.id_vertices, self._graph.ids
         changed, visited = traversal(vertices[u_id], vertices[v_id])
-        return {ids[w] for w in changed}, {ids[w] for w in visited}
+        touched.update((u_id, v_id), map(ids.__getitem__, visited))
+        for w in changed:
+            net[ids[w]] = net.get(ids[w], 0) + step
+        return len(visited)
 
     def _insert(self, u: Vertex, v: Vertex) -> Tuple[Set[Vertex], Set[Vertex]]:
         """Insertion traversal; returns ``(increased, visited)``."""
@@ -232,6 +244,78 @@ def reference_maintainer(graph: Graph) -> CoreMaintainer:
         maintainer.graph, core_numbers(maintainer.graph, backend="dict")
     )
     return maintainer
+
+
+def reference_delta_effect(
+    graph: Graph, delta: EdgeDelta, k: Optional[int] = None
+) -> Tuple[Dict[str, object], Dict[Vertex, int]]:
+    """What :meth:`CoreMaintainer.apply_delta` must report, from definitions only.
+
+    Shares no code with the maintainer: it applies ``delta`` to a plain
+    :class:`Graph` copy of ``graph`` edge by edge, insertions first, skips
+    the edges that change nothing, and recomputes every core number with
+    the dict backend's full peel after each effective edge.  For each edge,
+    ``r`` is the pre-edge core number of its lower endpoint (0 for a new
+    vertex):
+
+    - an insertion visits the vertices of pre-edge core ``r`` reachable from
+      the endpoints at ``r`` through such vertices, in the graph with the
+      edge;
+    - a removal visits the endpoints at ``r`` and every pre-edge-core-``r``
+      neighbour of a vertex whose core number fell.
+
+    The eight :class:`~repro.cores.maintenance.DeltaEffect` fields follow
+    from those visits and the recomputed cores alone.  Returns the fields
+    by name and the core numbers after the delta.
+    """
+    graph = graph.copy()
+    start = core_numbers(graph, backend="dict")
+    core = dict(start)
+    fields: Dict[str, object] = {
+        "increased": set(),
+        "decreased": set(),
+        "insertion_touched": set(),
+        "deletion_touched": set(),
+    }
+    visited = 0
+    for inserting, edges in ((True, delta.inserted), (False, delta.removed)):
+        touched = fields["insertion_touched" if inserting else "deletion_touched"]
+        for u, v in edges:
+            if graph.has_edge(u, v) == inserting:
+                continue
+            before = {**core, u: core.get(u, 0), v: core.get(v, 0)}
+            if inserting:
+                graph.add_edge(u, v)
+            else:
+                graph.remove_edge(u, v)
+            core = core_numbers(graph, backend="dict")
+            r = min(before[u], before[v])
+            visits = {w for w in (u, v) if before[w] == r}
+            if inserting:
+                stack = list(visits)
+                while stack:
+                    for x in graph.neighbors(stack.pop()):
+                        if before[x] == r and x not in visits:
+                            visits.add(x)
+                            stack.append(x)
+                fields["increased"] |= {w for w in core if core[w] > before[w]}
+            else:
+                fell = {w for w in core if core[w] < before[w]}
+                visits |= {x for w in fell for x in graph.neighbors(w) if before[x] == r}
+                fields["decreased"] |= fell
+            touched.update((u, v))
+            touched |= visits
+            visited += len(visits)
+    touched_all = fields["insertion_touched"] | fields["deletion_touched"]
+    fields["pre_update_core"] = {vertex: start.get(vertex, 0) for vertex in touched_all}
+    for phase in ("insertion", "deletion"):
+        fields[f"{phase}_affected"] = (
+            set()
+            if k is None
+            else {vertex for vertex in fields[f"{phase}_touched"] if core[vertex] == k - 1}
+        )
+    fields["visited"] = visited
+    return fields, core
 
 
 def section_regions(path) -> Dict[str, Tuple[int, int]]:

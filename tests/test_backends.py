@@ -17,6 +17,7 @@ from repro.backends import (
     numpy_unavailable_reason,
     resolve_backend,
 )
+from repro.backends import _numpy_installed
 from repro.backends.dict_backend import DictBackend, dict_anchored_peel
 from repro.engine import StreamingAVTEngine
 from repro.errors import ParameterError, VertexNotFoundError
@@ -323,6 +324,29 @@ class TestAvailabilityReasons:
         assert (numpy_unavailable_reason() is None) == available
         expected = BACKEND_NUMPY if available else BACKEND_DICT
         assert resolve_backend("auto", 100_000) == expected
+
+    def test_numpy_is_probed_once_and_the_switch_read_every_call(self, monkeypatch):
+        probes = []
+        find_spec = importlib.util.find_spec
+
+        def counting_find_spec(name, *args, **kwargs):
+            probes.append(name)
+            return find_spec(name, *args, **kwargs)
+
+        monkeypatch.setattr(importlib.util, "find_spec", counting_find_spec)
+        monkeypatch.delenv("REPRO_DISABLE_NUMPY", raising=False)
+        _numpy_installed.cache_clear()
+        installed = find_spec("numpy") is not None
+        for _ in range(1000):
+            assert numpy_available() == installed
+            assert resolve_backend("auto") == (BACKEND_NUMPY if installed else BACKEND_DICT)
+        for value, disables in (("1", True), ("0", False), ("on", True)):
+            monkeypatch.setenv("REPRO_DISABLE_NUMPY", value)
+            assert numpy_available() == (installed and not disables)
+            assert resolve_backend("auto") == (
+                BACKEND_NUMPY if installed and not disables else BACKEND_DICT
+            )
+        assert probes.count("numpy") == 1
 
     def test_get_backend_error_names_the_reason(self, monkeypatch):
         monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.anchored.followers import compute_followers
-from repro.bench.workloads import build_problem
+from repro.bench.workloads import build_problem, dataset_k_values
 from repro.cores.decomposition import core_numbers
 from repro.errors import DatasetError, ParameterError
 from repro.graph.datasets import (
@@ -39,6 +39,22 @@ class TestSpecs:
     def test_unknown_dataset_raises(self):
         with pytest.raises(DatasetError):
             dataset_spec("facebook")
+
+    @pytest.mark.parametrize(
+        "entry_point",
+        [
+            dataset_spec,
+            load_dataset,
+            load_snapshot_sequence,
+            dataset_summary,
+            build_problem,
+            dataset_k_values,
+        ],
+    )
+    @pytest.mark.parametrize("name", [{}, ["gnutella"]])
+    def test_an_unhashable_name_is_an_unknown_dataset(self, entry_point, name):
+        with pytest.raises(DatasetError, match="unknown dataset"):
+            entry_point(name)
 
     def test_static_and_temporal_split_matches_paper(self):
         static = {name for name in DATASET_NAMES if dataset_spec(name).kind == "static"}

@@ -5,8 +5,9 @@ that starts on vertices 0-11 with a small ``batch_size`` (so auto-flush fires
 inside ingest) and mirrors every accepted edge operation on a shadow graph.
 Edges are drawn over vertices -1..15, so inserts and removals also reach
 vertices the engine does not know yet.  Vertex -1 sorts before every other
-vertex: when it arrives, the maintainer drops its cached tie-break order,
-and the next exact answer runs on a snapshot gathered in the rebuilt order.
+vertex but, arriving late, gets the maintained graph's newest id: ids carry
+no order, so the next exact answer must still break its ties by vertex and
+rank -1 first (the shell pass keys the vertices it orders, not their ids).
 The rules interleave single inserts (self-loops included, which must fail
 at ingest and buffer nothing), removals (absent edges and self-loops
 included), whole deltas, flushes,

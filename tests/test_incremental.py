@@ -147,12 +147,13 @@ class TestRefreshAnchors:
         # {15, 17} and their neighbours touch neither anchor, and neither
         # anchor is in the 3-core.
         tracker = IncAVTTracker()
-        anchors, stats = tracker._update_anchor_set(maintainer, 3, 2, [7, 10], {15, 17})
+        affected_ids = {maintainer.graph.ids[vertex] for vertex in (15, 17)}
+        anchors, stats = tracker._update_anchor_set(maintainer, 3, 2, [7, 10], affected_ids)
         assert anchors == [7, 10]
         assert _counters(stats) == (0, 0, 0)
         assert copies == []
         # Spare budget to fill: now the pass copies the core list, once.
-        anchors, stats = tracker._update_anchor_set(maintainer, 3, 3, [7, 10], {15, 17})
+        anchors, stats = tracker._update_anchor_set(maintainer, 3, 3, [7, 10], affected_ids)
         assert anchors[:2] == [7, 10] and len(anchors) == 3
         assert copies == [maintainer.graph.num_vertices]
 
@@ -392,7 +393,9 @@ def _counters(stats: SolverStats) -> Tuple[int, int, int]:
 
 
 def _assert_pass_matches_reference(tracker, maintainer, k, budget, carried, affected):
-    anchors, stats = tracker._update_anchor_set(maintainer, k, budget, list(carried), set(affected))
+    ids = maintainer.graph.ids
+    affected_ids = {ids[vertex] for vertex in affected if vertex in ids}
+    anchors, stats = tracker._update_anchor_set(maintainer, k, budget, list(carried), affected_ids)
     expected, expected_stats = reference_update_anchor_set(
         tracker, maintainer, k, budget, list(carried), set(affected)
     )

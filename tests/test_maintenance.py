@@ -26,7 +26,7 @@ from repro.graph.dynamic import EdgeDelta
 from repro.graph.generators import chung_lu_graph
 from repro.graph.static import Graph, IdGraph
 
-from tests.conftest import random_graph, reference_maintainer
+from tests.conftest import random_graph, reference_delta_effect, reference_maintainer
 from tests.test_backend_equivalence import graphs
 
 
@@ -430,7 +430,7 @@ def test_deletions_among_hubs_match_the_reference_and_a_fresh_peel():
         removed_so_far = [edge for edge in removed_so_far if edge not in inserted] + removed
         delta = EdgeDelta.from_iterables(inserted=inserted, removed=removed)
         effect = maintainer.apply_delta(delta, k=top)
-        # Dataclass equality compares all eight fields.
+        # DeltaEffect.__eq__ compares the seven vertex-space fields and visited.
         assert effect == reference.apply_delta(delta, k=top)
         cascades += len(effect.decreased)
         maintainer.validate()
@@ -441,6 +441,90 @@ def test_deletions_among_hubs_match_the_reference_and_a_fresh_peel():
             }
     # The deltas must actually lower cores, or the cascade never ran.
     assert cascades > 0
+
+
+#: The attributes :func:`~tests.conftest.reference_delta_effect` reports.
+EFFECT_FIELDS = (
+    "increased",
+    "decreased",
+    "insertion_affected",
+    "deletion_affected",
+    "insertion_touched",
+    "deletion_touched",
+    "pre_update_core",
+    "visited",
+)
+
+
+@st.composite
+def delta_scripts(draw):
+    """A starting graph, one to three mixed deltas and a ``k`` from 1 to 5.
+
+    The graph is a drawn small graph or a graded Chung–Lu graph, whose
+    shells are populated up to its top core.  Insertions range over its
+    vertices and two newcomers, so they intern new vertices; half the
+    removals are edges the graph has, so they reach its top core, endpoints
+    at equal cores and endpoints in adjacent shells.
+    """
+    if draw(st.booleans()):
+        graph = draw(graphs())
+    else:
+        num_vertices = draw(st.integers(min_value=12, max_value=60))
+        density = draw(st.sampled_from((2.0, 3.0, 4.0)))
+        seed = draw(st.integers(min_value=0, max_value=10_000))
+        graph = chung_lu_graph(num_vertices, int(density * num_vertices), skew=1.2, seed=seed)
+    pool = sorted(graph.vertices(), key=repr) + list(NEWCOMERS)
+    pairs = [(u, v) for i, u in enumerate(pool) for v in pool[i + 1 :]]
+    present = sorted(graph.edges(), key=repr)
+    edits = st.lists(st.sampled_from(pairs), max_size=8)
+    deltas = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        removed = draw(edits)
+        if present:
+            removed += draw(st.lists(st.sampled_from(present), max_size=8))
+        deltas.append(EdgeDelta.from_iterables(inserted=draw(edits), removed=removed))
+    return graph, deltas, draw(st.integers(min_value=1, max_value=5))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(script=delta_scripts())
+def test_apply_delta_matches_the_reference_effect(script):
+    """Every field of every effect, and the core numbers after each delta,
+    equal the from-scratch oracle's.  The effects are read only after the
+    last delta, so each still reports its own delta."""
+    graph, deltas, k = script
+    maintainer = CoreMaintainer(graph)
+    effects, expected = [], []
+    for delta in deltas:
+        fields, cores = reference_delta_effect(maintainer.graph, delta, k)
+        effects.append(maintainer.apply_delta(delta, k=k))
+        expected.append(fields)
+        assert maintainer.core_numbers() == cores
+        maintainer.validate()
+    for effect, fields in zip(effects, expected):
+        for name in EFFECT_FIELDS:
+            assert getattr(effect, name) == fields[name], name
+
+
+def test_an_effect_read_after_later_updates_reports_its_own_delta():
+    """A triangle's third edge raises 1, 2 and 3; a later delta adds
+    newcomers and lowers the same vertices again.  The first effect, read
+    only afterwards, still reports its own delta, vertex for vertex."""
+    maintainer = CoreMaintainer(Graph(edges=[(1, 2), (2, 3)]))
+    first_delta = EdgeDelta.from_iterables(inserted=[(1, 3)])
+    second_delta = EdgeDelta.from_iterables(inserted=[(3, 4), (4, 5)], removed=[(1, 3)])
+    expected_first, _ = reference_delta_effect(maintainer.graph, first_delta, 2)
+    first = maintainer.apply_delta(first_delta, k=2)
+    expected_second, _ = reference_delta_effect(maintainer.graph, second_delta, 2)
+    second = maintainer.apply_delta(second_delta, k=2)
+    assert first.increased == {1, 2, 3} == second.decreased
+    assert first.pre_update_core == {1: 1, 2: 1, 3: 1}
+    assert first.insertion_affected == set() and second.insertion_affected == {3, 4, 5}
+    for effect, fields in ((first, expected_first), (second, expected_second)):
+        for name in EFFECT_FIELDS:
+            assert getattr(effect, name) == fields[name], name
+    assert first != second and first == first
+    assert DeltaEffect() == DeltaEffect(visited=0) != first
 
 
 # ---------------------------------------------------------------------------
