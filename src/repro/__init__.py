@@ -50,10 +50,10 @@ The library is layered; each layer only depends on the ones above it::
     repro.engine    StreamingAVTEngine (ingest, cache, warm solves)  ── online serving
 
 *Execution backends* — every solver kernel whose implementation differs
-between backends (the full peeling decomposition, and the follower
-cascades and candidate scans behind the anchored core index) is defined
-once as the :class:`~repro.backends.ExecutionBackend` protocol and
-implemented by two backends; public modules never branch on a backend
+between backends (the capped build, follower cascades and candidate scans
+behind the anchored core index) is defined once as the
+:class:`~repro.backends.ExecutionBackend` protocol and implemented by two
+backends; public modules never branch on a backend
 name, they call through the object :func:`~repro.backends.get_backend`
 resolves.  Every ``backend=`` argument takes ``"auto"``, ``"dict"``,
 ``"numpy"`` or an ``ExecutionBackend`` instance, which is used as given:
@@ -65,16 +65,21 @@ backend           implementation                                 ``auto`` picks 
                   graph; zero setup or translation cost
 ``numpy``         a CSR snapshot in integer ids, holding only    numpy is available, at any graph size
                   the rows its work reads: vectorised passes
-                  for peels, the capped index build,
-                  candidate scans and OLAK's whole-shell
-                  cascade; scalar id loops for the region
-                  follower cascade and commits
+                  for the capped index build, candidate scans
+                  and OLAK's whole-shell cascade; scalar id
+                  loops for the region follower cascade and
+                  commits
 ================  =============================================  =========================================
 
-The k-core is not a backend kernel: :func:`~repro.cores.k_core`,
-:func:`~repro.anchored.anchored_k_core` and the reference path of
-:func:`~repro.anchored.compute_followers` run one deletion cascade over
-the adjacency-set graph
+The full peel is not a backend kernel:
+:func:`~repro.cores.core_decomposition` and
+:func:`~repro.cores.anchored_core_decomposition` run one heap peel over the
+adjacency-set graph, whose ties go by :func:`repro.ordering.tie_break_key`.
+No solver reads its whole removal order; it serves the public helpers and
+is the referee of :meth:`CoreMaintainer.validate`.  Nor is the k-core:
+:func:`~repro.cores.k_core`, :func:`~repro.anchored.anchored_k_core` and
+the reference path of :func:`~repro.anchored.compute_followers` run one
+deletion cascade over the adjacency-set graph
 (:func:`repro.cores.decomposition.k_core_cascade`), a single O(n + m)
 pass that building a snapshot would only add to.  Nor is incremental core
 maintenance: :class:`CoreMaintainer` runs one pure-Python integer-id kernel
@@ -84,8 +89,7 @@ into the ``IdGraph`` it maintains (one set of neighbour ids per id, the
 only copy of its adjacency), and sets the cores up with a bucket cascade
 over those rows.
 
-Both backends guarantee identical core numbers and removal orders from the
-full peel behind ``decompose``, identical capped index states (below), and
+Both backends guarantee identical capped index states (below) and
 identical instrumentation counts (enforced by
 ``tests/test_backend_equivalence.py``); only speed differs, and the
 repository benchmark (``perfbench/``) measures it end to end.
@@ -110,7 +114,7 @@ kernel         ``refresh`` and ``commit_anchor`` paths
                (:func:`repro.anchored.followers.commit_anchor_cores`, +1
                each, the single-anchor shell lemma); then one within-shell
                cascade over the ``(k-1)``-shell
-``numpy``      the peel's vectorised waves stopped before level ``k``,
+``numpy``      vectorised peeling waves stopped before level ``k``,
                translating the row of each vertex they remove from the
                graph's own neighbour sets, or, for a solve over a maintained
                graph, the maintainer's core numbers capped at ``k`` (below);
@@ -118,8 +122,8 @@ kernel         ``refresh`` and ``commit_anchor`` paths
                anchors run the same level-limited waves over them; the same
                riser cascades on ids, over the snapshot's rows
                (:func:`repro.cores.decomposition.commit_anchor_ids`); the
-               shell order is the peel's vectorised Phase-B shell pass,
-               which keys only the shell members it orders
+               shell order is a vectorised within-shell pass, which
+               keys only the shell members it orders
 =============  ==============================================================
 
 IncAVT's swap/fill pass runs on the core maintainer's integer ids

@@ -15,14 +15,17 @@ from __future__ import annotations
 
 import time
 from itertools import combinations
-from typing import Iterable, List, Optional, Set, Tuple, Union
+from typing import Iterable, List, Optional, Set, Tuple
 
-from repro.anchored.anchored_core import AnchoredCoreIndex
 from repro.anchored.followers import compute_followers
 from repro.anchored.result import AnchoredKCoreResult, SolverStats
-from repro.backends import BACKEND_AUTO, ExecutionBackend, get_backend
 from repro.cores.decomposition import k_core_cascade
-from repro.errors import ParameterError, require_int
+from repro.errors import (
+    ParameterError,
+    VertexNotFoundError,
+    distinct_vertices,
+    require_int,
+)
 from repro.graph.static import Graph, Vertex
 from repro.ordering import tie_break_key
 
@@ -40,7 +43,8 @@ class BruteForceAnchoredKCore:
         instead of running for hours.
         Raise it explicitly for larger case studies.
     candidate_universe:
-        Optional explicit universe to enumerate; defaults to every vertex
+        Optional explicit universe to enumerate, an iterable of vertices of
+        ``graph`` (checked at construction); defaults to every vertex
         outside the k-core (exact).
     """
 
@@ -53,7 +57,6 @@ class BruteForceAnchoredKCore:
         budget: int,
         max_combinations: int = 2_000_000,
         candidate_universe: Optional[Iterable[Vertex]] = None,
-        backend: Union[str, ExecutionBackend] = BACKEND_AUTO,
     ) -> None:
         require_int("k", k, 1)
         require_int("budget", budget, 0)
@@ -62,14 +65,13 @@ class BruteForceAnchoredKCore:
         self._k = k
         self._budget = budget
         self._max_combinations = max_combinations
-        self._backend = get_backend(backend)
-        self._universe = (
-            None if candidate_universe is None else sorted(set(candidate_universe), key=tie_break_key)
-        )
-
-    def _default_universe(self) -> List[Vertex]:
-        index = AnchoredCoreIndex(self._graph, self._k, backend=self._backend)
-        return sorted(index.all_non_core_vertices(), key=tie_break_key)
+        self._universe: Optional[List[Vertex]] = None
+        if candidate_universe is not None:
+            universe = distinct_vertices("candidate_universe", candidate_universe)
+            for vertex in universe:
+                if not graph.has_vertex(vertex):
+                    raise VertexNotFoundError(vertex)
+            self._universe = sorted(universe, key=tie_break_key)
 
     @staticmethod
     def _num_combinations(universe_size: int, budget: int) -> int:
@@ -87,7 +89,13 @@ class BruteForceAnchoredKCore:
         to exactly ``budget`` anchors would not maximise followers.
         """
         started = time.perf_counter()
-        universe = self._universe if self._universe is not None else self._default_universe()
+        plain_core = k_core_cascade(self._graph, self._k)
+        universe = self._universe
+        if universe is None:
+            universe = sorted(
+                (vertex for vertex in self._graph.vertices() if vertex not in plain_core),
+                key=tie_break_key,
+            )
         budget = min(self._budget, len(universe))
         total = self._num_combinations(len(universe), budget)
         if total > self._max_combinations:
@@ -97,7 +105,6 @@ class BruteForceAnchoredKCore:
                 "reduce the budget, shrink the graph, or raise the bound explicitly"
             )
 
-        plain_core = k_core_cascade(self._graph, self._k)
         best_anchors: Tuple[Vertex, ...] = ()
         best_followers: Set[Vertex] = set()
         stats = SolverStats()

@@ -1,9 +1,9 @@
-"""The two execution backends for every hot kernel, and how one is picked.
+"""The two execution backends of the anchored core index, and how one is picked.
 
 The public API of the library speaks hashable vertex ids over the
-adjacency-set :class:`~repro.graph.static.Graph`.  *How* the hot kernels run
-— the full peeling decomposition, and the follower cascades and candidate
-scans of the anchored core index — is delegated to an
+adjacency-set :class:`~repro.graph.static.Graph`.  *How* the kernels of
+the anchored core index run — its capped build, follower cascades and
+candidate scans — is delegated to an
 :class:`~repro.backends.base.ExecutionBackend`:
 
 ``dict``
@@ -12,19 +12,22 @@ scans of the anchored core index — is delegated to an
     without numpy.
 ``numpy``
     The snapshot backend: kernels over an interned CSR snapshot
-    (:class:`~repro.backends.numpy_backend.NumpyGraph`).  Full peels, the capped
-    index build, candidate scans and the whole-shell cascade are vectorised
-    numpy passes; the region follower cascade and the commit risers stay
+    (:class:`~repro.backends.numpy_backend.NumpyGraph`).  The capped index
+    build, candidate scans and the whole-shell cascade are vectorised numpy
+    passes; the region follower cascade and the commit risers stay
     pure Python over integer ids, where they are faster
     (:mod:`repro.backends.numpy_backend`).  Import-gated: the package works
     without numpy and this backend simply reports unavailable.
 
-Both produce identical core numbers, identical removal orders and identical
-instrumentation counts (``tests/test_backend_equivalence.py``).  Two kernels
-do not go through a backend: the k-core is one deletion cascade over the
-adjacency-set graph (:func:`repro.cores.decomposition.k_core_cascade`), and
-incremental core maintenance (:mod:`repro.cores.maintenance`) runs one
-integer-id kernel everywhere.
+Both produce identical capped core numbers, identical follower sets and
+identical instrumentation counts (``tests/test_backend_equivalence.py``).
+Three kernels do not go through a backend: the full peel is one heap peel
+over the adjacency-set graph
+(:func:`repro.cores.decomposition.anchored_core_decomposition`), the
+k-core is one deletion cascade over it
+(:func:`repro.cores.decomposition.k_core_cascade`), and incremental core
+maintenance (:mod:`repro.cores.maintenance`) runs one integer-id kernel
+everywhere.
 
 Selection
 ---------

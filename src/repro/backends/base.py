@@ -1,10 +1,12 @@
 """The :class:`ExecutionBackend` protocol: the kernel surface of the library.
 
-The kernels whose implementation differs between the backends — the full
-peeling decomposition, and the candidate scans and follower cascades
-behind :class:`repro.anchored.anchored_core.AnchoredCoreIndex` — are
-expressed against the abstract surface defined here.  The rest is not: the
-k-core is one deletion cascade over the adjacency-set graph
+The kernels whose implementation differs between the backends — the
+candidate scans and follower cascades behind
+:class:`repro.anchored.anchored_core.AnchoredCoreIndex` — are expressed
+against the abstract surface defined here.  The rest is not: the full peel
+is one heap peel over the adjacency-set graph
+(:func:`repro.cores.decomposition.anchored_core_decomposition`), the k-core
+is one deletion cascade over it
 (:func:`repro.cores.decomposition.k_core_cascade`), and incremental core
 maintenance (:class:`repro.cores.maintenance.CoreMaintainer`) runs one
 integer-id kernel of its own, on every backend.  Public modules never
@@ -14,20 +16,20 @@ branch on a backend name; they obtain an :class:`ExecutionBackend` from
 passed as ``backend=`` wherever a name can (tests substitute fakes this
 way).
 
-The surface is one kernel directly on the backend, the full peel
-(:meth:`ExecutionBackend.decompose`), and one long-lived kernel handle
-that amortises a per-graph setup cost: :class:`CoreIndexKernel`, the
-state behind ``AnchoredCoreIndex``.  It holds
+The surface is one long-lived kernel handle that amortises a per-graph
+setup cost: :class:`CoreIndexKernel`, the state behind
+``AnchoredCoreIndex``, which :meth:`ExecutionBackend.build_core_index`
+builds.  It holds
 the anchored core numbers capped at the index's ``k`` and the
 ``(k-1)``-shell's removal order, kept up to date as anchors commit, plus the
 candidate scans and follower cascades that read them.  It is built once per
 (graph, solver run); the graph must not mutate while it is alive.
 
 Contract shared by all implementations (enforced by
-``tests/test_backend_equivalence.py``): identical core numbers, identical
-*removal orders* from :meth:`ExecutionBackend.decompose` (every tie broken
-by :func:`repro.ordering.tie_break_key`), identical follower sets and
-identical visited-vertex instrumentation counts.
+``tests/test_backend_equivalence.py``): identical capped core numbers,
+each ``(k-1)``-shell component ranked in the full peel's order (every tie
+broken by :func:`repro.ordering.tie_break_key`), identical follower sets
+and identical visited-vertex instrumentation counts.
 
 A solve over a maintained graph — the engine's cold and exact queries,
 IncAVT's first snapshot and its restarts — runs on the backend that
@@ -65,8 +67,9 @@ between shell components.  Every query at that ``k`` answers as on the
 full peel's state, because each one tests only ``core >= k`` or
 ``core == k - 1``, and Theorem-3 pruning compares a ``(k-1)``-shell
 member's rank only with its neighbours below ``k``, which lie in its own
-component or below the shell.  The full exact peel stays behind
-:meth:`ExecutionBackend.decompose`.  The built-in kernels build the state
+component or below the shell.  The full exact peel is
+:func:`repro.cores.decomposition.anchored_core_decomposition`, on no
+backend.  The built-in kernels build the state
 with a cascade over the levels ``0 .. k-1`` only (the dict backend's bucket
 cascade :func:`repro.backends.dict_backend.dict_capped_cores`, or the numpy
 backend's level-limited waves), except that the numpy backend's bound
@@ -107,7 +110,6 @@ from typing import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cores.decomposition import CoreDecomposition
     from repro.cores.maintenance import CoreMaintainer
     from repro.graph.static import Graph, Vertex
 
@@ -238,7 +240,7 @@ class CoreIndexKernel(ABC):
 
 
 class ExecutionBackend(ABC):
-    """One execution layer for every hot kernel in the library.
+    """One execution layer for the anchored core index's kernels.
 
     Implementations are stateless (all state lives in the kernel handles they
     build), so :func:`repro.backends.get_backend` shares one instance of each
@@ -250,18 +252,6 @@ class ExecutionBackend(ABC):
     #: (e.g. ``AnchoredCoreIndex.backend``) reports.
     name: str = "abstract"
 
-    # ------------------------------------------------------------------
-    # The full peel
-    # ------------------------------------------------------------------
-    @abstractmethod
-    def decompose(
-        self, graph: "Graph", anchors: FrozenSet["Vertex"] = frozenset()
-    ) -> "CoreDecomposition":
-        """Full (possibly anchored) peeling decomposition with removal order."""
-
-    # ------------------------------------------------------------------
-    # Long-lived kernel handle
-    # ------------------------------------------------------------------
     @abstractmethod
     def build_core_index(self, graph: "Graph") -> CoreIndexKernel:
         """Build the anchored-core-index kernel for a frozen graph snapshot."""

@@ -7,7 +7,8 @@ property-tested against.  The follower cascades delegate to the public
 functions in :mod:`repro.anchored.followers` (which double as the
 paper-facing reference algorithms), and the plain k-core to the one
 deletion cascade, :func:`repro.cores.decomposition.k_core_cascade`; the
-peel and the capped bucket cascade live here.
+capped bucket cascade and the shell ranking live here.  The full peel is
+no backend kernel (:func:`repro.cores.decomposition.anchored_core_decomposition`).
 """
 
 from __future__ import annotations
@@ -25,57 +26,10 @@ from repro.anchored.followers import (
     full_shell_followers,
     marginal_followers,
 )
-from repro.cores.decomposition import ANCHOR_CORE, CoreDecomposition, k_core_cascade
+from repro.cores.decomposition import ANCHOR_CORE, k_core_cascade
 from repro.errors import VertexNotFoundError
 from repro.graph.static import Graph, Vertex
 from repro.ordering import tie_break_key
-
-
-def dict_anchored_peel(graph: Graph, anchor_set: FrozenSet[Vertex]) -> CoreDecomposition:
-    """Anchored peeling over the adjacency-set graph (the reference order).
-
-    Vertices of equal current degree are peeled in deterministic
-    :func:`~repro.ordering.tie_break_key` order; anchored vertices are never
-    removed, still support their neighbours throughout, and are appended to
-    the order last.  Returns a :class:`~repro.cores.decomposition.CoreDecomposition`.
-    """
-    effective: Dict[Vertex, int] = {}
-    heap: List[Tuple[int, Tuple[str, str], Vertex]] = []
-    for vertex in graph.vertices():
-        if vertex in anchor_set:
-            continue
-        degree = graph.degree(vertex)
-        effective[vertex] = degree
-        heap.append((degree, tie_break_key(vertex), vertex))
-    heapq.heapify(heap)
-
-    core: Dict[Vertex, float] = {}
-    order: List[Vertex] = []
-    removed: Set[Vertex] = set()
-    current_core = 0
-    while heap:
-        degree, _, vertex = heapq.heappop(heap)
-        if vertex in removed:
-            continue
-        if degree != effective[vertex]:
-            # Stale heap entry: the true (smaller) degree entry is still queued.
-            continue
-        current_core = max(current_core, degree)
-        core[vertex] = current_core
-        order.append(vertex)
-        removed.add(vertex)
-        for neighbour in graph.neighbors(vertex):
-            if neighbour in anchor_set or neighbour in removed:
-                continue
-            effective[neighbour] -= 1
-            heapq.heappush(
-                heap, (effective[neighbour], tie_break_key(neighbour), neighbour)
-            )
-
-    for anchor in sorted(anchor_set, key=tie_break_key):
-        core[anchor] = ANCHOR_CORE
-        order.append(anchor)
-    return CoreDecomposition(core=core, order=tuple(order), anchors=anchor_set)
 
 
 def dict_capped_cores(
@@ -332,9 +286,6 @@ class DictBackend(ExecutionBackend):
     """The reference backend: every kernel over the adjacency-set graph."""
 
     name = BACKEND_DICT
-
-    def decompose(self, graph: Graph, anchors: FrozenSet[Vertex] = frozenset()):
-        return dict_anchored_peel(graph, frozenset(anchors))
 
     def build_core_index(self, graph: Graph) -> DictCoreIndexKernel:
         return DictCoreIndexKernel(graph)

@@ -3,35 +3,38 @@
 Every kernel runs over a CSR snapshot (:class:`NumpyGraph`) kept as numpy
 arrays for the vectorised passes and as ``rows[vid]`` for the scalar ones.
 Its ids are its source's: a bare graph's iteration order, or a
-maintainer's id space.  They carry no order.  Only two passes read the
-tie-break order, and each keys just the vertices it orders
+maintainer's id space.  They carry no order.  Only one pass reads the
+tie-break order, and it keys just the vertices it orders
 (:func:`repro.ordering.tie_break_key`): the within-shell cascade
-(:func:`_shell_order`) and the anchor tail of a full peel.  Each layer uses
-whichever form is faster for its work:
+(:func:`_shell_order`).  The full peel is no kernel here; it is the heap
+peel of :func:`repro.cores.decomposition.anchored_core_decomposition`.
+Each layer uses whichever form is faster for its work:
 
-* **Peeling** runs in two phases.  Phase A computes the core numbers with
-  vectorised wave peeling (kill every vertex at or below the current level at
-  once, decrement the survivors' effective degrees with one ``bincount`` per
-  wave).  Phase B reconstructs the *exact* removal order of the reference
-  heap peel shell by shell: each shell's starting effective degrees
-  (``# neighbours with core >= c``) come from one vectorised pass, and the
-  within-shell cascade — the only genuinely sequential part — runs a packed
-  single-int heap over the same-shell subgraph only, its ties broken by the
-  members' tie-break keys.
+* **Peeling** goes only as far as a greedy round at ``k`` reads, in two
+  phases.  Phase A computes the core numbers below ``k`` with vectorised
+  wave peeling stopped before level ``k`` (kill every vertex at or below
+  the current level at once, decrement the survivors' effective degrees
+  with one ``bincount`` per wave).  Phase B ranks the ``(k-1)``-shell in
+  the *exact* removal order of the heap peel: the members' starting
+  effective degrees (``# neighbours with core >= k - 1``) come from one
+  vectorised pass, and the within-shell cascade — the only genuinely
+  sequential part — runs a packed single-int heap over the same-shell
+  subgraph only, its ties broken by the members' tie-break keys.
 * **The whole-shell cascade** (the OLAK baseline's follower cascade) is
   wave-vectorised: support counters come from masked ``bincount`` over
   gathered neighbour ranges and whole removal fronts are processed per
   iteration.  Deletion cascades are confluent, so the surviving set is
   identical to the sequential reference; the visited-vertex
   instrumentation (shell size plus removals) is matched exactly.
-* **The anchored core index** never peels: over a maintained graph its
-  build reads the maintainer's core numbers capped at ``k``, over a bare
-  graph it runs Phase A only up to level ``k``, and either way its CSR then
-  holds only the rows of the ids below ``k`` and it orders only the
-  ``(k-1)``-shell with Phase B's shell pass.  Anchors given to a refresh
-  run Phase A up to level ``k`` again, over those rows.  A commit re-orders
-  only the shell components it touched.  The candidate scan gathers that
-  shell's neighbours and filters them with one boolean pass.
+* **The anchored core index** never runs a full peel: over a maintained
+  graph its build reads the maintainer's core numbers capped at ``k``,
+  over a bare graph it runs Phase A only up to level ``k``, and either
+  way its CSR then holds only the rows of the ids below ``k`` and it
+  orders only the ``(k-1)``-shell with Phase B's shell pass.  Anchors
+  given to a refresh run Phase A up to level ``k`` again, over those
+  rows.  A commit re-orders only the shell components it touched.  The
+  candidate scan gathers that shell's neighbours and filters them with
+  one boolean pass.
 * **Region-sized work** stays scalar over ``rows[vid]``: the region
   follower cascade behind every Greedy evaluation
   (:func:`repro.cores.decomposition.compact_marginal_followers`), the
@@ -43,11 +46,10 @@ whichever form is faster for its work:
 
 Where the snapshot comes from:
 
-* **A bare graph** (a full peel, and Greedy over a snapshot sequence,
-  the paper's per-snapshot baseline) keeps its own iteration order as ids
+* **A bare graph** (Greedy over a snapshot sequence, the paper's
+  per-snapshot baseline) keeps its own iteration order as ids
   (:meth:`NumpyGraph.from_graph`: no sort), and its neighbour sets are
-  translated into ids only where the work reads them.  ``decompose``
-  needs every row and translates them all.  An index's
+  translated into ids only where the work reads them.  An index's
   :meth:`~NumpyCoreIndexKernel.refresh` derives ``min(core, k)`` from
   scratch with Phase A stopped at level ``k`` (the capped form of
   Batagelj and Zaversnik's O(m) peel, 2003), which translates the row of
@@ -83,7 +85,6 @@ from itertools import chain, compress
 from typing import (
     TYPE_CHECKING,
     Dict,
-    FrozenSet,
     Iterable,
     List,
     Mapping,
@@ -107,12 +108,7 @@ from repro.backends.base import (
     CoreIndexKernel,
     ExecutionBackend,
 )
-from repro.cores.decomposition import (
-    ANCHOR_CORE,
-    CoreDecomposition,
-    commit_anchor_ids,
-    compact_marginal_followers,
-)
+from repro.cores.decomposition import commit_anchor_ids, compact_marginal_followers
 from repro.errors import VertexNotFoundError
 from repro.graph.static import Graph, Vertex
 from repro.ordering import tie_break_key
@@ -159,7 +155,8 @@ class NumpyGraph:
     gather from, and ``rows[vid]`` iterates the neighbour ids for the
     scalar ones, in whatever order its source keeps them.  Neither build
     flattens anything: every row of the CSR starts empty, and holds only
-    the rows :meth:`flatten` or :meth:`set_csr` put there later.
+    the rows put there later, by :meth:`flatten` on a maintainer's
+    snapshot or by the capped peel's :meth:`set_csr` on a bare one.
 
     ``store`` is ``None`` for a bare graph's snapshot (:meth:`from_graph`),
     whose ``rows`` is a :class:`CsrRows` over the graph's own neighbour
@@ -198,9 +195,8 @@ class NumpyGraph:
         """The snapshot of ``graph`` in its iteration order: id ``i`` is the
         ``i``-th vertex, and ``rows`` reads the graph's own neighbour sets.
 
-        Translates and flattens nothing; :meth:`flatten` or the index
-        kernel's capped peel (:meth:`NumpyCoreIndexKernel.refresh`) fills
-        the CSR with the rows its work reads.
+        Translates and flattens nothing; the index kernel's capped peel
+        (:func:`_capped_cores`) fills the CSR with the rows it reads.
         """
         vertices = list(graph.vertices())
         ids = dict(zip(vertices, range(len(vertices))))
@@ -219,20 +215,17 @@ class NumpyGraph:
         return cls(store.vertices, store.ids, store.adj, maintainer.graph.num_edges, store)
 
     def flatten(self, keep) -> None:
-        """Make the CSR arrays hold the rows of the ids ``keep`` marks (a
-        boolean array by id), read from ``rows`` and, on a bare snapshot,
-        translated from the graph's neighbour sets; every other row is
-        empty there."""
+        """Make the CSR arrays of a maintainer's snapshot hold the rows of
+        the ids ``keep`` marks (a boolean array by id), read from the
+        maintainer's adjacency sets; every other row is empty there.  A
+        bare snapshot's CSR is laid out by its capped peel instead
+        (:func:`_capped_cores`)."""
         rows = self.rows
-        bare = self.store is None
-        sets = rows.sets if bare else rows
-        lengths = np.fromiter(map(len, sets), dtype=np.int64, count=self.num_vertices)
+        lengths = np.fromiter(map(len, rows), dtype=np.int64, count=self.num_vertices)
         lengths[~keep] = 0
         indptr = np.zeros(self.num_vertices + 1, dtype=np.int64)
         np.cumsum(lengths, out=indptr[1:])
-        flat = chain.from_iterable(compress(sets, keep.tolist()))
-        if bare:
-            flat = map(rows.lookup, flat)
+        flat = chain.from_iterable(compress(rows, keep.tolist()))
         self.set_csr(indptr, np.fromiter(flat, dtype=np.int64, count=int(indptr[-1])))
 
     def set_csr(self, indptr, indices) -> None:
@@ -373,16 +366,17 @@ def _shell_order(ngraph: NumpyGraph, core, members, c: int) -> List[int]:
     return order
 
 
-def _wave_cores(rows, gather, eff, core, peelable, limit=None) -> None:
-    """Phase A of the peel: write core numbers into ``core`` by wave peeling.
+def _wave_cores(rows, gather, eff, core, peelable, limit: int) -> None:
+    """Phase A of the peel: write the core numbers below ``limit`` into
+    ``core`` by wave peeling.
 
     ``eff`` holds every vertex's degree on entry and is consumed.  Only
     ``peelable`` vertices are removed, and only their rows are read, each
     once, as the peel removes the vertex: a wave's through ``gather`` (the
     concatenated rows of an id array), a thin wave's through ``rows[vid]``.
-    The others (anchors, and ids a limited peel cannot reach) keep
-    supporting their neighbours.  With a ``limit`` the peel stops before
-    level ``limit`` and leaves every vertex it has not reached as it was.
+    The others (anchors, and ids the peel cannot reach below ``limit``)
+    keep supporting their neighbours.  The peel stops before level
+    ``limit`` and leaves every vertex it has not reached as it was.
     ``level`` mirrors the heap peel's running-max ``current_core``.  Each
     full-array scan happens once per *level* (levels strictly increase);
     within a level, the next wave's frontier is derived from the
@@ -398,7 +392,7 @@ def _wave_cores(rows, gather, eff, core, peelable, limit=None) -> None:
         current_min = int(eff[active].min())
         if current_min > level:
             level = current_min
-        if limit is not None and level >= limit:
+        if level >= limit:
             return
         frontier = np.nonzero(active & (eff <= level))[0]
         while frontier.size:
@@ -489,45 +483,6 @@ def _capped_cores(ngraph: NumpyGraph, k: int):
     )
     ngraph.set_csr(*source.csr())
     return capped
-
-
-def numpy_peel(ngraph: NumpyGraph, anchor_ids: Iterable[int] = ()):
-    """Peel a numpy snapshot; return ``(core array, removal order)`` by id.
-
-    Bit-identical to the dict backend's heap peel
-    (:func:`repro.backends.dict_backend.dict_anchored_peel`): same core
-    numbers, same removal order, anchors mapped to infinity and appended
-    last in tie-break key order.
-    """
-    n = ngraph.num_vertices
-    core = np.zeros(n, dtype=np.float64)
-    order: List[int] = []
-    if n == 0:
-        return core, order
-
-    is_anchor = np.zeros(n, dtype=bool)
-    anchor_list = list(anchor_ids)
-    if anchor_list:
-        is_anchor[anchor_list] = True
-    peelable = ~is_anchor
-    _wave_cores(ngraph.rows, ngraph.gather, np.diff(ngraph.indptr), core, peelable)
-    if anchor_list:
-        core[is_anchor] = math.inf
-
-    # Phase B: exact removal order, shell by shell (see _shell_order).
-    finite = core[peelable] if anchor_list else core
-    levels = np.unique(finite).astype(np.int64) if finite.size else finite
-    for c in levels.tolist():
-        order.extend(_shell_order(ngraph, core, np.nonzero(core == c)[0], c))
-
-    vertices = ngraph.vertices
-    order.extend(
-        sorted(
-            np.nonzero(is_anchor)[0].tolist(),
-            key=lambda vid: tie_break_key(vertices[vid]),
-        )
-    )
-    return core, order
 
 
 def _support_cascade(ngraph: NumpyGraph, k: int, candidate_id: int, core, member_mask):
@@ -800,21 +755,6 @@ class NumpyBackend(ExecutionBackend):
 
     def bound_to(self, maintainer: "CoreMaintainer") -> "NumpyBackend":
         return NumpyBackend(maintainer)
-
-    def decompose(self, graph: Graph, anchors: FrozenSet[Vertex] = frozenset()):
-        anchor_set = frozenset(anchors)
-        # The full peel reads every row.
-        ngraph = NumpyGraph.from_graph(graph)
-        ngraph.flatten(np.ones(ngraph.num_vertices, dtype=bool))
-        anchor_ids = [ngraph.id_of(anchor) for anchor in anchor_set]
-        core_arr, order_ids = numpy_peel(ngraph, anchor_ids)
-        vertices = ngraph.vertices
-        core = {
-            vertices[vid]: (ANCHOR_CORE if math.isinf(core_arr[vid]) else int(core_arr[vid]))
-            for vid in range(len(vertices))
-        }
-        order = tuple(vertices[vid] for vid in order_ids)
-        return CoreDecomposition(core=core, order=order, anchors=anchor_set)
 
     def build_core_index(self, graph: Graph) -> NumpyCoreIndexKernel:
         # The snapshot is built here, inside the call, whichever way: it

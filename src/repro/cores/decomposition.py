@@ -15,15 +15,16 @@ process in which a designated anchor set is never removed (anchored vertices
 Section 2.1).  Anchored vertices receive the core value
 :data:`ANCHOR_CORE` (infinity).
 
-The full peel is dispatched through :func:`repro.backends.get_backend`:
-every function here that peels accepts ``backend=`` (``"auto"``,
-``"dict"``, ``"numpy"``, or an :class:`~repro.backends.ExecutionBackend`
-instance) and calls the resolved backend's ``decompose``.  Both backends
-produce *identical* core numbers **and** identical removal orders: each
-breaks its ties by :func:`repro.ordering.tie_break_key`, the numpy backend
-shell by shell.  The k-core itself is one deletion cascade over the
-adjacency-set graph, :func:`k_core_cascade`, on no backend: it is a single
-O(n + m) pass, which building a snapshot would only add to.
+The full peel is one pure-Python heap peel over the adjacency-set graph,
+:func:`anchored_core_decomposition`, on no backend: its ties go by
+:func:`repro.ordering.tie_break_key`, so repeated runs give identical
+removal orders.  No solver reads the whole order (Greedy's Theorem-3
+pruning reads it only inside a ``(k-1)``-shell component, which each index
+kernel ranks itself), so it serves the public helpers below and is the
+referee of :meth:`repro.cores.maintenance.CoreMaintainer.validate`.  The
+k-core itself is one deletion cascade over the adjacency-set graph,
+:func:`k_core_cascade`, also on no backend: it is a single O(n + m) pass,
+which building a snapshot would only add to.
 This module also hosts the one integer-id implementation of the region
 follower cascade, :func:`compact_marginal_followers`, and of the capped
 commit built on it, :func:`commit_anchor_ids`.  Both read a vertex's
@@ -36,6 +37,7 @@ them.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import (
@@ -53,7 +55,7 @@ from typing import (
     Union,
 )
 
-from repro.backends import BACKEND_AUTO, ExecutionBackend, get_backend
+from repro.backends import BACKEND_AUTO, ExecutionBackend, resolve_backend
 from repro.errors import (
     ParameterError,
     VertexNotFoundError,
@@ -61,6 +63,7 @@ from repro.errors import (
     require_int,
 )
 from repro.graph.static import Graph, Vertex
+from repro.ordering import tie_break_key
 
 #: Core value assigned to anchored vertices — they can never be peeled.
 ANCHOR_CORE: float = math.inf
@@ -110,38 +113,76 @@ class CoreDecomposition:
         return max(finite, default=0)
 
 
-def core_decomposition(
-    graph: Graph, backend: Union[str, ExecutionBackend] = BACKEND_AUTO
-) -> CoreDecomposition:
+def core_decomposition(graph: Graph) -> CoreDecomposition:
     """Run core decomposition on ``graph``.
 
     Vertices of equal current degree are peeled in a deterministic order so
-    repeated runs produce identical removal orders.  The dict backend's
-    lazy-deletion heap is O(m log n), more than fast enough for the
-    pure-Python experiment scale; the numpy backend runs the same peeling
-    as vectorised waves plus a per-shell order pass.
+    repeated runs produce identical removal orders.  The lazy-deletion heap
+    is O(m log n), more than fast enough for the pure-Python experiment
+    scale; a caller that needs only the core numbers of a large graph can
+    read them from :class:`repro.cores.maintenance.CoreMaintainer`, whose
+    set-up is a bucket cascade.
     """
-    return anchored_core_decomposition(graph, anchors=(), backend=backend)
+    return anchored_core_decomposition(graph, anchors=())
 
 
 def anchored_core_decomposition(
-    graph: Graph,
-    anchors: Iterable[Vertex],
-    backend: Union[str, ExecutionBackend] = BACKEND_AUTO,
+    graph: Graph, anchors: Iterable[Vertex]
 ) -> CoreDecomposition:
     """Run core decomposition in which ``anchors`` are never removed.
 
     Anchored vertices still contribute to their neighbours' degrees throughout
     the peeling, which is exactly the anchored k-core semantics of
     Definition 4: the anchored k-core for any ``k`` is
-    ``{v : core(v) >= k}`` with anchors mapped to infinity.  Both backends
-    produce the same mapping and the same removal order.
+    ``{v : core(v) >= k}`` with anchors mapped to infinity.
+
+    The one full peel of the library, a lazy-deletion heap over the
+    adjacency-set graph: vertices of equal current degree are peeled in
+    deterministic :func:`~repro.ordering.tie_break_key` order, and the
+    anchors, never removed, are appended to the order last.
     """
     anchor_set = frozenset(distinct_vertices("anchors", anchors))
     for anchor in anchor_set:
         if not graph.has_vertex(anchor):
             raise ParameterError(f"anchor {anchor!r} is not a vertex of the graph")
-    return get_backend(backend).decompose(graph, anchor_set)
+
+    effective: Dict[Vertex, int] = {}
+    heap: List[Tuple[int, Tuple[str, str], Vertex]] = []
+    for vertex in graph.vertices():
+        if vertex in anchor_set:
+            continue
+        degree = graph.degree(vertex)
+        effective[vertex] = degree
+        heap.append((degree, tie_break_key(vertex), vertex))
+    heapq.heapify(heap)
+
+    core: Dict[Vertex, float] = {}
+    order: List[Vertex] = []
+    removed: Set[Vertex] = set()
+    current_core = 0
+    while heap:
+        degree, _, vertex = heapq.heappop(heap)
+        if vertex in removed:
+            continue
+        if degree != effective[vertex]:
+            # Stale heap entry: the true (smaller) degree entry is still queued.
+            continue
+        current_core = max(current_core, degree)
+        core[vertex] = current_core
+        order.append(vertex)
+        removed.add(vertex)
+        for neighbour in graph.neighbors(vertex):
+            if neighbour in anchor_set or neighbour in removed:
+                continue
+            effective[neighbour] -= 1
+            heapq.heappush(
+                heap, (effective[neighbour], tie_break_key(neighbour), neighbour)
+            )
+
+    for anchor in sorted(anchor_set, key=tie_break_key):
+        core[anchor] = ANCHOR_CORE
+        order.append(anchor)
+    return CoreDecomposition(core=core, order=tuple(order), anchors=anchor_set)
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +318,16 @@ def commit_anchor_ids(
 def core_numbers(
     graph: Graph, backend: Union[str, ExecutionBackend] = BACKEND_AUTO
 ) -> Dict[Vertex, int]:
-    """Return ``{vertex: core number}`` with plain integer values."""
-    decomposition = core_decomposition(graph, backend=backend)
+    """Return ``{vertex: core number}`` with plain integer values, from the
+    heap peel of :func:`core_decomposition`.
+
+    ``backend`` is checked by name, so a typo is a
+    :class:`~repro.errors.ParameterError`, and is otherwise unused; it
+    stays only for callers that still pass it, as
+    :func:`repro.anchored.followers.compute_followers` keeps its own.
+    """
+    resolve_backend(backend)
+    decomposition = core_decomposition(graph)
     return {vertex: int(value) for vertex, value in decomposition.core.items()}
 
 
@@ -328,16 +377,11 @@ def k_core(graph: Graph, k: int) -> Set[Vertex]:
     return k_core_cascade(graph, k)
 
 
-def k_shell(
-    graph: Graph, k: int, backend: Union[str, ExecutionBackend] = BACKEND_AUTO
-) -> Set[Vertex]:
+def k_shell(graph: Graph, k: int) -> Set[Vertex]:
     """Return the k-shell of ``graph`` (vertices whose core number equals ``k``)."""
-    decomposition = core_decomposition(graph, backend=backend)
-    return decomposition.shell_vertices(k)
+    return core_decomposition(graph).shell_vertices(k)
 
 
-def degeneracy(
-    graph: Graph, backend: Union[str, ExecutionBackend] = BACKEND_AUTO
-) -> int:
+def degeneracy(graph: Graph) -> int:
     """Return the degeneracy of ``graph`` (its largest non-empty core index)."""
-    return core_decomposition(graph, backend=backend).degeneracy()
+    return core_decomposition(graph).degeneracy()

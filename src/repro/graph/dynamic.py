@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import SnapshotError
+from repro.errors import SnapshotError, require_hashable
 from repro.graph.static import Edge, Graph, Vertex
 from repro.ordering import edge_tie_break_key, tie_break_key
 
@@ -53,10 +53,26 @@ class EdgeDelta:
         Edges present in ``G_t`` but not in ``G_{t-1}`` (the paper's ``E+``).
     removed:
         Edges present in ``G_{t-1}`` but not in ``G_t`` (the paper's ``E-``).
+
+    Every endpoint must be hashable: a delta with an unhashable one is
+    refused with :class:`~repro.errors.ParameterError` when it is built,
+    before any graph or maintainer sees it.
     """
 
     inserted: Tuple[Tuple[Vertex, Vertex], ...] = ()
     removed: Tuple[Tuple[Vertex, Vertex], ...] = ()
+
+    def __post_init__(self) -> None:
+        # One hash of the whole delta checks every endpoint in C, off the
+        # per-edge path.  It fails on list containers too, so a failure only
+        # starts the scan that names the bad endpoint, if there is one.
+        try:
+            hash(self)
+        except TypeError:
+            for name in ("inserted", "removed"):
+                for edge in getattr(self, name):
+                    for endpoint in edge:
+                        require_hashable(f"EdgeDelta.{name}", endpoint)
 
     @classmethod
     def from_iterables(

@@ -38,7 +38,7 @@ def reference_greedy(
     """Greedy (Algorithm 2) from definitions only: no ``AnchoredCoreIndex``.
 
     Each round scans every vertex whose exact anchored core number (a full
-    dict peel) is below ``k``, in tie-break order, keeps the first one with
+    heap peel) is below ``k``, in tie-break order, keeps the first one with
     a strictly larger :func:`follower_gain`, and stops on zero gain.
     Theorem-3 pruning only skips vertices that gain nothing, so this
     selects what :class:`~repro.anchored.greedy.GreedyAnchoredKCore` must.
@@ -53,7 +53,7 @@ def reference_greedy(
     anchors: List[Vertex] = list(dict.fromkeys(initial_anchors))
     evaluated = visited = 0
     while len(anchors) < budget:
-        decomposition = anchored_core_decomposition(graph, anchors, backend="dict")
+        decomposition = anchored_core_decomposition(graph, anchors)
         core = decomposition.core
         rank = {vertex: position for position, vertex in enumerate(decomposition.order)}
         for u, value in core.items():
@@ -73,7 +73,7 @@ def reference_greedy(
             break
         anchors.append(best)
     followers = compute_followers(graph, k, anchors)
-    core = anchored_core_decomposition(graph, anchors, backend="dict").core
+    core = anchored_core_decomposition(graph, anchors).core
     size = sum(1 for value in core.values() if value >= k)
     return tuple(anchors), frozenset(followers), size, evaluated, visited
 
@@ -241,7 +241,7 @@ def reference_maintainer(graph: Graph) -> CoreMaintainer:
     """
     maintainer = CoreMaintainer(graph)
     maintainer._kernel = ReferenceMaintenanceKernel(
-        maintainer.graph, core_numbers(maintainer.graph, backend="dict")
+        maintainer.graph, core_numbers(maintainer.graph)
     )
     return maintainer
 
@@ -269,7 +269,7 @@ def reference_delta_effect(
     by name and the core numbers after the delta.
     """
     graph = graph.copy()
-    start = core_numbers(graph, backend="dict")
+    start = core_numbers(graph)
     core = dict(start)
     fields: Dict[str, object] = {
         "increased": set(),
@@ -288,7 +288,7 @@ def reference_delta_effect(
                 graph.add_edge(u, v)
             else:
                 graph.remove_edge(u, v)
-            core = core_numbers(graph, backend="dict")
+            core = core_numbers(graph)
             r = min(before[u], before[v])
             visits = {w for w in (u, v) if before[w] == r}
             if inserting:

@@ -1,19 +1,22 @@
 """Property tests: the two execution backends are observationally identical.
 
 The numpy backend (:mod:`repro.backends`) re-implements every backend
-kernel — peeling decomposition, follower computation, greedy selection —
-over an interned snapshot, as numpy passes or id-list loops.
+kernel — the anchored core index's capped build, shell ranks, candidate
+scans and follower cascades, and so greedy selection — over an interned
+snapshot, as numpy passes or id-list loops.
 These tests pin the contract that makes ``backend="auto"`` safe: for *any*
 graph (isolated vertices, non-integer and mixed-type vertex ids included) it
-returns results identical to the dict reference, down to the removal order
-and the instrumentation counters.  Each test runs dict vs numpy when numpy
+returns results identical to the dict reference, down to the instrumentation
+counters.  Each test runs dict vs numpy when numpy
 is installed (skipped cleanly otherwise — the import gate is part of the
 contract, and the no-numpy CI job exercises it; the id-list cascades are
 also pinned without numpy in ``tests/test_followers.py``).
 
-Incremental maintenance has one kernel on every backend; its tests here
-run it against ``tests/conftest.py``'s reference kernel over the hashable
-graph, and need no numpy.
+The full peel and incremental maintenance have one kernel each on every
+backend.  Here the peel's anchored k-cores are checked on the same mixed-id
+graphs against the deletion cascade, and the maintainer against
+``tests/conftest.py``'s reference kernel over the hashable graph; neither
+needs numpy.
 """
 
 from __future__ import annotations
@@ -23,15 +26,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.anchored.anchored_core import AnchoredCoreIndex
+from repro.anchored.followers import anchored_k_core
 from repro.anchored.greedy import GreedyAnchoredKCore
 from repro.anchored.olak import OLAKAnchoredKCore
 from repro.anchored.rcm import RCMAnchoredKCore
 from repro.backends import numpy_available
-from repro.cores.decomposition import (
-    anchored_core_decomposition,
-    core_decomposition,
-    core_numbers,
-)
+from repro.cores.decomposition import anchored_core_decomposition, core_numbers
 from repro.cores.maintenance import CoreMaintainer
 from repro.engine import StreamingAVTEngine
 from repro.graph.dynamic import EdgeDelta
@@ -110,16 +110,18 @@ def _assert_results_equal(first, second):
     assert first.stats.visited_vertices == second.stats.visited_vertices
 
 
-@pytest.mark.parametrize("other", OTHER_BACKENDS)
 @SETTINGS
 @given(graph_and_anchors=graphs_with_anchors())
-def test_decomposition_identical_across_backends(other, graph_and_anchors):
+def test_the_heap_peel_agrees_with_the_deletion_cascade(graph_and_anchors):
+    """The heap peel's anchored k-cores, at every ``k`` up to one past the
+    maximum degree, are the deletion cascade's, which shares no code with
+    it."""
     graph, anchors = graph_and_anchors
-    dict_result = anchored_core_decomposition(graph, anchors, backend="dict")
-    other_result = anchored_core_decomposition(graph, anchors, backend=other)
-    assert dict(dict_result.core) == dict(other_result.core)
-    assert dict_result.order == other_result.order
-    assert dict_result.anchors == other_result.anchors
+    decomposition = anchored_core_decomposition(graph, anchors)
+    assert decomposition.anchors == frozenset(anchors)
+    top = max(map(graph.degree, graph.vertices()), default=0)
+    for k in range(top + 2):
+        assert decomposition.k_core_vertices(k) == anchored_k_core(graph, k, anchors)
 
 
 @pytest.mark.parametrize("other", OTHER_BACKENDS)
@@ -187,12 +189,9 @@ def test_rcm_identical_across_backends(other, graph_and_k, budget):
 def test_backends_identical_on_a_graph_large_enough_for_vectorised_waves(other):
     """The graphs above have at most 12 vertices, so numpy's peel frontiers
     stay under its scalar-drain cutoff and its vectorised waves never run
-    there; a 3k-vertex power-law graph runs them."""
+    there; a 3k-vertex power-law graph runs them in Greedy's capped index
+    build."""
     graph = chung_lu_graph(3000, 9000, seed=42)
-    reference = core_decomposition(graph, backend="dict")
-    decomposition = core_decomposition(graph, backend=other)
-    assert dict(decomposition.core) == dict(reference.core)
-    assert decomposition.order == reference.order
     _assert_results_equal(
         GreedyAnchoredKCore(graph, 4, 2, backend="dict").select(),
         GreedyAnchoredKCore(graph, 4, 2, backend=other).select(),
@@ -217,8 +216,8 @@ def edit_scripts(draw):
 
 
 def _assert_views_match_a_fresh_peel(maintainer: CoreMaintainer) -> None:
-    """Every view of the maintained cores answers as the dict backend's peel."""
-    expected = core_numbers(maintainer.graph, backend="dict")
+    """Every view of the maintained cores answers as the heap peel."""
+    expected = core_numbers(maintainer.graph)
     assert maintainer.core_numbers() == expected
     for vertex, value in expected.items():
         assert maintainer.core(vertex) == value

@@ -18,7 +18,7 @@ from repro.backends import (
     resolve_backend,
 )
 from repro.backends import _numpy_installed
-from repro.backends.dict_backend import DictBackend, dict_anchored_peel
+from repro.backends.dict_backend import DictBackend
 from repro.engine import StreamingAVTEngine
 from repro.errors import ParameterError, VertexNotFoundError
 from repro.graph.dynamic import EdgeDelta
@@ -47,6 +47,7 @@ class TestRegistry:
 
     def test_unknown_backend_raises(self):
         from repro.anchored.followers import compute_followers
+        from repro.cores.decomposition import core_numbers
 
         graph = Graph(edges=[(0, 1), (1, 2), (2, 0)])
         # Unhashable values must not escape as a raw TypeError.
@@ -62,6 +63,9 @@ class TestRegistry:
             for k_core_vertices in (None, {0, 1, 2}):
                 with pytest.raises(ParameterError):
                     compute_followers(graph, 2, [0], k_core_vertices, backend=value)
+            # So does core_numbers, which runs the one heap peel.
+            with pytest.raises(ParameterError):
+                core_numbers(graph, backend=value)
 
     @pytest.mark.parametrize("name", ["sharded", "numba", "compact"])
     def test_removed_backends_are_unknown(self, name):
@@ -93,12 +97,13 @@ class TestRegistry:
         assert result.anchors == reference.anchors
 
     def test_the_protocol_holds_only_what_a_backend_changes(self):
-        """The k-core cascade is not a backend kernel: a backend implements
-        the full peel and the index kernel, and may bind to a maintainer."""
-        assert ExecutionBackend.__abstractmethods__ == frozenset(
-            {"decompose", "build_core_index"}
-        )
-        assert not hasattr(ExecutionBackend, "k_core")
+        """Neither the full peel nor the k-core cascade is a backend kernel:
+        a backend implements the index kernel, and may bind to a
+        maintainer."""
+        assert ExecutionBackend.__abstractmethods__ == frozenset({"build_core_index"})
+        for kernel in ("decompose", "k_core"):
+            assert not hasattr(ExecutionBackend, kernel)
+            assert not hasattr(DictBackend, kernel)
 
     @pytest.mark.parametrize(
         "method", ["commit_anchor", "marginal_followers_with_region", "removal_ranks"]
@@ -222,30 +227,20 @@ class TestEngineReResolution:
         assert restored.backend == engine.backend
 
 
-def every_row(graph):
-    """A bare snapshot of ``graph`` with every row in its CSR, as
-    ``decompose`` builds it."""
-    import numpy as np
-
-    from repro.backends.numpy_backend import NumpyGraph
-
-    ngraph = NumpyGraph.from_graph(graph)
-    ngraph.flatten(np.ones(ngraph.num_vertices, dtype=bool))
-    return ngraph
-
-
 @needs_numpy
 class TestNumpyKernels:
     def test_numpy_graph_shares_interner_contract(self):
         """A bare snapshot takes the graph's iteration order (ids by
         position, no sort) and its own neighbour sets, and flattens nothing:
         ``rows[vid]`` translates a row the CSR does not hold and slices one
-        it does."""
-        import numpy as np
+        it does.  Only the capped peel lays out a bare CSR (through
+        ``set_csr``), and it holds the rows of the ids below ``k``."""
+        from repro.backends.numpy_backend import NumpyGraph, _capped_cores
 
-        from repro.backends.numpy_backend import NumpyGraph
-
-        graph = Graph(edges=[(3, 2), (2, "a"), (-1, 3)], vertices=[3, 2, "a", 99, -1])
+        # A triangle 3-2-"a", a pendant -1 on 3 and the isolated 99.
+        graph = Graph(
+            edges=[(3, 2), (2, "a"), ("a", 3), (-1, 3)], vertices=[3, 2, "a", 99, -1]
+        )
         ngraph = NumpyGraph.from_graph(graph)
         vertices = list(graph.vertices())
         assert ngraph.vertices == vertices
@@ -254,45 +249,25 @@ class TestNumpyKernels:
             ngraph.rows.sets[vid] is graph.neighbors(vertex) for vid, vertex in enumerate(vertices)
         )
         assert ngraph.indptr.tolist() == [0] * 6 and ngraph.indices.size == 0
-        keep = np.array([True, False, True, False, False])
-        for flattened in (False, True):
-            if flattened:
-                ngraph.flatten(keep)
+        held = [False] * 5
+        for peeled in (False, True):
+            if peeled:
+                assert _capped_cores(ngraph, 2).tolist() == [2, 2, 2, 0, 1]
+                held = [False, False, False, True, True]
             indptr, indices = ngraph.indptr.tolist(), ngraph.indices.tolist()
             assert indptr == ngraph.rows.indptr and indices == ngraph.rows.indices
             for vid, vertex in enumerate(vertices):
                 row = indices[indptr[vid] : indptr[vid + 1]]
-                assert row == (ngraph.rows[vid] if flattened and keep[vid] else [])
+                assert row == (ngraph.rows[vid] if held[vid] else [])
                 assert ngraph.translate(ngraph.rows[vid]) == graph.neighbors(vertex)
                 assert len(ngraph.rows[vid]) == graph.degree(vertex)
-        assert ngraph.indptr.tolist() == [0, 2, 2, 3, 3, 3]
-        assert ngraph.num_vertices == 5 and ngraph.num_edges == 3
+        # The rows of 99 (empty) and -1 (id 0, for vertex 3).
+        assert ngraph.indptr.tolist() == [0, 0, 0, 0, 0, 1]
+        assert ngraph.indices.tolist() == [0]
+        assert ngraph.num_vertices == 5 and ngraph.num_edges == 4
         assert ngraph.translate([0, 2]) == {3, "a"}
         with pytest.raises(VertexNotFoundError):
             ngraph.id_of("missing")
-
-    def test_numpy_peel_matches_dict_peel(self):
-        from repro.backends.numpy_backend import numpy_peel
-
-        # Ids follow the graph's iteration order, the reverse of tie-break
-        # order, so the shell ties and the anchor tail are broken by key.
-        graph = Graph(
-            edges=[(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3), (5, 6)],
-            vertices=["lonely"] + list(range(6, -1, -1)),
-        )
-        ngraph = every_row(graph)
-        vertices = ngraph.vertices
-        anchors = [6, 0]
-        core_n, order_n = numpy_peel(ngraph, anchor_ids=map(ngraph.id_of, anchors))
-        reference = dict_anchored_peel(graph, frozenset(anchors))
-        assert {vertices[vid]: core_n[vid] for vid in range(len(vertices))} == reference.core
-        assert tuple(vertices[vid] for vid in order_n) == reference.order
-
-    def test_numpy_peel_empty_graph(self):
-        from repro.backends.numpy_backend import numpy_peel
-
-        core, order = numpy_peel(every_row(Graph()))
-        assert core.tolist() == [] and order == []
 
 
 class TestAvailabilityReasons:

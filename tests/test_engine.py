@@ -578,16 +578,16 @@ class TestSelfLoopIngest:
         ("engine", "ingest_insert", ([1], 2), "u"),
         ("engine", "ingest_insert", (1, {2}), "v"),
         ("engine", "ingest_remove", ([1], 2), "u"),
-        ("engine", "ingest", (EdgeDelta(inserted=((1, 4), ([1], 2))),), "u"),
-        ("engine", "ingest", (EdgeDelta(inserted=((1, 4),), removed=((1, [2]),)),), "v"),
+        ("maintainer", "insert_edge", (1, [2]), "v"),
+        ("maintainer", "remove_edge", ([1], 2), "u"),
         ("maintainer", "insert_edge", ([1], 2), "u"),
         ("maintainer", "remove_edge", (1, [2]), "v"),
     ],
 )
 def test_unhashable_endpoints_fail_at_the_door(owner, method, args, name):
     """An unhashable endpoint raises :class:`ParameterError` naming the
-    argument, at the engine's ingest calls (a whole delta buffers nothing)
-    and at the maintainer's single-edge updates, and changes nothing."""
+    argument, at the engine's single-edge ingest calls and at the
+    maintainer's single-edge updates, and changes nothing."""
     graph = Graph(edges=[(1, 2), (2, 3), (3, 1)])
     engine = StreamingAVTEngine(graph, batch_size=None)
     maintainer = CoreMaintainer(graph)
@@ -597,6 +597,26 @@ def test_unhashable_endpoints_fail_at_the_door(owner, method, args, name):
     assert engine.pending_updates == 0
     assert engine.stats.updates_ingested == 0
     assert engine.graph == graph and maintainer.graph == graph
+
+
+@pytest.mark.parametrize(
+    "fields, name",
+    [
+        ({"inserted": ((1, 4), ([1], 2))}, "inserted"),
+        ({"inserted": ((1, 4),), "removed": ((1, [2]),)}, "removed"),
+    ],
+    ids=["inserted", "removed"],
+)
+def test_a_delta_with_an_unhashable_endpoint_never_reaches_ingest(fields, name):
+    """:class:`EdgeDelta` refuses an unhashable endpoint when it is built,
+    naming the field, so a whole-delta ingest buffers nothing."""
+    graph = Graph(edges=[(1, 2), (2, 3), (3, 1)])
+    engine = StreamingAVTEngine(graph, batch_size=None)
+    with pytest.raises(ParameterError, match=rf"^EdgeDelta\.{name}: a vertex must be hashable"):
+        engine.ingest(EdgeDelta(**fields))
+    assert engine.pending_updates == 0
+    assert engine.stats.updates_ingested == 0
+    assert engine.graph == graph
 
 
 # ---------------------------------------------------------------------------

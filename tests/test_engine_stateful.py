@@ -20,7 +20,7 @@ the oracles:
   graph and its core numbers equal
   :func:`~repro.cores.decomposition.core_numbers`;
 * an exact answer equals the index-free reference Greedy
-  (:func:`tests.conftest.reference_greedy`, built from full dict peels and
+  (:func:`tests.conftest.reference_greedy`, built from full heap peels and
   :func:`follower_gain` only), and asking again returns the same answer;
 * a warm answer has at most ``budget`` distinct anchors, all in the graph,
   and its followers equal the reference :func:`compute_followers` path
@@ -202,7 +202,7 @@ class EngineMachine(RuleBasedStateMachine):
         if self.engine.pending_updates:
             return
         assert self.engine.graph == self.shadow
-        assert self.engine.core_numbers() == core_numbers(self.shadow, backend="dict")
+        assert self.engine.core_numbers() == core_numbers(self.shadow)
 
 
 EngineMachine.TestCase.settings = settings(

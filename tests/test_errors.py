@@ -82,6 +82,7 @@ def test_an_unhashable_anchor_is_a_parameter_error():
     as a vertex fails with a ParameterError naming the argument, not a raw
     ``TypeError: unhashable type``."""
     from repro.anchored.anchored_core import AnchoredCoreIndex
+    from repro.anchored.bruteforce import BruteForceAnchoredKCore
     from repro.anchored.followers import anchored_k_core, compute_followers, follower_gain
     from repro.anchored.greedy import GreedyAnchoredKCore
     from repro.anchored.olak import OLAKAnchoredKCore
@@ -103,6 +104,9 @@ def test_an_unhashable_anchor_is_a_parameter_error():
             lambda: anchored_k_core(graph, 2, bad),
         ],
         "base_anchors": [lambda: follower_gain(graph, 2, bad, 3)],
+        "candidate_universe": [
+            lambda: BruteForceAnchoredKCore(graph, 2, 1, candidate_universe=bad)
+        ],
         "candidate": [lambda: follower_gain(graph, 2, [3], [1])],
         "vertex": [lambda: AnchoredCoreIndex(graph, 2).commit_anchor([1])],
     }
@@ -119,6 +123,7 @@ def test_a_non_iterable_anchor_argument_is_a_parameter_error():
     not iterable``; the public follower functions check ``k`` and the
     candidate the same way."""
     from repro.anchored.anchored_core import AnchoredCoreIndex
+    from repro.anchored.bruteforce import BruteForceAnchoredKCore
     from repro.anchored.followers import (
         anchored_k_core,
         compute_followers,
@@ -149,6 +154,9 @@ def test_a_non_iterable_anchor_argument_is_a_parameter_error():
             lambda: anchored_k_core(graph, 2, 5),
             lambda: refresh(maintainer, 2, 2, 5, set()),
             lambda: refresh(maintainer, 2, 2, [[1]], set()),
+        ],
+        "candidate_universe": [
+            lambda: BruteForceAnchoredKCore(graph, 2, 1, candidate_universe=5)
         ],
         "k": [
             lambda function=function, k=k: function(graph, k, 3, core)

@@ -23,9 +23,9 @@ from repro.anchored.followers import (
     full_shell_followers,
     marginal_followers,
 )
-from repro.backends.dict_backend import dict_anchored_peel
 from repro.backends.numpy_backend import CsrRows
 from repro.cores.decomposition import (
+    anchored_core_decomposition,
     commit_anchor_ids,
     compact_marginal_followers,
     core_numbers,
@@ -135,7 +135,7 @@ FIRST_CALL = textwrap.dedent(
     import sys
 
     from repro.anchored.followers import anchored_k_core, compute_followers, follower_gain
-    from repro.cores.decomposition import k_core
+    from repro.cores.decomposition import anchored_core_decomposition, core_numbers, k_core
     from repro.cores.maintenance import CoreMaintainer
     from repro.graph.datasets import toy_example_graph
 
@@ -147,6 +147,8 @@ FIRST_CALL = textwrap.dedent(
         "compute_followers": lambda: compute_followers(graph, 3, [7, 10]),
         "compute_followers_region": lambda: compute_followers(graph, 3, [7, 10], plain),
         "follower_gain": lambda: follower_gain(graph, 3, [15], 10),
+        "core_numbers": lambda: core_numbers(graph),
+        "anchored_core_decomposition": lambda: anchored_core_decomposition(graph, [7, 10]),
     }[sys.argv[1]]
     before = set(sys.modules)
     call()
@@ -157,13 +159,21 @@ FIRST_CALL = textwrap.dedent(
 
 @pytest.mark.parametrize(
     "call",
-    ["k_core", "anchored_k_core", "compute_followers", "compute_followers_region", "follower_gain"],
+    [
+        "k_core",
+        "anchored_k_core",
+        "compute_followers",
+        "compute_followers_region",
+        "follower_gain",
+        "core_numbers",
+        "anchored_core_decomposition",
+    ],
 )
 def test_the_first_k_core_call_in_a_process_imports_nothing(call):
-    """The k-core is one cascade in :mod:`repro.cores.decomposition`: no
-    call reaches a backend module (the dict backend's, with ``heapq``),
-    whatever ``auto`` would pick.  The child inherits ``REPRO_TRACE`` and
-    ``REPRO_DISABLE_NUMPY``."""
+    """The k-core is one cascade and the full peel one heap peel, both in
+    :mod:`repro.cores.decomposition`: no call reaches a backend module
+    (numpy's, or the dict backend's), whatever ``auto`` would pick.  The
+    child inherits ``REPRO_TRACE`` and ``REPRO_DISABLE_NUMPY``."""
     source = str(Path(repro.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
     completed = subprocess.run(
@@ -286,7 +296,7 @@ class TestCommitAnchorCores:
         cap = max(graph.degree_map().values(), default=0) + 1
         for position, anchor in enumerate(anchors):
             commit_anchor_cores(graph, anchor, core, cap=cap)
-            expected = dict_anchored_peel(graph, frozenset(anchors[: position + 1])).core
+            expected = anchored_core_decomposition(graph, anchors[: position + 1]).core
             assert core == expected
 
     @SETTINGS
@@ -296,7 +306,7 @@ class TestCommitAnchorCores:
         core = core_numbers(graph)
         for position, anchor in enumerate(anchors):
             commit_anchor_cores(graph, anchor, core, cap=cap)
-            expected = dict_anchored_peel(graph, frozenset(anchors[: position + 1])).core
+            expected = anchored_core_decomposition(graph, anchors[: position + 1]).core
             for vertex, value in expected.items():
                 assert min(core[vertex], cap) == min(value, cap), vertex
 
@@ -342,7 +352,7 @@ class TestIdListCascades:
         graph, anchors = scenario
         interned = CoreMaintainer(graph).graph
         vertices = interned.id_vertices
-        core = dict_anchored_peel(graph, frozenset(anchors)).core
+        core = anchored_core_decomposition(graph, anchors).core
         core_ids = [core[vertex] for vertex in vertices]
         for vertex, value in core.items():
             if value >= k:
@@ -367,7 +377,7 @@ class TestIdListCascades:
         vertices = interned.id_vertices
         for cap in range(1, 6):
             for rows in id_rows(graph, interned):
-                core = dict(dict_anchored_peel(graph, frozenset()).core)
+                core = dict(anchored_core_decomposition(graph, ()).core)
                 core_ids = [core[vertex] for vertex in vertices]
                 for anchor in anchors:
                     touched = commit_anchor_cores(graph, anchor, core, cap=cap)

@@ -280,7 +280,7 @@ def test_a_bare_refresh_flattens_only_the_rows_below_k(monkeypatch):
     # Vertices of other types, so ids, vertices and tie-break order differ.
     graph.add_edges([("a", 0), ("a", 1), ("a", (2,)), ((2,), 0), (-4, "a")])
     graph.add_vertex("lonely")
-    top = max(core_numbers(graph, backend="dict").values())
+    top = max(core_numbers(graph).values())
     ks = range(1, top + 2)
     expected = reference_states(graph, ks)
     forbid_the_k_core_cascade(monkeypatch)

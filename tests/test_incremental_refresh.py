@@ -17,7 +17,7 @@ Two referees keep the capped and incremental paths honest:
   and followers and report bit-identical instrumentation
   (``candidates_evaluated``, ``visited_vertices``) as the index-free
   reference Greedy (``tests/conftest.py::reference_greedy``, which re-runs
-  every evaluation every round on a full dict peel), on random graphs
+  every evaluation every round on a full heap peel), on random graphs
   across every backend — while actually recomputing fewer cascades.
 
 The same vertex-pool strategies as ``tests/test_backend_equivalence.py`` are
@@ -94,7 +94,7 @@ def commit_scenarios(draw):
 def _assert_capped_state(index: AnchoredCoreIndex, graph: Graph, anchors, k: int):
     """The capped contract: ``index`` vs a full exact anchored peel of
     ``graph`` with ``anchors`` (dict backend, no index involved)."""
-    decomposition = anchored_core_decomposition(graph, anchors, backend="dict")
+    decomposition = anchored_core_decomposition(graph, anchors)
     full_core = decomposition.core
     full_rank = {vertex: position for position, vertex in enumerate(decomposition.order)}
     assert dict(index.core_numbers()) == {

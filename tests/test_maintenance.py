@@ -329,6 +329,33 @@ class TestSelfLoops:
         maintainer.validate()
 
 
+class TestUnhashableEndpoints:
+    """A delta with an unhashable endpoint is refused when it is built,
+    before the maintainer changes anything."""
+
+    @pytest.mark.parametrize(
+        "fields, bad",
+        [
+            ({"inserted": ((1, 3), ([4], 5))}, r"inserted: .* not \[4\]"),
+            ({"removed": ((1, 2), (2, {3}))}, r"removed: .* not \{3\}"),
+        ],
+        ids=["inserted", "removed"],
+    )
+    def test_apply_delta_leaves_the_path_unchanged(self, fields, bad):
+        maintainer = CoreMaintainer(Graph(edges=[(1, 2), (2, 3)]))
+        before = TestSelfLoops._state(maintainer)
+        with pytest.raises(ParameterError, match=rf"^EdgeDelta\.{bad}$"):
+            maintainer.apply_delta(EdgeDelta(**fields))
+        assert TestSelfLoops._state(maintainer) == before
+        maintainer.validate()
+
+    def test_list_containers_with_hashable_endpoints_pass(self):
+        maintainer = CoreMaintainer(Graph(edges=[(1, 2), (2, 3)]))
+        maintainer.apply_delta(EdgeDelta(inserted=[[1, 3]], removed=[(1, 2)]))
+        assert maintainer.graph.edge_set() == {frozenset((1, 3)), frozenset((2, 3))}
+        maintainer.validate()
+
+
 class TestViews:
     def test_k_core_and_shell_views(self, toy_graph):
         maintainer = CoreMaintainer(toy_graph)
@@ -434,7 +461,7 @@ def test_deletions_among_hubs_match_the_reference_and_a_fresh_peel():
         assert effect == reference.apply_delta(delta, k=top)
         cascades += len(effect.decreased)
         maintainer.validate()
-        expected = core_numbers(maintainer.graph, backend="dict")
+        expected = core_numbers(maintainer.graph)
         for k in range(max(expected.values()) + 2):
             assert maintainer.k_core_vertices(k) == {
                 vertex for vertex, value in expected.items() if value >= k

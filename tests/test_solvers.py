@@ -22,7 +22,7 @@ from repro.anchored.olak import OLAKAnchoredKCore
 from repro.anchored.rcm import RCMAnchoredKCore
 from repro.anchored.result import AnchoredKCoreResult
 from repro.backends import numpy_available
-from repro.errors import ParameterError
+from repro.errors import ParameterError, VertexNotFoundError
 from repro.graph.generators import chung_lu_graph
 from repro.graph.static import Graph
 from tests.conftest import reference_greedy
@@ -139,9 +139,10 @@ FIRST_SOLVE = textwrap.dedent(
 
 
 class TestBackendResolution:
-    """Every solver resolves ``backend=`` when it is constructed."""
+    """Every heuristic resolves ``backend=`` when it is constructed; brute
+    force builds no index and takes none."""
 
-    @pytest.mark.parametrize("solver_cls", ALL_SOLVERS)
+    @pytest.mark.parametrize("solver_cls", HEURISTICS)
     def test_unknown_backend_fails_at_construction(self, toy_graph, solver_cls):
         with pytest.raises(ParameterError, match="unknown backend"):
             solver_cls(toy_graph, 3, 2, backend="sparse")
@@ -282,6 +283,12 @@ class TestBruteForce:
         with pytest.raises(ParameterError, match="max_combinations"):
             BruteForceAnchoredKCore(toy_graph, 3, 2, max_combinations=bad)
 
+    def test_a_universe_member_outside_the_graph_is_refused_at_construction(self, toy_graph):
+        # An unhashable or non-iterable universe is a ParameterError
+        # (tests/test_errors.py).
+        with pytest.raises(VertexNotFoundError, match="99"):
+            BruteForceAnchoredKCore(toy_graph, 3, 2, candidate_universe=[7, 99])
+
     def test_explicit_universe(self, toy_graph):
         result = BruteForceAnchoredKCore(
             toy_graph, 3, 2, candidate_universe=[7, 10, 15]
@@ -340,7 +347,7 @@ def tiny_graphs(draw) -> Graph:
 def test_greedy_against_exact_solvers_on_tiny_graphs(backend, graph, k, budget):
     """Greedy never beats the optimum, and matches it with one anchor."""
     greedy = GreedyAnchoredKCore(graph, k, budget, backend=backend).select()
-    brute = BruteForceAnchoredKCore(graph, k, budget, backend=backend).select()
+    brute = BruteForceAnchoredKCore(graph, k, budget).select()
     assert len(greedy.anchors) <= budget
     assert greedy.num_followers <= brute.num_followers
     if budget == 1:
